@@ -230,13 +230,26 @@ def build_parser():
     return ap
 
 
+def _bad_parameters(args):
+    """Why the truncation flags are unusable, or None.  Every presentation
+    here is quadratic, so the working degree must be at least 2, and the
+    report degree d must satisfy 0 <= d <= D - 2."""
+    if args.degree < 2:
+        return "degree must be at least 2 (the relations are quadratic)"
+    if args.slack < 0:
+        return "slack must be at least 0"
+    d = args.report_degree
+    if d is not None and not 0 <= d <= args.degree - 2:
+        return "report degree must satisfy 0 <= d <= degree - 2"
+    return None
+
+
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.report_degree is not None and \
-            args.report_degree > args.degree - 2:
-        print("error: report degree must be at most degree - 2",
-              file=sys.stderr)
+    bad = _bad_parameters(args)
+    if bad:
+        print("error: %s" % bad, file=sys.stderr)
         return 2
     try:
         rep = args.func(args)

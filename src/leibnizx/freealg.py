@@ -6,9 +6,12 @@ lexicographically; this fixes canonical coordinates for every construction
 built on top (enveloping algebras, kernel ideals, quotients).
 
 Ideals of inhomogeneous relations are never fully visible at a finite
-degree: the span at degree <= D is taken from products computed up to
-degree D + S (slack), and a stabilization flag records whether raising the
-slack by one changes the answer.
+degree: the span at degree <= D is taken from the products w1*r*w2 of top
+degree <= D + S (slack), and a stabilization flag records whether raising
+the slack by one changes the answer.  That span is closed one degree at a
+time: each level multiplies by the generators only the echelon rows the
+previous level added, which spans the same space as enumerating every
+product (see :func:`ideal_span`).
 """
 
 import itertools
@@ -189,52 +192,82 @@ class TruncIdeal:
             alg.dim, [alg.vec_to_coords(r) for r in self.rows])
 
 
-def _insert_products(ech, algebra, relations, lo_total, hi_total):
-    """Insert all w1*r*w2 with lo_total < top degree <= hi_total."""
-    g = algebra.ngens
+def _close_level(ech, frontier, relations, g):
+    """Raise the span V_{m-1} to V_m.
+
+    ``frontier`` holds (pivot, made_right) for the rows the echelon gained
+    at level m-1; ``relations`` are the relations of degree m.  Each
+    frontier row is multiplied by every generator on the right, and on the
+    left too unless it was itself made as a right product.  Returns the
+    frontier of level m.
+    """
+    new = []
+    for piv, made_right in frontier:
+        row = ech.rows[piv]
+        for x in range(g):
+            p = ech.insert({w + (x,): c for w, c in row.items()})
+            if p is not None:
+                new.append((p, True))
+            if not made_right:
+                p = ech.insert({(x,) + w: c for w, c in row.items()})
+                if p is not None:
+                    new.append((p, False))
     for r in relations:
-        dr = r.degree()
-        terms = list(r.terms.items())
-        for a in range(0, hi_total - dr + 1):
-            for w1 in itertools.product(range(g), repeat=a):
-                left = [(w1 + w, c) for w, c in terms]
-                bmax = hi_total - dr - a
-                for b in range(0, bmax + 1):
-                    if a + dr + b <= lo_total:
-                        continue
-                    for w2 in itertools.product(range(g), repeat=b):
-                        ech.insert({u + w2: c for u, c in left})
+        p = ech.insert(dict(r.terms))
+        if p is not None:
+            new.append((p, False))
+    return new
 
 
 def _extract_upto(ech, D):
     """Canonical elimination-order RREF of (span) ∩ (degree <= D)."""
     out = Echelon(word_key)
-    for piv, row in sorted(ech.rows.items(), key=lambda kv: word_key(kv[0])):
-        if len(piv) <= D:
-            out.insert(dict(row))
+    kept = [(piv, row) for piv, row in ech.rows.items() if len(piv) <= D]
+    for piv, row in sorted(kept, key=lambda kv: word_key(kv[0])):
+        out.insert(dict(row))
     return out.canonical_rows()
 
 
 def ideal_span(algebra, relations, slack=2, stability_check=True):
     """Truncated two-sided ideal of the given relation polynomials.
 
-    The span is generated at top degree algebra.degree + slack and cut back
-    to the working degree; the stabilization flag compares against slack+1.
-    With stability_check=False the comparison is skipped (stabilized=None) —
-    used by callers that run their own certificate protocol and do not need
-    the extra top-degree pass.
+    The span V_{D+S} of all w1*r*w2 with |w1| + deg r + |w2| <= D + S
+    (D = algebra.degree, S = slack) is built one level at a time:
+
+        V_m = V_{m-1} + sum_x (x V_{m-1} + V_{m-1} x) + span{r : deg r = m}.
+
+    Multiplication by a generator x is linear and x V_{m-2} already lies in
+    V_{m-1}, so only the rows the echelon gained at level m-1 (the
+    frontier) are multiplied.  A frontier row n made as a right product
+    n'y, with n' in V_{m-2}, is multiplied on the right only.  Indeed
+    n = n'y - s with s in the span at n's insertion, so x n = (x n')y - x s:
+    x n' lies in V_{m-1}, so (x n')y lies in V_{m-1} y, which V_{m-1} and
+    the right products of the frontier span; s lies in V_{m-2} plus the
+    frontier rows inserted before n, whose left multiples are covered by
+    induction on insertion order.  The span is thus exactly the one the
+    full enumeration gives, and the rows are its canonical RREF cut back
+    to the working degree.  The stabilization flag raises the span by one more
+    level from the saved frontier and compares.  With
+    stability_check=False the comparison is skipped (stabilized=None) —
+    used by callers that run their own certificate protocol and do not
+    need the extra level.
     """
     D = algebra.degree
     relations = [r for r in relations if not r.is_zero()]
+    by_degree = {}
     for r in relations:
         if r.degree() > D:
             raise ValueError("relation degree exceeds working degree")
+        by_degree.setdefault(r.degree(), []).append(r)
+    g = algebra.ngens
     ech = Echelon(word_key)
-    _insert_products(ech, algebra, relations, -1, D + slack)
+    frontier = []
+    for m in range(D + slack + 1):
+        frontier = _close_level(ech, frontier, by_degree.get(m, ()), g)
     rows = _extract_upto(ech, D)
     if not stability_check:
         return TruncIdeal(algebra, relations, slack, rows, None)
-    _insert_products(ech, algebra, relations, D + slack, D + slack + 1)
+    _close_level(ech, frontier, by_degree.get(D + slack + 1, ()), g)
     rows_next = _extract_upto(ech, D)
     stabilized = rows == rows_next
     return TruncIdeal(algebra, relations, slack, rows, stabilized)

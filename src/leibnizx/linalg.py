@@ -16,13 +16,6 @@ from .scalars import Q, ZERO
 # sparse vector helpers
 
 
-def vec_scale(v, c):
-    c = Q(c)
-    if c == 0:
-        return {}
-    return {k: c * x for k, x in v.items()}
-
-
 def vec_add_scaled(dst, src, c):
     """dst += c*src in place, dropping zeros."""
     for k, x in src.items():
@@ -37,10 +30,6 @@ def vec_add_scaled(dst, src, c):
 def vec_sub(a, b):
     out = dict(a)
     return vec_add_scaled(out, b, Q(-1))
-
-
-def vec_eq(a, b):
-    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +297,6 @@ class LinearMap:
                         out[i] = y
         return out
 
-    def apply_dense(self, v):
-        return tuple(sum((self.entries[i][j] * v[j] for j in range(self.cols)),
-                         ZERO) for i in range(self.rows))
-
     def compose(self, other):
         """self o other."""
         if self.cols != other.rows:
@@ -353,11 +338,7 @@ class LinearMap:
         n = self.cols
         for j in range(n):
             # vector (column image | unit tracking part); coords n.. track j
-            v = {}
-            for i, x in self.col(j).items():
-                v[i] = x
-            v = {k: x for k, x in v.items()}
-            w = dict(v)
+            w = self.col(j)
             w[self.rows + j] = Q(1)
             ech.insert(w)
         out = []

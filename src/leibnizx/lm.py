@@ -1078,7 +1078,7 @@ def theta_check(x, degree, slack=2, report_degree=None):
     kernel-product quotients, map the quotient ideal into its categorical
     counterpart, and intertwine the induced cat¹ maps.
     """
-    from .xul import xul
+    from .xul import combine_verdict, xul
     from .envelope import ul_relations
 
     if report_degree is None:
@@ -1214,7 +1214,6 @@ def theta_check(x, degree, slack=2, report_degree=None):
 
     certs = dict(Y.certificates)
     certs.update({"ul_" + k: v for k, v in tx.certificates.items()})
-    stable = all(v is not False for v in certs.values())
     ok = (relations_ok and ideal_ok and p_ideal_ok and unit_ok and
           pre_dims_ok and pre_rank_ok and x_maps_ok and quot_dims_ok and
           quot_rank_ok and morphism_ok)
@@ -1234,6 +1233,5 @@ def theta_check(x, degree, slack=2, report_degree=None):
         "bottom_dim_upto_d": w_dim_upto(d),
         "top_dim_upto_d": top.dim_upto(d),
         "certificates": certs,
-        "verdict": "pass" if (ok and stable) else \
-        ("fail" if not ok else "inconclusive"),
+        "verdict": combine_verdict(ok, certs.values()),
     }

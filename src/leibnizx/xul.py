@@ -205,6 +205,18 @@ def check_trunc_xmod(tx):
 # executable lemmas
 
 
+def combine_verdict(ok, certificates):
+    """The verdict of a check: "fail" when ok is false, whatever the
+    certificates say; otherwise "inconclusive" if any certificate is False,
+    else "pass".  Non-boolean certificate values (degrees) never count as
+    false."""
+    if not ok:
+        return "fail"
+    if any(v is False for v in certificates):
+        return "inconclusive"
+    return "pass"
+
+
 def _kernel_words_span(usd, nq, d):
     """Span of classes of words of length <= d containing a pure-q letter."""
     import itertools
@@ -255,9 +267,7 @@ def lemma41_check(x, degree, slack=2, report_degree=None):
                                   stability_check=False)
     degree_stable = (lhs.dim, rhs.dim, equal) == \
         (lhs3.dim, rhs3.dim, lhs3 == rhs3)
-    certified = stab and slack_stable and degree_stable
-    verdict = "pass" if (equal and certified) else \
-        ("fail" if not equal else "inconclusive")
+    verdict = combine_verdict(equal, (stab, slack_stable, degree_stable))
     return {
         "name": "lemma41",
         "degree": d,
@@ -328,10 +338,9 @@ def prop42_check(p, degree, slack=2, report_degree=None):
             ok_back = False
         checked += 1
     bad = check_trunc_xmod(tx)
-    verdict = "pass" if (ok_there and ok_back and not bad) else "fail"
     certs = dict(tx.certificates)
-    if not (certs["ul_semidirect_stabilized"] and certs["ul_p_stabilized"]):
-        verdict = "inconclusive"
+    verdict = combine_verdict(ok_there and ok_back and not bad,
+                              certs.values())
     return {
         "name": "prop42",
         "degree": d,
@@ -355,7 +364,8 @@ def embedding_squares_check(p, degree, slack=2, report_degree=None):
     b_zero = tx.B == zero_subspace(tx.ambient.dim)
     a_matches = (tx.ambient.dim == tx.ul_p.dim
                  and tx.bar_s.rank() == tx.ul_p.dim)
-    verdict = "pass" if (b_zero and a_matches) else "fail"
+    certs = dict(tx.certificates)
+    verdict = combine_verdict(b_zero and a_matches, certs.values())
     return {
         "name": "embedding_squares",
         "degree": d,
@@ -364,5 +374,5 @@ def embedding_squares_check(p, degree, slack=2, report_degree=None):
         "ul_p_dim": tx.ul_p.dim,
         "ul_p_dim_upto_d": tx.ul_p.dim_upto(d),
         "verdict": verdict,
-        "certificates": dict(tx.certificates),
+        "certificates": certs,
     }

@@ -132,3 +132,17 @@ def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("cmd,name,flags", [
+    # a negative slack closed nothing, and both passes agreed vacuously
+    (("ul",), "a1.json", ("--degree", "2", "--slack", "-3")),
+    (("ul",), "a1.json", ("--degree", "0")),
+    (("verify", "theta"), "xmod-id-a1.json", ("--degree", "1")),
+    (("xul",), "xmod-id-a1.json", ("--report-degree", "-1")),
+])
+def test_bad_flags_exit_2(capsys, cmd, name, flags):
+    rc, out, err = run(capsys, *cmd, corpus_path(name), *flags)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")

@@ -1,14 +1,19 @@
+import itertools
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibnizx.scalars import Q
+from leibnizx.envelope import ul_relations
 from leibnizx.freealg import (FreeAlgebra, HomomorphismError, NCPoly,
                               filtration_basis, ideal_span, induced_map,
                               quotient, subspace_product, subspace_vectors,
                               word_key)
-from leibnizx.linalg import Subspace
+from leibnizx.leibniz import liezation
+from leibnizx.linalg import Echelon, Subspace
+from leibnizx.lm import lie_relations
 
 
 def test_ncpoly_arithmetic():
@@ -86,6 +91,83 @@ def test_ideal_span_brute_force_agreement():
                    if all(len(w) <= 3 for w in r)])
     got = ideal.span_subspace()
     assert got.contains(expect)
+
+
+def _insert_products(ech, g, relations, lo_total, hi_total):
+    """Insert all w1*r*w2 with lo_total < top degree <= hi_total."""
+    for r in relations:
+        dr = r.degree()
+        terms = list(r.terms.items())
+        for a in range(0, hi_total - dr + 1):
+            for w1 in itertools.product(range(g), repeat=a):
+                left = [(w1 + w, c) for w, c in terms]
+                bmax = hi_total - dr - a
+                for b in range(0, bmax + 1):
+                    if a + dr + b <= lo_total:
+                        continue
+                    for w2 in itertools.product(range(g), repeat=b):
+                        ech.insert({u + w2: c for u, c in left})
+
+
+def _rows_upto(ech, D):
+    out = Echelon(word_key)
+    for piv, row in ech.rows.items():
+        if len(piv) <= D:
+            out.insert(dict(row))
+    return out.canonical_rows()
+
+
+def enumerated_ideal(free, relations, slack):
+    """Oracle: (rows, stabilized) from enumerating every product w1*r*w2
+    of top degree <= D + slack, then those of top degree D + slack + 1."""
+    D, g = free.degree, free.ngens
+    relations = [r for r in relations if not r.is_zero()]
+    ech = Echelon(word_key)
+    _insert_products(ech, g, relations, -1, D + slack)
+    rows = _rows_upto(ech, D)
+    _insert_products(ech, g, relations, D + slack, D + slack + 1)
+    return rows, rows == _rows_upto(ech, D)
+
+
+def _gens(n):
+    return tuple("x%d" % i for i in range(n))
+
+
+@pytest.mark.parametrize("slack", [0, 1, 2])
+def test_ideal_span_matches_enumeration(a1, l2, r2, slack):
+    """The level-wise closure gives the rows and the stabilization flag of
+    the full enumeration, on the envelope and Lie presentations."""
+    cases = [(2 * a1.dim, ul_relations(a1), (2, 3, 4)),
+             (2 * l2.dim, ul_relations(l2), (2, 3)),
+             (2 * r2.dim, ul_relations(r2), (2, 3)),
+             (r2.dim, lie_relations(r2), (2, 3, 4)),
+             (1, lie_relations(liezation(l2)[0]), (2, 3, 4))]
+    for g, rels, degrees in cases:
+        for D in degrees:
+            free = FreeAlgebra(_gens(g), D)
+            ideal = ideal_span(free, rels, slack=slack)
+            rows, stabilized = enumerated_ideal(free, rels, slack)
+            assert list(ideal.rows) == rows, (g, D)
+            assert ideal.stabilized == stabilized, (g, D)
+
+
+_WORDS = [w for d in range(3) for w in itertools.product(range(3), repeat=d)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 3), st.integers(1, 4), st.integers(0, 1),
+       st.lists(st.dictionaries(st.sampled_from(_WORDS), st.integers(-2, 2),
+                                min_size=1, max_size=4),
+                min_size=1, max_size=4))
+def test_ideal_span_matches_enumeration_random(g, D, slack, raw):
+    free = FreeAlgebra(_gens(g), D)
+    rels = [NCPoly({w: c for w, c in t.items()
+                    if len(w) <= D and all(x < g for x in w)})
+            for t in raw]
+    ideal = ideal_span(free, rels, slack=slack)
+    rows, stabilized = enumerated_ideal(free, rels, slack)
+    assert list(ideal.rows) == rows
+    assert ideal.stabilized == stabilized
 
 
 def test_quotient_reduce_and_mult():

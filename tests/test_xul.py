@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from leibnizx import xul as xul_module
 from leibnizx.scalars import Q
 from leibnizx.linalg import LinearMap, zero_subspace
 from leibnizx.leibniz import zero_action
@@ -68,3 +71,33 @@ def test_embedding_squares(a1, l2, r2):
         assert rec["verdict"] == "pass"
         assert rec["b_dim"] == 0
         assert rec["ambient_dim"] == rec["ul_p_dim"]
+
+
+def _unstable_xul(monkeypatch):
+    """Make every xul() report its envelopes as not stabilized."""
+    real = xul_module.xul
+
+    def unstable(*args, **kwargs):
+        tx = real(*args, **kwargs)
+        certs = dict(tx.certificates, ul_semidirect_stabilized=False,
+                     ul_p_stabilized=False)
+        return dataclasses.replace(tx, certificates=certs)
+
+    monkeypatch.setattr(xul_module, "xul", unstable)
+
+
+def test_prop42_fail_wins_over_false_certificates(a1, monkeypatch):
+    _unstable_xul(monkeypatch)
+    assert prop42_check(a1, 3)["verdict"] == "inconclusive"
+    monkeypatch.setattr(xul_module, "check_trunc_xmod",
+                        lambda tx: [("CAs2", (1, 1))])
+    rec = prop42_check(a1, 3)
+    assert rec["xmod_violations"] == 1
+    assert rec["verdict"] == "fail"
+
+
+def test_embedding_squares_reads_certificates(a1, monkeypatch):
+    _unstable_xul(monkeypatch)
+    rec = embedding_squares_check(a1, 3)
+    assert rec["b_dim"] == 0
+    assert rec["verdict"] == "inconclusive"
