@@ -1,0 +1,99 @@
+"""Golden outputs: canonical CLI reports compared byte for byte.
+
+Each case runs ``leibnizx.cli.main`` from the repository root on a corpus
+file, with ``--format json --dump-basis``, and compares its exit code and
+stdout with the file committed under ``tests/golden``.  A refactor that
+keeps behaviour keeps these bytes; a change that is meant to alter a
+report must say so and rewrite the affected file with
+
+    PYTHONPATH=src python tests/test_golden.py NAME...
+
+(no NAME rewrites every case).
+"""
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import sys
+
+import pytest
+
+from leibnizx.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+FLAGS = ("--format", "json", "--dump-basis")
+SLACK = ("--slack", "1")
+
+
+def _cases():
+    stems = sorted(p.stem for p in (ROOT / "corpus").glob("*.json"))
+    cases = [("check", stem) for stem in stems]
+    cases += [
+        ("ul", "l2", "--degree", "4", *SLACK),
+        ("ul", "r2", "--degree", "3", *SLACK),
+        ("ul", "a1", "--degree", "5", *SLACK),
+        ("xul", "xmod-id-a1", "--degree", "3", *SLACK),
+        ("xul", "xmod-incl-l2", "--degree", "3", *SLACK),
+        ("xul", "xmod-zero-a1", "--degree", "3", *SLACK),
+        ("verify", "lemma41", "xmod-id-a1", "--degree", "3", *SLACK),
+        ("verify", "prop42", "a1", "--degree", "4", "--report-degree", "2",
+         *SLACK),
+        ("verify", "thm5", "xrep-id-a1", "--degree", "3", *SLACK),
+        ("verify", "squares", "r2", "--degree", "3", *SLACK),
+        ("verify", "theta", "xmod-id-a1", "--degree", "3", *SLACK),
+        # rejected invocations: exit 2 and nothing on stdout
+        ("xul", "xmod-id-a1", "--degree", "3", "--report-degree", "2",
+         *SLACK),
+        ("ul", "xmod-id-a1", "--degree", "3", *SLACK),
+        ("lm", "xmod-id-a1", "--degree", "8"),
+        ("lm", "xmod-id-l2", "--degree", "8"),
+        ("lm", "xmod-incl-l2", "--degree", "7"),
+        ("lm", "xmod-zero-a1", "--degree", "8"),
+    ]
+    return {"-".join(c).replace("--", ""): c for c in cases}
+
+
+CASES = _cases()
+
+
+def _argv(case):
+    """The corpus stem is the first argument that names a corpus file."""
+    argv = list(case)
+    for i, a in enumerate(argv):
+        if (ROOT / "corpus" / (a + ".json")).exists():
+            argv[i] = "corpus/%s.json" % a
+            break
+    return argv + list(FLAGS)
+
+
+def _run(case):
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(_argv(case))
+    finally:
+        os.chdir(cwd)
+    return {"argv": _argv(case), "exit": code, "stdout": out.getvalue()}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    want = json.loads((GOLDEN / (name + ".json")).read_text("utf-8"))
+    got = _run(CASES[name])
+    assert got["argv"] == want["argv"]
+    assert got["exit"] == want["exit"]
+    assert got["stdout"] == want["stdout"]
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name in sys.argv[1:] or sorted(CASES):
+        text = json.dumps(_run(CASES[name]), indent=1, sort_keys=True)
+        (GOLDEN / (name + ".json")).write_text(text + "\n", "utf-8")
+        print(name)
