@@ -3,8 +3,7 @@ bimodule-style actions; mirrors the Leibniz layer."""
 
 from dataclasses import dataclass
 
-from .scalars import Q, ZERO
-from .linalg import vec_add_scaled
+from .scalars import ZERO
 from .leibniz import _bilinear, _tensor, basis_vec
 
 
@@ -43,10 +42,6 @@ class AssocAlgebra:
                     if lhs != rhs:
                         bad.append((i, j, k, lhs, rhs))
         return bad
-
-
-def zero_assoc(name="0"):
-    return AssocAlgebra(name, (), ())
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ three representation axioms into exactly the relations above.
 
 from dataclasses import dataclass
 
-from .scalars import Q
-from .linalg import LinearMap
+from .linalg import LinearMap, lincomb, vec_add_scaled
 from .freealg import (FreeAlgebra, NCPoly, TruncQuotAlgebra, ideal_span,
                       induced_map, quotient)
 from .leibniz import LeibnizAlgebra, LeibnizRep
@@ -66,34 +65,19 @@ class ULAlgebra:
     def dim_upto(self, d):
         return self.quot.dim_upto(d)
 
-    def gen_l(self, i):
-        return self.quot.gen_class(i)
-
-    def gen_r(self, i):
-        return self.quot.gen_class(self.p.dim + i)
+    def _block_class(self, pvec, off):
+        out = {}
+        for i, c in pvec.items():
+            vec_add_scaled(out, self.quot.gen_class(off + i), c)
+        return out
 
     def left_class(self, pvec):
         """Class of x_l for x given in p-coordinates."""
-        out = {}
-        for i, c in pvec.items():
-            for w, v in self.gen_l(i).items():
-                y = out.get(w, Q(0)) + c * v
-                if y == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = y
-        return out
+        return self._block_class(pvec, 0)
 
     def right_class(self, pvec):
-        out = {}
-        for i, c in pvec.items():
-            for w, v in self.gen_r(i).items():
-                y = out.get(w, Q(0)) + c * v
-                if y == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = y
-        return out
+        """Class of x_r for x given in p-coordinates."""
+        return self._block_class(pvec, self.p.dim)
 
 
 def ul(p, degree, slack=2, stability_check=True):
@@ -145,16 +129,11 @@ class ULModule:
         return out
 
     def poly_mat(self, poly):
-        out = LinearMap.zero(self.dim, self.dim)
-        for w, c in poly.terms.items():
-            out = out.add(self.word_mat(w).scale(c))
-        return out
+        return self.class_mat(poly.terms)
 
     def class_mat(self, cv):
-        out = LinearMap.zero(self.dim, self.dim)
-        for w, c in cv.items():
-            out = out.add(self.word_mat(w).scale(c))
-        return out
+        return lincomb({w: self.word_mat(w) for w in cv}, cv, self.dim,
+                       self.dim)
 
     def act(self, cv, v):
         return self.class_mat(cv).apply(v)

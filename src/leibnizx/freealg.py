@@ -16,8 +16,9 @@ product (see :func:`ideal_span`).
 
 import itertools
 
-from .scalars import Q, ZERO
-from .linalg import Echelon, LinearMap, Subspace, vec_add_scaled
+from .scalars import Q
+from .linalg import (Echelon, LinearMap, Subspace, reduce_by_pivots,
+                     vec_add_scaled)
 
 
 def word_key(w):
@@ -72,13 +73,8 @@ class NCPoly:
         """Bilinear extension of word concatenation."""
         out = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                y = out.get(w, ZERO) + c1 * c2
-                if y == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = y
+            vec_add_scaled(out, {w1 + w2: c2
+                                 for w2, c2 in other.terms.items()}, c1)
         return NCPoly(out)
 
     def __eq__(self, other):
@@ -128,9 +124,6 @@ class FreeAlgebra:
         lo = 0 if self.unital else 1
         return sum(g ** k for k in range(lo, min(d, self.degree) + 1))
 
-    def gen(self, i):
-        return NCPoly.word((i,))
-
     def poly_to_vec(self, p):
         """Sparse word-keyed vector (identity on the term dict, validated)."""
         for w in p.terms:
@@ -142,9 +135,6 @@ class FreeAlgebra:
 
     def vec_to_coords(self, v):
         return {self.index[w]: c for w, c in v.items()}
-
-    def coords_to_vec(self, v):
-        return {self.words[i]: c for i, c in v.items()}
 
 
 class TruncIdeal:
@@ -160,8 +150,8 @@ class TruncIdeal:
         self.relations = tuple(relations)
         self.slack = slack
         self.rows = tuple(rows)
-        self.pivots = frozenset(min(r, key=word_key) for r in self.rows)
         self._rowbypiv = {min(r, key=word_key): r for r in self.rows}
+        self.pivots = frozenset(self._rowbypiv)
         self.stabilized = stabilized
 
     @property
@@ -170,19 +160,7 @@ class TruncIdeal:
 
     def reduce_vec(self, v):
         """Residue of a word-keyed vector modulo the ideal span."""
-        v = dict(v)
-        # rows are fully inter-reduced, one elimination per pivot hit
-        while True:
-            hit = None
-            hitk = None
-            for w in v:
-                if w in self.pivots:
-                    k = word_key(w)
-                    if hitk is None or k < hitk:
-                        hit, hitk = w, k
-            if hit is None:
-                return v
-            vec_add_scaled(v, self._rowbypiv[hit], -v[hit])
+        return reduce_by_pivots(dict(v), self._rowbypiv, word_key)
 
     def span_subspace(self):
         """The span as a canonical ascending-RREF Subspace in the parent's
@@ -361,11 +339,6 @@ class TruncQuotAlgebra:
         return Subspace.from_vectors(
             self.dim, [{i: Q(1)} for i, w in enumerate(self.class_words)
                        if len(w) <= d])
-
-    def reduce_map(self):
-        """LinearMap from parent length-lex coordinates to class coords."""
-        cols = [self.to_coords(self.reduce_word(w)) for w in self.parent.words]
-        return LinearMap.from_cols(self.dim, cols)
 
     def extend_by(self, extra_class_vectors):
         """Quotient by the two-sided ideal generated by the current ideal

@@ -492,8 +492,3 @@ def dump_data(obj):
 def dumps(obj):
     return json.dumps(dump_data(obj), indent=2, sort_keys=True,
                       ensure_ascii=False) + "\n"
-
-
-def save(obj, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps(obj))

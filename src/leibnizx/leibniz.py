@@ -5,10 +5,10 @@ Elements are sparse coordinate vectors; structure constants are dense
 nested tuples c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .scalars import Q, ZERO
-from .linalg import Echelon, LinearMap, Subspace, vec_add_scaled
+from .linalg import Echelon, LinearMap, Subspace, lincomb, vec_add_scaled
 
 
 def _tensor(dim_i, dim_j, dim_k, entries):
@@ -23,7 +23,10 @@ def _tensor(dim_i, dim_j, dim_k, entries):
 
 
 def _bilinear(tensor, x, y):
-    """Evaluate a structure-constant tensor on sparse vectors."""
+    """Evaluate a structure-constant tensor on sparse vectors.
+
+    The add-and-drop-zero loop is written out instead of calling
+    vec_add_scaled because its source, ti[j], is a dense tuple."""
     out = {}
     for i, ci in x.items():
         ti = tensor[i]
@@ -233,16 +236,11 @@ class LeibnizRep:
     right_mats: tuple
 
     def left(self, pvec):
-        out = LinearMap.zero(self.module_dim, self.module_dim)
-        for i, c in pvec.items():
-            out = out.add(self.left_mats[i].scale(c))
-        return out
+        return lincomb(self.left_mats, pvec, self.module_dim, self.module_dim)
 
     def right(self, pvec):
-        out = LinearMap.zero(self.module_dim, self.module_dim)
-        for i, c in pvec.items():
-            out = out.add(self.right_mats[i].scale(c))
-        return out
+        return lincomb(self.right_mats, pvec, self.module_dim,
+                       self.module_dim)
 
 
 def zero_rep(p, module_dim):
@@ -278,10 +276,13 @@ def rep_to_abelian_extension(rep):
     p = rep.algebra
     m = rep.module_dim
     M = abelian("M", tuple("m%d" % i for i in range(m)))
-    left = [[[rep.left_mats[i].entries[k][j] for k in range(m)]
-             for j in range(m)] for i in range(p.dim)]
-    right = [[[rep.right_mats[i].entries[k][j] for k in range(m)]
-              for i in range(p.dim)] for j in range(m)]
+
+    def image(f, j):
+        col = f.col(j)
+        return [col.get(k, ZERO) for k in range(m)]
+
+    left = [[image(f, j) for j in range(m)] for f in rep.left_mats]
+    right = [[image(f, j) for f in rep.right_mats] for j in range(m)]
     act = LeibnizAction(p, M, left, right)
     return semidirect(act)
 

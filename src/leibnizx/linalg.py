@@ -1,5 +1,5 @@
-"""Exact rational linear algebra: sparse echelon forms, canonical subspaces
-and dense linear maps.
+"""Exact rational linear algebra: sparse vectors, the one pivot reducer,
+echelon forms, canonical subspaces and linear maps.
 
 Every verification in the library bottoms out here, so everything is exact
 (no floats anywhere) and canonical: two subspaces are equal iff their
@@ -7,10 +7,21 @@ reduced-echelon bases are identical.
 
 Vectors are sparse ``dict[coord, Q]`` with no zero entries stored.  The
 coordinate type is anything hashable; an elimination order is supplied as a
-key function (identity for plain integer coordinates).
+key function (natural order for plain integer coordinates).
+
+The kernel other modules build on:
+
+* :func:`vec_add_scaled` is the one add-and-drop-zero loop;
+* :func:`reduce_by_pivots` is the one elimination loop, shared by
+  :class:`Echelon`, :class:`Subspace` and ``freealg.TruncIdeal``;
+* :func:`lincomb` forms a linear combination of linear maps in one pass.
+
+The storage of a :class:`LinearMap` is private to this module: other
+modules read a map through ``col``, ``apply``, ``compose`` and ``lincomb``
+and build one with ``from_cols``, ``zero`` or ``identity``.
 """
 
-from .scalars import Q, ZERO
+from .scalars import Q, ONE, ZERO
 
 # ---------------------------------------------------------------------------
 # sparse vector helpers
@@ -27,9 +38,42 @@ def vec_add_scaled(dst, src, c):
     return dst
 
 
-def vec_sub(a, b):
-    out = dict(a)
-    return vec_add_scaled(out, b, Q(-1))
+def _natural(c):
+    return c
+
+
+def reduce_by_pivots(v, rows, keyf=_natural):
+    """Reduce the sparse vector v in place modulo echelon rows given as
+    ``{pivot: row}`` (each row has coefficient 1 at its pivot): subtract
+    the row at the minimal pivot of v under keyf, and repeat until no
+    coordinate of v is a pivot.  Returns v."""
+    while True:
+        hit = None
+        hitk = None
+        for c in v:
+            if c in rows:
+                k = keyf(c)
+                if hitk is None or k < hitk:
+                    hit, hitk = c, k
+        if hit is None:
+            return v
+        vec_add_scaled(v, rows[hit], -v[hit])
+
+
+def quotient_basis(n, rows, keyf=_natural):
+    """Complement of the span of echelon rows ``{pivot: row}`` in K^n.
+
+    Returns (the non-pivot coordinates, LinearMap K^n -> K^c) where the map
+    sends v to the coordinates of its residue modulo the rows; the residue
+    lies on the non-pivot coordinates, whatever the order keyf.
+    """
+    comp = tuple(i for i in range(n) if i not in rows)
+    pos = {c: i for i, c in enumerate(comp)}
+    cols = []
+    for j in range(n):
+        res = reduce_by_pivots({j: ONE}, rows, keyf)
+        cols.append({pos[c]: x for c, x in res.items()})
+    return comp, LinearMap.from_cols(len(comp), cols)
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +89,8 @@ class Echelon:
     ``canonical_rows`` back-substitutes to full RREF.
     """
 
-    def __init__(self, keyf=None):
-        self.keyf = keyf if keyf is not None else (lambda c: c)
+    def __init__(self, keyf=_natural):
+        self.keyf = keyf
         self.rows = {}  # pivot coord -> row dict
 
     def __len__(self):
@@ -54,20 +98,7 @@ class Echelon:
 
     def reduce(self, v):
         """Return v reduced modulo the current span (fresh dict)."""
-        v = dict(v)
-        keyf = self.keyf
-        rows = self.rows
-        while True:
-            hit = None
-            hitk = None
-            for c in v:
-                if c in rows:
-                    k = keyf(c)
-                    if hitk is None or k < hitk:
-                        hit, hitk = c, k
-            if hit is None:
-                return v
-            vec_add_scaled(v, rows[hit], -v[hit])
+        return reduce_by_pivots(dict(v), self.rows, self.keyf)
 
     def insert(self, v):
         """Reduce v and adjoin it if independent.  Returns the new pivot
@@ -90,22 +121,10 @@ class Echelon:
     def canonical_rows(self):
         """Fully back-substituted rows, sorted by pivot order."""
         keyf = self.keyf
-        pivots = sorted(self.rows, key=keyf, reverse=True)
         done = {}
-        for piv in pivots:
-            row = dict(self.rows[piv])
-            while True:
-                hit = None
-                hitk = None
-                for c in row:
-                    if c != piv and c in done:
-                        k = keyf(c)
-                        if hitk is None or k < hitk:
-                            hit, hitk = c, k
-                if hit is None:
-                    break
-                vec_add_scaled(row, done[hit], -row[hit])
-            done[piv] = row
+        # later pivots first, so each row meets only finished rows
+        for piv in sorted(self.rows, key=keyf, reverse=True):
+            done[piv] = reduce_by_pivots(dict(self.rows[piv]), done, keyf)
         return [done[p] for p in sorted(done, key=keyf)]
 
 
@@ -157,12 +176,7 @@ class Subspace:
 
     def reduce_vec(self, v):
         """Residue of v modulo this subspace."""
-        v = dict(v)
-        while True:
-            hit = min((c for c in v if c in self._rowbypiv), default=None)
-            if hit is None:
-                return v
-            vec_add_scaled(v, self._rowbypiv[hit], -v[hit])
+        return reduce_by_pivots(dict(v), self._rowbypiv)
 
     def contains_vec(self, v):
         return not self.reduce_vec(v)
@@ -221,15 +235,7 @@ class Subspace:
         Returns (complement coordinate indices, LinearMap ambient -> K^c)
         with projection(v) = coordinates of v mod this subspace.
         """
-        comp = self.complement_pivots()
-        pos = {c: i for i, c in enumerate(comp)}
-        cols = []
-        for j in range(self.ambient_dim):
-            res = self.reduce_vec({j: Q(1)})
-            cols.append([res.get(c, ZERO) for c in comp])
-        entries = tuple(tuple(cols[j][i] for j in range(self.ambient_dim))
-                        for i in range(len(comp)))
-        return comp, LinearMap(len(comp), self.ambient_dim, entries)
+        return quotient_basis(self.ambient_dim, self._rowbypiv)
 
     def _check_ambient(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -242,11 +248,12 @@ def zero_subspace(n):
 
 
 # ---------------------------------------------------------------------------
-# dense linear maps
+# linear maps
 
 
 class LinearMap:
-    """Dense matrix over Q; column j is the image of the j-th basis vector."""
+    """Matrix over Q; column j is the image of the j-th basis vector.  The
+    entries are stored densely; only this module reads them."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -285,16 +292,8 @@ class LinearMap:
         """Apply to a sparse vector, returning a sparse vector."""
         out = {}
         for j, c in v.items():
-            if c == 0:
-                continue
-            for i in range(self.rows):
-                e = self.entries[i][j]
-                if e != 0:
-                    y = out.get(i, ZERO) + c * e
-                    if y == 0:
-                        out.pop(i, None)
-                    else:
-                        out[i] = y
+            if c != 0:
+                vec_add_scaled(out, self.col(j), c)
         return out
 
     def compose(self, other):
@@ -354,13 +353,6 @@ class LinearMap:
     def rank(self):
         return self.image().dim
 
-    def preimage(self, sub):
-        """{v : f(v) in sub} as a Subspace of the source."""
-        if sub.ambient_dim != self.rows:
-            raise ValueError("subspace not in target space")
-        _, proj = sub.quotient_basis()
-        return proj.compose(self).kernel()
-
     def restrict(self, sub):
         """Restriction to a subspace of the source, in its canonical
         coordinates: columns are images of the subspace basis rows."""
@@ -368,24 +360,20 @@ class LinearMap:
             raise ValueError("subspace not in source space")
         return LinearMap.from_cols(self.rows, [self.apply(r) for r in sub.rows])
 
-    def transpose(self):
-        return LinearMap(self.cols, self.rows,
-                         [[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
 
+def lincomb(mats, coeffs, rows, cols):
+    """sum_k coeffs[k] * mats[k] as a rows x cols LinearMap, in one pass.
 
-def rref(matrix):
-    """Reduced row echelon form of a dense matrix given as rows of rationals.
-
-    Returns (rows of the RREF as tuples, pivot column indices).  Zero rows
-    are dropped, so the zero matrix maps to ([], ()).
+    ``coeffs`` is a sparse dict and ``mats`` anything indexed by its keys
+    (a sequence or a dict); empty coefficients give the zero map.
     """
-    ncols = len(matrix[0]) if matrix else 0
-    ech = Echelon()
-    for row in matrix:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        ech.insert({j: Q(x) for j, x in enumerate(row) if Q(x) != 0})
-    rows = ech.canonical_rows()
-    dense = [tuple(r.get(j, ZERO) for j in range(ncols)) for r in rows]
-    return dense, tuple(min(r) for r in rows)
+    acc = [[ZERO] * cols for _ in range(rows)]
+    for k, c in coeffs.items():
+        m = mats[k]
+        if (m.rows, m.cols) != (rows, cols):
+            raise ValueError("shape mismatch")
+        for arow, mrow in zip(acc, m.entries):
+            for j, x in enumerate(mrow):
+                if x != 0:
+                    arow[j] += c * x
+    return LinearMap(rows, cols, acc)

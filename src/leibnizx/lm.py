@@ -22,13 +22,16 @@ discipline used for the plain enveloping crossed module.
 from dataclasses import dataclass, field
 
 from .scalars import Q
-from .linalg import LinearMap, Subspace, zero_subspace, vec_add_scaled
+from .linalg import (Echelon, LinearMap, Subspace, lincomb, quotient_basis,
+                     vec_add_scaled)
 from .freealg import (FreeAlgebra, NCPoly, TruncQuotAlgebra, ideal_span,
                       induced_map, quotient, filtration_basis,
                       subspace_product, subspace_vectors)
 from .leibniz import (LeibnizAlgebra, LeibnizAction, basis_vec, liezation,
                       semidirect)
 from .xmod import LeibnizXMod, check_xmod, xliez
+from .envelope import ul_relations
+from .xul import combine_verdict, xul
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +88,7 @@ class LMLieObject:
         return self.obj.alpha
 
     def right(self, gvec):
-        out = LinearMap.zero(self.bottom_dim, self.bottom_dim)
-        for k, c in gvec.items():
-            out = out.add(self.right_mats[k].scale(c))
-        return out
+        return lincomb(self.right_mats, gvec, self.bottom_dim, self.bottom_dim)
 
 
 def check_lm_lie_object(L):
@@ -127,22 +127,14 @@ class LMLieXMod:
     xi: tuple           # per M-basis LinearMap h -> N
 
     def xi_of(self, mvec):
-        out = LinearMap.zero(self.src.bottom_dim, self.src.lie.dim)
-        for i, c in mvec.items():
-            out = out.add(self.xi[i].scale(c))
-        return out
+        return lincomb(self.xi, mvec, self.src.bottom_dim, self.src.lie.dim)
 
     def act_h_of(self, gvec):
-        out = LinearMap.zero(self.src.lie.dim, self.src.lie.dim)
-        for k, c in gvec.items():
-            out = out.add(self.act_h[k].scale(c))
-        return out
+        return lincomb(self.act_h, gvec, self.src.lie.dim, self.src.lie.dim)
 
     def act_n_of(self, gvec):
-        out = LinearMap.zero(self.src.bottom_dim, self.src.bottom_dim)
-        for k, c in gvec.items():
-            out = out.add(self.act_n[k].scale(c))
-        return out
+        return lincomb(self.act_n, gvec, self.src.bottom_dim,
+                       self.src.bottom_dim)
 
     def top_xmod(self):
         """The classical Lie crossed module h -> g (left action is minus
@@ -367,19 +359,16 @@ class TensorBimodule:
     def fdeg(self, vec):
         return max((self.fdeg_index(i) for i in vec), default=0)
 
-    def basis_fdegs(self):
-        return [self.fdeg_index(i) for i in range(self.dim)]
+    def _at(self, ucls, k):
+        """ucls ⊗ (k-th module basis vector), as bottom coordinates."""
+        return {self.index(w, k): c for w, c in ucls.items()}
 
     def tensor(self, ucls, vvec):
         """Class vector ⊗ module vector, as bottom coordinates."""
         out = {}
         for w, c in ucls.items():
-            for k, cv in vvec.items():
-                y = out.get(self.index(w, k), Q(0)) + c * cv
-                if y:
-                    out[self.index(w, k)] = y
-                else:
-                    out.pop(self.index(w, k), None)
+            vec_add_scaled(out, {self.index(w, k): cv
+                                 for k, cv in vvec.items()}, c)
         return out
 
     def left_mult(self, ucls, bvec, bound):
@@ -390,13 +379,7 @@ class TensorBimodule:
             wi, k = divmod(flat, self.module_dim)
             for wa, ca in ucls.items():
                 red = self.U.reduce_word(wa + self.words[wi])
-                for w, cr in red.items():
-                    idx = self.index(w, k)
-                    y = out.get(idx, Q(0)) + c * ca * cr
-                    if y:
-                        out[idx] = y
-                    else:
-                        out.pop(idx, None)
+                vec_add_scaled(out, self._at(red, k), c * ca)
         return out
 
     def right_mult_gen(self, bvec, g, bound):
@@ -405,21 +388,10 @@ class TensorBimodule:
         out = {}
         for flat, c in bvec.items():
             wi, k = divmod(flat, self.module_dim)
-            red = self.U.reduce_word(self.words[wi] + (g,))
-            for w, cr in red.items():
-                idx = self.index(w, k)
-                y = out.get(idx, Q(0)) + c * cr
-                if y:
-                    out[idx] = y
-                else:
-                    out.pop(idx, None)
-            for k2, cb in self.right_bracket[g].col(k).items():
-                idx = self.index(self.words[wi], k2)
-                y = out.get(idx, Q(0)) + c * cb
-                if y:
-                    out[idx] = y
-                else:
-                    out.pop(idx, None)
+            w = self.words[wi]
+            vec_add_scaled(out, self._at(self.U.reduce_word(w + (g,)), k), c)
+            vec_add_scaled(out, {self.index(w, k2): cb for k2, cb in
+                                 self.right_bracket[g].col(k).items()}, c)
         return out
 
     def right_mult(self, bvec, ucls, bound):
@@ -427,15 +399,10 @@ class TensorBimodule:
             raise ValueError("product degree exceeds bound")
         out = {}
         for w, c in ucls.items():
-            tmp = {i: v * c for i, v in bvec.items()}
+            tmp = bvec
             for g in w:
                 tmp = self.right_mult_gen(tmp, g, bound)
-            for i, v in tmp.items():
-                y = out.get(i, Q(0)) + v
-                if y:
-                    out[i] = y
-                else:
-                    out.pop(i, None)
+            vec_add_scaled(out, tmp, c)
         return out
 
     def filtration_subspace(self, d):
@@ -508,8 +475,7 @@ def _shift_vec(cv, off):
 def _bottom_filtration(bim, sub):
     """Filtration basis of a subspace of the bottom: pairs (degree, vector)
     whose degree-<=k prefixes span sub ∩ (filtration <= k)."""
-    from .linalg import Echelon
-    ech = Echelon(lambda i: i)
+    ech = Echelon()
     out = []
     for k in range(1, bim.U.degree + 1):
         inter = sub.intersect(bim.filtration_subspace(k))
@@ -522,8 +488,7 @@ def _bottom_filtration(bim, sub):
 def _quotient_filtration(pairs, proj):
     """Push a filtration basis through a linear quotient map, keeping the
     vectors that remain independent."""
-    from .linalg import Echelon
-    ech = Echelon(lambda i: i)
+    ech = Echelon()
     out = []
     for deg, v in pairs:
         img = proj.apply(v)
@@ -740,8 +705,7 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
 
     # Y' = Ker s1·Ker t2 + Ker s2·Ker t1 + Ker t1·Ker s2 + Ker t2·Ker s1,
     # closed under multiplication by degree-one elements
-    from .linalg import Echelon
-    ech = Echelon(lambda i: i)
+    ech = Echelon()
     work = []
 
     def insert(vec):
@@ -776,7 +740,13 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
         if top_proj.apply(sd_obj.connect.apply(row)):
             raise ValueError("connecting map does not kill the bottom ideal")
 
-    comp, bottom_proj = y_ideal.quotient_basis()
+    # Pivot each Y' row at its highest coordinate.  Bottom coordinates
+    # ascend with fdeg, so the complement takes the lowest-degree
+    # coordinates, and a lifted class has the least filtration degree.
+    high = Echelon(lambda i: -i)
+    for row in y_ideal.rows:
+        high.insert(row)
+    comp, bottom_proj = quotient_basis(bim.dim, high.rows, high.keyf)
 
     def on_quotient(f):
         return LinearMap.from_cols(
@@ -1078,9 +1048,6 @@ def theta_check(x, degree, slack=2, report_degree=None):
     kernel-product quotients, map the quotient ideal into its categorical
     counterpart, and intertwine the induced cat¹ maps.
     """
-    from .xul import combine_verdict, xul
-    from .envelope import ul_relations
-
     if report_degree is None:
         report_degree = degree - 2
     d = report_degree

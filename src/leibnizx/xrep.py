@@ -16,12 +16,13 @@ on kernel classes (words leftmost-factor-first, as in envelope).
 
 from dataclasses import dataclass
 
-from .scalars import Q, ZERO
-from .linalg import LinearMap, Subspace
-from .leibniz import LeibnizRep, basis_vec
+from .scalars import Q
+from .linalg import LinearMap, lincomb
+from .leibniz import LeibnizRep, basis_vec, check_rep, zero_rep
 from .assoc import AssocAlgebra, AssocAction
 from .xmod import AssocXMod
-from .envelope import ULModule, check_module, ul_relations
+from .freealg import word_key
+from .envelope import ULModule, check_module
 from .xul import TruncAssocXMod, _b_coords
 
 
@@ -37,16 +38,15 @@ def _hom_index(i, j, w):
 
 def hom_to_map(vec, v, w):
     """Hom-space coordinate vector -> LinearMap K^w -> K^v."""
-    entries = [[ZERO] * w for _ in range(v)]
+    cols = [{} for _ in range(w)]
     for idx, c in vec.items():
-        entries[idx // w][idx % w] = c
-    return LinearMap(v, w, entries)
+        cols[idx % w][idx // w] = c
+    return LinearMap.from_cols(v, cols)
 
 
 def map_to_hom(f):
-    return {_hom_index(i, j, f.cols): f.entries[i][j]
-            for i in range(f.rows) for j in range(f.cols)
-            if f.entries[i][j] != 0}
+    return {_hom_index(i, j, f.cols): c
+            for j in range(f.cols) for i, c in f.col(j).items()}
 
 
 def endo_pairs_subspace(delta):
@@ -163,20 +163,13 @@ class LeibnizXModRep:
         return self.rep_m.module_dim
 
     def xi1_of(self, qvec):
-        out = LinearMap.zero(self.n_dim, self.m_dim)
-        for j, c in qvec.items():
-            out = out.add(self.xi1[j].scale(c))
-        return out
+        return lincomb(self.xi1, qvec, self.n_dim, self.m_dim)
 
     def xi2_of(self, qvec):
-        out = LinearMap.zero(self.n_dim, self.m_dim)
-        for j, c in qvec.items():
-            out = out.add(self.xi2[j].scale(c))
-        return out
+        return lincomb(self.xi2, qvec, self.n_dim, self.m_dim)
 
 
 def zero_xmod_rep(x, n_dim, m_dim):
-    from .leibniz import zero_rep
     z = tuple(LinearMap.zero(n_dim, m_dim) for _ in range(x.q.dim))
     return LeibnizXModRep(x, LinearMap.zero(m_dim, n_dim),
                           zero_rep(x.p, n_dim), zero_rep(x.p, m_dim), z, z)
@@ -185,7 +178,6 @@ def zero_xmod_rep(x, n_dim, m_dim):
 def check_xmod_rep(r):
     """All fourteen identities (two equivariance, twelve bridge identities)
     as exact matrix equations over basis elements."""
-    from .leibniz import check_rep
     bad = []
     bad += [("rep_n",) + v for v in check_rep(r.rep_n)]
     bad += [("rep_m",) + v for v in check_rep(r.rep_m)]
@@ -280,10 +272,7 @@ class XModLeftModule:
         return self.psi_m.dim
 
     def phi(self, b_coords):
-        out = LinearMap.zero(self.n_dim, self.m_dim)
-        for i, c in b_coords.items():
-            out = out.add(self.phi_cols[i].scale(c))
-        return out
+        return lincomb(self.phi_cols, b_coords, self.n_dim, self.m_dim)
 
 
 def phi_word_evaluator(tx, rep):
@@ -296,16 +285,12 @@ def phi_word_evaluator(tx, rep):
     size = n + m
 
     def block(tl, tr, br):
-        entries = [[ZERO] * size for _ in range(size)]
-        for i in range(n):
-            for j in range(n):
-                entries[i][j] = tl.entries[i][j]
-            for j in range(m):
-                entries[i][n + j] = tr.entries[i][j]
-        for i in range(m):
-            for j in range(m):
-                entries[n + i][n + j] = br.entries[i][j]
-        return LinearMap(size, size, entries)
+        cols = [tl.col(j) for j in range(n)]
+        for j in range(m):
+            col = tr.col(j)
+            col.update((n + i, c) for i, c in br.col(j).items())
+            cols.append(col)
+        return LinearMap.from_cols(size, cols)
 
     gens = []
     for g in range(2 * n_sd):
@@ -340,20 +325,18 @@ def phi_word_evaluator(tx, rep):
         return out
 
     def eval_vec(vec):
-        out = LinearMap.zero(size, size)
-        for w, c in vec.items():
-            out = out.add(word_mat(w).scale(c))
-        return out
+        return lincomb({w: word_mat(w) for w in vec}, vec, size, size)
 
     return eval_vec
 
 
 def _m_column_blocks(mat, n, m):
     """(N <- M block, M <- M block) of a map on N ⊕ M."""
-    top = LinearMap(n, m, [[mat.entries[i][n + j] for j in range(m)]
-                           for i in range(n)])
-    bot = LinearMap(m, m, [[mat.entries[n + i][n + j] for j in range(m)]
-                           for i in range(m)])
+    cols = [mat.col(n + j) for j in range(m)]
+    top = LinearMap.from_cols(n, [{i: c for i, c in col.items() if i < n}
+                                  for col in cols])
+    bot = LinearMap.from_cols(m, [{i - n: c for i, c in col.items() if i >= n}
+                                  for col in cols])
     return top, bot
 
 
@@ -377,7 +360,6 @@ def rep_to_xmodule(r, tx):
                              "relations %r" % bad[:3])
     ev = phi_word_evaluator(tx, r)
     n, m = r.n_dim, r.m_dim
-    from .freealg import word_key
     for row in tx.ambient.ideal.rows:
         top, bot = _m_column_blocks(ev(row), n, m)
         if not top.is_zero() or not bot.is_zero():

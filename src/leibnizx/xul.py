@@ -8,6 +8,7 @@ Everything is degree-truncated, so every verdict carries a report degree
 d <= D - 2 and stabilization certificates.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 from .scalars import Q
@@ -31,13 +32,6 @@ def cat1_matrices(x):
     t_cols = [x.eta.col(j) for j in range(nq)] + \
         [{i: Q(1)} for i in range(np_)]
     return (LinearMap.from_cols(np_, s_cols), LinearMap.from_cols(np_, t_cols))
-
-
-def section_matrix(x):
-    """The s-section p -> q ⋊ p, p -> (0, p)."""
-    nq, np_ = x.q.dim, x.p.dim
-    return LinearMap.from_cols(nq + np_,
-                               [{nq + i: Q(1)} for i in range(np_)])
 
 
 @dataclass(frozen=True)
@@ -219,7 +213,6 @@ def combine_verdict(ok, certificates):
 
 def _kernel_words_span(usd, nq, d):
     """Span of classes of words of length <= d containing a pure-q letter."""
-    import itertools
     g = usd.quot.parent.ngens
     n_sd = g // 2
     qletters = set(range(nq)) | set(range(n_sd, n_sd + nq))

@@ -146,3 +146,16 @@ def test_bad_flags_exit_2(capsys, cmd, name, flags):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_lm_bottom_lift_stays_in_degree(capsys):
+    # the bottom quotient once lifted a degree-2 class to filtration degree
+    # 4, so a product in the identity check exceeded the working degree
+    rc, out, _ = run(capsys, "lm", corpus_path("xmod-id-r2.json"),
+                     "--degree", "4", "--format", "json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "pass"
+    dims = doc["records"][0]
+    assert (dims["top_dim"], dims["bottom_dim"],
+            dims["b_ker_dim_upto_d"]) == (29, 40, 6)

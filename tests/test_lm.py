@@ -1,6 +1,5 @@
 import pytest
 
-from leibnizx.scalars import Q
 from leibnizx.linalg import LinearMap
 from leibnizx.xmod import identity_xmod, zero_xmod
 from leibnizx.lm import (LMObject, associated_xmod, check_associated_xmod,
@@ -16,7 +15,7 @@ def test_lm_tensor_shape():
     t = lm_tensor(x, y)
     # (M ⊗ h) ⊕ (g ⊗ N) over g ⊗ h
     assert t.bottom_dim == 2 and t.top_dim == 1
-    assert t.alpha.entries == ((Q(1), Q(1)),)
+    assert t.alpha == LinearMap(1, 2, [[1, 1]])
 
 
 def test_leibniz_to_lm(l2, r2):
