@@ -52,6 +52,8 @@ def _cases():
         ("lm", "xmod-id-l2", "--degree", "8"),
         ("lm", "xmod-incl-l2", "--degree", "7"),
         ("lm", "xmod-zero-a1", "--degree", "8"),
+        ("lm", "xmod-id-r2", "--degree", "4"),
+        ("lm", "xmod-id-l2", "--degree", "5", "--slack", "0"),
     ]
     return {"-".join(c).replace("--", ""): c for c in cases}
 
