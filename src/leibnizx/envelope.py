@@ -90,6 +90,14 @@ def ul(p, degree, slack=2, stability_check=True):
     return ULAlgebra(p, quotient(free, ideal))
 
 
+def ul_images(dst, f):
+    """Generator images x_l -> f(x)_l, x_r -> f(x)_r in dst of the envelope
+    map induced by a linear map f into dst.p, l-block first."""
+    cols = [f.col(i) for i in range(f.cols)]
+    return [dst.left_class(c) for c in cols] + \
+        [dst.right_class(c) for c in cols]
+
+
 def ul_map(src, dst, f):
     """Functoriality: a Leibniz homomorphism f: src.p -> dst.p (as a
     LinearMap) induces an algebra map on the truncated envelopes.
@@ -97,13 +105,7 @@ def ul_map(src, dst, f):
     Raises HomomorphismError if the generator images do not kill src's
     relation ideal (e.g. if f is not a homomorphism).
     """
-    n = src.p.dim
-    images = []
-    for i in range(n):
-        images.append(dst.left_class(f.col(i)))
-    for i in range(n):
-        images.append(dst.right_class(f.col(i)))
-    return induced_map(src.quot, dst.quot, images)
+    return induced_map(src.quot, dst.quot, ul_images(dst, f))
 
 
 # ---------------------------------------------------------------------------

@@ -340,10 +340,10 @@ class TruncQuotAlgebra:
             self.dim, [{i: Q(1)} for i, w in enumerate(self.class_words)
                        if len(w) <= d])
 
-    def extend_by(self, extra_class_vectors):
+    def extend_by(self, sub):
         """Quotient by the two-sided ideal generated by the current ideal
-        plus extra elements (given as class vectors), closed under
-        generator multiplication within the truncation degree."""
+        plus a Subspace given in class coordinates, closed under generator
+        multiplication within the truncation degree."""
         g = self.parent.ngens
         D = self.degree
         ech = Echelon(word_key)
@@ -352,8 +352,8 @@ class TruncQuotAlgebra:
             piv = ech.insert(dict(row))
             if piv is not None:
                 work.append(piv)
-        for cv in extra_class_vectors:
-            piv = ech.insert(dict(cv))
+        for r in sub.rows:
+            piv = ech.insert(self.from_coords(r))
             if piv is not None:
                 work.append(piv)
         while work:
@@ -420,24 +420,20 @@ def induced_map(src, dst, gen_images):
     return LinearMap.from_cols(dst.dim, cols)
 
 
-def filtration_basis(quot, vectors):
-    """Echelonize class vectors in elimination order; returns a list of
-    (fdeg, class vector) with fdeg = pivot length, sorted by fdeg.
+def filtration_basis(quot, sub, upto=None):
+    """Filtration basis of a Subspace given in quot's class coordinates:
+    its rows echelonized in elimination order, as a list of (fdeg, class
+    vector) with fdeg = pivot length, sorted by fdeg.
 
-    Rows with fdeg <= d span (span of vectors) ∩ F_d.
+    Rows with fdeg <= d span sub ∩ F_d; with upto=d only those are returned.
     """
     ech = Echelon(word_key)
-    for v in vectors:
-        ech.insert(dict(v))
+    for r in sub.rows:
+        ech.insert(quot.from_coords(r))
     rows = ech.canonical_rows()
     out = [(len(min(r, key=word_key)), r) for r in rows]
     out.sort(key=lambda t: (t[0], word_key(min(t[1], key=word_key))))
-    return out
-
-
-def subspace_vectors(quot, sub):
-    """Class vectors of a Subspace given in quot's class coordinates."""
-    return [quot.from_coords(r) for r in sub.rows]
+    return [t for t in out if upto is None or t[0] <= upto]
 
 
 def subspace_product(a_sub, b_sub, quot, bound=None):
@@ -448,8 +444,8 @@ def subspace_product(a_sub, b_sub, quot, bound=None):
     certified complete only up to boundary_degree = degree - 1.
     """
     bound = quot.degree if bound is None else bound
-    fa = filtration_basis(quot, subspace_vectors(quot, a_sub))
-    fb = filtration_basis(quot, subspace_vectors(quot, b_sub))
+    fa = filtration_basis(quot, a_sub)
+    fb = filtration_basis(quot, b_sub)
     prods = []
     for da, va in fa:
         for db, vb in fb:

@@ -14,9 +14,11 @@ The enveloping functor sends a Lie object to (U(g) ⊗ M -> U(g)) with
 
 and a Lie crossed module to a crossed module of associative algebras in
 this category, via the kernels of the induced cat¹ projections modulo the
-kernel-product ideals X' (top) and Y' (bottom).  Everything is truncated
-at a working degree with verdicts at a report degree, mirroring the
-discipline used for the plain enveloping crossed module.
+kernel-product ideals X' (top) and Y' (bottom).  The top row is the
+plain construction run on U(h ⋊ g): it is built by
+``xul.kernel_product_quotient``, the function the enveloping crossed
+module uses, and the report degree follows the same rule.  Only the bottom
+row, the tensor bimodule and its ideal Y', is built here.
 """
 
 from dataclasses import dataclass, field
@@ -25,13 +27,13 @@ from .scalars import Q
 from .linalg import (Echelon, LinearMap, Subspace, lincomb, quotient_basis,
                      vec_add_scaled)
 from .freealg import (FreeAlgebra, NCPoly, TruncQuotAlgebra, ideal_span,
-                      induced_map, quotient, filtration_basis,
-                      subspace_product, subspace_vectors)
+                      quotient, filtration_basis)
 from .leibniz import (LeibnizAlgebra, LeibnizAction, basis_vec, liezation,
                       semidirect)
 from .xmod import LeibnizXMod, check_xmod, xliez
 from .envelope import ul_relations
-from .xul import combine_verdict, xul
+from .xul import (cat1_matrices, combine_verdict, kernel_product_quotient,
+                  report_degree_for, xul)
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +407,6 @@ class TensorBimodule:
             vec_add_scaled(out, tmp, c)
         return out
 
-    def filtration_subspace(self, d):
-        return Subspace.from_vectors(
-            self.dim, [{i: Q(1)} for i in range(self.dim)
-                       if self.fdeg_index(i) <= d])
-
 
 @dataclass(frozen=True)
 class LMAssocObject:
@@ -472,17 +469,21 @@ def _shift_vec(cv, off):
     return {tuple(g + off for g in w): c for w, c in cv.items()}
 
 
+def _highest(i):
+    """Echelon key that pivots each bottom row at its highest coordinate.
+    Bottom coordinates ascend with fdeg, so such a row has the fdeg of its
+    pivot, and reducing a vector by such rows never raises its fdeg."""
+    return -i
+
+
 def _bottom_filtration(bim, sub):
     """Filtration basis of a subspace of the bottom: pairs (degree, vector)
-    whose degree-<=k prefixes span sub ∩ (filtration <= k)."""
-    ech = Echelon()
-    out = []
-    for k in range(1, bim.U.degree + 1):
-        inter = sub.intersect(bim.filtration_subspace(k))
-        for row in inter.rows:
-            if ech.insert(dict(row)) is not None:
-                out.append((k, dict(row)))
-    return out
+    sorted by degree, whose degree-<=k prefixes span sub ∩ (filtration <= k).
+    """
+    ech = Echelon(_highest)
+    for row in sub.rows:
+        ech.insert(row)
+    return [(bim.fdeg_index(p), ech.rows[p]) for p in sorted(ech.rows)]
 
 
 def _quotient_filtration(pairs, proj):
@@ -511,7 +512,6 @@ class LMAssocXMod:
     connect_sd: LinearMap   # bottom coords -> U(h⋊g) class coords
     top: TruncQuotAlgebra   # U(h ⋊ g) / X'
     top_proj: LinearMap     # usd class coords -> top class coords
-    y_ideal: Subspace       # Y' closure, in bottom coordinates
     bottom_proj: LinearMap  # bottom coords -> quotient coordinates
     bottom_comp: tuple      # pivot lift indices for the bottom quotient
     us1: LinearMap          # quotient bottom -> target bottom
@@ -519,7 +519,7 @@ class LMAssocXMod:
     us2: LinearMap          # top -> U(g) classes
     ut2: LinearMap
     emb: LinearMap          # U(g) classes -> top classes
-    b_ker: Subspace         # Ker us1, in quotient-bottom coordinates
+    b_filtration: tuple     # (degree, vector) basis of Ker us1, by degree
     s_ker: Subspace         # Ker us2, in top class coordinates
     report_degree: int
     certificates: dict = field(default_factory=dict)
@@ -580,15 +580,11 @@ class LMAssocXMod:
     # -- filtration bases --------------------------------------------------
 
     def b_ker_filtration(self, d):
-        pre = self.us1.compose(self.bottom_proj).kernel()
-        pairs = _bottom_filtration(self.bim, pre)
-        return [(deg, v) for deg, v in
-                _quotient_filtration(pairs, self.bottom_proj) if deg <= d]
+        return [(deg, v) for deg, v in self.b_filtration if deg <= d]
 
     def s_ker_filtration(self, d):
-        rows = filtration_basis(self.top,
-                                subspace_vectors(self.top, self.s_ker))
-        return [(deg, self.top.to_coords(v)) for deg, v in rows if deg <= d]
+        return [(deg, self.top.to_coords(v))
+                for deg, v in filtration_basis(self.top, self.s_ker, d)]
 
 
 def lm_semidirect_object(X):
@@ -628,24 +624,6 @@ def lm_semidirect_object(X):
     return out
 
 
-def _cat_maps_lm(X):
-    """s(h,g) = g, t(h,g) = rho2(h) + g on the top; s(n,m) = m,
-    t(n,m) = rho1(n) + m on the bottom."""
-    h, g = X.src.lie, X.dst.lie
-    n_dim, m_dim = X.src.bottom_dim, X.dst.bottom_dim
-    s2 = LinearMap.from_cols(g.dim, [{} for _ in range(h.dim)] +
-                             [{k: Q(1)} for k in range(g.dim)])
-    t2 = LinearMap.from_cols(g.dim, [dict(X.rho2.col(j))
-                                     for j in range(h.dim)] +
-                             [{k: Q(1)} for k in range(g.dim)])
-    s1 = LinearMap.from_cols(m_dim, [{} for _ in range(n_dim)] +
-                             [{i: Q(1)} for i in range(m_dim)])
-    t1 = LinearMap.from_cols(m_dim, [dict(X.rho1.col(a))
-                                     for a in range(n_dim)] +
-                             [{i: Q(1)} for i in range(m_dim)])
-    return s1, t1, s2, t2
-
-
 def _tensor_hom(src_bim, dst_bim, top_hom, bottom_map):
     """U(f2) ⊗ f1 on bottom coordinates, for a filtration-preserving
     algebra map top_hom on class coords and linear f1 on the modules."""
@@ -664,10 +642,7 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
     bad = check_lm_lie_xmod(X)
     if bad:
         raise ValueError("input fails crossed-module checks: %r" % bad[:3])
-    if report_degree is None:
-        report_degree = degree - 2
-    if report_degree > degree - 2 or report_degree < 0:
-        raise ValueError("report degree must satisfy 0 <= d <= D - 2")
+    report_degree = report_degree_for(degree, report_degree)
 
     carrier = lm_semidirect_object(X)
     sd_obj = u_lm(carrier, degree, slack)
@@ -675,51 +650,41 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
     target = u_lm(X.dst, degree, slack)
     Ug = target.U
 
-    s1, t1, s2, t2 = _cat_maps_lm(X)
+    # s(h,g) = g, t(h,g) = rho2(h) + g on the top, the same with rho1 on
+    # the bottom
+    s1, t1 = cat1_matrices(X.rho1)
+    s2, t2 = cat1_matrices(X.rho2)
     g_dim = X.dst.lie.dim
     h_dim = X.src.lie.dim
 
     def top_images(f):
-        imgs = []
-        for a in range(h_dim + g_dim):
-            out = {}
-            for j, c in f.col(a).items():
-                vec_add_scaled(out, Ug.gen_class(j), c)
-            imgs.append(out)
-        return imgs
+        return [Ug.reduce({(j,): c for j, c in f.col(a).items()})
+                for a in range(h_dim + g_dim)]
 
-    Us2 = induced_map(usd, Ug, top_images(s2))
-    Ut2 = induced_map(usd, Ug, top_images(t2))
-    Us1 = _tensor_hom(bim, target.bim, Us2, s1)
-    Ut1 = _tensor_hom(bim, target.bim, Ut2, t1)
-
-    Ks2, Kt2 = Us2.kernel(), Ut2.kernel()
+    kq = kernel_product_quotient(usd, Ug, top_images(s2), top_images(t2),
+                                 [h_dim + j for j in range(g_dim)])
+    Us1 = _tensor_hom(bim, target.bim, kq.s, s1)
+    Ut1 = _tensor_hom(bim, target.bim, kq.t, t1)
     Ks1, Kt1 = Us1.kernel(), Ut1.kernel()
 
-    prod_st, bdeg = subspace_product(Ks2, Kt2, usd)
-    prod_ts, _ = subspace_product(Kt2, Ks2, usd)
-    top = usd.extend_by(subspace_vectors(usd, prod_st.sum(prod_ts)))
-    top_proj = LinearMap.from_cols(
-        top.dim, [top.to_coords(top.reduce({w: Q(1)}))
-                  for w in usd.class_words])
-
     # Y' = Ker s1·Ker t2 + Ker s2·Ker t1 + Ker t1·Ker s2 + Ker t2·Ker s1,
-    # closed under multiplication by degree-one elements
-    ech = Echelon()
+    # closed under multiplication by degree-one elements.  Its rows are
+    # pivoted at their highest coordinate (see _highest), so a row's fdeg
+    # is that of its pivot and the complement takes the lowest-degree
+    # coordinates: a lifted class has the least filtration degree.
+    ech = Echelon(_highest)
     work = []
 
     def insert(vec):
-        piv = ech.insert(dict(vec))
+        piv = ech.insert(vec)
         if piv is not None:
-            work.append(dict(ech.rows[piv]))
+            work.append(ech.rows[piv])
 
-    top_ker = {id(Ks2): filtration_basis(usd, subspace_vectors(usd, Ks2)),
-               id(Kt2): filtration_basis(usd, subspace_vectors(usd, Kt2))}
-    bot_ker = {id(Ks1): _bottom_filtration(bim, Ks1),
-               id(Kt1): _bottom_filtration(bim, Kt1)}
-    for bot, tp in ((Ks1, Kt2), (Kt1, Ks2)):
-        for db, vb in bot_ker[id(bot)]:
-            for dt, vt in top_ker[id(tp)]:
+    top_s, top_t = (filtration_basis(usd, K) for K in (kq.s_ker, kq.t_ker))
+    bot_s, bot_t = (_bottom_filtration(bim, K) for K in (Ks1, Kt1))
+    for bot, tp in ((bot_s, top_t), (bot_t, top_s)):
+        for db, vb in bot:
+            for dt, vt in tp:
                 if db + dt <= degree:
                     insert(bim.right_mult(vb, vt, degree))
                     insert(bim.left_mult(vt, vb, degree))
@@ -730,43 +695,31 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
         for a in range(h_dim + g_dim):
             insert(bim.left_mult({(a,): Q(1)}, vec, degree))
             insert(bim.right_mult_gen(vec, a, degree))
-    y_ideal = Subspace.from_vectors(bim.dim, ech.canonical_rows())
 
-    for row in y_ideal.rows:
+    for row in ech.rows.values():
         if Us1.apply(row):
             raise ValueError("s-map does not vanish on the bottom ideal")
         if Ut1.apply(row):
             raise ValueError("t-map does not vanish on the bottom ideal")
-        if top_proj.apply(sd_obj.connect.apply(row)):
+        if kq.pi.apply(sd_obj.connect.apply(row)):
             raise ValueError("connecting map does not kill the bottom ideal")
-
-    # Pivot each Y' row at its highest coordinate.  Bottom coordinates
-    # ascend with fdeg, so the complement takes the lowest-degree
-    # coordinates, and a lifted class has the least filtration degree.
-    high = Echelon(lambda i: -i)
-    for row in y_ideal.rows:
-        high.insert(row)
-    comp, bottom_proj = quotient_basis(bim.dim, high.rows, high.keyf)
+    comp, bottom_proj = quotient_basis(bim.dim, ech.rows, _highest)
 
     def on_quotient(f):
         return LinearMap.from_cols(
             f.rows, [f.apply({c: Q(1)}) for c in comp])
 
-    us1 = on_quotient(Us1)
-    ut1 = on_quotient(Ut1)
-    us2 = induced_map(top, Ug, top_images(s2))
-    ut2 = induced_map(top, Ug, top_images(t2))
-    emb = induced_map(Ug, top,
-                      [top.reduce_word((h_dim + j,)) for j in range(g_dim)])
-
-    out = LMAssocXMod(
-        X, target, carrier.lie, usd, bim, sd_obj.connect, top, top_proj,
-        y_ideal, bottom_proj, tuple(comp), us1, ut1, us2, ut2, emb,
-        us1.kernel(), us2.kernel(), report_degree,
+    # Ker us1 is the image of Ks1: us1 ∘ bottom_proj = Us1, as Us1
+    # vanishes on Y'
+    b_filtration = _quotient_filtration(bot_s, bottom_proj)
+    return LMAssocXMod(
+        X, target, carrier.lie, usd, bim, sd_obj.connect, kq.quot, kq.pi,
+        bottom_proj, tuple(comp), on_quotient(Us1), on_quotient(Ut1),
+        kq.bar_s, kq.bar_t, kq.embed, tuple(b_filtration),
+        kq.bar_s.kernel(), report_degree,
         {"u_semidirect_stabilized": usd.ideal.stabilized,
          "u_g_stabilized": Ug.ideal.stabilized,
-         "product_boundary_degree": bdeg})
-    return out
+         "product_boundary_degree": kq.boundary_degree})
 
 
 def _section_bottom(Y, avec):
@@ -1048,9 +1001,7 @@ def theta_check(x, degree, slack=2, report_degree=None):
     kernel-product quotients, map the quotient ideal into its categorical
     counterpart, and intertwine the induced cat¹ maps.
     """
-    if report_degree is None:
-        report_degree = degree - 2
-    d = report_degree
+    d = report_degree_for(degree, report_degree)
     tx = xul(x, degree, slack, report_degree=d)
     X = xmod_to_lm(x)
     Y = lm_xmod_envelope(X, degree, slack, report_degree=d)
@@ -1067,39 +1018,26 @@ def theta_check(x, degree, slack=2, report_degree=None):
             return dict(X.src.alpha.col(i))
         return {h_dim + j: c for j, c in X.dst.alpha.col(i - nq).items()}
 
-    images = []
-    for g in range(n_sd):
-        images.append((bim.tensor(usd.unit(), {g: Q(-1)}), {}))
-    for g in range(n_sd):
-        cls = {}
-        for j, c in sd_proj_col(g).items():
-            vec_add_scaled(cls, usd.gen_class(j), c)
-        images.append(({}, cls))
+    def evaluator(bimod, U, connect, alpha_cols):
+        """theta on words, into the pair algebra (U ⊗ V) ⊕ U of bimod: the
+        k-th module generator goes to (-1 ⊗ v_k, 0) in the first block of
+        generators and to (0, alpha(v_k)) in the second."""
+        images = [(bimod.tensor(U.unit(), {k: Q(-1)}), {})
+                  for k in range(len(alpha_cols))]
+        images += [({}, U.reduce({(j,): c for j, c in col.items()}))
+                   for col in alpha_cols]
 
-    def mult_sd(u, v):
-        return _pair_mult(
-            (bim.left_mult, bim.right_mult, None), usd,
-            lambda b: usd.from_coords(Y.connect_sd.apply(b)),
-            u, v, degree)
+        def mult(u, v):
+            return _pair_mult(
+                (bimod.left_mult, bimod.right_mult, None), U,
+                lambda b: U.from_coords(connect.apply(b)), u, v, degree)
 
-    theta = _word_evaluator(images, mult_sd, ({}, usd.unit()))
+        return _word_evaluator(images, mult, ({}, U.unit()))
 
-    p_images = []
-    for i in range(np_):
-        p_images.append((tbim.tensor(Ug.unit(), {i: Q(-1)}), {}))
-    for i in range(np_):
-        cls = {}
-        for j, c in X.dst.alpha.col(i).items():
-            vec_add_scaled(cls, Ug.gen_class(j), c)
-        p_images.append(({}, cls))
-
-    def mult_p(u, v):
-        return _pair_mult(
-            (tbim.left_mult, tbim.right_mult, None), Ug,
-            lambda a: Ug.from_coords(Y.target.connect.apply(a)),
-            u, v, degree)
-
-    theta_p = _word_evaluator(p_images, mult_p, ({}, Ug.unit()))
+    theta = evaluator(bim, usd, Y.connect_sd,
+                      [sd_proj_col(g) for g in range(n_sd)])
+    theta_p = evaluator(tbim, Ug, Y.target.connect,
+                        [X.dst.alpha.col(i) for i in range(np_)])
 
     def is_zero(pair):
         return not pair[0] and not pair[1]
@@ -1134,7 +1072,7 @@ def theta_check(x, degree, slack=2, report_degree=None):
     # the quotient ideal lands in its categorical counterpart
     xk = tx.pi.kernel()
     x_maps_ok = True
-    for deg, v in filtration_basis(usd1, subspace_vectors(usd1, xk)):
+    for deg, v in filtration_basis(usd1, xk):
         tb, tt = theta(v)
         if Y.bottom_proj.apply(tb) or Y.top_proj.apply(usd.to_coords(tt)):
             x_maps_ok = False
@@ -1154,10 +1092,7 @@ def theta_check(x, degree, slack=2, report_degree=None):
     qcols = []
     wdim = Y.bottom_proj.rows
     nrows = 0
-    for deg, v in filtration_basis(bar, subspace_vectors(bar, Subspace.full(
-            bar.dim))):
-        if deg > d:
-            continue
+    for deg, v in filtration_basis(bar, Subspace.full(bar.dim), d):
         nrows += 1
         tb, tt = theta(v)
         qb = Y.bottom_proj.apply(tb)

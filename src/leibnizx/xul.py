@@ -2,7 +2,9 @@
 
 Pipeline: semidirect product -> truncated envelopes -> induced maps for the
 two cat¹ projections s, t -> kernel-product ideal X = Ker(s)Ker(t) +
-Ker(t)Ker(s) -> quotient -> (Ker s̄, UL(p), t̄ restricted).
+Ker(t)Ker(s) -> quotient -> (Ker s̄, UL(p), t̄ restricted).  The
+kernel-product step is :func:`kernel_product_quotient`, which the
+categorical envelope in ``lm`` runs for its top row as well.
 
 Everything is degree-truncated, so every verdict carries a report degree
 d <= D - 2 and stabilization certificates.
@@ -14,10 +16,10 @@ from dataclasses import dataclass, field
 from .scalars import Q
 from .linalg import LinearMap, Subspace, zero_subspace
 from .freealg import (TruncQuotAlgebra, filtration_basis, induced_map,
-                      subspace_product, subspace_vectors)
+                      subspace_product)
 from .leibniz import semidirect
 from .xmod import LeibnizXMod, check_xmod, identity_xmod, zero_xmod
-from .envelope import ULAlgebra, ul, ul_map
+from .envelope import ULAlgebra, ul, ul_images, ul_map
 
 
 def _b_coords(tx, v):
@@ -25,11 +27,12 @@ def _b_coords(tx, v):
     return {i: c for i, c in enumerate(tx.B.coords(v)) if c != 0}
 
 
-def cat1_matrices(x):
-    """s(q,p) = p and t(q,p) = eta(q) + p as maps on q ⊕ p coordinates."""
-    nq, np_ = x.q.dim, x.p.dim
+def cat1_matrices(eta):
+    """s(q,p) = p and t(q,p) = eta(q) + p as maps on q ⊕ p coordinates,
+    for a linear map eta: q -> p."""
+    nq, np_ = eta.cols, eta.rows
     s_cols = [{} for _ in range(nq)] + [{i: Q(1)} for i in range(np_)]
-    t_cols = [x.eta.col(j) for j in range(nq)] + \
+    t_cols = [eta.col(j) for j in range(nq)] + \
         [{i: Q(1)} for i in range(np_)]
     return (LinearMap.from_cols(np_, s_cols), LinearMap.from_cols(np_, t_cols))
 
@@ -53,12 +56,59 @@ class TruncAssocXMod:
 
     def b_filtration(self, d):
         """Filtration basis rows of B with fdeg <= d, as class vectors."""
-        rows = filtration_basis(self.ambient,
-                                subspace_vectors(self.ambient, self.B))
-        return [(deg, v) for deg, v in rows if deg <= d]
+        return filtration_basis(self.ambient, self.B, d)
 
     def b_dim_upto(self, d):
         return len(self.b_filtration(d))
+
+
+def report_degree_for(degree, report_degree):
+    """The report degree d of a run at working degree D: D - 2 unless
+    given; raises unless 0 <= d <= D - 2."""
+    d = degree - 2 if report_degree is None else report_degree
+    if not 0 <= d <= degree - 2:
+        raise ValueError("report degree must satisfy 0 <= d <= D - 2")
+    return d
+
+
+@dataclass(frozen=True)
+class KernelQuotient:
+    """The kernel-product quotient of a cat¹ envelope and its induced maps."""
+
+    s: LinearMap            # envelope class coords -> target class coords
+    t: LinearMap
+    s_ker: Subspace         # Ker s, in envelope class coordinates
+    t_ker: Subspace
+    quot: TruncQuotAlgebra  # envelope / (Ker s·Ker t + Ker t·Ker s)
+    pi: LinearMap           # envelope class coords -> quot class coords
+    bar_s: LinearMap        # quot -> target
+    bar_t: LinearMap
+    embed: LinearMap        # target -> quot through the section
+    boundary_degree: int
+
+
+def kernel_product_quotient(env, target, s_imgs, t_imgs, section):
+    """Quotient of the envelope ``env`` by X = Ker s·Ker t + Ker t·Ker s,
+    where s, t: env -> target are the algebra maps with generator images
+    s_imgs, t_imgs (class vectors of target), and the embedding target ->
+    env / X sends target generator j to the class of env generator
+    section[j]."""
+    s = induced_map(env, target, s_imgs)
+    t = induced_map(env, target, t_imgs)
+    s_ker, t_ker = s.kernel(), t.kernel()
+    prod_st, bdeg = subspace_product(s_ker, t_ker, env)
+    prod_ts, _ = subspace_product(t_ker, s_ker, env)
+    quot = env.extend_by(prod_st.sum(prod_ts))
+    pi = LinearMap.from_cols(
+        quot.dim, [quot.to_coords(quot.reduce({w: Q(1)}))
+                   for w in env.class_words])
+    # induced s̄, t̄: the same generator images, now also checked against X
+    bar_s = induced_map(quot, target, s_imgs)
+    bar_t = induced_map(quot, target, t_imgs)
+    embed = induced_map(target, quot,
+                        [quot.reduce_word((i,)) for i in section])
+    return KernelQuotient(s, t, s_ker, t_ker, quot, pi, bar_s, bar_t, embed,
+                          bdeg)
 
 
 def xul(x, degree, slack=2, report_degree=None):
@@ -66,53 +116,26 @@ def xul(x, degree, slack=2, report_degree=None):
     bad = check_xmod(x)
     if bad:
         raise ValueError("input fails crossed-module axioms: %r" % bad[:3])
-    if report_degree is None:
-        report_degree = degree - 2
-    if report_degree > degree - 2 or report_degree < 0:
-        raise ValueError("report degree must satisfy 0 <= d <= D - 2")
+    report_degree = report_degree_for(degree, report_degree)
 
     sd = semidirect(x.action)
     usd = ul(sd, degree, slack)
     up = ul(x.p, degree, slack)
-    smat, tmat = cat1_matrices(x)
-    Us = ul_map(usd, up, smat)
-    Ut = ul_map(usd, up, tmat)
-    Ks, Kt = Us.kernel(), Ut.kernel()
-    prod_st, bdeg = subspace_product(Ks, Kt, usd.quot)
-    prod_ts, _ = subspace_product(Kt, Ks, usd.quot)
-    Xsub = prod_st.sum(prod_ts)
-
-    bar = usd.quot.extend_by(subspace_vectors(usd.quot, Xsub))
-    pi = LinearMap.from_cols(
-        bar.dim, [bar.to_coords(bar.reduce({w: Q(1)}))
-                  for w in usd.quot.class_words])
-
-    # induced s̄, t̄: the same generator images, now also checked against X
-    n_sd = sd.dim
-    s_imgs = [up.left_class(smat.col(i)) for i in range(n_sd)] + \
-        [up.right_class(smat.col(i)) for i in range(n_sd)]
-    t_imgs = [up.left_class(tmat.col(i)) for i in range(n_sd)] + \
-        [up.right_class(tmat.col(i)) for i in range(n_sd)]
-    bar_s = induced_map(bar, up.quot, s_imgs)
-    bar_t = induced_map(bar, up.quot, t_imgs)
-
-    np_ = x.p.dim
-    emb_imgs = [bar.to_coords(bar.reduce_word((x.q.dim + i,)))
-                for i in range(np_)]
-    emb_imgs += [bar.to_coords(bar.reduce_word((n_sd + x.q.dim + i,)))
-                 for i in range(np_)]
-    embed = induced_map(up.quot, bar,
-                        [bar.from_coords(v) for v in emb_imgs])
-
-    B = bar_s.kernel()
-    rho = bar_t.restrict(B)
+    n_sd, nq = sd.dim, x.q.dim
+    smat, tmat = cat1_matrices(x.eta)
+    section = [nq + i for i in range(x.p.dim)] + \
+        [n_sd + nq + i for i in range(x.p.dim)]
+    kq = kernel_product_quotient(usd.quot, up.quot, ul_images(up, smat),
+                                 ul_images(up, tmat), section)
+    B = kq.bar_s.kernel()
+    rho = kq.bar_t.restrict(B)
     certs = {
         "ul_semidirect_stabilized": usd.stabilized,
         "ul_p_stabilized": up.stabilized,
-        "product_boundary_degree": bdeg,
+        "product_boundary_degree": kq.boundary_degree,
     }
-    return TruncAssocXMod(x, usd, up, bar, pi, bar_s, bar_t, embed, B, rho,
-                          report_degree, certs)
+    return TruncAssocXMod(x, usd, up, kq.quot, kq.pi, kq.bar_s, kq.bar_t,
+                          kq.embed, B, rho, report_degree, certs)
 
 
 def check_trunc_xmod(tx):
@@ -135,8 +158,7 @@ def check_trunc_xmod(tx):
 
     B_rows = tx.b_filtration(d)
     Kt = tx.bar_t.kernel()
-    Kt_rows = [(deg, v) for deg, v in
-               filtration_basis(bar, subspace_vectors(bar, Kt)) if deg <= d]
+    Kt_rows = filtration_basis(bar, Kt, d)
 
     # CAs2: kernel products vanish up to degree d
     for da, va in B_rows:
@@ -228,13 +250,12 @@ def _lemma41_core(x, degree, slack, d, stability_check=True):
     sd = semidirect(x.action)
     usd = ul(sd, degree, slack, stability_check=stability_check)
     up = ul(x.p, degree, slack, stability_check=stability_check)
-    smat, _ = cat1_matrices(x)
+    smat, _ = cat1_matrices(x.eta)
     Us = ul_map(usd, up, smat)
     Ks = Us.kernel()
-    rows = filtration_basis(usd.quot, subspace_vectors(usd.quot, Ks))
+    rows = filtration_basis(usd.quot, Ks, d)
     lhs = Subspace.from_vectors(
-        usd.quot.dim,
-        [usd.quot.to_coords(v) for deg, v in rows if deg <= d])
+        usd.quot.dim, [usd.quot.to_coords(v) for _, v in rows])
     rhs = _kernel_words_span(usd, x.q.dim, d)
     return lhs, rhs, usd.stabilized
 
@@ -245,9 +266,7 @@ def lemma41_check(x, degree, slack=2, report_degree=None):
 
     Returns a dict record with verdict "pass", "fail" or "inconclusive".
     """
-    if report_degree is None:
-        report_degree = degree - 2
-    d = report_degree
+    d = report_degree_for(degree, report_degree)
     lhs, rhs, stab = _lemma41_core(x, degree, slack, d)
     equal = lhs == rhs
     # the certificate runs skip the internal slack+1 re-check: each one is
@@ -306,9 +325,7 @@ def prop42_check(p, degree, slack=2, report_degree=None):
     necessarily misses the unit; both composites are checked on classes
     with zero constant term only.
     """
-    if report_degree is None:
-        report_degree = degree - 2
-    d = report_degree
+    d = report_degree_for(degree, report_degree)
     x = identity_xmod(p)
     tx = xul(x, degree, slack, report_degree=d)
     n = p.dim
@@ -350,9 +367,7 @@ def prop42_check(p, degree, slack=2, report_degree=None):
 def embedding_squares_check(p, degree, slack=2, report_degree=None):
     """XUL(0, p, 0) = (0, UL(p), 0): zero kernel and ambient identified
     with UL(p) on the nose."""
-    if report_degree is None:
-        report_degree = degree - 2
-    d = report_degree
+    d = report_degree_for(degree, report_degree)
     tx = xul(zero_xmod(p), degree, slack, report_degree=d)
     b_zero = tx.B == zero_subspace(tx.ambient.dim)
     a_matches = (tx.ambient.dim == tx.ul_p.dim

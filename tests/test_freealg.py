@@ -9,8 +9,7 @@ from leibnizx.scalars import Q
 from leibnizx.envelope import ul_relations
 from leibnizx.freealg import (FreeAlgebra, HomomorphismError, NCPoly,
                               filtration_basis, ideal_span, induced_map,
-                              quotient, subspace_product, subspace_vectors,
-                              word_key)
+                              quotient, subspace_product, word_key)
 from leibnizx.leibniz import liezation
 from leibnizx.linalg import Echelon, Subspace
 from leibnizx.lm import lie_relations
@@ -216,7 +215,8 @@ def test_induced_map_checks_relations():
 def test_extend_by_is_a_two_sided_ideal():
     free = FreeAlgebra(("x", "y"), 3)
     quot = quotient(free, ideal_span(free, commutator_relations(2)))
-    bigger = quot.extend_by([quot.gen_class(0)])
+    bigger = quot.extend_by(Subspace.from_vectors(
+        quot.dim, [quot.to_coords(quot.gen_class(0))]))
     # x and everything it divides is gone
     assert bigger.reduce_word((0,)) == {}
     assert bigger.reduce_word((1, 0)) == {}
@@ -227,9 +227,11 @@ def test_extend_by_is_a_two_sided_ideal():
 def test_filtration_basis_degrees():
     free = FreeAlgebra(("x", "y"), 3)
     quot = quotient(free, ideal_span(free, commutator_relations(2)))
-    rows = filtration_basis(quot, [quot.reduce_word((0,)),
-                                   quot.reduce_word((0, 1))])
-    assert [d for d, _ in rows] == [1, 2]
+    sub = Subspace.from_vectors(
+        quot.dim, [quot.to_coords(quot.reduce_word(w))
+                   for w in ((0,), (0, 1))])
+    assert [d for d, _ in filtration_basis(quot, sub)] == [1, 2]
+    assert [d for d, _ in filtration_basis(quot, sub, 1)] == [1]
 
 
 def test_subspace_product_boundary():
@@ -240,7 +242,7 @@ def test_subspace_product_boundary():
     prod, bdeg = subspace_product(a, a, quot)
     assert bdeg == 2
     assert prod.dim == 1
-    assert subspace_vectors(quot, prod) == [{(0, 0): Q(1)}]
+    assert [quot.from_coords(r) for r in prod.rows] == [{(0, 0): Q(1)}]
 
 
 @settings(deadline=None, max_examples=30)

@@ -1,6 +1,8 @@
 import pytest
 
-from leibnizx.linalg import LinearMap
+from leibnizx import lm
+from leibnizx.scalars import Q
+from leibnizx.linalg import Echelon, LinearMap, Subspace
 from leibnizx.xmod import identity_xmod, zero_xmod
 from leibnizx.lm import (LMObject, associated_xmod, check_associated_xmod,
                          check_lm_assoc_object, check_lm_assoc_xmod,
@@ -80,3 +82,49 @@ def test_theta_identity_a1(a1):
     assert rec["verdict"] == "pass"
     assert rec["relations_killed"] and rec["ideal_mapped"]
     assert rec["quotient_bijective"] and rec["cat_maps_intertwined"]
+
+
+def _intersection_filtration(bim, sub):
+    """Oracle: a filtration basis of a bottom subspace from one Zassenhaus
+    intersection sub ∩ F_k per degree k."""
+    ech = Echelon()
+    out = []
+    for k in range(1, bim.U.degree + 1):
+        f_k = Subspace.from_vectors(bim.dim, [{i: Q(1)} for i in range(bim.dim)
+                                              if bim.fdeg_index(i) <= k])
+        for row in sub.intersect(f_k).rows:
+            if ech.insert(dict(row)) is not None:
+                out.append((k, dict(row)))
+    return out
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_bottom_filtration_matches_intersections(xmods, degree, monkeypatch):
+    """For Ks1 and Kt1 of every corpus crossed module, the degree-<=k rows
+    of the bottom filtration basis span sub ∩ F_k for every k, and each
+    row has the degree it is listed with.  Slack 0: the routine sees
+    whatever kernels the envelope gives, and xmod-id-r2 at D6 builds in
+    seconds instead of a minute."""
+    calls = []
+
+    def recording(bim, sub):
+        out = bottom_filtration(bim, sub)
+        calls.append((bim, sub, out))
+        return out
+
+    bottom_filtration = lm._bottom_filtration
+    monkeypatch.setattr(lm, "_bottom_filtration", recording)
+    for name, x in xmods.items():
+        del calls[:]
+        lm_xmod_envelope(xmod_to_lm(x), degree, slack=0)
+        assert len(calls) == 2, name
+        for bim, sub, rows in calls:
+            oracle = _intersection_filtration(bim, sub)
+            assert len(rows) == sub.dim == len(oracle), name
+            assert all(bim.fdeg(v) == deg for deg, v in rows), name
+            for k in range(degree + 1):
+                want = Subspace.from_vectors(
+                    bim.dim, [v for deg, v in oracle if deg <= k])
+                got = Subspace.from_vectors(
+                    bim.dim, [v for deg, v in rows if deg <= k])
+                assert got == want, (name, k)
