@@ -106,13 +106,13 @@ def test_bottom_filtration_matches_intersections(xmods, degree, monkeypatch):
     whatever kernels the envelope gives, and xmod-id-r2 at D6 builds in
     seconds instead of a minute."""
     calls = []
+    bottom_filtration = lm._bottom_filtration
 
     def recording(bim, sub):
         out = bottom_filtration(bim, sub)
         calls.append((bim, sub, out))
         return out
 
-    bottom_filtration = lm._bottom_filtration
     monkeypatch.setattr(lm, "_bottom_filtration", recording)
     for name, x in xmods.items():
         del calls[:]
@@ -121,6 +121,8 @@ def test_bottom_filtration_matches_intersections(xmods, degree, monkeypatch):
         for bim, sub, rows in calls:
             oracle = _intersection_filtration(bim, sub)
             assert len(rows) == sub.dim == len(oracle), name
+            degrees = [deg for deg, _ in rows]
+            assert degrees == sorted(degrees), name
             assert all(bim.fdeg(v) == deg for deg, v in rows), name
             for k in range(degree + 1):
                 want = Subspace.from_vectors(
