@@ -54,6 +54,12 @@ def _cases():
         ("lm", "xmod-zero-a1", "--degree", "8"),
         ("lm", "xmod-id-r2", "--degree", "4"),
         ("lm", "xmod-id-l2", "--degree", "5", "--slack", "0"),
+        # the default slack
+        ("ul", "l2", "--degree", "4"),
+        ("ul", "r2", "--degree", "3"),
+        ("ul", "a1", "--degree", "5"),
+        ("xul", "xmod-incl-l2", "--degree", "3"),
+        ("xul", "xmod-id-a1", "--degree", "3"),
     ]
     return {"-".join(c).replace("--", ""): c for c in cases}
 
