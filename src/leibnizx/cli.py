@@ -26,8 +26,8 @@ from .xmod import LeibnizXMod, check_xmod
 from .xrep import (LeibnizXModRep, check_xmod_rep, check_xmodule,
                    rep_to_xmodule, xmodule_to_rep)
 from .envelope import ul, check_module
-from .xul import (xul, check_trunc_xmod, lemma41_check, prop42_check,
-                  embedding_squares_check)
+from .xul import (XModAxiomError, xul, check_trunc_xmod, lemma41_check,
+                  prop42_check, embedding_squares_check)
 from .lm import xmod_to_lm, lm_xmod_envelope, check_lm_assoc_xmod, theta_check
 from .report import Report, record, violations_record
 
@@ -108,10 +108,13 @@ def cmd_xul(args):
     x = _load(args.path, ("xmod",))
     try:
         tx = xul(x, args.degree, args.slack, args.report_degree)
-    except ValueError as e:
+    except XModAxiomError as e:
         return Report("xul", _xul_params(args),
                       [record("check_xmod", "fail", stage="check_xmod",
                               witness=str(e))])
+    except ValueError as e:
+        return Report("xul", _xul_params(args),
+                      [record("construction", "fail", witness=str(e))])
     d = tx.report_degree
     recs = [
         record("dimensions", "pass", b_dim=tx.B.dim,

@@ -17,7 +17,7 @@ product (see :func:`ideal_span`).
 import itertools
 
 from .scalars import Q
-from .linalg import (Echelon, LinearMap, Subspace, reduce_by_pivots,
+from .linalg import (Echelon, LinearMap, Subspace, int_vec, residue,
                      vec_add_scaled)
 
 
@@ -150,8 +150,10 @@ class TruncIdeal:
         self.relations = tuple(relations)
         self.slack = slack
         self.rows = tuple(rows)
-        self._rowbypiv = {min(r, key=word_key): r for r in self.rows}
-        self.pivots = frozenset(self._rowbypiv)
+        # integer copies of the rows, for reduction
+        self._introws = {min(r, key=word_key): int_vec(r)[0]
+                         for r in self.rows}
+        self.pivots = frozenset(self._introws)
         self.stabilized = stabilized
 
     @property
@@ -160,14 +162,7 @@ class TruncIdeal:
 
     def reduce_vec(self, v):
         """Residue of a word-keyed vector modulo the ideal span."""
-        return reduce_by_pivots(dict(v), self._rowbypiv, word_key)
-
-    def span_subspace(self):
-        """The span as a canonical ascending-RREF Subspace in the parent's
-        length-lex coordinates."""
-        alg = self.algebra
-        return Subspace.from_vectors(
-            alg.dim, [alg.vec_to_coords(r) for r in self.rows])
+        return residue(v, self._introws, word_key)
 
 
 def _close_level(ech, frontier, relations, g):
@@ -304,9 +299,6 @@ class TruncQuotAlgebra:
         for w, c in vec.items():
             vec_add_scaled(out, self.reduce_word(w), c)
         return out
-
-    def reduce_poly(self, p):
-        return self.reduce(self.parent.poly_to_vec(p))
 
     def fdeg(self, cv):
         return max((len(w) for w in cv), default=0)

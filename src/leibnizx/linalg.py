@@ -9,6 +9,14 @@ Vectors are sparse ``dict[coord, Q]`` with no zero entries stored.  The
 coordinate type is anything hashable; an elimination order is supplied as a
 key function (natural order for plain integer coordinates).
 
+Elimination runs in ``int`` only.  An :class:`Echelon` keeps primitive
+integer rows; a vector entering it, a :class:`Subspace` or
+``freealg.TruncIdeal`` has its denominators cleared once.  ``Q`` values are
+built only where results leave: canonical rows, ``Subspace.rows``, the
+residues of ``reduce_vec`` and :func:`residue`, and ``LinearMap`` entries.
+RREF with pivot 1 is unique, so those are the same as with rational
+elimination.
+
 The kernel other modules build on:
 
 * :func:`vec_add_scaled` is the one add-and-drop-zero loop;
@@ -21,7 +29,9 @@ modules read a map through ``col``, ``apply``, ``compose`` and ``lincomb``
 and build one with ``from_cols``, ``zero`` or ``identity``.
 """
 
-from .scalars import Q, ONE, ZERO
+from math import gcd
+
+from .scalars import Q, ZERO
 
 # ---------------------------------------------------------------------------
 # sparse vector helpers
@@ -30,7 +40,7 @@ from .scalars import Q, ONE, ZERO
 def vec_add_scaled(dst, src, c):
     """dst += c*src in place, dropping zeros."""
     for k, x in src.items():
-        y = dst.get(k, ZERO) + c * x
+        y = dst.get(k, 0) + c * x
         if y == 0:
             dst.pop(k, None)
         else:
@@ -42,11 +52,38 @@ def _natural(c):
     return c
 
 
+def int_vec(v):
+    """(w, den): w = den * v has integer entries, den > 0 the least common
+    denominator.  Rejects inexact coefficients such as floats."""
+    den = 1
+    for x in v.values():
+        try:
+            d = x.denominator
+        except AttributeError:
+            raise TypeError("inexact coefficient %r" % (x,)) from None
+        if d != 1:
+            den = den // gcd(den, d) * d
+    if den == 1:
+        return {k: x.numerator for k, x in v.items()}, 1
+    return {k: x.numerator * (den // x.denominator)
+            for k, x in v.items()}, den
+
+
+def rational(v, d=1):
+    """The Q vector v / d of an integer vector v and integer d != 0."""
+    if d == 1:
+        return {k: Q(x) for k, x in v.items()}
+    return {k: Q(x, d) for k, x in v.items()}
+
+
 def reduce_by_pivots(v, rows, keyf=_natural):
-    """Reduce the sparse vector v in place modulo echelon rows given as
-    ``{pivot: row}`` (each row has coefficient 1 at its pivot): subtract
-    the row at the minimal pivot of v under keyf, and repeat until no
-    coordinate of v is a pivot.  Returns v."""
+    """Reduce the integer vector v in place modulo integer echelon rows
+    ``{pivot: row}``, each with a positive coefficient at its pivot: while
+    a coordinate of v is a pivot, take the minimal one under keyf and set
+    v <- a*v - b*row, with a/b the row's and v's pivot coefficients over
+    their gcd.  Returns the product d > 0 of those factors a, so that v
+    ends as d times the residue of the vector it started as."""
+    d = 1
     while True:
         hit = None
         hitk = None
@@ -56,12 +93,30 @@ def reduce_by_pivots(v, rows, keyf=_natural):
                 if hitk is None or k < hitk:
                     hit, hitk = c, k
         if hit is None:
-            return v
-        vec_add_scaled(v, rows[hit], -v[hit])
+            return d
+        row = rows[hit]
+        a, b = row[hit], v[hit]
+        if a != 1:
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                for c in v:
+                    v[c] *= a
+                d *= a
+        vec_add_scaled(v, row, -b)
+
+
+def residue(v, rows, keyf=_natural):
+    """Residue of the rational vector v modulo integer echelon rows
+    ``{pivot: row}``, as a Q vector; it lies on the non-pivot
+    coordinates."""
+    w, den = int_vec(v)
+    return rational(w, den * reduce_by_pivots(w, rows, keyf))
 
 
 def quotient_basis(n, rows, keyf=_natural):
-    """Complement of the span of echelon rows ``{pivot: row}`` in K^n.
+    """Complement of the span of integer echelon rows ``{pivot: row}`` in
+    K^n.
 
     Returns (the non-pivot coordinates, LinearMap K^n -> K^c) where the map
     sends v to the coordinates of its residue modulo the rows; the residue
@@ -71,9 +126,19 @@ def quotient_basis(n, rows, keyf=_natural):
     pos = {c: i for i, c in enumerate(comp)}
     cols = []
     for j in range(n):
-        res = reduce_by_pivots({j: ONE}, rows, keyf)
+        res = residue({j: 1}, rows, keyf)
         cols.append({pos[c]: x for c, x in res.items()})
     return comp, LinearMap.from_cols(len(comp), cols)
+
+
+def _primitive(v, piv):
+    """v divided by its content, with a positive coefficient at piv."""
+    g = gcd(*v.values())
+    if v[piv] < 0:
+        g = -g
+    if g == 1:
+        return v
+    return {k: x // g for k, x in v.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -84,21 +149,26 @@ class Echelon:
     """Forward-reduced echelon basis of a growing span of sparse vectors.
 
     ``keyf`` orders the coordinates; the pivot of each row is its minimal
-    coordinate under ``keyf`` and rows are normalized to pivot coefficient 1.
-    Rows are reduced against the pivots known at insertion time only;
-    ``canonical_rows`` back-substitutes to full RREF.
+    coordinate under ``keyf``.  ``rows`` maps pivots to primitive integer
+    rows: entries are ``int`` with gcd 1 and the pivot coefficient is
+    positive (not scaled to 1).  Rows are reduced against the pivots known
+    at insertion time only; ``canonical_rows`` back-substitutes to full
+    RREF over Q.
     """
 
     def __init__(self, keyf=_natural):
         self.keyf = keyf
-        self.rows = {}  # pivot coord -> row dict
+        self.rows = {}  # pivot coord -> primitive integer row dict
 
     def __len__(self):
         return len(self.rows)
 
     def reduce(self, v):
-        """Return v reduced modulo the current span (fresh dict)."""
-        return reduce_by_pivots(dict(v), self.rows, self.keyf)
+        """A nonzero integer multiple of v's residue modulo the current
+        span, as a fresh dict ({} iff v lies in the span)."""
+        w = int_vec(v)[0]
+        reduce_by_pivots(w, self.rows, self.keyf)
+        return w
 
     def insert(self, v):
         """Reduce v and adjoin it if independent.  Returns the new pivot
@@ -106,26 +176,29 @@ class Echelon:
         v = self.reduce(v)
         if not v:
             return None
-        keyf = self.keyf
-        piv = min(v, key=keyf)
-        c = v[piv]
-        if c != 1:
-            inv = 1 / c
-            v = {k: inv * x for k, x in v.items()}
-        self.rows[piv] = v
+        piv = min(v, key=self.keyf)
+        self.rows[piv] = _primitive(v, piv)
         return piv
 
     def contains(self, v):
         return not self.reduce(v)
 
+    def monic_row(self, piv):
+        """The row at piv over Q, with coefficient 1 at its pivot."""
+        row = self.rows[piv]
+        return rational(row, row[piv])
+
     def canonical_rows(self):
-        """Fully back-substituted rows, sorted by pivot order."""
+        """Fully back-substituted rows over Q, pivot coefficient 1, sorted
+        by pivot order."""
         keyf = self.keyf
         done = {}
         # later pivots first, so each row meets only finished rows
         for piv in sorted(self.rows, key=keyf, reverse=True):
-            done[piv] = reduce_by_pivots(dict(self.rows[piv]), done, keyf)
-        return [done[p] for p in sorted(done, key=keyf)]
+            row = dict(self.rows[piv])
+            reduce_by_pivots(row, done, keyf)
+            done[piv] = _primitive(row, piv)
+        return [rational(done[p], done[p][p]) for p in sorted(done, key=keyf)]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +216,9 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.rows = tuple(rows)  # tuple of sparse dicts, canonical RREF
         self.pivots = tuple(min(r) for r in self.rows)
-        self._rowbypiv = dict(zip(self.pivots, self.rows))
+        # integer copies of the rows, for reduction
+        self._introws = {p: int_vec(r)[0]
+                         for p, r in zip(self.pivots, self.rows)}
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
@@ -176,7 +251,7 @@ class Subspace:
 
     def reduce_vec(self, v):
         """Residue of v modulo this subspace."""
-        return reduce_by_pivots(dict(v), self._rowbypiv)
+        return residue(v, self._introws)
 
     def contains_vec(self, v):
         return not self.reduce_vec(v)
@@ -235,7 +310,7 @@ class Subspace:
         Returns (complement coordinate indices, LinearMap ambient -> K^c)
         with projection(v) = coordinates of v mod this subspace.
         """
-        return quotient_basis(self.ambient_dim, self._rowbypiv)
+        return quotient_basis(self.ambient_dim, self._introws)
 
     def _check_ambient(self, other):
         if self.ambient_dim != other.ambient_dim:

@@ -479,11 +479,12 @@ def _highest(i):
 def _bottom_filtration(bim, sub):
     """Filtration basis of a subspace of the bottom: pairs (degree, vector)
     sorted by degree, whose degree-<=k prefixes span sub ∩ (filtration <= k).
+    Each vector has coefficient 1 at its highest coordinate.
     """
     ech = Echelon(_highest)
     for row in sub.rows:
         ech.insert(row)
-    return [(bim.fdeg_index(p), ech.rows[p]) for p in sorted(ech.rows)]
+    return [(bim.fdeg_index(p), ech.monic_row(p)) for p in sorted(ech.rows)]
 
 
 def _quotient_filtration(pairs, proj):

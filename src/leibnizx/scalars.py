@@ -1,8 +1,10 @@
 """Exact rational scalars.
 
-All coefficient arithmetic in the library goes through ``Q``.  gmpy2's mpq
-is used when available (it is much faster for the row-reduction heavy
-pipelines); the stdlib Fraction is a drop-in fallback.
+Coefficients in the library are ``Q``: gmpy2's mpq when available, the
+stdlib Fraction otherwise (a drop-in fallback).  Row reduction is the
+exception: ``linalg``'s echelon forms eliminate in ``int`` only and build
+``Q`` values only where results leave them (canonical rows, residues and
+linear-map entries).
 """
 
 try:

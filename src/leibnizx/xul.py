@@ -22,6 +22,11 @@ from .xmod import LeibnizXMod, check_xmod, identity_xmod, zero_xmod
 from .envelope import ULAlgebra, ul, ul_images, ul_map
 
 
+class XModAxiomError(ValueError):
+    """Raised when the input of :func:`xul` fails the crossed-module
+    axioms."""
+
+
 def _b_coords(tx, v):
     """Sparse B-coordinates of an ambient class-coordinate vector."""
     return {i: c for i, c in enumerate(tx.B.coords(v)) if c != 0}
@@ -115,7 +120,8 @@ def xul(x, degree, slack=2, report_degree=None):
     """Build the truncated enveloping crossed module of x."""
     bad = check_xmod(x)
     if bad:
-        raise ValueError("input fails crossed-module axioms: %r" % bad[:3])
+        raise XModAxiomError("input fails crossed-module axioms: %r"
+                             % bad[:3])
     report_degree = report_degree_for(degree, report_degree)
 
     sd = semidirect(x.action)

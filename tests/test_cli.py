@@ -97,6 +97,26 @@ def test_xul_pass_and_fail(capsys, tmp_path):
     assert "check_xmod" in out
 
 
+def test_xul_construction_error_is_not_an_axiom_failure(capsys,
+                                                        monkeypatch):
+    """Only the crossed-module axiom failure becomes a check_xmod record;
+    any other construction error is reported as such, with its text."""
+    import leibnizx.cli as cli
+    from leibnizx.freealg import HomomorphismError
+
+    def broken(*args, **kwargs):
+        raise HomomorphismError("images do not preserve the ideal")
+
+    monkeypatch.setattr(cli, "xul", broken)
+    rc, out, _ = run(capsys, "xul", corpus_path("xmod-id-a1.json"),
+                     "--degree", "3", "--format", "json")
+    assert rc == 1
+    rec, = json.loads(out)["records"]
+    assert rec["name"] == "construction" and rec["name"] != "check_xmod"
+    assert rec["verdict"] == "fail"
+    assert rec["witness"] == "images do not preserve the ideal"
+
+
 def test_lm_command(capsys):
     rc, out, _ = run(capsys, "lm", corpus_path("xmod-zero-a1.json"),
                      "--degree", "3")

@@ -1,9 +1,15 @@
+import itertools
+from math import gcd
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibnizx.scalars import Q
+from leibnizx.freealg import word_key
 from leibnizx.linalg import (Echelon, LinearMap, Subspace, lincomb,
-                             reduce_by_pivots, vec_add_scaled, zero_subspace)
+                             quotient_basis, reduce_by_pivots, vec_add_scaled,
+                             zero_subspace)
 
 
 def sv(*pairs):
@@ -192,8 +198,137 @@ def test_reducer_residue_matches_subspace(span, vec, reverse):
     ech = Echelon((lambda i: -i) if reverse else (lambda i: i))
     for u in vectors:
         ech.insert(u)
-    res = reduce_by_pivots(dict(v), ech.rows, ech.keyf)
-    assert not set(res) & set(ech.rows)
+    w = {i: c for i, c in enumerate(vec) if c}
+    d = reduce_by_pivots(w, ech.rows, ech.keyf)
+    assert d > 0 and not set(w) & set(ech.rows)
+    res = {k: Q(x, d) for k, x in w.items()}
     assert sub.reduce_vec(res) == sub.reduce_vec(v)
     if not reverse:
         assert res == sub.reduce_vec(v)
+
+
+# ---------------------------------------------------------------------------
+# the rational echelon the integer one replaced, kept as its oracle
+
+
+def fraction_reduce(v, rows, keyf):
+    """Subtract the row (pivot coefficient 1) at v's minimal pivot until no
+    coordinate of v is a pivot; returns v, the exact residue."""
+    while True:
+        hit = None
+        for c in v:
+            if c in rows and (hit is None or keyf(c) < keyf(hit)):
+                hit = c
+        if hit is None:
+            return v
+        vec_add_scaled(v, rows[hit], -v[hit])
+
+
+class FractionEchelon:
+    def __init__(self, keyf):
+        self.keyf = keyf
+        self.rows = {}
+
+    def reduce(self, v):
+        return fraction_reduce(dict(v), self.rows, self.keyf)
+
+    def insert(self, v):
+        v = self.reduce(v)
+        if not v:
+            return None
+        piv = min(v, key=self.keyf)
+        inv = 1 / v[piv]
+        self.rows[piv] = {k: inv * x for k, x in v.items()}
+        return piv
+
+    def canonical_rows(self):
+        done = {}
+        for piv in sorted(self.rows, key=self.keyf, reverse=True):
+            done[piv] = fraction_reduce(dict(self.rows[piv]), done, self.keyf)
+        return [done[p] for p in sorted(done, key=self.keyf)]
+
+
+N = 6
+WORDS = [w for d in range(3) for w in itertools.product(range(2), repeat=d)]
+KEYS = {
+    "natural": (lambda i: i, list(range(N))),
+    "reversed": (lambda i: -i, list(range(N))),
+    "word_key": (word_key, WORDS[:N]),
+}
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(
+    lambda x: x != 0)
+sparse = st.dictionaries(st.integers(0, N - 1), rationals, max_size=N)
+
+
+def _primitive_rows(ech):
+    for piv, row in ech.rows.items():
+        assert all(type(x) is int for x in row.values())
+        assert gcd(*row.values()) == 1
+        assert row[piv] > 0
+
+
+@pytest.mark.parametrize("key", sorted(KEYS))
+@settings(deadline=None, max_examples=80)
+@given(st.lists(sparse, max_size=6), st.lists(sparse, min_size=1,
+                                                 max_size=3))
+def test_integer_echelon_matches_fraction_oracle(key, vecs, probes):
+    keyf, coords = KEYS[key]
+
+    def at(v):
+        return {coords[i]: x for i, x in v.items()}
+
+    ech, oracle = Echelon(keyf), FractionEchelon(keyf)
+    for v in vecs:
+        assert ech.insert(at(v)) == oracle.insert(at(v))
+    assert set(ech.rows) == set(oracle.rows)
+    _primitive_rows(ech)
+    # each integer row is a positive multiple of the rational one
+    assert all(ech.monic_row(p) == oracle.rows[p] for p in ech.rows)
+    assert ech.canonical_rows() == oracle.canonical_rows()
+    for p in probes:
+        res = oracle.reduce(at(p))
+        assert ech.contains(at(p)) == (not res)
+        # Echelon.reduce gives a nonzero multiple of the residue
+        got = ech.reduce(at(p))
+        assert set(got) == set(res)
+        if res:
+            k = min(res, key=keyf)
+            assert {c: x * res[k] for c, x in got.items()} == \
+                {c: got[k] * x for c, x in res.items()}
+    if key == "word_key":
+        return
+    # Subspace is pivoted at the lowest coordinate, whatever keyf
+    natural = FractionEchelon(lambda i: i)
+    for v in vecs:
+        natural.insert(at(v))
+    canon = natural.canonical_rows()
+    sub = Subspace.from_vectors(N, [at(v) for v in vecs])
+    assert list(sub.rows) == canon
+    for p in probes:
+        assert sub.reduce_vec(at(p)) == fraction_reduce(
+            dict(at(p)), {min(r): r for r in canon}, natural.keyf)
+    comp, proj = quotient_basis(N, ech.rows, keyf)
+    ocomp = tuple(i for i in range(N) if i not in oracle.rows)
+    pos = {c: i for i, c in enumerate(ocomp)}
+    ocols = [{pos[c]: x for c, x in
+              fraction_reduce({j: Q(1)}, oracle.rows, keyf).items()}
+             for j in range(N)]
+    assert comp == ocomp
+    assert proj == LinearMap.from_cols(len(ocomp), ocols)
+    scomp, sproj = sub.quotient_basis()
+    spos = {c: i for i, c in enumerate(scomp)}
+    assert sproj == LinearMap.from_cols(
+        len(scomp), [{spos[c]: x for c, x in
+                      sub.reduce_vec({j: Q(1)}).items()}
+                     for j in range(N)])
+
+
+def test_float_coefficient_is_rejected():
+    ech = Echelon()
+    ech.insert({0: Q(1), 1: Q(2)})
+    for bad in ({0: 0.5}, {1: Q(1), 2: 1.0}):
+        with pytest.raises(TypeError):
+            ech.insert(bad)
+        with pytest.raises(TypeError):
+            Subspace.full(3).reduce_vec(bad)
+    assert len(ech) == 1
