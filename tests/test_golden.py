@@ -60,6 +60,15 @@ def _cases():
         ("ul", "a1", "--degree", "5"),
         ("xul", "xmod-incl-l2", "--degree", "3"),
         ("xul", "xmod-id-a1", "--degree", "3"),
+        # builders with no other golden
+        ("verify", "theta", "xmod-incl-l2", "--degree", "3", *SLACK),
+        ("verify", "theta", "xmod-zero-a1", "--degree", "3", *SLACK),
+        ("verify", "thm5", "xrep-zero-incl-l2", "--degree", "3", *SLACK),
+        ("verify", "squares", "l2", "--degree", "3", *SLACK),
+        ("verify", "prop42", "l2", "--degree", "3", *SLACK),
+        ("verify", "prop42", "r2", "--degree", "3", *SLACK),
+        ("verify", "lemma41", "xmod-incl-l2", "--degree", "3", *SLACK),
+        ("xul", "xmod-id-l2", "--degree", "3", "--slack", "0"),
     ]
     return {"-".join(c).replace("--", ""): c for c in cases}
 
