@@ -3,8 +3,7 @@ bimodule-style actions; mirrors the Leibniz layer."""
 
 from dataclasses import dataclass
 
-from .scalars import ZERO
-from .leibniz import _bilinear, _tensor, basis_vec
+from .leibniz import _bilinear, _tensor, basis_vec, _semidirect_cells
 
 
 @dataclass(frozen=True)
@@ -27,8 +26,7 @@ class AssocAlgebra:
         return _bilinear(self.product_tensor, x, y)
 
     def mult_basis(self, i, j):
-        return {k: v for k, v in enumerate(self.product_tensor[i][j])
-                if v != 0}
+        return dict(self.product_tensor[i][j])
 
     def check_assoc(self):
         bad = []
@@ -69,9 +67,8 @@ class AssocAction:
 
 
 def zero_assoc_action(a, b):
-    zl = [[[0] * b.dim for _ in range(b.dim)] for _ in range(a.dim)]
-    zr = [[[0] * b.dim for _ in range(a.dim)] for _ in range(b.dim)]
-    return AssocAction(a, b, zl, zr)
+    return AssocAction(a, b, [[{}] * b.dim for _ in range(a.dim)],
+                       [[{}] * a.dim for _ in range(b.dim)])
 
 
 def check_assoc_action(act):
@@ -108,22 +105,7 @@ def check_assoc_action(act):
 def assoc_semidirect(act):
     """Algebra on B ⊕ A: (b1,a1)(b2,a2) = (b1 b2 + a1·b2 + b1·a2, a1 a2)."""
     A, B = act.actor, act.target
-    nb, na = B.dim, A.dim
-    n = nb + na
-    tensor = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i < nb and j < nb:
-                out = B.mult_basis(i, j)
-            elif i < nb:
-                out = act.right(basis_vec(i), basis_vec(j - nb))
-            elif j < nb:
-                out = act.left(basis_vec(i - nb), basis_vec(j))
-            else:
-                out = {nb + k: v
-                       for k, v in A.mult_basis(i - nb, j - nb).items()}
-            for k, v in out.items():
-                tensor[i][j][k] = v
+    tensor = _semidirect_cells(B.mult_basis, A.mult_basis, act, B.dim, A.dim)
     names = tuple("b.%s" % x for x in B.basis) + \
         tuple("a.%s" % x for x in A.basis)
     return AssocAlgebra("%s⋊%s" % (B.name, A.name), names, tensor)

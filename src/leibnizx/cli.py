@@ -80,8 +80,22 @@ def cmd_check(args):
     return Report("check", {"path": args.path, "kind": kind}, recs)
 
 
+def _construction_failure(e):
+    """The fail record for an error raised while building from well-formed
+    input: the crossed-module axiom failure of ``xul`` is a check_xmod
+    record, any other ``ValueError`` a construction record."""
+    if isinstance(e, XModAxiomError):
+        return record("check_xmod", "fail", stage="check_xmod",
+                      witness=str(e))
+    return record("construction", "fail", witness=str(e))
+
+
 def cmd_ul(args):
     p = _load(args.path, ("leibniz_algebra",))
+    params = {"path": args.path, "degree": args.degree, "slack": args.slack}
+    axioms = violations_record("leibniz_identity", p.check_leibniz())
+    if axioms["verdict"] == "fail":
+        return Report("ul", params, [axioms])
     alg = ul(p, args.degree, args.slack)
     recs = [record("dimensions", "pass",
                    dims_by_degree=[alg.dim_upto(k)
@@ -89,8 +103,7 @@ def cmd_ul(args):
                    dim=alg.dim)]
     certs = {"ideal_stabilized": alg.stabilized}
     recs += _stability_records(certs)
-    rep = Report("ul", {"path": args.path, "degree": args.degree,
-                        "slack": args.slack}, recs, certs)
+    rep = Report("ul", params, recs, certs)
     if args.dump_basis:
         gens = alg.quot.parent.gens
         recs.append(record(
@@ -108,13 +121,8 @@ def cmd_xul(args):
     x = _load(args.path, ("xmod",))
     try:
         tx = xul(x, args.degree, args.slack, args.report_degree)
-    except XModAxiomError as e:
-        return Report("xul", _xul_params(args),
-                      [record("check_xmod", "fail", stage="check_xmod",
-                              witness=str(e))])
     except ValueError as e:
-        return Report("xul", _xul_params(args),
-                      [record("construction", "fail", witness=str(e))])
+        return Report("xul", _xul_params(args), [_construction_failure(e)])
     d = tx.report_degree
     recs = [
         record("dimensions", "pass", b_dim=tx.B.dim,
@@ -140,8 +148,7 @@ def cmd_lm(args):
         X = xmod_to_lm(x)
         Y = lm_xmod_envelope(X, args.degree, args.slack, args.report_degree)
     except ValueError as e:
-        return Report("lm", _xul_params(args),
-                      [record("construction", "fail", witness=str(e))])
+        return Report("lm", _xul_params(args), [_construction_failure(e)])
     d = Y.report_degree
     recs = [
         record("dimensions", "pass", top_dim=Y.top.dim,
@@ -155,32 +162,9 @@ def cmd_lm(args):
     return Report("lm", _xul_params(args), recs, dict(Y.certificates))
 
 
-def cmd_verify(args):
-    params = {"what": args.what, "path": args.path, "degree": args.degree,
-              "slack": args.slack, "report_degree": args.report_degree}
-    if args.what == "lemma41":
-        x = _load(args.path, ("xmod",))
-        rec = lemma41_check(x, args.degree, args.slack, args.report_degree)
-        return Report("verify", params, [rec])
-    if args.what == "prop42":
-        p = _load(args.path, ("leibniz_algebra",))
-        rec = prop42_check(p, args.degree, args.slack, args.report_degree)
-        certs = rec.pop("certificates")
-        return Report("verify", params, [rec], certs)
-    if args.what == "squares":
-        p = _load(args.path, ("leibniz_algebra",))
-        rec = embedding_squares_check(p, args.degree, args.slack,
-                                      args.report_degree)
-        certs = rec.pop("certificates")
-        return Report("verify", params, [rec], certs)
-    if args.what == "theta":
-        x = _load(args.path, ("xmod",))
-        rec = theta_check(x, args.degree, args.slack, args.report_degree)
-        certs = rec.pop("certificates")
-        return Report("verify", params, [rec], certs)
-    # thm5: representation <-> module round trip through the enveloping
-    # crossed module
-    r = _load(args.path, ("xmod_rep",))
+def _thm5(r, args, params):
+    """Representation <-> module round trip through the enveloping crossed
+    module."""
     recs = [violations_record("xmod_rep_axioms", check_xmod_rep(r))]
     if recs[0]["verdict"] == "fail":
         return Report("verify", params, recs)
@@ -192,6 +176,29 @@ def cmd_verify(args):
                        "pass" if io.dumps(back) == io.dumps(r) else "fail"))
     recs += _stability_records(tx.certificates)
     return Report("verify", params, recs, dict(tx.certificates))
+
+
+# input kind and checker of each statement; thm5 is _thm5
+_VERIFY = {"lemma41": ("xmod", lemma41_check),
+           "prop42": ("leibniz_algebra", prop42_check),
+           "squares": ("leibniz_algebra", embedding_squares_check),
+           "theta": ("xmod", theta_check),
+           "thm5": ("xmod_rep", None)}
+
+
+def cmd_verify(args):
+    params = {"what": args.what, "path": args.path, "degree": args.degree,
+              "slack": args.slack, "report_degree": args.report_degree}
+    kind, check = _VERIFY[args.what]
+    obj = _load(args.path, (kind,))
+    try:
+        if check is None:
+            return _thm5(obj, args, params)
+        rec = check(obj, args.degree, args.slack, args.report_degree)
+    except ValueError as e:
+        return Report("verify", params, [_construction_failure(e)])
+    certs = rec.pop("certificates", {})
+    return Report("verify", params, [rec], certs)
 
 
 def build_parser():

@@ -363,11 +363,8 @@ class TruncQuotAlgebra:
                         p2 = ech.insert(prod)
                         if p2 is not None:
                             work.append(p2)
-        rows = Echelon(word_key)
-        for r in ech.canonical_rows():
-            rows.insert(r)
         new_ideal = TruncIdeal(self.parent, self.ideal.relations,
-                               self.ideal.slack, rows.canonical_rows(),
+                               self.ideal.slack, ech.canonical_rows(),
                                self.ideal.stabilized)
         return TruncQuotAlgebra(self.parent, new_ideal)
 

@@ -63,8 +63,8 @@ def _rat(s):
 
 
 def _value_vec(value, index, where):
-    """A {basis name: rational string} map as a dense coefficient list."""
-    out = [0] * len(index)
+    """A {basis name: rational string} map as a sparse vector."""
+    out = {}
     if not isinstance(value, dict):
         raise FormatError("%s: value must be an object" % where)
     for name, s in value.items():
@@ -75,7 +75,7 @@ def _value_vec(value, index, where):
 
 
 def _tensor_from_entries(entries, key1, key2, idx1, idx2, idx_out, where):
-    t = [[[0] * len(idx_out) for _ in idx2] for _ in idx1]
+    t = [[{} for _ in idx2] for _ in idx1]
     for e in entries:
         n1, n2 = _need(e, key1, where), _need(e, key2, where)
         if n1 not in idx1 or n2 not in idx2:
@@ -86,16 +86,38 @@ def _tensor_from_entries(entries, key1, key2, idx1, idx2, idx_out, where):
     return t
 
 
-def _entries_from_tensor(basis1, basis2, basis_out, value_at):
+def _action_mats(entries, akey, mkey, a_idx, m_idx, out_idx, where):
+    """Table entries {akey, mkey, value} as one LinearMap m -> out per
+    a-basis element."""
+    t = _tensor_from_entries(entries, akey, mkey, a_idx, m_idx, out_idx,
+                             where)
+    return tuple(LinearMap.from_cols(len(out_idx), row) for row in t)
+
+
+def _entries(key1, names1, key2, names2, names_out, value_at):
+    """Table entries {key1, key2, value} for each nonzero sparse vector
+    value_at(i, j), i over names1 (outer) and j over names2."""
     out = []
-    for i, b1 in enumerate(basis1):
-        for j, b2 in enumerate(basis2):
+    for i, b1 in enumerate(names1):
+        for j, b2 in enumerate(names2):
             v = value_at(i, j)
             if v:
-                out.append({"left": b1, "right": b2,
-                            "value": {basis_out[k]: rat_to_str(c)
+                out.append({key1: b1, key2: b2,
+                            "value": {names_out[k]: rat_to_str(c)
                                       for k, c in sorted(v.items())}})
     return out
+
+
+def _left_entries(mats, p_names, m_names):
+    """Entries {p, m, value} of a left action, one map per p."""
+    return _entries("p", p_names, "m", m_names, m_names,
+                    lambda i, j: mats[i].col(j))
+
+
+def _right_entries(mats, p_names, m_names):
+    """Entries {m, p, value} of a right action, one map per p."""
+    return _entries("m", m_names, "p", p_names, m_names,
+                    lambda j, i: mats[i].col(j))
 
 
 def _matrix_cols(data, src_index, dst_index, where):
@@ -106,8 +128,7 @@ def _matrix_cols(data, src_index, dst_index, where):
     for name, col in data.items():
         if name not in src_index:
             raise FormatError("%s: unknown column %r" % (where, name))
-        dense = _value_vec(col, dst_index, where)
-        cols[src_index[name]] = {k: v for k, v in enumerate(dense) if v != 0}
+        cols[src_index[name]] = _value_vec(col, dst_index, where)
     return LinearMap.from_cols(len(dst_index), cols)
 
 
@@ -144,9 +165,8 @@ def _dump_algebra(alg, kind, table_key, table_basis):
         "kind": kind,
         "name": alg.name,
         "basis": list(alg.basis),
-        table_key: _entries_from_tensor(
-            alg.basis, alg.basis, alg.basis,
-            lambda i, j: table_basis(i, j)),
+        table_key: _entries("left", alg.basis, "right", alg.basis,
+                            alg.basis, table_basis),
     }
 
 
@@ -170,22 +190,10 @@ def _load_xmod(data, base_dir):
 
 def _dump_xmod(x):
     act = x.action
-    left = []
-    for i, pb in enumerate(x.p.basis):
-        for j, qb in enumerate(x.q.basis):
-            v = {k: c for k, c in enumerate(act.left_tensor[i][j]) if c != 0}
-            if v:
-                left.append({"p": pb, "q": qb,
-                             "value": {x.q.basis[k]: rat_to_str(c)
-                                       for k, c in sorted(v.items())}})
-    right = []
-    for j, qb in enumerate(x.q.basis):
-        for i, pb in enumerate(x.p.basis):
-            v = {k: c for k, c in enumerate(act.right_tensor[j][i]) if c != 0}
-            if v:
-                right.append({"q": qb, "p": pb,
-                              "value": {x.q.basis[k]: rat_to_str(c)
-                                        for k, c in sorted(v.items())}})
+    left = _entries("p", x.p.basis, "q", x.q.basis, x.q.basis,
+                    lambda i, j: act.left_tensor[i][j])
+    right = _entries("q", x.q.basis, "p", x.p.basis, x.q.basis,
+                     lambda j, i: act.right_tensor[j][i])
     return {
         "kind": "xmod",
         "q": _dump_algebra(x.q, "leibniz_algebra", "bracket",
@@ -201,62 +209,27 @@ def _dump_xmod(x):
 # representations
 
 
-def _action_mats(entries, pkey, mkey, p_idx, m_idx, where):
-    t = _tensor_from_entries(entries, pkey, mkey, p_idx, m_idx, m_idx, where)
-    mats = []
-    for i in range(len(p_idx)):
-        cols = [{k: v for k, v in enumerate(t[i][j]) if v != 0}
-                for j in range(len(m_idx))]
-        mats.append(LinearMap.from_cols(len(m_idx), cols))
-    return tuple(mats)
-
-
-def _action_entries(mats, pkey, mkey, p_names, m_names):
-    out = []
-    for i, pb in enumerate(p_names):
-        for j, mb in enumerate(m_names):
-            col = mats[i].col(j)
-            if col:
-                out.append({pkey: pb, mkey: mb,
-                            "value": {m_names[k]: rat_to_str(c)
-                                      for k, c in sorted(col.items())}})
-    return out
-
-
 def _load_rep(data, base_dir):
     p = _load_sub(data, "algebra", "leibniz_algebra", base_dir, "rep")
     module = _need(data, "module", "rep")
     mi = _basis_index(module, "rep module")
     pi = _basis_index(p.basis, "rep algebra")
-    left = _action_mats(data.get("left", []), "p", "m", pi, mi, "rep left")
-    right_t = _tensor_from_entries(data.get("right", []), "m", "p",
-                                   mi, pi, mi, "rep right")
-    right = []
-    for i in range(p.dim):
-        cols = [{k: v for k, v in enumerate(right_t[j][i]) if v != 0}
-                for j in range(len(mi))]
-        right.append(LinearMap.from_cols(len(mi), cols))
-    return LeibnizRep(p, len(module), left, tuple(right))
+    left = _action_mats(data.get("left", []), "p", "m", pi, mi, mi,
+                        "rep left")
+    right = _action_mats(data.get("right", []), "p", "m", pi, mi, mi,
+                         "rep right")
+    return LeibnizRep(p, len(module), left, right)
 
 
 def _dump_rep(rep):
     m_names = _gen_names("m", rep.module_dim)
-    right = []
-    for j, mb in enumerate(m_names):
-        for i, pb in enumerate(rep.algebra.basis):
-            col = rep.right_mats[i].col(j)
-            if col:
-                right.append({"m": mb, "p": pb,
-                              "value": {m_names[k]: rat_to_str(c)
-                                        for k, c in sorted(col.items())}})
     return {
         "kind": "rep",
         "algebra": _dump_algebra(rep.algebra, "leibniz_algebra", "bracket",
                                  rep.algebra.bracket_basis),
         "module": m_names,
-        "left": _action_entries(rep.left_mats, "p", "m",
-                                rep.algebra.basis, m_names),
-        "right": right,
+        "left": _left_entries(rep.left_mats, rep.algebra.basis, m_names),
+        "right": _right_entries(rep.right_mats, rep.algebra.basis, m_names),
     }
 
 
@@ -271,33 +244,15 @@ def _load_xmod_rep(data, base_dir):
     mu = _matrix_cols(data.get("mu", {}), ni, mi, "xmod_rep mu")
 
     def rep_of(prefix, idx):
-        left = _action_mats(data.get(prefix + "_left", []), "p", "m",
-                            pi, idx, "xmod_rep " + prefix)
-        t = _tensor_from_entries(data.get(prefix + "_right", []), "m", "p",
-                                 idx, pi, idx, "xmod_rep " + prefix)
-        right = tuple(
-            LinearMap.from_cols(
-                len(idx),
-                [{k: v for k, v in enumerate(t[j][i]) if v != 0}
-                 for j in range(len(idx))])
-            for i in range(x.p.dim))
+        left, right = (
+            _action_mats(data.get(prefix + side, []), "p", "m", pi, idx, idx,
+                         "xmod_rep " + prefix)
+            for side in ("_left", "_right"))
         return LeibnizRep(x.p, len(idx), left, right)
 
     rep_n, rep_m = rep_of("n", ni), rep_of("m", mi)
-    xi1_t = _tensor_from_entries(data.get("xi1", []), "q", "m",
-                                 qi, mi, ni, "xmod_rep xi1")
-    xi2_t = _tensor_from_entries(data.get("xi2", []), "m", "q",
-                                 mi, qi, ni, "xmod_rep xi2")
-    xi1 = tuple(
-        LinearMap.from_cols(
-            len(ni), [{k: v for k, v in enumerate(xi1_t[j][jm]) if v != 0}
-                      for jm in range(len(mi))])
-        for j in range(x.q.dim))
-    xi2 = tuple(
-        LinearMap.from_cols(
-            len(ni), [{k: v for k, v in enumerate(xi2_t[jm][j]) if v != 0}
-                      for jm in range(len(mi))])
-        for j in range(x.q.dim))
+    xi1, xi2 = (_action_mats(data.get(key, []), "q", "m", qi, mi, ni,
+                             "xmod_rep " + key) for key in ("xi1", "xi2"))
     return LeibnizXModRep(x, mu, rep_n, rep_m, xi1, xi2)
 
 
@@ -305,46 +260,20 @@ def _dump_xmod_rep(r):
     x = r.xmod
     n_names = _gen_names("n", r.n_dim)
     m_names = _gen_names("m", r.m_dim)
-
-    def right_entries(mats, names):
-        out = []
-        for j, mb in enumerate(names):
-            for i, pb in enumerate(x.p.basis):
-                col = mats[i].col(j)
-                if col:
-                    out.append({"m": mb, "p": pb,
-                                "value": {names[k]: rat_to_str(c)
-                                          for k, c in sorted(col.items())}})
-        return out
-
-    xi1 = []
-    for j, qb in enumerate(x.q.basis):
-        for jm, mb in enumerate(m_names):
-            col = r.xi1[j].col(jm)
-            if col:
-                xi1.append({"q": qb, "m": mb,
-                            "value": {n_names[k]: rat_to_str(c)
-                                      for k, c in sorted(col.items())}})
-    xi2 = []
-    for jm, mb in enumerate(m_names):
-        for j, qb in enumerate(x.q.basis):
-            col = r.xi2[j].col(jm)
-            if col:
-                xi2.append({"m": mb, "q": qb,
-                            "value": {n_names[k]: rat_to_str(c)
-                                      for k, c in sorted(col.items())}})
+    xi1 = _entries("q", x.q.basis, "m", m_names, n_names,
+                   lambda j, jm: r.xi1[j].col(jm))
+    xi2 = _entries("m", m_names, "q", x.q.basis, n_names,
+                   lambda jm, j: r.xi2[j].col(jm))
     return {
         "kind": "xmod_rep",
         "xmod": _dump_xmod(x),
         "n": n_names,
         "m": m_names,
         "mu": _matrix_dump(r.mu, n_names, m_names),
-        "n_left": _action_entries(r.rep_n.left_mats, "p", "m",
-                                  x.p.basis, n_names),
-        "n_right": right_entries(r.rep_n.right_mats, n_names),
-        "m_left": _action_entries(r.rep_m.left_mats, "p", "m",
-                                  x.p.basis, m_names),
-        "m_right": right_entries(r.rep_m.right_mats, m_names),
+        "n_left": _left_entries(r.rep_n.left_mats, x.p.basis, n_names),
+        "n_right": _right_entries(r.rep_n.right_mats, x.p.basis, n_names),
+        "m_left": _left_entries(r.rep_m.left_mats, x.p.basis, m_names),
+        "m_right": _right_entries(r.rep_m.right_mats, x.p.basis, m_names),
         "xi1": xi1,
         "xi2": xi2,
     }

@@ -1,45 +1,59 @@
 """Finite-dimensional Leibniz algebras over Q: identity checking, actions,
 semidirect products, representations, and the universal Lie quotient.
 
-Elements are sparse coordinate vectors; structure constants are dense
-nested tuples c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k.
+Elements are sparse coordinate vectors, and so are structure constants:
+c[i][j] is the sparse vector {k: Q} with [e_i, e_j] = sum_k c[i][j][k] e_k.
 """
 
 from dataclasses import dataclass
 
-from .scalars import Q, ZERO
-from .linalg import Echelon, LinearMap, Subspace, lincomb, vec_add_scaled
+from .scalars import Q
+from .linalg import (Echelon, LinearMap, Subspace, lincomb, qvec,
+                     vec_add_scaled)
 
 
-def _tensor(dim_i, dim_j, dim_k, entries):
-    out = []
-    for i in range(dim_i):
-        row = []
-        for j in range(dim_j):
-            cell = tuple(Q(entries[i][j][k]) for k in range(dim_k))
-            row.append(cell)
-        out.append(tuple(row))
-    return tuple(out)
+def _tensor(dim_i, dim_j, dim_k, cells):
+    """Structure constants t[i][j] = {k: Q} from nested sequences of
+    sparse dicts, in normal form (``qvec``); checks the shape."""
+    if len(cells) != dim_i or any(len(row) != dim_j for row in cells):
+        raise ValueError("tensor shape does not match (%d, %d, %d)"
+                         % (dim_i, dim_j, dim_k))
+    out = tuple(tuple(qvec(c) for c in row) for row in cells)
+    for row in out:
+        for c in row:
+            if c and not (min(c) >= 0 and max(c) < dim_k):
+                raise ValueError("tensor entry outside dimension %d"
+                                 % dim_k)
+    return out
 
 
 def _bilinear(tensor, x, y):
-    """Evaluate a structure-constant tensor on sparse vectors.
-
-    The add-and-drop-zero loop is written out instead of calling
-    vec_add_scaled because its source, ti[j], is a dense tuple."""
+    """Evaluate a structure-constant tensor on sparse vectors."""
     out = {}
     for i, ci in x.items():
         ti = tensor[i]
         for j, cj in y.items():
-            c = ci * cj
-            for k, v in enumerate(ti[j]):
-                if v != 0:
-                    w = out.get(k, ZERO) + c * v
-                    if w == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = w
+            if ti[j]:
+                vec_add_scaled(out, ti[j], ci * cj)
     return out
+
+
+def _semidirect_cells(target_mult, actor_mult, act, nt, na):
+    """Structure constants of target ⊕ actor (target first) from the two
+    basis products and the action: (t1,a1)(t2,a2) = (t1 t2 + a1·t2 + t1·a2,
+    a1 a2)."""
+
+    def cell(i, j):
+        if i < nt and j < nt:
+            return target_mult(i, j)
+        if i < nt:
+            return act.right(basis_vec(i), basis_vec(j - nt))
+        if j < nt:
+            return act.left(basis_vec(i - nt), basis_vec(j))
+        return {nt + k: v for k, v in actor_mult(i - nt, j - nt).items()}
+
+    n = nt + na
+    return [[cell(i, j) for j in range(n)] for i in range(n)]
 
 
 def basis_vec(i):
@@ -69,7 +83,7 @@ class LeibnizAlgebra:
         return _bilinear(self.bracket_tensor, x, y)
 
     def bracket_basis(self, i, j):
-        return {k: v for k, v in enumerate(self.bracket_tensor[i][j]) if v != 0}
+        return dict(self.bracket_tensor[i][j])
 
     def check_leibniz(self):
         """Exhaustive Leibniz identity check; returns violating triples."""
@@ -115,9 +129,8 @@ def zero_algebra(name="0"):
 
 
 def abelian(name, basis):
-    n = len(basis)
-    z = [[[0] * n for _ in range(n)] for _ in range(n)]
-    return LeibnizAlgebra(name, tuple(basis), z)
+    return LeibnizAlgebra(name, tuple(basis),
+                          [[{} for _ in basis] for _ in basis])
 
 
 @dataclass(frozen=True)
@@ -144,9 +157,8 @@ class LeibnizAction:
 
 
 def zero_action(p, q):
-    z_left = [[[0] * q.dim for _ in range(q.dim)] for _ in range(p.dim)]
-    z_right = [[[0] * q.dim for _ in range(p.dim)] for _ in range(q.dim)]
-    return LeibnizAction(p, q, z_left, z_right)
+    return LeibnizAction(p, q, [[{}] * q.dim for _ in range(p.dim)],
+                         [[{}] * p.dim for _ in range(q.dim)])
 
 
 def adjoint_action(p):
@@ -199,27 +211,8 @@ def semidirect(act):
     """Leibniz structure on q ⊕ p:
     [(q1,p1),(q2,p2)] = ([q1,q2]+[p1,q2]+[q1,p2], [p1,p2])."""
     p, q = act.actor, act.target
-    nq, np_ = q.dim, p.dim
-    n = nq + np_
-
-    def bracket_basis(i, j):
-        out = {}
-        if i < nq and j < nq:
-            out.update(q.bracket_basis(i, j))
-        elif i < nq:
-            out.update(act.right(basis_vec(i), basis_vec(j - nq)))
-        elif j < nq:
-            out.update(act.left(basis_vec(i - nq), basis_vec(j)))
-        else:
-            out = {nq + k: v
-                   for k, v in p.bracket_basis(i - nq, j - nq).items()}
-        return out
-
-    tensor = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k, v in bracket_basis(i, j).items():
-                tensor[i][j][k] = v
+    tensor = _semidirect_cells(q.bracket_basis, p.bracket_basis, act,
+                              q.dim, p.dim)
     names = tuple("q.%s" % b for b in q.basis) + \
         tuple("p.%s" % b for b in p.basis)
     return LeibnizAlgebra("%s⋊%s" % (q.name, p.name), names, tensor)
@@ -276,13 +269,8 @@ def rep_to_abelian_extension(rep):
     p = rep.algebra
     m = rep.module_dim
     M = abelian("M", tuple("m%d" % i for i in range(m)))
-
-    def image(f, j):
-        col = f.col(j)
-        return [col.get(k, ZERO) for k in range(m)]
-
-    left = [[image(f, j) for j in range(m)] for f in rep.left_mats]
-    right = [[image(f, j) for f in rep.right_mats] for j in range(m)]
+    left = [[f.col(j) for j in range(m)] for f in rep.left_mats]
+    right = [[f.col(j) for f in rep.right_mats] for j in range(m)]
     act = LeibnizAction(p, M, left, right)
     return semidirect(act)
 
@@ -324,14 +312,8 @@ def quotient_algebra(alg, ideal_sub, name=None):
                 raise ValueError("subspace is not a right ideal")
     comp, proj = ideal_sub.quotient_basis()
     names = tuple(alg.basis[c] + "~" for c in comp)
-    nq = len(comp)
-    tensor = [[[ZERO] * nq for _ in range(nq)] for _ in range(nq)]
-    for a in range(nq):
-        for b in range(nq):
-            br = proj.apply(alg.bracket(basis_vec(comp[a]),
-                                        basis_vec(comp[b])))
-            for k, v in br.items():
-                tensor[a][b][k] = v
+    tensor = [[proj.apply(alg.bracket(basis_vec(a), basis_vec(b)))
+               for b in comp] for a in comp]
     qname = name or ("%s/~" % alg.name)
     return LeibnizAlgebra(qname, names, tensor), proj
 

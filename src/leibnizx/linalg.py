@@ -7,13 +7,17 @@ reduced-echelon bases are identical.
 
 Vectors are sparse ``dict[coord, Q]`` with no zero entries stored.  The
 coordinate type is anything hashable; an elimination order is supplied as a
-key function (natural order for plain integer coordinates).
+key function (natural order for plain integer coordinates).  Every stored
+matrix-like object uses the same format: a :class:`LinearMap` is a tuple of
+sparse columns, a structure-constant cell ``t[i][j]`` (``leibniz``,
+``assoc``) is a sparse vector, and :meth:`Subspace.coords` returns one.
+:func:`qvec` puts a vector into that normal form (``Q`` values, no zeros).
 
 Elimination runs in ``int`` only.  An :class:`Echelon` keeps primitive
 integer rows; a vector entering it, a :class:`Subspace` or
 ``freealg.TruncIdeal`` has its denominators cleared once.  ``Q`` values are
 built only where results leave: canonical rows, ``Subspace.rows``, the
-residues of ``reduce_vec`` and :func:`residue`, and ``LinearMap`` entries.
+residues of ``reduce_vec`` and :func:`residue`, and ``LinearMap`` columns.
 RREF with pivot 1 is unique, so those are the same as with rational
 elimination.
 
@@ -31,7 +35,7 @@ and build one with ``from_cols``, ``zero`` or ``identity``.
 
 from math import gcd
 
-from .scalars import Q, ZERO
+from .scalars import Q
 
 # ---------------------------------------------------------------------------
 # sparse vector helpers
@@ -46,6 +50,12 @@ def vec_add_scaled(dst, src, c):
         else:
             dst[k] = y
     return dst
+
+
+def qvec(v):
+    """v with every value a ``Q`` and no zero stored: the normal form of
+    stored vectors (map columns, structure constants)."""
+    return {k: x if type(x) is Q else Q(x) for k, x in v.items() if x != 0}
 
 
 def _natural(c):
@@ -261,19 +271,22 @@ class Subspace:
         return all(self.contains_vec(r) for r in other.rows)
 
     def coords(self, v):
-        """Coordinates of v in the canonical basis; raises if v not inside.
+        """Sparse coordinates of v in the canonical basis; raises if v is
+        not inside.
 
         With an RREF basis the coordinate along each row is just the entry
         of v at that row's pivot.
         """
-        out = [v.get(p, ZERO) for p in self.pivots]
+        out = {}
         w = {}
-        for c, r in zip(out, self.rows):
+        for i, (p, r) in enumerate(zip(self.pivots, self.rows)):
+            c = v.get(p, 0)
             if c != 0:
+                out[i] = c
                 vec_add_scaled(w, r, c)
         if w != {k: x for k, x in v.items() if x != 0}:
             raise ValueError("vector not in subspace")
-        return tuple(out)
+        return out
 
     def sum(self, other):
         self._check_ambient(other)
@@ -327,84 +340,76 @@ def zero_subspace(n):
 
 
 class LinearMap:
-    """Matrix over Q; column j is the image of the j-th basis vector.  The
-    entries are stored densely; only this module reads them."""
+    """Matrix over Q stored as its columns: column j is the image of the
+    j-th basis vector, a sparse vector of ``Q`` values.  Build one with
+    ``from_cols``, ``zero`` or ``identity``; only this module reads the
+    storage."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_columns")
 
-    def __init__(self, rows, cols, entries):
+    def __init__(self, rows, columns):
         self.rows = rows
-        self.cols = cols
-        entries = tuple(tuple(Q(x) for x in r) for r in entries)
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError("entry shape does not match (%d, %d)" % (rows, cols))
-        self.entries = entries
+        self.cols = len(columns)
+        self._columns = columns
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, [[ZERO] * cols for _ in range(rows)])
+        return cls.from_cols(rows, [{}] * cols)
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[Q(1) if i == j else ZERO for j in range(n)]
-                          for i in range(n)])
+        return cls.from_cols(n, [{i: Q(1)} for i in range(n)])
 
     @classmethod
     def from_cols(cls, rows, cols_vectors):
         """Build from a list of image columns given as sparse dicts."""
-        cols = len(cols_vectors)
-        entries = [[ZERO] * cols for _ in range(rows)]
-        for j, v in enumerate(cols_vectors):
-            for i, x in v.items():
-                entries[i][j] = x
-        return cls(rows, cols, entries)
+        columns = tuple(qvec(v) for v in cols_vectors)
+        for v in columns:
+            if v and not (min(v) >= 0 and max(v) < rows):
+                raise ValueError("column entry outside %d rows" % rows)
+        return cls(rows, columns)
 
     def col(self, j):
-        return {i: self.entries[i][j] for i in range(self.rows)
-                if self.entries[i][j] != 0}
+        return dict(self._columns[j])
 
     def apply(self, v):
         """Apply to a sparse vector, returning a sparse vector."""
         out = {}
+        columns = self._columns
         for j, c in v.items():
             if c != 0:
-                vec_add_scaled(out, self.col(j), c)
+                vec_add_scaled(out, columns[j], c)
         return out
 
     def compose(self, other):
         """self o other."""
         if self.cols != other.rows:
             raise ValueError("composition dimension mismatch")
-        ocols = [other.col(j) for j in range(other.cols)]
-        return LinearMap.from_cols(self.rows, [self.apply(c) for c in ocols])
+        return LinearMap.from_cols(self.rows,
+                                   [self.apply(c) for c in other._columns])
 
     def __matmul__(self, other):
         return self.compose(other)
 
     def add(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return LinearMap(self.rows, self.cols,
-                         [[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)])
+        return lincomb((self, other), {0: Q(1), 1: Q(1)}, self.rows, self.cols)
 
     def scale(self, c):
-        c = Q(c)
-        return LinearMap(self.rows, self.cols,
-                         [[c * x for x in r] for r in self.entries])
+        return lincomb((self,), {0: Q(c)}, self.rows, self.cols)
 
     def __eq__(self, other):
         return (isinstance(other, LinearMap) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self._columns == other._columns)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(v.items()) for v in self._columns)))
 
     def __repr__(self):
         return "LinearMap(%d x %d)" % (self.rows, self.cols)
 
     def is_zero(self):
-        return all(x == 0 for r in self.entries for x in r)
+        return not any(self._columns)
 
     def kernel(self):
         """Kernel as a canonical Subspace of the source."""
@@ -422,8 +427,7 @@ class LinearMap:
         return Subspace.from_vectors(n, out)
 
     def image(self):
-        return Subspace.from_vectors(self.rows,
-                                     [self.col(j) for j in range(self.cols)])
+        return Subspace.from_vectors(self.rows, self._columns)
 
     def rank(self):
         return self.image().dim
@@ -442,13 +446,11 @@ def lincomb(mats, coeffs, rows, cols):
     ``coeffs`` is a sparse dict and ``mats`` anything indexed by its keys
     (a sequence or a dict); empty coefficients give the zero map.
     """
-    acc = [[ZERO] * cols for _ in range(rows)]
+    acc = [{} for _ in range(cols)]
     for k, c in coeffs.items():
         m = mats[k]
         if (m.rows, m.cols) != (rows, cols):
             raise ValueError("shape mismatch")
-        for arow, mrow in zip(acc, m.entries):
-            for j, x in enumerate(mrow):
-                if x != 0:
-                    arow[j] += c * x
-    return LinearMap(rows, cols, acc)
+        for a, v in zip(acc, m._columns):
+            vec_add_scaled(a, v, c)
+    return LinearMap.from_cols(rows, acc)

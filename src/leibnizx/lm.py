@@ -142,14 +142,9 @@ class LMLieXMod:
         """The classical Lie crossed module h -> g (left action is minus
         the right one)."""
         h, g = self.src.lie, self.dst.lie
-        left = [[[0] * h.dim for _ in range(h.dim)] for _ in range(g.dim)]
-        right = [[[0] * h.dim for _ in range(g.dim)] for _ in range(h.dim)]
-        for k in range(g.dim):
-            for a in range(h.dim):
-                col = self.act_h[k].col(a)
-                for b, c in col.items():
-                    right[a][k][b] = c
-                    left[k][a][b] = -c
+        left = [[f.col(a) for a in range(h.dim)]
+                for f in (m.scale(-1) for m in self.act_h)]
+        right = [[f.col(a) for f in self.act_h] for a in range(h.dim)]
         return LeibnizXMod(h, g, self.rho2, LeibnizAction(g, h, left, right))
 
 

@@ -37,29 +37,23 @@ def identity_xmod(p):
     return LeibnizXMod(p, p, LinearMap.identity(p.dim), adjoint_action(p))
 
 
+def _induced_cells(sub, mult, actors):
+    """Structure constants on a subspace closed under mult, in its
+    canonical coordinates: the product of its basis rows, and the products
+    actor·row (left) and row·actor (right) for each actor vector."""
+    rows, coords = sub.rows, sub.coords
+    return ([[coords(mult(a, b)) for b in rows] for a in rows],
+            [[coords(mult(e, a)) for a in rows] for e in actors],
+            [[coords(mult(a, e)) for e in actors] for a in rows])
+
+
 def ideal_inclusion_xmod(p, ideal_sub):
     """An ideal of p as a crossed module via the ambient bracket."""
-    rows = ideal_sub.rows
-    k = len(rows)
-    tensor = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            br = p.bracket(rows[a], rows[b])
-            for i, v in enumerate(ideal_sub.coords(br)):
-                tensor[a][b][i] = v
-    names = tuple("i%d" % a for a in range(k))
+    tensor, left, right = _induced_cells(
+        ideal_sub, p.bracket, [basis_vec(i) for i in range(p.dim)])
+    names = tuple("i%d" % a for a in range(ideal_sub.dim))
     q = LeibnizAlgebra("ideal", names, tensor)
-    eta = LinearMap.from_cols(p.dim, list(rows))
-    left = [[[0] * k for _ in range(k)] for _ in range(p.dim)]
-    right = [[[0] * k for _ in range(p.dim)] for _ in range(k)]
-    for i in range(p.dim):
-        for a in range(k):
-            lv = p.bracket(basis_vec(i), rows[a])
-            rv = p.bracket(rows[a], basis_vec(i))
-            for b, v in enumerate(ideal_sub.coords(lv)):
-                left[i][a][b] = v
-            for b, v in enumerate(ideal_sub.coords(rv)):
-                right[a][i][b] = v
+    eta = LinearMap.from_cols(p.dim, ideal_sub.rows)
     return LeibnizXMod(q, p, eta, LeibnizAction(p, q, left, right))
 
 
@@ -182,27 +176,11 @@ def cat1_to_xmod(c):
     """Ker s with boundary t|_{Ker s} and the action induced by the total
     bracket."""
     K = c.s.kernel()
-    k = K.dim
-    tensor = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            br = c.total.bracket(K.rows[a], K.rows[b])
-            for i, v in enumerate(K.coords(br)):
-                tensor[a][b][i] = v
-    q = LeibnizAlgebra("Ker s", tuple("k%d" % a for a in range(k)), tensor)
+    tensor, left, right = _induced_cells(
+        K, c.total.bracket, [c.embed.col(i) for i in range(c.sub.dim)])
+    q = LeibnizAlgebra("Ker s", tuple("k%d" % a for a in range(K.dim)),
+                       tensor)
     eta = LinearMap.from_cols(c.sub.dim, [c.t.apply(r) for r in K.rows])
-    np_ = c.sub.dim
-    left = [[[0] * k for _ in range(k)] for _ in range(np_)]
-    right = [[[0] * k for _ in range(np_)] for _ in range(k)]
-    for i in range(np_):
-        e = c.embed.col(i)
-        for a in range(k):
-            for tgt, v in ((left[i][a],
-                            c.total.bracket(e, K.rows[a])),
-                           (right[a][i],
-                            c.total.bracket(K.rows[a], e))):
-                for b, val in enumerate(K.coords(v)):
-                    tgt[b] = val
     return LeibnizXMod(q, c.sub, eta, LeibnizAction(c.sub, q, left, right))
 
 
@@ -217,7 +195,7 @@ def roundtrip_isomorphism(x):
     K = c.s.kernel()
     phi = LinearMap.from_cols(
         x2.q.dim,
-        [dict(enumerate(K.coords({j: Q(1)}))) for j in range(x.q.dim)])
+        [K.coords({j: Q(1)}) for j in range(x.q.dim)])
     psi = LinearMap.identity(x.p.dim)
     bad = check_xmod_morphism(x, x2, phi, psi)
     if bad:
@@ -241,10 +219,10 @@ def cat1_roundtrip_isomorphism(c):
         sv = c.s.apply(v)
         red = dict(v)
         vec_add_scaled(red, c.embed.apply(sv), Q(-1))
-        col = dict(enumerate(K.coords(red)))
+        col = K.coords(red)
         for i, val in sv.items():
             col[k + i] = val
-        cols.append({a: b for a, b in col.items() if b != 0})
+        cols.append(col)
     f = LinearMap.from_cols(c2.total.dim, cols)
     bad = _hom_violations(c.total, c2.total, f,
                           c.total.bracket, c2.total.bracket)
@@ -335,25 +313,10 @@ def assoc_xmod_to_cat1(x):
 
 def assoc_cat1_to_xmod(c):
     K = c.s.kernel()
-    k = K.dim
-    tensor = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            pr = c.total.mult(K.rows[a], K.rows[b])
-            for i, v in enumerate(K.coords(pr)):
-                tensor[a][b][i] = v
-    B = AssocAlgebra("Ker s", tuple("k%d" % a for a in range(k)), tensor)
+    tensor, left, right = _induced_cells(
+        K, c.total.mult, [c.embed.col(i) for i in range(c.sub.dim)])
+    B = AssocAlgebra("Ker s", tuple("k%d" % a for a in range(K.dim)), tensor)
     rho = LinearMap.from_cols(c.sub.dim, [c.t.apply(r) for r in K.rows])
-    na = c.sub.dim
-    left = [[[0] * k for _ in range(k)] for _ in range(na)]
-    right = [[[0] * k for _ in range(na)] for _ in range(k)]
-    for i in range(na):
-        e = c.embed.col(i)
-        for a in range(k):
-            for b, val in enumerate(K.coords(c.total.mult(e, K.rows[a]))):
-                left[i][a][b] = val
-            for b, val in enumerate(K.coords(c.total.mult(K.rows[a], e))):
-                right[a][i][b] = val
     return AssocXMod(B, c.sub, rho, AssocAction(c.sub, B, left, right))
 
 
@@ -382,7 +345,7 @@ def assoc_roundtrip_isomorphism(x):
     K = c.s.kernel()
     phi = LinearMap.from_cols(
         x2.B.dim,
-        [dict(enumerate(K.coords({j: Q(1)}))) for j in range(x.B.dim)])
+        [K.coords({j: Q(1)}) for j in range(x.B.dim)])
     psi = LinearMap.identity(x.A.dim)
     bad = check_assoc_xmod_morphism(x, x2, phi, psi)
     if bad:
@@ -448,22 +411,14 @@ def xliez(x):
     # kernel of projp must act as zero on qbar
     for r in kp.rows:
         for c in comp_qbar:
-            if projJ.apply(projq.apply(act.left(r, {c: Q(1)}))) or \
-                    projJ.apply(projq.apply(act.right({c: Q(1)}, r))):
+            if proj_qbar.apply(act.left(r, {c: Q(1)})) or \
+                    proj_qbar.apply(act.right({c: Q(1)}, r)):
                 raise ValueError("Liez(p) action is not well defined")
     nqb, npb = qbar.dim, Lp.dim
-    left = [[[0] * nqb for _ in range(nqb)] for _ in range(npb)]
-    right = [[[0] * nqb for _ in range(npb)] for _ in range(nqb)]
-    for i in range(npb):
-        pi = basis_vec(comp_p[i])
-        for a in range(nqb):
-            qa = {comp_qbar[a]: Q(1)}
-            lv = projJ.apply(projq.apply(act.left(pi, qa)))
-            rv = projJ.apply(projq.apply(act.right(qa, pi)))
-            for b, v in lv.items():
-                left[i][a][b] = v
-            for b, v in rv.items():
-                right[a][i][b] = v
+    ps = [basis_vec(c) for c in comp_p]
+    qs = [basis_vec(c) for c in comp_qbar]
+    left = [[proj_qbar.apply(act.left(pi, qa)) for qa in qs] for pi in ps]
+    right = [[proj_qbar.apply(act.right(qa, pi)) for pi in ps] for qa in qs]
     xbar = LeibnizXMod(qbar, Lp, eta_bar,
                        LeibnizAction(Lp, qbar, left, right))
     bad = check_xmod(xbar)

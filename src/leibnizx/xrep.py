@@ -23,7 +23,7 @@ from .assoc import AssocAlgebra, AssocAction
 from .xmod import AssocXMod
 from .freealg import word_key
 from .envelope import ULModule, check_module
-from .xul import TruncAssocXMod, _b_coords
+from .xul import TruncAssocXMod
 
 
 # ---------------------------------------------------------------------------
@@ -86,54 +86,28 @@ def endo_xmod(delta):
     """
     v, w = delta.cols, delta.rows
     pairs = endo_pairs_subspace(delta)
-    k = pairs.dim
-    nb = v * w
-
-    def pair_of(i):
-        return pair_maps(pairs.rows[i], v, w)
+    ends = [pair_maps(r, v, w) for r in pairs.rows]
+    homs = [hom_to_map({idx: Q(1)}, v, w) for idx in range(v * w)]
 
     def to_pair_coords(alpha, beta):
         vec = dict(map_to_hom(alpha))
         for key, c in map_to_hom(beta).items():
             vec[v * v + key] = c
-        return {i: c for i, c in enumerate(pairs.coords(vec)) if c != 0}
+        return pairs.coords(vec)
 
-    def hom_basis(idx):
-        return hom_to_map({idx: Q(1)}, v, w)
-
-    b_tensor = [[[0] * nb for _ in range(nb)] for _ in range(nb)]
-    for a in range(nb):
-        da = hom_basis(a)
-        for b in range(nb):
-            prod = da.compose(delta).compose(hom_basis(b))
-            for key, c in map_to_hom(prod).items():
-                b_tensor[a][b][key] = c
-    B = AssocAlgebra("Hom", tuple("d%d" % i for i in range(nb)), b_tensor)
-
-    a_tensor = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for a in range(k):
-        aa, ab = pair_of(a)
-        for b in range(k):
-            ba, bb = pair_of(b)
-            comp = to_pair_coords(aa.compose(ba), ab.compose(bb))
-            for key, c in comp.items():
-                a_tensor[a][b][key] = c
-    A = AssocAlgebra("End", tuple("e%d" % i for i in range(k)), a_tensor)
-
+    b_tensor = [[map_to_hom(da.compose(delta).compose(db)) for db in homs]
+                for da in homs]
+    B = AssocAlgebra("Hom", tuple("d%d" % i for i in range(len(homs))),
+                     b_tensor)
+    a_tensor = [[to_pair_coords(aa.compose(ba), ab.compose(bb))
+                 for ba, bb in ends] for aa, ab in ends]
+    A = AssocAlgebra("End", tuple("e%d" % i for i in range(pairs.dim)),
+                     a_tensor)
     rho = LinearMap.from_cols(
-        k, [to_pair_coords(hom_basis(i).compose(delta),
-                           delta.compose(hom_basis(i))) for i in range(nb)])
-
-    left = [[[0] * nb for _ in range(nb)] for _ in range(k)]
-    right = [[[0] * nb for _ in range(k)] for _ in range(nb)]
-    for i in range(k):
-        alpha, beta = pair_of(i)
-        for a in range(nb):
-            d = hom_basis(a)
-            for key, c in map_to_hom(alpha.compose(d)).items():
-                left[i][a][key] = c
-            for key, c in map_to_hom(d.compose(beta)).items():
-                right[a][i][key] = c
+        pairs.dim, [to_pair_coords(d.compose(delta), delta.compose(d))
+                    for d in homs])
+    left = [[map_to_hom(alpha.compose(d)) for d in homs] for alpha, _ in ends]
+    right = [[map_to_hom(d.compose(beta)) for _, beta in ends] for d in homs]
     return AssocXMod(B, A, rho, AssocAction(A, B, left, right))
 
 
@@ -392,7 +366,7 @@ def xmodule_to_rep(mod):
 
     def phi_of_word(g):
         v = tx.ambient.to_coords(tx.ambient.reduce_word((g,)))
-        return mod.phi(_b_coords(tx, v))
+        return mod.phi(tx.B.coords(v))
 
     xi1 = tuple(phi_of_word(j) for j in range(nq))
     xi2 = tuple(phi_of_word(n_sd + j) for j in range(nq))
@@ -410,7 +384,7 @@ def check_xmodule(mod):
     rows = tx.b_filtration(d)
     for deg, v in rows:
         c = bar.to_coords(v)
-        bc = _b_coords(tx, c)
+        bc = tx.B.coords(c)
         rho_b = tx.rho.apply(bc)
         alpha = mod.psi_n.class_mat(up.from_coords(rho_b))
         beta = mod.psi_m.class_mat(up.from_coords(rho_b))
@@ -428,8 +402,8 @@ def check_xmodule(mod):
             a = tx.embed.apply(uvec)
             ab = bar.mult(bar.from_coords(a), v, d)
             ba = bar.mult(v, bar.from_coords(a), d)
-            phi_ab = mod.phi(_b_coords(tx, bar.to_coords(ab)))
-            phi_ba = mod.phi(_b_coords(tx, bar.to_coords(ba)))
+            phi_ab = mod.phi(tx.B.coords(bar.to_coords(ab)))
+            phi_ba = mod.phi(tx.B.coords(bar.to_coords(ba)))
             if phi_ab != pb.compose(mod.psi_m.class_mat(ucls)):
                 bad.append(("phi_ab", (du, deg)))
             if phi_ba != mod.psi_n.class_mat(ucls).compose(pb):

@@ -27,11 +27,6 @@ class XModAxiomError(ValueError):
     axioms."""
 
 
-def _b_coords(tx, v):
-    """Sparse B-coordinates of an ambient class-coordinate vector."""
-    return {i: c for i, c in enumerate(tx.B.coords(v)) if c != 0}
-
-
 def cat1_matrices(eta):
     """s(q,p) = p and t(q,p) = eta(q) + p as maps on q ⊕ p coordinates,
     for a linear map eta: q -> p."""
@@ -175,23 +170,20 @@ def check_trunc_xmod(tx):
             if mult_coords(a, b, d) or mult_coords(b, a, d):
                 bad.append(("CAs2", (da, db)))
 
-    def to_b_coords(v):
-        return _b_coords(tx, v)
-
     # crossed-module identities on filtration bases
     up_rows = [(len(w), {i: Q(1)})
                for i, w in enumerate(up.quot.class_words) if len(w) <= d]
     for da, va in B_rows:
         a = bar.to_coords(va)
-        ra = tx.rho.apply(to_b_coords(a))
+        ra = tx.rho.apply(tx.B.coords(a))
         for db, vb in B_rows:
             if da + db > d:
                 continue
             b = bar.to_coords(vb)
             ab = mult_coords(a, b, d)
-            rb = tx.rho.apply(to_b_coords(b))
+            rb = tx.rho.apply(tx.B.coords(b))
             # rho is multiplicative
-            lhs = tx.rho.apply(to_b_coords(ab))
+            lhs = tx.rho.apply(tx.B.coords(ab))
             rhs = up.quot.to_coords(up.quot.mult(
                 up.quot.from_coords(ra), up.quot.from_coords(rb), d))
             if lhs != rhs:
@@ -212,11 +204,11 @@ def check_trunc_xmod(tx):
                 continue
             # equivariance: rho(u.b) = u rho(b), rho(b.u) = rho(b) u
             uq = {i: c for i, c in vu.items()}
-            if tx.rho.apply(to_b_coords(ua)) != up.quot.to_coords(
+            if tx.rho.apply(tx.B.coords(ua)) != up.quot.to_coords(
                     up.quot.mult(up.quot.from_coords(uq),
                                  up.quot.from_coords(ra), d)):
                 bad.append(("equivariance_left", (du, da)))
-            if tx.rho.apply(to_b_coords(au)) != up.quot.to_coords(
+            if tx.rho.apply(tx.B.coords(au)) != up.quot.to_coords(
                     up.quot.mult(up.quot.from_coords(ra),
                                  up.quot.from_coords(uq), d)):
                 bad.append(("equivariance_right", (du, da)))
@@ -318,7 +310,7 @@ def section_into_b(tx, eps):
         v = comp.col(j)
         if not tx.B.contains_vec(v):
             raise ValueError("section image leaves Ker bar_s")
-        cols.append(_b_coords(tx, v))
+        cols.append(tx.B.coords(v))
     return LinearMap.from_cols(tx.B.dim, cols)
 
 
@@ -349,7 +341,7 @@ def prop42_check(p, degree, slack=2, report_degree=None):
     ok_back = True
     checked = 0
     for deg, v in tx.b_filtration(d):
-        bc = _b_coords(tx, tx.ambient.to_coords(v))
+        bc = tx.B.coords(tx.ambient.to_coords(v))
         if sigma.apply(tx.rho.apply(bc)) != bc:
             ok_back = False
         checked += 1

@@ -13,13 +13,13 @@ def test_corpus_assoc(load):
 
 def test_nonassociative_detected():
     bad = AssocAlgebra("bad", ("u", "v"),
-                       [[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+                       [[{1: 1}, {}], [{}, {0: 1}]])
     assert bad.check_assoc()
 
 
 def test_zero_action_and_semidirect(load):
     alg = load("assoc2.json")
-    b = AssocAlgebra("B", ("w",), [[[0]]])
+    b = AssocAlgebra("B", ("w",), [[{}]])
     act = zero_assoc_action(alg, b)
     assert not check_assoc_action(act)
     sd = assoc_semidirect(act)
@@ -29,12 +29,12 @@ def test_zero_action_and_semidirect(load):
 
 def test_bimodule_action_checked(load):
     alg = load("assoc2.json")
-    b = AssocAlgebra("B", ("w",), [[[0]]])
+    b = AssocAlgebra("B", ("w",), [[{}]])
     # u acts as 1 on both sides, v as 0: compatible with u*u = u, u*v = v?
     # (w·u)·v = w·v = 0 but w·(u·v) = w·v = 0 — fine; yet v·(u·w): v·w = 0
     # and (v·u)·w = 0 — also fine, so this one passes
-    act = AssocAction(alg, b, [[[1]], [[0]]], [[[1], [0]]])
+    act = AssocAction(alg, b, [[{0: 1}], [{}]], [[{0: 1}, {}]])
     assert not check_assoc_action(act)
     # v acting as 1 breaks (w·v)·v = w against w·(v·v) = 0
-    bad = AssocAction(alg, b, [[[0]], [[1]]], [[[0], [1]]])
+    bad = AssocAction(alg, b, [[{}], [{0: 1}]], [[{}, {0: 1}]])
     assert check_assoc_action(bad)

@@ -4,7 +4,7 @@ import pytest
 
 from leibnizx.cli import main
 
-from conftest import corpus_path
+from conftest import CORPUS, corpus_path
 
 
 def run(capsys, *argv):
@@ -179,3 +179,34 @@ def test_lm_bottom_lift_stays_in_degree(capsys):
     dims = doc["records"][0]
     assert (dims["top_dim"], dims["bottom_dim"],
             dims["b_ker_dim_upto_d"]) == (29, 40, 6)
+
+
+def test_bad_leibniz_is_refused_with_a_report(capsys):
+    """Commands that need a Leibniz algebra refuse one that fails the
+    identity with a fail report, not a traceback or a pass."""
+    path = corpus_path("bad-leibniz.json")
+    rc, out, _ = run(capsys, "ul", path, "--format", "json")
+    assert rc == 1
+    rec, = json.loads(out)["records"]
+    assert (rec["name"], rec["verdict"]) == ("leibniz_identity", "fail")
+    for what in ("prop42", "squares"):
+        rc, out, _ = run(capsys, "verify", what, path, "--degree", "3",
+                         "--format", "json")
+        assert rc == 1
+        rec, = json.loads(out)["records"]
+        assert (rec["name"], rec["verdict"]) == ("check_xmod", "fail")
+
+
+GRID_COMMANDS = [("check",), ("ul",), ("xul",), ("lm",)] + [
+    ("verify", what)
+    for what in ("lemma41", "prop42", "thm5", "theta", "squares")]
+
+
+@pytest.mark.parametrize("cmd", GRID_COMMANDS, ids="-".join)
+def test_every_command_on_every_corpus_file(capsys, cmd):
+    """Each command ends in a report or a rejection on every corpus file,
+    whatever its kind: an exit code in 0..3 and never an exception."""
+    for name in sorted(p.name for p in CORPUS.glob("*.json")):
+        rc, _, _ = run(capsys, *cmd, corpus_path(name), "--degree", "2",
+                       "--slack", "0", "--format", "json")
+        assert rc in (0, 1, 2, 3), (cmd, name)

@@ -1,14 +1,15 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibnizx.scalars import Q
 from leibnizx.linalg import LinearMap, Subspace, vec_add_scaled
-from leibnizx.leibniz import (LeibnizAlgebra, LeibnizRep, abelian,
-                              adjoint_action, basis_vec, check_action,
-                              check_rep, liezation, quotient_algebra,
-                              rep_to_abelian_extension, semidirect,
-                              subalgebra_ideal_closure, zero_action,
-                              zero_rep)
+from leibnizx.leibniz import (LeibnizAlgebra, LeibnizRep, _bilinear,
+                              _tensor, abelian, adjoint_action, basis_vec,
+                              check_action, check_rep, liezation,
+                              quotient_algebra, rep_to_abelian_extension,
+                              semidirect, subalgebra_ideal_closure,
+                              zero_action, zero_rep)
 
 
 def test_corpus_algebras(a1, l2, r2):
@@ -19,7 +20,7 @@ def test_corpus_algebras(a1, l2, r2):
 
 
 def test_square_bracket_fails():
-    bad = LeibnizAlgebra("bad", ("e",), [[[1]]])
+    bad = LeibnizAlgebra("bad", ("e",), [[{0: 1}]])
     viol = bad.check_leibniz()
     assert viol and viol[0][:3] == (0, 0, 0)
 
@@ -43,7 +44,7 @@ vecs2 = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
 def test_leibniz_identity_on_vectors(x, y, z):
     # the identity extends from basis triples to all vectors
     alg = LeibnizAlgebra("R2", ("x", "y"),
-                         [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]])
+                         [[{}, {0: 1}], [{0: -1}, {}]])
     lhs = alg.bracket(alg.bracket(x, y), z)
     rhs = alg.bracket(x, alg.bracket(y, z))
     vec_add_scaled(rhs, alg.bracket(alg.bracket(x, z), y), Q(1))
@@ -76,9 +77,9 @@ def test_broken_action_detected(l2):
     # "action" by the identity on an abelian carrier violates the mixed
     # identities for L2 because [a,a] = b acts nontrivially
     q = abelian("M", ("m",))
-    act_tensor = [[[1]], [[1]]]
+    act_tensor = [[{0: 1}], [{0: 1}]]
     from leibnizx.leibniz import LeibnizAction
-    act = LeibnizAction(l2, q, act_tensor, [[[1], [1]]])
+    act = LeibnizAction(l2, q, act_tensor, [[{0: 1}, {0: 1}]])
     assert check_action(act)
 
 
@@ -126,3 +127,51 @@ def test_liezation(l2, r2, a1):
         lie, proj = liezation(alg)
         assert lie.dim == alg.dim
         assert proj.rank() == alg.dim
+
+
+# ---------------------------------------------------------------------------
+# sparse structure constants against a dense triple loop
+
+
+small_q = st.one_of(st.just(0), st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def dense_bilinear(cube, x, y, nk):
+    """sum_{i,j,k} x_i y_j cube[i][j][k] e_k, zeros dropped."""
+    out = {}
+    for k in range(nk):
+        s = sum((Q(x.get(i, 0)) * Q(y.get(j, 0)) * Q(cube[i][j][k])
+                 for i in range(len(cube)) for j in range(len(cube[i]))),
+                Q(0))
+        if s != 0:
+            out[k] = s
+    return out
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_bilinear_matches_dense_loop(ni, nj, nk, data):
+    cube = data.draw(st.lists(st.lists(
+        st.lists(small_q, min_size=nk, max_size=nk),
+        min_size=nj, max_size=nj), min_size=ni, max_size=ni))
+    t = _tensor(ni, nj, nk, [[{k: c for k, c in enumerate(cell)}
+                              for cell in row] for row in cube])
+    for row in t:
+        for cell in row:
+            assert all(type(c) is Q and c != 0 for c in cell.values())
+            assert all(0 <= k < nk for k in cell)
+
+    def vecs(n):
+        return (st.dictionaries(st.integers(0, n - 1), small_q)
+                if n else st.just({}))
+
+    x, y = data.draw(vecs(ni)), data.draw(vecs(nj))
+    assert _bilinear(t, x, y) == dense_bilinear(cube, x, y, nk)
+
+
+def test_tensor_shape_is_checked():
+    for cells in ([[{}]], [[{}, {}], [{}, {}]], [[{2: 1}, {}]]):
+        with pytest.raises(ValueError):
+            _tensor(1, 2, 2, cells)
+    assert _tensor(1, 1, 2, [[{0: 0, 1: 2}]]) == (({1: Q(2)},),)

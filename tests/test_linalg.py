@@ -56,10 +56,14 @@ def test_subspace_coords_roundtrip_and_rejection():
     s = Subspace.from_vectors(3, [sv((0, 1), (2, 1)), sv((1, 1))])
     v = sv((0, 2), (1, -3), (2, 2))
     c = s.coords(v)
+    assert c == {0: Q(2), 1: Q(-3)}
     rebuilt = {}
-    for x, row in zip(c, s.rows):
-        vec_add_scaled(rebuilt, row, x)
+    for i, x in c.items():
+        vec_add_scaled(rebuilt, s.rows[i], x)
     assert rebuilt == v
+    # zero coordinates are not stored
+    assert s.coords(sv((1, 4))) == {1: Q(4)}
+    assert s.coords({}) == {}
     try:
         s.coords(sv((2, 1)))
         assert False, "coords outside the subspace must raise"
@@ -97,7 +101,7 @@ def test_linear_map_basics():
 
 def test_kernel_image():
     # rank-1 map: (x, y) -> (x + y, 2x + 2y)
-    f = LinearMap(2, 2, [[1, 1], [2, 2]])
+    f = LinearMap.from_cols(2, [sv((0, 1), (1, 2)), sv((0, 1), (1, 2))])
     assert f.rank() == 1
     k = f.kernel()
     assert k.dim == 1
@@ -106,7 +110,7 @@ def test_kernel_image():
 
 
 def test_restrict():
-    f = LinearMap(2, 3, [[1, 0, 1], [0, 1, 0]])
+    f = LinearMap.from_cols(2, [sv((0, 1)), sv((1, 1)), sv((0, 1))])
     sub = Subspace.from_vectors(3, [sv((0, 1), (2, -1)), sv((0, 1))])
     g = f.restrict(sub)
     assert g.cols == 2
@@ -116,11 +120,19 @@ def test_restrict():
 coeffs = st.integers(min_value=-4, max_value=4)
 
 
+def sparse_cols(rows, cols):
+    """Random columns as sparse dicts; zero values are allowed in, and
+    from_cols must drop them."""
+    return st.lists(st.dictionaries(st.integers(0, rows - 1), coeffs),
+                    min_size=cols, max_size=cols)
+
+
 @settings(deadline=None, max_examples=60)
-@given(st.lists(st.lists(coeffs, min_size=3, max_size=3),
-                min_size=1, max_size=4))
-def test_rank_nullity(mat):
-    f = LinearMap(len(mat), 3, mat)
+@given(st.integers(1, 4).flatmap(lambda rows: st.tuples(
+    st.just(rows), sparse_cols(rows, 3))))
+def test_rank_nullity(shape_cols):
+    rows, cols = shape_cols
+    f = LinearMap.from_cols(rows, cols)
     assert f.rank() + f.kernel().dim == 3
     for r in f.kernel().rows:
         assert f.apply(r) == {}
@@ -151,15 +163,10 @@ def lincomb_fold(mats, coeffs, rows, cols):
     return out
 
 
-def dense(rows, cols):
-    return st.lists(st.lists(coeffs, min_size=cols, max_size=cols),
-                    min_size=rows, max_size=rows)
-
-
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
 def test_lincomb_matches_fold(rows, cols, data):
-    mats = [LinearMap(rows, cols, data.draw(dense(rows, cols)))
+    mats = [LinearMap.from_cols(rows, data.draw(sparse_cols(rows, cols)))
             for _ in range(data.draw(st.integers(1, 3)))]
     cs = data.draw(st.dictionaries(st.integers(0, len(mats) - 1),
                                    coeffs.map(Q)))
@@ -168,13 +175,13 @@ def test_lincomb_matches_fold(rows, cols, data):
 
 
 def test_lincomb_edge_cases():
-    f = LinearMap(2, 3, [[1, 0, 2], [0, -1, 0]])
+    f = LinearMap.from_cols(2, [sv((0, 1)), sv((1, -1)), sv((0, 2))])
     # empty coefficients give the zero map of the requested shape
     assert lincomb([f], {}, 2, 3) == LinearMap.zero(2, 3)
     # coefficients that cancel
     assert lincomb([f, f], {0: Q(2), 1: Q(-2)}, 2, 3).is_zero()
     # dict-indexed matrices, non-square
-    g = LinearMap(2, 3, [[0, 1, 0], [1, 0, 0]])
+    g = LinearMap.from_cols(2, [sv((1, 1)), sv((0, 1)), {}])
     assert lincomb({"f": f, "g": g}, {"g": Q(3), "f": Q(1, 2)}, 2, 3) == \
         f.scale(Q(1, 2)).add(g.scale(3))
     try:
@@ -332,3 +339,181 @@ def test_float_coefficient_is_rejected():
         with pytest.raises(TypeError):
             Subspace.full(3).reduce_vec(bad)
     assert len(ech) == 1
+
+
+# ---------------------------------------------------------------------------
+# the dense LinearMap the sparse one replaced, kept as its oracle
+
+
+class DenseMap:
+    """Matrix over Q with entries[i][j] in row i, column j."""
+
+    def __init__(self, rows, cols, entries):
+        self.rows, self.cols = rows, cols
+        self.entries = tuple(tuple(Q(x) for x in r) for r in entries)
+        assert len(self.entries) == rows
+        assert all(len(r) == cols for r in self.entries)
+
+    @classmethod
+    def from_cols(cls, rows, cols_vectors):
+        return cls(rows, len(cols_vectors),
+                   [[v.get(i, 0) for v in cols_vectors] for i in range(rows)])
+
+    def col(self, j):
+        return {i: self.entries[i][j] for i in range(self.rows)
+                if self.entries[i][j] != 0}
+
+    def apply(self, v):
+        return {i: x for i in range(self.rows)
+                if (x := sum((self.entries[i][j] * c for j, c in v.items()),
+                             Q(0))) != 0}
+
+    def compose(self, other):
+        return DenseMap(self.rows, other.cols,
+                        [[sum((self.entries[i][k] * other.entries[k][j]
+                               for k in range(self.cols)), Q(0))
+                          for j in range(other.cols)]
+                         for i in range(self.rows)])
+
+    def add(self, other):
+        return DenseMap(self.rows, self.cols,
+                        [[a + b for a, b in zip(ra, rb)]
+                         for ra, rb in zip(self.entries, other.entries)])
+
+    def scale(self, c):
+        return DenseMap(self.rows, self.cols,
+                        [[c * x for x in r] for r in self.entries])
+
+    def is_zero(self):
+        return all(x == 0 for r in self.entries for x in r)
+
+    def rref(self):
+        """(reduced rows, pivot columns) by plain Gauss-Jordan."""
+        m = [list(r) for r in self.entries]
+        pivots = []
+        for j in range(self.cols):
+            r = len(pivots)
+            hit = next((i for i in range(r, self.rows) if m[i][j] != 0),
+                       None)
+            if hit is None:
+                continue
+            m[r], m[hit] = m[hit], m[r]
+            m[r] = [x / m[r][j] for x in m[r]]
+            for i in range(self.rows):
+                if i != r and m[i][j] != 0:
+                    m[i] = [a - m[i][j] * b for a, b in zip(m[i], m[r])]
+            pivots.append(j)
+        return m, pivots
+
+    def kernel_basis(self):
+        m, pivots = self.rref()
+        out = []
+        for f in range(self.cols):
+            if f in pivots:
+                continue
+            v = {f: Q(1)}
+            for r, p in enumerate(pivots):
+                if m[r][f] != 0:
+                    v[p] = -m[r][f]
+            out.append(v)
+        return out
+
+    def rank(self):
+        return len(self.rref()[1])
+
+
+def to_dense(f):
+    return DenseMap.from_cols(f.rows, [f.col(j) for j in range(f.cols)])
+
+
+def assert_normal(f):
+    """Every stored column holds Q values only, none of them zero."""
+    for j in range(f.cols):
+        for i, x in f.col(j).items():
+            assert type(x) is Q and x != 0
+            assert 0 <= i < f.rows
+
+
+small_q = st.one_of(st.just(0), st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=4))
+
+
+def dense_entries(rows, cols, zero=False):
+    cell = st.just(0) if zero else small_q
+    return st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def sparse_of(d):
+    return LinearMap.from_cols(
+        d.rows, [{i: d.entries[i][j] for i in range(d.rows)}
+                 for j in range(d.cols)])
+
+
+def check_against_dense(a, b, c, v, s, coeffs_):
+    """a, c: rows x cols; b: cols x k; all DenseMap.  Compares every
+    operation of the sparse LinearMap with the oracle."""
+    fa, fb, fc = sparse_of(a), sparse_of(b), sparse_of(c)
+    for f, d in ((fa, a), (fb, b), (fc, c)):
+        assert_normal(f)
+        assert (f.rows, f.cols) == (d.rows, d.cols)
+        assert [f.col(j) for j in range(f.cols)] == \
+            [d.col(j) for j in range(d.cols)]
+        assert f.is_zero() == d.is_zero()
+    assert fa.apply(v) == a.apply(v)
+    results = [(fa.compose(fb), a.compose(b)), (fa.add(fc), a.add(c)),
+               (fa.scale(s), a.scale(Q(s))),
+               (lincomb([fa, fc], coeffs_, a.rows, a.cols),
+                a.scale(Q(coeffs_.get(0, 0))).add(
+                    c.scale(Q(coeffs_.get(1, 0)))))]
+    for got, want in results:
+        assert_normal(got)
+        assert to_dense(got).entries == want.entries
+        assert got.is_zero() == want.is_zero()
+    # equality is equality of entries, and equal maps hash alike
+    assert (fa == fc) == (a.entries == c.entries)
+    assert fa == sparse_of(DenseMap(a.rows, a.cols, a.entries))
+    assert hash(fa) == hash(sparse_of(a))
+    ker = fa.kernel()
+    assert ker == Subspace.from_vectors(a.cols, a.kernel_basis())
+    assert fa.rank() == a.rank() == fa.image().dim
+    assert all(fa.image().contains_vec(a.col(j)) for j in range(a.cols))
+    assert ker.dim + a.rank() == a.cols
+    for sub in (ker, Subspace.full(a.cols)):
+        g = fa.restrict(sub)
+        assert_normal(g)
+        assert [g.col(j) for j in range(g.cols)] == \
+            [a.apply(r) for r in sub.rows]
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+       st.booleans(), st.data())
+def test_sparse_linear_map_matches_dense_oracle(rows, cols, k, zero, data):
+    a = DenseMap(rows, cols, data.draw(dense_entries(rows, cols, zero)))
+    b = DenseMap(cols, k, data.draw(dense_entries(cols, k)))
+    c = DenseMap(rows, cols, data.draw(dense_entries(rows, cols)))
+    v = data.draw(st.dictionaries(st.integers(0, cols - 1), small_q)
+                  if cols else st.just({}))
+    s = data.draw(small_q)
+    cs = data.draw(st.dictionaries(st.integers(0, 1), small_q))
+    check_against_dense(a, b, c, v, s, cs)
+
+
+def test_sparse_linear_map_edge_shapes():
+    z23 = DenseMap(2, 3, [[0] * 3] * 2)
+    for a, b, c in ((z23, DenseMap(3, 0, [[]] * 3), z23),
+                    (DenseMap(0, 2, []), DenseMap(2, 2, [[1, 0], [0, 0]]),
+                     DenseMap(0, 2, [])),
+                    (DenseMap(2, 0, [[], []]), DenseMap(0, 1, []),
+                     DenseMap(2, 0, [[], []]))):
+        check_against_dense(a, b, c, {}, 0, {0: Q(1)})
+    # integer and zero input values are normalised on the way in
+    f = LinearMap.from_cols(2, [{0: 1, 1: 0}, {1: Q(0)}])
+    assert_normal(f)
+    assert f.col(0) == {0: Q(1)} and f.col(1) == {}
+    with pytest.raises(ValueError):
+        LinearMap.from_cols(2, [{2: Q(1)}])
+    with pytest.raises(ValueError):
+        LinearMap.from_cols(2, [{-1: Q(1)}])

@@ -17,7 +17,7 @@ def test_lm_tensor_shape():
     t = lm_tensor(x, y)
     # (M ⊗ h) ⊕ (g ⊗ N) over g ⊗ h
     assert t.bottom_dim == 2 and t.top_dim == 1
-    assert t.alpha == LinearMap(1, 2, [[1, 1]])
+    assert t.alpha == LinearMap.from_cols(1, [{0: 1}, {0: 1}])
 
 
 def test_leibniz_to_lm(l2, r2):

@@ -12,7 +12,7 @@ from leibnizx.leibniz import zero_rep, LeibnizRep
 
 
 def test_hom_coordinates_roundtrip():
-    f = LinearMap(2, 3, [[1, 2, 0], [0, -1, 5]])
+    f = LinearMap.from_cols(2, [{0: 1}, {0: 2, 1: -1}, {1: 5}])
     assert hom_to_map(map_to_hom(f), 2, 3) == f
 
 

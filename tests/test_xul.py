@@ -46,7 +46,7 @@ def test_xul_inclusion_l2(xmods):
     # rho lands in UL(p) and is compatible with the boundary on degree 1
     for deg, v in tx.b_filtration(1):
         bc = tx.B.coords(tx.ambient.to_coords(v))
-        out = tx.rho.apply({i: c for i, c in enumerate(bc) if c})
+        out = tx.rho.apply(bc)
         assert set(out) <= set(range(tx.ul_p.dim))
 
 
