@@ -18,13 +18,7 @@ def _tensor(dim_i, dim_j, dim_k, cells):
     if len(cells) != dim_i or any(len(row) != dim_j for row in cells):
         raise ValueError("tensor shape does not match (%d, %d, %d)"
                          % (dim_i, dim_j, dim_k))
-    out = tuple(tuple(qvec(c) for c in row) for row in cells)
-    for row in out:
-        for c in row:
-            if c and not (min(c) >= 0 and max(c) < dim_k):
-                raise ValueError("tensor entry outside dimension %d"
-                                 % dim_k)
-    return out
+    return tuple(tuple(qvec(c, dim_k) for c in row) for row in cells)
 
 
 def _bilinear(tensor, x, y):

@@ -52,10 +52,14 @@ def vec_add_scaled(dst, src, c):
     return dst
 
 
-def qvec(v):
-    """v with every value a ``Q`` and no zero stored: the normal form of
-    stored vectors (map columns, structure constants)."""
-    return {k: x if type(x) is Q else Q(x) for k, x in v.items() if x != 0}
+def qvec(v, n):
+    """v in the normal form of stored vectors (map columns, structure
+    constants): ``Q`` values, no zero stored.  Raises ValueError for a
+    coordinate outside range(n)."""
+    out = {k: x if type(x) is Q else Q(x) for k, x in v.items() if x != 0}
+    if out and not (min(out) >= 0 and max(out) < n):
+        raise ValueError("coordinate outside range(%d)" % n)
+    return out
 
 
 def _natural(c):
@@ -363,11 +367,7 @@ class LinearMap:
     @classmethod
     def from_cols(cls, rows, cols_vectors):
         """Build from a list of image columns given as sparse dicts."""
-        columns = tuple(qvec(v) for v in cols_vectors)
-        for v in columns:
-            if v and not (min(v) >= 0 and max(v) < rows):
-                raise ValueError("column entry outside %d rows" % rows)
-        return cls(rows, columns)
+        return cls(rows, tuple(qvec(v, rows) for v in cols_vectors))
 
     def col(self, j):
         return dict(self._columns[j])
