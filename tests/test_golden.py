@@ -69,6 +69,12 @@ def _cases():
         ("verify", "prop42", "r2", "--degree", "3", *SLACK),
         ("verify", "lemma41", "xmod-incl-l2", "--degree", "3", *SLACK),
         ("xul", "xmod-id-l2", "--degree", "3", "--slack", "0"),
+        # the lm bottom ideal at higher degrees and other slacks
+        ("lm", "xmod-incl-l2", "--degree", "8"),
+        ("lm", "xmod-id-l2", "--degree", "9", "--slack", "1"),
+        ("lm", "xmod-id-r2", "--degree", "5", "--slack", "0"),
+        ("lm", "xmod-id-a1", "--degree", "9", "--slack", "0"),
+        ("verify", "theta", "xmod-id-l2", "--degree", "3", "--slack", "1"),
     ]
     return {"-".join(c).replace("--", ""): c for c in cases}
 
