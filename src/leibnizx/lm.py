@@ -663,11 +663,15 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
     Ut1 = _tensor_hom(bim, target.bim, kq.t, t1)
     Ks1, Kt1 = Us1.kernel(), Ut1.kernel()
 
-    # Y' = Ker s1·Ker t2 + Ker s2·Ker t1 + Ker t1·Ker s2 + Ker t2·Ker s1,
-    # closed under multiplication by degree-one elements.  Its rows are
-    # pivoted at their highest coordinate (see _highest), so a row's fdeg
-    # is that of its pivot and the complement takes the lowest-degree
-    # coordinates: a lifted class has the least filtration degree.
+    # Y' = Ker s1·Ker t2 + Ker s2·Ker t1 + Ker t1·Ker s2 + Ker t2·Ker s1.
+    # Ker s1 and Ker t1 are sub-bimodules; Ker s2 and Ker t2 are ideals
+    # generated in degree one, and b·(x·u·y) = ((b·x)·u)·y and
+    # (x·u·y)·b = x·(u·(y·b)), where for a generator x, b·x and y·b lie in
+    # b's kernel at fdeg <= fdeg(b) + 1, in the span of its filtration
+    # rows.  So every filtration row times every degree-one top row, closed
+    # under generator multiplication on both sides, spans Y'.  Its rows
+    # are pivoted at their highest coordinate (see _highest): a row's fdeg
+    # is its pivot's, and a lifted class has the least filtration degree.
     ech = Echelon(_highest)
     work = []
 
@@ -676,7 +680,8 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
         if piv is not None:
             work.append(ech.rows[piv])
 
-    top_s, top_t = (filtration_basis(usd, K) for K in (kq.s_ker, kq.t_ker))
+    top_s, top_t = (filtration_basis(usd, K, 1)
+                    for K in (kq.s_ker, kq.t_ker))
     bot_s, bot_t = (_bottom_filtration(bim, K) for K in (Ks1, Kt1))
     for bot, tp in ((bot_s, top_t), (bot_t, top_s)):
         for db, vb in bot:

@@ -200,13 +200,20 @@ def test_bad_leibniz_is_refused_with_a_report(capsys):
 GRID_COMMANDS = [("check",), ("ul",), ("xul",), ("lm",)] + [
     ("verify", what)
     for what in ("lemma41", "prop42", "thm5", "theta", "squares")]
+GRID_FLAGS = [
+    ("--degree", "2", "--slack", "0", "--format", "json"),
+    # the text renderer and the basis dump
+    ("--degree", "3", "--slack", "0", "--report-degree", "0",
+     "--format", "text", "--dump-basis"),
+]
 
 
 @pytest.mark.parametrize("cmd", GRID_COMMANDS, ids="-".join)
 def test_every_command_on_every_corpus_file(capsys, cmd):
     """Each command ends in a report or a rejection on every corpus file,
-    whatever its kind: an exit code in 0..3 and never an exception."""
-    for name in sorted(p.name for p in CORPUS.glob("*.json")):
-        rc, _, _ = run(capsys, *cmd, corpus_path(name), "--degree", "2",
-                       "--slack", "0", "--format", "json")
-        assert rc in (0, 1, 2, 3), (cmd, name)
+    whatever its kind and for each row of flags: an exit code in 0..3 and
+    never an exception."""
+    for flags in GRID_FLAGS:
+        for name in sorted(p.name for p in CORPUS.glob("*.json")):
+            rc, _, _ = run(capsys, *cmd, corpus_path(name), *flags)
+            assert rc in (0, 1, 2, 3), (cmd, name, flags)

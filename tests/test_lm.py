@@ -1,6 +1,10 @@
+import pathlib
+import sys
+
 import pytest
 
-from leibnizx import lm
+from leibnizx import io, lm
+from leibnizx.freealg import filtration_basis
 from leibnizx.scalars import Q
 from leibnizx.linalg import Echelon, LinearMap, Subspace
 from leibnizx.xmod import identity_xmod, zero_xmod
@@ -9,6 +13,12 @@ from leibnizx.lm import (LMObject, associated_xmod, check_associated_xmod,
                          check_lm_lie_object, check_lm_lie_xmod,
                          leibniz_to_lm, lm_tensor, lm_xmod_envelope,
                          theta_check, u_lie, u_lm, xmod_to_lm)
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "corpus"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import rebase  # noqa: E402
 
 
 def test_lm_tensor_shape():
@@ -130,3 +140,81 @@ def test_bottom_filtration_matches_intersections(xmods, degree, monkeypatch):
                 got = Subspace.from_vectors(
                     bim.dim, [v for deg, v in rows if deg <= k])
                 assert got == want, (name, k)
+
+
+def _all_pairs_y_ideal(bim, kq, bot_s, bot_t, degree):
+    """Oracle: Y' seeded with every bottom filtration row times every top
+    kernel filtration row, at every degree, then closed under
+    multiplication by generators on both sides."""
+    ech = Echelon()
+    work = []
+
+    def insert(vec):
+        piv = ech.insert(vec)
+        if piv is not None:
+            work.append(ech.rows[piv])
+
+    top_s, top_t = (filtration_basis(bim.U, K) for K in (kq.s_ker, kq.t_ker))
+    for bot, tp in ((bot_s, top_t), (bot_t, top_s)):
+        for db, vb in bot:
+            for dt, vt in tp:
+                if db + dt <= degree:
+                    insert(bim.right_mult(vb, vt, degree))
+                    insert(bim.left_mult(vt, vb, degree))
+    while work:
+        vec = work.pop()
+        if bim.fdeg(vec) + 1 > degree:
+            continue
+        for a in range(len(bim.right_bracket)):
+            insert(bim.left_mult({(a,): Q(1)}, vec, degree))
+            insert(bim.right_mult_gen(vec, a, degree))
+    return Subspace.from_vectors(bim.dim, list(ech.rows.values()))
+
+
+def _assert_y_ideal_matches_all_pairs(x, degree, slack, monkeypatch):
+    bottoms, quotients = [], []
+    bottom_filtration = lm._bottom_filtration
+    kernel_product_quotient = lm.kernel_product_quotient
+
+    def recording_bottom(bim, sub):
+        out = bottom_filtration(bim, sub)
+        bottoms.append(out)
+        return out
+
+    def recording_quotient(*args):
+        out = kernel_product_quotient(*args)
+        quotients.append(out)
+        return out
+
+    monkeypatch.setattr(lm, "_bottom_filtration", recording_bottom)
+    monkeypatch.setattr(lm, "kernel_product_quotient", recording_quotient)
+    Y = lm_xmod_envelope(xmod_to_lm(x), degree, slack=slack)
+    assert len(bottoms) == 2 and len(quotients) == 1
+    want = _all_pairs_y_ideal(Y.bim, quotients[0], *bottoms, degree)
+    assert Y.bottom_proj.kernel() == want
+
+
+Y_CASES = [(name, degree, slack)
+           for slack, top in ((0, 7), (1, 5))
+           for name in ("xmod-zero-a1.json", "xmod-id-a1.json",
+                        "xmod-id-l2.json", "xmod-id-r2.json",
+                        "xmod-incl-l2.json")
+           for degree in range(2, (5 if name == "xmod-id-r2.json" else top)
+                               + 1)]
+
+
+@pytest.mark.parametrize("name,degree,slack", Y_CASES)
+def test_y_ideal_matches_all_pairs_seed(xmods, name, degree, slack,
+                                        monkeypatch):
+    """Y' seeded from the degree-one rows of the top kernels spans the same
+    ideal as the all-pairs seed."""
+    _assert_y_ideal_matches_all_pairs(xmods[name], degree, slack, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_y_ideal_matches_all_pairs_seed_rebased(seed, tmp_path, monkeypatch):
+    """The same on a seeded basis change of xmod-id-l2, whose kernel rows
+    carry dense rational coefficients."""
+    paths = rebase.write_rebased(str(CORPUS), str(tmp_path), seed)
+    x = io.load_path(paths["xmod-id-l2"])
+    _assert_y_ideal_matches_all_pairs(x, 5, 0, monkeypatch)
