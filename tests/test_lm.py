@@ -1,4 +1,3 @@
-import pathlib
 import sys
 
 import pytest
@@ -14,9 +13,9 @@ from leibnizx.lm import (LMObject, associated_xmod, check_associated_xmod,
                          leibniz_to_lm, lm_tensor, lm_xmod_envelope,
                          theta_check, u_lie, u_lm, xmod_to_lm)
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-CORPUS = ROOT / "corpus"
-sys.path.insert(0, str(ROOT / "perfbench"))
+from conftest import CORPUS
+
+sys.path.insert(0, str(CORPUS.parent / "perfbench"))
 
 import rebase  # noqa: E402
 
