@@ -75,6 +75,12 @@ def _cases():
         ("lm", "xmod-id-r2", "--degree", "5", "--slack", "0"),
         ("lm", "xmod-id-a1", "--degree", "9", "--slack", "0"),
         ("verify", "theta", "xmod-id-l2", "--degree", "3", "--slack", "1"),
+        # the slowest commands of the acceptance suite, at the default slack
+        ("verify", "lemma41", "xmod-incl-l2", "--degree", "4",
+         "--report-degree", "2"),
+        ("xul", "xmod-id-r2", "--degree", "3"),
+        ("xul", "xmod-id-l2", "--degree", "3"),
+        ("lm", "xmod-id-r2", "--degree", "5"),
     ]
     return {"-".join(c).replace("--", ""): c for c in cases}
 
