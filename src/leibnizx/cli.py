@@ -210,7 +210,8 @@ def build_parser():
     common.add_argument("--degree", type=int, default=3,
                         help="working truncation degree D (default 3)")
     common.add_argument("--slack", type=int, default=2,
-                        help="extra degrees for ideal closure (default 2)")
+                        help="extra degrees for ideal closure when the "
+                             "relations are not a Gröbner basis (default 2)")
     common.add_argument("--report-degree", type=int, default=None,
                         help="certified report degree d (default D-2)")
     common.add_argument("--format", choices=("text", "json"), default="text")

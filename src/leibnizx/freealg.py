@@ -5,15 +5,21 @@ Words are tuples of generator indices, enumerated length-first then
 lexicographically; this fixes canonical coordinates for every construction
 built on top (enveloping algebras, kernel ideals, quotients).
 
-Ideals of inhomogeneous relations are never fully visible at a finite
-degree: the span at degree <= D is taken from the products w1*r*w2 of top
-degree <= D + S (slack), and a stabilization flag records whether raising
-the slack by one changes the answer.  That span is closed one degree at a
-time: each level multiplies by the generators only the echelon rows the
-previous level added, which spans the same space as enumerating every
-product (see :func:`ideal_span`).
+Ideals of inhomogeneous relations are not always visible at a finite
+degree: an element of degree <= D may need products w1*r*w2 of higher top
+degree.  :func:`ideal_span` first interreduces the relations and checks
+every ambiguity of their leading words (Bergman's diamond lemma, Adv. Math.
+29, 1978).  When all of them resolve, the relations are a Gröbner basis
+and the span at degree <= D is exactly that of their products of degree
+<= D, a proof that needs no slack.  Otherwise the span is taken from the
+products of top degree <= D + S (slack), and a stabilization flag records
+whether raising the slack by one changes the answer.  Either span is
+closed one degree at a time: each level multiplies by the generators only
+the echelon rows the previous level added, which spans the same space as
+enumerating every product.
 """
 
+import heapq
 import itertools
 
 from .scalars import Q
@@ -141,8 +147,9 @@ class TruncIdeal:
     """Degree-truncated two-sided ideal span with a stabilization flag.
 
     ``rows`` is the canonical reduced echelon basis (elimination order
-    :func:`word_key`) of span{w1 * r * w2 : top degree <= D+S} intersected
-    with the degree-<=D coordinate space.
+    :func:`word_key`) of the ideal's part of degree <= D when the relations
+    resolve (see :func:`ideal_span`), else of span{w1 * r * w2 : top degree
+    <= D+S} intersected with the degree-<=D coordinate space.
     """
 
     def __init__(self, algebra, relations, slack, rows, stabilized):
@@ -169,10 +176,10 @@ def _close_level(ech, frontier, relations, g):
     """Raise the span V_{m-1} to V_m.
 
     ``frontier`` holds (pivot, made_right) for the rows the echelon gained
-    at level m-1; ``relations`` are the relations of degree m.  Each
-    frontier row is multiplied by every generator on the right, and on the
-    left too unless it was itself made as a right product.  Returns the
-    frontier of level m.
+    at level m-1; ``relations`` are the word-keyed relation vectors of
+    degree m.  Each frontier row is multiplied by every generator on the
+    right, and on the left too unless it was itself made as a right
+    product.  Returns the frontier of level m.
     """
     new = []
     for piv, made_right in frontier:
@@ -186,7 +193,7 @@ def _close_level(ech, frontier, relations, g):
                 if p is not None:
                     new.append((p, False))
     for r in relations:
-        p = ech.insert(dict(r.terms))
+        p = ech.insert(dict(r))
         if p is not None:
             new.append((p, False))
     return new
@@ -201,11 +208,95 @@ def _extract_upto(ech, D):
     return out.canonical_rows()
 
 
+def _normal_form(v, rules):
+    """Normal form of a word-keyed vector under the rewriting rules
+    lead -> tail: the greatest reducible word (least :func:`word_key`) is
+    rewritten first at its leftmost leading word, until none is left."""
+    lengths = sorted({len(a) for a in rules})
+    work = dict(v)
+    heap = [word_key(w) for w in work]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        w = heapq.heappop(heap)[1]
+        c = work.pop(w, 0)
+        if c == 0:
+            continue
+        hit = next(((i, L) for L in lengths for i in range(len(w) - L + 1)
+                    if w[i:i + L] in rules), None)
+        if hit is None:
+            out[w] = c
+            continue
+        i, L = hit
+        for u, d in rules[w[i:i + L]].items():
+            x = w[:i] + u + w[i + L:]
+            if x not in work:
+                heapq.heappush(heap, word_key(x))
+            vec_add_scaled(work, {x: d}, c)
+    return out
+
+
+def _resolves(rules):
+    """Whether every ambiguity of the rewriting rules resolves: both
+    one-step rewrites of the word reach the same normal form.  An overlap
+    is a proper suffix of one leading word that equals a proper prefix of
+    another (or of itself); an inclusion is one leading word inside
+    another."""
+    def joins(p, q):
+        return _normal_form(p, rules) == _normal_form(q, rules)
+
+    def shift(x, t, z):
+        return {x + u + z: c for u, c in t.items()}
+
+    for a, ta in rules.items():
+        for b, tb in rules.items():
+            for k in range(1, min(len(a), len(b))):
+                if a[-k:] == b[:k] and not joins(shift((), ta, b[k:]),
+                                                 shift(a[:-k], tb, ())):
+                    return False
+            if a != b:
+                for i in range(len(b) - len(a) + 1):
+                    if b[i:i + len(a)] == a and not joins(
+                            shift(b[:i], ta, b[i + len(a):]), tb):
+                        return False
+    return True
+
+
+def groebner_basis(relations):
+    """The interreduced relations G (the canonical rows of their echelon
+    under :func:`word_key`) if every ambiguity of their leading words
+    resolves, else None.  By the diamond lemma G is then a Gröbner basis:
+    every element of the ideal of degree <= D is a combination of products
+    u*g*v of degree <= D."""
+    ech = Echelon(word_key)
+    for r in relations:
+        ech.insert(dict(r.terms))
+    G = ech.canonical_rows()
+    rules = {}
+    for row in G:
+        lead = min(row, key=word_key)
+        rules[lead] = {w: -c for w, c in row.items() if w != lead}
+    return G if _resolves(rules) else None
+
+
 def ideal_span(algebra, relations, slack=2, stability_check=True):
     """Truncated two-sided ideal of the given relation polynomials.
 
-    The span V_{D+S} of all w1*r*w2 with |w1| + deg r + |w2| <= D + S
-    (D = algebra.degree, S = slack) is built one level at a time:
+    When the interreduced relations G form a Gröbner basis
+    (:func:`groebner_basis`), the rows span exactly the ideal's part of
+    degree <= D = algebra.degree: the span V_D of all u*g*v of degree
+    <= D.  ``stabilized`` is then True, whatever the slack, since it rests
+    on a proof.
+
+    Otherwise the span V_{D+S} of all w1*r*w2 with
+    |w1| + deg r + |w2| <= D + S (S = slack) is built, and the rows are its
+    part of degree <= D.  The stabilization flag raises the span by one
+    more level from the saved frontier and compares.  With
+    stability_check=False the comparison is skipped (stabilized=None) —
+    used by callers that run their own certificate protocol and do not
+    need the extra level.
+
+    Either span is built one level at a time from its generators:
 
         V_m = V_{m-1} + sum_x (x V_{m-1} + V_{m-1} x) + span{r : deg r = m}.
 
@@ -219,24 +310,25 @@ def ideal_span(algebra, relations, slack=2, stability_check=True):
     frontier rows inserted before n, whose left multiples are covered by
     induction on insertion order.  The span is thus exactly the one the
     full enumeration gives, and the rows are its canonical RREF cut back
-    to the working degree.  The stabilization flag raises the span by one more
-    level from the saved frontier and compares.  With
-    stability_check=False the comparison is skipped (stabilized=None) —
-    used by callers that run their own certificate protocol and do not
-    need the extra level.
+    to the working degree.
     """
     D = algebra.degree
     relations = [r for r in relations if not r.is_zero()]
-    by_degree = {}
-    for r in relations:
-        if r.degree() > D:
-            raise ValueError("relation degree exceeds working degree")
-        by_degree.setdefault(r.degree(), []).append(r)
+    if any(r.degree() > D for r in relations):
+        raise ValueError("relation degree exceeds working degree")
     g = algebra.ngens
+    G = groebner_basis(relations)
+    top = D if G is not None else D + slack
+    by_degree = {}
+    for r in (G if G is not None else [r.terms for r in relations]):
+        by_degree.setdefault(max(map(len, r)), []).append(r)
     ech = Echelon(word_key)
     frontier = []
-    for m in range(D + slack + 1):
+    for m in range(top + 1):
         frontier = _close_level(ech, frontier, by_degree.get(m, ()), g)
+    if G is not None:
+        return TruncIdeal(algebra, relations, slack, ech.canonical_rows(),
+                          True if stability_check else None)
     rows = _extract_upto(ech, D)
     if not stability_check:
         return TruncIdeal(algebra, relations, slack, rows, None)

@@ -205,6 +205,8 @@ GRID_FLAGS = [
     # the text renderer and the basis dump
     ("--degree", "3", "--slack", "0", "--report-degree", "0",
      "--format", "text", "--dump-basis"),
+    # the default slack
+    ("--degree", "3", "--format", "json"),
 ]
 
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from leibnizx.scalars import Q
 from leibnizx.envelope import ul_relations
 from leibnizx.freealg import (FreeAlgebra, HomomorphismError, NCPoly,
-                              filtration_basis, ideal_span, induced_map,
-                              quotient, subspace_product, word_key)
+                              filtration_basis, groebner_basis, ideal_span,
+                              induced_map, quotient, subspace_product,
+                              word_key)
 from leibnizx.leibniz import liezation
 from leibnizx.linalg import Echelon, Subspace
 from leibnizx.lm import lie_relations
@@ -143,6 +144,8 @@ def test_ideal_span_matches_enumeration(a1, l2, r2, slack):
              (r2.dim, lie_relations(r2), (2, 3, 4)),
              (1, lie_relations(liezation(l2)[0]), (2, 3, 4))]
     for g, rels, degrees in cases:
+        # PBW type (Loday–Pirashvili): every ambiguity resolves
+        assert groebner_basis(rels) is not None
         for D in degrees:
             free = FreeAlgebra(_gens(g), D)
             ideal = ideal_span(free, rels, slack=slack)
@@ -165,9 +168,75 @@ def test_ideal_span_matches_enumeration_random(g, D, slack, raw):
                     if len(w) <= D and all(x < g for x in w)})
             for t in raw]
     ideal = ideal_span(free, rels, slack=slack)
-    rows, stabilized = enumerated_ideal(free, rels, slack)
-    assert list(ideal.rows) == rows
-    assert ideal.stabilized == stabilized
+    if groebner_basis(rels) is not None:
+        # the relations have degree <= 2, so each product u*g*v of degree
+        # <= D comes from products of the relations of degree <= D + 2:
+        # the slack-2 enumeration is the ideal's whole part of degree <= D
+        rows, _ = enumerated_ideal(free, rels, 2)
+        assert list(ideal.rows) == rows
+        assert ideal.stabilized is True
+    else:
+        rows, stabilized = enumerated_ideal(free, rels, slack)
+        assert list(ideal.rows) == rows
+        assert ideal.stabilized == stabilized
+
+
+def _assert_slack_path(g, D, rels):
+    free = FreeAlgebra(_gens(g), D)
+    for slack in (0, 1, 2):
+        ideal = ideal_span(free, rels, slack=slack)
+        rows, stabilized = enumerated_ideal(free, rels, slack)
+        assert list(ideal.rows) == rows, slack
+        assert ideal.stabilized == stabilized, slack
+
+
+def test_unresolved_overlap_takes_the_slack_path():
+    """x0x0 -> x1 overlaps itself in x0x0x0, where x1x0 and x0x1 differ:
+    not a Gröbner basis, so the rows are the slack enumeration's (at
+    slack 0 they miss (x1x0 - x0x1)x0 and are not stabilized)."""
+    rels = [NCPoly.word((0, 0)) - NCPoly.word((1,))]
+    assert groebner_basis(rels) is None
+    _assert_slack_path(2, 3, rels)
+
+
+def test_inclusion_ambiguities():
+    """x1x2 -> x3 lies inside the leading word of x0x1x2.  When the second
+    relation is x0(x1x2 - x3) the inclusion resolves; when it is x0x1x2
+    alone, x0x3 is a new element of the ideal and (x0x3)x0 needs
+    products of degree 4."""
+    x = NCPoly.word
+    resolved = [x((1, 2)) - x((3,)), x((0, 1, 2)) - x((0, 3))]
+    assert groebner_basis(resolved) is not None
+    free = FreeAlgebra(_gens(4), 3)
+    ideal = ideal_span(free, resolved, slack=0)
+    assert list(ideal.rows) == enumerated_ideal(free, resolved, 2)[0]
+    assert ideal.stabilized is True
+    unresolved = [x((1, 2)) - x((3,)), x((0, 1, 2))]
+    assert groebner_basis(unresolved) is None
+    _assert_slack_path(4, 3, unresolved)
+
+
+def test_certified_closure_runs_on_the_interreduced_relations():
+    """x0x1 + x2 and x0x1 + x3 have leading parts that cancel: x2 - x3 is
+    in the ideal, and so is (x2 - x3)x0x0 at degree 3, but only products of
+    the raw relations of degree 4 reach it.  The certified closure runs on
+    the interreduced relations and finds it at any slack."""
+    x = NCPoly.word
+    rels = [x((0, 1)) + x((2,)), x((0, 1)) + x((3,))]
+    assert groebner_basis(rels) is not None
+    free = FreeAlgebra(_gens(4), 3)
+    exact = enumerated_ideal(free, rels, 2)[0]
+    witness = {(2, 0, 0): Q(1), (3, 0, 0): Q(-1)}
+    raw = Echelon(word_key)
+    for r in enumerated_ideal(free, rels, 0)[0]:
+        raw.insert(dict(r))
+    assert not raw.contains(witness)
+    for slack in (0, 1, 2):
+        ideal = ideal_span(free, rels, slack=slack)
+        assert list(ideal.rows) == exact
+        assert ideal.stabilized is True
+        assert ideal.reduce_vec(witness) == {}
+    assert ideal_span(free, rels, stability_check=False).stabilized is None
 
 
 def test_quotient_reduce_and_mult():
