@@ -219,3 +219,65 @@ def test_every_command_on_every_corpus_file(capsys, cmd):
         for name in sorted(p.name for p in CORPUS.glob("*.json")):
             rc, _, _ = run(capsys, *cmd, corpus_path(name), *flags)
             assert rc in (0, 1, 2, 3), (cmd, name, flags)
+
+
+HALF = {"kind": "leibniz_algebra", "name": "half", "basis": ["x", "y"],
+        "bracket": [{"left": "x", "right": "x",
+                     "value": {"x": "1", "y": "1/2"}}]}
+
+HALF_JSON = """\
+{
+  "certificates": {},
+  "command": "check",
+  "params": {
+    "kind": "leibniz_algebra",
+    "path": "half.json"
+  },
+  "records": [
+    {
+      "name": "leibniz_identity",
+      "verdict": "fail",
+      "violations": 1,
+      "witness": [
+        [
+          0,
+          0,
+          0,
+          {
+            "0": "1",
+            "1": "1/2"
+          },
+          {
+            "0": "2",
+            "1": "1"
+          }
+        ]
+      ]
+    }
+  ],
+  "status": 1,
+  "verdict": "fail"
+}
+"""
+
+HALF_TEXT = """\
+command: check
+params:  path=half.json kind=leibniz_algebra
+  leibniz_identity  fail         violations=1 \
+witness=[[0, 0, 0, {"0": "1", "1": "1/2"}, {"0": "2", "1": "1"}]]
+status: fail (1)
+"""
+
+
+@pytest.mark.parametrize("fmt,want", [("json", HALF_JSON),
+                                      ("text", HALF_TEXT)])
+def test_non_integral_witness_rendering(capsys, tmp_path, monkeypatch,
+                                        fmt, want):
+    """Witness coefficients print as strings, "n" when integral and "n/d"
+    otherwise; indices stay numbers.  [x,x] = x + y/2 fails the identity
+    with [[x,x],x] = x + y/2 against 2x + y."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "half.json").write_text(json.dumps(HALF))
+    rc, out, _ = run(capsys, "check", "half.json", "--format", fmt)
+    assert rc == 1
+    assert out == want
