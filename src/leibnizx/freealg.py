@@ -22,7 +22,7 @@ enumerating every product.
 import heapq
 import itertools
 
-from .scalars import Q
+from .scalars import exact
 from .linalg import (Echelon, LinearMap, Subspace, int_vec, residue,
                      vec_add_scaled)
 
@@ -35,7 +35,8 @@ def word_key(w):
 
 
 class NCPoly:
-    """Noncommutative polynomial: finite map word -> rational."""
+    """Noncommutative polynomial: finite map word -> rational, each
+    coefficient in the normal form of ``scalars.exact``."""
 
     __slots__ = ("terms",)
 
@@ -43,7 +44,7 @@ class NCPoly:
         t = {}
         if terms:
             for w, c in terms.items():
-                c = Q(c)
+                c = exact(c)
                 if c != 0:
                     t[tuple(w)] = c
         self.terms = t
@@ -54,26 +55,27 @@ class NCPoly:
 
     @classmethod
     def unit(cls):
-        return cls({(): Q(1)})
+        return cls({(): 1})
 
     def degree(self):
         return max((len(w) for w in self.terms), default=0)
 
     def __add__(self, other):
         t = dict(self.terms)
-        vec_add_scaled(t, other.terms, Q(1))
+        vec_add_scaled(t, other.terms, 1)
         return NCPoly(t)
 
     def __sub__(self, other):
         t = dict(self.terms)
-        vec_add_scaled(t, other.terms, Q(-1))
+        vec_add_scaled(t, other.terms, -1)
         return NCPoly(t)
 
     def __rmul__(self, c):
-        return NCPoly({w: Q(c) * x for w, x in self.terms.items()})
+        c = exact(c)
+        return NCPoly({w: c * x for w, x in self.terms.items()})
 
     def __neg__(self):
-        return Q(-1) * self
+        return -1 * self
 
     def __mul__(self, other):
         """Bilinear extension of word concatenation."""
@@ -374,14 +376,14 @@ class TruncQuotAlgebra:
     def unit(self):
         if not self.parent.unital:
             raise ValueError("non-unital algebra has no unit")
-        return {(): Q(1)}
+        return {(): 1}
 
     def reduce_word(self, w):
         if w in self.class_index:
-            return {w: Q(1)}
+            return {w: 1}
         r = self._reduce_memo.get(w)
         if r is None:
-            r = self.ideal.reduce_vec({w: Q(1)})
+            r = self.ideal.reduce_vec({w: 1})
             self._reduce_memo[w] = r
         return dict(r)
 
@@ -421,7 +423,7 @@ class TruncQuotAlgebra:
 
     def filtration_subspace(self, d):
         return Subspace.from_vectors(
-            self.dim, [{i: Q(1)} for i, w in enumerate(self.class_words)
+            self.dim, [{i: 1} for i, w in enumerate(self.class_words)
                        if len(w) <= d])
 
     def extend_by(self, sub):

@@ -2,18 +2,17 @@
 semidirect products, representations, and the universal Lie quotient.
 
 Elements are sparse coordinate vectors, and so are structure constants:
-c[i][j] is the sparse vector {k: Q} with [e_i, e_j] = sum_k c[i][j][k] e_k.
+c[i][j] is the sparse vector {k: c} with [e_i, e_j] = sum_k c[i][j][k] e_k.
 """
 
 from dataclasses import dataclass
 
-from .scalars import Q
 from .linalg import (Echelon, LinearMap, Subspace, lincomb, qvec,
                      vec_add_scaled)
 
 
 def _tensor(dim_i, dim_j, dim_k, cells):
-    """Structure constants t[i][j] = {k: Q} from nested sequences of
+    """Structure constants t[i][j] = {k: c} from nested sequences of
     sparse dicts, in normal form (``qvec``); checks the shape."""
     if len(cells) != dim_i or any(len(row) != dim_j for row in cells):
         raise ValueError("tensor shape does not match (%d, %d, %d)"
@@ -51,7 +50,7 @@ def _semidirect_cells(target_mult, actor_mult, act, nt, na):
 
 
 def basis_vec(i):
-    return {i: Q(1)}
+    return {i: 1}
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class LeibnizAlgebra:
                     rhs = self.bracket(basis_vec(i),
                                        self.bracket_basis(j, k))
                     vec_add_scaled(rhs, self.bracket(
-                        self.bracket_basis(i, k), basis_vec(j)), Q(1))
+                        self.bracket_basis(i, k), basis_vec(j)), 1)
                     if lhs != rhs:
                         bad.append((i, j, k, lhs, rhs))
         return bad
@@ -101,7 +100,7 @@ class LeibnizAlgebra:
         for i in range(n):
             for j in range(n):
                 s = dict(self.bracket_basis(i, j))
-                vec_add_scaled(s, self.bracket_basis(j, i), Q(1))
+                vec_add_scaled(s, self.bracket_basis(j, i), 1)
                 if s:
                     return False
         return True
@@ -112,7 +111,7 @@ class LeibnizAlgebra:
         for i in range(self.dim):
             for j in range(i, self.dim):
                 s = dict(self.bracket_basis(i, j))
-                vec_add_scaled(s, self.bracket_basis(j, i), Q(1))
+                vec_add_scaled(s, self.bracket_basis(j, i), 1)
                 if s:
                     vecs.append(s)
         return Subspace.from_vectors(self.dim, vecs)
@@ -184,7 +183,7 @@ def check_action(act):
         kc, t2_in = br(k1, x1, k3, x3)
         _, t2 = br(kc, t2_in, k2, x2)
         rhs = dict(t1)
-        vec_add_scaled(rhs, t2, Q(1))
+        vec_add_scaled(rhs, t2, 1)
         return lhs == rhs
 
     patterns = [("q", "p", "p"), ("p", "q", "p"), ("p", "p", "q"),

@@ -5,21 +5,24 @@ Every verification in the library bottoms out here, so everything is exact
 (no floats anywhere) and canonical: two subspaces are equal iff their
 reduced-echelon bases are identical.
 
-Vectors are sparse ``dict[coord, Q]`` with no zero entries stored.  The
+Vectors are sparse ``dict[coord, scalar]`` with no zero entries stored.  The
 coordinate type is anything hashable; an elimination order is supplied as a
 key function (natural order for plain integer coordinates).  Every stored
 matrix-like object uses the same format: a :class:`LinearMap` is a tuple of
 sparse columns, a structure-constant cell ``t[i][j]`` (``leibniz``,
 ``assoc``) is a sparse vector, and :meth:`Subspace.coords` returns one.
-:func:`qvec` puts a vector into that normal form (``Q`` values, no zeros).
+:func:`qvec` puts a vector into that normal form: no zeros, and each value
+in the normal form of ``scalars.exact``, an ``int`` when it is integral and
+a ``Q`` otherwise.  :func:`vec_add_scaled` keeps it, so the integral
+coefficients that nearly every computation meets never become ``Q``.
 
 Elimination runs in ``int`` only.  An :class:`Echelon` keeps primitive
 integer rows; a vector entering it, a :class:`Subspace` or
-``freealg.TruncIdeal`` has its denominators cleared once.  ``Q`` values are
-built only where results leave: canonical rows, ``Subspace.rows``, the
-residues of ``reduce_vec`` and :func:`residue`, and ``LinearMap`` columns.
-RREF with pivot 1 is unique, so those are the same as with rational
-elimination.
+``freealg.TruncIdeal`` has its denominators cleared once.  Where results
+leave (canonical rows, ``Subspace.rows``, the residues of ``reduce_vec`` and
+:func:`residue`), :func:`rational` divides by the common denominator and
+builds a ``Q`` only for an entry it does not divide.  RREF with pivot 1 is
+unique, so those are the same as with rational elimination.
 
 The kernel other modules build on:
 
@@ -35,28 +38,37 @@ and build one with ``from_cols``, ``zero`` or ``identity``.
 
 from math import gcd
 
-from .scalars import Q
+from .scalars import Q, exact
 
 # ---------------------------------------------------------------------------
 # sparse vector helpers
 
 
 def vec_add_scaled(dst, src, c):
-    """dst += c*src in place, dropping zeros."""
+    """dst += c*src in place, dropping zeros; each value it writes is in
+    the normal form of ``exact``."""
     for k, x in src.items():
         y = dst.get(k, 0) + c * x
         if y == 0:
             dst.pop(k, None)
-        else:
+        elif type(y) is int:
             dst[k] = y
+        else:
+            dst[k] = exact(y)
     return dst
 
 
 def qvec(v, n):
     """v in the normal form of stored vectors (map columns, structure
-    constants): ``Q`` values, no zero stored.  Raises ValueError for a
-    coordinate outside range(n)."""
-    out = {k: x if type(x) is Q else Q(x) for k, x in v.items() if x != 0}
+    constants): values normalized by ``exact``, no zero stored.  Raises
+    ValueError for a coordinate outside range(n) and TypeError for an
+    inexact value such as a float."""
+    out = {}
+    for k, x in v.items():
+        if type(x) is not int:
+            x = exact(x)
+        if x:
+            out[k] = x
     if out and not (min(out) >= 0 and max(out) < n):
         raise ValueError("coordinate outside range(%d)" % n)
     return out
@@ -84,10 +96,15 @@ def int_vec(v):
 
 
 def rational(v, d=1):
-    """The Q vector v / d of an integer vector v and integer d != 0."""
+    """The vector v / d of an integer vector v and integer d != 0, in
+    normal form: an ``int`` entry where d divides it, a ``Q`` elsewhere."""
     if d == 1:
-        return {k: Q(x) for k, x in v.items()}
-    return {k: Q(x, d) for k, x in v.items()}
+        return dict(v)
+    out = {}
+    for k, x in v.items():
+        q, r = divmod(x, d)
+        out[k] = Q(x, d) if r else q
+    return out
 
 
 def reduce_by_pivots(v, rows, keyf=_natural):
@@ -122,7 +139,7 @@ def reduce_by_pivots(v, rows, keyf=_natural):
 
 def residue(v, rows, keyf=_natural):
     """Residue of the rational vector v modulo integer echelon rows
-    ``{pivot: row}``, as a Q vector; it lies on the non-pivot
+    ``{pivot: row}``, in normal form; it lies on the non-pivot
     coordinates."""
     w, den = int_vec(v)
     return rational(w, den * reduce_by_pivots(w, rows, keyf))
@@ -198,13 +215,14 @@ class Echelon:
         return not self.reduce(v)
 
     def monic_row(self, piv):
-        """The row at piv over Q, with coefficient 1 at its pivot."""
+        """The row at piv over Q, with coefficient 1 at its pivot, in
+        normal form."""
         row = self.rows[piv]
         return rational(row, row[piv])
 
     def canonical_rows(self):
         """Fully back-substituted rows over Q, pivot coefficient 1, sorted
-        by pivot order."""
+        by pivot order, in normal form."""
         keyf = self.keyf
         done = {}
         # later pivots first, so each row meets only finished rows
@@ -245,7 +263,7 @@ class Subspace:
 
     @classmethod
     def full(cls, n):
-        return cls(n, [{i: Q(1)} for i in range(n)])
+        return cls(n, [{i: 1} for i in range(n)])
 
     @property
     def dim(self):
@@ -345,7 +363,7 @@ def zero_subspace(n):
 
 class LinearMap:
     """Matrix over Q stored as its columns: column j is the image of the
-    j-th basis vector, a sparse vector of ``Q`` values.  Build one with
+    j-th basis vector, a sparse vector in the normal form of ``qvec``.  Build one with
     ``from_cols``, ``zero`` or ``identity``; only this module reads the
     storage."""
 
@@ -362,7 +380,7 @@ class LinearMap:
 
     @classmethod
     def identity(cls, n):
-        return cls.from_cols(n, [{i: Q(1)} for i in range(n)])
+        return cls.from_cols(n, [{i: 1} for i in range(n)])
 
     @classmethod
     def from_cols(cls, rows, cols_vectors):
@@ -392,10 +410,10 @@ class LinearMap:
         return self.compose(other)
 
     def add(self, other):
-        return lincomb((self, other), {0: Q(1), 1: Q(1)}, self.rows, self.cols)
+        return lincomb((self, other), {0: 1, 1: 1}, self.rows, self.cols)
 
     def scale(self, c):
-        return lincomb((self,), {0: Q(c)}, self.rows, self.cols)
+        return lincomb((self,), {0: exact(c)}, self.rows, self.cols)
 
     def __eq__(self, other):
         return (isinstance(other, LinearMap) and self.rows == other.rows
@@ -418,7 +436,7 @@ class LinearMap:
         for j in range(n):
             # vector (column image | unit tracking part); coords n.. track j
             w = self.col(j)
-            w[self.rows + j] = Q(1)
+            w[self.rows + j] = 1
             ech.insert(w)
         out = []
         for row in ech.canonical_rows():

@@ -23,7 +23,6 @@ row, the tensor bimodule and its ideal Y', is built here.
 
 from dataclasses import dataclass, field
 
-from .scalars import Q
 from .linalg import (Echelon, LinearMap, Subspace, lincomb, quotient_basis,
                      vec_add_scaled)
 from .freealg import (FreeAlgebra, NCPoly, TruncQuotAlgebra, ideal_span,
@@ -199,8 +198,8 @@ def check_lm_lie_xmod(X):
                 lhs = X.xi[i].apply(h.bracket_basis(j, j2))
                 r1 = X.src.right_mats[j2].apply(X.xi[i].apply(basis_vec(j)))
                 r2 = X.src.right_mats[j].apply(X.xi[i].apply(basis_vec(j2)))
-                vec_add_scaled(lhs, r1, Q(-1))
-                vec_add_scaled(lhs, r2, Q(1))
+                vec_add_scaled(lhs, r1, -1)
+                vec_add_scaled(lhs, r2, 1)
                 if lhs:
                     bad.append(("xi_hh", (i, j, j2)))
     for k in range(g.dim):
@@ -439,7 +438,7 @@ def check_lm_assoc_object(A, d):
     for flat in range(bim.dim):
         if bim.fdeg_index(flat) + 1 > d:
             continue
-        b = {flat: Q(1)}
+        b = {flat: 1}
         cb = U.from_coords(A.connect.apply(b))
         for g in range(len(bim.right_bracket)):
             gc = U.gen_class(g)
@@ -553,10 +552,10 @@ class LMAssocXMod:
         for flat, c in avec.items():
             wi, k = divmod(flat, self.target.bim.module_dim)
             w = self.target.bim.words[wi]
-            base = self.bim.tensor(self.usd.unit(), {n_dim + k: Q(1)})
+            base = self.bim.tensor(self.usd.unit(), {n_dim + k: 1})
             r = self.bim.right_mult(base, top_cls, bound - len(w))
             r = self.bim.left_mult(_shift_vec({w: c}, h_dim), r, bound)
-            vec_add_scaled(out, r, Q(1))
+            vec_add_scaled(out, r, 1)
         return self.bottom_proj.apply(out)
 
     def xi2(self, top_cls, avec, bound):
@@ -569,8 +568,8 @@ class LMAssocXMod:
             w = self.target.bim.words[wi]
             prod = self.usd.mult(top_cls, _shift_vec({w: c}, h_dim),
                                  bound - 1)
-            vec_add_scaled(out, self.bim.tensor(prod, {n_dim + k: Q(1)}),
-                           Q(1))
+            vec_add_scaled(out, self.bim.tensor(prod, {n_dim + k: 1}),
+                           1)
         return self.bottom_proj.apply(out)
 
     # -- filtration bases --------------------------------------------------
@@ -628,7 +627,7 @@ def _tensor_hom(src_bim, dst_bim, top_hom, bottom_map):
     for flat in range(src_bim.dim):
         wi, k = divmod(flat, src_bim.module_dim)
         w = src_bim.words[wi]
-        img = U2.from_coords(top_hom.apply({src_bim.U.class_index[w]: Q(1)}))
+        img = U2.from_coords(top_hom.apply({src_bim.U.class_index[w]: 1}))
         cols.append(dst_bim.tensor(img, bottom_map.col(k)))
     return LinearMap.from_cols(dst_bim.dim, cols)
 
@@ -694,7 +693,7 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
         if bim.fdeg(vec) + 1 > degree:
             continue
         for a in range(h_dim + g_dim):
-            insert(bim.left_mult({(a,): Q(1)}, vec, degree))
+            insert(bim.left_mult({(a,): 1}, vec, degree))
             insert(bim.right_mult_gen(vec, a, degree))
 
     for row in ech.rows.values():
@@ -708,7 +707,7 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
 
     def on_quotient(f):
         return LinearMap.from_cols(
-            f.rows, [f.apply({c: Q(1)}) for c in comp])
+            f.rows, [f.apply({c: 1}) for c in comp])
 
     # Ker us1 is the image of Ks1: us1 ∘ bottom_proj = Us1, as Us1
     # vanishes on Y'
@@ -732,7 +731,7 @@ def _section_bottom(Y, avec):
         wi, k = divmod(flat, Y.target.bim.module_dim)
         w = Y.target.bim.words[wi]
         cls = Y.usd.reduce_word(tuple(g + h_dim for g in w))
-        vec_add_scaled(out, Y.bim.tensor(cls, {n_dim + k: c}), Q(1))
+        vec_add_scaled(out, Y.bim.tensor(cls, {n_dim + k: c}), 1)
     return Y.bottom_proj.apply(out)
 
 
@@ -744,10 +743,10 @@ def check_lm_assoc_xmod(Y):
     bad = []
     bad += [("target",) + v for v in check_lm_assoc_object(Y.target, d)]
 
-    r_words = [(len(w), {w: Q(1)}) for w in Ug.class_words if len(w) <= d]
+    r_words = [(len(w), {w: 1}) for w in Ug.class_words if len(w) <= d]
     s_rows = Y.s_ker_filtration(d)
     b_rows = Y.b_ker_filtration(d)
-    a_rows = [(tbim.fdeg_index(i), {i: Q(1)}) for i in range(tbim.dim)
+    a_rows = [(tbim.fdeg_index(i), {i: 1}) for i in range(tbim.dim)
               if tbim.fdeg_index(i) <= d]
     s_cls = [(ds, top.from_coords(v)) for ds, v in s_rows]
 
@@ -857,11 +856,11 @@ def _pair_mult(bot_ops, top_alg, connect, u, v, bound):
     vb, vt = v
     bot = {}
     if ub and vb:
-        vec_add_scaled(bot, left_mult(connect(ub), vb, bound), Q(1))
+        vec_add_scaled(bot, left_mult(connect(ub), vb, bound), 1)
     if ub and vt:
-        vec_add_scaled(bot, right_mult(ub, vt, bound), Q(1))
+        vec_add_scaled(bot, right_mult(ub, vt, bound), 1)
     if ut and vb:
-        vec_add_scaled(bot, left_mult(ut, vb, bound), Q(1))
+        vec_add_scaled(bot, left_mult(ut, vb, bound), 1)
     top = top_alg.mult(ut, vt, bound) if ut and vt else {}
     return bot, top
 
@@ -927,9 +926,9 @@ def check_associated_xmod(ax):
     b_rows = [(db, (v, {})) for db, v in Y.b_ker_filtration(d)]
     b_rows += [(ds, ({}, top.from_coords(v)))
                for ds, v in Y.s_ker_filtration(d)]
-    a_rows = [(tbim.fdeg_index(i), ({i: Q(1)}, {}))
+    a_rows = [(tbim.fdeg_index(i), ({i: 1}, {}))
               for i in range(tbim.dim) if tbim.fdeg_index(i) <= d]
-    a_rows += [(len(w), ({}, {w: Q(1)})) for w in Ug.class_words
+    a_rows += [(len(w), ({}, {w: 1})) for w in Ug.class_words
                if len(w) <= d]
 
     for du, u in a_rows:
@@ -1023,7 +1022,7 @@ def theta_check(x, degree, slack=2, report_degree=None):
         """theta on words, into the pair algebra (U ⊗ V) ⊕ U of bimod: the
         k-th module generator goes to (-1 ⊗ v_k, 0) in the first block of
         generators and to (0, alpha(v_k)) in the second."""
-        images = [(bimod.tensor(U.unit(), {k: Q(-1)}), {})
+        images = [(bimod.tensor(U.unit(), {k: -1}), {})
                   for k in range(len(alpha_cols))]
         images += [({}, U.reduce({(j,): c for j, c in col.items()}))
                    for col in alpha_cols]
@@ -1050,7 +1049,7 @@ def theta_check(x, degree, slack=2, report_degree=None):
     p_ideal_ok = all(
         is_zero(theta_p(dict(r.terms))) for r in ul_relations(x.p)) and all(
         is_zero(theta_p(row)) for row in tx.ul_p.quot.ideal.rows)
-    unit_ok = theta({(): Q(1)}) == ({}, usd.unit())
+    unit_ok = theta({(): 1}) == ({}, usd.unit())
 
     # filtration bijectivity before the kernel-product quotients
     rhs_bottom = sorted(range(bim.dim), key=bim.fdeg_index)
@@ -1062,7 +1061,7 @@ def theta_check(x, degree, slack=2, report_degree=None):
     cols = []
     lowwords = [w for w in usd1.class_words if len(w) <= d]
     for w in lowwords:
-        tb, tt = theta({w: Q(1)})
+        tb, tt = theta({w: 1})
         col = dict(tb)
         for i, c in usd.to_coords(tt).items():
             col[bim.dim + i] = c
@@ -1083,7 +1082,7 @@ def theta_check(x, degree, slack=2, report_degree=None):
     # and compatibility with the induced cat¹ maps
     bar = tx.ambient
     bpairs = _quotient_filtration(
-        [(bim.fdeg_index(i), {i: Q(1)}) for i in rhs_bottom], Y.bottom_proj)
+        [(bim.fdeg_index(i), {i: 1}) for i in rhs_bottom], Y.bottom_proj)
     w_dim_upto = lambda k: sum(1 for deg, _ in bpairs if deg <= k)
     quot_dims_ok = all(
         bar.dim_upto(k) == w_dim_upto(k) + top.dim_upto(k)

@@ -15,14 +15,20 @@ from .scalars import Q, rat_to_str
 
 def jsonable(v):
     """Recursively convert values (including exact rationals and sparse
-    vectors) into JSON-serializable data with rationals as strings."""
+    vectors) into JSON-serializable data with rationals as strings.
+
+    A dict with a key that is not a string is a sparse vector: each of its
+    values is a coefficient, ``int`` or ``Q``, and renders as a string.  A
+    bare ``int`` elsewhere is an index or a count and stays a number."""
     if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
         return v
-    if isinstance(v, type(Q(0))):
+    if isinstance(v, Q):
         return rat_to_str(v)
     if isinstance(v, dict):
-        return {str(k): jsonable(x) for k, x in sorted(v.items(),
-                                                       key=lambda t: str(t[0]))}
+        items = sorted(v.items(), key=lambda t: str(t[0]))
+        if all(isinstance(k, str) for k in v):
+            return {k: jsonable(x) for k, x in items}
+        return {str(k): rat_to_str(x) for k, x in items}
     if isinstance(v, (list, tuple)):
         return [jsonable(x) for x in v]
     return str(v)

@@ -1,10 +1,11 @@
 """Exact rational scalars.
 
-Coefficients in the library are ``Q``: gmpy2's mpq when available, the
-stdlib Fraction otherwise (a drop-in fallback).  Row reduction is the
-exception: ``linalg``'s echelon forms eliminate in ``int`` only and build
-``Q`` values only where results leave them (canonical rows, residues and
-linear-map entries).
+``Q`` is gmpy2's mpq when available, the stdlib Fraction otherwise (a
+drop-in fallback).  Stored coefficients have one normal form, the one
+:func:`exact` returns: an ``int`` when the value is integral, a ``Q``
+otherwise, never a float.  The structure constants of the enveloping
+algebras are integers, so nearly every coefficient is an ``int``; ``int``
+and ``Q`` mix exactly, compare equal and hash equal.
 """
 
 try:
@@ -12,8 +13,19 @@ try:
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Q
 
-ZERO = Q(0)
-ONE = Q(1)
+
+def exact(x):
+    """x in the normal form of stored scalars: ``int`` when integral, ``Q``
+    otherwise.  Raises TypeError for an inexact value such as a float."""
+    if type(x) is int:
+        return x
+    try:
+        d = x.denominator
+    except AttributeError:
+        raise TypeError("inexact coefficient %r" % (x,)) from None
+    if d == 1:
+        return int(x.numerator)
+    return x if type(x) is Q else Q(x)
 
 
 def rat_from_str(s):
@@ -29,7 +41,8 @@ def rat_from_str(s):
 
 
 def rat_to_str(x):
-    x = Q(x)
-    if x.denominator == 1:
-        return str(x.numerator)
+    """"n" for an integral value, "n/d" in lowest terms otherwise."""
+    x = exact(x)
+    if type(x) is int:
+        return str(x)
     return "%d/%d" % (x.numerator, x.denominator)

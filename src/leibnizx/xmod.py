@@ -4,7 +4,6 @@ Leibniz crossed module."""
 
 from dataclasses import dataclass
 
-from .scalars import Q
 from .linalg import LinearMap, vec_add_scaled
 from .leibniz import (LeibnizAlgebra, LeibnizAction, adjoint_action,
                       basis_vec, check_action, liezation, quotient_algebra,
@@ -163,11 +162,11 @@ def xmod_to_cat1(x):
     total = semidirect(x.action)
     nq, np_ = x.q.dim, x.p.dim
     embed = LinearMap.from_cols(nq + np_,
-                                [{nq + i: Q(1)} for i in range(np_)])
+                                [{nq + i: 1} for i in range(np_)])
     s = LinearMap.from_cols(np_, [{} for _ in range(nq)] +
-                            [{i: Q(1)} for i in range(np_)])
+                            [{i: 1} for i in range(np_)])
     t_cols = [x.eta.col(j) for j in range(nq)] + \
-        [{i: Q(1)} for i in range(np_)]
+        [{i: 1} for i in range(np_)]
     t = LinearMap.from_cols(np_, t_cols)
     return Cat1Leibniz(total, x.p, embed, s, t)
 
@@ -195,7 +194,7 @@ def roundtrip_isomorphism(x):
     K = c.s.kernel()
     phi = LinearMap.from_cols(
         x2.q.dim,
-        [K.coords({j: Q(1)}) for j in range(x.q.dim)])
+        [K.coords({j: 1}) for j in range(x.q.dim)])
     psi = LinearMap.identity(x.p.dim)
     bad = check_xmod_morphism(x, x2, phi, psi)
     if bad:
@@ -215,10 +214,10 @@ def cat1_roundtrip_isomorphism(c):
     k = K.dim
     cols = []
     for j in range(c.total.dim):
-        v = {j: Q(1)}
+        v = {j: 1}
         sv = c.s.apply(v)
         red = dict(v)
-        vec_add_scaled(red, c.embed.apply(sv), Q(-1))
+        vec_add_scaled(red, c.embed.apply(sv), -1)
         col = K.coords(red)
         for i, val in sv.items():
             col[k + i] = val
@@ -303,11 +302,11 @@ def assoc_xmod_to_cat1(x):
     total = assoc_semidirect(x.action)
     nb, na = x.B.dim, x.A.dim
     embed = LinearMap.from_cols(nb + na,
-                                [{nb + i: Q(1)} for i in range(na)])
+                                [{nb + i: 1} for i in range(na)])
     s = LinearMap.from_cols(na, [{} for _ in range(nb)] +
-                            [{i: Q(1)} for i in range(na)])
+                            [{i: 1} for i in range(na)])
     t = LinearMap.from_cols(na, [x.rho.col(j) for j in range(nb)] +
-                            [{i: Q(1)} for i in range(na)])
+                            [{i: 1} for i in range(na)])
     return Cat1Assoc(total, x.A, embed, s, t)
 
 
@@ -345,7 +344,7 @@ def assoc_roundtrip_isomorphism(x):
     K = c.s.kernel()
     phi = LinearMap.from_cols(
         x2.B.dim,
-        [K.coords({j: Q(1)}) for j in range(x.B.dim)])
+        [K.coords({j: 1}) for j in range(x.B.dim)])
     psi = LinearMap.identity(x.A.dim)
     bad = check_assoc_xmod_morphism(x, x2, phi, psi)
     if bad:
@@ -385,7 +384,7 @@ def xliez(x):
     for i in range(p.dim):
         for j in range(q.dim):
             g = act.right(basis_vec(j), basis_vec(i))
-            vec_add_scaled(g, act.left(basis_vec(i), basis_vec(j)), Q(1))
+            vec_add_scaled(g, act.left(basis_vec(i), basis_vec(j)), 1)
             pg = projq.apply(g)
             if pg:
                 gens.append(pg)
@@ -411,8 +410,8 @@ def xliez(x):
     # kernel of projp must act as zero on qbar
     for r in kp.rows:
         for c in comp_qbar:
-            if proj_qbar.apply(act.left(r, {c: Q(1)})) or \
-                    proj_qbar.apply(act.right({c: Q(1)}, r)):
+            if proj_qbar.apply(act.left(r, {c: 1})) or \
+                    proj_qbar.apply(act.right({c: 1}, r)):
                 raise ValueError("Liez(p) action is not well defined")
     nqb, npb = qbar.dim, Lp.dim
     ps = [basis_vec(c) for c in comp_p]
@@ -431,7 +430,7 @@ def xliez(x):
         for a in range(nqb):
             s = dict(xbar.action.left(basis_vec(i), basis_vec(a)))
             vec_add_scaled(s, xbar.action.right(basis_vec(a), basis_vec(i)),
-                           Q(1))
+                           1)
             assert not s, "Lie quotient action is not antisymmetric"
     return xbar, proj_qbar, projp
 

@@ -16,7 +16,6 @@ on kernel classes (words leftmost-factor-first, as in envelope).
 
 from dataclasses import dataclass
 
-from .scalars import Q
 from .linalg import LinearMap, lincomb
 from .leibniz import LeibnizRep, basis_vec, check_rep, zero_rep
 from .assoc import AssocAlgebra, AssocAction
@@ -87,7 +86,7 @@ def endo_xmod(delta):
     v, w = delta.cols, delta.rows
     pairs = endo_pairs_subspace(delta)
     ends = [pair_maps(r, v, w) for r in pairs.rows]
-    homs = [hom_to_map({idx: Q(1)}, v, w) for idx in range(v * w)]
+    homs = [hom_to_map({idx: 1}, v, w) for idx in range(v * w)]
 
     def to_pair_coords(alpha, beta):
         vec = dict(map_to_hom(alpha))
@@ -397,7 +396,7 @@ def check_xmodule(mod):
             du = len(w)
             if w == () or deg + du > d:
                 continue
-            uvec = {i: Q(1)}
+            uvec = {i: 1}
             ucls = up.from_coords(uvec)
             a = tx.embed.apply(uvec)
             ab = bar.mult(bar.from_coords(a), v, d)

@@ -13,7 +13,6 @@ d <= D - 2 and stabilization certificates.
 import itertools
 from dataclasses import dataclass, field
 
-from .scalars import Q
 from .linalg import LinearMap, Subspace, zero_subspace
 from .freealg import (TruncQuotAlgebra, filtration_basis, induced_map,
                       subspace_product)
@@ -31,9 +30,9 @@ def cat1_matrices(eta):
     """s(q,p) = p and t(q,p) = eta(q) + p as maps on q ⊕ p coordinates,
     for a linear map eta: q -> p."""
     nq, np_ = eta.cols, eta.rows
-    s_cols = [{} for _ in range(nq)] + [{i: Q(1)} for i in range(np_)]
+    s_cols = [{} for _ in range(nq)] + [{i: 1} for i in range(np_)]
     t_cols = [eta.col(j) for j in range(nq)] + \
-        [{i: Q(1)} for i in range(np_)]
+        [{i: 1} for i in range(np_)]
     return (LinearMap.from_cols(np_, s_cols), LinearMap.from_cols(np_, t_cols))
 
 
@@ -100,7 +99,7 @@ def kernel_product_quotient(env, target, s_imgs, t_imgs, section):
     prod_ts, _ = subspace_product(t_ker, s_ker, env)
     quot = env.extend_by(prod_st.sum(prod_ts))
     pi = LinearMap.from_cols(
-        quot.dim, [quot.to_coords(quot.reduce({w: Q(1)}))
+        quot.dim, [quot.to_coords(quot.reduce({w: 1}))
                    for w in env.class_words])
     # induced s̄, t̄: the same generator images, now also checked against X
     bar_s = induced_map(quot, target, s_imgs)
@@ -171,7 +170,7 @@ def check_trunc_xmod(tx):
                 bad.append(("CAs2", (da, db)))
 
     # crossed-module identities on filtration bases
-    up_rows = [(len(w), {i: Q(1)})
+    up_rows = [(len(w), {i: 1})
                for i, w in enumerate(up.quot.class_words) if len(w) <= d]
     for da, va in B_rows:
         a = bar.to_coords(va)
@@ -327,7 +326,7 @@ def prop42_check(p, degree, slack=2, report_degree=None):
     x = identity_xmod(p)
     tx = xul(x, degree, slack, report_degree=d)
     n = p.dim
-    eps = LinearMap.from_cols(2 * n, [{i: Q(1)} for i in range(n)])
+    eps = LinearMap.from_cols(2 * n, [{i: 1} for i in range(n)])
     sigma = section_into_b(tx, eps)
 
     up = tx.ul_p.quot
@@ -336,7 +335,7 @@ def prop42_check(p, degree, slack=2, report_degree=None):
         if len(w) > d or w == ():
             continue
         out = tx.rho.apply(sigma.col(i))
-        if out != {i: Q(1)}:
+        if out != {i: 1}:
             ok_there = False
     ok_back = True
     checked = 0

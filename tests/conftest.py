@@ -3,12 +3,45 @@ import pathlib
 import pytest
 
 from leibnizx import io
+from leibnizx.scalars import Q
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 
 
 def corpus_path(name):
     return str(CORPUS / name)
+
+
+def is_normal(x):
+    """x is a nonzero scalar in the normal form of stored coefficients: an
+    ``int`` when it is integral, a ``Q`` otherwise."""
+    if type(x) is int:
+        return x != 0
+    return type(x) is Q and x.denominator != 1
+
+
+def is_normal_vec(v):
+    return all(is_normal(x) for x in v.values())
+
+
+def fraction_reduce(v, rows, keyf):
+    """Subtract the row (pivot coefficient 1) at v's minimal pivot until no
+    coordinate of v is a pivot; returns v, the exact residue.  The oracle of
+    the integer elimination: its arithmetic is on ``Q`` values only."""
+    while True:
+        hit = None
+        for c in v:
+            if c in rows and (hit is None or keyf(c) < keyf(hit)):
+                hit = c
+        if hit is None:
+            return v
+        m = Q(v[hit])
+        for k, x in rows[hit].items():
+            y = Q(v.get(k, 0)) - m * Q(x)
+            if y:
+                v[k] = y
+            else:
+                v.pop(k, None)
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,8 @@ from leibnizx.leibniz import liezation
 from leibnizx.linalg import Echelon, Subspace
 from leibnizx.lm import lie_relations
 
+from conftest import fraction_reduce, is_normal_vec
+
 
 def test_ncpoly_arithmetic():
     x, y = NCPoly.word((0,)), NCPoly.word((1,))
@@ -330,3 +332,43 @@ def test_quotient_mult_is_bilinear_and_associative(terms, w):
     left = quot.mult(quot.mult(a, b), c)
     right = quot.mult(a, quot.mult(b, c))
     assert left == right
+
+
+_QWORDS = [w for d in range(3) for w in itertools.product(range(2), repeat=d)]
+_small_q = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+def _class_vec(words):
+    return st.dictionaries(st.sampled_from(words), _small_q, max_size=3)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.dictionaries(st.sampled_from(_QWORDS), _small_q,
+                                min_size=1, max_size=3),
+                max_size=3),
+       _class_vec(_QWORDS[:3]), _class_vec(_QWORDS))
+def test_quotient_outputs_are_in_normal_form(raw, ta, tb):
+    """reduce_word and mult give an int for every integral coefficient and
+    a Q for every other, and equal the all-Q computation, also when the
+    relations have non-integral coefficients."""
+    free = FreeAlgebra(("x", "y"), 3)
+    quot = quotient(free, ideal_span(free, [NCPoly(t) for t in raw],
+                                     slack=0))
+    rows = {min(r, key=word_key): r for r in quot.ideal.rows}
+
+    def oracle(w):
+        return fraction_reduce({w: Q(1)}, rows, word_key)
+
+    for w in free.words:
+        got = quot.reduce_word(w)
+        assert is_normal_vec(got)
+        assert got == oracle(w)
+    a, b = quot.reduce(ta), quot.reduce(tb)
+    want = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            for k, x in oracle(wa + wb).items():
+                want[k] = Q(want.get(k, 0)) + Q(ca) * Q(cb) * Q(x)
+    got = quot.mult(a, b)
+    assert is_normal_vec(got)
+    assert got == {k: x for k, x in want.items() if x}

@@ -11,6 +11,8 @@ from leibnizx.leibniz import (LeibnizAlgebra, LeibnizRep, _bilinear,
                               semidirect, subalgebra_ideal_closure,
                               zero_action, zero_rep)
 
+from conftest import is_normal_vec
+
 
 def test_corpus_algebras(a1, l2, r2):
     for alg in (a1, l2, r2):
@@ -159,7 +161,7 @@ def test_bilinear_matches_dense_loop(ni, nj, nk, data):
                               for cell in row] for row in cube])
     for row in t:
         for cell in row:
-            assert all(type(c) is Q and c != 0 for c in cell.values())
+            assert is_normal_vec(cell)
             assert all(0 <= k < nk for k in cell)
 
     def vecs(n):

@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from leibnizx.scalars import Q
 from leibnizx.freealg import word_key
 from leibnizx.linalg import (Echelon, LinearMap, Subspace, lincomb,
-                             quotient_basis, reduce_by_pivots, vec_add_scaled,
-                             zero_subspace)
+                             quotient_basis, rational, reduce_by_pivots,
+                             residue, vec_add_scaled, zero_subspace)
+
+from leibnizx.leibniz import _tensor
+
+from conftest import fraction_reduce, is_normal, is_normal_vec
 
 
 def sv(*pairs):
@@ -218,19 +222,6 @@ def test_reducer_residue_matches_subspace(span, vec, reverse):
 # the rational echelon the integer one replaced, kept as its oracle
 
 
-def fraction_reduce(v, rows, keyf):
-    """Subtract the row (pivot coefficient 1) at v's minimal pivot until no
-    coordinate of v is a pivot; returns v, the exact residue."""
-    while True:
-        hit = None
-        for c in v:
-            if c in rows and (hit is None or keyf(c) < keyf(hit)):
-                hit = c
-        if hit is None:
-            return v
-        vec_add_scaled(v, rows[hit], -v[hit])
-
-
 class FractionEchelon:
     def __init__(self, keyf):
         self.keyf = keyf
@@ -244,7 +235,7 @@ class FractionEchelon:
         if not v:
             return None
         piv = min(v, key=self.keyf)
-        inv = 1 / v[piv]
+        inv = 1 / Q(v[piv])
         self.rows[piv] = {k: inv * x for k, x in v.items()}
         return piv
 
@@ -333,12 +324,47 @@ def test_integer_echelon_matches_fraction_oracle(key, vecs, probes):
 def test_float_coefficient_is_rejected():
     ech = Echelon()
     ech.insert({0: Q(1), 1: Q(2)})
-    for bad in ({0: 0.5}, {1: Q(1), 2: 1.0}):
+    for bad in ({0: 0.5}, {1: Q(1), 2: 1.0}, {0: 0.1}):
         with pytest.raises(TypeError):
             ech.insert(bad)
         with pytest.raises(TypeError):
             Subspace.full(3).reduce_vec(bad)
+        # stored vectors: map columns and structure constants
+        with pytest.raises(TypeError):
+            LinearMap.from_cols(3, [bad])
+        with pytest.raises(TypeError):
+            _tensor(1, 1, 3, [[bad]])
     assert len(ech) == 1
+
+
+@pytest.mark.parametrize("key", sorted(KEYS))
+@settings(deadline=None, max_examples=60)
+@given(st.lists(sparse, max_size=6), st.lists(sparse, min_size=1, max_size=3),
+       st.dictionaries(st.integers(0, N - 1), st.integers(-12, 12)),
+       st.integers(-6, 6).filter(bool))
+def test_outputs_are_in_normal_form(key, vecs, probes, w, d):
+    """rational, residue and canonical_rows give an int for every integral
+    value and a Q for every other, and equal the all-Q computation."""
+    keyf, coords = KEYS[key]
+
+    def at(v):
+        return {coords[i]: x for i, x in v.items()}
+
+    w = {k: x for k, x in w.items() if x}
+    got = rational(w, d)
+    assert is_normal_vec(got)
+    assert got == {k: Q(x, d) for k, x in w.items()}
+    ech, oracle = Echelon(keyf), FractionEchelon(keyf)
+    for v in vecs:
+        ech.insert(at(v))
+        oracle.insert(at(v))
+    rows = ech.canonical_rows()
+    assert all(is_normal_vec(r) for r in rows)
+    assert rows == oracle.canonical_rows()
+    for p in probes:
+        res = residue(at(p), ech.rows, keyf)
+        assert is_normal_vec(res)
+        assert res == oracle.reduce(at(p))
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +453,11 @@ def to_dense(f):
 
 
 def assert_normal(f):
-    """Every stored column holds Q values only, none of them zero."""
+    """Every stored column is in normal form: each value a nonzero ``int``
+    when integral and a ``Q`` otherwise, each row index in range."""
     for j in range(f.cols):
         for i, x in f.col(j).items():
-            assert type(x) is Q and x != 0
+            assert is_normal(x)
             assert 0 <= i < f.rows
 
 
