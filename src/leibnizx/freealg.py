@@ -71,7 +71,6 @@ class NCPoly:
         return NCPoly(t)
 
     def __rmul__(self, c):
-        c = exact(c)
         return NCPoly({w: c * x for w, x in self.terms.items()})
 
     def __neg__(self):

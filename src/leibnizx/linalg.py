@@ -363,9 +363,9 @@ def zero_subspace(n):
 
 class LinearMap:
     """Matrix over Q stored as its columns: column j is the image of the
-    j-th basis vector, a sparse vector in the normal form of ``qvec``.  Build one with
-    ``from_cols``, ``zero`` or ``identity``; only this module reads the
-    storage."""
+    j-th basis vector, a sparse vector in the normal form of ``qvec``.
+    Build one with ``from_cols``, ``zero`` or ``identity``; only this module
+    reads the storage."""
 
     __slots__ = ("rows", "cols", "_columns")
 

@@ -568,8 +568,7 @@ class LMAssocXMod:
             w = self.target.bim.words[wi]
             prod = self.usd.mult(top_cls, _shift_vec({w: c}, h_dim),
                                  bound - 1)
-            vec_add_scaled(out, self.bim.tensor(prod, {n_dim + k: 1}),
-                           1)
+            vec_add_scaled(out, self.bim.tensor(prod, {n_dim + k: 1}), 1)
         return self.bottom_proj.apply(out)
 
     # -- filtration bases --------------------------------------------------
