@@ -81,6 +81,11 @@ def _cases():
         ("xul", "xmod-id-r2", "--degree", "3"),
         ("xul", "xmod-id-l2", "--degree", "3"),
         ("lm", "xmod-id-r2", "--degree", "5"),
+        # lemma41's certificates and the ideal span at slack 0
+        ("verify", "lemma41", "xmod-id-a1", "--degree", "3", "--slack", "0"),
+        ("verify", "lemma41", "xmod-incl-l2", "--degree", "3",
+         "--slack", "0"),
+        ("ul", "l2", "--degree", "4", "--slack", "0"),
     ]
     return {"-".join(c).replace("--", ""): c for c in cases}
 
