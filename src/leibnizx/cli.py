@@ -12,7 +12,8 @@ Subcommands:
                         theta, squares
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input,
-3 a verdict is inconclusive (a stabilization certificate failed).
+3 a verdict is inconclusive (a stabilization certificate failed: the
+Gröbner completion did not close within the --slack window).
 Output is deterministic for fixed inputs and flags.
 """
 
@@ -210,8 +211,8 @@ def build_parser():
     common.add_argument("--degree", type=int, default=3,
                         help="working truncation degree D (default 3)")
     common.add_argument("--slack", type=int, default=2,
-                        help="extra degrees for ideal closure when the "
-                             "relations are not a Gröbner basis (default 2)")
+                        help="Gröbner completion window: ambiguities of "
+                             "up to D + slack letters (default 2)")
     common.add_argument("--report-degree", type=int, default=None,
                         help="certified report degree d (default D-2)")
     common.add_argument("--format", choices=("text", "json"), default="text")

@@ -80,13 +80,12 @@ class ULAlgebra:
         return self._block_class(pvec, self.p.dim)
 
 
-def ul(p, degree, slack=2, stability_check=True):
+def ul(p, degree, slack=2):
     """The degree-<=degree piece of the enveloping algebra of p."""
     gens = tuple("%s_l" % b for b in p.basis) + \
         tuple("%s_r" % b for b in p.basis)
     free = FreeAlgebra(gens, degree)
-    ideal = ideal_span(free, ul_relations(p), slack=slack,
-                       stability_check=stability_check)
+    ideal = ideal_span(free, ul_relations(p), slack=slack)
     return ULAlgebra(p, quotient(free, ideal))
 
 

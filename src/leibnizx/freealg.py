@@ -1,5 +1,5 @@
 """Truncated tensor algebras, noncommutative polynomials, degree-bounded
-two-sided ideals with stabilization, and presented quotient algebras.
+two-sided ideals with a Gröbner certificate, and presented quotients.
 
 Words are tuples of generator indices, enumerated length-first then
 lexicographically; this fixes canonical coordinates for every construction
@@ -7,16 +7,14 @@ built on top (enveloping algebras, kernel ideals, quotients).
 
 Ideals of inhomogeneous relations are not always visible at a finite
 degree: an element of degree <= D may need products w1*r*w2 of higher top
-degree.  :func:`ideal_span` first interreduces the relations and checks
-every ambiguity of their leading words (Bergman's diamond lemma, Adv. Math.
-29, 1978).  When all of them resolve, the relations are a Gröbner basis
-and the span at degree <= D is exactly that of their products of degree
-<= D, a proof that needs no slack.  Otherwise the span is taken from the
-products of top degree <= D + S (slack), and a stabilization flag records
-whether raising the slack by one changes the answer.  Either span is
-closed one degree at a time: each level multiplies by the generators only
-the echelon rows the previous level added, which spans the same space as
-enumerating every product.
+degree.  :func:`ideal_span` completes the relations (Buchberger–Mora,
+Mora, TCS 134, 1994) with ambiguity words capped at D + S (slack), and
+closes the span of degree <= D from the result one degree at a time: each
+level multiplies by the generators only the echelon rows the previous
+level added, which spans the same space as enumerating every product.
+When every ambiguity resolves, the completed relations are a Gröbner
+basis (Bergman's diamond lemma, Adv. Math. 29, 1978), and the span is the
+ideal's whole part of degree <= D: the stabilization flag is a proof.
 """
 
 import heapq
@@ -148,15 +146,13 @@ class TruncIdeal:
     """Degree-truncated two-sided ideal span with a stabilization flag.
 
     ``rows`` is the canonical reduced echelon basis (elimination order
-    :func:`word_key`) of the ideal's part of degree <= D when the relations
-    resolve (see :func:`ideal_span`), else of span{w1 * r * w2 : top degree
-    <= D+S} intersected with the degree-<=D coordinate space.
+    :func:`word_key`) of the span of degree <= D that :func:`ideal_span`
+    closes from the completed relations; when ``stabilized`` is True it is
+    the ideal's whole part of degree <= D.
     """
 
-    def __init__(self, algebra, relations, slack, rows, stabilized):
+    def __init__(self, algebra, rows, stabilized):
         self.algebra = algebra
-        self.relations = tuple(relations)
-        self.slack = slack
         self.rows = tuple(rows)
         # integer copies of the rows, for reduction
         self._introws = {min(r, key=word_key): int_vec(r)[0]
@@ -194,25 +190,18 @@ def _close_level(ech, frontier, relations, g):
                 if p is not None:
                     new.append((p, False))
     for r in relations:
-        p = ech.insert(dict(r))
+        p = ech.insert(r)
         if p is not None:
             new.append((p, False))
     return new
 
 
-def _extract_upto(ech, D):
-    """Canonical elimination-order RREF of (span) ∩ (degree <= D)."""
-    out = Echelon(word_key)
-    kept = [(piv, row) for piv, row in ech.rows.items() if len(piv) <= D]
-    for piv, row in sorted(kept, key=lambda kv: word_key(kv[0])):
-        out.insert(dict(row))
-    return out.canonical_rows()
-
-
 def _normal_form(v, rules):
-    """Normal form of a word-keyed vector under the rewriting rules
-    lead -> tail: the greatest reducible word (least :func:`word_key`) is
-    rewritten first at its leftmost leading word, until none is left."""
+    """Normal form of a word-keyed vector under the rewriting rules, each a
+    monic relation row keyed by its leading word.  The greatest reducible
+    word (least :func:`word_key`) is rewritten first, at its shortest and
+    then leftmost leading word, by subtracting the row placed there (which
+    cancels the word), until none is left.  The result is linear in v."""
     lengths = sorted({len(a) for a in rules})
     work = dict(v)
     heap = [word_key(w) for w in work]
@@ -220,7 +209,7 @@ def _normal_form(v, rules):
     out = {}
     while heap:
         w = heapq.heappop(heap)[1]
-        c = work.pop(w, 0)
+        c = work[w]
         if c == 0:
             continue
         hit = next(((i, L) for L in lengths for i in range(len(w) - L + 1)
@@ -233,73 +222,77 @@ def _normal_form(v, rules):
             x = w[:i] + u + w[i + L:]
             if x not in work:
                 heapq.heappush(heap, word_key(x))
-            vec_add_scaled(work, {x: d}, c)
+            work[x] = work.get(x, 0) - c * d
     return out
 
 
-def _resolves(rules):
-    """Whether every ambiguity of the rewriting rules resolves: both
-    one-step rewrites of the word reach the same normal form.  An overlap
-    is a proper suffix of one leading word that equals a proper prefix of
-    another (or of itself); an inclusion is one leading word inside
-    another."""
-    def joins(p, q):
-        return _normal_form(p, rules) == _normal_form(q, rules)
-
+def _ambiguities(rules):
+    """Every ambiguity of the rewriting rules, as (word, p, q) with p and q
+    the two rows placed at the word, so that p - q rewrites it both ways.
+    An overlap is a proper suffix of one leading word that equals a proper
+    prefix of another (or of itself); an inclusion is one leading word
+    inside another."""
     def shift(x, t, z):
         return {x + u + z: c for u, c in t.items()}
 
     for a, ta in rules.items():
         for b, tb in rules.items():
             for k in range(1, min(len(a), len(b))):
-                if a[-k:] == b[:k] and not joins(shift((), ta, b[k:]),
-                                                 shift(a[:-k], tb, ())):
-                    return False
+                if a[-k:] == b[:k]:
+                    yield (a + b[k:], shift((), ta, b[k:]),
+                           shift(a[:-k], tb, ()))
             if a != b:
                 for i in range(len(b) - len(a) + 1):
-                    if b[i:i + len(a)] == a and not joins(
-                            shift(b[:i], ta, b[i + len(a):]), tb):
-                        return False
-    return True
+                    if b[i:i + len(a)] == a:
+                        yield b, shift(b[:i], ta, b[i + len(a):]), tb
 
 
-def groebner_basis(relations):
-    """The interreduced relations G (the canonical rows of their echelon
-    under :func:`word_key`) if every ambiguity of their leading words
-    resolves, else None.  By the diamond lemma G is then a Gröbner basis:
-    every element of the ideal of degree <= D is a combination of products
-    u*g*v of degree <= D."""
+def groebner_basis(relations, cap):
+    """Buchberger–Mora completion of the relations over :func:`word_key`,
+    capped at ambiguity words of length <= cap.
+
+    Each round interreduces the relations (the canonical rows G of their
+    echelon), takes each row as the rewriting rule of its leading word,
+    and rewrites both sides of every ambiguity to normal form.  A nonzero
+    difference from an ambiguity word of length <= cap joins the
+    relations; the rounds end when one adds nothing, which they do since
+    each new relation has degree <= cap.  Returns (G, closed): closed is
+    True only when every ambiguity resolves, and then G is a Gröbner basis
+    by the diamond lemma: every element of the ideal of degree <= D is a
+    combination of products u*g*v of degree <= D."""
     ech = Echelon(word_key)
     for r in relations:
-        ech.insert(dict(r.terms))
-    G = ech.canonical_rows()
-    rules = {}
-    for row in G:
-        lead = min(row, key=word_key)
-        rules[lead] = {w: -c for w, c in row.items() if w != lead}
-    return G if _resolves(rules) else None
+        ech.insert(r.terms)
+    grew = True
+    while grew:
+        G = ech.canonical_rows()
+        rules = {min(row, key=word_key): row for row in G}
+        closed, grew = True, False
+        for word, p, q in _ambiguities(rules):
+            if len(word) > cap and not closed:
+                continue  # it can no longer change the outcome
+            diff = _normal_form(vec_add_scaled(p, q, -1), rules)
+            if diff:
+                closed = False
+                if len(word) <= cap and ech.insert(diff) is not None:
+                    grew = True
+    return G, closed
 
 
-def ideal_span(algebra, relations, slack=2, stability_check=True):
+def ideal_span(algebra, relations, slack=2):
     """Truncated two-sided ideal of the given relation polynomials.
 
-    When the interreduced relations G form a Gröbner basis
-    (:func:`groebner_basis`), the rows span exactly the ideal's part of
-    degree <= D = algebra.degree: the span V_D of all u*g*v of degree
-    <= D.  ``stabilized`` is then True, whatever the slack, since it rests
-    on a proof.
+    The relations are completed (:func:`groebner_basis`) with ambiguity
+    words capped at D + S (D = algebra.degree, S = slack), and the rows
+    span V_D, the span of all u*g*v of degree <= D for g in the completed
+    basis G.  ``stabilized`` is True only when G is a Gröbner basis; the
+    rows are then exactly the ideal's part of degree <= D, whatever the
+    slack.  Otherwise they span a subspace of it, and raising the slack
+    may close the completion.
 
-    Otherwise the span V_{D+S} of all w1*r*w2 with
-    |w1| + deg r + |w2| <= D + S (S = slack) is built, and the rows are its
-    part of degree <= D.  The stabilization flag raises the span by one
-    more level from the saved frontier and compares.  With
-    stability_check=False the comparison is skipped (stabilized=None) —
-    used by callers that run their own certificate protocol and do not
-    need the extra level.
+    V_D is built one level at a time from its generators:
 
-    Either span is built one level at a time from its generators:
-
-        V_m = V_{m-1} + sum_x (x V_{m-1} + V_{m-1} x) + span{r : deg r = m}.
+        V_m = V_{m-1} + sum_x (x V_{m-1} + V_{m-1} x) + span{g : deg g = m}.
 
     Multiplication by a generator x is linear and x V_{m-2} already lies in
     V_{m-1}, so only the rows the echelon gained at level m-1 (the
@@ -310,33 +303,17 @@ def ideal_span(algebra, relations, slack=2, stability_check=True):
     the right products of the frontier span; s lies in V_{m-2} plus the
     frontier rows inserted before n, whose left multiples are covered by
     induction on insertion order.  The span is thus exactly the one the
-    full enumeration gives, and the rows are its canonical RREF cut back
-    to the working degree.
+    full enumeration gives, and the rows are its canonical RREF.
     """
     D = algebra.degree
-    relations = [r for r in relations if not r.is_zero()]
     if any(r.degree() > D for r in relations):
         raise ValueError("relation degree exceeds working degree")
-    g = algebra.ngens
-    G = groebner_basis(relations)
-    top = D if G is not None else D + slack
-    by_degree = {}
-    for r in (G if G is not None else [r.terms for r in relations]):
-        by_degree.setdefault(max(map(len, r)), []).append(r)
-    ech = Echelon(word_key)
-    frontier = []
-    for m in range(top + 1):
-        frontier = _close_level(ech, frontier, by_degree.get(m, ()), g)
-    if G is not None:
-        return TruncIdeal(algebra, relations, slack, ech.canonical_rows(),
-                          True if stability_check else None)
-    rows = _extract_upto(ech, D)
-    if not stability_check:
-        return TruncIdeal(algebra, relations, slack, rows, None)
-    _close_level(ech, frontier, by_degree.get(D + slack + 1, ()), g)
-    rows_next = _extract_upto(ech, D)
-    stabilized = rows == rows_next
-    return TruncIdeal(algebra, relations, slack, rows, stabilized)
+    G, closed = groebner_basis(relations, D + slack)
+    ech, frontier = Echelon(word_key), []
+    for m in range(D + 1):
+        level = [r for r in G if max(map(len, r)) == m]
+        frontier = _close_level(ech, frontier, level, algebra.ngens)
+    return TruncIdeal(algebra, ech.canonical_rows(), closed)
 
 
 class HomomorphismError(ValueError):
@@ -443,21 +420,16 @@ class TruncQuotAlgebra:
                 work.append(piv)
         while work:
             piv = work.pop()
-            row = ech.rows.get(piv)
-            if row is None:
-                continue
-            row = dict(row)
             if len(piv) >= D:
                 continue  # any product would leave the truncation window
+            row = ech.rows[piv]
             for i in range(g):
                 for prod in ({(i,) + w: c for w, c in row.items()},
                              {w + (i,): c for w, c in row.items()}):
-                    if max(len(w) for w in prod) <= D:
-                        p2 = ech.insert(prod)
-                        if p2 is not None:
-                            work.append(p2)
-        new_ideal = TruncIdeal(self.parent, self.ideal.relations,
-                               self.ideal.slack, ech.canonical_rows(),
+                    p2 = ech.insert(prod)
+                    if p2 is not None:
+                        work.append(p2)
+        new_ideal = TruncIdeal(self.parent, ech.canonical_rows(),
                                self.ideal.stabilized)
         return TruncQuotAlgebra(self.parent, new_ideal)
 

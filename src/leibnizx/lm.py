@@ -311,11 +311,10 @@ def lie_relations(g):
     return rels
 
 
-def u_lie(g, degree, slack=2, stability_check=True):
+def u_lie(g, degree, slack=2):
     """Truncated universal enveloping algebra of a Lie algebra."""
     free = FreeAlgebra(tuple(g.basis), degree)
-    return quotient(free, ideal_span(free, lie_relations(g), slack=slack,
-                                     stability_check=stability_check))
+    return quotient(free, ideal_span(free, lie_relations(g), slack=slack))
 
 
 @dataclass(frozen=True)
@@ -415,10 +414,10 @@ class LMAssocObject:
         return self.bim.U
 
 
-def u_lm(L, degree, slack=2, stability_check=True):
+def u_lm(L, degree, slack=2):
     """Enveloping algebra in the category; the connecting map sends
     x ⊗ m to x·alpha(m)."""
-    U = u_lie(L.lie, degree, slack, stability_check=stability_check)
+    U = u_lie(L.lie, degree, slack)
     bim = TensorBimodule(U, L.bottom_dim, tuple(L.right_mats))
     cols = []
     for flat in range(bim.dim):

@@ -155,7 +155,8 @@ def test_deterministic_output(capsys):
 
 
 @pytest.mark.parametrize("cmd,name,flags", [
-    # a negative slack closed nothing, and both passes agreed vacuously
+    # a negative slack is not an ambiguity window (it once certified the
+    # free algebra's dimensions)
     (("ul",), "a1.json", ("--degree", "2", "--slack", "-3")),
     (("ul",), "a1.json", ("--degree", "0")),
     (("verify", "theta"), "xmod-id-a1.json", ("--degree", "1")),

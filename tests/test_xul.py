@@ -57,6 +57,45 @@ def test_lemma41_identity_a1(a1):
     assert rec["stabilized"] and rec["slack_stable"] and rec["degree_stable"]
 
 
+@pytest.mark.parametrize("name", ["xmod-zero-a1.json", "xmod-id-a1.json",
+                                  "xmod-id-l2.json", "xmod-id-r2.json",
+                                  "xmod-incl-l2.json"])
+@pytest.mark.parametrize("D", [3, 4])
+def test_lemma41_needs_no_rerun(xmods, name, D):
+    """The slack+1 and degree+1 reruns that lemma41 once made as its
+    stability certificates: with both envelopes exact, they give the same
+    dimensions and equality as the one build."""
+    x, d, S = xmods[name], D - 2, 0
+    runs = [xul_module._lemma41_core(x, D_, S_, d)
+            for D_, S_ in ((D, S), (D, S + 1), (D + 1, S))]
+    assert all(usd_ok and p_ok for _, _, usd_ok, p_ok in runs)
+    lhs, rhs, _, _ = runs[0]
+    for lhs2, rhs2, _, _ in runs[1:]:
+        assert (lhs2.dim, rhs2.dim, lhs2 == rhs2) == \
+            (lhs.dim, rhs.dim, lhs == rhs)
+    rec = lemma41_check(x, D, S)
+    assert (rec["lhs_dim"], rec["rhs_dim"], rec["equal"]) == \
+        (lhs.dim, rhs.dim, lhs == rhs)
+    assert rec["slack_stable"] is rec["degree_stable"] is True
+
+
+def test_lemma41_reads_both_envelope_certificates(a1, monkeypatch):
+    """A false certificate of UL(p) alone makes lemma41 inconclusive."""
+    real = xul_module.ul
+
+    def unstable_p(p, degree, slack=2):
+        alg = real(p, degree, slack)
+        if p is a1:
+            alg.quot.ideal.stabilized = False
+        return alg
+
+    monkeypatch.setattr(xul_module, "ul", unstable_p)
+    rec = lemma41_check(identity_xmod(a1), 3)
+    assert rec["equal"] and rec["stabilized"]
+    assert not rec["slack_stable"] and not rec["degree_stable"]
+    assert rec["verdict"] == "inconclusive"
+
+
 def test_prop42_a1(a1):
     rec = prop42_check(a1, 3)
     assert rec["verdict"] == "pass"
