@@ -86,6 +86,10 @@ def _cases():
         ("verify", "lemma41", "xmod-incl-l2", "--degree", "3",
          "--slack", "0"),
         ("ul", "l2", "--degree", "4", "--slack", "0"),
+        # the kernel-product quotient and Phi's ideal check above degree 3
+        ("xul", "xmod-id-r2", "--degree", "4", *SLACK),
+        ("xul", "xmod-incl-l2", "--degree", "5", *SLACK),
+        ("verify", "thm5", "xrep-zero-incl-l2", "--degree", "4", *SLACK),
     ]
     return {"-".join(c).replace("--", ""): c for c in cases}
 
