@@ -15,6 +15,10 @@ level added, which spans the same space as enumerating every product.
 When every ambiguity resolves, the completed relations are a Gröbner
 basis (Bergman's diamond lemma, Adv. Math. 29, 1978), and the span is the
 ideal's whole part of degree <= D: the stabilization flag is a proof.
+
+Each ideal keeps the generators it was closed from: a quotient of a
+quotient closes only the rows it adds, in the first quotient's class
+coordinates, and an algebra map is checked on the generators alone.
 """
 
 import heapq
@@ -104,17 +108,12 @@ class FreeAlgebra:
     """Free associative unital algebra on named generators, truncated at a
     working degree; fixes the canonical word enumeration."""
 
-    def __init__(self, gens, degree, unital=True):
+    def __init__(self, gens, degree):
         self.gens = tuple(gens)
         self.degree = degree
-        self.unital = unital
-        g = len(self.gens)
-        words = []
-        lo = 0 if unital else 1
-        for d in range(lo, degree + 1):
-            words.extend(itertools.product(range(g), repeat=d))
-        self.words = tuple(words)
-        self.index = {w: i for i, w in enumerate(words)}
+        self.words = tuple(w for d in range(degree + 1) for w in
+                           itertools.product(range(self.ngens), repeat=d))
+        self.index = {w: i for i, w in enumerate(self.words)}
 
     @property
     def ngens(self):
@@ -125,9 +124,7 @@ class FreeAlgebra:
         return len(self.words)
 
     def dim_upto(self, d):
-        g = self.ngens
-        lo = 0 if self.unital else 1
-        return sum(g ** k for k in range(lo, min(d, self.degree) + 1))
+        return sum(self.ngens ** k for k in range(min(d, self.degree) + 1))
 
     def poly_to_vec(self, p):
         """Sparse word-keyed vector (identity on the term dict, validated)."""
@@ -145,27 +142,40 @@ class FreeAlgebra:
 class TruncIdeal:
     """Degree-truncated two-sided ideal span with a stabilization flag.
 
+    ``gens`` are word-keyed vectors; closing their span under x*v and v*x
+    for generators x and elements v of degree < D gives the span when
+    ``stabilized`` is True, and a space containing it otherwise.  So a map
+    of words into an associative algebra that multiplies images kills the
+    span once it kills ``gens``.
+
     ``rows`` is the canonical reduced echelon basis (elimination order
-    :func:`word_key`) of the span of degree <= D that :func:`ideal_span`
-    closes from the completed relations; when ``stabilized`` is True it is
-    the ideal's whole part of degree <= D.
+    :func:`word_key`) of the span, the ideal's whole part of degree <= D
+    when ``stabilized`` is True.  An ideal that extends the ideal of a
+    quotient ``base`` keeps only the rows it adds, in ``base``'s class
+    coordinates, and reduces by ``base`` first.
     """
 
-    def __init__(self, algebra, rows, stabilized):
+    def __init__(self, algebra, rows, stabilized, gens, base=None):
         self.algebra = algebra
         self.rows = tuple(rows)
+        self.gens = tuple(gens)
+        self.base = base
         # integer copies of the rows, for reduction
         self._introws = {min(r, key=word_key): int_vec(r)[0]
                          for r in self.rows}
         self.pivots = frozenset(self._introws)
+        if base is not None:
+            self.pivots |= base.ideal.pivots
         self.stabilized = stabilized
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def reduce_vec(self, v):
         """Residue of a word-keyed vector modulo the ideal span."""
+        if self.base is not None:
+            v = self.base.reduce(v)
         return residue(v, self._introws, word_key)
 
 
@@ -309,11 +319,12 @@ def ideal_span(algebra, relations, slack=2):
     if any(r.degree() > D for r in relations):
         raise ValueError("relation degree exceeds working degree")
     G, closed = groebner_basis(relations, D + slack)
+    gens = [r for r in G if max(map(len, r)) <= D]
     ech, frontier = Echelon(word_key), []
     for m in range(D + 1):
-        level = [r for r in G if max(map(len, r)) == m]
+        level = [r for r in gens if max(map(len, r)) == m]
         frontier = _close_level(ech, frontier, level, algebra.ngens)
-    return TruncIdeal(algebra, ech.canonical_rows(), closed)
+    return TruncIdeal(algebra, ech.canonical_rows(), closed, gens)
 
 
 class HomomorphismError(ValueError):
@@ -350,8 +361,6 @@ class TruncQuotAlgebra:
         return sum(1 for w in self.class_words if len(w) <= d)
 
     def unit(self):
-        if not self.parent.unital:
-            raise ValueError("non-unital algebra has no unit")
         return {(): 1}
 
     def reduce_word(self, w):
@@ -404,34 +413,26 @@ class TruncQuotAlgebra:
 
     def extend_by(self, sub):
         """Quotient by the two-sided ideal generated by the current ideal
-        plus a Subspace given in class coordinates, closed under generator
-        multiplication within the truncation degree."""
-        g = self.parent.ngens
-        D = self.degree
-        ech = Echelon(word_key)
-        work = []
-        for row in self.ideal.rows:
-            piv = ech.insert(dict(row))
-            if piv is not None:
-                work.append(piv)
-        for r in sub.rows:
-            piv = ech.insert(self.from_coords(r))
-            if piv is not None:
-                work.append(piv)
+        and a Subspace given in class coordinates, within the degree.
+
+        Only the added rows are closed under multiplication by generators,
+        each product reduced by :meth:`reduce`; the current ideal, closed
+        already when stabilized, is not touched.  The class words are this
+        quotient's minus the pivots of the closed rows."""
+        added = [self.from_coords(r) for r in sub.rows]
+        ech, work = Echelon(word_key), list(added)
         while work:
-            piv = work.pop()
-            if len(piv) >= D:
-                continue  # any product would leave the truncation window
+            piv = ech.insert(work.pop())
+            if piv is None or len(piv) == self.degree:
+                continue  # a product would leave the truncation window
             row = ech.rows[piv]
-            for i in range(g):
-                for prod in ({(i,) + w: c for w, c in row.items()},
-                             {w + (i,): c for w, c in row.items()}):
-                    p2 = ech.insert(prod)
-                    if p2 is not None:
-                        work.append(p2)
-        new_ideal = TruncIdeal(self.parent, ech.canonical_rows(),
-                               self.ideal.stabilized)
-        return TruncQuotAlgebra(self.parent, new_ideal)
+            for x in range(self.parent.ngens):
+                work += (self.reduce({(x,) + w: c for w, c in row.items()}),
+                         self.reduce({w + (x,): c for w, c in row.items()}))
+        ideal = TruncIdeal(self.parent, ech.canonical_rows(),
+                           self.ideal.stabilized,
+                           self.ideal.gens + tuple(added), base=self)
+        return TruncQuotAlgebra(self.parent, ideal)
 
 
 def quotient(algebra, ideal):
@@ -444,16 +445,18 @@ def quotient(algebra, ideal):
 def induced_map(src, dst, gen_images):
     """Algebra map src -> dst from degree-<=1 generator images.
 
-    Verifies that the word-wise extension kills src's ideal span; raises
-    HomomorphismError naming a violated relation row otherwise.  Returns a
-    LinearMap on class coordinates.
+    Verifies that the word-wise extension kills the generators of src's
+    ideal, and so its span when dst is associative (certified; see
+    :class:`TruncIdeal`); raises HomomorphismError naming a violated
+    generator's leading word otherwise.  Returns a LinearMap on class
+    coordinates.
     """
     if len(gen_images) != src.parent.ngens:
         raise ValueError("need one image per generator")
     for img in gen_images:
         if dst.fdeg(img) > 1:
             raise ValueError("generator image must have fdeg <= 1")
-    memo = {(): dst.unit() if dst.parent.unital else {}}
+    memo = {(): dst.unit()}
 
     def image(w):
         cv = memo.get(w)
@@ -462,14 +465,14 @@ def induced_map(src, dst, gen_images):
             memo[w] = cv
         return cv
 
-    for row in src.ideal.rows:
+    for gen in src.ideal.gens:
         out = {}
-        for w, c in row.items():
+        for w, c in gen.items():
             vec_add_scaled(out, image(w), c)
         if out:
             raise HomomorphismError(
-                "generator images do not preserve the ideal; violated row "
-                "with leading word %s" % (min(row, key=word_key),))
+                "generator images do not preserve the ideal; violated "
+                "generator with leading word %s" % (min(gen, key=word_key),))
     cols = [dst.to_coords(image(w)) for w in src.class_words]
     return LinearMap.from_cols(dst.dim, cols)
 
@@ -490,19 +493,12 @@ def filtration_basis(quot, sub, upto=None):
     return [t for t in out if upto is None or t[0] <= upto]
 
 
-def subspace_product(a_sub, b_sub, quot, bound=None):
+def subspace_product(a_sub, b_sub, quot):
     """Span of products a*b over filtration bases of two subspaces of the
-    class space, with fdeg(a)+fdeg(b) bounded by the truncation degree.
-
-    Returns (Subspace in class coordinates, boundary_degree); the result is
-    certified complete only up to boundary_degree = degree - 1.
-    """
-    bound = quot.degree if bound is None else bound
+    class space, with fdeg(a)+fdeg(b) bounded by the truncation degree, as
+    a Subspace in class coordinates."""
     fa = filtration_basis(quot, a_sub)
     fb = filtration_basis(quot, b_sub)
-    prods = []
-    for da, va in fa:
-        for db, vb in fb:
-            if da + db <= bound:
-                prods.append(quot.to_coords(quot.mult(va, vb, bound)))
-    return Subspace.from_vectors(quot.dim, prods), bound - 1
+    prods = [quot.to_coords(quot.mult(va, vb))
+             for da, va in fa for db, vb in fb if da + db <= quot.degree]
+    return Subspace.from_vectors(quot.dim, prods)

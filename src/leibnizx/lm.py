@@ -32,7 +32,7 @@ from .leibniz import (LeibnizAlgebra, LeibnizAction, basis_vec, liezation,
 from .xmod import LeibnizXMod, check_xmod, xliez
 from .envelope import ul_relations
 from .xul import (cat1_matrices, combine_verdict, kernel_product_quotient,
-                  report_degree_for, xul)
+                  report_degree_for, require_xmod, xul)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,9 @@ def leibniz_to_lm(p):
 
 
 def xmod_to_lm(x):
-    """The crossed-module square (q -> Liez(q)/[q,p]_x, p -> Liez(p))."""
+    """The crossed-module square (q -> Liez(q)/[q,p]_x, p -> Liez(p));
+    raises XModAxiomError when x is not a crossed module."""
+    require_xmod(x)
     xbar, proj_qbar, projp = xliez(x)
     q, p = x.q, x.p
     dst = leibniz_to_lm(p)
@@ -631,7 +633,24 @@ def _tensor_hom(src_bim, dst_bim, top_hom, bottom_map):
 
 
 def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
-    """Build the truncated enveloping crossed module in the category."""
+    """Build the truncated enveloping crossed module in the category.
+
+    The bottom ideal is Y' = Ker s1·Ker t2 + Ker s2·Ker t1 + Ker t1·Ker s2
+    + Ker t2·Ker s1.  Ker s1 and Ker t1 are sub-bimodules; Ker s2 and
+    Ker t2 are generated by Lie ideals k of degree one.  So Y' is generated
+    by the seed products b·a and a·b, for b a filtration row of a bottom
+    kernel and a a degree-one row of the matching k, and their span is
+    closed already: for a generator x,
+
+        (b·a)·x = (b·x)·a - b·[x,a]        x·(b·a) = (x·b)·a
+        x·(a·b) = a·(x·b) + [x,a]·b        (a·b)·x = a·(b·x)
+
+    with b·x, x·b in b's kernel at fdeg <= fdeg(b) + 1 and [x,a] in k, so
+    each right-hand side is a sum of seed products within the degree when
+    the left-hand side is.  That covers the seed span up to top-degree
+    cancellation among seed products (the strictness that the top row's
+    ``product_boundary_degree`` also leaves open), which a test checks.
+    """
     bad = check_lm_lie_xmod(X)
     if bad:
         raise ValueError("input fails crossed-module checks: %r" % bad[:3])
@@ -660,23 +679,9 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
     Ut1 = _tensor_hom(bim, target.bim, kq.t, t1)
     Ks1, Kt1 = Us1.kernel(), Ut1.kernel()
 
-    # Y' = Ker s1·Ker t2 + Ker s2·Ker t1 + Ker t1·Ker s2 + Ker t2·Ker s1.
-    # Ker s1 and Ker t1 are sub-bimodules; Ker s2 and Ker t2 are ideals
-    # generated in degree one, and b·(x·u·y) = ((b·x)·u)·y and
-    # (x·u·y)·b = x·(u·(y·b)), where for a generator x, b·x and y·b lie in
-    # b's kernel at fdeg <= fdeg(b) + 1, in the span of its filtration
-    # rows.  So every filtration row times every degree-one top row, closed
-    # under generator multiplication on both sides, spans Y'.  Its rows
-    # are pivoted at their highest coordinate (see _highest): a row's fdeg
-    # is its pivot's, and a lifted class has the least filtration degree.
+    # Y' rows are pivoted at their highest coordinate (see _highest): a
+    # row's fdeg is its pivot's, and a lifted class has the least fdeg.
     ech = Echelon(_highest)
-    work = []
-
-    def insert(vec):
-        piv = ech.insert(vec)
-        if piv is not None:
-            work.append(ech.rows[piv])
-
     top_s, top_t = (filtration_basis(usd, K, 1)
                     for K in (kq.s_ker, kq.t_ker))
     bot_s, bot_t = (_bottom_filtration(bim, K) for K in (Ks1, Kt1))
@@ -684,15 +689,8 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
         for db, vb in bot:
             for dt, vt in tp:
                 if db + dt <= degree:
-                    insert(bim.right_mult(vb, vt, degree))
-                    insert(bim.left_mult(vt, vb, degree))
-    while work:
-        vec = work.pop()
-        if bim.fdeg(vec) + 1 > degree:
-            continue
-        for a in range(h_dim + g_dim):
-            insert(bim.left_mult({(a,): 1}, vec, degree))
-            insert(bim.right_mult_gen(vec, a, degree))
+                    ech.insert(bim.right_mult(vb, vt, degree))
+                    ech.insert(bim.left_mult(vt, vb, degree))
 
     for row in ech.rows.values():
         if Us1.apply(row):
@@ -717,7 +715,7 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
         kq.bar_s.kernel(), report_degree,
         {"u_semidirect_stabilized": usd.ideal.stabilized,
          "u_g_stabilized": Ug.ideal.stabilized,
-         "product_boundary_degree": kq.boundary_degree})
+         "product_boundary_degree": degree - 1})
 
 
 def _section_bottom(Y, avec):

@@ -315,8 +315,9 @@ def _m_column_blocks(mat, n, m):
 
 def rep_to_xmodule(r, tx):
     """Build the module: psi from the p-actions, phi by evaluating Phi on
-    the kernel basis.  Well-definedness on the ambient ideal is verified
-    exactly; a violated row raises with its leading word."""
+    the kernel basis.  Phi multiplies matrices, so it is well defined once
+    it kills the ambient ideal's generators (``freealg.TruncIdeal``); a
+    violated generator raises with its leading word."""
     if r.xmod is not tx.x and r.xmod != tx.x:
         raise ValueError("representation and envelope have different inputs")
     bad = check_xmod_rep(r)
@@ -333,12 +334,12 @@ def rep_to_xmodule(r, tx):
                              "relations %r" % bad[:3])
     ev = phi_word_evaluator(tx, r)
     n, m = r.n_dim, r.m_dim
-    for row in tx.ambient.ideal.rows:
-        top, bot = _m_column_blocks(ev(row), n, m)
+    for gen in tx.ambient.ideal.gens:
+        top, bot = _m_column_blocks(ev(gen), n, m)
         if not top.is_zero() or not bot.is_zero():
             raise ValueError(
                 "Phi does not vanish on the ideal; leading word %s"
-                % (min(row, key=word_key),))
+                % (min(gen, key=word_key),))
     cols = []
     for brow in tx.B.rows:
         vec = tx.ambient.from_coords(brow)

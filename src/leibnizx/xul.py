@@ -26,6 +26,14 @@ class XModAxiomError(ValueError):
     axioms."""
 
 
+def require_xmod(x):
+    """Raise XModAxiomError unless x satisfies the crossed-module axioms."""
+    bad = check_xmod(x)
+    if bad:
+        raise XModAxiomError("input fails crossed-module axioms: %r"
+                             % bad[:3])
+
+
 def cat1_matrices(eta):
     """s(q,p) = p and t(q,p) = eta(q) + p as maps on q ⊕ p coordinates,
     for a linear map eta: q -> p."""
@@ -83,7 +91,6 @@ class KernelQuotient:
     bar_s: LinearMap        # quot -> target
     bar_t: LinearMap
     embed: LinearMap        # target -> quot through the section
-    boundary_degree: int
 
 
 def kernel_product_quotient(env, target, s_imgs, t_imgs, section):
@@ -95,9 +102,8 @@ def kernel_product_quotient(env, target, s_imgs, t_imgs, section):
     s = induced_map(env, target, s_imgs)
     t = induced_map(env, target, t_imgs)
     s_ker, t_ker = s.kernel(), t.kernel()
-    prod_st, bdeg = subspace_product(s_ker, t_ker, env)
-    prod_ts, _ = subspace_product(t_ker, s_ker, env)
-    quot = env.extend_by(prod_st.sum(prod_ts))
+    quot = env.extend_by(subspace_product(s_ker, t_ker, env).sum(
+        subspace_product(t_ker, s_ker, env)))
     pi = LinearMap.from_cols(
         quot.dim, [quot.to_coords(quot.reduce({w: 1}))
                    for w in env.class_words])
@@ -106,16 +112,12 @@ def kernel_product_quotient(env, target, s_imgs, t_imgs, section):
     bar_t = induced_map(quot, target, t_imgs)
     embed = induced_map(target, quot,
                         [quot.reduce_word((i,)) for i in section])
-    return KernelQuotient(s, t, s_ker, t_ker, quot, pi, bar_s, bar_t, embed,
-                          bdeg)
+    return KernelQuotient(s, t, s_ker, t_ker, quot, pi, bar_s, bar_t, embed)
 
 
 def xul(x, degree, slack=2, report_degree=None):
     """Build the truncated enveloping crossed module of x."""
-    bad = check_xmod(x)
-    if bad:
-        raise XModAxiomError("input fails crossed-module axioms: %r"
-                             % bad[:3])
+    require_xmod(x)
     report_degree = report_degree_for(degree, report_degree)
 
     sd = semidirect(x.action)
@@ -132,7 +134,7 @@ def xul(x, degree, slack=2, report_degree=None):
     certs = {
         "ul_semidirect_stabilized": usd.stabilized,
         "ul_p_stabilized": up.stabilized,
-        "product_boundary_degree": kq.boundary_degree,
+        "product_boundary_degree": degree - 1,
     }
     return TruncAssocXMod(x, usd, up, kq.quot, kq.pi, kq.bar_s, kq.bar_t,
                           kq.embed, B, rho, report_degree, certs)
@@ -266,8 +268,10 @@ def lemma41_check(x, degree, slack=2, report_degree=None):
     the slack, so the slack and degree stability certificates are the
     conjunction of the two envelopes' certificates.
 
-    Returns a dict record with verdict "pass", "fail" or "inconclusive".
+    Returns a dict record with verdict "pass", "fail" or "inconclusive";
+    raises XModAxiomError, as :func:`xul` does, on a non-crossed module.
     """
+    require_xmod(x)
     d = report_degree_for(degree, report_degree)
     lhs, rhs, stab, p_stab = _lemma41_core(x, degree, slack, d)
     equal = lhs == rhs

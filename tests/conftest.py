@@ -3,6 +3,8 @@ import pathlib
 import pytest
 
 from leibnizx import io
+from leibnizx.freealg import TruncIdeal, TruncQuotAlgebra, word_key
+from leibnizx.linalg import Echelon, vec_add_scaled
 from leibnizx.scalars import Q
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
@@ -42,6 +44,54 @@ def fraction_reduce(v, rows, keyf):
                 v[k] = y
             else:
                 v.pop(k, None)
+
+
+def free_reclosure(quot, sub):
+    """Oracle for ``TruncQuotAlgebra.extend_by``: the quotient by the
+    closure, in the free algebra, of quot's ideal rows and the rows of sub
+    (class coordinates) under multiplication by a generator on either side
+    within the degree; every row, old or added, is multiplied again."""
+    g, D = quot.parent.ngens, quot.degree
+    ech, work = Echelon(word_key), []
+
+    def insert(vec):
+        piv = ech.insert(vec)
+        if piv is not None and len(piv) < D:
+            work.append(piv)
+
+    for row in quot.ideal.rows:
+        insert(dict(row))
+    for r in sub.rows:
+        insert(quot.from_coords(r))
+    while work:
+        row = ech.rows[work.pop()]
+        for x in range(g):
+            insert({(x,) + w: c for w, c in row.items()})
+            insert({w + (x,): c for w, c in row.items()})
+    rows = ech.canonical_rows()
+    return TruncQuotAlgebra(quot.parent, TruncIdeal(
+        quot.parent, rows, quot.ideal.stabilized, rows))
+
+
+def violated_rows(rows, dst, gen_images):
+    """Oracle for ``induced_map``'s check: the rows (word-keyed vectors)
+    whose image under the word-wise extension of the generator images is
+    not zero, each image of a word multiplied out letter by letter."""
+    memo = {(): dst.unit()}
+
+    def image(w):
+        if w not in memo:
+            memo[w] = dst.mult(image(w[:-1]), gen_images[w[-1]])
+        return memo[w]
+
+    bad = []
+    for row in rows:
+        out = {}
+        for w, c in row.items():
+            vec_add_scaled(out, image(w), c)
+        if out:
+            bad.append(row)
+    return bad
 
 
 @pytest.fixture(scope="session")

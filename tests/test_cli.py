@@ -97,6 +97,33 @@ def test_xul_pass_and_fail(capsys, tmp_path):
     assert "check_xmod" in out
 
 
+def test_non_xmod_fails_check_xmod_in_every_builder(capsys, tmp_path):
+    """(p, p, id) with the adjoint action of badEE ([e,e] = e, which fails
+    the Leibniz identity) is no crossed module.  Every command that builds
+    from a crossed module refuses it with the same check_xmod record; lemma41
+    once passed it with empty kernels."""
+    p = {"kind": "leibniz_algebra", "name": "badEE", "basis": ["e"],
+         "bracket": [{"left": "e", "right": "e", "value": {"e": "1"}}]}
+    adjoint = [{"p": "e", "q": "e", "value": {"e": "1"}}]
+    path = tmp_path / "xmod-id-badee.json"
+    path.write_text(json.dumps({"kind": "xmod", "q": p, "p": p,
+                                "eta": {"e": {"e": "1"}},
+                                "action": {"left": adjoint,
+                                           "right": adjoint}}))
+    records = []
+    for cmd in (("xul",), ("lm",), ("verify", "lemma41"),
+                ("verify", "theta")):
+        rc, out, _ = run(capsys, *cmd, str(path), "--degree", "3",
+                         "--format", "json")
+        assert rc == 1, cmd
+        doc = json.loads(out)
+        assert doc["verdict"] == "fail", cmd
+        rec, = doc["records"]
+        assert (rec["name"], rec["stage"]) == ("check_xmod", "check_xmod")
+        records.append(rec)
+    assert all(rec == records[0] for rec in records)
+
+
 def test_xul_construction_error_is_not_an_axiom_failure(capsys,
                                                         monkeypatch):
     """Only the crossed-module axiom failure becomes a check_xmod record;

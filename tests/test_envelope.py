@@ -1,11 +1,23 @@
+import math
+import random
+import sys
+
 import pytest
 
+from leibnizx import io
 from leibnizx.scalars import Q
 from leibnizx.linalg import LinearMap
 from leibnizx.freealg import HomomorphismError, NCPoly
-from leibnizx.leibniz import liezation, zero_rep
+from leibnizx.leibniz import liezation, semidirect, zero_rep
 from leibnizx.envelope import (ULModule, check_module, module_to_rep,
                                rep_to_module, ul, ul_map, ul_relations)
+from leibnizx.lm import u_lie
+
+from conftest import CORPUS
+
+sys.path.insert(0, str(CORPUS.parent / "perfbench"))
+
+import rebase  # noqa: E402
 
 
 def test_relation_count(l2):
@@ -102,3 +114,43 @@ def test_zero_rep_gives_zero_module(r2):
     for w in alg.quot.class_words:
         if w:
             assert mod.word_mat(w).is_zero()
+
+
+ENVELOPE_SOURCES = ("a1.json", "l2.json", "r2.json", "xmod-zero-a1.json",
+                    "xmod-id-a1.json", "xmod-id-l2.json", "xmod-id-r2.json",
+                    "xmod-incl-l2.json")
+
+
+def _rebased(p, rng):
+    """p in a seeded integer basis, drawn and checked by perfbench/rebase.py
+    with its own Fraction arithmetic."""
+    basis, c = rebase.read_bracket(io.dump_data(p))
+    m, m_inv = rebase.draw_basis_change(rng, len(basis))
+    c = rebase.change_tensor(c, m, m, m_inv)
+    rebase.check_leibniz(c)
+    return io.load_data(rebase.algebra_doc(p.name + "'", basis, c))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ENVELOPE_SOURCES)
+def test_envelopes_of_valid_inputs_certify(load, name, seed):
+    """A seeded basis change of a corpus algebra, or of the semidirect
+    product of a corpus crossed module, has a certified envelope whose
+    dimensions are the Loday–Pirashvili count: UL(g) ≅ (K ⊕ g) ⊗ U(g_Lie),
+    so dim UL(g)_{<=k} = C(k+m, m) + n·C(k-1+m, m) for n = dim g and
+    m = dim g_Lie; U(g_Lie) certifies with the PBW count C(k+m, m).  The
+    generator checks of induced_map and rep_to_xmodule rest on this."""
+    obj = load(name)
+    p = semidirect(obj.action) if name.startswith("xmod") else obj
+    g = _rebased(p, random.Random(seed))
+    lie, _ = liezation(g)
+    n, m, D = g.dim, lie.dim, 4
+    alg = ul(g, D, slack=0)
+    assert alg.stabilized
+    assert [alg.dim_upto(k) for k in range(D + 1)] == [
+        math.comb(k + m, m) + (n * math.comb(k - 1 + m, m) if k else 0)
+        for k in range(D + 1)]
+    U = u_lie(lie, D, slack=0)
+    assert U.ideal.stabilized
+    assert [U.dim_upto(k) for k in range(D + 1)] == [
+        math.comb(k + m, m) for k in range(D + 1)]

@@ -15,7 +15,7 @@ from leibnizx.leibniz import liezation
 from leibnizx.linalg import Echelon, Subspace
 from leibnizx.lm import lie_relations
 
-from conftest import fraction_reduce, is_normal_vec
+from conftest import fraction_reduce, free_reclosure, is_normal_vec
 
 
 def test_ncpoly_arithmetic():
@@ -40,8 +40,6 @@ def test_free_algebra_word_counts():
     assert f.dim == 1 + 2 + 4 + 8
     assert f.dim_upto(2) == 7
     assert f.words[0] == ()
-    nu = FreeAlgebra(("x",), 3, unital=False)
-    assert nu.dim == 3
 
 
 def commutator_relations(g):
@@ -303,14 +301,20 @@ def test_induced_map_checks_relations():
     # swapping the generators is an automorphism of the commutative ring
     f = induced_map(quot, quot, [quot.gen_class(1), quot.gen_class(0)])
     assert f.rank() == quot.dim
-    # a noncommutative target rejects the same images
+    # a noncommutative target rejects the same images, naming the leading
+    # word of the violated generator of the ideal
+    assert quot.ideal.gens == ({(0, 1): 1, (1, 0): -1},)
     free_nc = FreeAlgebra(("x", "y"), 3)
     nc = quotient(free_nc, ideal_span(free_nc, []))
-    try:
+    with pytest.raises(HomomorphismError, match=r"generator with leading "
+                                                r"word \(0, 1\)"):
         induced_map(quot, nc, [nc.gen_class(0), nc.gen_class(1)])
-        assert False, "commutator must be violated"
-    except HomomorphismError:
-        pass
+    # after extend_by, an added row is a generator too
+    no_x = quot.extend_by(Subspace.from_vectors(
+        quot.dim, [quot.to_coords(quot.gen_class(0))]))
+    induced_map(no_x, no_x, [no_x.gen_class(0), no_x.gen_class(1)])
+    with pytest.raises(HomomorphismError, match=r"leading word \(0,\)"):
+        induced_map(no_x, quot, [quot.gen_class(0), quot.gen_class(1)])
 
 
 def test_extend_by_is_a_two_sided_ideal():
@@ -340,8 +344,7 @@ def test_subspace_product_boundary():
     quot = quotient(free, ideal_span(free, []))
     a = Subspace.from_vectors(quot.dim,
                               [quot.to_coords(quot.gen_class(0))])
-    prod, bdeg = subspace_product(a, a, quot)
-    assert bdeg == 2
+    prod = subspace_product(a, a, quot)
     assert prod.dim == 1
     assert [quot.from_coords(r) for r in prod.rows] == [{(0, 0): Q(1)}]
 
@@ -401,3 +404,31 @@ def test_quotient_outputs_are_in_normal_form(raw, ta, tb):
     got = quot.mult(a, b)
     assert is_normal_vec(got)
     assert got == {k: x for k, x in want.items() if x}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(["commutative", "free", "weyl"]),
+       st.lists(st.dictionaries(st.sampled_from(_QWORDS), _small_q,
+                                min_size=1, max_size=3),
+                min_size=1, max_size=3))
+def test_extend_by_matches_free_reclosure(relations, raw):
+    """Closing only the added rows in the class coordinates of a certified
+    quotient gives the class words and reductions of the re-closure of the
+    whole ideal in the free algebra; the new ideal's generators are the old
+    ones plus the added rows."""
+    free = FreeAlgebra(("x", "y"), 4)
+    rels = {"commutative": commutator_relations(2), "free": [],
+            "weyl": [NCPoly.word((0, 1)) - NCPoly.word((1, 0))
+                     - NCPoly.unit()]}[relations]
+    quot = quotient(free, ideal_span(free, rels))
+    assert quot.ideal.stabilized
+    sub = Subspace.from_vectors(
+        quot.dim, [quot.to_coords(quot.reduce(t)) for t in raw])
+    got = quot.extend_by(sub)
+    want = free_reclosure(quot, sub)
+    assert got.class_words == want.class_words
+    for w in free.words:
+        assert got.reduce_word(w) == want.reduce_word(w), w
+    assert got.ideal.dim == len(want.ideal.rows)
+    assert got.ideal.gens == quot.ideal.gens + tuple(
+        quot.from_coords(r) for r in sub.rows)

@@ -3,12 +3,15 @@ import dataclasses
 import pytest
 
 from leibnizx import xul as xul_module
+from leibnizx.freealg import TruncQuotAlgebra
 from leibnizx.scalars import Q
 from leibnizx.linalg import LinearMap, zero_subspace
 from leibnizx.leibniz import zero_action
 from leibnizx.xmod import LeibnizXMod, identity_xmod, zero_xmod
 from leibnizx.xul import (check_trunc_xmod, embedding_squares_check,
                           lemma41_check, prop42_check, xul)
+
+from conftest import free_reclosure, violated_rows
 
 
 def test_xul_rejects_bad_input(l2):
@@ -140,3 +143,45 @@ def test_embedding_squares_reads_certificates(a1, monkeypatch):
     rec = embedding_squares_check(a1, 3)
     assert rec["b_dim"] == 0
     assert rec["verdict"] == "inconclusive"
+
+
+XMOD_NAMES = ("xmod-zero-a1.json", "xmod-id-a1.json", "xmod-id-l2.json",
+              "xmod-id-r2.json", "xmod-incl-l2.json")
+
+
+@pytest.mark.parametrize("name,D", [
+    (name, D) for name in XMOD_NAMES for D in (3, 4, 5)
+    if (name, D) != ("xmod-id-r2.json", 5)])
+def test_kernel_product_quotient_matches_free_reclosure(xmods, name, D,
+                                                        monkeypatch):
+    """extend_by closes only the rows of X, in the envelope's class
+    coordinates; the re-closure of the whole ideal in the free algebra
+    gives the same class words and the same reduction of every word.  Each
+    of the five induced maps, checked on its source ideal's generators,
+    kills every row of that ideal too."""
+    extends, maps = [], []
+    extend_by = TruncQuotAlgebra.extend_by
+    induced_map = xul_module.induced_map
+
+    def recording_extend(quot, sub):
+        out = extend_by(quot, sub)
+        extends.append((quot, sub, out))
+        return out
+
+    def recording_map(src, dst, gen_images):
+        maps.append((src, dst, gen_images))
+        return induced_map(src, dst, gen_images)
+
+    monkeypatch.setattr(TruncQuotAlgebra, "extend_by", recording_extend)
+    monkeypatch.setattr(xul_module, "induced_map", recording_map)
+    xul(xmods[name], D, slack=1)
+    (env, sub, quot), = extends
+    assert env.ideal.stabilized
+    want = free_reclosure(env, sub)
+    assert quot.class_words == want.class_words
+    for w in env.parent.words:
+        assert quot.reduce_word(w) == want.reduce_word(w), w
+    assert len(maps) == 5
+    for src, dst, gen_images in maps:
+        rows = (want if src is quot else src).ideal.rows
+        assert not violated_rows(rows, dst, gen_images)
