@@ -483,9 +483,16 @@ def filtration_basis(quot, sub, upto=None):
     vector) with fdeg = pivot length, sorted by fdeg.
 
     Rows with fdeg <= d span sub ∩ F_d; with upto=d only those are returned.
+    They are the canonical rows of sub ∩ F_d, so only the rows of sub
+    pivoted inside F_d are echelonized: F_d is the first dim_upto(d) class
+    coordinates, and a vector of sub ∩ F_d is zero at every other pivot.
     """
+    rows = sub.rows
+    if upto is not None:
+        n = quot.dim_upto(upto)
+        rows = [r for r, p in zip(rows, sub.pivots) if p < n]
     ech = Echelon(word_key)
-    for r in sub.rows:
+    for r in rows:
         ech.insert(quot.from_coords(r))
     rows = ech.canonical_rows()
     out = [(len(min(r, key=word_key)), r) for r in rows]
@@ -494,11 +501,35 @@ def filtration_basis(quot, sub, upto=None):
 
 
 def subspace_product(a_sub, b_sub, quot):
-    """Span of products a*b over filtration bases of two subspaces of the
-    class space, with fdeg(a)+fdeg(b) bounded by the truncation degree, as
-    a Subspace in class coordinates."""
-    fa = filtration_basis(quot, a_sub)
-    fb = filtration_basis(quot, b_sub)
-    prods = [quot.to_coords(quot.mult(va, vb))
-             for da, va in fa for db, vb in fb if da + db <= quot.degree]
+    """Generators of the product I·J of two ideals generated in degree
+    one, given as Subspaces of quot's class space: the span of a·w·b for a
+    and b the fdeg-1 filtration rows of I and J and w a class word of
+    length <= D - 2, as a Subspace in class coordinates.  Closed under
+    multiplication by generators (``extend_by``), it gives I·J ∩ F_D.
+
+    I and J are the kernels Ker s, Ker t of algebra maps s, t from quot to
+    a target with a common section σ, an algebra map that sends the target
+    generators to section letters of quot (so s∘σ = t∘σ = id).  Take for
+    letters the section letters and a basis A of I ∩ F_1 (for J, of
+    J ∩ F_1).  An x in I ∩ F_k is a sum of words of length <= k in them;
+    the words in section letters alone sum to σ(y) for some y, and s kills
+    every other word, so y = s(x) = 0 and x is a sum of u·a·v with a in A
+    and |u| + 1 + |v| <= k.  Hence the product of filtration rows of I and
+    J within the degree is a sum of u·a·w·b·v, and I·J = ⟨A·E·B⟩ with E the
+    class words, at each degree <= D: the closure of this span equals the
+    closure of all products of filtration rows whenever quot is certified.
+    """
+    fa = [va for _, va in filtration_basis(quot, a_sub, 1)]
+    fb = [vb for _, vb in filtration_basis(quot, b_sub, 1)]
+    mids = [w for w in quot.class_words if len(w) <= quot.degree - 2]
+    reduce_word = quot.reduce_word
+    prods = []
+    for va in fa:
+        for w in mids:
+            for vb in fb:
+                out = {}
+                for x, ca in va.items():
+                    for y, cb in vb.items():
+                        vec_add_scaled(out, reduce_word(x + w + y), ca * cb)
+                prods.append(quot.to_coords(out))
     return Subspace.from_vectors(quot.dim, prods)

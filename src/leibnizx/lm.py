@@ -632,6 +632,18 @@ def _tensor_hom(src_bim, dst_bim, top_hom, bottom_map):
     return LinearMap.from_cols(dst_bim.dim, cols)
 
 
+def _tensor_kernel(bim, top_rows, f):
+    """Ker(U(f2) ⊗ f) on bottom coordinates, spanned by v ⊗ e_k for the
+    filtration rows v of Ker U(f2) with fdeg <= D - 1 and the module basis
+    vectors e_k, and by w ⊗ n for the class words w of the bottom and n in
+    Ker f (see :func:`lm_xmod_envelope`)."""
+    vecs = [bim.tensor(v, {k: 1}) for _, v in top_rows
+            for k in range(bim.module_dim)]
+    f_ker = f.kernel().rows
+    vecs += [bim.tensor({w: 1}, n) for w in bim.words for n in f_ker]
+    return Subspace.from_vectors(bim.dim, vecs)
+
+
 def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
     """Build the truncated enveloping crossed module in the category.
 
@@ -650,6 +662,13 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
     the left-hand side is.  That covers the seed span up to top-degree
     cancellation among seed products (the strictness that the top row's
     ``product_boundary_degree`` also leaves open), which a test checks.
+
+    The bottom kernels need no elimination over U ⊗ V.  The bottom maps
+    are Us1 = U(s2) ⊗ s1 and Ut1 = U(t2) ⊗ t1 (see :func:`_tensor_hom`) on
+    F_{D-1} ⊗ V, and Ker(f ⊗ g) = Ker f ⊗ V + U ⊗ Ker g for linear maps f
+    and g, so Ks1 and Kt1 are spanned by the fdeg <= D - 1 rows of the top
+    kernel tensored with each module basis vector, and each class word
+    tensored with the kernel of s1 or t1 (:func:`_tensor_kernel`).
     """
     bad = check_lm_lie_xmod(X)
     if bad:
@@ -677,13 +696,16 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
                                  [h_dim + j for j in range(g_dim)])
     Us1 = _tensor_hom(bim, target.bim, kq.s, s1)
     Ut1 = _tensor_hom(bim, target.bim, kq.t, t1)
-    Ks1, Kt1 = Us1.kernel(), Ut1.kernel()
+    ker_s, ker_t = (filtration_basis(usd, K, degree - 1)
+                    for K in (kq.s_ker, kq.t_ker))
+    Ks1 = _tensor_kernel(bim, ker_s, s1)
+    Kt1 = _tensor_kernel(bim, ker_t, t1)
 
     # Y' rows are pivoted at their highest coordinate (see _highest): a
     # row's fdeg is its pivot's, and a lifted class has the least fdeg.
     ech = Echelon(_highest)
-    top_s, top_t = (filtration_basis(usd, K, 1)
-                    for K in (kq.s_ker, kq.t_ker))
+    top_s, top_t = ([t for t in rows if t[0] <= 1]
+                    for rows in (ker_s, ker_t))
     bot_s, bot_t = (_bottom_filtration(bim, K) for K in (Ks1, Kt1))
     for bot, tp in ((bot_s, top_t), (bot_t, top_s)):
         for db, vb in bot:
@@ -731,11 +753,30 @@ def _section_bottom(Y, avec):
     return Y.bottom_proj.apply(out)
 
 
+def _memo(fn):
+    """fn evaluated once for each distinct argument list: a sparse-vector
+    argument is keyed by its items.  Each call returns a fresh copy of the
+    stored result, so no caller can change it."""
+    memo = {}
+
+    def call(*args):
+        key = tuple(frozenset(a.items()) if isinstance(a, dict) else a
+                    for a in args)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = fn(*args)
+        return dict(out)
+    return call
+
+
 def check_lm_assoc_xmod(Y):
     """All action and crossed-module identities of the enveloping object,
     on filtration bases with degree sums bounded by the report degree."""
     d = Y.report_degree
     Ug, top, tbim = Y.target.U, Y.top, Y.target.bim
+    xi1, xi2, r_on_top, left_mult, right_mult, tmult = (
+        _memo(f) for f in (Y.xi1, Y.xi2, Y.r_on_top, Y.left_mult,
+                           Y.right_mult, top.mult))
     bad = []
     bad += [("target",) + v for v in check_lm_assoc_object(Y.target, d)]
 
@@ -744,7 +785,8 @@ def check_lm_assoc_xmod(Y):
     b_rows = Y.b_ker_filtration(d)
     a_rows = [(tbim.fdeg_index(i), {i: 1}) for i in range(tbim.dim)
               if tbim.fdeg_index(i) <= d]
-    s_cls = [(ds, top.from_coords(v)) for ds, v in s_rows]
+    s_cls = [(ds, top.from_coords(v), Ug.from_coords(Y.ut2.apply(v)))
+             for ds, v in s_rows]
 
     # cat-style splittings of the two s-maps
     for dr, r in r_words:
@@ -756,26 +798,24 @@ def check_lm_assoc_xmod(Y):
             bad.append(("s1_section", da))
 
     # top row: boundary is equivariant, Peiffer products hold
-    for ds, s in s_cls:
-        ts = Ug.from_coords(Y.ut2.apply(top.to_coords(s)))
-        for ds2, s2 in s_cls:
+    for ds, s, ts in s_cls:
+        for ds2, s2, ts2 in s_cls:
             if ds + ds2 > d:
                 continue
-            prod = top.mult(s, s2, d)
-            if prod != top.mult(Y.r_on_top(ts), s2, d):
+            prod = tmult(s, s2, d)
+            if prod != tmult(r_on_top(ts), s2, d):
                 bad.append(("peiffer_top_left", (ds, ds2)))
-            ts2 = Ug.from_coords(Y.ut2.apply(top.to_coords(s2)))
-            if prod != top.mult(s, Y.r_on_top(ts2), d):
+            if prod != tmult(s, r_on_top(ts2), d):
                 bad.append(("peiffer_top_right", (ds, ds2)))
         for dr, r in r_words:
             if dr + ds > d:
                 continue
-            rt = Y.r_on_top(r)
+            rt = r_on_top(r)
             if Ug.from_coords(Y.ut2.apply(top.to_coords(
-                    top.mult(rt, s, d)))) != Ug.mult(r, ts, d):
+                    tmult(rt, s, d)))) != Ug.mult(r, ts, d):
                 bad.append(("t2_equivariance_left", (dr, ds)))
             if Ug.from_coords(Y.ut2.apply(top.to_coords(
-                    top.mult(s, rt, d)))) != Ug.mult(ts, r, d):
+                    tmult(s, rt, d)))) != Ug.mult(ts, r, d):
                 bad.append(("t2_equivariance_right", (dr, ds)))
 
     # bottom row: omega1 is an R-bimodule map into the A-carrier
@@ -784,22 +824,21 @@ def check_lm_assoc_xmod(Y):
         for dr, r in r_words:
             if dr + db > d:
                 continue
-            rt = Y.r_on_top(r)
-            if Y.ut1.apply(Y.left_mult(rt, b, d)) != \
+            rt = r_on_top(r)
+            if Y.ut1.apply(left_mult(rt, b, d)) != \
                     tbim.left_mult(r, tb, d):
                 bad.append(("t1_equivariance_left", (dr, db)))
-            if Y.ut1.apply(Y.right_mult(b, rt, d)) != \
+            if Y.ut1.apply(right_mult(b, rt, d)) != \
                     tbim.right_mult(tb, r, d):
                 bad.append(("t1_equivariance_right", (dr, db)))
 
     # bridge identities between the xi-maps and the boundaries
     for da, a in a_rows:
-        for ds, s in s_cls:
+        for ds, s, ts in s_cls:
             if da + ds > d:
                 continue
-            ts = Ug.from_coords(Y.ut2.apply(top.to_coords(s)))
-            x1 = Y.xi1(a, s, d)
-            x2 = Y.xi2(s, a, d)
+            x1 = xi1(a, s, d)
+            x2 = xi2(s, a, d)
             if Y.us1.apply(x1) or Y.us1.apply(x2):
                 bad.append(("xi_not_in_kernel", (da, ds)))
             if Y.ut1.apply(x1) != tbim.right_mult(a, ts, d):
@@ -808,33 +847,33 @@ def check_lm_assoc_xmod(Y):
                 bad.append(("xi2_boundary", (da, ds)))
             ca = Ug.from_coords(Y.target.connect.apply(a))
             if Y.connect_bottom(x1) != \
-                    top.to_coords(top.mult(Y.r_on_top(ca), s, d)):
+                    top.to_coords(tmult(r_on_top(ca), s, d)):
                 bad.append(("xi1_connect", (da, ds)))
             if Y.connect_bottom(x2) != \
-                    top.to_coords(top.mult(s, Y.r_on_top(ca), d)):
+                    top.to_coords(tmult(s, r_on_top(ca), d)):
                 bad.append(("xi2_connect", (da, ds)))
-            for ds2, s2 in s_cls:
+            for ds2, s2, _ in s_cls:
                 if da + ds + ds2 > d:
                     continue
-                if Y.right_mult(x1, s2, d) != \
-                        Y.xi1(a, top.mult(s, s2, d), d):
+                if right_mult(x1, s2, d) != \
+                        xi1(a, tmult(s, s2, d), d):
                     bad.append(("xi1_balanced", (da, ds, ds2)))
-                if Y.left_mult(s, Y.xi1(a, s2, d), d) != \
-                        Y.right_mult(Y.xi2(s, a, d), s2, d):
+                if left_mult(s, xi1(a, s2, d), d) != \
+                        right_mult(xi2(s, a, d), s2, d):
                     bad.append(("xi_exchange", (da, ds, ds2)))
-                if Y.left_mult(s, Y.xi2(s2, a, d), d) != \
-                        Y.xi2(top.mult(s, s2, d), a, d):
+                if left_mult(s, xi2(s2, a, d), d) != \
+                        xi2(tmult(s, s2, d), a, d):
                     bad.append(("xi2_balanced", (da, ds, ds2)))
 
     # Peiffer identities tying the two rows together
     for db, b in b_rows:
         tb = Y.ut1.apply(b)
-        for ds, s in s_cls:
+        for ds, s, _ in s_cls:
             if db + ds > d:
                 continue
-            if Y.xi1(tb, s, d) != Y.right_mult(b, s, d):
+            if xi1(tb, s, d) != right_mult(b, s, d):
                 bad.append(("peiffer_xi1", (db, ds)))
-            if Y.xi2(s, tb, d) != Y.left_mult(s, b, d):
+            if xi2(s, tb, d) != left_mult(s, b, d):
                 bad.append(("peiffer_xi2", (db, ds)))
     return bad
 

@@ -3,8 +3,9 @@ import pathlib
 import pytest
 
 from leibnizx import io
-from leibnizx.freealg import TruncIdeal, TruncQuotAlgebra, word_key
-from leibnizx.linalg import Echelon, vec_add_scaled
+from leibnizx.freealg import (TruncIdeal, TruncQuotAlgebra, filtration_basis,
+                              word_key)
+from leibnizx.linalg import Echelon, Subspace, vec_add_scaled
 from leibnizx.scalars import Q
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
@@ -71,6 +72,41 @@ def free_reclosure(quot, sub):
     rows = ech.canonical_rows()
     return TruncQuotAlgebra(quot.parent, TruncIdeal(
         quot.parent, rows, quot.ideal.stabilized, rows))
+
+
+def all_pairs_product(a_sub, b_sub, quot):
+    """Oracle for ``freealg.subspace_product``: the span of the products
+    a*b of every filtration row a of a_sub and b of b_sub with
+    fdeg(a) + fdeg(b) <= D, as a Subspace in class coordinates."""
+    fa = filtration_basis(quot, a_sub)
+    fb = filtration_basis(quot, b_sub)
+    prods = [quot.to_coords(quot.mult(va, vb))
+             for da, va in fa for db, vb in fb if da + db <= quot.degree]
+    return Subspace.from_vectors(quot.dim, prods)
+
+
+def assert_x_matches_all_pairs(module, build, monkeypatch):
+    """Run build(), which calls module.kernel_product_quotient once, and
+    check its quotient by X against the quotient by the closure of the
+    all-pairs products Ker s·Ker t + Ker t·Ker s: the same class words and
+    the same reduction of every word."""
+    calls = []
+    kernel_product_quotient = module.kernel_product_quotient
+
+    def recording(env, *args):
+        out = kernel_product_quotient(env, *args)
+        calls.append((env, out))
+        return out
+
+    monkeypatch.setattr(module, "kernel_product_quotient", recording)
+    build()
+    (env, kq), = calls
+    assert env.ideal.stabilized
+    want = env.extend_by(all_pairs_product(kq.s_ker, kq.t_ker, env).sum(
+        all_pairs_product(kq.t_ker, kq.s_ker, env)))
+    assert kq.quot.class_words == want.class_words
+    for w in env.parent.words:
+        assert kq.quot.reduce_word(w) == want.reduce_word(w), w
 
 
 def violated_rows(rows, dst, gen_images):

@@ -7,8 +7,14 @@ corpus-verify, lm-envelope and rebased runs through ``leibnizx.cli.main``
 the way a benchmark worker runs it.  The rebased inputs are seeded integer
 basis changes of the corpus, whose rows carry rational coefficients, so
 these cases exercise the denominators the exact elimination clears.
+
+The traced run of the benchmark patches the library at the boundaries
+``perfbench/tracing.py`` names; the traced cases here check that every
+boundary still resolves and every per-layer metric reads a number.
 """
 
+import json
+import math
 import pathlib
 import sys
 
@@ -19,8 +25,9 @@ from leibnizx.cli import main
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import tracing  # noqa: E402
 import workloads  # noqa: E402
-from worker import run_op  # noqa: E402
+from worker import run_op, run_pass  # noqa: E402
 
 CASES = [("corpus-verify", 1), ("lm-envelope", 1), ("rebased", 1),
          ("rebased", 2)]
@@ -39,3 +46,43 @@ def test_quick_ops_give_expected_answers(workload, seed, tmp_path,
         if why:
             bad.append((op.key, why))
     assert not bad
+
+
+@pytest.mark.parametrize("workload", ["corpus-verify", "lm-envelope"])
+def test_traced_quick_ops_give_numeric_layer_metrics(workload, tmp_path,
+                                                     monkeypatch):
+    """A traced pass over the quick ops, as the benchmark's traced run
+    makes it: the answers stay right, no boundary is absent, and every
+    per-layer metric of BENCHMARK.json is a finite number."""
+    monkeypatch.chdir(ROOT)
+    rounds, _ = workloads.build(workload, 1, str(tmp_path), quick=True)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = run_pass(main, rounds[0], workloads.check, tracer)
+    finally:
+        tracer.uninstall()
+    assert not traced["failed"]
+    assert not tracer.absent
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as f:
+        per_layer = json.load(f)["per_layer"]
+    values = tracer.values(traced["wall_s"], 0.0,
+                           {"import_s": 0.0, "generate_s": 0.0})
+    for name, m in tracing.metrics(values, tracer.absent, per_layer).items():
+        v = m["value"]
+        assert type(v) in (int, float) and math.isfinite(v), (name, v)
+
+
+def test_traced_verify_records_its_checker(monkeypatch):
+    """``verify`` looks its checker up when it runs, so the tracer's
+    wrapper of lemma41_check is the one called."""
+    monkeypatch.chdir(ROOT)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = main(["verify", "lemma41", "corpus/xmod-id-a1.json",
+                     "--degree", "3"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.calls["xul.lemma41_check"][0] >= 1

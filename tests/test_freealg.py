@@ -15,7 +15,8 @@ from leibnizx.leibniz import liezation
 from leibnizx.linalg import Echelon, Subspace
 from leibnizx.lm import lie_relations
 
-from conftest import fraction_reduce, free_reclosure, is_normal_vec
+from conftest import (all_pairs_product, fraction_reduce, free_reclosure,
+                      is_normal_vec)
 
 
 def test_ncpoly_arithmetic():
@@ -340,13 +341,29 @@ def test_filtration_basis_degrees():
 
 
 def test_subspace_product_boundary():
+    """subspace_product takes two ideals generated in degree one and gives
+    the generators a·w·b of their product: for I = (x) and J = (y) in the
+    free algebra on x, y at D3, the words x·w·y with |w| <= 1.  Closed by
+    extend_by they give I·J: the words with an x somewhere before a y,
+    the same as the closure of every product of filtration rows."""
     free = FreeAlgebra(("x", "y"), 3)
     quot = quotient(free, ideal_span(free, []))
-    a = Subspace.from_vectors(quot.dim,
-                              [quot.to_coords(quot.gen_class(0))])
-    prod = subspace_product(a, a, quot)
-    assert prod.dim == 1
-    assert [quot.from_coords(r) for r in prod.rows] == [{(0, 0): Q(1)}]
+
+    def letter_ideal(x):
+        return Subspace.from_vectors(
+            quot.dim, [{i: 1} for i, w in enumerate(quot.class_words)
+                       if x in w])
+
+    I, J = letter_ideal(0), letter_ideal(1)
+    prod = subspace_product(I, J, quot)
+    assert [quot.from_coords(r) for r in prod.rows] == [
+        {(0, 1): 1}, {(0, 0, 1): 1}, {(0, 1, 1): 1}]
+    closed = quot.extend_by(prod)
+    assert set(quot.class_words) - set(closed.class_words) == {
+        w for w in quot.class_words
+        if any(w[i] == 0 and 1 in w[i + 1:] for i in range(len(w)))}
+    assert closed.class_words == quot.extend_by(
+        all_pairs_product(I, J, quot)).class_words
 
 
 @settings(deadline=None, max_examples=30)

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import pytest
@@ -13,7 +14,7 @@ from leibnizx.lm import (LMObject, associated_xmod, check_associated_xmod,
                          leibniz_to_lm, lm_tensor, lm_xmod_envelope,
                          theta_check, u_lie, u_lm, xmod_to_lm)
 
-from conftest import CORPUS
+from conftest import CORPUS, assert_x_matches_all_pairs
 
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
 
@@ -171,13 +172,23 @@ def _all_pairs_y_ideal(bim, kq, bot_s, bot_t, degree):
 
 
 def _assert_y_ideal_matches_all_pairs(x, degree, slack, monkeypatch):
-    bottoms, quotients = [], []
+    """Y' against the all-pairs oracle; on the way, the bottom kernels
+    Ks1 and Kt1 built from their generators against the kernels of Us1 and
+    Ut1 by elimination."""
+    bottoms, quotients, kernels, maps = [], [], [], []
     bottom_filtration = lm._bottom_filtration
     kernel_product_quotient = lm.kernel_product_quotient
+    tensor_hom = lm._tensor_hom
 
     def recording_bottom(bim, sub):
         out = bottom_filtration(bim, sub)
         bottoms.append(out)
+        kernels.append(sub)
+        return out
+
+    def recording_hom(*args):
+        out = tensor_hom(*args)
+        maps.append(out)
         return out
 
     def recording_quotient(*args):
@@ -187,8 +198,10 @@ def _assert_y_ideal_matches_all_pairs(x, degree, slack, monkeypatch):
 
     monkeypatch.setattr(lm, "_bottom_filtration", recording_bottom)
     monkeypatch.setattr(lm, "kernel_product_quotient", recording_quotient)
+    monkeypatch.setattr(lm, "_tensor_hom", recording_hom)
     Y = lm_xmod_envelope(xmod_to_lm(x), degree, slack=slack)
     assert len(bottoms) == 2 and len(quotients) == 1
+    assert kernels == [f.kernel() for f in maps]
     want = _all_pairs_y_ideal(Y.bim, quotients[0], *bottoms, degree)
     assert Y.bottom_proj.kernel() == want
 
@@ -206,7 +219,8 @@ Y_CASES = [(name, degree, slack)
 def test_y_ideal_matches_all_pairs_seed(xmods, name, degree, slack,
                                         monkeypatch):
     """Y' seeded from the degree-one rows of the top kernels spans the same
-    ideal as the all-pairs seed."""
+    ideal as the all-pairs seed, and Ks1, Kt1 are the kernels of Us1,
+    Ut1."""
     _assert_y_ideal_matches_all_pairs(xmods[name], degree, slack, monkeypatch)
 
 
@@ -217,3 +231,59 @@ def test_y_ideal_matches_all_pairs_seed_rebased(seed, tmp_path, monkeypatch):
     paths = rebase.write_rebased(str(CORPUS), str(tmp_path), seed)
     x = io.load_path(paths["xmod-id-l2"])
     _assert_y_ideal_matches_all_pairs(x, 5, 0, monkeypatch)
+
+
+@pytest.mark.parametrize("name,D", [
+    (name, D) for name in ("xmod-zero-a1.json", "xmod-id-a1.json",
+                           "xmod-id-l2.json", "xmod-id-r2.json",
+                           "xmod-incl-l2.json")
+    for D in (3, 4, 5) if (name, D) != ("xmod-id-r2.json", 5)])
+def test_top_x_from_generators_matches_all_pairs(xmods, name, D,
+                                                 monkeypatch):
+    """The top row's X' built from the degree-one generators a·w·b gives
+    the quotient that the closure of every product of kernel filtration
+    rows gives."""
+    X = xmod_to_lm(xmods[name])
+    assert_x_matches_all_pairs(
+        lm, lambda: lm_xmod_envelope(X, D, slack=1), monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_top_x_from_generators_matches_all_pairs_rebased(seed, tmp_path,
+                                                         monkeypatch):
+    paths = rebase.write_rebased(str(CORPUS), str(tmp_path), seed)
+    X = xmod_to_lm(io.load_path(paths["xmod-id-l2"]))
+    assert_x_matches_all_pairs(
+        lm, lambda: lm_xmod_envelope(X, 5, slack=1), monkeypatch)
+
+
+def test_memo_evaluates_once_and_hands_out_copies():
+    calls = []
+
+    def f(v, k):
+        calls.append((dict(v), k))
+        return {k: 1}
+
+    g = lm._memo(f)
+    out = g({0: 1, 1: 2}, 3)
+    out[7] = 5  # a caller's change reaches no later call
+    assert g({1: 2, 0: 1}, 3) == {3: 1}
+    assert g({0: 1}, 3) == {3: 1}
+    assert calls == [({0: 1, 1: 2}, 3), ({0: 1}, 3)]
+
+
+@pytest.mark.parametrize("name,degree", [("xmod-id-l2.json", 6),
+                                         ("xmod-id-r2.json", 5)])
+def test_cached_checker_matches_uncached(xmods, name, degree, monkeypatch):
+    """Evaluating each checker term once changes no violation list: on an
+    envelope whose ut1 is perturbed, the checker reports exactly what it
+    reports with every term evaluated at each use."""
+    Y = lm_xmod_envelope(xmod_to_lm(xmods[name]), degree, slack=1)
+    # every other column doubled: the same supports, so the same degrees
+    cols = [{i: (1 + j % 2) * c for i, c in Y.ut1.col(j).items()}
+            for j in range(Y.ut1.cols)]
+    bent = dataclasses.replace(Y, ut1=LinearMap.from_cols(Y.ut1.rows, cols))
+    cached = (check_lm_assoc_xmod(Y), check_lm_assoc_xmod(bent))
+    assert not cached[0] and cached[1]
+    monkeypatch.setattr(lm, "_memo", lambda fn: fn)
+    assert (check_lm_assoc_xmod(Y), check_lm_assoc_xmod(bent)) == cached

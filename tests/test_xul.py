@@ -1,8 +1,9 @@
 import dataclasses
+import sys
 
 import pytest
 
-from leibnizx import xul as xul_module
+from leibnizx import io, xul as xul_module
 from leibnizx.freealg import TruncQuotAlgebra
 from leibnizx.scalars import Q
 from leibnizx.linalg import LinearMap, zero_subspace
@@ -11,7 +12,12 @@ from leibnizx.xmod import LeibnizXMod, identity_xmod, zero_xmod
 from leibnizx.xul import (check_trunc_xmod, embedding_squares_check,
                           lemma41_check, prop42_check, xul)
 
-from conftest import free_reclosure, violated_rows
+from conftest import (CORPUS, assert_x_matches_all_pairs, free_reclosure,
+                      violated_rows)
+
+sys.path.insert(0, str(CORPUS.parent / "perfbench"))
+
+import rebase  # noqa: E402
 
 
 def test_xul_rejects_bad_input(l2):
@@ -185,3 +191,25 @@ def test_kernel_product_quotient_matches_free_reclosure(xmods, name, D,
     for src, dst, gen_images in maps:
         rows = (want if src is quot else src).ideal.rows
         assert not violated_rows(rows, dst, gen_images)
+
+
+@pytest.mark.parametrize("name,D", [
+    (name, D) for name in XMOD_NAMES for D in (3, 4, 5)
+    if (name, D) != ("xmod-id-r2.json", 5)])
+def test_x_from_generators_matches_all_pairs(xmods, name, D, monkeypatch):
+    """X built from the degree-one generators a·w·b gives the quotient that
+    the closure of every product of kernel filtration rows gives."""
+    assert_x_matches_all_pairs(
+        xul_module, lambda: xul(xmods[name], D, slack=1), monkeypatch)
+
+
+@pytest.mark.parametrize("stem", ["xmod-id-a1", "xmod-id-l2", "xmod-id-r2"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_x_from_generators_matches_all_pairs_rebased(stem, seed, tmp_path,
+                                                     monkeypatch):
+    """The same on seeded basis changes, whose kernel rows carry dense
+    rational coefficients."""
+    x = io.load_path(rebase.write_rebased(str(CORPUS), str(tmp_path),
+                                          seed)[stem])
+    assert_x_matches_all_pairs(
+        xul_module, lambda: xul(x, 4, slack=1), monkeypatch)
