@@ -1,9 +1,10 @@
-"""Associative algebras by structure constants (possibly non-unital), with
-bimodule-style actions; mirrors the Leibniz layer."""
+"""Associative algebras by structure constants (possibly non-unital); their
+actions are ``leibniz.Action`` objects."""
 
 from dataclasses import dataclass
 
-from .leibniz import _bilinear, _tensor, basis_vec, _semidirect_cells
+from .leibniz import (_action_violations, _bilinear, _semidirect_cells,
+                      _tensor, basis_vec)
 
 
 @dataclass(frozen=True)
@@ -42,64 +43,17 @@ class AssocAlgebra:
         return bad
 
 
-@dataclass(frozen=True)
-class AssocAction:
-    """Bimodule-with-multiplication action of A on B: tensors for a·b and
-    b·a."""
-
-    actor: AssocAlgebra
-    target: AssocAlgebra
-    left_tensor: tuple   # a_i · b_j = sum_k left[i][j][k] b_k
-    right_tensor: tuple  # b_j · a_i = sum_k right[j][i][k] b_k
-
-    def __post_init__(self):
-        na, nb = self.actor.dim, self.target.dim
-        object.__setattr__(self, "left_tensor",
-                           _tensor(na, nb, nb, self.left_tensor))
-        object.__setattr__(self, "right_tensor",
-                           _tensor(nb, na, nb, self.right_tensor))
-
-    def left(self, a, b):
-        return _bilinear(self.left_tensor, a, b)
-
-    def right(self, b, a):
-        return _bilinear(self.right_tensor, b, a)
-
-
-def zero_assoc_action(a, b):
-    return AssocAction(a, b, [[{}] * b.dim for _ in range(a.dim)],
-                       [[{}] * a.dim for _ in range(b.dim)])
+def _assoc_holds(mul, x, y, z):
+    """(xy)z = x(yz) on kinded vectors."""
+    return mul(*mul(*x, *y), *z)[1] == mul(*x, *mul(*y, *z))[1]
 
 
 def check_assoc_action(act):
     """Associativity of every triple mixing A and B elements."""
-    A, B = act.actor, act.target
-
-    def mul(kx, x, ky, y):
-        if kx == "a" and ky == "a":
-            return "a", A.mult(x, y)
-        if kx == "a":
-            return "b", act.left(x, y)
-        if ky == "a":
-            return "b", act.right(x, y)
-        return "b", B.mult(x, y)
-
-    patterns = [("a", "a", "b"), ("a", "b", "a"), ("b", "a", "a"),
-                ("b", "b", "a"), ("b", "a", "b"), ("a", "b", "b")]
-    bad = []
-    for pat in patterns:
-        dims = [A.dim if k == "a" else B.dim for k in pat]
-        for i in range(dims[0]):
-            for j in range(dims[1]):
-                for k in range(dims[2]):
-                    xs = (basis_vec(i), basis_vec(j), basis_vec(k))
-                    ka, xy = mul(pat[0], xs[0], pat[1], xs[1])
-                    _, lhs = mul(ka, xy, pat[2], xs[2])
-                    kb, yz = mul(pat[1], xs[1], pat[2], xs[2])
-                    _, rhs = mul(pat[0], xs[0], kb, yz)
-                    if lhs != rhs:
-                        bad.append((pat, (i, j, k)))
-    return bad
+    return _action_violations(
+        act, AssocAlgebra.mult, ("a", "b"),
+        (("a", "a", "b"), ("a", "b", "a"), ("b", "a", "a"),
+         ("b", "b", "a"), ("b", "a", "b"), ("a", "b", "b")), _assoc_holds)
 
 
 def assoc_semidirect(act):

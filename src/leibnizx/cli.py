@@ -18,6 +18,7 @@ Output is deterministic for fixed inputs and flags.
 """
 
 import argparse
+import functools
 import sys
 
 from . import io
@@ -205,7 +206,9 @@ def cmd_verify(args):
     return Report("verify", params, [rec], certs)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: parsing keeps no state in it."""
     ap = argparse.ArgumentParser(
         prog="leibnizx",
         description="Exact verification toolkit for Leibniz crossed modules "

@@ -442,6 +442,20 @@ def quotient(algebra, ideal):
     return TruncQuotAlgebra(algebra, ideal)
 
 
+def word_fold(images, mult, unit):
+    """Memoised left fold over words: () gives unit, and w + (g,) gives
+    mult(value of w, images[g]).  Returns the evaluator of one word."""
+    memo = {(): unit}
+
+    def value(w):
+        out = memo.get(w)
+        if out is None:
+            out = memo[w] = mult(value(w[:-1]), images[w[-1]])
+        return out
+
+    return value
+
+
 def induced_map(src, dst, gen_images):
     """Algebra map src -> dst from degree-<=1 generator images.
 
@@ -456,15 +470,7 @@ def induced_map(src, dst, gen_images):
     for img in gen_images:
         if dst.fdeg(img) > 1:
             raise ValueError("generator image must have fdeg <= 1")
-    memo = {(): dst.unit()}
-
-    def image(w):
-        cv = memo.get(w)
-        if cv is None:
-            cv = dst.mult(image(w[:-1]), gen_images[w[-1]])
-            memo[w] = cv
-        return cv
-
+    image = word_fold(gen_images, dst.mult, dst.unit())
     for gen in src.ideal.gens:
         out = {}
         for w, c in gen.items():

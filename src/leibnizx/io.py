@@ -26,7 +26,7 @@ import os
 
 from .scalars import rat_from_str, rat_to_str
 from .linalg import LinearMap
-from .leibniz import (LeibnizAlgebra, LeibnizAction, LeibnizRep)
+from .leibniz import Action, LeibnizAlgebra, LeibnizRep
 from .assoc import AssocAlgebra
 from .xmod import LeibnizXMod
 from .xrep import LeibnizXModRep
@@ -185,7 +185,7 @@ def _load_xmod(data, base_dir):
                                 pi, qi, qi, "xmod action left")
     right = _tensor_from_entries(action.get("right", []), "q", "p",
                                  qi, pi, qi, "xmod action right")
-    return LeibnizXMod(q, p, eta, LeibnizAction(p, q, left, right))
+    return LeibnizXMod(q, p, eta, Action(p, q, left, right))
 
 
 def _dump_xmod(x):

@@ -127,13 +127,15 @@ def abelian(name, basis):
 
 
 @dataclass(frozen=True)
-class LeibnizAction:
-    """Action of p on q: tensors for [p_i, q_j] and [q_j, p_i]."""
+class Action:
+    """Action of an algebra on another, Leibniz or associative: tensors for
+    the products actor·target (left) and target·actor (right), written
+    [p_i, q_j] and [q_j, p_i] for Leibniz algebras."""
 
-    actor: LeibnizAlgebra
-    target: LeibnizAlgebra
-    left_tensor: tuple   # [p_i, q_j] = sum_k left[i][j][k] q_k
-    right_tensor: tuple  # [q_j, p_i] = sum_k right[j][i][k] q_k
+    actor: object
+    target: object
+    left_tensor: tuple   # p_i · q_j = sum_k left[i][j][k] q_k
+    right_tensor: tuple  # q_j · p_i = sum_k right[j][i][k] q_k
 
     def __post_init__(self):
         np_, nq = self.actor.dim, self.target.dim
@@ -150,54 +152,64 @@ class LeibnizAction:
 
 
 def zero_action(p, q):
-    return LeibnizAction(p, q, [[{}] * q.dim for _ in range(p.dim)],
-                         [[{}] * p.dim for _ in range(q.dim)])
+    return Action(p, q, [[{}] * q.dim for _ in range(p.dim)],
+                  [[{}] * p.dim for _ in range(q.dim)])
 
 
 def adjoint_action(p):
     """p acting on itself by its own bracket."""
     t = p.bracket_tensor
-    return LeibnizAction(p, p, t, t)
+    return Action(p, p, t, t)
+
+
+def _action_violations(act, mult, kinds, patterns, holds):
+    """The triples of basis vectors on which an identity of three factors
+    fails, for each placement pattern of actor and target entries.
+
+    kinds names the (actor, target) entries in the patterns; mult is the
+    unbound product of both algebras (``LeibnizAlgebra.bracket`` or
+    ``AssocAlgebra.mult``); holds(mul, a, b, c) tests the identity on
+    kinded vectors (kind, v), which mul multiplies through the algebra
+    products and the action."""
+    actor, target = act.actor, act.target
+    ka, kt = kinds
+
+    def mul(kx, x, ky, y):
+        if kx == ka and ky == ka:
+            return ka, mult(actor, x, y)
+        if kx == ka:
+            return kt, act.left(x, y)
+        if ky == ka:
+            return kt, act.right(x, y)
+        return kt, mult(target, x, y)
+
+    bad = []
+    for pat in patterns:
+        dims = [target.dim if k == kt else actor.dim for k in pat]
+        for i in range(dims[0]):
+            for j in range(dims[1]):
+                for k in range(dims[2]):
+                    if not holds(mul, (pat[0], basis_vec(i)),
+                                 (pat[1], basis_vec(j)),
+                                 (pat[2], basis_vec(k))):
+                        bad.append((pat, (i, j, k)))
+    return bad
+
+
+def _leibniz_holds(mul, x, y, z):
+    """[[x,y],z] = [x,[y,z]] + [[x,z],y] on kinded vectors."""
+    rhs = mul(*x, *mul(*y, *z))[1]
+    vec_add_scaled(rhs, mul(*mul(*x, *z), *y)[1], 1)
+    return mul(*mul(*x, *y), *z)[1] == rhs
 
 
 def check_action(act):
     """The six mixed Leibniz identities, one per placement pattern of the
     q-entries in [[x,y],z] = [x,[y,z]] + [[x,z],y]."""
-    p, q = act.actor, act.target
-
-    def br(kx, x, ky, y):
-        if kx == "p" and ky == "p":
-            return "p", p.bracket(x, y)
-        if kx == "p" and ky == "q":
-            return "q", act.left(x, y)
-        if kx == "q" and ky == "p":
-            return "q", act.right(x, y)
-        return "q", q.bracket(x, y)
-
-    def identity_holds(kinds, xs):
-        (k1, x1), (k2, x2), (k3, x3) = zip(kinds, xs)
-        ka, lhs_in = br(k1, x1, k2, x2)
-        _, lhs = br(ka, lhs_in, k3, x3)
-        kb, t1_in = br(k2, x2, k3, x3)
-        _, t1 = br(k1, x1, kb, t1_in)
-        kc, t2_in = br(k1, x1, k3, x3)
-        _, t2 = br(kc, t2_in, k2, x2)
-        rhs = dict(t1)
-        vec_add_scaled(rhs, t2, 1)
-        return lhs == rhs
-
-    patterns = [("q", "p", "p"), ("p", "q", "p"), ("p", "p", "q"),
-                ("q", "q", "p"), ("q", "p", "q"), ("p", "q", "q")]
-    bad = []
-    for pat in patterns:
-        dims = [q.dim if k == "q" else p.dim for k in pat]
-        for i in range(dims[0]):
-            for j in range(dims[1]):
-                for k in range(dims[2]):
-                    xs = (basis_vec(i), basis_vec(j), basis_vec(k))
-                    if not identity_holds(pat, xs):
-                        bad.append((pat, (i, j, k)))
-    return bad
+    return _action_violations(
+        act, LeibnizAlgebra.bracket, ("p", "q"),
+        (("q", "p", "p"), ("p", "q", "p"), ("p", "p", "q"),
+         ("q", "q", "p"), ("q", "p", "q"), ("p", "q", "q")), _leibniz_holds)
 
 
 def semidirect(act):
@@ -264,7 +276,7 @@ def rep_to_abelian_extension(rep):
     M = abelian("M", tuple("m%d" % i for i in range(m)))
     left = [[f.col(j) for j in range(m)] for f in rep.left_mats]
     right = [[f.col(j) for f in rep.right_mats] for j in range(m)]
-    act = LeibnizAction(p, M, left, right)
+    act = Action(p, M, left, right)
     return semidirect(act)
 
 

@@ -26,13 +26,11 @@ from dataclasses import dataclass, field
 from .linalg import (Echelon, LinearMap, Subspace, lincomb, quotient_basis,
                      vec_add_scaled)
 from .freealg import (FreeAlgebra, NCPoly, TruncQuotAlgebra, ideal_span,
-                      quotient, filtration_basis)
-from .leibniz import (LeibnizAlgebra, LeibnizAction, basis_vec, liezation,
-                      semidirect)
-from .xmod import LeibnizXMod, check_xmod, xliez
-from .envelope import ul_relations
-from .xul import (cat1_matrices, combine_verdict, kernel_product_quotient,
-                  report_degree_for, require_xmod, xul)
+                      quotient, filtration_basis, word_fold)
+from .leibniz import Action, LeibnizAlgebra, basis_vec, liezation, semidirect
+from .xmod import LeibnizXMod, cat1_matrices, check_xmod, xliez
+from .xul import (combine_verdict, kernel_product_quotient, report_degree_for,
+                  require_xmod, xul)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +142,7 @@ class LMLieXMod:
         left = [[f.col(a) for a in range(h.dim)]
                 for f in (m.scale(-1) for m in self.act_h)]
         right = [[f.col(a) for f in self.act_h] for a in range(h.dim)]
-        return LeibnizXMod(h, g, self.rho2, LeibnizAction(g, h, left, right))
+        return LeibnizXMod(h, g, self.rho2, Action(g, h, left, right))
 
 
 def check_lm_lie_xmod(X):
@@ -252,7 +250,8 @@ def leibniz_to_lm(p):
 
 def xmod_to_lm(x):
     """The crossed-module square (q -> Liez(q)/[q,p]_x, p -> Liez(p));
-    raises XModAxiomError when x is not a crossed module."""
+    raises XModAxiomError when x is not a crossed module.  The output is
+    checked by its consumer, :func:`lm_xmod_envelope`."""
     require_xmod(x)
     xbar, proj_qbar, projp = xliez(x)
     q, p = x.q, x.p
@@ -290,12 +289,7 @@ def xmod_to_lm(x):
                              for c in comp])
         for i in range(p.dim))
 
-    out = LMLieXMod(src, dst, x.eta, xbar.eta, act_h, act_n, xi)
-    bad = check_lm_lie_xmod(out)
-    if bad:
-        raise ValueError("crossed-module embedding fails checks: %r"
-                         % bad[:3])
-    return out
+    return LMLieXMod(src, dst, x.eta, xbar.eta, act_h, act_n, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,14 +997,7 @@ def check_associated_xmod(ax):
 
 
 def _word_evaluator(images, mult, unit):
-    memo = {(): unit}
-
-    def value(w):
-        out = memo.get(w)
-        if out is None:
-            out = mult(value(w[:-1]), images[w[-1]])
-            memo[w] = out
-        return out
+    value = word_fold(images, mult, unit)
 
     def eval_vec(vec):
         bot, top = {}, {}
@@ -1035,6 +1022,12 @@ def theta_check(x, degree, slack=2, report_degree=None):
     filtration-bijective up to the report degree both before and after the
     kernel-product quotients, map the quotient ideal into its categorical
     counterpart, and intertwine the induced cat¹ maps.
+
+    Killing the ideal's rows (V_D) kills the defining relations too, so
+    they get no check of their own: every relation of degree <= D lies in
+    the span of the completed rows of degree <= D, because reducing it
+    touches only words of its own length or less; V_D contains those rows,
+    and theta is linear.
     """
     d = report_degree_for(degree, report_degree)
     tx = xul(x, degree, slack, report_degree=d)
@@ -1077,12 +1070,8 @@ def theta_check(x, degree, slack=2, report_degree=None):
     def is_zero(pair):
         return not pair[0] and not pair[1]
 
-    relations_ok = all(
-        is_zero(theta(dict(r.terms))) for r in ul_relations(tx.ul_sd.p))
-    ideal_ok = relations_ok and all(
-        is_zero(theta(row)) for row in usd1.ideal.rows)
+    ideal_ok = all(is_zero(theta(row)) for row in usd1.ideal.rows)
     p_ideal_ok = all(
-        is_zero(theta_p(dict(r.terms))) for r in ul_relations(x.p)) and all(
         is_zero(theta_p(row)) for row in tx.ul_p.quot.ideal.rows)
     unit_ok = theta({(): 1}) == ({}, usd.unit())
 
@@ -1151,7 +1140,7 @@ def theta_check(x, degree, slack=2, report_degree=None):
 
     certs = dict(Y.certificates)
     certs.update({"ul_" + k: v for k, v in tx.certificates.items()})
-    ok = (relations_ok and ideal_ok and p_ideal_ok and unit_ok and
+    ok = (ideal_ok and p_ideal_ok and unit_ok and
           pre_dims_ok and pre_rank_ok and x_maps_ok and quot_dims_ok and
           quot_rank_ok and morphism_ok)
     return {
@@ -1159,7 +1148,7 @@ def theta_check(x, degree, slack=2, report_degree=None):
         "degree": degree,
         "report_degree": d,
         "unit_ok": unit_ok,
-        "relations_killed": relations_ok and ideal_ok and p_ideal_ok,
+        "relations_killed": ideal_ok and p_ideal_ok,
         "pre_quotient_dims_equal": pre_dims_ok,
         "pre_quotient_bijective": pre_rank_ok,
         "ideal_mapped": x_maps_ok,

@@ -17,10 +17,10 @@ on kernel classes (words leftmost-factor-first, as in envelope).
 from dataclasses import dataclass
 
 from .linalg import LinearMap, lincomb
-from .leibniz import LeibnizRep, basis_vec, check_rep, zero_rep
-from .assoc import AssocAlgebra, AssocAction
+from .leibniz import Action, LeibnizRep, basis_vec, check_rep, zero_rep
+from .assoc import AssocAlgebra
 from .xmod import AssocXMod
-from .freealg import word_key
+from .freealg import word_fold, word_key
 from .envelope import ULModule, check_module
 from .xul import TruncAssocXMod
 
@@ -107,7 +107,7 @@ def endo_xmod(delta):
                     for d in homs])
     left = [[map_to_hom(alpha.compose(d)) for d in homs] for alpha, _ in ends]
     right = [[map_to_hom(d.compose(beta)) for _, beta in ends] for d in homs]
-    return AssocXMod(B, A, rho, AssocAction(A, B, left, right))
+    return AssocXMod(B, A, rho, Action(A, B, left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +288,8 @@ def phi_word_evaluator(tx, rep):
                                   LinearMap.zero(n, m),
                                   rep.rep_m.left_mats[i]))
 
-    memo = {(): LinearMap.identity(size)}
-
-    def word_mat(w):
-        out = memo.get(w)
-        if out is None:
-            out = gens[w[-1]].compose(word_mat(w[:-1]))
-            memo[w] = out
-        return out
+    word_mat = word_fold(gens, lambda a, b: b.compose(a),
+                         LinearMap.identity(size))
 
     def eval_vec(vec):
         return lincomb({w: word_mat(w) for w in vec}, vec, size, size)

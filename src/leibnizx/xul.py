@@ -17,7 +17,8 @@ from .linalg import LinearMap, Subspace, zero_subspace
 from .freealg import (TruncQuotAlgebra, filtration_basis, induced_map,
                       subspace_product)
 from .leibniz import semidirect
-from .xmod import LeibnizXMod, check_xmod, identity_xmod, zero_xmod
+from .xmod import (LeibnizXMod, cat1_matrices, check_xmod, identity_xmod,
+                   zero_xmod)
 from .envelope import ULAlgebra, ul, ul_images, ul_map
 
 
@@ -32,16 +33,6 @@ def require_xmod(x):
     if bad:
         raise XModAxiomError("input fails crossed-module axioms: %r"
                              % bad[:3])
-
-
-def cat1_matrices(eta):
-    """s(q,p) = p and t(q,p) = eta(q) + p as maps on q ⊕ p coordinates,
-    for a linear map eta: q -> p."""
-    nq, np_ = eta.cols, eta.rows
-    s_cols = [{} for _ in range(nq)] + [{i: 1} for i in range(np_)]
-    t_cols = [eta.col(j) for j in range(nq)] + \
-        [{i: 1} for i in range(np_)]
-    return (LinearMap.from_cols(np_, s_cols), LinearMap.from_cols(np_, t_cols))
 
 
 @dataclass(frozen=True)

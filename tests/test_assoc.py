@@ -1,6 +1,6 @@
 from leibnizx.scalars import Q
-from leibnizx.assoc import (AssocAlgebra, AssocAction, assoc_semidirect,
-                            check_assoc_action, zero_assoc_action)
+from leibnizx.leibniz import Action, zero_action
+from leibnizx.assoc import AssocAlgebra, assoc_semidirect, check_assoc_action
 
 
 def test_corpus_assoc(load):
@@ -20,7 +20,7 @@ def test_nonassociative_detected():
 def test_zero_action_and_semidirect(load):
     alg = load("assoc2.json")
     b = AssocAlgebra("B", ("w",), [[{}]])
-    act = zero_assoc_action(alg, b)
+    act = zero_action(alg, b)
     assert not check_assoc_action(act)
     sd = assoc_semidirect(act)
     assert sd.dim == 3
@@ -33,8 +33,8 @@ def test_bimodule_action_checked(load):
     # u acts as 1 on both sides, v as 0: compatible with u*u = u, u*v = v?
     # (w·u)·v = w·v = 0 but w·(u·v) = w·v = 0 — fine; yet v·(u·w): v·w = 0
     # and (v·u)·w = 0 — also fine, so this one passes
-    act = AssocAction(alg, b, [[{0: 1}], [{}]], [[{0: 1}, {}]])
+    act = Action(alg, b, [[{0: 1}], [{}]], [[{0: 1}, {}]])
     assert not check_assoc_action(act)
     # v acting as 1 breaks (w·v)·v = w against w·(v·v) = 0
-    bad = AssocAction(alg, b, [[{}], [{0: 1}]], [[{}, {0: 1}]])
+    bad = Action(alg, b, [[{}], [{0: 1}]], [[{}, {0: 1}]])
     assert check_assoc_action(bad)

@@ -80,8 +80,8 @@ def test_broken_action_detected(l2):
     # identities for L2 because [a,a] = b acts nontrivially
     q = abelian("M", ("m",))
     act_tensor = [[{0: 1}], [{0: 1}]]
-    from leibnizx.leibniz import LeibnizAction
-    act = LeibnizAction(l2, q, act_tensor, [[{0: 1}, {0: 1}]])
+    from leibnizx.leibniz import Action
+    act = Action(l2, q, act_tensor, [[{0: 1}, {0: 1}]])
     assert check_action(act)
 
 

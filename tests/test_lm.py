@@ -44,6 +44,17 @@ def test_xmod_to_lm(xmods):
         assert not check_lm_lie_xmod(X), name
 
 
+def test_lm_xmod_envelope_checks_its_input(xmods):
+    """xmod_to_lm leaves the check of its output to lm_xmod_envelope,
+    which refuses an input that fails it."""
+    X = xmod_to_lm(xmods["xmod-id-r2.json"])
+    bent = dataclasses.replace(X, rho1=X.rho1.scale(2))
+    assert check_lm_lie_xmod(bent)[:2] == [("xi_rho1", 0), ("xi_rho1", 1)]
+    with pytest.raises(ValueError,
+                       match="input fails crossed-module checks"):
+        lm_xmod_envelope(bent, 3)
+
+
 def test_u_lie_dimensions(r2):
     from leibnizx.leibniz import liezation
     lie, _ = liezation(r2)
@@ -92,6 +103,18 @@ def test_theta_identity_a1(a1):
     assert rec["verdict"] == "pass"
     assert rec["relations_killed"] and rec["ideal_mapped"]
     assert rec["quotient_bijective"] and rec["cat_maps_intertwined"]
+
+
+def test_relations_lie_in_ideal_rows(xmods):
+    """theta_check checks only the ideal rows: every defining relation of
+    UL(q ⋊ p) and UL(p) reduces to zero by the rows at D3."""
+    from leibnizx.envelope import ul_relations
+    from leibnizx.xul import xul
+    for name, x in xmods.items():
+        tx = xul(x, 3)
+        for ulg in (tx.ul_sd, tx.ul_p):
+            for r in ul_relations(ulg.p):
+                assert ulg.quot.ideal.reduce_vec(dict(r.terms)) == {}, name
 
 
 def _intersection_filtration(bim, sub):
