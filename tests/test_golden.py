@@ -90,6 +90,10 @@ def _cases():
         ("xul", "xmod-id-r2", "--degree", "4", *SLACK),
         ("xul", "xmod-incl-l2", "--degree", "5", *SLACK),
         ("verify", "thm5", "xrep-zero-incl-l2", "--degree", "4", *SLACK),
+        # the envelope quotients by rewriting, at the slowest reads
+        ("xul", "xmod-id-r2", "--degree", "5", *SLACK),
+        ("verify", "theta", "xmod-id-r2", "--degree", "4", *SLACK),
+        ("ul", "r2", "--degree", "6"),
     ]
     return {"-".join(c).replace("--", ""): c for c in cases}
 
