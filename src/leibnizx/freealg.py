@@ -8,20 +8,18 @@ built on top (enveloping algebras, kernel ideals, quotients).
 Ideals of inhomogeneous relations are not always visible at a finite
 degree: an element of degree <= D may need products w1*r*w2 of higher top
 degree.  :func:`ideal_span` completes the relations (Buchberger–Mora,
-Mora, TCS 134, 1994) with ambiguity words capped at D + S (slack), and
-closes the span of degree <= D from the result one degree at a time: each
-level multiplies by the generators only the echelon rows the previous
-level added, which spans the same space as enumerating every product.
-When every ambiguity resolves, the completed relations are a Gröbner
-basis (Bergman's diamond lemma, Adv. Math. 29, 1978), and the span is the
+Mora, TCS 134, 1994) with ambiguity words capped at D + S (slack), and the
+completed basis G alone gives the quotient (Bergman's diamond lemma, Adv.
+Math. 29, 1978): the class words are the words that contain no leading
+word of G, and a word reduces by the rewriter completion uses.  When every
+ambiguity resolves, G is a Gröbner basis and the quotient is by the
 ideal's whole part of degree <= D: the stabilization flag is a proof.
 
-Each ideal keeps the generators it was closed from: a quotient of a
-quotient closes only the rows it adds, in the first quotient's class
-coordinates, and an algebra map is checked on the generators alone.
+Each ideal keeps its generators: a quotient of a quotient closes only the
+rows it adds, in the first quotient's class coordinates, and an algebra
+map is checked on the generators alone.
 """
 
-import heapq
 import itertools
 
 from .scalars import exact
@@ -142,31 +140,35 @@ class FreeAlgebra:
 class TruncIdeal:
     """Degree-truncated two-sided ideal span with a stabilization flag.
 
-    ``gens`` are word-keyed vectors; closing their span under x*v and v*x
-    for generators x and elements v of degree < D gives the span when
-    ``stabilized`` is True, and a space containing it otherwise.  So a map
+    ``gens`` are word-keyed vectors; the span is that of every u*g*v of
+    degree <= D for g in ``gens``, the ideal's whole part of degree <= D
+    when ``stabilized`` is True, and a subspace of it otherwise.  So a map
     of words into an associative algebra that multiplies images kills the
     span once it kills ``gens``.
 
-    ``rows`` is the canonical reduced echelon basis (elimination order
-    :func:`word_key`) of the span, the ideal's whole part of degree <= D
-    when ``stabilized`` is True.  An ideal that extends the ideal of a
-    quotient ``base`` keeps only the rows it adds, in ``base``'s class
-    coordinates, and reduces by ``base`` first.
+    A presented ideal (:func:`ideal_span`) has its generators for ``rows``,
+    each the rewriting rule of its leading word: the pivots are the words
+    that contain a leading word, and a vector reduces to its normal form.
+    An ideal that extends the ideal of a quotient ``base`` keeps only the
+    rows it adds, a reduced echelon basis (order :func:`word_key`) in
+    ``base``'s class coordinates, and reduces by ``base`` first.
     """
 
     def __init__(self, algebra, rows, stabilized, gens, base=None):
         self.algebra = algebra
         self.rows = tuple(rows)
         self.gens = tuple(gens)
-        self.base = base
-        # integer copies of the rows, for reduction
-        self._introws = {min(r, key=word_key): int_vec(r)[0]
-                         for r in self.rows}
-        self.pivots = frozenset(self._introws)
-        if base is not None:
-            self.pivots |= base.ideal.pivots
         self.stabilized = stabilized
+        leading = {min(r, key=word_key): r for r in self.rows}
+        if base is None:
+            self._residue = rewriter(leading)
+            self.pivots = _reducible_words(algebra.words, leading)
+        else:
+            # integer copies of the rows, for reduction
+            introws = {p: int_vec(r)[0] for p, r in leading.items()}
+            self._residue = lambda v: residue(base.reduce(v), introws,
+                                              word_key)
+            self.pivots = frozenset(introws) | base.ideal.pivots
 
     @property
     def dim(self):
@@ -174,66 +176,65 @@ class TruncIdeal:
 
     def reduce_vec(self, v):
         """Residue of a word-keyed vector modulo the ideal span."""
-        if self.base is not None:
-            v = self.base.reduce(v)
-        return residue(v, self._introws, word_key)
+        return self._residue(v)
 
 
-def _close_level(ech, frontier, relations, g):
-    """Raise the span V_{m-1} to V_m.
-
-    ``frontier`` holds (pivot, made_right) for the rows the echelon gained
-    at level m-1; ``relations`` are the word-keyed relation vectors of
-    degree m.  Each frontier row is multiplied by every generator on the
-    right, and on the left too unless it was itself made as a right
-    product.  Returns the frontier of level m.
-    """
-    new = []
-    for piv, made_right in frontier:
-        row = ech.rows[piv]
-        for x in range(g):
-            p = ech.insert({w + (x,): c for w, c in row.items()})
-            if p is not None:
-                new.append((p, True))
-            if not made_right:
-                p = ech.insert({(x,) + w: c for w, c in row.items()})
-                if p is not None:
-                    new.append((p, False))
-    for r in relations:
-        p = ech.insert(r)
-        if p is not None:
-            new.append((p, False))
-    return new
+def _reducible_words(words, rules):
+    """The words that contain a leading word of the rules.  ``words`` come
+    length-first, so a word's prefix is decided before it: w contains a
+    leading word iff w[:-1] does or one ends w."""
+    out = set()
+    for w in words:
+        if w[:-1] in out or any(w[i:] in rules for i in range(len(w) + 1)):
+            out.add(w)
+    return frozenset(out)
 
 
-def _normal_form(v, rules):
-    """Normal form of a word-keyed vector under the rewriting rules, each a
-    monic relation row keyed by its leading word.  The greatest reducible
-    word (least :func:`word_key`) is rewritten first, at its shortest and
-    then leftmost leading word, by subtracting the row placed there (which
-    cancels the word), until none is left.  The result is linear in v."""
+def rewriter(rules):
+    """The normal form under rewriting rules, each a monic relation row
+    keyed by its leading word, as a function of word-keyed vectors.
+
+    A word is rewritten at its shortest, then leftmost, leading word by
+    subtracting the row placed there, which cancels it; every other word
+    of that placed row is greater under :func:`word_key`, so rewriting
+    ends.  This first step fixes each word's normal form, memoised per
+    word; a vector's is the combination of its words'.  A word's normal
+    form is built without recursion: the words it reaches are collected,
+    then resolved greatest first, each after the words it rewrites to."""
     lengths = sorted({len(a) for a in rules})
-    work = dict(v)
-    heap = [word_key(w) for w in work]
-    heapq.heapify(heap)
-    out = {}
-    while heap:
-        w = heapq.heappop(heap)[1]
-        c = work[w]
-        if c == 0:
-            continue
-        hit = next(((i, L) for L in lengths for i in range(len(w) - L + 1)
-                    if w[i:i + L] in rules), None)
-        if hit is None:
-            out[w] = c
-            continue
-        i, L = hit
-        for u, d in rules[w[i:i + L]].items():
-            x = w[:i] + u + w[i + L:]
-            if x not in work:
-                heapq.heappush(heap, word_key(x))
-            work[x] = work.get(x, 0) - c * d
-    return out
+    memo = {}
+
+    def step(w):
+        """The terms (word, coefficient) w rewrites to in one step, or None
+        when w contains no leading word."""
+        for L in lengths:
+            for i in range(len(w) - L + 1):
+                a = w[i:i + L]
+                if a in rules:
+                    return [(w[:i] + u + w[i + L:], -d)
+                            for u, d in rules[a].items() if u != a]
+        return None
+
+    def word_form(w):
+        reached, stack = {w: step(w)}, [w]
+        while stack:
+            for x, _ in reached[stack.pop()] or ():
+                if x not in memo and x not in reached:
+                    reached[x] = step(x)
+                    stack.append(x)
+        for x in sorted(reached, key=word_key, reverse=True):
+            memo[x] = out = {x: 1} if reached[x] is None else {}
+            for y, c in reached[x] or ():
+                vec_add_scaled(out, memo[y], c)
+        return memo[w]
+
+    def normal_form(v):
+        out = {}
+        for w, c in v.items():
+            vec_add_scaled(out, memo[w] if w in memo else word_form(w), c)
+        return out
+
+    return normal_form
 
 
 def _ambiguities(rules):
@@ -263,13 +264,15 @@ def groebner_basis(relations, cap):
 
     Each round interreduces the relations (the canonical rows G of their
     echelon), takes each row as the rewriting rule of its leading word,
-    and rewrites both sides of every ambiguity to normal form.  A nonzero
-    difference from an ambiguity word of length <= cap joins the
-    relations; the rounds end when one adds nothing, which they do since
-    each new relation has degree <= cap.  Returns (G, closed): closed is
-    True only when every ambiguity resolves, and then G is a Gröbner basis
-    by the diamond lemma: every element of the ideal of degree <= D is a
-    combination of products u*g*v of degree <= D."""
+    and rewrites both sides of every ambiguity to normal form
+    (:func:`rewriter`).  A nonzero difference from an ambiguity word of
+    length <= cap joins the relations; it contains no leading word, so it
+    is independent of them and the round grows.  The rounds end when one
+    adds nothing, which they do since each new relation has degree <= cap;
+    every ambiguity of length <= cap then resolves.  Returns (G, closed):
+    closed is True only when every ambiguity resolves, and then G is a
+    Gröbner basis by the diamond lemma: every element of the ideal of
+    degree <= D is a combination of products u*g*v of degree <= D."""
     ech = Echelon(word_key)
     for r in relations:
         ech.insert(r.terms)
@@ -277,11 +280,12 @@ def groebner_basis(relations, cap):
     while grew:
         G = ech.canonical_rows()
         rules = {min(row, key=word_key): row for row in G}
+        normal_form = rewriter(rules)
         closed, grew = True, False
         for word, p, q in _ambiguities(rules):
             if len(word) > cap and not closed:
                 continue  # it can no longer change the outcome
-            diff = _normal_form(vec_add_scaled(p, q, -1), rules)
+            diff = normal_form(vec_add_scaled(p, q, -1))
             if diff:
                 closed = False
                 if len(word) <= cap and ech.insert(diff) is not None:
@@ -293,38 +297,23 @@ def ideal_span(algebra, relations, slack=2):
     """Truncated two-sided ideal of the given relation polynomials.
 
     The relations are completed (:func:`groebner_basis`) with ambiguity
-    words capped at D + S (D = algebra.degree, S = slack), and the rows
-    span V_D, the span of all u*g*v of degree <= D for g in the completed
-    basis G.  ``stabilized`` is True only when G is a Gröbner basis; the
-    rows are then exactly the ideal's part of degree <= D, whatever the
-    slack.  Otherwise they span a subspace of it, and raising the slack
-    may close the completion.
-
-    V_D is built one level at a time from its generators:
-
-        V_m = V_{m-1} + sum_x (x V_{m-1} + V_{m-1} x) + span{g : deg g = m}.
-
-    Multiplication by a generator x is linear and x V_{m-2} already lies in
-    V_{m-1}, so only the rows the echelon gained at level m-1 (the
-    frontier) are multiplied.  A frontier row n made as a right product
-    n'y, with n' in V_{m-2}, is multiplied on the right only.  Indeed
-    n = n'y - s with s in the span at n's insertion, so x n = (x n')y - x s:
-    x n' lies in V_{m-1}, so (x n')y lies in V_{m-1} y, which V_{m-1} and
-    the right products of the frontier span; s lies in V_{m-2} plus the
-    frontier rows inserted before n, whose left multiples are covered by
-    induction on insertion order.  The span is thus exactly the one the
-    full enumeration gives, and the rows are its canonical RREF.
+    words capped at D + S (D = algebra.degree, S = slack), and the
+    completed rows of degree <= D are the ideal's generators and rewriting
+    rules.  Every ambiguity of length <= D + S then resolves, and words of
+    length <= D are closed under subwords, so by the diamond lemma at
+    degree <= D the words without a leading word span a complement of V_D,
+    the span of every u*g*v of degree <= D: a word's normal form is its
+    residue modulo V_D.  ``stabilized`` is True only when the completed
+    basis is a Gröbner basis; V_D is then the ideal's whole part of degree
+    <= D, whatever the slack.  Otherwise it is a subspace of it, and
+    raising the slack may close the completion.
     """
     D = algebra.degree
     if any(r.degree() > D for r in relations):
         raise ValueError("relation degree exceeds working degree")
     G, closed = groebner_basis(relations, D + slack)
     gens = [r for r in G if max(map(len, r)) <= D]
-    ech, frontier = Echelon(word_key), []
-    for m in range(D + 1):
-        level = [r for r in gens if max(map(len, r)) == m]
-        frontier = _close_level(ech, frontier, level, algebra.ngens)
-    return TruncIdeal(algebra, ech.canonical_rows(), closed, gens)
+    return TruncIdeal(algebra, gens, closed, gens)
 
 
 class HomomorphismError(ValueError):
@@ -335,10 +324,11 @@ class TruncQuotAlgebra:
     """Quotient of a truncated free algebra by a truncated ideal, with
     canonical class coordinates aligned to the filtration.
 
-    Class coordinates are the non-pivot words of the ideal's elimination
-    echelon; the filtration layer F_d is spanned exactly by the class words
-    of length <= d, so fdeg of a class vector is the top length in its
-    support.
+    Class coordinates are the words that are no pivot of the ideal: for a
+    presented ideal, the normal words of its completed basis, and a word
+    reduces to its normal form.  The filtration layer F_d is spanned
+    exactly by the class words of length <= d, so fdeg of a class vector is
+    the top length in its support.
     """
 
     def __init__(self, parent, ideal):

@@ -1023,11 +1023,11 @@ def theta_check(x, degree, slack=2, report_degree=None):
     kernel-product quotients, map the quotient ideal into its categorical
     counterpart, and intertwine the induced cat¹ maps.
 
-    Killing the ideal's rows (V_D) kills the defining relations too, so
-    they get no check of their own: every relation of degree <= D lies in
-    the span of the completed rows of degree <= D, because reducing it
-    touches only words of its own length or less; V_D contains those rows,
-    and theta is linear.
+    It kills the ideal's span V_D when theta(w) = theta(reduce_word(w)) for
+    every word w of length <= D that is no class word, since the rows
+    w - reduce_word(w) are a basis of V_D.  The defining relations get no
+    check of their own: each of degree <= D reduces to zero by the
+    completed rows of degree <= D, which lie in V_D, and theta is linear.
     """
     d = report_degree_for(degree, report_degree)
     tx = xul(x, degree, slack, report_degree=d)
@@ -1067,12 +1067,12 @@ def theta_check(x, degree, slack=2, report_degree=None):
     theta_p = evaluator(tbim, Ug, Y.target.connect,
                         [X.dst.alpha.col(i) for i in range(np_)])
 
-    def is_zero(pair):
-        return not pair[0] and not pair[1]
+    def kills_span(evaluate, quot):
+        return all(evaluate({w: 1}) == evaluate(quot.reduce_word(w))
+                   for w in quot.parent.words if w not in quot.class_index)
 
-    ideal_ok = all(is_zero(theta(row)) for row in usd1.ideal.rows)
-    p_ideal_ok = all(
-        is_zero(theta_p(row)) for row in tx.ul_p.quot.ideal.rows)
+    ideal_ok = kills_span(theta, usd1)
+    p_ideal_ok = kills_span(theta_p, tx.ul_p.quot)
     unit_ok = theta({(): 1}) == ({}, usd.unit())
 
     # filtration bijectivity before the kernel-product quotients

@@ -47,11 +47,21 @@ def fraction_reduce(v, rows, keyf):
                 v.pop(k, None)
 
 
+def span_rows(quot):
+    """The canonical reduced echelon rows, in :func:`word_key` order, of
+    the span quot reduces by: {w: 1} - reduce_word(w) for each parent word
+    w that is not a class word."""
+    return [vec_add_scaled({w: 1}, quot.reduce_word(w), -1)
+            for w in sorted(quot.parent.words, key=word_key)
+            if w not in quot.class_index]
+
+
 def free_reclosure(quot, sub):
     """Oracle for ``TruncQuotAlgebra.extend_by``: the quotient by the
-    closure, in the free algebra, of quot's ideal rows and the rows of sub
-    (class coordinates) under multiplication by a generator on either side
-    within the degree; every row, old or added, is multiplied again."""
+    closure, in the free algebra, of quot's ideal span (:func:`span_rows`)
+    and the rows of sub (class coordinates) under multiplication by a
+    generator on either side within the degree; every row, old or added,
+    is multiplied again."""
     g, D = quot.parent.ngens, quot.degree
     ech, work = Echelon(word_key), []
 
@@ -60,8 +70,8 @@ def free_reclosure(quot, sub):
         if piv is not None and len(piv) < D:
             work.append(piv)
 
-    for row in quot.ideal.rows:
-        insert(dict(row))
+    for row in span_rows(quot):
+        insert(row)
     for r in sub.rows:
         insert(quot.from_coords(r))
     while work:
