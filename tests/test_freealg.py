@@ -142,8 +142,8 @@ def _resolves(relations):
 
 @pytest.mark.parametrize("slack", [0, 1, 2])
 def test_ideal_span_matches_enumeration(a1, l2, r2, slack):
-    """The level-wise closure gives the rows of the full enumeration, with
-    a proof, on the envelope and Lie presentations."""
+    """The span the quotient reduces by has the rows of the full
+    enumeration, with a proof, on the envelope and Lie presentations."""
     cases = [(2 * a1.dim, ul_relations(a1), (2, 3, 4)),
              (2 * l2.dim, ul_relations(l2), (2, 3)),
              (2 * r2.dim, ul_relations(r2), (2, 3)),

@@ -106,8 +106,8 @@ def test_theta_identity_a1(a1):
 
 
 def test_relations_lie_in_ideal_rows(xmods):
-    """theta_check checks only the ideal rows: every defining relation of
-    UL(q ⋊ p) and UL(p) reduces to zero by the rows at D3."""
+    """theta_check checks only the ideal span: every defining relation of
+    UL(q ⋊ p) and UL(p) reduces to zero by it at D3."""
     from leibnizx.envelope import ul_relations
     from leibnizx.xul import xul
     for name, x in xmods.items():
