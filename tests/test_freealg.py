@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,8 @@ from leibnizx.scalars import Q
 from leibnizx.envelope import ul_relations
 from leibnizx.freealg import (FreeAlgebra, HomomorphismError, NCPoly,
                               filtration_basis, groebner_basis, ideal_span,
-                              induced_map, quotient, subspace_product,
-                              word_key)
+                              induced_map, quotient, rewriter,
+                              subspace_product, word_key)
 from leibnizx.leibniz import liezation
 from leibnizx.linalg import Echelon, Subspace
 from leibnizx.lm import lie_relations
@@ -231,6 +232,17 @@ def test_quotient_matches_generator_products_open_or_closed():
                 {w: Q(1)}, rows, word_key), w
         seen.add(quot.ideal.stabilized)
     assert seen == {True, False}
+
+
+def test_rewriter_chain_longer_than_the_recursion_limit():
+    """x0x1 -> x1x0 sorts 0^k 1^k in k*k steps, one word after another;
+    with k*k above the recursion limit the normal form still comes out,
+    and a second call reads the memo."""
+    k = math.isqrt(sys.getrecursionlimit()) + 1
+    normal_form = rewriter({(0, 1): {(0, 1): 1, (1, 0): -1}})
+    w, sorted_w = (0,) * k + (1,) * k, (1,) * k + (0,) * k
+    assert normal_form({w: 2}) == {sorted_w: 2}
+    assert normal_form({w: 1, (0,): 3}) == {sorted_w: 1, (0,): 3}
 
 
 def test_unresolved_overlap_is_completed():
