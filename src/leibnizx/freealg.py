@@ -15,16 +15,15 @@ word of G, and a word reduces by the rewriter completion uses.  When every
 ambiguity resolves, G is a Gröbner basis and the quotient is by the
 ideal's whole part of degree <= D: the stabilization flag is a proof.
 
-Each ideal keeps its generators: a quotient of a quotient closes only the
-rows it adds, in the first quotient's class coordinates, and an algebra
-map is checked on the generators alone.
+A quotient of a presented quotient by added rows is presented too: its
+completion starts from the first quotient's completed rows and the added
+ones.  An algebra map is checked on the completed rows alone.
 """
 
 import itertools
 
 from .scalars import exact
-from .linalg import (Echelon, LinearMap, Subspace, int_vec, residue,
-                     vec_add_scaled)
+from .linalg import Echelon, LinearMap, Subspace, vec_add_scaled
 
 
 def word_key(w):
@@ -140,35 +139,22 @@ class FreeAlgebra:
 class TruncIdeal:
     """Degree-truncated two-sided ideal span with a stabilization flag.
 
-    ``gens`` are word-keyed vectors; the span is that of every u*g*v of
-    degree <= D for g in ``gens``, the ideal's whole part of degree <= D
-    when ``stabilized`` is True, and a subspace of it otherwise.  So a map
-    of words into an associative algebra that multiplies images kills the
-    span once it kills ``gens``.
-
-    A presented ideal (:func:`ideal_span`) has its generators for ``rows``,
-    each the rewriting rule of its leading word: the pivots are the words
-    that contain a leading word, and a vector reduces to its normal form.
-    An ideal that extends the ideal of a quotient ``base`` keeps only the
-    rows it adds, a reduced echelon basis (order :func:`word_key`) in
-    ``base``'s class coordinates, and reduces by ``base`` first.
+    ``rows`` are word-keyed vectors, each monic at its leading word and the
+    rewriting rule of that word: the pivots are the words that contain a
+    leading word, and a vector reduces to its normal form.  The span is
+    that of every u*g*v of degree <= D for g in ``rows``, the ideal's whole
+    part of degree <= D when ``stabilized`` is True, and a subspace of it
+    otherwise.  So a map of words into an associative algebra that
+    multiplies images kills the span once it kills ``rows``.
     """
 
-    def __init__(self, algebra, rows, stabilized, gens, base=None):
+    def __init__(self, algebra, rows, stabilized):
         self.algebra = algebra
         self.rows = tuple(rows)
-        self.gens = tuple(gens)
         self.stabilized = stabilized
         leading = {min(r, key=word_key): r for r in self.rows}
-        if base is None:
-            self._residue = rewriter(leading)
-            self.pivots = _reducible_words(algebra.words, leading)
-        else:
-            # integer copies of the rows, for reduction
-            introws = {p: int_vec(r)[0] for p, r in leading.items()}
-            self._residue = lambda v: residue(base.reduce(v), introws,
-                                              word_key)
-            self.pivots = frozenset(introws) | base.ideal.pivots
+        self._residue = rewriter(leading)
+        self.pivots = _reducible_words(algebra.words, leading)
 
     @property
     def dim(self):
@@ -242,20 +228,25 @@ def _ambiguities(rules):
     the two rows placed at the word, so that p - q rewrites it both ways.
     An overlap is a proper suffix of one leading word that equals a proper
     prefix of another (or of itself); an inclusion is one leading word
-    inside another."""
+    inside another.  Leading words are looked up by their proper prefixes
+    and subwords, not compared pairwise."""
     def shift(x, t, z):
         return {x + u + z: c for u, c in t.items()}
 
+    starting = {}
+    for b in rules:
+        for k in range(1, len(b)):
+            starting.setdefault(b[:k], []).append(b)
     for a, ta in rules.items():
-        for b, tb in rules.items():
-            for k in range(1, min(len(a), len(b))):
-                if a[-k:] == b[:k]:
-                    yield (a + b[k:], shift((), ta, b[k:]),
-                           shift(a[:-k], tb, ()))
-            if a != b:
-                for i in range(len(b) - len(a) + 1):
-                    if b[i:i + len(a)] == a:
-                        yield b, shift(b[:i], ta, b[i + len(a):]), tb
+        for k in range(1, len(a)):
+            for b in starting.get(a[-k:], ()):
+                yield (a + b[k:], shift((), ta, b[k:]),
+                       shift(a[:-k], rules[b], ()))
+    for b, tb in rules.items():
+        for i, j in itertools.combinations_with_replacement(
+                range(len(b) + 1), 2):
+            if j - i < len(b) and b[i:j] in rules:
+                yield b, shift(b[:i], rules[b[i:j]], b[j:]), tb
 
 
 def groebner_basis(relations, cap):
@@ -312,8 +303,8 @@ def ideal_span(algebra, relations, slack=2):
     if any(r.degree() > D for r in relations):
         raise ValueError("relation degree exceeds working degree")
     G, closed = groebner_basis(relations, D + slack)
-    gens = [r for r in G if max(map(len, r)) <= D]
-    return TruncIdeal(algebra, gens, closed, gens)
+    return TruncIdeal(algebra, [r for r in G if max(map(len, r)) <= D],
+                      closed)
 
 
 class HomomorphismError(ValueError):
@@ -401,28 +392,20 @@ class TruncQuotAlgebra:
             self.dim, [{i: 1} for i, w in enumerate(self.class_words)
                        if len(w) <= d])
 
-    def extend_by(self, sub):
-        """Quotient by the two-sided ideal generated by the current ideal
-        and a Subspace given in class coordinates, within the degree.
+    def extend_by(self, rows, slack):
+        """Quotient by the two-sided ideal generated by this quotient's
+        ideal and the word-keyed ``rows`` of degree <= D: the presented
+        quotient (:func:`ideal_span`, cap D + S) of this ideal's rows
+        together with the added ones.
 
-        Only the added rows are closed under multiplication by generators,
-        each product reduced by :meth:`reduce`; the current ideal, closed
-        already when stabilized, is not touched.  The class words are this
-        quotient's minus the pivots of the closed rows."""
-        added = [self.from_coords(r) for r in sub.rows]
-        ech, work = Echelon(word_key), list(added)
-        while work:
-            piv = ech.insert(work.pop())
-            if piv is None or len(piv) == self.degree:
-                continue  # a product would leave the truncation window
-            row = ech.rows[piv]
-            for x in range(self.parent.ngens):
-                work += (self.reduce({(x,) + w: c for w, c in row.items()}),
-                         self.reduce({w + (x,): c for w, c in row.items()}))
-        ideal = TruncIdeal(self.parent, ech.canonical_rows(),
-                           self.ideal.stabilized,
-                           self.ideal.gens + tuple(added), base=self)
-        return TruncQuotAlgebra(self.parent, ideal)
+        A completed basis's rows of degree <= D span its relations of
+        degree <= D (a row of a reduced echelon basis that a vector uses
+        is pivoted in the vector's support, and its pivot is its longest
+        word), so they generate the same ideal as the whole basis.  The new
+        ``stabilized`` is then a proof for the new ideal whatever this
+        quotient's certificate says."""
+        rels = [NCPoly(r) for r in self.ideal.rows + tuple(rows)]
+        return quotient(self.parent, ideal_span(self.parent, rels, slack))
 
 
 def quotient(algebra, ideal):
@@ -449,8 +432,8 @@ def word_fold(images, mult, unit):
 def induced_map(src, dst, gen_images):
     """Algebra map src -> dst from degree-<=1 generator images.
 
-    Verifies that the word-wise extension kills the generators of src's
-    ideal, and so its span when dst is associative (certified; see
+    Verifies that the word-wise extension kills the rows of src's ideal,
+    and so its span when dst is associative (certified; see
     :class:`TruncIdeal`); raises HomomorphismError naming a violated
     generator's leading word otherwise.  Returns a LinearMap on class
     coordinates.
@@ -461,7 +444,7 @@ def induced_map(src, dst, gen_images):
         if dst.fdeg(img) > 1:
             raise ValueError("generator image must have fdeg <= 1")
     image = word_fold(gen_images, dst.mult, dst.unit())
-    for gen in src.ideal.gens:
+    for gen in src.ideal.rows:
         out = {}
         for w, c in gen.items():
             vec_add_scaled(out, image(w), c)
@@ -497,35 +480,39 @@ def filtration_basis(quot, sub, upto=None):
 
 
 def subspace_product(a_sub, b_sub, quot):
-    """Generators of the product I·J of two ideals generated in degree
-    one, given as Subspaces of quot's class space: the span of a·w·b for a
-    and b the fdeg-1 filtration rows of I and J and w a class word of
-    length <= D - 2, as a Subspace in class coordinates.  Closed under
-    multiplication by generators (``extend_by``), it gives I·J ∩ F_D.
+    """The degree-two generators A·B of the product I·J of two ideals
+    generated in degree one, given as Subspaces of quot's class space: the
+    products a·b = sum of a_x b_y (x, y), word-keyed, for a and b the fdeg-1
+    filtration rows of I and J.  Completed with quot's ideal
+    (``extend_by``), they give the quotient by I·J.
 
     I and J are the kernels Ker s, Ker t of algebra maps s, t from quot to
     a target with a common section σ, an algebra map that sends the target
-    generators to section letters of quot (so s∘σ = t∘σ = id).  Take for
-    letters the section letters and a basis A of I ∩ F_1 (for J, of
-    J ∩ F_1).  An x in I ∩ F_k is a sum of words of length <= k in them;
-    the words in section letters alone sum to σ(y) for some y, and s kills
-    every other word, so y = s(x) = 0 and x is a sum of u·a·v with a in A
-    and |u| + 1 + |v| <= k.  Hence the product of filtration rows of I and
-    J within the degree is a sum of u·a·w·b·v, and I·J = ⟨A·E·B⟩ with E the
-    class words, at each degree <= D: the closure of this span equals the
-    closure of all products of filtration rows whenever quot is certified.
+    generators to section letters of quot (so s∘σ = t∘σ = id).  Let A and B
+    be I ∩ F_1 and J ∩ F_1, and E the words.
+
+    I·J = ⟨A·E·B⟩.  Take for letters the section letters and a basis of A.
+    An x in I ∩ F_k is a sum of words of length <= k in them; the words in
+    section letters alone sum to σ(y) for some y, and s kills every other
+    word, so y = s(x) = 0 and x is a sum of u·a·v with a in A and
+    |u| + 1 + |v| <= k.  So a product of I and J is a sum of u·a·w·b·v.
+
+    E·B ⊆ B·E + B.  For quot = UL(q ⋊ p), t is UL of a Leibniz map, so
+    Ker t ∩ (q ⋊ p) is a two-sided Leibniz ideal and B is its l-copy plus
+    its r-copy.  For a letter z and u in that ideal the relations of
+    ``envelope.ul_relations`` give
+
+        z_r u_r = u_r z_r + [z,u]_r        z_r u_l = u_l z_r - [u,z]_l
+        z_l u_r = u_r z_l + [z,u]_l        z_l u_l = -z_r u_l
+
+    with [z,u] and [u,z] in the ideal again.  For U(h ⋊ g), the top row of
+    ``lm``, Ker t is a Lie ideal and zu = uz + [z,u].  By induction on
+    |w|, w·b is a sum of b'·w' with b' in B and |w'| <= |w|, so
+    a·w·b is in ⟨A·B⟩ and I·J = ⟨A·B⟩; the same holds for J·I with A.
+    These identities hold in the envelope itself, not only below a degree,
+    so a closed completion of quot's relations with A·B and B·A certifies
+    the quotient by I·J + J·I exactly at each degree <= D.
     """
     fa = [va for _, va in filtration_basis(quot, a_sub, 1)]
     fb = [vb for _, vb in filtration_basis(quot, b_sub, 1)]
-    mids = [w for w in quot.class_words if len(w) <= quot.degree - 2]
-    reduce_word = quot.reduce_word
-    prods = []
-    for va in fa:
-        for w in mids:
-            for vb in fb:
-                out = {}
-                for x, ca in va.items():
-                    for y, cb in vb.items():
-                        vec_add_scaled(out, reduce_word(x + w + y), ca * cb)
-                prods.append(quot.to_coords(out))
-    return Subspace.from_vectors(quot.dim, prods)
+    return [(NCPoly(va) * NCPoly(vb)).terms for va in fa for vb in fb]

@@ -17,18 +17,18 @@ a ``Q`` otherwise.  :func:`vec_add_scaled` keeps it, so the integral
 coefficients that nearly every computation meets never become ``Q``.
 
 Elimination runs in ``int`` only.  An :class:`Echelon` keeps primitive
-integer rows; a vector entering it, a :class:`Subspace` or an extending
-``freealg.TruncIdeal`` has its denominators cleared once.  Where results
-leave (canonical rows, ``Subspace.rows``, the residues of ``reduce_vec`` and
-:func:`residue`), :func:`rational` divides by the common denominator and
-builds a ``Q`` only for an entry it does not divide.  RREF with pivot 1 is
+integer rows; a vector entering it or a :class:`Subspace` has its
+denominators cleared once.  Where results leave (canonical rows,
+``Subspace.rows``, the residues of ``reduce_vec`` and :func:`residue`),
+:func:`rational` divides by the common denominator and builds a ``Q`` only
+for an entry it does not divide.  RREF with pivot 1 is
 unique, so those are the same as with rational elimination.
 
 The kernel other modules build on:
 
 * :func:`vec_add_scaled` is the one add-and-drop-zero loop;
 * :func:`reduce_by_pivots` is the one elimination loop, shared by
-  :class:`Echelon`, :class:`Subspace` and an extending ``TruncIdeal``;
+  :class:`Echelon`, :class:`Subspace` and :func:`quotient_basis`;
 * :func:`lincomb` forms a linear combination of linear maps in one pass.
 
 The storage of a :class:`LinearMap` is private to this module: other

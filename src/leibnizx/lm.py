@@ -641,6 +641,10 @@ def _tensor_kernel(bim, top_rows, f):
 def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
     """Build the truncated enveloping crossed module in the category.
 
+    The top row is U(h ⋊ g) / X' as a presented quotient whose completion
+    certifies it (``kernel_product_stabilized``, see
+    :func:`freealg.subspace_product`), so it is proven when that closes.
+
     The bottom ideal is Y' = Ker s1·Ker t2 + Ker s2·Ker t1 + Ker t1·Ker s2
     + Ker t2·Ker s1.  Ker s1 and Ker t1 are sub-bimodules; Ker s2 and
     Ker t2 are generated by Lie ideals k of degree one.  So Y' is generated
@@ -654,8 +658,8 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
     with b·x, x·b in b's kernel at fdeg <= fdeg(b) + 1 and [x,a] in k, so
     each right-hand side is a sum of seed products within the degree when
     the left-hand side is.  That covers the seed span up to top-degree
-    cancellation among seed products (the strictness that the top row's
-    ``product_boundary_degree`` also leaves open), which a test checks.
+    cancellation among seed products, a strictness gap that only Y' keeps
+    and that a test checks.
 
     The bottom kernels need no elimination over U ⊗ V.  The bottom maps
     are Us1 = U(s2) ⊗ s1 and Ut1 = U(t2) ⊗ t1 (see :func:`_tensor_hom`) on
@@ -687,7 +691,7 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
                 for a in range(h_dim + g_dim)]
 
     kq = kernel_product_quotient(usd, Ug, top_images(s2), top_images(t2),
-                                 [h_dim + j for j in range(g_dim)])
+                                 [h_dim + j for j in range(g_dim)], slack)
     Us1 = _tensor_hom(bim, target.bim, kq.s, s1)
     Ut1 = _tensor_hom(bim, target.bim, kq.t, t1)
     ker_s, ker_t = (filtration_basis(usd, K, degree - 1)
@@ -731,7 +735,7 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
         kq.bar_s.kernel(), report_degree,
         {"u_semidirect_stabilized": usd.ideal.stabilized,
          "u_g_stabilized": Ug.ideal.stabilized,
-         "product_boundary_degree": degree - 1})
+         "kernel_product_stabilized": kq.quot.ideal.stabilized})
 
 
 def _section_bottom(Y, avec):

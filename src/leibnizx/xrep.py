@@ -310,7 +310,7 @@ def _m_column_blocks(mat, n, m):
 def rep_to_xmodule(r, tx):
     """Build the module: psi from the p-actions, phi by evaluating Phi on
     the kernel basis.  Phi multiplies matrices, so it is well defined once
-    it kills the ambient ideal's generators (``freealg.TruncIdeal``); a
+    it kills the ambient ideal's rows (``freealg.TruncIdeal``); a
     violated generator raises with its leading word."""
     if r.xmod is not tx.x and r.xmod != tx.x:
         raise ValueError("representation and envelope have different inputs")
@@ -328,7 +328,7 @@ def rep_to_xmodule(r, tx):
                              "relations %r" % bad[:3])
     ev = phi_word_evaluator(tx, r)
     n, m = r.n_dim, r.m_dim
-    for gen in tx.ambient.ideal.gens:
+    for gen in tx.ambient.ideal.rows:
         top, bot = _m_column_blocks(ev(gen), n, m)
         if not top.is_zero() or not bot.is_zero():
             raise ValueError(

@@ -84,17 +84,23 @@ class KernelQuotient:
     embed: LinearMap        # target -> quot through the section
 
 
-def kernel_product_quotient(env, target, s_imgs, t_imgs, section):
+def kernel_product_quotient(env, target, s_imgs, t_imgs, section, slack):
     """Quotient of the envelope ``env`` by X = Ker s·Ker t + Ker t·Ker s,
     where s, t: env -> target are the algebra maps with generator images
     s_imgs, t_imgs (class vectors of target), and the embedding target ->
     env / X sends target generator j to the class of env generator
-    section[j]."""
+    section[j].
+
+    X is generated by its degree-two products A·B + B·A
+    (:func:`freealg.subspace_product`), so the quotient is presented: the
+    completion, capped at D + slack, of env's rows with them.  When its
+    ideal is ``stabilized``, the quotient is env / X at every degree
+    <= D."""
     s = induced_map(env, target, s_imgs)
     t = induced_map(env, target, t_imgs)
     s_ker, t_ker = s.kernel(), t.kernel()
-    quot = env.extend_by(subspace_product(s_ker, t_ker, env).sum(
-        subspace_product(t_ker, s_ker, env)))
+    quot = env.extend_by(subspace_product(s_ker, t_ker, env)
+                         + subspace_product(t_ker, s_ker, env), slack)
     pi = LinearMap.from_cols(
         quot.dim, [quot.to_coords(quot.reduce({w: 1}))
                    for w in env.class_words])
@@ -119,13 +125,13 @@ def xul(x, degree, slack=2, report_degree=None):
     section = [nq + i for i in range(x.p.dim)] + \
         [n_sd + nq + i for i in range(x.p.dim)]
     kq = kernel_product_quotient(usd.quot, up.quot, ul_images(up, smat),
-                                 ul_images(up, tmat), section)
+                                 ul_images(up, tmat), section, slack)
     B = kq.bar_s.kernel()
     rho = kq.bar_t.restrict(B)
     certs = {
         "ul_semidirect_stabilized": usd.stabilized,
         "ul_p_stabilized": up.stabilized,
-        "product_boundary_degree": degree - 1,
+        "kernel_product_stabilized": kq.quot.ideal.stabilized,
     }
     return TruncAssocXMod(x, usd, up, kq.quot, kq.pi, kq.bar_s, kq.bar_t,
                           kq.embed, B, rho, report_degree, certs)
@@ -214,8 +220,7 @@ def check_trunc_xmod(tx):
 def combine_verdict(ok, certificates):
     """The verdict of a check: "fail" when ok is false, whatever the
     certificates say; otherwise "inconclusive" if any certificate is False,
-    else "pass".  Non-boolean certificate values (degrees) never count as
-    false."""
+    else "pass"."""
     if not ok:
         return "fail"
     if any(v is False for v in certificates):

@@ -224,7 +224,7 @@ def test_quotient_matches_generator_products_open_or_closed():
                 for _ in range(rng.randint(2, 4))]
         free = FreeAlgebra(_gens(n), D)
         quot = quotient(free, ideal_span(free, rels, slack=slack))
-        rows = generator_products(free, quot.ideal.gens)
+        rows = generator_products(free, quot.ideal.rows)
         assert quot.class_words == tuple(w for w in free.words
                                          if w not in rows)
         for w in free.words:
@@ -360,16 +360,15 @@ def test_induced_map_checks_relations():
     f = induced_map(quot, quot, [quot.gen_class(1), quot.gen_class(0)])
     assert f.rank() == quot.dim
     # a noncommutative target rejects the same images, naming the leading
-    # word of the violated generator of the ideal
-    assert quot.ideal.gens == ({(0, 1): 1, (1, 0): -1},)
+    # word of the violated row of the ideal
+    assert quot.ideal.rows == ({(0, 1): 1, (1, 0): -1},)
     free_nc = FreeAlgebra(("x", "y"), 3)
     nc = quotient(free_nc, ideal_span(free_nc, []))
     with pytest.raises(HomomorphismError, match=r"generator with leading "
                                                 r"word \(0, 1\)"):
         induced_map(quot, nc, [nc.gen_class(0), nc.gen_class(1)])
-    # after extend_by, an added row is a generator too
-    no_x = quot.extend_by(Subspace.from_vectors(
-        quot.dim, [quot.to_coords(quot.gen_class(0))]))
+    # after extend_by, an added row is in the completed rows too
+    no_x = quot.extend_by([quot.gen_class(0)], 1)
     induced_map(no_x, no_x, [no_x.gen_class(0), no_x.gen_class(1)])
     with pytest.raises(HomomorphismError, match=r"leading word \(0,\)"):
         induced_map(no_x, quot, [quot.gen_class(0), quot.gen_class(1)])
@@ -378,8 +377,7 @@ def test_induced_map_checks_relations():
 def test_extend_by_is_a_two_sided_ideal():
     free = FreeAlgebra(("x", "y"), 3)
     quot = quotient(free, ideal_span(free, commutator_relations(2)))
-    bigger = quot.extend_by(Subspace.from_vectors(
-        quot.dim, [quot.to_coords(quot.gen_class(0))]))
+    bigger = quot.extend_by([quot.gen_class(0)], 1)
     # x and everything it divides is gone
     assert bigger.reduce_word((0,)) == {}
     assert bigger.reduce_word((1, 0)) == {}
@@ -399,8 +397,8 @@ def test_filtration_basis_degrees():
 
 def test_subspace_product_boundary():
     """subspace_product takes two ideals generated in degree one and gives
-    the generators a·w·b of their product: for I = (x) and J = (y) in the
-    free algebra on x, y at D3, the words x·w·y with |w| <= 1.  Closed by
+    the degree-two generators A·B of their product: for I = (x) and J = (y)
+    in the free algebra on x, y at D3, the single word x·y.  Completed by
     extend_by they give I·J: the words with an x somewhere before a y,
     the same as the closure of every product of filtration rows."""
     free = FreeAlgebra(("x", "y"), 3)
@@ -413,14 +411,15 @@ def test_subspace_product_boundary():
 
     I, J = letter_ideal(0), letter_ideal(1)
     prod = subspace_product(I, J, quot)
-    assert [quot.from_coords(r) for r in prod.rows] == [
-        {(0, 1): 1}, {(0, 0, 1): 1}, {(0, 1, 1): 1}]
-    closed = quot.extend_by(prod)
+    assert prod == [{(0, 1): 1}]
+    closed = quot.extend_by(prod, 1)
+    assert closed.ideal.stabilized
     assert set(quot.class_words) - set(closed.class_words) == {
         w for w in quot.class_words
         if any(w[i] == 0 and 1 in w[i + 1:] for i in range(len(w)))}
-    assert closed.class_words == quot.extend_by(
-        all_pairs_product(I, J, quot)).class_words
+    assert closed.class_words == free_reclosure(quot, [
+        quot.from_coords(r)
+        for r in all_pairs_product(I, J, quot).rows]).class_words
 
 
 @settings(deadline=None, max_examples=30)
@@ -486,23 +485,22 @@ def test_quotient_outputs_are_in_normal_form(raw, ta, tb):
                                 min_size=1, max_size=3),
                 min_size=1, max_size=3))
 def test_extend_by_matches_free_reclosure(relations, raw):
-    """Closing only the added rows in the class coordinates of a certified
-    quotient gives the class words and reductions of the re-closure of the
-    whole ideal in the free algebra; the new ideal's generators are the old
-    ones plus the added rows."""
+    """Completing a certified quotient's rows with the added rows gives the
+    class words and reductions of the re-closure of the whole ideal in the
+    free algebra; every old row and every added row reduces to zero in the
+    new quotient."""
     free = FreeAlgebra(("x", "y"), 4)
     rels = {"commutative": commutator_relations(2), "free": [],
             "weyl": [NCPoly.word((0, 1)) - NCPoly.word((1, 0))
                      - NCPoly.unit()]}[relations]
     quot = quotient(free, ideal_span(free, rels))
     assert quot.ideal.stabilized
-    sub = Subspace.from_vectors(
-        quot.dim, [quot.to_coords(quot.reduce(t)) for t in raw])
-    got = quot.extend_by(sub)
-    want = free_reclosure(quot, sub)
+    added = [quot.reduce(t) for t in raw]
+    got = quot.extend_by(added, 2)
+    want = free_reclosure(quot, added)
     assert got.class_words == want.class_words
     for w in free.words:
         assert got.reduce_word(w) == want.reduce_word(w), w
     assert got.ideal.dim == len(want.ideal.rows)
-    assert got.ideal.gens == quot.ideal.gens + tuple(
-        quot.from_coords(r) for r in sub.rows)
+    for row in quot.ideal.rows + tuple(added):
+        assert not got.reduce(row), row

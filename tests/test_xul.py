@@ -6,9 +6,10 @@ import pytest
 from leibnizx import io, xul as xul_module
 from leibnizx.freealg import TruncQuotAlgebra
 from leibnizx.scalars import Q
-from leibnizx.linalg import LinearMap, zero_subspace
-from leibnizx.leibniz import zero_action
-from leibnizx.xmod import LeibnizXMod, identity_xmod, zero_xmod
+from leibnizx.linalg import LinearMap, Subspace, zero_subspace
+from leibnizx.leibniz import LeibnizAlgebra, zero_action
+from leibnizx.xmod import (LeibnizXMod, check_xmod, identity_xmod,
+                           ideal_inclusion_xmod, zero_xmod)
 from leibnizx.xul import (check_trunc_xmod, embedding_squares_check,
                           lemma41_check, prop42_check, xul)
 
@@ -160,18 +161,19 @@ XMOD_NAMES = ("xmod-zero-a1.json", "xmod-id-a1.json", "xmod-id-l2.json",
     if (name, D) != ("xmod-id-r2.json", 5)])
 def test_kernel_product_quotient_matches_free_reclosure(xmods, name, D,
                                                         monkeypatch):
-    """extend_by closes only the rows of X, in the envelope's class
-    coordinates; the re-closure of the whole ideal in the free algebra
-    gives the same class words and the same reduction of every word.  Each
-    of the five induced maps, checked on its source ideal's generators,
-    kills every row of that ideal too."""
+    """extend_by(rows, slack) completes the envelope's rows with the
+    degree-two generators of X, at the caller's slack, and closes; the
+    re-closure of the whole ideal in the free algebra gives the same class
+    words and the same reduction of every word.  Each of the five induced
+    maps, checked on its source ideal's rows, kills every row of that
+    ideal's span too."""
     extends, maps = [], []
     extend_by = TruncQuotAlgebra.extend_by
     induced_map = xul_module.induced_map
 
-    def recording_extend(quot, sub):
-        out = extend_by(quot, sub)
-        extends.append((quot, sub, out))
+    def recording_extend(quot, rows, slack):
+        out = extend_by(quot, rows, slack)
+        extends.append((quot, rows, slack, out))
         return out
 
     def recording_map(src, dst, gen_images):
@@ -181,9 +183,10 @@ def test_kernel_product_quotient_matches_free_reclosure(xmods, name, D,
     monkeypatch.setattr(TruncQuotAlgebra, "extend_by", recording_extend)
     monkeypatch.setattr(xul_module, "induced_map", recording_map)
     xul(xmods[name], D, slack=1)
-    (env, sub, quot), = extends
-    assert env.ideal.stabilized
-    want = free_reclosure(env, sub)
+    (env, rows, slack, quot), = extends
+    assert env.ideal.stabilized and slack == 1
+    assert quot.ideal.stabilized
+    want = free_reclosure(env, rows)
     assert quot.class_words == want.class_words
     for w in env.parent.words:
         assert quot.reduce_word(w) == want.reduce_word(w), w
@@ -197,8 +200,8 @@ def test_kernel_product_quotient_matches_free_reclosure(xmods, name, D,
     (name, D) for name in XMOD_NAMES for D in (3, 4, 5)
     if (name, D) != ("xmod-id-r2.json", 5)])
 def test_x_from_generators_matches_all_pairs(xmods, name, D, monkeypatch):
-    """X built from the degree-one generators a·w·b gives the quotient that
-    the closure of every product of kernel filtration rows gives."""
+    """X built from the degree-two generators A·B + B·A gives the quotient
+    that the closure of every product of kernel filtration rows gives."""
     assert_x_matches_all_pairs(
         xul_module, lambda: xul(xmods[name], D, slack=1), monkeypatch)
 
@@ -213,3 +216,70 @@ def test_x_from_generators_matches_all_pairs_rebased(stem, seed, tmp_path,
                                           seed)[stem])
     assert_x_matches_all_pairs(
         xul_module, lambda: xul(x, 4, slack=1), monkeypatch)
+
+
+def _assert_prop42_dims(x, D, zero=False):
+    """U/X against its closed form, at each degree d <= D: dim (U/X)_{<=d}
+    is 2·dim UL(p)_{<=d} - 1 for an identity crossed module (Prop. 4.2:
+    Ker s̄ is the augmentation ideal of UL(p)) and dim UL(p)_{<=d} for a
+    zero one; the completion of U/X closes."""
+    tx = xul(x, D, slack=1)
+    assert tx.certificates["kernel_product_stabilized"] is True
+    for d in range(D + 1):
+        up = tx.ul_p.dim_upto(d)
+        assert tx.ambient.dim_upto(d) == (up if zero else 2 * up - 1), d
+    return tx
+
+
+@pytest.mark.parametrize("D", [3, 4, 5])
+@pytest.mark.parametrize("stem", ["a1", "l2", "r2"])
+def test_ambient_dims_follow_prop42(load, stem, D):
+    p = load(stem + ".json")
+    tx = _assert_prop42_dims(identity_xmod(p), D)
+    if (stem, D) == ("r2", 5):
+        assert (tx.ambient.dim, tx.ul_p.dim) == (101, 51)
+    _assert_prop42_dims(zero_xmod(p), D, zero=True)
+
+
+@pytest.mark.parametrize("stem", ["xmod-id-a1", "xmod-id-l2", "xmod-id-r2"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_ambient_dims_follow_prop42_rebased(stem, seed, tmp_path):
+    x = io.load_path(rebase.write_rebased(str(CORPUS), str(tmp_path),
+                                          seed)[stem])
+    _assert_prop42_dims(x, 4)
+
+
+def hemisemidirect(a):
+    """The hemisemidirect product of g = <h, e>, [h,e] = e, and the right
+    g-module k², m0·h = a·m0, m1·h = (a-1)·m1, m0·e = m1, on the basis
+    (h, e, m0, m1): [m, x] = m·x, and [x, m] = [m, m'] = 0
+    (Kinyon–Weinstein).  It is Leibniz and not Lie, and span(m0, m1) is a
+    two-sided ideal."""
+    h, e, m0, m1 = range(4)
+    cells = [[{} for _ in range(4)] for _ in range(4)]
+    cells[h][e], cells[e][h] = {e: 1}, {e: -1}
+    cells[m0][h], cells[m1][h] = {m0: a}, {m1: a - 1}
+    cells[m0][e] = {m1: 1}
+    return LeibnizAlgebra("hsd(%d)" % a, ("h", "e", "m0", "m1"), cells)
+
+
+HSD_PARAMS = (0, 2, -1)
+
+
+@pytest.mark.parametrize("kind", ["identity", "inclusion"])
+@pytest.mark.parametrize("a", HSD_PARAMS)
+def test_x_matches_all_pairs_beyond_the_corpus(a, kind, monkeypatch):
+    """X from its degree-two generators against the all-pairs closure on
+    crossed modules that are not isomorphic to a corpus one."""
+    p = hemisemidirect(a)
+    assert not p.check_leibniz() and not p.is_lie()
+    x = identity_xmod(p) if kind == "identity" else ideal_inclusion_xmod(
+        p, Subspace.from_vectors(4, [{2: 1}, {3: 1}]))
+    assert not check_xmod(x)
+    assert_x_matches_all_pairs(
+        xul_module, lambda: xul(x, 3, slack=1), monkeypatch)
+
+
+@pytest.mark.parametrize("a", HSD_PARAMS)
+def test_ambient_dims_follow_prop42_beyond_the_corpus(a):
+    _assert_prop42_dims(identity_xmod(hemisemidirect(a)), 4)
