@@ -56,10 +56,10 @@ def span_rows(quot):
             if w not in quot.class_index]
 
 
-def free_reclosure(quot, rows):
+def free_reclosure(quot, added):
     """Oracle for ``TruncQuotAlgebra.extend_by``: the quotient by the
     closure, in the free algebra, of quot's ideal span (:func:`span_rows`)
-    and the added rows (word-keyed vectors) under multiplication by a
+    and the rows ``added`` (word-keyed vectors) under multiplication by a
     generator on either side within the degree; every row, old or added,
     is multiplied again."""
     g, D = quot.parent.ngens, quot.degree
@@ -70,7 +70,7 @@ def free_reclosure(quot, rows):
         if piv is not None and len(piv) < D:
             work.append(piv)
 
-    for row in span_rows(quot) + list(rows):
+    for row in span_rows(quot) + list(added):
         insert(row)
     while work:
         row = ech.rows[work.pop()]
