@@ -1,8 +1,9 @@
 """Golden outputs: canonical CLI reports compared byte for byte.
 
 Each case runs ``leibnizx.cli.main`` from the repository root on a corpus
-file, with ``--format json --dump-basis``, and compares its exit code and
-stdout with the file committed under ``tests/golden``.  A refactor that
+file or a rational input under ``tests/rational``, with ``--format json
+--dump-basis``, and compares its exit code and stdout with the file
+committed under ``tests/golden``.  A refactor that
 keeps behaviour keeps these bytes; a change that is meant to alter a
 report must say so and rewrite the affected file with
 
@@ -24,6 +25,7 @@ from leibnizx.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
+INPUTS = ("corpus", "tests/rational")
 FLAGS = ("--format", "json", "--dump-basis")
 SLACK = ("--slack", "1")
 
@@ -31,6 +33,8 @@ SLACK = ("--slack", "1")
 def _cases():
     stems = sorted(p.stem for p in (ROOT / "corpus").glob("*.json"))
     cases = [("check", stem) for stem in stems]
+    cases += [("check", p.stem)
+              for p in sorted((ROOT / "tests" / "rational").glob("*.json"))]
     cases += [
         ("ul", "l2", "--degree", "4", *SLACK),
         ("ul", "r2", "--degree", "3", *SLACK),
@@ -97,6 +101,11 @@ def _cases():
         # U/X at degree 5 on the Leibniz (non-Lie) identity crossed modules
         ("xul", "xmod-id-l2", "--degree", "5", *SLACK),
         ("verify", "prop42", "r2", "--degree", "5", *SLACK),
+        # rational inputs: seeded basis changes of l2, r2 and their
+        # identity crossed modules, whose constants have denominators
+        ("ul", "rebased-l2", "--degree", "3", *SLACK),
+        ("lm", "rebased-xmod-id-l2", "--degree", "5", *SLACK),
+        ("verify", "squares", "rebased-l2", "--degree", "3", *SLACK),
     ]
     return {"-".join(c).replace("--", ""): c for c in cases}
 
@@ -105,12 +114,14 @@ CASES = _cases()
 
 
 def _argv(case):
-    """The corpus stem is the first argument that names a corpus file."""
+    """The input stem is the first argument that names a file in one of
+    the INPUTS directories."""
     argv = list(case)
     for i, a in enumerate(argv):
-        if (ROOT / "corpus" / (a + ".json")).exists():
-            argv[i] = "corpus/%s.json" % a
-            break
+        for d in INPUTS:
+            if (ROOT / d / (a + ".json")).exists():
+                argv[i] = "%s/%s.json" % (d, a)
+                return argv + list(FLAGS)
     return argv + list(FLAGS)
 
 

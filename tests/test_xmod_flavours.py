@@ -8,10 +8,12 @@ of a map.
 """
 
 import dataclasses
+import pathlib
 
 import pytest
 
-from leibnizx.linalg import LinearMap
+from leibnizx import io
+from leibnizx.linalg import LinearMap, vec_add_scaled
 from leibnizx.leibniz import adjoint_action, check_action
 from leibnizx.assoc import check_assoc_action
 from leibnizx.xmod import (AssocXMod, LeibnizXMod, assoc_cat1_to_xmod,
@@ -20,6 +22,7 @@ from leibnizx.xmod import (AssocXMod, LeibnizXMod, assoc_cat1_to_xmod,
                            check_assoc_xmod_morphism, check_cat1,
                            check_cat1_assoc, check_xmod, check_xmod_morphism,
                            roundtrip_isomorphism, xmod_to_cat1)
+from leibnizx.scalars import Q
 from leibnizx.xrep import endo_xmod
 
 I = LinearMap.identity
@@ -259,3 +262,87 @@ def _assoc_case(ax, kind):
 @pytest.mark.parametrize("kind", sorted(ASSOC_CASES))
 def test_assoc_flavour_perturbed(kind):
     assert _assoc_case(endo_xmod(E11), kind) == ASSOC_CASES[kind]
+
+
+# Rational inputs: the rebased identity crossed modules under
+# tests/rational, whose constants have denominators, with one action cell
+# or one eta entry moved by 1/3 along the first basis vector.
+RATIONAL = pathlib.Path(__file__).resolve().parent / "rational"
+
+
+def _action(pattern, *triples):
+    return [("action", (tuple(pattern), tuple(map(int, t))))
+            for t in triples]
+
+
+def _moved(cell):
+    return vec_add_scaled(dict(cell), {0: 1}, Q(1, 3))
+
+
+RATIONAL_CASES = {
+    ("xmod-id-l2", "action_left"):
+        _action("pqp", "000", "001", "010", "011", "100", "101") +
+        _action("ppq", "000", "001", "010", "011", "100", "110") +
+        _action("qpq", "000", "100") +
+        _action("pqq", "000", "001", "010", "011") +
+        [("peiffer_left", (0, 0)), ("peiffer_left", (1, 0)),
+         ("equivariance_left", (0, 0))],
+    ("xmod-id-l2", "action_right"):
+        _action("qpp", "000", "001", "010", "011", "101", "110") +
+        _action("pqp", "000", "010", "100", "110") +
+        _action("ppq", "000", "001", "100", "101") +
+        _action("qqp", "000", "010", "100", "110") +
+        _action("qpq", "000", "001", "100", "101") +
+        [("peiffer_right", (0, 0)), ("peiffer_right", (0, 1)),
+         ("equivariance_right", (0, 0))],
+    ("xmod-id-l2", "eta"): [
+        ("eta_hom", (0, 0)), ("peiffer_left", (0, 0)),
+        ("peiffer_right", (0, 0)), ("eta_hom", (0, 1)),
+        ("peiffer_left", (0, 1)), ("eta_hom", (1, 0)),
+        ("peiffer_right", (1, 0)), ("eta_hom", (1, 1)),
+        ("equivariance_left", (0, 0)), ("equivariance_right", (0, 0)),
+        ("equivariance_left", (0, 1)), ("equivariance_right", (0, 1)),
+        ("equivariance_left", (1, 0)), ("equivariance_right", (1, 0)),
+        ("equivariance_left", (1, 1)), ("equivariance_right", (1, 1))],
+    ("xmod-id-r2", "action_left"):
+        _action("pqp", "000", "001", "010", "011", "100") +
+        _action("ppq", "000", "001", "010", "011", "100") +
+        _action("qpq", "100") +
+        _action("pqq", "001", "010") +
+        [("peiffer_left", (0, 0)), ("peiffer_left", (1, 0)),
+         ("equivariance_left", (0, 0))],
+    ("xmod-id-r2", "action_right"):
+        _action("qpp", "001", "010", "101", "110") +
+        _action("pqp", "000", "010", "100", "110") +
+        _action("ppq", "000", "001", "100", "101") +
+        _action("qqp", "010", "100") +
+        _action("qpq", "001", "100") +
+        [("peiffer_right", (0, 0)), ("peiffer_right", (0, 1)),
+         ("equivariance_right", (0, 0))],
+    ("xmod-id-r2", "eta"): [
+        ("peiffer_left", (0, 0)), ("peiffer_right", (0, 0)),
+        ("eta_hom", (0, 1)), ("peiffer_left", (0, 1)),
+        ("eta_hom", (1, 0)), ("peiffer_right", (1, 0)),
+        ("equivariance_left", (0, 0)), ("equivariance_right", (0, 0)),
+        ("equivariance_left", (0, 1)), ("equivariance_right", (0, 1)),
+        ("equivariance_left", (1, 0)), ("equivariance_right", (1, 0)),
+        ("equivariance_left", (1, 1)), ("equivariance_right", (1, 1))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(RATIONAL_CASES))
+def test_rational_flavour_perturbed(case):
+    name, kind = case
+    x = io.load_path(str(RATIONAL / ("rebased-%s.json" % name)))
+    assert check_xmod(x) == []
+    act, eta = x.action, x.eta
+    if kind == "eta":
+        eta = _with_col(eta, 0, _moved(eta.col(0)))
+    else:
+        field = kind[len("action_"):] + "_tensor"
+        cells = [list(r) for r in getattr(act, field)]
+        cells[0][0] = _moved(cells[0][0])
+        act = dataclasses.replace(act, **{field: cells})
+    want = RATIONAL_CASES[case]
+    assert check_action(act) == [v for tag, v in want if tag == "action"]
+    assert check_xmod(LeibnizXMod(x.q, x.p, eta, act)) == want
