@@ -24,12 +24,12 @@ import sys
 from . import io
 from .leibniz import LeibnizAlgebra, LeibnizRep, check_rep
 from .assoc import AssocAlgebra
-from .xmod import LeibnizXMod, check_xmod
+from .xmod import LeibnizXMod, check_xmod, integral
 from .xrep import (LeibnizXModRep, check_xmod_rep, check_xmodule,
                    rep_to_xmodule, xmodule_to_rep)
 from .envelope import ul, check_module
 from .xul import (XModAxiomError, xul, check_trunc_xmod, lemma41_check,
-                  prop42_check, embedding_squares_check)
+                  prop42_check, embedding_squares_check, require_xmod)
 from .lm import xmod_to_lm, lm_xmod_envelope, check_lm_assoc_xmod, theta_check
 from .report import Report, record, violations_record
 
@@ -98,7 +98,7 @@ def cmd_ul(args):
     axioms = violations_record("leibniz_identity", p.check_leibniz())
     if axioms["verdict"] == "fail":
         return Report("ul", params, [axioms])
-    alg = ul(p, args.degree, args.slack)
+    alg = ul(integral(p), args.degree, args.slack)
     recs = [record("dimensions", "pass",
                    dims_by_degree=[alg.dim_upto(k)
                                    for k in range(args.degree + 1)],
@@ -147,6 +147,8 @@ def cmd_xul(args):
 def cmd_lm(args):
     x = _load(args.path, ("xmod",))
     try:
+        x = integral(x)
+        require_xmod(x)
         X = xmod_to_lm(x)
         Y = lm_xmod_envelope(X, args.degree, args.slack, args.report_degree)
     except ValueError as e:

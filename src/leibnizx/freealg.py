@@ -403,7 +403,10 @@ class TruncQuotAlgebra:
         is pivoted in the vector's support, and its pivot is its longest
         word), so they generate the same ideal as the whole basis.  The new
         ``stabilized`` is then a proof for the new ideal whatever this
-        quotient's certificate says."""
+        quotient's certificate says.  With no rows the ideal is this one,
+        and so is the quotient."""
+        if not rows:
+            return self
         rels = [NCPoly(r) for r in self.ideal.rows + tuple(rows)]
         return quotient(self.parent, ideal_span(self.parent, rels, slack))
 
@@ -484,7 +487,8 @@ def subspace_product(a_sub, b_sub, quot):
     generated in degree one, given as Subspaces of quot's class space: the
     products a·b = sum of a_x b_y (x, y), word-keyed, for a and b the fdeg-1
     filtration rows of I and J.  Completed with quot's ideal
-    (``extend_by``), they give the quotient by I·J.
+    (``extend_by``), they give the quotient by I·J, and by I·J + J·I for
+    the kernels of a cat¹ envelope.
 
     I and J are the kernels Ker s, Ker t of algebra maps s, t from quot to
     a target with a common section σ, an algebra map that sends the target
@@ -509,9 +513,19 @@ def subspace_product(a_sub, b_sub, quot):
     ``lm``, Ker t is a Lie ideal and zu = uz + [z,u].  By induction on
     |w|, w·b is a sum of b'·w' with b' in B and |w'| <= |w|, so
     a·w·b is in ⟨A·B⟩ and I·J = ⟨A·B⟩; the same holds for J·I with A.
-    These identities hold in the envelope itself, not only below a degree,
-    so a closed completion of quot's relations with A·B and B·A certifies
-    the quotient by I·J + J·I exactly at each degree <= D.
+
+    B·A lies in span(A·B) when s and t are induced by the two maps of a
+    cat¹ algebra (q ⋊ p for a crossed module, h ⋊ g for ``lm``).  There
+    [Ker s, Ker t] = [Ker t, Ker s] = 0, so for b in B and a in A the
+    relations above give
+
+        b_r a_r = a_r b_r      b_r a_l = a_l b_r
+        b_l a_r = a_r b_l      b_l a_l = -a_l b_r
+
+    and in U(h ⋊ g) ba = ab.  So I·J + J·I = ⟨A·B⟩.  These identities hold
+    in the envelope itself, not only below a degree, so a closed
+    completion of quot's relations with A·B certifies the quotient by
+    I·J + J·I exactly at each degree <= D.
     """
     fa = [va for _, va in filtration_basis(quot, a_sub, 1)]
     fb = [vb for _, vb in filtration_basis(quot, b_sub, 1)]

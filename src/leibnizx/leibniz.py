@@ -6,8 +6,9 @@ c[i][j] is the sparse vector {k: c} with [e_i, e_j] = sum_k c[i][j][k] e_k.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
-from .linalg import (Echelon, LinearMap, Subspace, lincomb, qvec,
+from .linalg import (Echelon, LinearMap, Subspace, lincomb, qvec, rational,
                      vec_add_scaled)
 
 
@@ -18,6 +19,34 @@ def _tensor(dim_i, dim_j, dim_k, cells):
         raise ValueError("tensor shape does not match (%d, %d, %d)"
                          % (dim_i, dim_j, dim_k))
     return tuple(tuple(qvec(c, dim_k) for c in row) for row in cells)
+
+
+def denominator(*tensors):
+    """The least common denominator of the entries of the tensors."""
+    den = 1
+    for t in tensors:
+        for row in t:
+            for cell in row:
+                for x in cell.values():
+                    if type(x) is not int:
+                        den = lcm(den, x.denominator)
+    return den
+
+
+def scaled(tensor, c):
+    """Every entry of a tensor times c."""
+    return [[{k: c * x for k, x in cell.items()} for cell in row]
+            for row in tensor]
+
+
+def integral_algebra(alg, tensor):
+    """(copy, δ) for an algebra and its structure constants: the copy is
+    alg in the basis δ·e_i, δ the lcm of their denominators, so its
+    constants δ·c are integers; (alg, 1) when they already are."""
+    den = denominator(tensor)
+    if den == 1:
+        return alg, 1
+    return type(alg)(alg.name, alg.basis, scaled(tensor, den)), den
 
 
 def _bilinear(tensor, x, y):
@@ -79,20 +108,24 @@ class LeibnizAlgebra:
         return dict(self.bracket_tensor[i][j])
 
     def check_leibniz(self):
-        """Exhaustive Leibniz identity check; returns violating triples."""
+        """Exhaustive Leibniz identity check; returns violating triples
+        (i, j, k, lhs, rhs).  It runs in ``int`` on the integral copy
+        (:func:`integral_algebra`): the identity is trilinear, so it fails
+        there on the same triples, with both sides δ² times these."""
+        alg, den = integral_algebra(self, self.bracket_tensor)
         bad = []
         n = self.dim
         for i in range(n):
             for j in range(n):
-                bij = self.bracket_basis(i, j)
+                bij = alg.bracket_basis(i, j)
                 for k in range(n):
-                    lhs = self.bracket(bij, basis_vec(k))
-                    rhs = self.bracket(basis_vec(i),
-                                       self.bracket_basis(j, k))
-                    vec_add_scaled(rhs, self.bracket(
-                        self.bracket_basis(i, k), basis_vec(j)), 1)
+                    lhs = alg.bracket(bij, basis_vec(k))
+                    rhs = alg.bracket(basis_vec(i), alg.bracket_basis(j, k))
+                    vec_add_scaled(rhs, alg.bracket(
+                        alg.bracket_basis(i, k), basis_vec(j)), 1)
                     if lhs != rhs:
-                        bad.append((i, j, k, lhs, rhs))
+                        bad.append((i, j, k, rational(lhs, den * den),
+                                    rational(rhs, den * den)))
         return bad
 
     def is_lie(self):

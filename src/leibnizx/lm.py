@@ -30,7 +30,7 @@ from .freealg import (FreeAlgebra, NCPoly, TruncQuotAlgebra, ideal_span,
 from .leibniz import Action, LeibnizAlgebra, basis_vec, liezation, semidirect
 from .xmod import LeibnizXMod, cat1_matrices, check_xmod, xliez
 from .xul import (combine_verdict, kernel_product_quotient, report_degree_for,
-                  require_xmod, xul)
+                  xul)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +249,9 @@ def leibniz_to_lm(p):
 
 
 def xmod_to_lm(x):
-    """The crossed-module square (q -> Liez(q)/[q,p]_x, p -> Liez(p));
-    raises XModAxiomError when x is not a crossed module.  The output is
-    checked by its consumer, :func:`lm_xmod_envelope`."""
-    require_xmod(x)
+    """The crossed-module square (q -> Liez(q)/[q,p]_x, p -> Liez(p)) of a
+    crossed module x, which its callers check (``xul.require_xmod``).  The
+    output is checked by its consumer, :func:`lm_xmod_envelope`."""
     xbar, proj_qbar, projp = xliez(x)
     q, p = x.q, x.p
     dst = leibniz_to_lm(p)

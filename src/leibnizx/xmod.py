@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 from .linalg import LinearMap, vec_add_scaled
 from .leibniz import (Action, LeibnizAlgebra, adjoint_action, basis_vec,
-                      check_action, liezation, quotient_algebra, semidirect,
+                      check_action, denominator, integral_algebra, liezation,
+                      quotient_algebra, scaled, semidirect,
                       subalgebra_ideal_closure, zero_action, zero_algebra)
 from .assoc import AssocAlgebra, assoc_semidirect, check_assoc_action
 
@@ -66,11 +67,51 @@ def ideal_inclusion_xmod(p, ideal_sub):
     return LeibnizXMod(q, p, eta, Action(p, q, left, right))
 
 
+def _constants(alg):
+    return (alg.bracket_tensor if isinstance(alg, LeibnizAlgebra)
+            else alg.product_tensor)
+
+
+def integral(obj):
+    """An isomorphic copy of an algebra or a crossed module, Leibniz or
+    associative, whose structure constants are all ``int``; obj itself
+    when they already are.
+
+    An algebra is taken to the basis δ·e_i (:func:`integral_algebra`).  A
+    crossed module (q, p, η, action) has p's basis scaled by μ, the lcm of
+    the denominators of p's constants and of both action tensors, and q's
+    by λ = μL, L that of q's constants and η's entries.  Its constants
+    become μ·c_p, μ·(left and right action), λ·c_q and L·η: all integers.
+
+    Every report that holds only isomorphism invariants may use the copy.
+    Each checked identity is multilinear in its basis arguments, so it
+    fails on a tuple of basis vectors exactly when it fails on their
+    rescaled versions: violation tuples are the same.  A diagonal
+    rescaling of the generators of a presented algebra only scales each
+    word, so completion sees the same leading words and ambiguities and
+    closes in the same round, and pivots and complement coordinates,
+    which depend only on supports, are the same: so are dimensions, class
+    words and certificates."""
+    if not isinstance(obj, tuple):
+        return integral_algebra(obj, _constants(obj))[0]
+    q, p, eta, act = obj
+    mu = denominator(_constants(p), act.left_tensor, act.right_tensor)
+    el = denominator(_constants(q), [[eta.col(j) for j in range(eta.cols)]])
+    if mu == el == 1:
+        return obj
+    q2 = type(q)(q.name, q.basis, scaled(_constants(q), mu * el))
+    p2 = type(p)(p.name, p.basis, scaled(_constants(p), mu))
+    return type(obj)(q2, p2, eta.scale(el),
+                     Action(p2, q2, scaled(act.left_tensor, mu),
+                            scaled(act.right_tensor, mu)))
+
+
 def _xmod_violations(x, axioms, action_axioms, mult, mult_basis, tags):
     """Algebra and action axioms, then the boundary homomorphism, Peiffer
-    and equivariance identities on basis pairs.  tags names the axiom
+    and equivariance identities on basis pairs, checked in ``int`` on the
+    integral copy of x (:func:`integral`).  tags names the axiom
     violations of the bottom and top algebras and the boundary's."""
-    q, p, eta, act = x
+    q, p, eta, act = integral(x)
     bad = [(tags[0], v[:3]) for v in axioms(q)]
     bad += [(tags[1], v[:3]) for v in axioms(p)]
     bad += [("action", v) for v in action_axioms(act)]

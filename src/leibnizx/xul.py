@@ -18,7 +18,7 @@ from .freealg import (TruncQuotAlgebra, filtration_basis, induced_map,
                       subspace_product)
 from .leibniz import semidirect
 from .xmod import (LeibnizXMod, cat1_matrices, check_xmod, identity_xmod,
-                   zero_xmod)
+                   integral, zero_xmod)
 from .envelope import ULAlgebra, ul, ul_images, ul_map
 
 
@@ -91,16 +91,15 @@ def kernel_product_quotient(env, target, s_imgs, t_imgs, section, slack):
     env / X sends target generator j to the class of env generator
     section[j].
 
-    X is generated by its degree-two products A·B + B·A
-    (:func:`freealg.subspace_product`), so the quotient is presented: the
-    completion, capped at D + slack, of env's rows with them.  When its
-    ideal is ``stabilized``, the quotient is env / X at every degree
-    <= D."""
+    X is generated by its degree-two products A·B, which span B·A too
+    modulo env's relations (:func:`freealg.subspace_product`), so the
+    quotient is presented: the completion, capped at D + slack, of env's
+    rows with them.  When its ideal is ``stabilized``, the quotient is
+    env / X at every degree <= D."""
     s = induced_map(env, target, s_imgs)
     t = induced_map(env, target, t_imgs)
     s_ker, t_ker = s.kernel(), t.kernel()
-    quot = env.extend_by(subspace_product(s_ker, t_ker, env)
-                         + subspace_product(t_ker, s_ker, env), slack)
+    quot = env.extend_by(subspace_product(s_ker, t_ker, env), slack)
     pi = LinearMap.from_cols(
         quot.dim, [quot.to_coords(quot.reduce({w: 1}))
                    for w in env.class_words])
@@ -360,7 +359,7 @@ def embedding_squares_check(p, degree, slack=2, report_degree=None):
     """XUL(0, p, 0) = (0, UL(p), 0): zero kernel and ambient identified
     with UL(p) on the nose."""
     d = report_degree_for(degree, report_degree)
-    tx = xul(zero_xmod(p), degree, slack, report_degree=d)
+    tx = xul(zero_xmod(integral(p)), degree, slack, report_degree=d)
     b_zero = tx.B == zero_subspace(tx.ambient.dim)
     a_matches = (tx.ambient.dim == tx.ul_p.dim
                  and tx.bar_s.rank() == tx.ul_p.dim)

@@ -383,6 +383,8 @@ def test_extend_by_is_a_two_sided_ideal():
     assert bigger.reduce_word((1, 0)) == {}
     assert bigger.reduce_word((0, 1)) == {}
     assert bigger.dim == 4  # 1, y, y^2, y^3 survive
+    # no added rows: the ideal and the quotient are unchanged
+    assert quot.extend_by([], 1) is quot
 
 
 def test_filtration_basis_degrees():

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from leibnizx import io, lm
+from leibnizx import io, lm, xul
 from leibnizx.freealg import filtration_basis
 from leibnizx.scalars import Q
 from leibnizx.linalg import Echelon, LinearMap, Subspace
@@ -53,6 +53,18 @@ def test_lm_xmod_envelope_checks_its_input(xmods):
     with pytest.raises(ValueError,
                        match="input fails crossed-module checks"):
         lm_xmod_envelope(bent, 3)
+
+
+def test_theta_checks_its_input_once(xmods, monkeypatch):
+    """theta_check gets its input's crossed-module check through xul;
+    xmod_to_lm does not repeat it."""
+    x = xmods["xmod-id-a1.json"]
+    seen = []
+    check = xul.check_xmod
+    monkeypatch.setattr(xul, "check_xmod",
+                        lambda y: seen.append(y) or check(y))
+    assert theta_check(x, 3, slack=1)["verdict"] == "pass"
+    assert sum(y is x for y in seen) == 1
 
 
 def test_u_lie_dimensions(r2):

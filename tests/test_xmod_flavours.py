@@ -14,14 +14,15 @@ import pytest
 
 from leibnizx import io
 from leibnizx.linalg import LinearMap, vec_add_scaled
-from leibnizx.leibniz import adjoint_action, check_action
-from leibnizx.assoc import check_assoc_action
+from leibnizx.leibniz import (Action, LeibnizAlgebra, adjoint_action,
+                              basis_vec, check_action)
+from leibnizx.assoc import AssocAlgebra, check_assoc_action
 from leibnizx.xmod import (AssocXMod, LeibnizXMod, assoc_cat1_to_xmod,
                            assoc_roundtrip_isomorphism, assoc_xmod_to_cat1,
                            cat1_to_xmod, check_assoc_xmod,
                            check_assoc_xmod_morphism, check_cat1,
                            check_cat1_assoc, check_xmod, check_xmod_morphism,
-                           roundtrip_isomorphism, xmod_to_cat1)
+                           integral, roundtrip_isomorphism, xmod_to_cat1)
 from leibnizx.scalars import Q
 from leibnizx.xrep import endo_xmod
 
@@ -346,3 +347,88 @@ def test_rational_flavour_perturbed(case):
     want = RATIONAL_CASES[case]
     assert check_action(act) == [v for tag, v in want if tag == "action"]
     assert check_xmod(LeibnizXMod(x.q, x.p, eta, act)) == want
+
+
+def _entries(x):
+    """Every structure constant of a crossed module."""
+    q, p, eta, act = x
+    cells = [eta.col(j) for j in range(eta.cols)]
+    for t in (q.bracket_tensor, p.bracket_tensor, act.left_tensor,
+              act.right_tensor):
+        cells += [c for row in t for c in row]
+    return [v for c in cells for v in c.values()]
+
+
+def test_integral_keeps_integral_inputs():
+    root = RATIONAL.parent.parent / "corpus"
+    for path in sorted(root.glob("*.json")):
+        obj = io.load_path(str(path))
+        if isinstance(obj, (LeibnizAlgebra, AssocAlgebra, LeibnizXMod)):
+            assert integral(obj) is obj, path.name
+
+
+@pytest.mark.parametrize("name", ["xmod-id-l2", "xmod-id-r2"])
+def test_integral_copy_of_rational_xmod(name):
+    x = io.load_path(str(RATIONAL / ("rebased-%s.json" % name)))
+    y = integral(x)
+    assert any(type(v) is not int for v in _entries(x))
+    assert all(type(v) is int for v in _entries(y))
+    assert integral(y) is y
+    assert y.q.basis == x.q.basis and y.p.basis == x.p.basis
+
+
+def test_integral_scales_as_documented():
+    """B = Q·d with d·d = d/3, A = Q·e with e·e = e/2, rho(d) = 2e/3 and
+    e acting on d by 1/2 on both sides: mu = 2 (A and the action), L = 3
+    (B and rho), lambda = 6, so the copy has d·d = 2d, e·e = e, action 1
+    and rho = 2."""
+    b = AssocAlgebra("B", ("d",), [[{0: Q(1, 3)}]])
+    a = AssocAlgebra("A", ("e",), [[{0: Q(1, 2)}]])
+    half = [[{0: Q(1, 2)}]]
+    ax = AssocXMod(b, a, I(1).scale(Q(2, 3)), Action(a, b, half, half))
+    y = integral(ax)
+    assert y.B.product_tensor == (({0: 2},),)
+    assert y.A.product_tensor == (({0: 1},),)
+    assert y.action.left_tensor == y.action.right_tensor == (({0: 1},),)
+    assert y.rho == I(1).scale(2)
+    assert check_assoc_xmod(ax) == check_assoc_xmod(y) == []
+    assert integral(a).product_tensor == (({0: 1},),)
+
+
+def _naive_violations(alg, mult, holds):
+    """Violating triples with both sides, evaluated on alg itself."""
+    n = alg.dim
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                e = [basis_vec(i), basis_vec(j), basis_vec(k)]
+                lhs, rhs = holds(lambda x, y: mult(alg, x, y), *e)
+                if lhs != rhs:
+                    out.append((i, j, k, lhs, rhs))
+    return out
+
+
+def _leibniz_sides(br, x, y, z):
+    return br(br(x, y), z), vec_add_scaled(br(x, br(y, z)),
+                                           br(br(x, z), y), 1)
+
+
+def _assoc_sides(mu, x, y, z):
+    return mu(mu(x, y), z), mu(x, mu(y, z))
+
+
+def test_rational_algebra_witnesses_are_unscaled():
+    """The witnesses of check_leibniz and check_assoc, found on the
+    integral copy, equal the two sides evaluated on the input itself."""
+    x = io.load_path(str(RATIONAL / "rebased-xmod-id-l2.json"))
+    bad = dataclasses.replace(
+        x.q, bracket_tensor=[[_moved(c) if (i, j) == (0, 1) else c
+                              for j, c in enumerate(row)]
+                             for i, row in enumerate(x.q.bracket_tensor)])
+    want = _naive_violations(bad, LeibnizAlgebra.bracket, _leibniz_sides)
+    assert want and bad.check_leibniz() == want
+    third = AssocAlgebra("t", ("u", "v"),
+                         [[{1: Q(1, 3)}, {0: Q(2, 5)}], [{}, {1: Q(1, 2)}]])
+    want = _naive_violations(third, AssocAlgebra.mult, _assoc_sides)
+    assert want and third.check_assoc() == want
