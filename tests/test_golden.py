@@ -118,10 +118,10 @@ def _argv(case):
     the INPUTS directories."""
     argv = list(case)
     for i, a in enumerate(argv):
-        for d in INPUTS:
-            if (ROOT / d / (a + ".json")).exists():
-                argv[i] = "%s/%s.json" % (d, a)
-                return argv + list(FLAGS)
+        found = [d for d in INPUTS if (ROOT / d / (a + ".json")).exists()]
+        if found:
+            argv[i] = "%s/%s.json" % (found[0], a)
+            break
     return argv + list(FLAGS)
 
 
