@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibnizx.scalars import Q
-from leibnizx.envelope import ul_relations
+from leibnizx.envelope import ul, ul_relations
 from leibnizx.freealg import (FreeAlgebra, HomomorphismError, NCPoly,
                               filtration_basis, groebner_basis, ideal_span,
                               induced_map, quotient, rewriter,
@@ -506,3 +506,29 @@ def test_extend_by_matches_free_reclosure(relations, raw):
     assert got.ideal.dim == len(want.ideal.rows)
     for row in quot.ideal.rows + tuple(added):
         assert not got.reduce(row), row
+
+
+def test_extend_by_unit_row_gives_the_zero_quotient(a1):
+    """A unit leading word () lies in every word: the quotient is zero,
+    the completion closes, and every word reduces to zero."""
+    quot = ul(a1, 3).quot
+    zero = quot.extend_by([{(): 1}], 1)
+    assert zero.dim == 0
+    assert zero.class_words == ()
+    assert zero.ideal.stabilized is True
+    for d in range(quot.degree + 1):
+        for w in itertools.product(range(2 * a1.dim), repeat=d):
+            assert zero.reduce_word(w) == {}, w
+
+
+def test_extend_by_normalizes_the_added_rows(a1):
+    """A zero coefficient is dropped and a scalar multiple gives the same
+    ideal: the class words and reductions are those of the plain row."""
+    quot = ul(a1, 3).quot
+    want = quot.extend_by([{(0,): 1}], 1)
+    for row in ({(0,): 1, (1,): 0}, {(0,): Q(2)}):
+        got = quot.extend_by([row], 1)
+        assert got.class_words == want.class_words, row
+        for d in range(quot.degree + 1):
+            for w in itertools.product(range(2 * a1.dim), repeat=d):
+                assert got.reduce_word(w) == want.reduce_word(w), (row, w)
