@@ -107,7 +107,7 @@ def cmd_ul(args):
     recs += _stability_records(certs)
     rep = Report("ul", params, recs, certs)
     if args.dump_basis:
-        gens = alg.quot.parent.gens
+        gens = alg.quot.gens
         recs.append(record(
             "basis", "pass",
             classes=[_word_str(gens, w) for w in alg.quot.class_words]))
@@ -134,7 +134,7 @@ def cmd_xul(args):
     ]
     recs += _stability_records(tx.certificates)
     if args.dump_basis:
-        gens = tx.ul_sd.quot.parent.gens
+        gens = tx.ul_sd.quot.gens
         rows = [(deg, {i: c for i, c in sorted(v.items())})
                 for deg, v in tx.b_filtration(d)]
         recs.append(record("b_filtration", "pass",

@@ -19,26 +19,26 @@ three representation axioms into exactly the relations above.
 from dataclasses import dataclass
 
 from .linalg import LinearMap, lincomb, vec_add_scaled
-from .freealg import (FreeAlgebra, NCPoly, TruncQuotAlgebra, ideal_span,
-                      induced_map, quotient)
+from .freealg import TruncQuotAlgebra, induced_map, presented
 from .leibniz import LeibnizAlgebra, LeibnizRep
 
 
 def ul_relations(p):
-    """Defining relations on basis generators; l-block indices 0..n-1,
-    r-block indices n..2n-1."""
+    """Defining relations on basis generators, as word-keyed vectors;
+    l-block indices 0..n-1, r-block indices n..2n-1."""
     n = p.dim
     rels = []
     for i in range(n):
         for j in range(n):
             br = p.bracket_basis(i, j)
-            br_r = NCPoly({(n + k,): v for k, v in br.items()})
-            br_l = NCPoly({(k,): v for k, v in br.items()})
-            xi_r, xj_r = NCPoly.word((n + i,)), NCPoly.word((n + j,))
-            xi_l, xj_l = NCPoly.word((i,)), NCPoly.word((j,))
-            rels.append(xi_r * xj_r - xj_r * xi_r - br_r)
-            rels.append(xi_l * xj_r - xj_r * xi_l - br_l)
-            rels.append((xj_r + xj_l) * xi_l)
+            br_l = {(k,): v for k, v in br.items()}
+            br_r = {(n + k,): v for k, v in br.items()}
+            # added, not a literal: at i = j the two words cancel
+            rr = vec_add_scaled({(n + i, n + j): 1}, {(n + j, n + i): 1}, -1)
+            rels.append(vec_add_scaled(rr, br_r, -1))
+            lr = {(i, n + j): 1, (n + j, i): -1}
+            rels.append(vec_add_scaled(lr, br_l, -1))
+            rels.append({(n + j, i): 1, (j, i): 1})
     return rels
 
 
@@ -84,9 +84,7 @@ def ul(p, degree, slack=2):
     """The degree-<=degree piece of the enveloping algebra of p."""
     gens = tuple("%s_l" % b for b in p.basis) + \
         tuple("%s_r" % b for b in p.basis)
-    free = FreeAlgebra(gens, degree)
-    ideal = ideal_span(free, ul_relations(p), slack=slack)
-    return ULAlgebra(p, quotient(free, ideal))
+    return ULAlgebra(p, presented(gens, ul_relations(p), degree, slack))
 
 
 def ul_images(dst, f):
@@ -129,9 +127,6 @@ class ULModule:
             out = self.gen_mats[g].compose(out)
         return out
 
-    def poly_mat(self, poly):
-        return self.class_mat(poly.terms)
-
     def class_mat(self, cv):
         return lincomb({w: self.word_mat(w) for w in cv}, cv, self.dim,
                        self.dim)
@@ -144,7 +139,7 @@ def check_module(mod):
     """Indices of defining relations that fail to act as zero."""
     bad = []
     for k, rel in enumerate(ul_relations(mod.ul.p)):
-        if not mod.poly_mat(rel).is_zero():
+        if not mod.class_mat(rel).is_zero():
             bad.append(k)
     return bad
 

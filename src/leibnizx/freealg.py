@@ -1,18 +1,21 @@
-"""Truncated tensor algebras, noncommutative polynomials, degree-bounded
-two-sided ideals with a Gröbner certificate, and presented quotients.
+"""Presented quotients of truncated free algebras: degree-bounded
+two-sided ideals with a Gröbner certificate, and their quotients.
 
-Words are tuples of generator indices, enumerated length-first then
-lexicographically; this fixes canonical coordinates for every construction
-built on top (enveloping algebras, kernel ideals, quotients).
+Relations, ideal rows and class vectors are word-keyed dicts {word:
+rational}.  Words are tuples of generator indices, enumerated length-first
+then lexicographically; this fixes canonical coordinates for every
+construction built on top (enveloping algebras, kernel ideals, quotients).
 
 Ideals of inhomogeneous relations are not always visible at a finite
 degree: an element of degree <= D may need products w1*r*w2 of higher top
-degree.  :func:`ideal_span` completes the relations (Buchberger–Mora,
-Mora, TCS 134, 1994) with ambiguity words capped at D + S (slack), and the
+degree.  :func:`presented` builds a quotient from generators and relations
+alone: :func:`ideal_span` completes the relations (Buchberger–Mora, Mora,
+TCS 134, 1994) with ambiguity words capped at D + S (slack), and the
 completed basis G alone gives the quotient (Bergman's diamond lemma, Adv.
-Math. 29, 1978): the class words are the words that contain no leading
-word of G, and a word reduces by the rewriter completion uses.  When every
-ambiguity resolves, G is a Gröbner basis and the quotient is by the
+Math. 29, 1978): the class words are the normal words of G, those that
+contain no leading word, enumerated directly, and a word reduces by the
+rewriter completion uses, whose memo keeps each normal form once.  When
+every ambiguity resolves, G is a Gröbner basis and the quotient is by the
 ideal's whole part of degree <= D: the stabilization flag is a proof.
 
 A quotient of a presented quotient by added rows is presented too: its
@@ -23,7 +26,7 @@ ones.  An algebra map is checked on the completed rows alone.
 import itertools
 
 from .scalars import exact
-from .linalg import Echelon, LinearMap, Subspace, vec_add_scaled
+from .linalg import Echelon, LinearMap, vec_add_scaled
 
 
 def word_key(w):
@@ -33,147 +36,41 @@ def word_key(w):
     return (-len(w), w)
 
 
-class NCPoly:
-    """Noncommutative polynomial: finite map word -> rational, each
-    coefficient in the normal form of ``scalars.exact``."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for w, c in terms.items():
-                c = exact(c)
-                if c != 0:
-                    t[tuple(w)] = c
-        self.terms = t
-
-    @classmethod
-    def word(cls, w, coeff=1):
-        return cls({tuple(w): coeff})
-
-    @classmethod
-    def unit(cls):
-        return cls({(): 1})
-
-    def degree(self):
-        return max((len(w) for w in self.terms), default=0)
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        vec_add_scaled(t, other.terms, 1)
-        return NCPoly(t)
-
-    def __sub__(self, other):
-        t = dict(self.terms)
-        vec_add_scaled(t, other.terms, -1)
-        return NCPoly(t)
-
-    def __rmul__(self, c):
-        return NCPoly({w: c * x for w, x in self.terms.items()})
-
-    def __neg__(self):
-        return -1 * self
-
-    def __mul__(self, other):
-        """Bilinear extension of word concatenation."""
-        out = {}
-        for w1, c1 in self.terms.items():
-            vec_add_scaled(out, {w1 + w2: c2
-                                 for w2, c2 in other.terms.items()}, c1)
-        return NCPoly(out)
-
-    def __eq__(self, other):
-        return isinstance(other, NCPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "NCPoly(0)"
-        bits = []
-        for w in sorted(self.terms, key=word_key, reverse=True):
-            bits.append("%s*%s" % (self.terms[w], ".".join(map(str, w)) or "1"))
-        return "NCPoly(%s)" % " + ".join(bits)
-
-
-class FreeAlgebra:
-    """Free associative unital algebra on named generators, truncated at a
-    working degree; fixes the canonical word enumeration."""
-
-    def __init__(self, gens, degree):
-        self.gens = tuple(gens)
-        self.degree = degree
-        self.words = tuple(w for d in range(degree + 1) for w in
-                           itertools.product(range(self.ngens), repeat=d))
-        self.index = {w: i for i, w in enumerate(self.words)}
-
-    @property
-    def ngens(self):
-        return len(self.gens)
-
-    @property
-    def dim(self):
-        return len(self.words)
-
-    def dim_upto(self, d):
-        return sum(self.ngens ** k for k in range(min(d, self.degree) + 1))
-
-    def poly_to_vec(self, p):
-        """Sparse word-keyed vector (identity on the term dict, validated)."""
-        for w in p.terms:
-            if len(w) > self.degree:
-                raise ValueError("word exceeds truncation degree")
-            if any(c >= self.ngens for c in w):
-                raise ValueError("generator index out of range")
-        return dict(p.terms)
-
-    def vec_to_coords(self, v):
-        return {self.index[w]: c for w, c in v.items()}
-
-
 class TruncIdeal:
     """Degree-truncated two-sided ideal span with a stabilization flag.
 
     ``rows`` are word-keyed vectors, each monic at its leading word and the
-    rewriting rule of that word: the pivots are the words that contain a
-    leading word, and a vector reduces to its normal form.  The span is
+    rewriting rule of that word: a vector reduces to its normal form, and
+    the words that contain no leading word span a complement.  The span is
     that of every u*g*v of degree <= D for g in ``rows``, the ideal's whole
     part of degree <= D when ``stabilized`` is True, and a subspace of it
     otherwise.  So a map of words into an associative algebra that
     multiplies images kills the span once it kills ``rows``.
     """
 
-    def __init__(self, algebra, rows, stabilized):
-        self.algebra = algebra
+    def __init__(self, rows, stabilized):
         self.rows = tuple(rows)
         self.stabilized = stabilized
-        leading = {min(r, key=word_key): r for r in self.rows}
-        self._residue = rewriter(leading)
-        self.pivots = _reducible_words(algebra.words, leading)
-
-    @property
-    def dim(self):
-        return len(self.pivots)
+        self.leading = {min(r, key=word_key): r for r in self.rows}
+        self._residue, self.memo = rewriter(self.leading)
 
     def reduce_vec(self, v):
         """Residue of a word-keyed vector modulo the ideal span."""
         return self._residue(v)
 
+    def normal_words(self, ngens, degree):
+        """The words of length <= degree that contain no leading word,
+        length-first then lexicographically.  A word is normal when its
+        prefix is and no leading word ends it, so each length extends the
+        normal words of the one before, in order, letter by letter."""
+        def normal(w):
+            return not any(w[i:] in self.leading for i in range(len(w) + 1))
 
-def _reducible_words(words, rules):
-    """The words that contain a leading word of the rules.  ``words`` come
-    length-first, so a word's prefix is decided before it: w contains a
-    leading word iff w[:-1] does or one ends w."""
-    out = set()
-    for w in words:
-        if w[:-1] in out or any(w[i:] in rules for i in range(len(w) + 1)):
-            out.add(w)
-    return frozenset(out)
+        out = [()] if normal(()) else []
+        for w in out:  # breadth first: out grows as it is read
+            if len(w) < degree:
+                out += [w + (g,) for g in range(ngens) if normal(w + (g,))]
+        return tuple(out)
 
 
 def rewriter(rules):
@@ -186,7 +83,8 @@ def rewriter(rules):
     ends.  This first step fixes each word's normal form, memoised per
     word; a vector's is the combination of its words'.  A word's normal
     form is built without recursion: the words it reaches are collected,
-    then resolved greatest first, each after the words it rewrites to."""
+    then resolved greatest first, each after the words it rewrites to.
+    Returns the normal form and its memo {word: normal form}."""
     lengths = sorted({len(a) for a in rules})
     memo = {}
 
@@ -220,7 +118,7 @@ def rewriter(rules):
             vec_add_scaled(out, memo[w] if w in memo else word_form(w), c)
         return out
 
-    return normal_form
+    return normal_form, memo
 
 
 def _ambiguities(rules):
@@ -266,12 +164,12 @@ def groebner_basis(relations, cap):
     degree <= D is a combination of products u*g*v of degree <= D."""
     ech = Echelon(word_key)
     for r in relations:
-        ech.insert(r.terms)
+        ech.insert(r)
     grew = True
     while grew:
         G = ech.canonical_rows()
         rules = {min(row, key=word_key): row for row in G}
-        normal_form = rewriter(rules)
+        normal_form, _ = rewriter(rules)
         closed, grew = True, False
         for word, p, q in _ambiguities(rules):
             if len(word) > cap and not closed:
@@ -284,11 +182,12 @@ def groebner_basis(relations, cap):
     return G, closed
 
 
-def ideal_span(algebra, relations, slack=2):
-    """Truncated two-sided ideal of the given relation polynomials.
+def ideal_span(relations, degree, slack=2):
+    """Truncated two-sided ideal of the given relations, word-keyed
+    vectors, each put into normal form (zeros dropped, values ``exact``).
 
     The relations are completed (:func:`groebner_basis`) with ambiguity
-    words capped at D + S (D = algebra.degree, S = slack), and the
+    words capped at D + S (D = degree, S = slack), and the
     completed rows of degree <= D are the ideal's generators and rewriting
     rules.  Every ambiguity of length <= D + S then resolves, and words of
     length <= D are closed under subwords, so by the diamond lemma at
@@ -299,12 +198,11 @@ def ideal_span(algebra, relations, slack=2):
     <= D, whatever the slack.  Otherwise it is a subspace of it, and
     raising the slack may close the completion.
     """
-    D = algebra.degree
-    if any(r.degree() > D for r in relations):
+    relations = [{w: exact(c) for w, c in r.items() if c} for r in relations]
+    if any(len(w) > degree for r in relations for w in r):
         raise ValueError("relation degree exceeds working degree")
-    G, closed = groebner_basis(relations, D + slack)
-    return TruncIdeal(algebra, [r for r in G if max(map(len, r)) <= D],
-                      closed)
+    G, closed = groebner_basis(relations, degree + slack)
+    return TruncIdeal([r for r in G if max(map(len, r)) <= degree], closed)
 
 
 class HomomorphismError(ValueError):
@@ -312,31 +210,27 @@ class HomomorphismError(ValueError):
 
 
 class TruncQuotAlgebra:
-    """Quotient of a truncated free algebra by a truncated ideal, with
-    canonical class coordinates aligned to the filtration.
+    """Quotient of the free algebra on named generators, truncated at a
+    working degree, by a truncated ideal, with canonical class coordinates
+    aligned to the filtration.
 
-    Class coordinates are the words that are no pivot of the ideal: for a
-    presented ideal, the normal words of its completed basis, and a word
-    reduces to its normal form.  The filtration layer F_d is spanned
-    exactly by the class words of length <= d, so fdeg of a class vector is
-    the top length in its support.
+    Class coordinates are the normal words of the ideal's rows (for a
+    presented ideal, of its completed basis), and a word reduces to its
+    normal form, kept once in the ideal's memo.  The filtration layer F_d
+    is spanned exactly by the class words of length <= d, so fdeg of a
+    class vector is the top length in its support.
     """
 
-    def __init__(self, parent, ideal):
-        self.parent = parent
+    def __init__(self, gens, degree, ideal):
+        self.gens = tuple(gens)
+        self.degree = degree
         self.ideal = ideal
-        self.class_words = tuple(w for w in parent.words
-                                 if w not in ideal.pivots)
+        self.class_words = ideal.normal_words(len(self.gens), degree)
         self.class_index = {w: i for i, w in enumerate(self.class_words)}
-        self._reduce_memo = {}
 
     @property
     def dim(self):
         return len(self.class_words)
-
-    @property
-    def degree(self):
-        return self.parent.degree
 
     def dim_upto(self, d):
         return sum(1 for w in self.class_words if len(w) <= d)
@@ -347,14 +241,11 @@ class TruncQuotAlgebra:
     def reduce_word(self, w):
         if w in self.class_index:
             return {w: 1}
-        r = self._reduce_memo.get(w)
-        if r is None:
-            r = self.ideal.reduce_vec({w: 1})
-            self._reduce_memo[w] = r
-        return dict(r)
+        r = self.ideal.memo.get(w)
+        return dict(r) if r is not None else self.ideal.reduce_vec({w: 1})
 
     def reduce(self, vec):
-        """Word-keyed parent vector -> canonical class vector."""
+        """Word-keyed vector -> canonical class vector."""
         out = {}
         for w, c in vec.items():
             vec_add_scaled(out, self.reduce_word(w), c)
@@ -387,11 +278,6 @@ class TruncQuotAlgebra:
     def from_coords(self, v):
         return {self.class_words[i]: c for i, c in v.items()}
 
-    def filtration_subspace(self, d):
-        return Subspace.from_vectors(
-            self.dim, [{i: 1} for i, w in enumerate(self.class_words)
-                       if len(w) <= d])
-
     def extend_by(self, rows, slack):
         """Quotient by the two-sided ideal generated by this quotient's
         ideal and the word-keyed ``rows`` of degree <= D: the presented
@@ -407,15 +293,15 @@ class TruncQuotAlgebra:
         and so is the quotient."""
         if not rows:
             return self
-        rels = [NCPoly(r) for r in self.ideal.rows + tuple(rows)]
-        return quotient(self.parent, ideal_span(self.parent, rels, slack))
+        return presented(self.gens, self.ideal.rows + tuple(rows),
+                         self.degree, slack)
 
 
-def quotient(algebra, ideal):
-    """The truncated quotient algebra T_{<=D} / ideal span."""
-    if ideal.algebra is not algebra:
-        raise ValueError("ideal was not computed over this algebra")
-    return TruncQuotAlgebra(algebra, ideal)
+def presented(gens, relations, degree, slack=2):
+    """The presented quotient of the free algebra on gens, truncated at
+    degree, by the relations (word-keyed vectors): its ideal is
+    :func:`ideal_span` of them, completed with cap degree + slack."""
+    return TruncQuotAlgebra(gens, degree, ideal_span(relations, degree, slack))
 
 
 def word_fold(images, mult, unit):
@@ -441,7 +327,7 @@ def induced_map(src, dst, gen_images):
     generator's leading word otherwise.  Returns a LinearMap on class
     coordinates.
     """
-    if len(gen_images) != src.parent.ngens:
+    if len(gen_images) != len(src.gens):
         raise ValueError("need one image per generator")
     for img in gen_images:
         if dst.fdeg(img) > 1:
@@ -529,4 +415,10 @@ def subspace_product(a_sub, b_sub, quot):
     """
     fa = [va for _, va in filtration_basis(quot, a_sub, 1)]
     fb = [vb for _, vb in filtration_basis(quot, b_sub, 1)]
-    return [(NCPoly(va) * NCPoly(vb)).terms for va in fa for vb in fb]
+    def times(a, b):
+        out = {}
+        for x, c in a.items():
+            vec_add_scaled(out, {x + y: d for y, d in b.items()}, c)
+        return out
+
+    return [times(va, vb) for va in fa for vb in fb]

@@ -21,12 +21,13 @@ module uses, and the report degree follows the same rule.  Only the bottom
 row, the tensor bimodule and its ideal Y', is built here.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 from .linalg import (Echelon, LinearMap, Subspace, lincomb, quotient_basis,
                      vec_add_scaled)
-from .freealg import (FreeAlgebra, NCPoly, TruncQuotAlgebra, ideal_span,
-                      quotient, filtration_basis, word_fold)
+from .freealg import (TruncQuotAlgebra, filtration_basis, presented,
+                      word_fold)
 from .leibniz import Action, LeibnizAlgebra, basis_vec, liezation, semidirect
 from .xmod import LeibnizXMod, cat1_matrices, check_xmod, xliez
 from .xul import (combine_verdict, kernel_product_quotient, report_degree_for,
@@ -296,20 +297,19 @@ def xmod_to_lm(x):
 
 
 def lie_relations(g):
-    """x_i x_j - x_j x_i - [x_i, x_j] for a Lie algebra."""
+    """x_i x_j - x_j x_i - [x_i, x_j] for a Lie algebra, as word-keyed
+    vectors."""
     rels = []
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            br = NCPoly({(k,): v for k, v in g.bracket_basis(i, j).items()})
-            xi, xj = NCPoly.word((i,)), NCPoly.word((j,))
-            rels.append(xi * xj - xj * xi - br)
+            br = {(k,): v for k, v in g.bracket_basis(i, j).items()}
+            rels.append(vec_add_scaled({(i, j): 1, (j, i): -1}, br, -1))
     return rels
 
 
 def u_lie(g, degree, slack=2):
     """Truncated universal enveloping algebra of a Lie algebra."""
-    free = FreeAlgebra(tuple(g.basis), degree)
-    return quotient(free, ideal_span(free, lie_relations(g), slack=slack))
+    return presented(g.basis, lie_relations(g), degree, slack)
 
 
 @dataclass(frozen=True)
@@ -1072,7 +1072,9 @@ def theta_check(x, degree, slack=2, report_degree=None):
 
     def kills_span(evaluate, quot):
         return all(evaluate({w: 1}) == evaluate(quot.reduce_word(w))
-                   for w in quot.parent.words if w not in quot.class_index)
+                   for d in range(quot.degree + 1)
+                   for w in itertools.product(range(len(quot.gens)), repeat=d)
+                   if w not in quot.class_index)
 
     ideal_ok = kills_span(theta, usd1)
     p_ideal_ok = kills_span(theta_p, tx.ul_p.quot)

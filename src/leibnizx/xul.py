@@ -229,7 +229,7 @@ def combine_verdict(ok, certificates):
 
 def _kernel_words_span(usd, nq, d):
     """Span of classes of words of length <= d containing a pure-q letter."""
-    g = usd.quot.parent.ngens
+    g = len(usd.quot.gens)
     n_sd = g // 2
     qletters = set(range(nq)) | set(range(n_sd, n_sd + nq))
     vecs = []

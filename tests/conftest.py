@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 
 import pytest
@@ -47,12 +48,21 @@ def fraction_reduce(v, rows, keyf):
                 v.pop(k, None)
 
 
+def all_words(ngens, degree):
+    """Every word of length <= degree on ngens letters, length-first then
+    lexicographically: the truncated free algebra's basis, enumerated here
+    independently of any quotient."""
+    return [w for d in range(degree + 1)
+            for w in itertools.product(range(ngens), repeat=d)]
+
+
 def span_rows(quot):
     """The canonical reduced echelon rows, in :func:`word_key` order, of
-    the span quot reduces by: {w: 1} - reduce_word(w) for each parent word
-    w that is not a class word."""
+    the span quot reduces by: {w: 1} - reduce_word(w) for each word w of
+    length <= D that is not a class word."""
     return [vec_add_scaled({w: 1}, quot.reduce_word(w), -1)
-            for w in sorted(quot.parent.words, key=word_key)
+            for w in sorted(all_words(len(quot.gens), quot.degree),
+                            key=word_key)
             if w not in quot.class_index]
 
 
@@ -62,7 +72,7 @@ def free_reclosure(quot, added):
     and the rows ``added`` (word-keyed vectors) under multiplication by a
     generator on either side within the degree; every row, old or added,
     is multiplied again."""
-    g, D = quot.parent.ngens, quot.degree
+    g, D = len(quot.gens), quot.degree
     ech, work = Echelon(word_key), []
 
     def insert(vec):
@@ -78,8 +88,8 @@ def free_reclosure(quot, added):
             insert({(x,) + w: c for w, c in row.items()})
             insert({w + (x,): c for w, c in row.items()})
     rows = ech.canonical_rows()
-    return TruncQuotAlgebra(quot.parent, TruncIdeal(
-        quot.parent, rows, quot.ideal.stabilized))
+    return TruncQuotAlgebra(quot.gens, D,
+                            TruncIdeal(rows, quot.ideal.stabilized))
 
 
 def all_pairs_product(a_sub, b_sub, quot):
@@ -115,7 +125,7 @@ def assert_x_matches_all_pairs(module, build, monkeypatch):
         all_pairs_product(kq.t_ker, kq.s_ker, env))
     want = free_reclosure(env, [env.from_coords(r) for r in prods.rows])
     assert kq.quot.class_words == want.class_words
-    for w in env.parent.words:
+    for w in all_words(len(env.gens), env.degree):
         assert kq.quot.reduce_word(w) == want.reduce_word(w), w
 
 

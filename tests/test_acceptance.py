@@ -83,8 +83,8 @@ def brute_force_ul_dim(p, D, slack=2):
     top = D + slack
     ech = Echelon(word_key)
     for r in ul_relations(p):
-        terms = list(r.terms.items())
-        dr = r.degree()
+        terms = list(r.items())
+        dr = max(map(len, r), default=0)
         for a in range(top - dr + 1):
             for w1 in itertools.product(range(g), repeat=a):
                 for b in range(top - dr - a + 1):

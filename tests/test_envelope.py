@@ -7,7 +7,7 @@ import pytest
 from leibnizx import io
 from leibnizx.scalars import Q
 from leibnizx.linalg import LinearMap
-from leibnizx.freealg import HomomorphismError, NCPoly
+from leibnizx.freealg import HomomorphismError
 from leibnizx.leibniz import liezation, semidirect, zero_rep
 from leibnizx.envelope import (ULModule, check_module, module_to_rep,
                                rep_to_module, ul, ul_map, ul_relations)

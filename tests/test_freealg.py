@@ -9,27 +9,15 @@ from hypothesis import strategies as st
 
 from leibnizx.scalars import Q
 from leibnizx.envelope import ul, ul_relations
-from leibnizx.freealg import (FreeAlgebra, HomomorphismError, NCPoly,
-                              filtration_basis, groebner_basis, ideal_span,
-                              induced_map, quotient, rewriter,
-                              subspace_product, word_key)
+from leibnizx.freealg import (HomomorphismError, filtration_basis,
+                              groebner_basis, ideal_span, induced_map,
+                              presented, rewriter, subspace_product, word_key)
 from leibnizx.leibniz import liezation
 from leibnizx.linalg import Echelon, Subspace
 from leibnizx.lm import lie_relations
 
-from conftest import (all_pairs_product, fraction_reduce, free_reclosure,
-                      is_normal_vec, span_rows)
-
-
-def test_ncpoly_arithmetic():
-    x, y = NCPoly.word((0,)), NCPoly.word((1,))
-    p = x * y - y * x
-    assert p.terms == {(0, 1): Q(1), (1, 0): Q(-1)}
-    assert (p - p).is_zero()
-    assert (2 * p).terms[(0, 1)] == 2
-    assert (-p).terms[(1, 0)] == 1
-    assert (x * y) * x == x * (y * x)
-    assert NCPoly.unit() * p == p
+from conftest import (all_pairs_product, all_words, fraction_reduce,
+                      free_reclosure, is_normal_vec, span_rows)
 
 
 def test_word_key_elimination_order():
@@ -38,27 +26,16 @@ def test_word_key_elimination_order():
     assert sorted(ws, key=word_key) == [(0, 0), (0, 1), (0,), (1,), ()]
 
 
-def test_free_algebra_word_counts():
-    f = FreeAlgebra(("x", "y"), 3)
-    assert f.dim == 1 + 2 + 4 + 8
-    assert f.dim_upto(2) == 7
-    assert f.words[0] == ()
-
-
 def commutator_relations(g):
-    rels = []
-    for i in range(g):
-        for j in range(i + 1, g):
-            rels.append(NCPoly.word((i, j)) - NCPoly.word((j, i)))
-    return rels
+    return [{(i, j): 1, (j, i): -1}
+            for i in range(g) for j in range(i + 1, g)]
 
 
 def test_polynomial_ring_dimensions():
     """T(x_1..x_g)/(commutators) has the dimensions of a polynomial ring:
     dim of degree <= D is C(D + g, g)."""
     for g, D in ((2, 4), (3, 3)):
-        free = FreeAlgebra(tuple("x%d" % i for i in range(g)), D)
-        quot = quotient(free, ideal_span(free, commutator_relations(g)))
+        quot = presented(_gens(g), commutator_relations(g), D)
         assert quot.ideal.stabilized
         for d in range(D + 1):
             assert quot.dim_upto(d) == math.comb(d + g, g)
@@ -67,19 +44,17 @@ def test_polynomial_ring_dimensions():
 def test_ideal_span_brute_force_agreement():
     """The truncated ideal span equals the naive span of all products
     w1 * r * w2 enumerated densely at the same top degree."""
-    import itertools
-    free = FreeAlgebra(("x", "y"), 3)
-    rels = [NCPoly.word((0, 1)) - NCPoly.word((1, 0)) - NCPoly.word((0,))]
-    quot = quotient(free, ideal_span(free, rels, slack=2))
-    top = free.degree + 2
+    rels = [{(0, 1): 1, (1, 0): -1, (0,): -1}]
+    quot = presented(("x", "y"), rels, 3, slack=2)
+    index = {w: i for i, w in enumerate(all_words(2, 3))}
+    top = quot.degree + 2
     vecs = []
     for r in rels:
         for a in range(top + 1):
             for w1 in itertools.product(range(2), repeat=a):
-                for b in range(top - a - r.degree() + 1):
+                for b in range(top - a - max(map(len, r)) + 1):
                     for w2 in itertools.product(range(2), repeat=b):
-                        p = NCPoly.word(w1) * r * NCPoly.word(w2)
-                        vecs.append(p.terms)
+                        vecs.append({w1 + w + w2: c for w, c in r.items()})
     # cut down to degree <= 3 the slow way: echelonize in elimination order
     # and keep rows supported there
     from leibnizx.linalg import Echelon
@@ -89,19 +64,19 @@ def test_ideal_span_brute_force_agreement():
     kept = [r for r in ech.canonical_rows()
             if len(min(r, key=word_key)) <= 3]
     expect = Subspace.from_vectors(
-        free.dim, [free.vec_to_coords({w: c for w, c in r.items()
-                                       if len(w) <= 3}) for r in kept
-                   if all(len(w) <= 3 for w in r)])
+        len(index), [{index[w]: c for w, c in r.items()} for r in kept
+                     if all(len(w) <= 3 for w in r)])
     got = Subspace.from_vectors(
-        free.dim, [free.vec_to_coords(r) for r in span_rows(quot)])
+        len(index), [{index[w]: c for w, c in r.items()}
+                     for r in span_rows(quot)])
     assert got.contains(expect)
 
 
 def _insert_products(ech, g, relations, lo_total, hi_total):
     """Insert all w1*r*w2 with lo_total < top degree <= hi_total."""
     for r in relations:
-        dr = r.degree()
-        terms = list(r.terms.items())
+        dr = max(map(len, r))
+        terms = list(r.items())
         for a in range(0, hi_total - dr + 1):
             for w1 in itertools.product(range(g), repeat=a):
                 left = [(w1 + w, c) for w, c in terms]
@@ -121,11 +96,16 @@ def _rows_upto(ech, D):
     return out.canonical_rows()
 
 
-def enumerated_ideal(free, relations, slack):
+def _nonzero(relations):
+    """The relations with zero coefficients dropped, and zero ones too."""
+    relations = [{w: c for w, c in r.items() if c} for r in relations]
+    return [r for r in relations if r]
+
+
+def enumerated_ideal(g, D, relations, slack):
     """Oracle: the rows from enumerating every product w1*r*w2 of top
-    degree <= D + slack."""
-    D, g = free.degree, free.ngens
-    relations = [r for r in relations if not r.is_zero()]
+    degree <= D + slack, on g generators."""
+    relations = _nonzero(relations)
     ech = Echelon(word_key)
     _insert_products(ech, g, relations, -1, D + slack)
     return _rows_upto(ech, D)
@@ -138,7 +118,7 @@ def _gens(n):
 def _resolves(relations):
     """Whether the relations resolve every ambiguity as given: the
     completion with no ambiguity window adds nothing."""
-    return groebner_basis(relations, 0)[1]
+    return groebner_basis(_nonzero(relations), 0)[1]
 
 
 @pytest.mark.parametrize("slack", [0, 1, 2])
@@ -154,20 +134,19 @@ def test_ideal_span_matches_enumeration(a1, l2, r2, slack):
         # PBW type (Loday–Pirashvili): every ambiguity resolves
         assert _resolves(rels)
         for D in degrees:
-            free = FreeAlgebra(_gens(g), D)
-            ideal = ideal_span(free, rels, slack=slack)
-            assert span_rows(quotient(free, ideal)) == enumerated_ideal(
-                free, rels, slack), (g, D)
-            assert ideal.stabilized is True, (g, D)
+            quot = presented(_gens(g), rels, D, slack=slack)
+            assert span_rows(quot) == enumerated_ideal(
+                g, D, rels, slack), (g, D)
+            assert quot.ideal.stabilized is True, (g, D)
 
 
 _WORDS = [w for d in range(3) for w in itertools.product(range(3), repeat=d)]
 
 
-def _assert_certified(free, rels, ideal):
+def _assert_certified(g, D, rels, ideal):
     """A stabilized ideal holds every row of the slack-3 enumeration."""
     if ideal.stabilized:
-        for row in enumerated_ideal(free, rels, 3):
+        for row in enumerated_ideal(g, D, rels, 3):
             assert ideal.reduce_vec(row) == {}
 
 
@@ -177,27 +156,24 @@ def _assert_certified(free, rels, ideal):
                                 min_size=1, max_size=4),
                 min_size=1, max_size=4))
 def test_ideal_span_matches_enumeration_random(g, D, slack, raw):
-    free = FreeAlgebra(_gens(g), D)
-    rels = [NCPoly({w: c for w, c in t.items()
-                    if len(w) <= D and all(x < g for x in w)})
-            for t in raw]
-    ideal = ideal_span(free, rels, slack=slack)
+    rels = [{w: c for w, c in t.items()
+             if len(w) <= D and all(x < g for x in w)} for t in raw]
+    quot = presented(_gens(g), rels, D, slack=slack)
     if _resolves(rels):
         # the relations have degree <= 2, so each product u*g*v of degree
         # <= D comes from products of the relations of degree <= D + 2:
         # the slack-2 enumeration is the ideal's whole part of degree <= D
-        assert span_rows(quotient(free, ideal)) == enumerated_ideal(
-            free, rels, 2)
-        assert ideal.stabilized is True
+        assert span_rows(quot) == enumerated_ideal(g, D, rels, 2)
+        assert quot.ideal.stabilized is True
     elif D <= 3:
         # the slack-3 enumeration at D4 (top degree 7) can take minutes
-        _assert_certified(free, rels, ideal)
+        _assert_certified(g, D, rels, quot.ideal)
 
 
-def generator_products(free, gens):
+def generator_products(n, D, gens):
     """Oracle for a presented quotient: the canonical rows, keyed by pivot,
-    of the span of every u*g*v with g in gens and |u| + deg g + |v| <= D."""
-    D, n = free.degree, free.ngens
+    of the span of every u*g*v with g in gens and |u| + deg g + |v| <= D,
+    on n generators."""
     ech = Echelon(word_key)
     for gen in gens:
         top = max(map(len, gen))
@@ -219,15 +195,14 @@ def test_quotient_matches_generator_products_open_or_closed():
     for _ in range(300):
         n, D, slack = rng.randint(2, 3), rng.randint(2, 4), rng.randint(0, 2)
         words = [w for w in _WORDS if all(x < n for x in w)]
-        rels = [NCPoly({w: rng.randint(-2, 2)
-                        for w in rng.sample(words, rng.randint(1, 3))})
+        rels = [{w: rng.randint(-2, 2)
+                 for w in rng.sample(words, rng.randint(1, 3))}
                 for _ in range(rng.randint(2, 4))]
-        free = FreeAlgebra(_gens(n), D)
-        quot = quotient(free, ideal_span(free, rels, slack=slack))
-        rows = generator_products(free, quot.ideal.rows)
-        assert quot.class_words == tuple(w for w in free.words
+        quot = presented(_gens(n), rels, D, slack=slack)
+        rows = generator_products(n, D, quot.ideal.rows)
+        assert quot.class_words == tuple(w for w in all_words(n, D)
                                          if w not in rows)
-        for w in free.words:
+        for w in all_words(n, D):
             assert quot.reduce_word(w) == fraction_reduce(
                 {w: Q(1)}, rows, word_key), w
         seen.add(quot.ideal.stabilized)
@@ -239,9 +214,10 @@ def test_rewriter_chain_longer_than_the_recursion_limit():
     with k*k above the recursion limit the normal form still comes out,
     and a second call reads the memo."""
     k = math.isqrt(sys.getrecursionlimit()) + 1
-    normal_form = rewriter({(0, 1): {(0, 1): 1, (1, 0): -1}})
+    normal_form, memo = rewriter({(0, 1): {(0, 1): 1, (1, 0): -1}})
     w, sorted_w = (0,) * k + (1,) * k, (1,) * k + (0,) * k
     assert normal_form({w: 2}) == {sorted_w: 2}
+    assert memo[w] == {sorted_w: 1}
     assert normal_form({w: 1, (0,): 3}) == {sorted_w: 1, (0,): 3}
 
 
@@ -250,19 +226,16 @@ def test_unresolved_overlap_is_completed():
     not a Gröbner basis as given.  The completion adds x0x1 - x1x0 and
     closes at every slack once the window holds x0x0x0, so the rows
     include (x1x0 - x0x1)x0, which the slack-0 enumeration misses."""
-    rels = [NCPoly.word((0, 0)) - NCPoly.word((1,))]
+    rels = [{(0, 0): 1, (1,): -1}]
     assert not _resolves(rels)
-    free = FreeAlgebra(_gens(2), 3)
-    assert enumerated_ideal(free, rels, 0) != enumerated_ideal(free, rels, 3)
+    assert enumerated_ideal(2, 3, rels, 0) != enumerated_ideal(2, 3, rels, 3)
     for slack in (0, 1, 2):
-        ideal = ideal_span(free, rels, slack=slack)
-        assert ideal.stabilized is True, slack
-        assert span_rows(quotient(free, ideal)) == enumerated_ideal(
-            free, rels, 3), slack
+        quot = presented(_gens(2), rels, 3, slack=slack)
+        assert quot.ideal.stabilized is True, slack
+        assert span_rows(quot) == enumerated_ideal(2, 3, rels, 3), slack
     # at D2 the window x0x0 (length 2) misses the overlap at slack 0
-    free = FreeAlgebra(_gens(2), 2)
-    assert ideal_span(free, rels, slack=0).stabilized is False
-    assert ideal_span(free, rels, slack=1).stabilized is True
+    assert ideal_span(rels, 2, slack=0).stabilized is False
+    assert ideal_span(rels, 2, slack=1).stabilized is True
 
 
 def test_inclusion_ambiguities():
@@ -270,38 +243,33 @@ def test_inclusion_ambiguities():
     relation is x0(x1x2 - x3) the inclusion resolves; when it is x0x1x2
     alone, x0x3 is a new element of the ideal and (x0x3)x0 needs
     products of degree 4: the completion adds x0x3 and closes."""
-    x = NCPoly.word
-    resolved = [x((1, 2)) - x((3,)), x((0, 1, 2)) - x((0, 3))]
+    resolved = [{(1, 2): 1, (3,): -1}, {(0, 1, 2): 1, (0, 3): -1}]
     assert _resolves(resolved)
-    free = FreeAlgebra(_gens(4), 3)
-    ideal = ideal_span(free, resolved, slack=0)
-    assert span_rows(quotient(free, ideal)) == enumerated_ideal(
-        free, resolved, 2)
-    assert ideal.stabilized is True
-    unresolved = [x((1, 2)) - x((3,)), x((0, 1, 2))]
+    quot = presented(_gens(4), resolved, 3, slack=0)
+    assert span_rows(quot) == enumerated_ideal(4, 3, resolved, 2)
+    assert quot.ideal.stabilized is True
+    unresolved = [{(1, 2): 1, (3,): -1}, {(0, 1, 2): 1}]
     assert not _resolves(unresolved)
     for slack in (0, 1, 2):
-        ideal = ideal_span(free, unresolved, slack=slack)
-        assert ideal.stabilized is True, slack
-        assert ideal.reduce_vec({(0, 3, 0): 1}) == {}
-        assert span_rows(quotient(free, ideal)) == enumerated_ideal(
-            free, unresolved, 3)
+        quot = presented(_gens(4), unresolved, 3, slack=slack)
+        assert quot.ideal.stabilized is True, slack
+        assert quot.ideal.reduce_vec({(0, 3, 0): 1}) == {}
+        assert span_rows(quot) == enumerated_ideal(4, 3, unresolved, 3)
 
 
 def test_slack_heuristic_counterexample_is_never_certified():
     """Relations on which the slack S/S+1 comparison certified 21 rows at
     slack 0, though the ideal's part of degree <= 3 has 29.  The
     completion stays open at slacks 0 and 1 and closes at slack 2."""
-    x = NCPoly.word
-    rels = [2 * x((0, 2)) - 2 * x((1, 1)), x((2, 1)),
-            x((0, 1)) - 2 * x((0,)) - 2 * x((2, 0))]
-    free = FreeAlgebra(_gens(3), 3)
+    rels = [{(0, 2): 2, (1, 1): -2}, {(2, 1): 1},
+            {(0, 1): 1, (0,): -2, (2, 0): -2}]
+    words = len(all_words(3, 3))
     for slack in (0, 1, 2, 3):
-        ideal = ideal_span(free, rels, slack=slack)
-        assert ideal.stabilized is (slack >= 2), slack
-        assert ideal.dim == 29 or not ideal.stabilized, slack
-        _assert_certified(free, rels, ideal)
-    assert ideal_span(free, rels, slack=0).dim == 21
+        quot = presented(_gens(3), rels, 3, slack=slack)
+        assert quot.ideal.stabilized is (slack >= 2), slack
+        assert words - quot.dim == 29 or not quot.ideal.stabilized, slack
+        _assert_certified(3, 3, rels, quot.ideal)
+    assert words - presented(_gens(3), rels, 3, slack=0).dim == 21
 
 
 def test_certified_closure_runs_on_the_interreduced_relations():
@@ -309,26 +277,23 @@ def test_certified_closure_runs_on_the_interreduced_relations():
     in the ideal, and so is (x2 - x3)x0x0 at degree 3, but only products of
     the raw relations of degree 4 reach it.  The certified closure runs on
     the interreduced relations and finds it at any slack."""
-    x = NCPoly.word
-    rels = [x((0, 1)) + x((2,)), x((0, 1)) + x((3,))]
+    rels = [{(0, 1): 1, (2,): 1}, {(0, 1): 1, (3,): 1}]
     assert _resolves(rels)
-    free = FreeAlgebra(_gens(4), 3)
-    exact = enumerated_ideal(free, rels, 2)
+    exact = enumerated_ideal(4, 3, rels, 2)
     witness = {(2, 0, 0): Q(1), (3, 0, 0): Q(-1)}
     raw = Echelon(word_key)
-    for r in enumerated_ideal(free, rels, 0):
+    for r in enumerated_ideal(4, 3, rels, 0):
         raw.insert(dict(r))
     assert not raw.contains(witness)
     for slack in (0, 1, 2):
-        ideal = ideal_span(free, rels, slack=slack)
-        assert span_rows(quotient(free, ideal)) == exact
-        assert ideal.stabilized is True
-        assert ideal.reduce_vec(witness) == {}
+        quot = presented(_gens(4), rels, 3, slack=slack)
+        assert span_rows(quot) == exact
+        assert quot.ideal.stabilized is True
+        assert quot.ideal.reduce_vec(witness) == {}
 
 
 def test_quotient_reduce_and_mult():
-    free = FreeAlgebra(("x", "y"), 4)
-    quot = quotient(free, ideal_span(free, commutator_relations(2)))
+    quot = presented(("x", "y"), commutator_relations(2), 4)
     xy = quot.reduce_word((0, 1))
     yx = quot.reduce_word((1, 0))
     assert xy == yx
@@ -345,25 +310,22 @@ def test_quotient_reduce_and_mult():
 
 
 def test_quotient_coordinates_and_filtration():
-    free = FreeAlgebra(("x", "y"), 3)
-    quot = quotient(free, ideal_span(free, commutator_relations(2)))
-    v = quot.reduce(free.poly_to_vec(NCPoly.word((1, 0)) + NCPoly.unit()))
+    quot = presented(("x", "y"), commutator_relations(2), 3)
+    v = quot.reduce({(1, 0): 1, (): 1})
     assert quot.from_coords(quot.to_coords(v)) == v
     assert quot.fdeg(v) == 2
-    assert quot.filtration_subspace(1).dim == quot.dim_upto(1) == 3
+    assert quot.dim_upto(1) == 3
 
 
 def test_induced_map_checks_relations():
-    free = FreeAlgebra(("x", "y"), 3)
-    quot = quotient(free, ideal_span(free, commutator_relations(2)))
+    quot = presented(("x", "y"), commutator_relations(2), 3)
     # swapping the generators is an automorphism of the commutative ring
     f = induced_map(quot, quot, [quot.gen_class(1), quot.gen_class(0)])
     assert f.rank() == quot.dim
     # a noncommutative target rejects the same images, naming the leading
     # word of the violated row of the ideal
     assert quot.ideal.rows == ({(0, 1): 1, (1, 0): -1},)
-    free_nc = FreeAlgebra(("x", "y"), 3)
-    nc = quotient(free_nc, ideal_span(free_nc, []))
+    nc = presented(("x", "y"), [], 3)
     with pytest.raises(HomomorphismError, match=r"generator with leading "
                                                 r"word \(0, 1\)"):
         induced_map(quot, nc, [nc.gen_class(0), nc.gen_class(1)])
@@ -375,8 +337,7 @@ def test_induced_map_checks_relations():
 
 
 def test_extend_by_is_a_two_sided_ideal():
-    free = FreeAlgebra(("x", "y"), 3)
-    quot = quotient(free, ideal_span(free, commutator_relations(2)))
+    quot = presented(("x", "y"), commutator_relations(2), 3)
     bigger = quot.extend_by([quot.gen_class(0)], 1)
     # x and everything it divides is gone
     assert bigger.reduce_word((0,)) == {}
@@ -388,8 +349,7 @@ def test_extend_by_is_a_two_sided_ideal():
 
 
 def test_filtration_basis_degrees():
-    free = FreeAlgebra(("x", "y"), 3)
-    quot = quotient(free, ideal_span(free, commutator_relations(2)))
+    quot = presented(("x", "y"), commutator_relations(2), 3)
     sub = Subspace.from_vectors(
         quot.dim, [quot.to_coords(quot.reduce_word(w))
                    for w in ((0,), (0, 1))])
@@ -403,8 +363,7 @@ def test_subspace_product_boundary():
     in the free algebra on x, y at D3, the single word x·y.  Completed by
     extend_by they give I·J: the words with an x somewhere before a y,
     the same as the closure of every product of filtration rows."""
-    free = FreeAlgebra(("x", "y"), 3)
-    quot = quotient(free, ideal_span(free, []))
+    quot = presented(("x", "y"), [], 3)
 
     def letter_ideal(x):
         return Subspace.from_vectors(
@@ -429,8 +388,7 @@ def test_subspace_product_boundary():
                           st.integers(-3, 3)), min_size=1, max_size=4),
        st.sampled_from([(0,), (1,), (0, 0)]))
 def test_quotient_mult_is_bilinear_and_associative(terms, w):
-    free = FreeAlgebra(("x", "y"), 4)
-    quot = quotient(free, ideal_span(free, commutator_relations(2)))
+    quot = presented(("x", "y"), commutator_relations(2), 4)
     a = quot.reduce({tw: Q(c) for tw, c in terms if c})
     if quot.fdeg(a) > 1:
         a = {tw: c for tw, c in a.items() if len(tw) <= 1}
@@ -458,15 +416,13 @@ def test_quotient_outputs_are_in_normal_form(raw, ta, tb):
     """reduce_word and mult give an int for every integral coefficient and
     a Q for every other, and equal the all-Q computation, also when the
     relations have non-integral coefficients."""
-    free = FreeAlgebra(("x", "y"), 3)
-    quot = quotient(free, ideal_span(free, [NCPoly(t) for t in raw],
-                                     slack=0))
+    quot = presented(("x", "y"), raw, 3, slack=0)
     rows = {min(r, key=word_key): r for r in span_rows(quot)}
 
     def oracle(w):
         return fraction_reduce({w: Q(1)}, rows, word_key)
 
-    for w in free.words:
+    for w in all_words(2, 3):
         got = quot.reduce_word(w)
         assert is_normal_vec(got)
         assert got == oracle(w)
@@ -491,19 +447,17 @@ def test_extend_by_matches_free_reclosure(relations, raw):
     class words and reductions of the re-closure of the whole ideal in the
     free algebra; every old row and every added row reduces to zero in the
     new quotient."""
-    free = FreeAlgebra(("x", "y"), 4)
     rels = {"commutative": commutator_relations(2), "free": [],
-            "weyl": [NCPoly.word((0, 1)) - NCPoly.word((1, 0))
-                     - NCPoly.unit()]}[relations]
-    quot = quotient(free, ideal_span(free, rels))
+            "weyl": [{(0, 1): 1, (1, 0): -1, (): -1}]}[relations]
+    quot = presented(("x", "y"), rels, 4)
     assert quot.ideal.stabilized
     added = [quot.reduce(t) for t in raw]
     got = quot.extend_by(added, 2)
     want = free_reclosure(quot, added)
     assert got.class_words == want.class_words
-    for w in free.words:
+    for w in all_words(2, 4):
         assert got.reduce_word(w) == want.reduce_word(w), w
-    assert got.ideal.dim == len(want.ideal.rows)
+    assert len(all_words(2, 4)) - got.dim == len(want.ideal.rows)
     for row in quot.ideal.rows + tuple(added):
         assert not got.reduce(row), row
 

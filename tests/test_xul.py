@@ -13,8 +13,8 @@ from leibnizx.xmod import (LeibnizXMod, check_xmod, identity_xmod,
 from leibnizx.xul import (check_trunc_xmod, embedding_squares_check,
                           lemma41_check, prop42_check, xul)
 
-from conftest import (CORPUS, assert_x_matches_all_pairs, free_reclosure,
-                      span_rows, violated_rows)
+from conftest import (CORPUS, all_words, assert_x_matches_all_pairs,
+                      free_reclosure, span_rows, violated_rows)
 
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
 
@@ -188,7 +188,7 @@ def test_kernel_product_quotient_matches_free_reclosure(xmods, name, D,
     assert quot.ideal.stabilized
     want = free_reclosure(env, rows)
     assert quot.class_words == want.class_words
-    for w in env.parent.words:
+    for w in all_words(len(env.gens), env.degree):
         assert quot.reduce_word(w) == want.reduce_word(w), w
     assert len(maps) == 5
     for src, dst, gen_images in maps:
