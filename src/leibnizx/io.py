@@ -21,6 +21,7 @@ Sub-objects may be inlined or referenced by a path string, resolved
 relative to the referencing file.
 """
 
+import contextvars
 import json
 import os
 
@@ -40,14 +41,21 @@ class FormatError(ValueError):
 # helpers
 
 
-def _need(data, key, kind):
+_JSON = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _need(data, key, kind, typ=object):
+    """data[key], which must be there and of JSON type typ if given."""
     if key not in data:
         raise FormatError("%s file is missing %r" % (kind, key))
+    if not isinstance(data[key], typ):
+        raise FormatError("%s: %r must be %s" % (kind, key, _JSON[typ]))
     return data[key]
 
 
 def _basis_index(names, kind):
-    names = list(names)
+    if not all(isinstance(b, str) for b in names):
+        raise FormatError("%s basis names must be strings" % kind)
     if len(set(names)) != len(names):
         raise FormatError("%s file has duplicate basis names" % kind)
     return {b: i for i, b in enumerate(names)}
@@ -76,8 +84,10 @@ def _value_vec(value, index, where):
 
 def _tensor_from_entries(entries, key1, key2, idx1, idx2, idx_out, where):
     t = [[{} for _ in idx2] for _ in idx1]
+    if not isinstance(entries, list) or {type(e) for e in entries} - {dict}:
+        raise FormatError("%s: table must be an array of objects" % where)
     for e in entries:
-        n1, n2 = _need(e, key1, where), _need(e, key2, where)
+        n1, n2 = _need(e, key1, where, str), _need(e, key2, where, str)
         if n1 not in idx1 or n2 not in idx2:
             raise FormatError("%s: unknown basis element in entry (%r, %r)"
                               % (where, n1, n2))
@@ -152,7 +162,7 @@ def _gen_names(prefix, n):
 
 def _load_algebra(data, kind, cls, table_key):
     name = _need(data, "name", kind)
-    basis = _need(data, "basis", kind)
+    basis = _need(data, "basis", kind, list)
     idx = _basis_index(basis, kind)
     entries = data.get(table_key, [])
     t = _tensor_from_entries(entries, "left", "right", idx, idx, idx,
@@ -180,7 +190,7 @@ def _load_xmod(data, base_dir):
     qi = _basis_index(q.basis, "xmod q")
     pi = _basis_index(p.basis, "xmod p")
     eta = _matrix_cols(data.get("eta", {}), qi, pi, "xmod eta")
-    action = _need(data, "action", "xmod")
+    action = _need(data, "action", "xmod", dict)
     left = _tensor_from_entries(action.get("left", []), "p", "q",
                                 pi, qi, qi, "xmod action left")
     right = _tensor_from_entries(action.get("right", []), "q", "p",
@@ -211,7 +221,7 @@ def _dump_xmod(x):
 
 def _load_rep(data, base_dir):
     p = _load_sub(data, "algebra", "leibniz_algebra", base_dir, "rep")
-    module = _need(data, "module", "rep")
+    module = _need(data, "module", "rep", list)
     mi = _basis_index(module, "rep module")
     pi = _basis_index(p.basis, "rep algebra")
     left = _action_mats(data.get("left", []), "p", "m", pi, mi, mi,
@@ -235,8 +245,8 @@ def _dump_rep(rep):
 
 def _load_xmod_rep(data, base_dir):
     x = _load_sub(data, "xmod", "xmod", base_dir, "xmod_rep")
-    n_names = _need(data, "n", "xmod_rep")
-    m_names = _need(data, "m", "xmod_rep")
+    n_names = _need(data, "n", "xmod_rep", list)
+    m_names = _need(data, "m", "xmod_rep", list)
     ni = _basis_index(n_names, "xmod_rep n")
     mi = _basis_index(m_names, "xmod_rep m")
     pi = _basis_index(x.p.basis, "xmod_rep p")
@@ -308,9 +318,9 @@ class ModuleData:
 
 def _load_module(data, base_dir):
     p = _load_sub(data, "algebra", "leibniz_algebra", base_dir, "module")
-    module = _need(data, "module", "module")
+    module = _need(data, "module", "module", list)
     mi = _basis_index(module, "module")
-    gens = _need(data, "generators", "module")
+    gens = _need(data, "generators", "module", dict)
     labels = ["%s_l" % b for b in p.basis] + ["%s_r" % b for b in p.basis]
     for key in gens:
         if key not in labels:
@@ -379,15 +389,26 @@ def load_data(data, base_dir="."):
     raise FormatError("unknown kind %r" % kind)
 
 
+# real paths of the files being loaded in this context, outermost first
+_LOADING = contextvars.ContextVar("loading", default=())
+
+
 def load_path(path):
+    real, loading = os.path.realpath(path), _LOADING.get()
+    if real in loading:
+        raise FormatError("path reference cycle: " + " -> ".join(
+            loading[loading.index(real):] + (real,)))
+    token = _LOADING.set(loading + (real,))
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
+        return load_data(data, os.path.dirname(os.path.abspath(path)))
     except OSError as e:
         raise FormatError("cannot read %s: %s" % (path, e))
     except json.JSONDecodeError as e:
         raise FormatError("%s is not valid JSON: %s" % (path, e))
-    return load_data(data, os.path.dirname(os.path.abspath(path)))
+    finally:
+        _LOADING.reset(token)
 
 
 _KIND_OF_TYPE = {

@@ -5,6 +5,7 @@ import pytest
 from leibnizx.cli import main
 
 from conftest import CORPUS, corpus_path
+from test_io import shape_cases
 
 
 def run(capsys, *argv):
@@ -49,6 +50,28 @@ def test_malformed_input_exit_2(capsys, tmp_path):
     rc, _, err = run(capsys, "check", str(p))
     assert rc == 2
     assert "1/0" in err
+    p.write_text('{"kind": "xmod", "q": {"name": "Q", "basis": ["e"]}, '
+                 '"p": {"name": "P", "basis": ["e"]}, "action": []}')
+    rc, out, err = run(capsys, "check", str(p))
+    assert rc == 2
+    assert "'action' must be an object" in err
+    assert "Traceback" not in err + out
+
+
+@pytest.mark.parametrize("doc", list(shape_cases()))
+@pytest.mark.parametrize("cmd", [["check"], ["ul", "--degree", "2"],
+                                 ["xul", "--degree", "2"],
+                                 ["lm", "--degree", "2"]])
+def test_malformed_shape_exit_2(capsys, tmp_path, cmd, doc):
+    """A document of the wrong JSON shape, or one that names itself as a
+    sub-object, is malformed input for every command: exit 2 with an error
+    line, no traceback."""
+    for d in (doc, {"kind": "xmod", "q": "bad.json", "p": "bad.json"}):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(d))
+        rc, out, err = run(capsys, cmd[0], str(p), *cmd[1:])
+        assert rc == 2, d
+        assert err.startswith("error:") and "Traceback" not in err + out
 
 
 def test_report_degree_validation(capsys):

@@ -70,6 +70,25 @@ def bad_cases():
     yield {"kind": "leibniz_algebra", "name": "x", "basis": ["a"],
            "bracket": [{"left": "a", "right": "a", "value": {"a": 1}}]}
     yield {"kind": "rep", "name": "x", "algebra": 7, "module": []}
+    yield from shape_cases()
+
+
+ALG = {"kind": "leibniz_algebra", "name": "A", "basis": ["e"], "bracket": []}
+
+
+def shape_cases():
+    """Documents of the wrong JSON shape: a table that is no array, an
+    entry that is no object, a basis that is no array of names, and
+    sub-objects of the wrong type."""
+    for table in (5, {"left": "e"}, ["left"]):
+        yield {"kind": "leibniz_algebra", "name": "x", "basis": ["e"],
+               "bracket": table}
+    for basis in (7, [["e"]]):
+        yield {"kind": "leibniz_algebra", "name": "x", "basis": basis}
+    yield {"kind": "rep", "algebra": ALG, "module": 3}
+    yield {"kind": "xmod", "q": ALG, "p": ALG, "eta": {}, "action": []}
+    yield {"kind": "module", "algebra": ALG, "module": ["m"],
+           "generators": []}
 
 
 @pytest.mark.parametrize("data", list(bad_cases()))
@@ -94,6 +113,21 @@ def test_load_by_path_reference(tmp_path):
     (tmp_path / "x2.json").write_text(json.dumps(ref))
     with pytest.raises(io.FormatError):
         io.load_path(str(tmp_path / "x2.json"))
+    # a file that references itself, directly or through another file, is
+    # a cycle, named in the error
+    ref["q"] = "x3.json"
+    (tmp_path / "x3.json").write_text(json.dumps(ref))
+    with pytest.raises(io.FormatError, match=r"cycle: .*x3\.json -> .*"
+                                             r"x3\.json"):
+        io.load_path(str(tmp_path / "x3.json"))
+    ref["q"] = "x5.json"
+    (tmp_path / "x4.json").write_text(json.dumps(ref))
+    (tmp_path / "x5.json").write_text(json.dumps(dict(ref, q="x4.json")))
+    with pytest.raises(io.FormatError, match=r"x4\.json -> .*x5\.json -> "
+                                             r".*x4\.json"):
+        io.load_path(str(tmp_path / "x4.json"))
+    # the loader forgets a file once it is loaded: a second load works
+    assert io.load_path(str(tmp_path / "x.json")).q.name == "Q"
 
 
 def test_missing_file_is_format_error():
