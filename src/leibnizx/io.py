@@ -41,15 +41,13 @@ class FormatError(ValueError):
 # helpers
 
 
-_JSON = {dict: "an object", list: "an array", str: "a string"}
-
-
 def _need(data, key, kind, typ=object):
     """data[key], which must be there and of JSON type typ if given."""
     if key not in data:
         raise FormatError("%s file is missing %r" % (kind, key))
     if not isinstance(data[key], typ):
-        raise FormatError("%s: %r must be %s" % (kind, key, _JSON[typ]))
+        raise FormatError("%s: %r must be a JSON %s" % (
+            kind, key, {dict: "object", list: "array", str: "string"}[typ]))
     return data[key]
 
 
@@ -398,15 +396,16 @@ def load_path(path):
     if real in loading:
         raise FormatError("path reference cycle: " + " -> ".join(
             loading[loading.index(real):] + (real,)))
-    token = _LOADING.set(loading + (real,))
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
-        return load_data(data, os.path.dirname(os.path.abspath(path)))
     except OSError as e:
         raise FormatError("cannot read %s: %s" % (path, e))
     except json.JSONDecodeError as e:
         raise FormatError("%s is not valid JSON: %s" % (path, e))
+    token = _LOADING.set(loading + (real,))
+    try:
+        return load_data(data, os.path.dirname(os.path.abspath(path)))
     finally:
         _LOADING.reset(token)
 

@@ -54,7 +54,7 @@ def test_malformed_input_exit_2(capsys, tmp_path):
                  '"p": {"name": "P", "basis": ["e"]}, "action": []}')
     rc, out, err = run(capsys, "check", str(p))
     assert rc == 2
-    assert "'action' must be an object" in err
+    assert "'action' must be a JSON object" in err
     assert "Traceback" not in err + out
 
 
