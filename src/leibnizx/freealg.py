@@ -51,8 +51,8 @@ class TruncIdeal:
     def __init__(self, rows, stabilized):
         self.rows = tuple(rows)
         self.stabilized = stabilized
-        self.leading = {min(r, key=word_key): r for r in self.rows}
-        self._residue, self.memo = rewriter(self.leading)
+        self._leading = {min(r, key=word_key): r for r in self.rows}
+        self._residue, self.memo = rewriter(self._leading)
 
     def reduce_vec(self, v):
         """Residue of a word-keyed vector modulo the ideal span."""
@@ -64,7 +64,7 @@ class TruncIdeal:
         prefix is and no leading word ends it, so each length extends the
         normal words of the one before, in order, letter by letter."""
         def normal(w):
-            return not any(w[i:] in self.leading for i in range(len(w) + 1))
+            return not any(w[i:] in self._leading for i in range(len(w) + 1))
 
         out = [()] if normal(()) else []
         for w in out:  # breadth first: out grows as it is read
