@@ -126,8 +126,10 @@ def test_load_by_path_reference(tmp_path):
     with pytest.raises(io.FormatError, match=r"x4\.json -> .*x5\.json -> "
                                              r".*x4\.json"):
         io.load_path(str(tmp_path / "x4.json"))
-    # the loader forgets a file once it is loaded: a second load works
-    assert io.load_path(str(tmp_path / "x.json")).q.name == "Q"
+    # a failed load forgets the files it was loading: x4.json, mended,
+    # loads
+    (tmp_path / "x4.json").write_text(json.dumps(dict(ref, q="q.json")))
+    assert io.load_path(str(tmp_path / "x4.json")).q.name == "Q"
 
 
 def test_missing_file_is_format_error():
