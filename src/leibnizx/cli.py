@@ -156,7 +156,7 @@ def cmd_lm(args):
     d = Y.report_degree
     recs = [
         record("dimensions", "pass", top_dim=Y.top.dim,
-               bottom_dim=Y.bottom_proj.rows,
+               bottom_dim=Y.bottom.dim,
                b_ker_dim_upto_d=len(Y.b_ker_filtration(d)),
                report_degree=d),
         violations_record("crossed_module_identities",

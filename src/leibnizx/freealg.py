@@ -252,7 +252,7 @@ class TruncQuotAlgebra:
         return out
 
     def fdeg(self, cv):
-        return max((len(w) for w in cv), default=0)
+        return max(map(len, cv), default=0)
 
     def mult(self, a, b, bound=None):
         """Class multiplication; defined when fdeg(a)+fdeg(b) <= degree."""

@@ -159,7 +159,7 @@ def _gen_names(prefix, n):
 
 
 def _load_algebra(data, kind, cls, table_key):
-    name = _need(data, "name", kind)
+    name = _need(data, "name", kind, str)
     basis = _need(data, "basis", kind, list)
     idx = _basis_index(basis, kind)
     entries = data.get(table_key, [])

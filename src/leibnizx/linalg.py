@@ -81,6 +81,8 @@ def _natural(c):
 def int_vec(v):
     """(w, den): w = den * v has integer entries, den > 0 the least common
     denominator.  Rejects inexact coefficients such as floats."""
+    if all(type(x) is int for x in v.values()):
+        return dict(v), 1
     den = 1
     for x in v.values():
         try:
@@ -213,12 +215,6 @@ class Echelon:
 
     def contains(self, v):
         return not self.reduce(v)
-
-    def monic_row(self, piv):
-        """The row at piv over Q, with coefficient 1 at its pivot, in
-        normal form."""
-        row = self.rows[piv]
-        return rational(row, row[piv])
 
     def canonical_rows(self):
         """Fully back-substituted rows over Q, pivot coefficient 1, sorted

@@ -17,15 +17,16 @@ this category, via the kernels of the induced cat¹ projections modulo the
 kernel-product ideals X' (top) and Y' (bottom).  The top row is the
 plain construction run on U(h ⋊ g): it is built by
 ``xul.kernel_product_quotient``, the function the enveloping crossed
-module uses, and the report degree follows the same rule.  Only the bottom
-row, the tensor bimodule and its ideal Y', is built here.
+module uses, and the report degree follows the same rule.  The whole source
+row is one presented algebra, the square-zero extension of the top by the
+bottom (U ⊗ V)/Y', completed like every other quotient.
 """
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .linalg import (Echelon, LinearMap, Subspace, lincomb, quotient_basis,
-                     vec_add_scaled)
+from .linalg import LinearMap, Subspace, lincomb, vec_add_scaled
 from .freealg import (TruncQuotAlgebra, filtration_basis, presented,
                       word_fold)
 from .leibniz import Action, LeibnizAlgebra, basis_vec, liezation, semidirect
@@ -320,7 +321,8 @@ class TensorBimodule:
 
     Left multiplication only shifts the left factor; right multiplication
     by a degree-one element g is (x ⊗ v)g = xg ⊗ v + x ⊗ [v,g], extended to
-    words generator by generator.
+    words generator by generator.  The product of a basis vector with a
+    word or a generator is memoised as a column.
     """
 
     U: TruncQuotAlgebra
@@ -328,6 +330,9 @@ class TensorBimodule:
     right_bracket: tuple  # per U-generator LinearMap V -> V
     words: tuple = field(init=False)
     windex: dict = field(init=False)
+    fdegs: tuple = field(init=False)
+    # memoised columns: (word, flat) -> word·e_flat, (flat, g) -> e_flat·g
+    _cols: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ws = tuple(w for w in self.U.class_words
@@ -335,6 +340,9 @@ class TensorBimodule:
         object.__setattr__(self, "words", ws)
         object.__setattr__(self, "windex",
                            {w: i for i, w in enumerate(ws)})
+        object.__setattr__(self, "fdegs", tuple(
+            len(w) + 1 for w in ws for _ in range(self.module_dim)))
+        object.__setattr__(self, "_cols", {})
 
     @property
     def dim(self):
@@ -344,10 +352,10 @@ class TensorBimodule:
         return self.windex[w] * self.module_dim + k
 
     def fdeg_index(self, flat):
-        return len(self.words[flat // self.module_dim]) + 1
+        return self.fdegs[flat]
 
     def fdeg(self, vec):
-        return max((self.fdeg_index(i) for i in vec), default=0)
+        return max(map(self.fdegs.__getitem__, vec), default=0)
 
     def _at(self, ucls, k):
         """ucls ⊗ (k-th module basis vector), as bottom coordinates."""
@@ -366,10 +374,13 @@ class TensorBimodule:
             raise ValueError("product degree exceeds bound")
         out = {}
         for flat, c in bvec.items():
-            wi, k = divmod(flat, self.module_dim)
             for wa, ca in ucls.items():
-                red = self.U.reduce_word(wa + self.words[wi])
-                vec_add_scaled(out, self._at(red, k), c * ca)
+                col = self._cols.get((wa, flat))
+                if col is None:
+                    wi, k = divmod(flat, self.module_dim)
+                    col = self._cols[wa, flat] = self._at(
+                        self.U.reduce_word(wa + self.words[wi]), k)
+                vec_add_scaled(out, col, c * ca)
         return out
 
     def right_mult_gen(self, bvec, g, bound):
@@ -377,11 +388,15 @@ class TensorBimodule:
             raise ValueError("product degree exceeds bound")
         out = {}
         for flat, c in bvec.items():
-            wi, k = divmod(flat, self.module_dim)
-            w = self.words[wi]
-            vec_add_scaled(out, self._at(self.U.reduce_word(w + (g,)), k), c)
-            vec_add_scaled(out, {self.index(w, k2): cb for k2, cb in
-                                 self.right_bracket[g].col(k).items()}, c)
+            col = self._cols.get((flat, g))
+            if col is None:
+                wi, k = divmod(flat, self.module_dim)
+                w = self.words[wi]
+                col = self._cols[flat, g] = self._at(
+                    self.U.reduce_word(w + (g,)), k)
+                vec_add_scaled(col, {self.index(w, k2): cb for k2, cb in
+                                     self.right_bracket[g].col(k).items()}, 1)
+            vec_add_scaled(out, col, c)
         return out
 
     def right_mult(self, bvec, ucls, bound):
@@ -409,19 +424,21 @@ class LMAssocObject:
         return self.bim.U
 
 
-def u_lm(L, degree, slack=2):
-    """Enveloping algebra in the category; the connecting map sends
-    x ⊗ m to x·alpha(m)."""
-    U = u_lie(L.lie, degree, slack)
+def lm_assoc_object(L, U):
+    """(U ⊗ M -> U) for a Lie object L and an enveloping algebra U of its
+    top; the connecting map sends x ⊗ m to x·alpha(m)."""
     bim = TensorBimodule(U, L.bottom_dim, tuple(L.right_mats))
-    cols = []
-    for flat in range(bim.dim):
-        wi, k = divmod(flat, bim.module_dim)
-        out = {}
-        for j, c in L.alpha.col(k).items():
-            vec_add_scaled(out, U.reduce_word(bim.words[wi] + (j,)), c)
-        cols.append(U.to_coords(out))
-    return LMAssocObject(L, bim, LinearMap.from_cols(U.dim, cols))
+    alpha = [U.reduce({(j,): c for j, c in L.alpha.col(k).items()})
+             for k in range(L.bottom_dim)]
+    return LMAssocObject(L, bim, LinearMap.from_cols(U.dim, [
+        U.to_coords(U.mult({w: 1}, alpha[k]))
+        for w in bim.words for k in range(L.bottom_dim)]))
+
+
+def u_lm(L, degree, slack=2):
+    """Enveloping algebra in the category (:func:`lm_assoc_object` over
+    U(g))."""
+    return lm_assoc_object(L, u_lie(L.lie, degree, slack))
 
 
 def check_lm_assoc_object(A, d):
@@ -452,127 +469,142 @@ def check_lm_assoc_object(A, d):
 
 
 def _shift_vec(cv, off):
-    """Word-keyed vector over g-letters -> the same words over the g-block
-    of a semidirect product."""
+    """A word-keyed vector with every letter shifted by off: g-letters into
+    the g-block of a semidirect product, or top letters into the
+    square-zero algebra."""
     return {tuple(g + off for g in w): c for w, c in cv.items()}
 
 
-def _highest(i):
-    """Echelon key that pivots each bottom row at its highest coordinate.
-    Bottom coordinates ascend with fdeg, so such a row has the fdeg of its
-    pivot, and reducing a vector by such rows never raises its fdeg."""
-    return -i
+class BottomBasis:
+    """The bottom row's basis: the class words x·v of the square-zero
+    algebra that end in a module letter (a letter below nv), in its
+    class-word order.  That order is length-first, so a word's fdeg is its
+    length and F_k is spanned by the first dim_upto(k) coordinates."""
 
+    def __init__(self, sq, nv):
+        self.words = tuple(w for w in sq.class_words if w and w[-1] < nv)
+        self.index = {w: i for i, w in enumerate(self.words)}
 
-def _bottom_filtration(bim, sub):
-    """Filtration basis of a subspace of the bottom: pairs (degree, vector)
-    sorted by degree, whose degree-<=k prefixes span sub ∩ (filtration <= k).
-    Each vector has coefficient 1 at its highest coordinate.
-    """
-    ech = Echelon(_highest)
-    for row in sub.rows:
-        ech.insert(row)
-    return [(bim.fdeg_index(p), ech.monic_row(p)) for p in sorted(ech.rows)]
+    @property
+    def dim(self):
+        return len(self.words)
 
+    def dim_upto(self, d):
+        return sum(1 for w in self.words if len(w) <= d)
 
-def _quotient_filtration(pairs, proj):
-    """Push a filtration basis through a linear quotient map, keeping the
-    vectors that remain independent."""
-    ech = Echelon()
-    out = []
-    for deg, v in pairs:
-        img = proj.apply(v)
-        if img and ech.insert(dict(img)) is not None:
-            out.append((deg, img))
-    return out
+    def from_coords(self, v):
+        return {self.words[i]: c for i, c in v.items()}
+
+    def to_coords(self, cv):
+        return {self.index[w]: c for w, c in cv.items()}
 
 
 @dataclass(frozen=True)
 class LMAssocXMod:
     """Truncated enveloping crossed module in the category: kernels of the
     induced s-maps modulo the kernel-product ideals, with the t-maps as
-    boundaries and xi-maps per the tensor formulas."""
+    boundaries and xi-maps per the tensor formulas.
+
+    Every bottom product is a product in ``sq`` (see
+    :func:`lm_xmod_envelope`), whose letters are the basis of V = N ⊕ M
+    and then those of h ⋊ g; a bottom vector is in ``bottom``'s
+    coordinates."""
 
     X: LMLieXMod
     target: LMAssocObject   # (U(g) ⊗ M -> U(g))
-    sd: LeibnizAlgebra      # h ⋊ g
+    carrier: LMLieObject    # (N ⊕ M -> h ⋊ g)
     usd: TruncQuotAlgebra   # U(h ⋊ g), before the kernel-product quotient
-    bim: TensorBimodule     # U(h ⋊ g) ⊗ (N ⊕ M), before the quotient
-    connect_sd: LinearMap   # bottom coords -> U(h⋊g) class coords
     top: TruncQuotAlgebra   # U(h ⋊ g) / X'
     top_proj: LinearMap     # usd class coords -> top class coords
-    bottom_proj: LinearMap  # bottom coords -> quotient coordinates
-    bottom_comp: tuple      # pivot lift indices for the bottom quotient
-    us1: LinearMap          # quotient bottom -> target bottom
+    sq: TruncQuotAlgebra    # top ⋉ (U(h ⋊ g) ⊗ V)/Y'
+    bottom: BottomBasis
+    connect: LinearMap      # bottom -> top class coords, x·v -> x·alpha(v)
+    us1: LinearMap          # bottom -> target bottom
     ut1: LinearMap
     us2: LinearMap          # top -> U(g) classes
     ut2: LinearMap
     emb: LinearMap          # U(g) classes -> top classes
-    b_filtration: tuple     # (degree, vector) basis of Ker us1, by degree
-    s_ker: Subspace         # Ker us2, in top class coordinates
     report_degree: int
     certificates: dict = field(default_factory=dict)
 
-    # -- lifted operations on the quotient bottom --------------------------
+    # -- the bottom as a bimodule over the top, inside sq -------------------
 
-    def lift(self, wvec):
-        return {self.bottom_comp[i]: c for i, c in wvec.items()}
+    def _in_sq(self, top_cls):
+        return _shift_vec(top_cls, self.carrier.bottom_dim)
 
     def left_mult(self, top_cls, wvec, bound):
-        return self.bottom_proj.apply(
-            self.bim.left_mult(top_cls, self.lift(wvec), bound))
+        return self.bottom.to_coords(self.sq.mult(
+            self._in_sq(top_cls), self.bottom.from_coords(wvec), bound))
 
     def right_mult(self, wvec, top_cls, bound):
-        return self.bottom_proj.apply(
-            self.bim.right_mult(self.lift(wvec), top_cls, bound))
+        return self.bottom.to_coords(self.sq.mult(
+            self.bottom.from_coords(wvec), self._in_sq(top_cls), bound))
 
-    def connect_bottom(self, wvec):
-        """U(beta ⊕ alpha) on the quotient bottom, valued in top classes."""
-        return self.top_proj.apply(
-            self.usd.to_coords(self.usd.reduce(self.usd.from_coords(
-                self.connect_sd.apply(self.lift(wvec))))))
+    def bottom_class(self, bim, bvec):
+        """The bottom class of a vector of U(h ⋊ g) ⊗ V, given in the
+        coordinates of a TensorBimodule ``bim`` over usd or top."""
+        nv = self.carrier.bottom_dim
+        out = {}
+        for flat, c in bvec.items():
+            wi, k = divmod(flat, nv)
+            vec_add_scaled(out, self.sq.reduce_word(
+                tuple(g + nv for g in bim.words[wi]) + (k,)), c)
+        return self.bottom.to_coords(out)
 
     def r_on_top(self, ug_cls):
         """A U(g) class as a top class through the g-block embedding."""
         return self.top.from_coords(
             self.emb.apply(self.target.U.to_coords(ug_cls)))
 
-    def xi1(self, avec, top_cls, bound):
-        """xi1(x ⊗ m, s) = emb(x) · ((1 ⊗ (0,m)) · s), in quotient-bottom
-        coordinates."""
-        h_dim = self.X.src.lie.dim
-        n_dim = self.X.src.bottom_dim
-        out = {}
+    def _section_terms(self, avec):
+        """(emb(x), (0, m_k), c) as words of sq for each term c·x ⊗ m_k of
+        a target-bottom vector."""
+        tb = self.target.bim
+        off = self.carrier.bottom_dim + self.X.src.lie.dim
         for flat, c in avec.items():
-            wi, k = divmod(flat, self.target.bim.module_dim)
-            w = self.target.bim.words[wi]
-            base = self.bim.tensor(self.usd.unit(), {n_dim + k: 1})
-            r = self.bim.right_mult(base, top_cls, bound - len(w))
-            r = self.bim.left_mult(_shift_vec({w: c}, h_dim), r, bound)
-            vec_add_scaled(out, r, 1)
-        return self.bottom_proj.apply(out)
+            wi, k = divmod(flat, tb.module_dim)
+            yield (tuple(g + off for g in tb.words[wi]),
+                   (self.X.src.bottom_dim + k,), c)
+
+    def section(self, avec):
+        """x ⊗ m -> class of emb(x) ⊗ (0, m): the s-section of the
+        bottom row."""
+        out = {}
+        for x, m, c in self._section_terms(avec):
+            vec_add_scaled(out, self.sq.reduce_word(x + m), c)
+        return self.bottom.to_coords(out)
+
+    def xi1(self, avec, top_cls, bound):
+        """xi1(x ⊗ m, s) = emb(x) · ((1 ⊗ (0,m)) · s)."""
+        s, out = self._in_sq(top_cls), {}
+        for x, m, c in self._section_terms(avec):
+            r = self.sq.mult({m: 1}, s, bound - len(x))
+            vec_add_scaled(out, self.sq.mult({x: c}, r, bound), 1)
+        return self.bottom.to_coords(out)
 
     def xi2(self, top_cls, avec, bound):
         """xi2(s, x ⊗ m) = (s · emb(x)) ⊗ (0, m)."""
-        h_dim = self.X.src.lie.dim
-        n_dim = self.X.src.bottom_dim
-        out = {}
-        for flat, c in avec.items():
-            wi, k = divmod(flat, self.target.bim.module_dim)
-            w = self.target.bim.words[wi]
-            prod = self.usd.mult(top_cls, _shift_vec({w: c}, h_dim),
-                                 bound - 1)
-            vec_add_scaled(out, self.bim.tensor(prod, {n_dim + k: 1}), 1)
-        return self.bottom_proj.apply(out)
+        s, out = self._in_sq(top_cls), {}
+        for x, m, c in self._section_terms(avec):
+            prod = self.sq.mult(s, {x: c}, bound - 1)
+            vec_add_scaled(out, self.sq.mult(prod, {m: 1}, bound), 1)
+        return self.bottom.to_coords(out)
 
-    # -- filtration bases --------------------------------------------------
+    # -- filtration bases ----------------------------------------------------
+
+    @cached_property
+    def b_filtration(self):
+        """(degree, vector) basis of Ker us1 whose rows of degree <= k
+        span Ker us1 ∩ F_k, sorted by degree."""
+        return tuple((deg, self.bottom.to_coords(v)) for deg, v in
+                     filtration_basis(self.bottom, self.us1.kernel()))
 
     def b_ker_filtration(self, d):
         return [(deg, v) for deg, v in self.b_filtration if deg <= d]
 
     def s_ker_filtration(self, d):
         return [(deg, self.top.to_coords(v))
-                for deg, v in filtration_basis(self.top, self.s_ker, d)]
+                for deg, v in filtration_basis(self.top, self.us2.kernel(), d)]
 
 
 def lm_semidirect_object(X):
@@ -612,31 +644,6 @@ def lm_semidirect_object(X):
     return out
 
 
-def _tensor_hom(src_bim, dst_bim, top_hom, bottom_map):
-    """U(f2) ⊗ f1 on bottom coordinates, for a filtration-preserving
-    algebra map top_hom on class coords and linear f1 on the modules."""
-    U2 = dst_bim.U
-    cols = []
-    for flat in range(src_bim.dim):
-        wi, k = divmod(flat, src_bim.module_dim)
-        w = src_bim.words[wi]
-        img = U2.from_coords(top_hom.apply({src_bim.U.class_index[w]: 1}))
-        cols.append(dst_bim.tensor(img, bottom_map.col(k)))
-    return LinearMap.from_cols(dst_bim.dim, cols)
-
-
-def _tensor_kernel(bim, top_rows, f):
-    """Ker(U(f2) ⊗ f) on bottom coordinates, spanned by v ⊗ e_k for the
-    filtration rows v of Ker U(f2) with fdeg <= D - 1 and the module basis
-    vectors e_k, and by w ⊗ n for the class words w of the bottom and n in
-    Ker f (see :func:`lm_xmod_envelope`)."""
-    vecs = [bim.tensor(v, {k: 1}) for _, v in top_rows
-            for k in range(bim.module_dim)]
-    f_ker = f.kernel().rows
-    vecs += [bim.tensor({w: 1}, n) for w in bim.words for n in f_ker]
-    return Subspace.from_vectors(bim.dim, vecs)
-
-
 def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
     """Build the truncated enveloping crossed module in the category.
 
@@ -644,28 +651,33 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
     certifies it (``kernel_product_stabilized``, see
     :func:`freealg.subspace_product`), so it is proven when that closes.
 
-    The bottom ideal is Y' = Ker s1·Ker t2 + Ker s2·Ker t1 + Ker t1·Ker s2
-    + Ker t2·Ker s1.  Ker s1 and Ker t1 are sub-bimodules; Ker s2 and
-    Ker t2 are generated by Lie ideals k of degree one.  So Y' is generated
-    by the seed products b·a and a·b, for b a filtration row of a bottom
-    kernel and a a degree-one row of the matching k, and their span is
-    closed already: for a generator x,
+    The source row is one presented algebra sq, the square-zero extension
+    top ⋉ (U ⊗ V)/Y' for U = U(h ⋊ g) and V = N ⊕ M.  Its letters are v_k
+    for the basis of V, then those of h ⋊ g; its relations are the top's
+    completed rows, v_k x_g - x_g v_k - [v_k, g] (as (x ⊗ v)g = xg ⊗ v +
+    x ⊗ [v,g]), v_k v_l, and the seeds of Y'.  Under :func:`freealg.word_key`
+    v_k x_g leads, so the normal words are top class words x and words
+    x·v_k.  The relations but the seeds present top ⋉ (top ⊗ V), and in a
+    square-zero algebra the ideal that elements of V-degree one generate
+    is the sub-bimodule they generate.  So a closed completion makes the
+    words x·v_k a basis of (U ⊗ V)/Y', and it joins
+    ``kernel_product_stabilized``: Y' is a kernel-product ideal like X'.
 
-        (b·a)·x = (b·x)·a - b·[x,a]        x·(b·a) = (x·b)·a
-        x·(a·b) = a·(x·b) + [x,a]·b        (a·b)·x = a·(b·x)
+    Let Ks1, Kt1 be the kernels of the bottom maps U(s2) ⊗ s1, U(t2) ⊗ t1
+    and Ks2, Kt2 those of s2, t2 on U.  Y' = Ks1·Kt2 + Ks2·Kt1 + Kt1·Ks2 +
+    Kt2·Ks1 is the sub-bimodule generated by the seeds g0·a and a·g0 for
+    g0 in a generating set G of Ks1 and a in the degree-one rows k_t of
+    Kt2, and the same with s and t exchanged.  Kt2 = U·k_t = k_t·U, as
+    x·a = a·x + [x,a] and k_t is a Lie ideal, and Ker(f ⊗ g) =
+    Ker f ⊗ V + U ⊗ Ker g, so Ks1 = U·G for G the a ⊗ v_k (a in k_s) and
+    the 1 ⊗ n (n in Ker s1).  For x, y in U and b in Kt2, x·g0·y·b =
+    x·g0·(y·b) and b·x·g0·y = (b·x)·g0·y lie in the seeds' sub-bimodule.
+    X' ⊗ V lies in Y': a·b·v = a·(b·v) with b·v in Kt1, v·a·b = (v·a)·b
+    with v·a in Ks1, for a in Ks2 and b in Kt2.  A seed longer than D is
+    left out, as ``presented`` takes no relation beyond its degree.
 
-    with b·x, x·b in b's kernel at fdeg <= fdeg(b) + 1 and [x,a] in k, so
-    each right-hand side is a sum of seed products within the degree when
-    the left-hand side is.  That covers the seed span up to top-degree
-    cancellation among seed products, a strictness gap that only Y' keeps
-    and that a test checks.
-
-    The bottom kernels need no elimination over U ⊗ V.  The bottom maps
-    are Us1 = U(s2) ⊗ s1 and Ut1 = U(t2) ⊗ t1 (see :func:`_tensor_hom`) on
-    F_{D-1} ⊗ V, and Ker(f ⊗ g) = Ker f ⊗ V + U ⊗ Ker g for linear maps f
-    and g, so Ks1 and Kt1 are spanned by the fdeg <= D - 1 rows of the top
-    kernel tensored with each module basis vector, and each class word
-    tensored with the kernel of s1 or t1 (:func:`_tensor_kernel`).
+    The s-map, the t-map and the connecting map are bimodule maps, so they
+    vanish on Y' once they vanish on its seeds, checked in top ⊗ V.
     """
     bad = check_lm_lie_xmod(X)
     if bad:
@@ -673,10 +685,9 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
     report_degree = report_degree_for(degree, report_degree)
 
     carrier = lm_semidirect_object(X)
-    sd_obj = u_lm(carrier, degree, slack)
-    usd, bim = sd_obj.U, sd_obj.bim
+    usd = u_lie(carrier.lie, degree, slack)
     target = u_lm(X.dst, degree, slack)
-    Ug = target.U
+    Ug, tbim = target.U, target.bim
 
     # s(h,g) = g, t(h,g) = rho2(h) + g on the top, the same with rho1 on
     # the bottom
@@ -691,63 +702,67 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
 
     kq = kernel_product_quotient(usd, Ug, top_images(s2), top_images(t2),
                                  [h_dim + j for j in range(g_dim)], slack)
-    Us1 = _tensor_hom(bim, target.bim, kq.s, s1)
-    Ut1 = _tensor_hom(bim, target.bim, kq.t, t1)
-    ker_s, ker_t = (filtration_basis(usd, K, degree - 1)
-                    for K in (kq.s_ker, kq.t_ker))
-    Ks1 = _tensor_kernel(bim, ker_s, s1)
-    Kt1 = _tensor_kernel(bim, ker_t, t1)
+    top, nv = kq.quot, carrier.bottom_dim
+    alpha = [top.reduce({(j,): c for j, c in carrier.alpha.col(k).items()})
+             for k in range(nv)]
 
-    # Y' rows are pivoted at their highest coordinate (see _highest): a
-    # row's fdeg is its pivot's, and a lifted class has the least fdeg.
-    ech = Echelon(_highest)
-    top_s, top_t = ([t for t in rows if t[0] <= 1]
-                    for rows in (ker_s, ker_t))
-    bot_s, bot_t = (_bottom_filtration(bim, K) for K in (Ks1, Kt1))
-    for bot, tp in ((bot_s, top_t), (bot_t, top_s)):
-        for db, vb in bot:
-            for dt, vt in tp:
-                if db + dt <= degree:
-                    ech.insert(bim.right_mult(vb, vt, degree))
-                    ech.insert(bim.left_mult(vt, vb, degree))
+    def on_words(f):
+        """f(x, k) extended linearly to the words x·v_k of sq."""
+        def image(cv):
+            out = {}
+            for w, c in cv.items():
+                vec_add_scaled(out, f(tuple(g - nv for g in w[:-1]), w[-1]),
+                               c)
+            return out
+        return image
 
-    for row in ech.rows.values():
-        if Us1.apply(row):
-            raise ValueError("s-map does not vanish on the bottom ideal")
-        if Ut1.apply(row):
-            raise ValueError("t-map does not vanish on the bottom ideal")
-        if kq.pi.apply(sd_obj.connect.apply(row)):
-            raise ValueError("connecting map does not kill the bottom ideal")
-    comp, bottom_proj = quotient_basis(bim.dim, ech.rows, _highest)
+    def tensor_map(f2, f1):  # U(f2) ⊗ f1
+        return on_words(lambda x, k: tbim.tensor(
+            Ug.from_coords(f2.col(top.class_index[x])), f1.col(k)))
 
-    def on_quotient(f):
-        return LinearMap.from_cols(
-            f.rows, [f.apply({c: 1}) for c in comp])
+    bottom_maps = (
+        (tensor_map(kq.bar_s, s1), "s-map does not vanish on"),
+        (tensor_map(kq.bar_t, t1), "t-map does not vanish on"),
+        (on_words(lambda x, k: top.to_coords(top.mult({x: 1}, alpha[k]))),
+         "connecting map does not kill"))
 
-    # Ker us1 is the image of Ks1: us1 ∘ bottom_proj = Us1, as Us1
-    # vanishes on Y'
-    b_filtration = _quotient_filtration(bot_s, bottom_proj)
+    pre = TensorBimodule(top, nv, carrier.right_mats)  # top ⊗ V
+    k_s, k_t = ([top.reduce(a) for _, a in filtration_basis(usd, K, 1)]
+                for K in (kq.s_ker, kq.t_ker))
+    seeds = []
+    for f1, k_own, k_other in ((s1, k_s, k_t), (t1, k_t, k_s)):
+        gens = [pre.tensor(a, {k: 1}) for a in k_own for k in range(nv)]
+        gens += [pre.tensor(top.unit(), n) for n in f1.kernel().rows]
+        seeds += [prod for g0 in gens if pre.fdeg(g0) < degree
+                  for a in k_other for prod in (pre.right_mult(g0, a, degree),
+                                                pre.left_mult(a, g0, degree))]
+    seeds = [{tuple(g + nv for g in pre.words[flat // nv]) + (flat % nv,): c
+              for flat, c in seed.items()} for seed in seeds]
+    for seed in seeds:
+        for f, message in bottom_maps:
+            if f(seed):
+                raise ValueError(message + " the bottom ideal")
+
+    relations = [_shift_vec(r, nv) for r in top.ideal.rows] + seeds
+    relations += [{(k, l): 1} for k in range(nv) for l in range(nv)]
+    for g, mat in enumerate(carrier.right_mats):
+        for k in range(nv):
+            relations.append(vec_add_scaled(
+                {(k, nv + g): 1, (nv + g, k): -1},
+                {(l,): c for l, c in mat.col(k).items()}, -1))
+    sq = presented(tuple("v%d" % k for k in range(nv)) + usd.gens,
+                   relations, degree, slack)
+    bottom = BottomBasis(sq, nv)
+    us1, ut1, connect = (
+        LinearMap.from_cols(rows, [f({w: 1}) for w in bottom.words])
+        for (f, _), rows in zip(bottom_maps, (tbim.dim, tbim.dim, top.dim)))
     return LMAssocXMod(
-        X, target, carrier.lie, usd, bim, sd_obj.connect, kq.quot, kq.pi,
-        bottom_proj, tuple(comp), on_quotient(Us1), on_quotient(Ut1),
-        kq.bar_s, kq.bar_t, kq.embed, tuple(b_filtration),
-        kq.bar_s.kernel(), report_degree,
+        X, target, carrier, usd, top, kq.pi, sq, bottom, connect, us1, ut1,
+        kq.bar_s, kq.bar_t, kq.embed, report_degree,
         {"u_semidirect_stabilized": usd.ideal.stabilized,
          "u_g_stabilized": Ug.ideal.stabilized,
-         "kernel_product_stabilized": kq.quot.ideal.stabilized})
-
-
-def _section_bottom(Y, avec):
-    """x ⊗ m -> class of emb(x) ⊗ (0, m): the s-section of the bottom row."""
-    n_dim = Y.X.src.bottom_dim
-    h_dim = Y.X.src.lie.dim
-    out = {}
-    for flat, c in avec.items():
-        wi, k = divmod(flat, Y.target.bim.module_dim)
-        w = Y.target.bim.words[wi]
-        cls = Y.usd.reduce_word(tuple(g + h_dim for g in w))
-        vec_add_scaled(out, Y.bim.tensor(cls, {n_dim + k: c}), 1)
-    return Y.bottom_proj.apply(out)
+         "kernel_product_stabilized":
+             top.ideal.stabilized and sq.ideal.stabilized})
 
 
 def _memo(fn):
@@ -791,7 +806,7 @@ def check_lm_assoc_xmod(Y):
         if Y.us2.apply(Y.emb.apply(rc)) != rc:
             bad.append(("s2_section", dr))
     for da, a in a_rows:
-        if Y.us1.apply(_section_bottom(Y, a)) != a:
+        if Y.us1.apply(Y.section(a)) != a:
             bad.append(("s1_section", da))
 
     # top row: boundary is equivariant, Peiffer products hold
@@ -843,10 +858,10 @@ def check_lm_assoc_xmod(Y):
             if Y.ut1.apply(x2) != tbim.left_mult(ts, a, d):
                 bad.append(("xi2_boundary", (da, ds)))
             ca = Ug.from_coords(Y.target.connect.apply(a))
-            if Y.connect_bottom(x1) != \
+            if Y.connect.apply(x1) != \
                     top.to_coords(tmult(r_on_top(ca), s, d)):
                 bad.append(("xi1_connect", (da, ds)))
-            if Y.connect_bottom(x2) != \
+            if Y.connect.apply(x2) != \
                     top.to_coords(tmult(s, r_on_top(ca), d)):
                 bad.append(("xi2_connect", (da, ds)))
             for ds2, s2, _ in s_cls:
@@ -922,7 +937,7 @@ class AssociatedXMod:
         Y = self.Y
         return _pair_mult(
             (Y.left_mult, Y.right_mult, None), Y.top,
-            lambda b: Y.top.from_coords(Y.connect_bottom(b)),
+            lambda b: Y.top.from_coords(Y.connect.apply(b)),
             u, v, bound)
 
     def boundary(self, u):
@@ -935,7 +950,7 @@ class AssociatedXMod:
         """(U(g) ⊗ M) ⊕ U(g) into the bottom-row ambient, through the
         s-section and the g-block embedding."""
         a, r = u
-        return (_section_bottom(self.Y, a), self.Y.r_on_top(r))
+        return (self.Y.section(a), self.Y.r_on_top(r))
 
     def act(self, u, v, bound, reverse=False):
         eu = self.embed_pair(u)
@@ -1037,8 +1052,10 @@ def theta_check(x, degree, slack=2, report_degree=None):
     X = xmod_to_lm(x)
     Y = lm_xmod_envelope(X, degree, slack, report_degree=d)
     usd1 = tx.ul_sd.quot
-    usd, bim, top = Y.usd, Y.bim, Y.top
+    usd, top = Y.usd, Y.top
     Ug, tbim = Y.target.U, Y.target.bim
+    sd_obj = lm_assoc_object(Y.carrier, usd)  # U(h ⋊ g) ⊗ V, unquotiented
+    bim = sd_obj.bim
 
     nq, np_ = x.q.dim, x.p.dim
     n_sd = nq + np_
@@ -1065,7 +1082,7 @@ def theta_check(x, degree, slack=2, report_degree=None):
 
         return _word_evaluator(images, mult, ({}, U.unit()))
 
-    theta = evaluator(bim, usd, Y.connect_sd,
+    theta = evaluator(bim, usd, sd_obj.connect,
                       [sd_proj_col(g) for g in range(n_sd)])
     theta_p = evaluator(tbim, Ug, Y.target.connect,
                         [X.dst.alpha.col(i) for i in range(np_)])
@@ -1081,55 +1098,42 @@ def theta_check(x, degree, slack=2, report_degree=None):
     unit_ok = theta({(): 1}) == ({}, usd.unit())
 
     # filtration bijectivity before the kernel-product quotients
-    rhs_bottom = sorted(range(bim.dim), key=bim.fdeg_index)
     pre_dims_ok = all(
         usd1.dim_upto(k) ==
-        sum(1 for i in rhs_bottom if bim.fdeg_index(i) <= k) +
-        usd.dim_upto(k)
+        sum(1 for f in bim.fdegs if f <= k) + usd.dim_upto(k)
         for k in range(d + 1))
-    cols = []
-    lowwords = [w for w in usd1.class_words if len(w) <= d]
-    for w in lowwords:
-        tb, tt = theta({w: 1})
-        col = dict(tb)
-        for i, c in usd.to_coords(tt).items():
-            col[bim.dim + i] = c
-        cols.append(col)
+    def stacked(b, t, off):
+        """The pair (b, t) as one vector, t's coordinates shifted by off."""
+        return {**b, **{off + i: c for i, c in t.items()}}
+
+    cols = [stacked(tb, usd.to_coords(tt), bim.dim) for tb, tt in
+            (theta({w: 1}) for w in usd1.class_words if len(w) <= d)]
     pre_rank_ok = LinearMap.from_cols(
-        bim.dim + usd.dim, cols).rank() == len(lowwords)
+        bim.dim + usd.dim, cols).rank() == len(cols)
 
     # the quotient ideal lands in its categorical counterpart
     xk = tx.pi.kernel()
     x_maps_ok = True
     for deg, v in filtration_basis(usd1, xk):
         tb, tt = theta(v)
-        if Y.bottom_proj.apply(tb) or Y.top_proj.apply(usd.to_coords(tt)):
+        if Y.bottom_class(bim, tb) or Y.top_proj.apply(usd.to_coords(tt)):
             x_maps_ok = False
             break
 
     # induced comparison on the quotients: filtration dims and rank,
     # and compatibility with the induced cat¹ maps
     bar = tx.ambient
-    bpairs = _quotient_filtration(
-        [(bim.fdeg_index(i), {i: 1}) for i in rhs_bottom], Y.bottom_proj)
-    w_dim_upto = lambda k: sum(1 for deg, _ in bpairs if deg <= k)
     quot_dims_ok = all(
-        bar.dim_upto(k) == w_dim_upto(k) + top.dim_upto(k)
+        bar.dim_upto(k) == Y.bottom.dim_upto(k) + top.dim_upto(k)
         for k in range(d + 1))
 
     morphism_ok = True
     qcols = []
-    wdim = Y.bottom_proj.rows
-    nrows = 0
     for deg, v in filtration_basis(bar, Subspace.full(bar.dim), d):
-        nrows += 1
         tb, tt = theta(v)
-        qb = Y.bottom_proj.apply(tb)
+        qb = Y.bottom_class(bim, tb)
         qt = Y.top_proj.apply(usd.to_coords(tt))
-        col = dict(qb)
-        for i, c in qt.items():
-            col[wdim + i] = c
-        qcols.append(col)
+        qcols.append(stacked(qb, qt, Y.bottom.dim))
         sv = tx.bar_s.apply(bar.to_coords(v))
         pb, pt = theta_p(tx.ul_p.quot.from_coords(sv))
         if Y.us1.apply(qb) != pb or \
@@ -1141,7 +1145,7 @@ def theta_check(x, degree, slack=2, report_degree=None):
                 Y.ut2.apply(qt) != Ug.to_coords(pt):
             morphism_ok = False
     quot_rank_ok = LinearMap.from_cols(
-        wdim + top.dim, qcols).rank() == nrows
+        Y.bottom.dim + top.dim, qcols).rank() == len(qcols)
 
     certs = dict(Y.certificates)
     certs.update({"ul_" + k: v for k, v in tx.certificates.items()})
@@ -1161,7 +1165,7 @@ def theta_check(x, degree, slack=2, report_degree=None):
         "quotient_bijective": quot_rank_ok,
         "cat_maps_intertwined": morphism_ok,
         "lhs_dim_upto_d": usd1.dim_upto(d),
-        "bottom_dim_upto_d": w_dim_upto(d),
+        "bottom_dim_upto_d": Y.bottom.dim_upto(d),
         "top_dim_upto_d": top.dim_upto(d),
         "certificates": certs,
         "verdict": combine_verdict(ok, certs.values()),

@@ -6,6 +6,7 @@ import pytest
 from leibnizx import io
 from leibnizx.freealg import (TruncIdeal, TruncQuotAlgebra, filtration_basis,
                               word_key)
+from leibnizx.leibniz import LeibnizAlgebra
 from leibnizx.linalg import Echelon, Subspace, vec_add_scaled
 from leibnizx.scalars import Q
 
@@ -148,6 +149,23 @@ def violated_rows(rows, dst, gen_images):
         if out:
             bad.append(row)
     return bad
+
+
+def hemisemidirect(a):
+    """The hemisemidirect product of g = <h, e>, [h,e] = e, and the right
+    g-module k², m0·h = a·m0, m1·h = (a-1)·m1, m0·e = m1, on the basis
+    (h, e, m0, m1): [m, x] = m·x, and [x, m] = [m, m'] = 0
+    (Kinyon–Weinstein).  It is Leibniz and not Lie, and span(m0, m1) is a
+    two-sided ideal."""
+    h, e, m0, m1 = range(4)
+    cells = [[{} for _ in range(4)] for _ in range(4)]
+    cells[h][e], cells[e][h] = {e: 1}, {e: -1}
+    cells[m0][h], cells[m1][h] = {m0: a}, {m1: a - 1}
+    cells[m0][e] = {m1: 1}
+    return LeibnizAlgebra("hsd(%d)" % a, ("h", "e", "m0", "m1"), cells)
+
+
+HSD_PARAMS = (0, 2, -1)
 
 
 @pytest.fixture(scope="session")

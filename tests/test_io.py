@@ -78,8 +78,8 @@ ALG = {"kind": "leibniz_algebra", "name": "A", "basis": ["e"], "bracket": []}
 
 def shape_cases():
     """Documents of the wrong JSON shape: a table that is no array, an
-    entry that is no object, a basis that is no array of names, and
-    sub-objects of the wrong type."""
+    entry that is no object, a basis that is no array of names,
+    sub-objects of the wrong type, and a name that is no string."""
     for table in (5, {"left": "e"}, ["left"]):
         yield {"kind": "leibniz_algebra", "name": "x", "basis": ["e"],
                "bracket": table}
@@ -89,6 +89,8 @@ def shape_cases():
     yield {"kind": "xmod", "q": ALG, "p": ALG, "eta": {}, "action": []}
     yield {"kind": "module", "algebra": ALG, "module": ["m"],
            "generators": []}
+    for name in ({"a": 1}, None, ["x"], 5):
+        yield {"kind": "leibniz_algebra", "name": name, "basis": ["e"]}
 
 
 @pytest.mark.parametrize("data", list(bad_cases()))

@@ -281,7 +281,8 @@ def test_integer_echelon_matches_fraction_oracle(key, vecs, probes):
     assert set(ech.rows) == set(oracle.rows)
     _primitive_rows(ech)
     # each integer row is a positive multiple of the rational one
-    assert all(ech.monic_row(p) == oracle.rows[p] for p in ech.rows)
+    assert all(rational(r, r[p]) == oracle.rows[p]
+               for p, r in ech.rows.items())
     assert ech.canonical_rows() == oracle.canonical_rows()
     for p in probes:
         res = oracle.reduce(at(p))

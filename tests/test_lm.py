@@ -1,20 +1,25 @@
+import contextlib
 import dataclasses
+import io as stdio
+import json
 import sys
 
 import pytest
 
-from leibnizx import io, lm, xul
-from leibnizx.freealg import filtration_basis
+from leibnizx import cli, io, lm, xul
+from leibnizx.freealg import filtration_basis, presented
 from leibnizx.scalars import Q
 from leibnizx.linalg import Echelon, LinearMap, Subspace
-from leibnizx.xmod import identity_xmod, zero_xmod
+from leibnizx.xmod import (cat1_matrices, identity_xmod, ideal_inclusion_xmod,
+                           zero_xmod)
 from leibnizx.lm import (LMObject, associated_xmod, check_associated_xmod,
                          check_lm_assoc_object, check_lm_assoc_xmod,
                          check_lm_lie_object, check_lm_lie_xmod,
                          leibniz_to_lm, lm_tensor, lm_xmod_envelope,
                          theta_check, u_lie, u_lm, xmod_to_lm)
 
-from conftest import CORPUS, assert_x_matches_all_pairs
+from conftest import (CORPUS, HSD_PARAMS, assert_x_matches_all_pairs,
+                      hemisemidirect)
 
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
 
@@ -129,52 +134,59 @@ def test_relations_lie_in_ideal_rows(xmods):
                 assert ulg.quot.ideal.reduce_vec(r) == {}, name
 
 
+def _filtration_prefix(dim, fdeg, k):
+    """F_k of a space whose coordinates have the degrees fdeg(i)."""
+    return Subspace.from_vectors(dim, [{i: 1} for i in range(dim)
+                                       if fdeg(i) <= k])
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_bottom_filtration_matches_intersections(xmods, degree):
+    """For every corpus crossed module, the degree-<=k rows of the bottom
+    filtration basis span Ker us1 ∩ F_k for every k, and each row has the
+    degree it is listed with.  Slack 0: the routine sees whatever kernel
+    the envelope gives, and xmod-id-r2 at D6 builds in seconds instead of
+    a minute."""
+    for name, x in xmods.items():
+        Y = lm_xmod_envelope(xmod_to_lm(x), degree, slack=0)
+        rows = Y.b_filtration
+        fdeg = lambda i: len(Y.bottom.words[i])
+        kernel = Y.us1.kernel()
+        assert len(rows) == kernel.dim, name
+        degrees = [deg for deg, _ in rows]
+        assert degrees == sorted(degrees), name
+        assert all(max(map(fdeg, v)) == deg for deg, v in rows), name
+        for k in range(degree + 1):
+            want = kernel.intersect(
+                _filtration_prefix(Y.bottom.dim, fdeg, k))
+            got = Subspace.from_vectors(
+                Y.bottom.dim, [v for deg, v in rows if deg <= k])
+            assert got == want, (name, k)
+
+
+def _tensor_map(bim, tbim, top_hom, f1):
+    """Oracle: U(f2) ⊗ f1 on every coordinate of bim, for the algebra map
+    f2 given on class coordinates by top_hom and a linear map f1."""
+    cols = []
+    for flat in range(bim.dim):
+        wi, k = divmod(flat, bim.module_dim)
+        img = tbim.U.from_coords(
+            top_hom.apply({bim.U.class_index[bim.words[wi]]: 1}))
+        cols.append(tbim.tensor(img, f1.col(k)))
+    return LinearMap.from_cols(tbim.dim, cols)
+
+
 def _intersection_filtration(bim, sub):
-    """Oracle: a filtration basis of a bottom subspace from one Zassenhaus
+    """Oracle: a filtration basis of a subspace of U ⊗ V from one Zassenhaus
     intersection sub ∩ F_k per degree k."""
     ech = Echelon()
     out = []
     for k in range(1, bim.U.degree + 1):
-        f_k = Subspace.from_vectors(bim.dim, [{i: Q(1)} for i in range(bim.dim)
-                                              if bim.fdeg_index(i) <= k])
+        f_k = _filtration_prefix(bim.dim, bim.fdeg_index, k)
         for row in sub.intersect(f_k).rows:
             if ech.insert(dict(row)) is not None:
                 out.append((k, dict(row)))
     return out
-
-
-@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
-def test_bottom_filtration_matches_intersections(xmods, degree, monkeypatch):
-    """For Ks1 and Kt1 of every corpus crossed module, the degree-<=k rows
-    of the bottom filtration basis span sub ∩ F_k for every k, and each
-    row has the degree it is listed with.  Slack 0: the routine sees
-    whatever kernels the envelope gives, and xmod-id-r2 at D6 builds in
-    seconds instead of a minute."""
-    calls = []
-    bottom_filtration = lm._bottom_filtration
-
-    def recording(bim, sub):
-        out = bottom_filtration(bim, sub)
-        calls.append((bim, sub, out))
-        return out
-
-    monkeypatch.setattr(lm, "_bottom_filtration", recording)
-    for name, x in xmods.items():
-        del calls[:]
-        lm_xmod_envelope(xmod_to_lm(x), degree, slack=0)
-        assert len(calls) == 2, name
-        for bim, sub, rows in calls:
-            oracle = _intersection_filtration(bim, sub)
-            assert len(rows) == sub.dim == len(oracle), name
-            degrees = [deg for deg, _ in rows]
-            assert degrees == sorted(degrees), name
-            assert all(bim.fdeg(v) == deg for deg, v in rows), name
-            for k in range(degree + 1):
-                want = Subspace.from_vectors(
-                    bim.dim, [v for deg, v in oracle if deg <= k])
-                got = Subspace.from_vectors(
-                    bim.dim, [v for deg, v in rows if deg <= k])
-                assert got == want, (name, k)
 
 
 def _all_pairs_y_ideal(bim, kq, bot_s, bot_t, degree):
@@ -207,38 +219,44 @@ def _all_pairs_y_ideal(bim, kq, bot_s, bot_t, degree):
 
 
 def _assert_y_ideal_matches_all_pairs(x, degree, slack, monkeypatch):
-    """Y' against the all-pairs oracle; on the way, the bottom kernels
-    Ks1 and Kt1 built from their generators against the kernels of Us1 and
-    Ut1 by elimination."""
-    bottoms, quotients, kernels, maps = [], [], [], []
-    bottom_filtration = lm._bottom_filtration
+    """The bottom of the square-zero algebra against the all-pairs oracle
+    in U ⊗ V (U = U(h ⋊ g), before X'): every oracle row reduces to zero,
+    and at each degree the bottom has dim U ⊗ V minus the oracle's
+    dimension.  The bottom kernels Ks1 and Kt1 come from the kernels of
+    the oracle maps U(s2) ⊗ s1 and U(t2) ⊗ t1 by elimination, and the
+    envelope's us1 and ut1 agree with those maps through the quotient.
+    Returns the envelope."""
+    quotients = []
     kernel_product_quotient = lm.kernel_product_quotient
-    tensor_hom = lm._tensor_hom
-
-    def recording_bottom(bim, sub):
-        out = bottom_filtration(bim, sub)
-        bottoms.append(out)
-        kernels.append(sub)
-        return out
-
-    def recording_hom(*args):
-        out = tensor_hom(*args)
-        maps.append(out)
-        return out
 
     def recording_quotient(*args):
         out = kernel_product_quotient(*args)
         quotients.append(out)
         return out
 
-    monkeypatch.setattr(lm, "_bottom_filtration", recording_bottom)
     monkeypatch.setattr(lm, "kernel_product_quotient", recording_quotient)
-    monkeypatch.setattr(lm, "_tensor_hom", recording_hom)
-    Y = lm_xmod_envelope(xmod_to_lm(x), degree, slack=slack)
-    assert len(bottoms) == 2 and len(quotients) == 1
-    assert kernels == [f.kernel() for f in maps]
-    want = _all_pairs_y_ideal(Y.bim, quotients[0], *bottoms, degree)
-    assert Y.bottom_proj.kernel() == want
+    X = xmod_to_lm(x)
+    Y = lm_xmod_envelope(X, degree, slack=slack)
+    (kq,) = quotients
+    bim = lm.lm_assoc_object(Y.carrier, Y.usd).bim
+    bottoms = []
+    for top_hom, f1, induced in ((kq.s, cat1_matrices(X.rho1)[0], Y.us1),
+                                 (kq.t, cat1_matrices(X.rho1)[1], Y.ut1)):
+        f = _tensor_map(bim, Y.target.bim, top_hom, f1)
+        for flat in range(bim.dim):
+            assert induced.apply(Y.bottom_class(bim, {flat: 1})) == \
+                f.apply({flat: 1})
+        bottoms.append(_intersection_filtration(bim, f.kernel()))
+    want = _all_pairs_y_ideal(bim, kq, *bottoms, degree)
+    for row in want.rows:
+        assert Y.bottom_class(bim, row) == {}
+    want_rows = _intersection_filtration(bim, want)
+    assert len(want_rows) == want.dim
+    for k in range(degree + 1):
+        assert Y.bottom.dim_upto(k) == \
+            sum(1 for f in bim.fdegs if f <= k) - \
+            sum(1 for deg, _ in want_rows if deg <= k), k
+    return Y
 
 
 Y_CASES = [(name, degree, slack)
@@ -253,9 +271,9 @@ Y_CASES = [(name, degree, slack)
 @pytest.mark.parametrize("name,degree,slack", Y_CASES)
 def test_y_ideal_matches_all_pairs_seed(xmods, name, degree, slack,
                                         monkeypatch):
-    """Y' seeded from the degree-one rows of the top kernels spans the same
-    ideal as the all-pairs seed, and Ks1, Kt1 are the kernels of Us1,
-    Ut1."""
+    """Y' completed from its seeds, the products of the bottom kernels'
+    generators with the degree-one rows of the top kernels, is the ideal
+    that every product of kernel filtration rows generates."""
     _assert_y_ideal_matches_all_pairs(xmods[name], degree, slack, monkeypatch)
 
 
@@ -266,6 +284,42 @@ def test_y_ideal_matches_all_pairs_seed_rebased(seed, tmp_path, monkeypatch):
     paths = rebase.write_rebased(str(CORPUS), str(tmp_path), seed)
     x = io.load_path(paths["xmod-id-l2"])
     _assert_y_ideal_matches_all_pairs(x, 5, 0, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["identity", "inclusion"])
+@pytest.mark.parametrize("a", HSD_PARAMS)
+def test_lm_beyond_the_corpus(a, kind, monkeypatch):
+    """The envelope of the hemisemidirect crossed modules, which are not
+    isomorphic to a corpus one: its bottom is the all-pairs oracle's, both
+    completions close, and every crossed-module identity holds."""
+    p = hemisemidirect(a)
+    x = identity_xmod(p) if kind == "identity" else ideal_inclusion_xmod(
+        p, Subspace.from_vectors(4, [{2: 1}, {3: 1}]))
+    Y = _assert_y_ideal_matches_all_pairs(x, 3, 1, monkeypatch)
+    assert Y.certificates["kernel_product_stabilized"]
+    assert not check_lm_assoc_xmod(Y)
+
+
+def test_open_bottom_completion_is_inconclusive(monkeypatch):
+    """A bottom completion that does not close leaves
+    kernel_product_stabilized False, and lm reports inconclusive, not
+    pass."""
+    def open_square_zero(gens, relations, degree, slack=2):
+        quot = presented(gens, relations, degree, slack)
+        if gens[0] == "v0":  # the square-zero algebra's first letter
+            quot.ideal.stabilized = False
+        return quot
+
+    monkeypatch.setattr(lm, "presented", open_square_zero)
+    out = stdio.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["lm", str(CORPUS / "xmod-id-l2.json"), "--degree", "5",
+                  "--format", "json"])
+    doc = json.loads(out.getvalue())
+    assert doc["certificates"] == {"kernel_product_stabilized": False,
+                                   "u_g_stabilized": True,
+                                   "u_semidirect_stabilized": True}
+    assert doc["verdict"] == "inconclusive"
 
 
 @pytest.mark.parametrize("name,D", [

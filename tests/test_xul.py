@@ -7,14 +7,15 @@ from leibnizx import io, xul as xul_module
 from leibnizx.freealg import TruncQuotAlgebra
 from leibnizx.scalars import Q
 from leibnizx.linalg import LinearMap, Subspace, zero_subspace
-from leibnizx.leibniz import LeibnizAlgebra, zero_action
+from leibnizx.leibniz import zero_action
 from leibnizx.xmod import (LeibnizXMod, check_xmod, identity_xmod,
                            ideal_inclusion_xmod, zero_xmod)
 from leibnizx.xul import (check_trunc_xmod, embedding_squares_check,
                           lemma41_check, prop42_check, xul)
 
-from conftest import (CORPUS, all_words, assert_x_matches_all_pairs,
-                      free_reclosure, span_rows, violated_rows)
+from conftest import (CORPUS, HSD_PARAMS, all_words,
+                      assert_x_matches_all_pairs, free_reclosure,
+                      hemisemidirect, span_rows, violated_rows)
 
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
 
@@ -247,23 +248,6 @@ def test_ambient_dims_follow_prop42_rebased(stem, seed, tmp_path):
     x = io.load_path(rebase.write_rebased(str(CORPUS), str(tmp_path),
                                           seed)[stem])
     _assert_prop42_dims(x, 4)
-
-
-def hemisemidirect(a):
-    """The hemisemidirect product of g = <h, e>, [h,e] = e, and the right
-    g-module k², m0·h = a·m0, m1·h = (a-1)·m1, m0·e = m1, on the basis
-    (h, e, m0, m1): [m, x] = m·x, and [x, m] = [m, m'] = 0
-    (Kinyon–Weinstein).  It is Leibniz and not Lie, and span(m0, m1) is a
-    two-sided ideal."""
-    h, e, m0, m1 = range(4)
-    cells = [[{} for _ in range(4)] for _ in range(4)]
-    cells[h][e], cells[e][h] = {e: 1}, {e: -1}
-    cells[m0][h], cells[m1][h] = {m0: a}, {m1: a - 1}
-    cells[m0][e] = {m1: 1}
-    return LeibnizAlgebra("hsd(%d)" % a, ("h", "e", "m0", "m1"), cells)
-
-
-HSD_PARAMS = (0, 2, -1)
 
 
 @pytest.mark.parametrize("kind", ["identity", "inclusion"])
