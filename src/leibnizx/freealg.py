@@ -368,11 +368,11 @@ def filtration_basis(quot, sub, upto=None):
     return [t for t in out if upto is None or t[0] <= upto]
 
 
-def subspace_product(a_sub, b_sub, quot):
-    """The degree-two generators A·B of the product I·J of two ideals
-    generated in degree one, given as Subspaces of quot's class space: the
-    products a·b = sum of a_x b_y (x, y), word-keyed, for a and b the fdeg-1
-    filtration rows of I and J.  Completed with quot's ideal
+def subspace_product(a_rows, b_rows):
+    """The degree-two generators A·B of the product I·J of two ideals of a
+    presented quotient quot, generated in degree one: the products a·b =
+    sum of a_x b_y (x, y), word-keyed, for a and b the rows of A = I ∩ F_1
+    and B = J ∩ F_1, class vectors of quot.  Completed with quot's ideal
     (``extend_by``), they give the quotient by I·J, and by I·J + J·I for
     the kernels of a cat¹ envelope.
 
@@ -413,12 +413,10 @@ def subspace_product(a_sub, b_sub, quot):
     completion of quot's relations with A·B certifies the quotient by
     I·J + J·I exactly at each degree <= D.
     """
-    fa = [va for _, va in filtration_basis(quot, a_sub, 1)]
-    fb = [vb for _, vb in filtration_basis(quot, b_sub, 1)]
     def times(a, b):
         out = {}
         for x, c in a.items():
             vec_add_scaled(out, {x + y: d for y, d in b.items()}, c)
         return out
 
-    return [times(va, vb) for va in fa for vb in fb]
+    return [times(va, vb) for va in a_rows for vb in b_rows]

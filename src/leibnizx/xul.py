@@ -73,15 +73,26 @@ def report_degree_for(degree, report_degree):
 class KernelQuotient:
     """The kernel-product quotient of a cat¹ envelope and its induced maps."""
 
-    s: LinearMap            # envelope class coords -> target class coords
-    t: LinearMap
-    s_ker: Subspace         # Ker s, in envelope class coordinates
-    t_ker: Subspace
+    s_rows: list            # Ker s ∩ F_1, envelope class vectors
+    t_rows: list            # Ker t ∩ F_1
     quot: TruncQuotAlgebra  # envelope / (Ker s·Ker t + Ker t·Ker s)
     pi: LinearMap           # envelope class coords -> quot class coords
     bar_s: LinearMap        # quot -> target
     bar_t: LinearMap
     embed: LinearMap        # target -> quot through the section
+
+
+def _degree_one_kernel(env, target, gen_images):
+    """The canonical rows (:func:`freealg.filtration_basis`) of Ker f ∩ F_1,
+    as class vectors of env, for the algebra map f: env -> target with the
+    given generator images.  F_1 is spanned by the class words of length
+    <= 1, the first coordinates of env, so this is the kernel of f on the
+    unit and the normal letters alone."""
+    words = [w for w in env.class_words if len(w) <= 1]
+    f = LinearMap.from_cols(target.dim, [
+        target.to_coords(gen_images[w[0]] if w else target.unit())
+        for w in words])
+    return [v for _, v in filtration_basis(env, f.kernel())]
 
 
 def kernel_product_quotient(env, target, s_imgs, t_imgs, section, slack):
@@ -91,24 +102,31 @@ def kernel_product_quotient(env, target, s_imgs, t_imgs, section, slack):
     env / X sends target generator j to the class of env generator
     section[j].
 
-    X is generated by its degree-two products A·B, which span B·A too
-    modulo env's relations (:func:`freealg.subspace_product`), so the
-    quotient is presented: the completion, capped at D + slack, of env's
-    rows with them.  When its ideal is ``stabilized``, the quotient is
-    env / X at every degree <= D."""
-    s = induced_map(env, target, s_imgs)
-    t = induced_map(env, target, t_imgs)
-    s_ker, t_ker = s.kernel(), t.kernel()
-    quot = env.extend_by(subspace_product(s_ker, t_ker, env), slack)
+    X is generated by its degree-two products A·B of the degree-one
+    kernel rows A = Ker s ∩ F_1 and B = Ker t ∩ F_1, which span B·A too
+    modulo env's relations (:func:`freealg.subspace_product`), so only
+    those rows are computed, and the quotient is presented: the
+    completion, capped at D + slack, of env's rows with A·B.  When its
+    ideal is ``stabilized``, the quotient is env / X at every degree <= D.
+
+    s and t are checked as algebra maps once, on the quotient, by
+    ``bar_s`` and ``bar_t``.  The quotient's completed rows generate an
+    ideal that contains env's rows: its completion starts from them, and
+    each is a combination of the completed rows of degree <= D.  The
+    target is associative, so an ``induced_map`` on the quotient, which
+    kills the quotient's rows, kills env's ideal too: s and t are algebra
+    maps on env."""
+    s_rows, t_rows = (_degree_one_kernel(env, target, imgs)
+                      for imgs in (s_imgs, t_imgs))
+    quot = env.extend_by(subspace_product(s_rows, t_rows), slack)
     pi = LinearMap.from_cols(
         quot.dim, [quot.to_coords(quot.reduce({w: 1}))
                    for w in env.class_words])
-    # induced s̄, t̄: the same generator images, now also checked against X
     bar_s = induced_map(quot, target, s_imgs)
     bar_t = induced_map(quot, target, t_imgs)
     embed = induced_map(target, quot,
                         [quot.reduce_word((i,)) for i in section])
-    return KernelQuotient(s, t, s_ker, t_ker, quot, pi, bar_s, bar_t, embed)
+    return KernelQuotient(s_rows, t_rows, quot, pi, bar_s, bar_t, embed)
 
 
 def xul(x, degree, slack=2, report_degree=None):

@@ -5,10 +5,11 @@ import pytest
 
 from leibnizx import io
 from leibnizx.freealg import (TruncIdeal, TruncQuotAlgebra, filtration_basis,
-                              word_key)
+                              induced_map, word_key)
 from leibnizx.leibniz import LeibnizAlgebra
 from leibnizx.linalg import Echelon, Subspace, vec_add_scaled
 from leibnizx.scalars import Q
+from leibnizx.xmod import identity_xmod, ideal_inclusion_xmod
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 
@@ -104,26 +105,44 @@ def all_pairs_product(a_sub, b_sub, quot):
     return Subspace.from_vectors(quot.dim, prods)
 
 
+def record_kernel_quotient(module, build, monkeypatch):
+    """Run build(), which calls module.kernel_product_quotient once, and
+    return build()'s result and that call's (envelope, target, s and t
+    generator images, result)."""
+    calls = []
+    kernel_product_quotient = module.kernel_product_quotient
+
+    def recording(env, target, s_imgs, t_imgs, *args):
+        out = kernel_product_quotient(env, target, s_imgs, t_imgs, *args)
+        calls.append((env, target, s_imgs, t_imgs, out))
+        return out
+
+    monkeypatch.setattr(module, "kernel_product_quotient", recording)
+    out = build()
+    (call,) = calls
+    return out, call
+
+
+def full_kernels(env, target, s_imgs, t_imgs):
+    """Oracle for the kernels of the cat¹ maps: s and t built on the whole
+    envelope (``induced_map``, which checks them on env's rows) and their
+    whole kernels, as ((s, Ker s), (t, Ker t))."""
+    maps = [induced_map(env, target, imgs) for imgs in (s_imgs, t_imgs)]
+    return [(f, f.kernel()) for f in maps]
+
+
 def assert_x_matches_all_pairs(module, build, monkeypatch):
     """Run build(), which calls module.kernel_product_quotient once, and
     check its quotient by X against the quotient by the closure, in the
     free algebra (:func:`free_reclosure`), of the envelope's ideal and the
     all-pairs products Ker s·Ker t + Ker t·Ker s: the same class words and
     the same reduction of every word."""
-    calls = []
-    kernel_product_quotient = module.kernel_product_quotient
-
-    def recording(env, *args):
-        out = kernel_product_quotient(env, *args)
-        calls.append((env, out))
-        return out
-
-    monkeypatch.setattr(module, "kernel_product_quotient", recording)
-    build()
-    (env, kq), = calls
+    _, (env, target, s_imgs, t_imgs, kq) = record_kernel_quotient(
+        module, build, monkeypatch)
     assert env.ideal.stabilized
-    prods = all_pairs_product(kq.s_ker, kq.t_ker, env).sum(
-        all_pairs_product(kq.t_ker, kq.s_ker, env))
+    (_, s_ker), (_, t_ker) = full_kernels(env, target, s_imgs, t_imgs)
+    prods = all_pairs_product(s_ker, t_ker, env).sum(
+        all_pairs_product(t_ker, s_ker, env))
     want = free_reclosure(env, [env.from_coords(r) for r in prods.rows])
     assert kq.quot.class_words == want.class_words
     for w in all_words(len(env.gens), env.degree):
@@ -166,6 +185,15 @@ def hemisemidirect(a):
 
 
 HSD_PARAMS = (0, 2, -1)
+
+
+def hemisemidirect_xmod(a, kind):
+    """The identity crossed module of hemisemidirect(a) (kind "identity"),
+    or the inclusion of its two-sided ideal span(m0, m1) ("inclusion")."""
+    p = hemisemidirect(a)
+    if kind == "identity":
+        return identity_xmod(p)
+    return ideal_inclusion_xmod(p, Subspace.from_vectors(4, [{2: 1}, {3: 1}]))
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from leibnizx import io
 from leibnizx.cli import main
+from leibnizx.xrep import zero_xmod_rep
 
-from conftest import CORPUS, corpus_path
+from conftest import CORPUS, HSD_PARAMS, corpus_path, hemisemidirect_xmod
 from test_io import shape_cases
 
 
@@ -334,3 +336,20 @@ def test_non_integral_witness_rendering(capsys, tmp_path, monkeypatch,
     rc, out, _ = run(capsys, "check", "half.json", "--format", fmt)
     assert rc == 1
     assert out == want
+
+
+@pytest.mark.parametrize("a", HSD_PARAMS)
+def test_thm5_round_trip_of_a_zero_representation(capsys, tmp_path, a):
+    """verify thm5 on the zero representation (N = K², M = K) of the
+    identity crossed module of a hemisemidirect algebra: the module
+    identities hold and the representation comes back unchanged."""
+    path = tmp_path / "xrep.json"
+    path.write_text(io.dumps(zero_xmod_rep(
+        hemisemidirect_xmod(a, "identity"), 2, 1)))
+    rc, out, _ = run(capsys, "verify", "thm5", str(path), "--degree", "3",
+                     "--slack", "1", "--format", "json")
+    doc = json.loads(out)
+    assert rc == 0 and doc["verdict"] == "pass"
+    assert [(r["name"], r["verdict"]) for r in doc["records"]][:3] == [
+        ("xmod_rep_axioms", "pass"), ("module_identities", "pass"),
+        ("round_trip", "pass")]

@@ -358,8 +358,9 @@ def test_filtration_basis_degrees():
 
 
 def test_subspace_product_boundary():
-    """subspace_product takes two ideals generated in degree one and gives
-    the degree-two generators A·B of their product: for I = (x) and J = (y)
+    """subspace_product takes the degree-one rows of two ideals generated
+    in degree one and gives the degree-two generators A·B of their
+    product: for I = (x) and J = (y)
     in the free algebra on x, y at D3, the single word x·y.  Completed by
     extend_by they give I·J: the words with an x somewhere before a y,
     the same as the closure of every product of filtration rows."""
@@ -371,7 +372,8 @@ def test_subspace_product_boundary():
                        if x in w])
 
     I, J = letter_ideal(0), letter_ideal(1)
-    prod = subspace_product(I, J, quot)
+    prod = subspace_product(
+        *([v for _, v in filtration_basis(quot, K, 1)] for K in (I, J)))
     assert prod == [{(0, 1): 1}]
     closed = quot.extend_by(prod, 1)
     assert closed.ideal.stabilized

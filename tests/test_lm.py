@@ -10,29 +10,20 @@ from leibnizx import cli, io, lm, xul
 from leibnizx.freealg import filtration_basis, presented
 from leibnizx.scalars import Q
 from leibnizx.linalg import Echelon, LinearMap, Subspace
-from leibnizx.xmod import (cat1_matrices, identity_xmod, ideal_inclusion_xmod,
-                           zero_xmod)
-from leibnizx.lm import (LMObject, associated_xmod, check_associated_xmod,
+from leibnizx.xmod import cat1_matrices, identity_xmod, zero_xmod
+from leibnizx.lm import (associated_xmod, check_associated_xmod,
                          check_lm_assoc_object, check_lm_assoc_xmod,
                          check_lm_lie_object, check_lm_lie_xmod,
-                         leibniz_to_lm, lm_tensor, lm_xmod_envelope,
-                         theta_check, u_lie, u_lm, xmod_to_lm)
+                         leibniz_to_lm, lm_xmod_envelope, theta_check, u_lie,
+                         u_lm, xmod_to_lm)
 
 from conftest import (CORPUS, HSD_PARAMS, assert_x_matches_all_pairs,
-                      hemisemidirect)
+                      full_kernels, hemisemidirect_xmod,
+                      record_kernel_quotient)
 
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
 
 import rebase  # noqa: E402
-
-
-def test_lm_tensor_shape():
-    x = LMObject(1, 1, LinearMap.identity(1))
-    y = LMObject(1, 1, LinearMap.identity(1))
-    t = lm_tensor(x, y)
-    # (M ⊗ h) ⊕ (g ⊗ N) over g ⊗ h
-    assert t.bottom_dim == 2 and t.top_dim == 1
-    assert t.alpha == LinearMap.from_cols(1, [{0: 1}, {0: 1}])
 
 
 def test_leibniz_to_lm(l2, r2):
@@ -189,7 +180,7 @@ def _intersection_filtration(bim, sub):
     return out
 
 
-def _all_pairs_y_ideal(bim, kq, bot_s, bot_t, degree):
+def _all_pairs_y_ideal(bim, top_s_ker, top_t_ker, bot_s, bot_t, degree):
     """Oracle: Y' seeded with every bottom filtration row times every top
     kernel filtration row, at every degree, then closed under
     multiplication by generators on both sides."""
@@ -201,7 +192,7 @@ def _all_pairs_y_ideal(bim, kq, bot_s, bot_t, degree):
         if piv is not None:
             work.append(ech.rows[piv])
 
-    top_s, top_t = (filtration_basis(bim.U, K) for K in (kq.s_ker, kq.t_ker))
+    top_s, top_t = (filtration_basis(bim.U, K) for K in (top_s_ker, top_t_ker))
     for bot, tp in ((bot_s, top_t), (bot_t, top_s)):
         for db, vb in bot:
             for dt, vt in tp:
@@ -222,32 +213,25 @@ def _assert_y_ideal_matches_all_pairs(x, degree, slack, monkeypatch):
     """The bottom of the square-zero algebra against the all-pairs oracle
     in U ⊗ V (U = U(h ⋊ g), before X'): every oracle row reduces to zero,
     and at each degree the bottom has dim U ⊗ V minus the oracle's
-    dimension.  The bottom kernels Ks1 and Kt1 come from the kernels of
-    the oracle maps U(s2) ⊗ s1 and U(t2) ⊗ t1 by elimination, and the
-    envelope's us1 and ut1 agree with those maps through the quotient.
-    Returns the envelope."""
-    quotients = []
-    kernel_product_quotient = lm.kernel_product_quotient
-
-    def recording_quotient(*args):
-        out = kernel_product_quotient(*args)
-        quotients.append(out)
-        return out
-
-    monkeypatch.setattr(lm, "kernel_product_quotient", recording_quotient)
+    dimension.  The top maps s2, t2 and their kernels are built on the
+    whole of U (:func:`conftest.full_kernels`); the bottom kernels Ks1 and
+    Kt1 come from the kernels of the oracle maps U(s2) ⊗ s1 and
+    U(t2) ⊗ t1 by elimination, and the envelope's us1 and ut1 agree with
+    those maps through the quotient.  Returns the envelope."""
     X = xmod_to_lm(x)
-    Y = lm_xmod_envelope(X, degree, slack=slack)
-    (kq,) = quotients
+    Y, (env, target, s_imgs, t_imgs, _) = record_kernel_quotient(
+        lm, lambda: lm_xmod_envelope(X, degree, slack=slack), monkeypatch)
+    (s2, s2_ker), (t2, t2_ker) = full_kernels(env, target, s_imgs, t_imgs)
     bim = lm.lm_assoc_object(Y.carrier, Y.usd).bim
     bottoms = []
-    for top_hom, f1, induced in ((kq.s, cat1_matrices(X.rho1)[0], Y.us1),
-                                 (kq.t, cat1_matrices(X.rho1)[1], Y.ut1)):
+    for top_hom, f1, induced in ((s2, cat1_matrices(X.rho1)[0], Y.us1),
+                                 (t2, cat1_matrices(X.rho1)[1], Y.ut1)):
         f = _tensor_map(bim, Y.target.bim, top_hom, f1)
         for flat in range(bim.dim):
             assert induced.apply(Y.bottom_class(bim, {flat: 1})) == \
                 f.apply({flat: 1})
         bottoms.append(_intersection_filtration(bim, f.kernel()))
-    want = _all_pairs_y_ideal(bim, kq, *bottoms, degree)
+    want = _all_pairs_y_ideal(bim, s2_ker, t2_ker, *bottoms, degree)
     for row in want.rows:
         assert Y.bottom_class(bim, row) == {}
     want_rows = _intersection_filtration(bim, want)
@@ -292,12 +276,10 @@ def test_lm_beyond_the_corpus(a, kind, monkeypatch):
     """The envelope of the hemisemidirect crossed modules, which are not
     isomorphic to a corpus one: its bottom is the all-pairs oracle's, both
     completions close, and every crossed-module identity holds."""
-    p = hemisemidirect(a)
-    x = identity_xmod(p) if kind == "identity" else ideal_inclusion_xmod(
-        p, Subspace.from_vectors(4, [{2: 1}, {3: 1}]))
+    x = hemisemidirect_xmod(a, kind)
     Y = _assert_y_ideal_matches_all_pairs(x, 3, 1, monkeypatch)
     assert Y.certificates["kernel_product_stabilized"]
-    assert not check_lm_assoc_xmod(Y)
+    assert check_lm_assoc_xmod(Y) == [] == _full_loop_check(Y)
 
 
 def test_open_bottom_completion_is_inconclusive(monkeypatch):
@@ -346,33 +328,161 @@ def test_top_x_from_generators_matches_all_pairs_rebased(seed, tmp_path,
         lm, lambda: lm_xmod_envelope(X, 5, slack=1), monkeypatch)
 
 
-def test_memo_evaluates_once_and_hands_out_copies():
-    calls = []
 
-    def f(v, k):
-        calls.append((dict(v), k))
-        return {k: 1}
 
-    g = lm._memo(f)
-    out = g({0: 1, 1: 2}, 3)
-    out[7] = 5  # a caller's change reaches no later call
-    assert g({1: 2, 0: 1}, 3) == {3: 1}
-    assert g({0: 1}, 3) == {3: 1}
-    assert calls == [({0: 1, 1: 2}, 3), ({0: 1}, 3)]
+def _full_loop_check(Y):
+    """Oracle for ``check_lm_assoc_xmod``: every identity on filtration
+    bases with degree sums at most the report degree, U(g) running over
+    all its class words, the bridge identities over every basis vector of
+    U(g) ⊗ M, and the three triple identities that restate associativity
+    of the square-zero algebra."""
+    d = Y.report_degree
+    Ug, top, tbim = Y.target.U, Y.top, Y.target.bim
+    bad = [("target",) + v for v in check_lm_assoc_object(Y.target, d)]
+
+    r_words = [(len(w), {w: 1}) for w in Ug.class_words if len(w) <= d]
+    s_rows = Y.s_ker_filtration(d)
+    b_rows = Y.b_ker_filtration(d)
+    a_rows = [(tbim.fdeg_index(i), {i: 1}) for i in range(tbim.dim)
+              if tbim.fdeg_index(i) <= d]
+    s_cls = [(ds, top.from_coords(v), Ug.from_coords(Y.ut2.apply(v)))
+             for ds, v in s_rows]
+
+    for dr, r in r_words:
+        rc = Ug.to_coords(r)
+        if Y.us2.apply(Y.emb.apply(rc)) != rc:
+            bad.append(("s2_section", dr))
+    for da, a in a_rows:
+        if Y.us1.apply(Y.section(a)) != a:
+            bad.append(("s1_section", da))
+
+    for ds, s, ts in s_cls:
+        for ds2, s2, ts2 in s_cls:
+            if ds + ds2 > d:
+                continue
+            prod = top.mult(s, s2, d)
+            if prod != top.mult(Y.r_on_top(ts), s2, d):
+                bad.append(("peiffer_top_left", (ds, ds2)))
+            if prod != top.mult(s, Y.r_on_top(ts2), d):
+                bad.append(("peiffer_top_right", (ds, ds2)))
+        for dr, r in r_words:
+            if dr + ds > d:
+                continue
+            rt = Y.r_on_top(r)
+            if Ug.from_coords(Y.ut2.apply(top.to_coords(
+                    top.mult(rt, s, d)))) != Ug.mult(r, ts, d):
+                bad.append(("t2_equivariance_left", (dr, ds)))
+            if Ug.from_coords(Y.ut2.apply(top.to_coords(
+                    top.mult(s, rt, d)))) != Ug.mult(ts, r, d):
+                bad.append(("t2_equivariance_right", (dr, ds)))
+
+    for db, b in b_rows:
+        tb = Y.ut1.apply(b)
+        for dr, r in r_words:
+            if dr + db > d:
+                continue
+            rt = Y.r_on_top(r)
+            if Y.ut1.apply(Y.left_mult(rt, b, d)) != \
+                    tbim.left_mult(r, tb, d):
+                bad.append(("t1_equivariance_left", (dr, db)))
+            if Y.ut1.apply(Y.right_mult(b, rt, d)) != \
+                    tbim.right_mult(tb, r, d):
+                bad.append(("t1_equivariance_right", (dr, db)))
+
+    for da, a in a_rows:
+        for ds, s, ts in s_cls:
+            if da + ds > d:
+                continue
+            x1 = Y.xi1(a, s, d)
+            x2 = Y.xi2(s, a, d)
+            if Y.us1.apply(x1) or Y.us1.apply(x2):
+                bad.append(("xi_not_in_kernel", (da, ds)))
+            if Y.ut1.apply(x1) != tbim.right_mult(a, ts, d):
+                bad.append(("xi1_boundary", (da, ds)))
+            if Y.ut1.apply(x2) != tbim.left_mult(ts, a, d):
+                bad.append(("xi2_boundary", (da, ds)))
+            ca = Ug.from_coords(Y.target.connect.apply(a))
+            if Y.connect.apply(x1) != \
+                    top.to_coords(top.mult(Y.r_on_top(ca), s, d)):
+                bad.append(("xi1_connect", (da, ds)))
+            if Y.connect.apply(x2) != \
+                    top.to_coords(top.mult(s, Y.r_on_top(ca), d)):
+                bad.append(("xi2_connect", (da, ds)))
+            for ds2, s2, _ in s_cls:
+                if da + ds + ds2 > d:
+                    continue
+                if Y.right_mult(x1, s2, d) != \
+                        Y.xi1(a, top.mult(s, s2, d), d):
+                    bad.append(("xi1_balanced", (da, ds, ds2)))
+                if Y.left_mult(s, Y.xi1(a, s2, d), d) != \
+                        Y.right_mult(x2, s2, d):
+                    bad.append(("xi_exchange", (da, ds, ds2)))
+                if Y.left_mult(s, Y.xi2(s2, a, d), d) != \
+                        Y.xi2(top.mult(s, s2, d), a, d):
+                    bad.append(("xi2_balanced", (da, ds, ds2)))
+
+    for db, b in b_rows:
+        tb = Y.ut1.apply(b)
+        for ds, s, _ in s_cls:
+            if db + ds > d:
+                continue
+            if Y.xi1(tb, s, d) != Y.right_mult(b, s, d):
+                bad.append(("peiffer_xi1", (db, ds)))
+            if Y.xi2(s, tb, d) != Y.left_mult(s, b, d):
+                bad.append(("peiffer_xi2", (db, ds)))
+    return bad
+
+
+def _scaled(vec, c):
+    return {i: c * x for i, x in vec.items()}
+
+
+class _BentXi1(lm.LMAssocXMod):
+    def xi1(self, avec, top_cls, bound):
+        return _scaled(super().xi1(avec, top_cls, bound), 2)
+
+
+class _BentXi2(lm.LMAssocXMod):
+    def xi2(self, top_cls, avec, bound):
+        return _scaled(super().xi2(top_cls, avec, bound), -1)
+
+
+def _perturbations(Y):
+    """Envelopes that fail the crossed-module identities: every other ut1
+    column doubled (the same supports, so the same degrees), ξ₁ doubled,
+    and ξ₂ negated."""
+    cols = [{i: (1 + j % 2) * c for i, c in Y.ut1.col(j).items()}
+            for j in range(Y.ut1.cols)]
+    fields = {f.name: getattr(Y, f.name) for f in dataclasses.fields(Y)}
+    return {"ut1": dataclasses.replace(
+                Y, ut1=LinearMap.from_cols(Y.ut1.rows, cols)),
+            "xi1": _BentXi1(**fields),
+            "xi2": _BentXi2(**fields)}
 
 
 @pytest.mark.parametrize("name,degree", [("xmod-id-l2.json", 6),
                                          ("xmod-id-r2.json", 5)])
-def test_cached_checker_matches_uncached(xmods, name, degree, monkeypatch):
-    """Evaluating each checker term once changes no violation list: on an
-    envelope whose ut1 is perturbed, the checker reports exactly what it
-    reports with every term evaluated at each use."""
+def test_checker_flags_what_the_full_loops_flag(xmods, name, degree):
+    """The checker on generators against the full loops: on a passing
+    envelope both report nothing, and each perturbed envelope is flagged
+    by both.  A failing envelope's list may differ, as the checker names
+    generators where the full loops name words."""
     Y = lm_xmod_envelope(xmod_to_lm(xmods[name]), degree, slack=1)
-    # every other column doubled: the same supports, so the same degrees
-    cols = [{i: (1 + j % 2) * c for i, c in Y.ut1.col(j).items()}
-            for j in range(Y.ut1.cols)]
-    bent = dataclasses.replace(Y, ut1=LinearMap.from_cols(Y.ut1.rows, cols))
-    cached = (check_lm_assoc_xmod(Y), check_lm_assoc_xmod(bent))
-    assert not cached[0] and cached[1]
-    monkeypatch.setattr(lm, "_memo", lambda fn: fn)
-    assert (check_lm_assoc_xmod(Y), check_lm_assoc_xmod(bent)) == cached
+    assert check_lm_assoc_xmod(Y) == [] == _full_loop_check(Y)
+    for what, bent in _perturbations(Y).items():
+        assert _full_loop_check(bent), what
+        assert check_lm_assoc_xmod(bent), what
+
+
+@pytest.mark.parametrize("kind", ["identity", "inclusion"])
+@pytest.mark.parametrize("a", HSD_PARAMS)
+def test_theta_beyond_the_corpus(a, kind):
+    """verify theta on the hemisemidirect crossed modules: every flag of
+    the comparison holds and every certificate is true."""
+    rec = theta_check(hemisemidirect_xmod(a, kind), 3, slack=1)
+    assert all(rec[k] for k in (
+        "unit_ok", "relations_killed", "pre_quotient_dims_equal",
+        "pre_quotient_bijective", "ideal_mapped", "quotient_dims_equal",
+        "quotient_bijective", "cat_maps_intertwined"))
+    assert all(rec["certificates"].values())
+    assert rec["verdict"] == "pass"

@@ -3,19 +3,20 @@ import sys
 
 import pytest
 
-from leibnizx import io, xul as xul_module
-from leibnizx.freealg import TruncQuotAlgebra
+from leibnizx import io, lm, xul as xul_module
+from leibnizx.freealg import TruncQuotAlgebra, filtration_basis
 from leibnizx.scalars import Q
-from leibnizx.linalg import LinearMap, Subspace, zero_subspace
+from leibnizx.linalg import LinearMap, zero_subspace
 from leibnizx.leibniz import zero_action
 from leibnizx.xmod import (LeibnizXMod, check_xmod, identity_xmod,
-                           ideal_inclusion_xmod, zero_xmod)
+                           zero_xmod)
 from leibnizx.xul import (check_trunc_xmod, embedding_squares_check,
                           lemma41_check, prop42_check, xul)
 
 from conftest import (CORPUS, HSD_PARAMS, all_words,
                       assert_x_matches_all_pairs, free_reclosure,
-                      hemisemidirect, span_rows, violated_rows)
+                      full_kernels, hemisemidirect, hemisemidirect_xmod,
+                      record_kernel_quotient, span_rows, violated_rows)
 
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
 
@@ -165,9 +166,10 @@ def test_kernel_product_quotient_matches_free_reclosure(xmods, name, D,
     """extend_by(rows, slack) completes the envelope's rows with the
     degree-two generators of X, at the caller's slack, and closes; the
     re-closure of the whole ideal in the free algebra gives the same class
-    words and the same reduction of every word.  Each of the five induced
+    words and the same reduction of every word.  Each of the three induced
     maps, checked on its source ideal's rows, kills every row of that
-    ideal's span too."""
+    ideal's span too, and s̄, t̄, checked on the quotient's rows, kill
+    every row of the envelope's span: s and t are algebra maps on it."""
     extends, maps = [], []
     extend_by = TruncQuotAlgebra.extend_by
     induced_map = xul_module.induced_map
@@ -191,10 +193,13 @@ def test_kernel_product_quotient_matches_free_reclosure(xmods, name, D,
     assert quot.class_words == want.class_words
     for w in all_words(len(env.gens), env.degree):
         assert quot.reduce_word(w) == want.reduce_word(w), w
-    assert len(maps) == 5
+    assert len(maps) == 3
     for src, dst, gen_images in maps:
         rows = span_rows(want if src is quot else src)
         assert not violated_rows(rows, dst, gen_images)
+    for src, dst, gen_images in maps[:2]:
+        assert src is quot
+        assert not violated_rows(span_rows(env), dst, gen_images)
 
 
 @pytest.mark.parametrize("name,D", [
@@ -257,8 +262,7 @@ def test_x_matches_all_pairs_beyond_the_corpus(a, kind, monkeypatch):
     crossed modules that are not isomorphic to a corpus one."""
     p = hemisemidirect(a)
     assert not p.check_leibniz() and not p.is_lie()
-    x = identity_xmod(p) if kind == "identity" else ideal_inclusion_xmod(
-        p, Subspace.from_vectors(4, [{2: 1}, {3: 1}]))
+    x = hemisemidirect_xmod(a, kind)
     assert not check_xmod(x)
     assert_x_matches_all_pairs(
         xul_module, lambda: xul(x, 3, slack=1), monkeypatch)
@@ -267,3 +271,40 @@ def test_x_matches_all_pairs_beyond_the_corpus(a, kind, monkeypatch):
 @pytest.mark.parametrize("a", HSD_PARAMS)
 def test_ambient_dims_follow_prop42_beyond_the_corpus(a):
     _assert_prop42_dims(identity_xmod(hemisemidirect(a)), 4)
+
+
+DEGREE_ONE_INPUTS = (
+    [("corpus", name) for name in XMOD_NAMES]
+    + [("hemisemidirect-" + kind, a) for kind in ("identity", "inclusion")
+       for a in HSD_PARAMS]
+    + [("rebased-%d" % seed, stem) for seed in (1, 2)
+       for stem in ("xmod-id-a1", "xmod-id-l2", "xmod-id-r2")])
+
+
+@pytest.mark.parametrize("pipeline", ["xul", "lm"])
+@pytest.mark.parametrize("source,arg", DEGREE_ONE_INPUTS)
+def test_degree_one_kernel_rows_match_full_kernels(xmods, source, arg,
+                                                   pipeline, tmp_path,
+                                                   monkeypatch):
+    """kernel_product_quotient takes Ker s ∩ F_1 and Ker t ∩ F_1 from the
+    unit and the letters alone: they are the degree-one filtration rows of
+    the whole kernels of s and t built on the envelope, for xul's
+    UL(q ⋊ p) and lm's U(h ⋊ g)."""
+    if source == "corpus":
+        x = xmods[arg]
+    elif source.startswith("hemisemidirect-"):
+        x = hemisemidirect_xmod(arg, source.split("-")[1])
+    else:
+        seed = int(source.split("-")[1])
+        x = io.load_path(rebase.write_rebased(str(CORPUS), str(tmp_path),
+                                              seed)[arg])
+    if pipeline == "xul":
+        module, build = xul_module, lambda: xul(x, 3, slack=1)
+    else:
+        X = lm.xmod_to_lm(x)
+        module, build = lm, lambda: lm.lm_xmod_envelope(X, 3, slack=1)
+    _, (env, target, s_imgs, t_imgs, kq) = record_kernel_quotient(
+        module, build, monkeypatch)
+    for rows, (_, ker) in zip((kq.s_rows, kq.t_rows),
+                              full_kernels(env, target, s_imgs, t_imgs)):
+        assert rows == [v for _, v in filtration_basis(env, ker, 1)]
