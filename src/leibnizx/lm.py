@@ -654,21 +654,22 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
     so Ks1 = U·G for G the a ⊗ v_k (a in k_s) and the 1 ⊗ n (n in
     Ker s1).  For x, y in U and b in Kt2, x·g0·y·b = x·g0·(y·b) and
     b·x·g0·y = (b·x)·g0·y lie in the sub-bimodule of the g0·a and a·g0.
-
-    The a·g0 lie in the seeds' span, so they are no seeds.  The carrier is
-    a cat¹ Lie object: [Ker t2, Ker s2] = 0 in h ⋊ g, and [n, a] = 0 for
-    n in Ker s1, a in Ker t2, and for n in Ker t1, a in Ker s2 (the
-    Peiffer identities ``check_lm_lie_xmod`` checks).  In sq a·v = v·a -
-    [v,a] for a in h ⋊ g and v in V.  For g0 = 1 ⊗ n, n in Ker s1:
-    a·g0 = g0·a - [n,a] = g0·a.  For g0 = x ⊗ v, x in k_s: a·x = x·a as
-    [a,x] = 0, so a·g0 = x·v·a - x·n' = g0·a - x·n' with n' = [v,a] in
-    Ker t1 (t1[v,a] = [t1 v, t2 a] = 0), and x·n' = n'·x - [n',x] = n'·x,
-    a seed of the exchanged family (1 ⊗ n' in its G, x in k_s).  All
-    three have the degree of a·g0 or degree two, so none is left out
-    below D.  The same holds with s and t exchanged.
     X' ⊗ V lies in Y': a·b·v = a·(b·v) with b·v in Kt1, v·a·b = (v·a)·b
     with v·a in Ks1, for a in Ks2 and b in Kt2.  A seed longer than D is
     left out, as ``presented`` takes no relation beyond its degree.
+
+    The a·g0 lie in the span of the seeds of both families, so they are
+    not seeds themselves.  The carrier is a cat¹ Lie object: [Ker t2,
+    Ker s2] = 0 in h ⋊ g, and [n, a] = 0 for n in Ker s1, a in Ker t2,
+    and for n in Ker t1, a in Ker s2 (the Peiffer identities
+    ``check_lm_lie_xmod`` checks).  In sq a·v = v·a - [v,a] for a in
+    h ⋊ g and v in V.  For g0 = 1 ⊗ n, n in Ker s1: a·g0 = g0·a - [n,a]
+    = g0·a.  For g0 = x ⊗ v, x in k_s: a·x = x·a as [a,x] = 0, so a·g0 =
+    x·v·a - x·n' = g0·a - x·n' with n' = [v,a] in Ker t1 (t1[v,a] =
+    [t1 v, t2 a] = 0), and x·n' = n'·x - [n',x] = n'·x, a seed of the
+    exchanged family (1 ⊗ n' in its G, x in k_s).  All three have the
+    degree of a·g0 or degree two, so none is left out below D.  The same
+    holds with s and t exchanged.
 
     The s-map, the t-map and the connecting map are bimodule maps, so they
     vanish on Y' once they vanish on its seeds, checked in top ⊗ V.

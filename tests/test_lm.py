@@ -448,30 +448,38 @@ class _BentXi2(lm.LMAssocXMod):
 
 
 def _perturbations(Y):
-    """Envelopes that fail the crossed-module identities: every other ut1
-    column doubled (the same supports, so the same degrees), ξ₁ doubled,
-    and ξ₂ negated."""
-    cols = [{i: (1 + j % 2) * c for i, c in Y.ut1.col(j).items()}
-            for j in range(Y.ut1.cols)]
+    """Envelopes that may fail the crossed-module identities: one of the
+    maps us1, ut1, us2, ut2, emb and connect with every other column
+    doubled (the same supports, so the same degrees; the odd columns under
+    its name, the even ones under its name with a prime), ξ₁ doubled and ξ₂
+    negated."""
     fields = {f.name: getattr(Y, f.name) for f in dataclasses.fields(Y)}
-    return {"ut1": dataclasses.replace(
-                Y, ut1=LinearMap.from_cols(Y.ut1.rows, cols)),
-            "xi1": _BentXi1(**fields),
-            "xi2": _BentXi2(**fields)}
+    out = {"xi1": _BentXi1(**fields), "xi2": _BentXi2(**fields)}
+    for name in ("us1", "ut1", "us2", "ut2", "emb", "connect"):
+        f = getattr(Y, name)
+        for even, key in ((0, name), (1, name + "'")):
+            cols = [{i: (1 + (j + even) % 2) * c for i, c in f.col(j).items()}
+                    for j in range(f.cols)]
+            out[key] = dataclasses.replace(
+                Y, **{name: LinearMap.from_cols(f.rows, cols)})
+    return out
 
 
 @pytest.mark.parametrize("name,degree", [("xmod-id-l2.json", 6),
                                          ("xmod-id-r2.json", 5)])
 def test_checker_flags_what_the_full_loops_flag(xmods, name, degree):
     """The checker on generators against the full loops: on a passing
-    envelope both report nothing, and each perturbed envelope is flagged
-    by both.  A failing envelope's list may differ, as the checker names
-    generators where the full loops name words."""
+    envelope both report nothing, each perturbed envelope is flagged by
+    the checker exactly when the full loops flag it, and the ut1, ξ₁ and
+    ξ₂ perturbations are flagged.  A failing envelope's list may differ,
+    as the checker names generators where the full loops name words."""
     Y = lm_xmod_envelope(xmod_to_lm(xmods[name]), degree, slack=1)
     assert check_lm_assoc_xmod(Y) == [] == _full_loop_check(Y)
-    for what, bent in _perturbations(Y).items():
-        assert _full_loop_check(bent), what
-        assert check_lm_assoc_xmod(bent), what
+    bent = _perturbations(Y)
+    for what, Z in bent.items():
+        assert bool(check_lm_assoc_xmod(Z)) == bool(_full_loop_check(Z)), what
+    for what in ("ut1", "xi1", "xi2"):
+        assert check_lm_assoc_xmod(bent[what]), what
 
 
 @pytest.mark.parametrize("kind", ["identity", "inclusion"])
