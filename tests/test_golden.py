@@ -98,6 +98,9 @@ def _cases():
         ("xul", "xmod-id-r2", "--degree", "5", *SLACK),
         ("verify", "theta", "xmod-id-r2", "--degree", "4", *SLACK),
         ("ul", "r2", "--degree", "6"),
+        # theta's well-definedness check above degree 5
+        ("verify", "theta", "xmod-id-r2", "--degree", "6", *SLACK),
+        ("verify", "theta", "xmod-id-l2", "--degree", "6", *SLACK),
         # U/X at degree 5 on the Leibniz (non-Lie) identity crossed modules
         ("xul", "xmod-id-l2", "--degree", "5", *SLACK),
         ("verify", "prop42", "r2", "--degree", "5", *SLACK),
