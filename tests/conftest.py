@@ -170,6 +170,143 @@ def violated_rows(rows, dst, gen_images):
     return bad
 
 
+class TensorRef:
+    """Test-side reference for the bimodule U ⊗ V of the enveloping
+    functor, U an enveloping algebra whose letter g acts on V on the right
+    by right_bracket[g]: the basis x ⊗ v_k for U's class words x of length
+    <= D - 1, coordinate ``index(x, k)`` of filtration degree |x| + 1.  U
+    multiplies the left factor, and a letter g acts on the right by (x ⊗
+    v)g = xg ⊗ v + x ⊗ [v,g], extended to words letter by letter.  No
+    product is memoised."""
+
+    def __init__(self, U, module_dim, right_bracket):
+        self.U, self.module_dim = U, module_dim
+        self.right_bracket = tuple(right_bracket)
+        self.words = tuple(w for w in U.class_words if len(w) < U.degree)
+        self.windex = {w: i for i, w in enumerate(self.words)}
+        self.fdegs = tuple(len(w) + 1 for w in self.words
+                           for _ in range(module_dim))
+
+    @property
+    def dim(self):
+        return len(self.words) * self.module_dim
+
+    def index(self, w, k):
+        return self.windex[w] * self.module_dim + k
+
+    def fdeg_index(self, flat):
+        return self.fdegs[flat]
+
+    def fdeg(self, vec):
+        return max(map(self.fdegs.__getitem__, vec), default=0)
+
+    def tensor(self, ucls, vvec):
+        """Class vector ⊗ module vector, in this reference's coordinates."""
+        out = {}
+        for w, c in ucls.items():
+            vec_add_scaled(out, {self.index(w, k): cv
+                                 for k, cv in vvec.items()}, c)
+        return out
+
+    def left_mult(self, ucls, bvec, bound):
+        assert self.U.fdeg(ucls) + self.fdeg(bvec) <= bound
+        out = {}
+        for flat, c in bvec.items():
+            wi, k = divmod(flat, self.module_dim)
+            vec_add_scaled(out, self.tensor(
+                self.U.mult(ucls, {self.words[wi]: 1}), {k: 1}), c)
+        return out
+
+    def right_mult_gen(self, bvec, g, bound):
+        assert self.fdeg(bvec) + 1 <= bound
+        out = {}
+        for flat, c in bvec.items():
+            wi, k = divmod(flat, self.module_dim)
+            w = self.words[wi]
+            vec_add_scaled(out, self.tensor(
+                self.U.reduce_word(w + (g,)), {k: 1}), c)
+            vec_add_scaled(out, self.tensor(
+                {w: 1}, self.right_bracket[g].col(k)), c)
+        return out
+
+    def right_mult(self, bvec, ucls, bound):
+        assert self.fdeg(bvec) + self.U.fdeg(ucls) <= bound
+        out = {}
+        for w, c in ucls.items():
+            tmp = bvec
+            for g in w:
+                tmp = self.right_mult_gen(tmp, g, bound)
+            vec_add_scaled(out, tmp, c)
+        return out
+
+    def pair_word(self, flat):
+        """The word x·v_k of coordinate flat, in the letters of a pair
+        algebra or of sq (module letters first)."""
+        wi, k = divmod(flat, self.module_dim)
+        return tuple(g + self.module_dim for g in self.words[wi]) + (k,)
+
+    def to_pair(self, a, r):
+        """The pair (a, r), a in this reference's coordinates and r a class
+        vector of U, as a class vector of the pair algebra."""
+        out = {self.pair_word(flat): c for flat, c in a.items()}
+        out.update(shift_letters(r, self.module_dim))
+        return out
+
+
+def shift_letters(cv, off):
+    return {tuple(g + off for g in w): c for w, c in cv.items()}
+
+
+def pair_connect(P, alpha, vec):
+    """The connecting map x·v_k -> x·alpha(v_k) of a pair algebra P
+    (``lm.pair_algebra``) with nv = alpha.cols module letters, word by word
+    on a vector of its words x·v_k, into P's classes of U's words."""
+    nv, out = alpha.cols, {}
+    for w, c in vec.items():
+        vec_add_scaled(out, P.reduce({w[:-1] + (nv + j,): cj for j, cj in
+                                      alpha.col(w[-1]).items()}), c)
+    return out
+
+
+def connect_bimodule_violations(P, alpha, d):
+    """The connecting map of a pair algebra is a bimodule map over U: for
+    every class word b = x·v_k with |b| + 1 <= d and every letter g of U,
+    alpha(g·b) = g·alpha(b) and alpha(b·g) = alpha(b)·g, products in P."""
+    nv, bad = alpha.cols, []
+    for w in P.class_words:
+        if not w or w[-1] >= nv or len(w) + 1 > d:
+            continue
+        cb = pair_connect(P, alpha, {w: 1})
+        for g in range(nv, len(P.gens)):
+            if pair_connect(P, alpha, P.mult({(g,): 1}, {w: 1}, d)) != \
+                    P.mult({(g,): 1}, cb, d):
+                bad.append(("left", (g, w)))
+            if pair_connect(P, alpha, P.mult({w: 1}, {(g,): 1}, d)) != \
+                    P.mult(cb, {(g,): 1}, d):
+                bad.append(("right", (g, w)))
+    return bad
+
+
+def pair_product(ref, alpha, u, v, bound):
+    """Oracle for the pair algebra's product: (a, r)(a', r') = (alpha(a)a'
+    + ar' + ra', rr') on pairs (reference coordinates, class vector of U),
+    from U's products and the reference's actions, with alpha(x ⊗ v_k) =
+    x·alpha(v_k)."""
+    U = ref.U
+    (a, r), (a2, r2) = u, v
+    conn = {}
+    for flat, c in a.items():
+        wi, k = divmod(flat, ref.module_dim)
+        vec_add_scaled(conn, U.mult({ref.words[wi]: 1}, U.reduce(
+            {(j,): cj for j, cj in alpha.col(k).items()})), c)
+    bot = ref.left_mult(conn, a2, bound) if a2 else {}
+    if r2:
+        vec_add_scaled(bot, ref.right_mult(a, r2, bound), 1)
+    if a2:
+        vec_add_scaled(bot, ref.left_mult(r, a2, bound), 1)
+    return bot, U.mult(r, r2, bound)
+
+
 def hemisemidirect(a):
     """The hemisemidirect product of g = <h, e>, [h,e] = e, and the right
     g-module k², m0·h = a·m0, m1·h = (a-1)·m1, m0·e = m1, on the basis

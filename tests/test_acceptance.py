@@ -24,12 +24,12 @@ from leibnizx.xrep import (check_xmod_rep, check_xmodule,
                            xmodule_to_rep)
 from leibnizx.xul import (check_trunc_xmod, embedding_squares_check,
                           lemma41_check, prop42_check, xul)
-from leibnizx.lm import (check_lm_assoc_object, check_lm_assoc_xmod,
-                         leibniz_to_lm, lm_xmod_envelope, theta_check,
-                         u_lie, u_lm, xmod_to_lm)
+from leibnizx.lm import (BottomBasis, check_lm_assoc_xmod, leibniz_to_lm,
+                         lm_xmod_envelope, pair_algebra, theta_check, u_lie,
+                         xmod_to_lm)
 from leibnizx.cli import main as cli_main
 
-from conftest import corpus_path
+from conftest import connect_bimodule_violations, corpus_path
 
 XMOD_NAMES = ("xmod-zero-a1.json", "xmod-id-a1.json", "xmod-id-l2.json",
               "xmod-id-r2.json", "xmod-incl-l2.json")
@@ -201,14 +201,20 @@ def test_c08_xmod_rep_equivalence(load):
 
 def test_c09_categorical_envelope(load, a1, l2, r2):
     t0 = time.time()
-    # the top row of the categorical envelope is U(g) computed directly
+    # the enveloping object is the pair algebra (U(g) ⊗ M) ⊕ U(g): its top
+    # row is U(g) computed directly, its bottom U(g)_{<=k-1} ⊗ M, and its
+    # connecting map a bimodule map
     for p in (l2, r2):
         L = leibniz_to_lm(p)
-        A = u_lm(L, 3)
         U_direct = u_lie(L.lie, 3)
+        A = pair_algebra(L, U_direct, 2)
+        bottom = BottomBasis(A, L.bottom_dim)
         for k in range(4):
-            assert A.U.dim_upto(k) == U_direct.dim_upto(k)
-        assert not check_lm_assoc_object(A, 3)
+            assert A.dim_upto(k) - bottom.dim_upto(k) == \
+                U_direct.dim_upto(k)
+            assert bottom.dim_upto(k) == \
+                (L.bottom_dim * U_direct.dim_upto(k - 1) if k else 0)
+        assert not connect_bimodule_violations(A, L.alpha, 3)
     # crossed-module identities of the envelope at the report degree
     for x, D in ((zero_xmod(a1), 4), (load("xmod-id-a1.json"), 3)):
         Y = lm_xmod_envelope(xmod_to_lm(x), D)

@@ -6,20 +6,21 @@ import sys
 
 import pytest
 
-from leibnizx import cli, io, lm, xul
-from leibnizx.freealg import filtration_basis, presented
+from leibnizx import cli, io, lm, xmod, xul
+from leibnizx.freealg import (HomomorphismError, filtration_basis,
+                              induced_map, presented)
 from leibnizx.scalars import Q
-from leibnizx.linalg import Echelon, LinearMap, Subspace
+from leibnizx.linalg import Echelon, LinearMap, Subspace, vec_add_scaled
 from leibnizx.xmod import cat1_matrices, identity_xmod, zero_xmod
-from leibnizx.lm import (associated_xmod, check_associated_xmod,
-                         check_lm_assoc_object, check_lm_assoc_xmod,
-                         check_lm_lie_object, check_lm_lie_xmod,
-                         leibniz_to_lm, lm_xmod_envelope, theta_check, u_lie,
-                         u_lm, xmod_to_lm)
+from leibnizx.lm import (BottomBasis, associated_xmod, check_associated_xmod,
+                         check_lm_assoc_xmod, check_lm_lie_object,
+                         check_lm_lie_xmod, leibniz_to_lm, lm_xmod_envelope,
+                         pair_algebra, theta_check, u_lie, xmod_to_lm)
 
-from conftest import (CORPUS, HSD_PARAMS, assert_x_matches_all_pairs,
-                      full_kernels, hemisemidirect_xmod,
-                      record_kernel_quotient)
+from conftest import (CORPUS, HSD_PARAMS, TensorRef, all_words,
+                      assert_x_matches_all_pairs, connect_bimodule_violations,
+                      full_kernels, hemisemidirect_xmod, pair_connect,
+                      pair_product, record_kernel_quotient, shift_letters)
 
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
 
@@ -73,13 +74,19 @@ def test_u_lie_dimensions(r2):
 
 
 def test_u_lm_object(a1, l2):
-    A = u_lm(leibniz_to_lm(a1), 2)
-    assert A.bim.dim == 2 and A.U.dim == 3
-    assert not check_lm_assoc_object(A, 2)
-    B = u_lm(leibniz_to_lm(l2), 3)
-    assert not check_lm_assoc_object(B, 3)
+    """The enveloping object (U(g) ⊗ M -> U(g)) of a Lie object as its pair
+    algebra over U(g): the dimensions of both parts, a closed completion,
+    and a connecting map that is a bimodule map."""
+    L = leibniz_to_lm(a1)
+    A = pair_algebra(L, u_lie(L.lie, 2), 2)
+    assert BottomBasis(A, L.bottom_dim).dim == 2 and A.dim == 2 + 3
+    assert A.ideal.stabilized
+    assert not connect_bimodule_violations(A, L.alpha, 2)
+    L = leibniz_to_lm(l2)
+    B = pair_algebra(L, u_lie(L.lie, 3), 2)
+    assert not connect_bimodule_violations(B, L.alpha, 3)
     # top algebra is U(Liez L2), a polynomial ring in one variable
-    assert B.U.dim == 4
+    assert B.dim - BottomBasis(B, L.bottom_dim).dim == 4
 
 
 def test_lm_envelope_zero_xmod(a1):
@@ -155,16 +162,28 @@ def test_bottom_filtration_matches_intersections(xmods, degree):
             assert got == want, (name, k)
 
 
-def _tensor_map(bim, tbim, top_hom, f1):
-    """Oracle: U(f2) ⊗ f1 on every coordinate of bim, for the algebra map
-    f2 given on class coordinates by top_hom and a linear map f1."""
+def _tensor_map(bim, Y, top_hom, f1):
+    """Oracle: U(f2) ⊗ f1 on every coordinate of bim, into the target's
+    bottom U(g) ⊗ M, for the algebra map f2 given on class coordinates by
+    top_hom and a linear map f1."""
+    tbim = TensorRef(Y.ug, Y.X.dst.bottom_dim, Y.X.dst.right_mats)
     cols = []
     for flat in range(bim.dim):
         wi, k = divmod(flat, bim.module_dim)
-        img = tbim.U.from_coords(
+        img = Y.ug.from_coords(
             top_hom.apply({bim.U.class_index[bim.words[wi]]: 1}))
-        cols.append(tbim.tensor(img, f1.col(k)))
-    return LinearMap.from_cols(tbim.dim, cols)
+        a = tbim.tensor(img, f1.col(k))
+        cols.append(Y.target_bottom.to_coords(tbim.to_pair(a, {})))
+    return LinearMap.from_cols(Y.target_bottom.dim, cols)
+
+
+def _bottom_class(Y, bim, bvec):
+    """The class in Y's bottom of a vector of U(h ⋊ g) ⊗ V in bim's
+    coordinates: sq's reduction of its words x·v_k."""
+    out = {}
+    for flat, c in bvec.items():
+        vec_add_scaled(out, Y.sq.reduce_word(bim.pair_word(flat)), c)
+    return Y.bottom.to_coords(out)
 
 
 def _intersection_filtration(bim, sub):
@@ -222,18 +241,18 @@ def _assert_y_ideal_matches_all_pairs(x, degree, slack, monkeypatch):
     Y, (env, target, s_imgs, t_imgs, _) = record_kernel_quotient(
         lm, lambda: lm_xmod_envelope(X, degree, slack=slack), monkeypatch)
     (s2, s2_ker), (t2, t2_ker) = full_kernels(env, target, s_imgs, t_imgs)
-    bim = lm.lm_assoc_object(Y.carrier, Y.usd).bim
+    bim = TensorRef(Y.usd, Y.carrier.bottom_dim, Y.carrier.right_mats)
     bottoms = []
     for top_hom, f1, induced in ((s2, cat1_matrices(X.rho1)[0], Y.us1),
                                  (t2, cat1_matrices(X.rho1)[1], Y.ut1)):
-        f = _tensor_map(bim, Y.target.bim, top_hom, f1)
+        f = _tensor_map(bim, Y, top_hom, f1)
         for flat in range(bim.dim):
-            assert induced.apply(Y.bottom_class(bim, {flat: 1})) == \
+            assert induced.apply(_bottom_class(Y, bim, {flat: 1})) == \
                 f.apply({flat: 1})
         bottoms.append(_intersection_filtration(bim, f.kernel()))
     want = _all_pairs_y_ideal(bim, s2_ker, t2_ker, *bottoms, degree)
     for row in want.rows:
-        assert Y.bottom_class(bim, row) == {}
+        assert _bottom_class(Y, bim, row) == {}
     want_rows = _intersection_filtration(bim, want)
     assert len(want_rows) == want.dim
     for k in range(degree + 1):
@@ -337,14 +356,16 @@ def _full_loop_check(Y):
     U(g) ⊗ M, and the three triple identities that restate associativity
     of the square-zero algebra."""
     d = Y.report_degree
-    Ug, top, tbim = Y.target.U, Y.top, Y.target.bim
-    bad = [("target",) + v for v in check_lm_assoc_object(Y.target, d)]
+    Ug, top, tb = Y.ug, Y.top, Y.target_bottom
+    mv = Y.X.dst.bottom_dim
+    bad = [("target",) + v
+           for v in connect_bimodule_violations(Y.target, Y.X.dst.alpha, d)]
 
     r_words = [(len(w), {w: 1}) for w in Ug.class_words if len(w) <= d]
     s_rows = Y.s_ker_filtration(d)
     b_rows = Y.b_ker_filtration(d)
-    a_rows = [(tbim.fdeg_index(i), {i: 1}) for i in range(tbim.dim)
-              if tbim.fdeg_index(i) <= d]
+    a_rows = [(len(w), {i: 1}) for i, w in enumerate(tb.words)
+              if len(w) <= d]
     s_cls = [(ds, top.from_coords(v), Ug.from_coords(Y.ut2.apply(v)))
              for ds, v in s_rows]
 
@@ -377,16 +398,16 @@ def _full_loop_check(Y):
                 bad.append(("t2_equivariance_right", (dr, ds)))
 
     for db, b in b_rows:
-        tb = Y.ut1.apply(b)
+        tbv = Y.ut1.apply(b)
         for dr, r in r_words:
             if dr + db > d:
                 continue
             rt = Y.r_on_top(r)
             if Y.ut1.apply(Y.left_mult(rt, b, d)) != \
-                    tbim.left_mult(r, tb, d):
+                    tb.left_mult(r, tbv, d):
                 bad.append(("t1_equivariance_left", (dr, db)))
             if Y.ut1.apply(Y.right_mult(b, rt, d)) != \
-                    tbim.right_mult(tb, r, d):
+                    tb.right_mult(tbv, r, d):
                 bad.append(("t1_equivariance_right", (dr, db)))
 
     for da, a in a_rows:
@@ -397,11 +418,12 @@ def _full_loop_check(Y):
             x2 = Y.xi2(s, a, d)
             if Y.us1.apply(x1) or Y.us1.apply(x2):
                 bad.append(("xi_not_in_kernel", (da, ds)))
-            if Y.ut1.apply(x1) != tbim.right_mult(a, ts, d):
+            if Y.ut1.apply(x1) != tb.right_mult(a, ts, d):
                 bad.append(("xi1_boundary", (da, ds)))
-            if Y.ut1.apply(x2) != tbim.left_mult(ts, a, d):
+            if Y.ut1.apply(x2) != tb.left_mult(ts, a, d):
                 bad.append(("xi2_boundary", (da, ds)))
-            ca = Ug.from_coords(Y.target.connect.apply(a))
+            ca = shift_letters(pair_connect(
+                Y.target, Y.X.dst.alpha, tb.from_coords(a)), -mv)
             if Y.connect.apply(x1) != \
                     top.to_coords(top.mult(Y.r_on_top(ca), s, d)):
                 bad.append(("xi1_connect", (da, ds)))
@@ -494,3 +516,181 @@ def test_theta_beyond_the_corpus(a, kind):
         "quotient_bijective", "cat_maps_intertwined"))
     assert all(rec["certificates"].values())
     assert rec["verdict"] == "pass"
+
+
+CORPUS_XMODS = ("xmod-zero-a1.json", "xmod-id-a1.json", "xmod-id-l2.json",
+                "xmod-id-r2.json", "xmod-incl-l2.json")
+BEYOND = [(a, kind) for a in HSD_PARAMS for kind in ("identity", "inclusion")]
+
+
+ORACLE_CASES = [(name, 4) for name in CORPUS_XMODS] + \
+    [(case, 3) for case in BEYOND]
+
+
+def _case_id(v):
+    return "hsd%d-%s" % v if isinstance(v, tuple) else str(v)
+
+
+def _crossed_module(xmods, case):
+    return xmods[case] if isinstance(case, str) else hemisemidirect_xmod(*case)
+
+
+def _as_pair(ref, w):
+    """A class word of a pair algebra as a pair (reference coordinates,
+    class vector of U)."""
+    nv = ref.module_dim
+    if w and w[-1] < nv:
+        return {ref.index(tuple(g - nv for g in w[:-1]), w[-1]): 1}, {}
+    return {}, {tuple(g - nv for g in w): 1}
+
+
+@pytest.mark.parametrize("case,D", ORACLE_CASES, ids=_case_id)
+def test_pair_algebra_matches_pair_product(xmods, case, D):
+    """The pair algebra of the target, over U(g), and of theta's source,
+    over U(h ⋊ g): its completion closes, its dimension at every degree is
+    U's plus that of U ⊗ V, and its product of any two class words with
+    fdeg sum <= D is the pair product (a, r)(a', r') = (alpha(a)a' + ar' +
+    ra', rr') of the test-side U ⊗ V."""
+    Y = lm_xmod_envelope(xmod_to_lm(_crossed_module(xmods, case)), D,
+                         slack=1)
+    for L, U, P in ((Y.X.dst, Y.ug, Y.target),
+                    (Y.carrier, Y.usd, pair_algebra(Y.carrier, Y.usd, 1))):
+        assert P.ideal.stabilized
+        ref = TensorRef(U, L.bottom_dim, L.right_mats)
+        for k in range(D + 1):
+            assert P.dim_upto(k) == U.dim_upto(k) + \
+                sum(1 for f in ref.fdegs if f <= k)
+        for w1 in P.class_words:
+            for w2 in P.class_words:
+                if len(w1) + len(w2) <= D:
+                    want = pair_product(ref, L.alpha, _as_pair(ref, w1),
+                                        _as_pair(ref, w2), D)
+                    assert P.mult({w1: 1}, {w2: 1}) == ref.to_pair(*want)
+
+
+def _theta_by_words(ref, alpha, bound):
+    """Oracle: theta word by word into the test-side pairs (U ⊗ V) ⊕ U:
+    the k-th l-letter goes to (-1 ⊗ v_k, 0), the k-th r-letter to (0,
+    alpha(v_k)), and a word to the pair product of its letters' images."""
+    U, nv = ref.U, ref.module_dim
+    images = [(ref.tensor(U.unit(), {k: -1}), {}) for k in range(nv)]
+    images += [({}, U.reduce({(j,): c for j, c in alpha.col(k).items()}))
+               for k in range(nv)]
+    memo = {(): ({}, U.unit())}
+
+    def value(w):
+        if w not in memo:
+            memo[w] = pair_product(ref, alpha, value(w[:-1]),
+                                   images[w[-1]], bound)
+        return memo[w]
+
+    def evaluate(vec):
+        a, r = {}, {}
+        for w, c in vec.items():
+            va, vr = value(w)
+            vec_add_scaled(a, va, c)
+            vec_add_scaled(r, vr, c)
+        return a, r
+
+    return evaluate
+
+
+def _kills_span(evaluate, quot):
+    """Oracle: a word-wise map kills the ideal's span V_D when it agrees on
+    every word of length <= D with the word's class, as the rows w -
+    reduce_word(w) are a basis of V_D."""
+    return all(evaluate({w: 1}) == evaluate(quot.reduce_word(w))
+               for w in all_words(len(quot.gens), quot.degree)
+               if w not in quot.class_index)
+
+
+def _record_induced_maps(monkeypatch):
+    """Record every lm.induced_map call as (src, dst, images, result)."""
+    calls = []
+    induced = lm.induced_map
+
+    def recording(src, dst, images):
+        out = induced(src, dst, images)
+        calls.append((src, dst, images, out))
+        return out
+
+    monkeypatch.setattr(lm, "induced_map", recording)
+    return calls
+
+
+@pytest.mark.parametrize("case,D", ORACLE_CASES, ids=_case_id)
+def test_theta_matches_word_enumeration(xmods, case, D, monkeypatch):
+    """theta_check's induced maps against theta evaluated on every word of
+    length <= D, into the test-side pairs: the enumeration finds the ideal
+    killed, as the verdict says, and every class word's value is the
+    induced map's column, on UL(q ⋊ p) and on UL(p)."""
+    x = _crossed_module(xmods, case)
+    calls = _record_induced_maps(monkeypatch)
+    rec = theta_check(x, D, slack=1)
+    assert rec["relations_killed"] and rec["verdict"] == "pass"
+    Y = lm_xmod_envelope(xmod_to_lm(x), D, slack=1)
+    (usd1, P, _, theta), (ul_p, P_g, _, theta_p) = calls
+    for quot, L, U, alg, f in ((usd1, Y.carrier, Y.usd, P, theta),
+                               (ul_p, Y.X.dst, Y.ug, P_g, theta_p)):
+        ref = TensorRef(U, L.bottom_dim, L.right_mats)
+        evaluate = _theta_by_words(ref, L.alpha, D)
+        assert _kills_span(evaluate, quot)
+        for j, w in enumerate(quot.class_words):
+            assert alg.to_coords(ref.to_pair(*evaluate({w: 1}))) == f.col(j)
+
+
+def test_induced_map_refuses_a_flipped_image(xmods, monkeypatch):
+    """theta with the sign of one l-letter's image flipped is no algebra
+    map, on UL(q ⋊ p) nor on UL(p): induced_map refuses it."""
+    calls = _record_induced_maps(monkeypatch)
+    theta_check(xmods["xmod-id-r2.json"], 3, slack=1)
+    assert len(calls) == 2
+    for src, dst, images, _ in calls:
+        bent = [{w: -c for w, c in images[0].items()}] + images[1:]
+        with pytest.raises(HomomorphismError):
+            induced_map(src, dst, bent)
+
+
+def test_theta_reports_an_unkilled_relation(xmods, monkeypatch):
+    """When induced_map refuses theta, verify theta reports
+    relations_killed false and fails with exit 1, not a traceback; the
+    checks that need theta are left out of the record."""
+    def refuse(src, dst, images):
+        raise HomomorphismError("generator images do not preserve the ideal")
+
+    monkeypatch.setattr(lm, "induced_map", refuse)
+    rec = theta_check(xmods["xmod-id-a1.json"], 3, slack=1)
+    assert rec["relations_killed"] is False and rec["verdict"] == "fail"
+    assert set(rec) == {"name", "degree", "report_degree",
+                        "relations_killed", "lhs_dim_upto_d",
+                        "bottom_dim_upto_d", "top_dim_upto_d",
+                        "certificates", "verdict"}
+    out = stdio.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "theta", str(CORPUS / "xmod-id-a1.json"),
+                         "--degree", "3", "--slack", "1", "--format", "json"])
+    doc = json.loads(out.getvalue())
+    assert code == 1 and doc["verdict"] == "fail"
+    assert doc["records"][0]["relations_killed"] is False
+
+
+def test_lm_checks_each_lie_datum_once(monkeypatch):
+    """One lm run checks each Lie datum once: check_xmod the input and the
+    top row of its square, check_lm_lie_object the square's two Lie
+    objects and the carrier."""
+    xs, objs = [], []
+    check_xmod = xul.check_xmod
+    for module in (xul, xmod, lm):
+        monkeypatch.setattr(module, "check_xmod",
+                            lambda y: xs.append(y) or check_xmod(y))
+    check_obj = lm.check_lm_lie_object
+    monkeypatch.setattr(lm, "check_lm_lie_object",
+                        lambda L: objs.append(L) or check_obj(L))
+    out = stdio.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["lm", str(CORPUS / "xmod-id-l2.json"),
+                         "--degree", "8", "--format", "json"])
+    assert code == 0
+    assert len(xs) == 2 and len({id(y) for y in xs}) == 2
+    assert len(objs) == 3 and len({id(L) for L in objs}) == 3
+    assert sorted(L.bottom_dim for L in objs) == [2, 2, 4]
