@@ -62,9 +62,14 @@ class TruncIdeal:
         """The words of length <= degree that contain no leading word,
         length-first then lexicographically.  A word is normal when its
         prefix is and no leading word ends it, so each length extends the
-        normal words of the one before, in order, letter by letter."""
+        normal words of the one before, in order, letter by letter; only
+        the suffixes no longer than the longest leading word can be one."""
+        longest = max(map(len, self._leading), default=0)
+
         def normal(w):
-            return not any(w[i:] in self._leading for i in range(len(w) + 1))
+            return not any(w[i:] in self._leading
+                           for i in range(max(len(w) - longest, 0),
+                                          len(w) + 1))
 
         out = [()] if normal(()) else []
         for w in out:  # breadth first: out grows as it is read

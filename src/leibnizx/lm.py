@@ -455,10 +455,6 @@ class LMAssocXMod:
         return self.bottom.to_coords(self.sq.mult(
             self.bottom.from_coords(wvec), self._in_sq(top_cls), bound))
 
-    def in_target(self, ug_cls):
-        """A U(g) class as a class of the target pair algebra."""
-        return _shift_vec(ug_cls, self.X.dst.bottom_dim)
-
     def r_on_top(self, ug_cls):
         """A U(g) class as a top class through the g-block embedding."""
         return self.top.from_coords(
@@ -507,8 +503,9 @@ class LMAssocXMod:
                 v = self.target_bottom.from_coords(
                     f1.col(self.bottom.index[w]))
             else:
-                v = self.in_target(self.ug.from_coords(f2.col(
-                    self.top.class_index[tuple(g - nv for g in w)])))
+                v = _shift_vec(self.ug.from_coords(f2.col(
+                    self.top.class_index[tuple(g - nv for g in w)])),
+                    self.target_bottom.nv)
             cols.append(self.target.to_coords(v))
         return LinearMap.from_cols(self.target.dim, cols)
 
