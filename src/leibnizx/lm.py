@@ -838,11 +838,11 @@ def check_lm_assoc_xmod(Y):
 
     # Peiffer identities tying the two rows together
     for db, b in b_rows:
-        tb_vec = Y.ut1.apply(b)
+        tbv = Y.ut1.apply(b)
         for a in k_s if db < d else ():
-            if Y.xi1(tb_vec, a, d) != Y.right_mult(b, a, d):
+            if Y.xi1(tbv, a, d) != Y.right_mult(b, a, d):
                 bad.append(("peiffer_xi1", (db, 1)))
-            if Y.xi2(a, tb_vec, d) != Y.left_mult(a, b, d):
+            if Y.xi2(a, tbv, d) != Y.left_mult(a, b, d):
                 bad.append(("peiffer_xi2", (db, 1)))
     return bad
 
