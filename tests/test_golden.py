@@ -104,6 +104,8 @@ def _cases():
         # U/X at degree 5 on the Leibniz (non-Lie) identity crossed modules
         ("xul", "xmod-id-l2", "--degree", "5", *SLACK),
         ("verify", "prop42", "r2", "--degree", "5", *SLACK),
+        # Lemma 4.1's right side above degree 5
+        ("verify", "lemma41", "xmod-id-r2", "--degree", "7", *SLACK),
         # rational inputs: seeded basis changes of l2, r2 and their
         # identity crossed modules, whose constants have denominators
         ("ul", "rebased-l2", "--degree", "3", *SLACK),
