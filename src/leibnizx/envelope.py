@@ -131,9 +131,6 @@ class ULModule:
         return lincomb({w: self.word_mat(w) for w in cv}, cv, self.dim,
                        self.dim)
 
-    def act(self, cv, v):
-        return self.class_mat(cv).apply(v)
-
 
 def check_module(mod):
     """Indices of defining relations that fail to act as zero."""

@@ -33,7 +33,8 @@ from .linalg import LinearMap, lincomb, vec_add_scaled
 from .freealg import (HomomorphismError, TruncQuotAlgebra, filtration_basis,
                       induced_map, presented)
 from .leibniz import Action, LeibnizAlgebra, basis_vec, liezation, semidirect
-from .xmod import LeibnizXMod, cat1_matrices, check_xmod, xliez
+from .xmod import (LeibnizXMod, cat1_matrices, check_xmod, identity_violations,
+                   xliez)
 from .xul import (combine_verdict, kernel_product_quotient, report_degree_for,
                   xul)
 
@@ -865,10 +866,6 @@ class AssociatedXMod:
 
     Y: LMAssocXMod
 
-    def top_mult(self, u, v, bound):
-        """Product in (U(g) ⊗ M) ⊕ U(g)."""
-        return self.Y.target.mult(u, v, bound)
-
     def bottom_mult(self, u, v, bound):
         """Product in the bottom-row ambient (quotient bottom ⊕ top)."""
         Y = self.Y
@@ -900,52 +897,30 @@ class AssociatedXMod:
             _shift_vec(r, -Y.X.dst.bottom_dim))), 1)
         return out
 
-    def act(self, u, v, bound, reverse=False):
-        eu = self.embed_pair(u)
-        return self.bottom_mult(v, eu, bound) if reverse \
-            else self.bottom_mult(eu, v, bound)
-
 
 def associated_xmod(Y):
     return AssociatedXMod(Y)
 
 
 def check_associated_xmod(ax):
-    """Truncated associative crossed-module axioms on filtration bases at
-    the report degree: boundary multiplicativity and equivariance, and the
-    Peiffer identities.  Associativity of the top row is the target pair
-    algebra's, proven when its completion closes (``u_g_stabilized``)."""
+    """Truncated associative crossed-module axioms
+    (:func:`xmod.identity_violations`) on filtration bases at the report
+    degree, over every kernel row and every target class word.
+    Associativity of the top row is the target pair algebra's, proven when
+    its completion closes (``u_g_stabilized``)."""
     Y = ax.Y
     d = Y.report_degree
-    bad = []
     b_rows = [(db, Y.bottom.from_coords(v))
               for db, v in Y.b_ker_filtration(d)]
     b_rows += [(ds, Y._in_sq(Y.top.from_coords(v)))
                for ds, v in Y.s_ker_filtration(d)]
     a_rows = [(len(w), {w: 1}) for w in Y.target.class_words if len(w) <= d]
-
-    for du, u in b_rows:
-        tu = ax.boundary(u)
-        for dv, v in b_rows:
-            if du + dv > d:
-                continue
-            prod = ax.bottom_mult(u, v, d)
-            tv = ax.boundary(v)
-            if ax.boundary(prod) != ax.top_mult(tu, tv, d):
-                bad.append(("boundary_mult", (du, dv)))
-            if prod != ax.act(tu, v, d):
-                bad.append(("peiffer_left", (du, dv)))
-            if prod != ax.act(tv, u, d, reverse=True):
-                bad.append(("peiffer_right", (du, dv)))
-        for dr, r in a_rows:
-            if du + dr > d:
-                continue
-            if ax.boundary(ax.act(r, u, d)) != ax.top_mult(r, tu, d):
-                bad.append(("equivariance_left", (dr, du)))
-            if ax.boundary(ax.act(r, u, d, reverse=True)) != \
-                    ax.top_mult(tu, r, d):
-                bad.append(("equivariance_right", (dr, du)))
-    return bad
+    return identity_violations(
+        b_rows, a_rows, lambda u, v: ax.bottom_mult(u, v, d),
+        lambda u, v: Y.target.mult(u, v, d), ax.boundary,
+        lambda r, u: ax.bottom_mult(ax.embed_pair(r), u, d),
+        lambda u, r: ax.bottom_mult(u, ax.embed_pair(r), d),
+        "boundary_mult", d)
 
 
 # ---------------------------------------------------------------------------

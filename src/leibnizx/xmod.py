@@ -106,33 +106,58 @@ def integral(obj):
                             scaled(act.right_tensor, mu)))
 
 
-def _xmod_violations(x, axioms, action_axioms, mult, mult_basis, tags):
-    """Algebra and action axioms, then the boundary homomorphism, Peiffer
-    and equivariance identities on basis pairs, checked in ``int`` on the
-    integral copy of x (:func:`integral`).  tags names the axiom
-    violations of the bottom and top algebras and the boundary's."""
+def identity_violations(bottom, top, mult, top_mult, boundary, left, right,
+                        hom_tag, bound=None):
+    """The five crossed-module identities: the boundary is multiplicative
+    (tag hom_tag), Peiffer left and right on pairs of bottom rows, then
+    equivariance left and right on pairs (top row, bottom row).
+
+    bottom and top are lists of (label, vector); left(r, b) and right(b, r)
+    are the top's actions on the bottom.  A violation's tag is its pair of
+    labels.  With a bound the labels are degrees, and a pair is checked
+    only when its degrees sum to at most the bound."""
+    def within(la, lb):
+        return bound is None or la + lb <= bound
+
+    imaged = [(lb, b, boundary(b)) for lb, b in bottom]
+    bad = []
+    for la, a, ra in imaged:
+        for lb, b, rb in imaged:
+            if not within(la, lb):
+                continue
+            ab = mult(a, b)
+            if boundary(ab) != top_mult(ra, rb):
+                bad.append((hom_tag, (la, lb)))
+            if left(ra, b) != ab:
+                bad.append(("peiffer_left", (la, lb)))
+            if right(a, rb) != ab:
+                bad.append(("peiffer_right", (la, lb)))
+    for lr, r in top:
+        for lb, b, rb in imaged:
+            if not within(lr, lb):
+                continue
+            if boundary(left(r, b)) != top_mult(r, rb):
+                bad.append(("equivariance_left", (lr, lb)))
+            if boundary(right(b, r)) != top_mult(rb, r):
+                bad.append(("equivariance_right", (lr, lb)))
+    return bad
+
+
+def _xmod_violations(x, axioms, action_axioms, mult, tags):
+    """Algebra and action axioms, then the crossed-module identities
+    (:func:`identity_violations`) on basis vectors labelled by index,
+    checked in ``int`` on the integral copy of x (:func:`integral`).
+    tags names the axiom violations of the bottom and top algebras and the
+    boundary's."""
     q, p, eta, act = integral(x)
     bad = [(tags[0], v[:3]) for v in axioms(q)]
     bad += [(tags[1], v[:3]) for v in axioms(p)]
     bad += [("action", v) for v in action_axioms(act)]
-    for i in range(q.dim):
-        for j in range(q.dim):
-            qq = mult_basis(q, i, j)
-            if eta.apply(qq) != mult(p, eta.col(i), eta.col(j)):
-                bad.append((tags[2], (i, j)))
-            if act.left(eta.col(i), basis_vec(j)) != qq:
-                bad.append(("peiffer_left", (i, j)))
-            if act.right(basis_vec(i), eta.col(j)) != qq:
-                bad.append(("peiffer_right", (i, j)))
-    for i in range(p.dim):
-        for j in range(q.dim):
-            if eta.apply(act.left(basis_vec(i), basis_vec(j))) != \
-                    mult(p, basis_vec(i), eta.col(j)):
-                bad.append(("equivariance_left", (i, j)))
-            if eta.apply(act.right(basis_vec(j), basis_vec(i))) != \
-                    mult(p, eta.col(j), basis_vec(i)):
-                bad.append(("equivariance_right", (i, j)))
-    return bad
+    return bad + identity_violations(
+        [(i, basis_vec(i)) for i in range(q.dim)],
+        [(i, basis_vec(i)) for i in range(p.dim)],
+        lambda a, b: mult(q, a, b), lambda a, b: mult(p, a, b), eta.apply,
+        act.left, act.right, tags[2])
 
 
 def check_xmod(x):
@@ -140,13 +165,12 @@ def check_xmod(x):
     underlying algebra/action axioms.  Returns a list of violations."""
     return _xmod_violations(x, LeibnizAlgebra.check_leibniz, check_action,
                             LeibnizAlgebra.bracket,
-                            LeibnizAlgebra.bracket_basis,
                             ("leibniz_q", "leibniz_p", "eta_hom"))
 
 
 def check_assoc_xmod(x):
     return _xmod_violations(x, AssocAlgebra.check_assoc, check_assoc_action,
-                            AssocAlgebra.mult, AssocAlgebra.mult_basis,
+                            AssocAlgebra.mult,
                             ("assoc_B", "assoc_A", "rho_hom"))
 
 

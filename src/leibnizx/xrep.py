@@ -159,18 +159,8 @@ def check_xmod_rep(r):
     mu = r.mu
     LN, RN = r.rep_n.left_mats, r.rep_n.right_mats
     LM, RM = r.rep_m.left_mats, r.rep_m.right_mats
-
-    def ln(pv):
-        return r.rep_n.left(pv)
-
-    def rn(pv):
-        return r.rep_n.right(pv)
-
-    def lm(pv):
-        return r.rep_m.left(pv)
-
-    def rm(pv):
-        return r.rep_m.right(pv)
+    ln, rn = r.rep_n.left, r.rep_n.right
+    lm, rm = r.rep_m.left, r.rep_m.right
 
     for i in range(p.dim):
         if mu.compose(LN[i]) != LM[i].compose(mu):
@@ -370,11 +360,24 @@ def xmodule_to_rep(mod):
 def check_xmodule(mod):
     """Crossed-module-morphism conditions for (phi, psi) at the report
     degree: psi∘rho = Gamma∘phi on the kernel filtration basis, and the
-    two bimodule equations against embedded UL(p) classes."""
+    two bimodule equations against the embedded letters of UL(p).
+
+    The letters suffice, by the induction of
+    :func:`xul.check_trunc_xmod`: for a class word r = r′·g, embed(r)·b =
+    embed(r′)·(embed(g)·b) and b·embed(r) = (b·embed(r′))·embed(g), and
+    ``ULModule.class_mat`` folds the generator matrices, so psi(r) =
+    psi(g)∘psi(r′).  Then phi(embed(r)·b) = phi(embed(g)·b)∘psi_m(r′) =
+    phi(b)∘psi_m(r), and phi(b·embed(r)) = psi_n(g)∘phi(b·embed(r′)) =
+    psi_n(r)∘phi(b).  The unit gives phi(b) on both sides."""
     tx = mod.tx
     d = tx.report_degree
     bar, up = tx.ambient, tx.ul_p.quot
     bad = []
+    letters = [{w: 1} for w in up.class_words if len(w) == 1]
+
+    def phi(v):
+        return mod.phi(tx.B.coords(bar.to_coords(v)))
+
     rows = tx.b_filtration(d)
     for deg, v in rows:
         c = bar.to_coords(v)
@@ -387,21 +390,12 @@ def check_xmodule(mod):
             bad.append(("gamma_alpha", deg))
         if beta != mod.mu.compose(pb):
             bad.append(("gamma_beta", deg))
-        for i, w in enumerate(up.class_words):
-            du = len(w)
-            if w == () or deg + du > d:
-                continue
-            uvec = {i: 1}
-            ucls = up.from_coords(uvec)
-            a = tx.embed.apply(uvec)
-            ab = bar.mult(bar.from_coords(a), v, d)
-            ba = bar.mult(v, bar.from_coords(a), d)
-            phi_ab = mod.phi(tx.B.coords(bar.to_coords(ab)))
-            phi_ba = mod.phi(tx.B.coords(bar.to_coords(ba)))
-            if phi_ab != pb.compose(mod.psi_m.class_mat(ucls)):
-                bad.append(("phi_ab", (du, deg)))
-            if phi_ba != mod.psi_n.class_mat(ucls).compose(pb):
-                bad.append(("phi_ba", (du, deg)))
+        for u in letters if deg < d else ():
+            a = bar.from_coords(tx.embed.apply(up.to_coords(u)))
+            if phi(bar.mult(a, v, d)) != pb.compose(mod.psi_m.class_mat(u)):
+                bad.append(("phi_ab", (1, deg)))
+            if phi(bar.mult(v, a, d)) != mod.psi_n.class_mat(u).compose(pb):
+                bad.append(("phi_ba", (1, deg)))
     return bad
 
 

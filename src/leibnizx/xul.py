@@ -10,7 +10,6 @@ Everything is degree-truncated, so every verdict carries a report degree
 d <= D - 2 and stabilization certificates.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 from .linalg import LinearMap, Subspace, zero_subspace
@@ -18,7 +17,7 @@ from .freealg import (TruncQuotAlgebra, filtration_basis, induced_map,
                       subspace_product)
 from .leibniz import semidirect
 from .xmod import (LeibnizXMod, cat1_matrices, check_xmod, identity_xmod,
-                   integral, zero_xmod)
+                   identity_violations, integral, zero_xmod)
 from .envelope import ULAlgebra, ul, ul_images, ul_map
 
 
@@ -155,79 +154,65 @@ def xul(x, degree, slack=2, report_degree=None):
 
 
 def check_trunc_xmod(tx):
-    """CAs1/CAs2 and the crossed-module identities at the report degree.
+    """CAs1, CAs2, B closed under the UL(p) action, and the crossed-module
+    identities (:func:`xmod.identity_violations`, boundary rho) on
+    filtration rows with degree sums at most the report degree d, UL(p)
+    running over its unit and letters.
 
     Returns a list of violations (empty = pass at degree d).
+
+    The letters suffice.  ``embed`` is an ``induced_map``, a ``word_fold``,
+    so embed(r) = embed(r′)·embed(g) for a class word r = r′·g (a prefix
+    of a normal word is normal), and the ambient is associative when its
+    completion closes (Bergman's diamond lemma, Adv. Math. 29, 1978).  So
+    embed(r)·b = embed(r′)·(embed(g)·b) and b·embed(r) =
+    (b·embed(r′))·embed(g).  Induction on |r| then carries each check from
+    the letters to r: embed(g)·b and b·embed(r′) lie in B (checked for the
+    letters, and for r′ by induction) at fdeg at most fdeg(b) + 1 and
+    fdeg(b) + |r′|, where the filtration rows of B span them, so
+    rho(embed(r)·b) = r′·rho(embed(g)·b) = r′·g·rho(b) = r·rho(b), and
+    rho(b·embed(r)) = rho(b·embed(r′))·g = rho(b)·r′·g likewise.
+
+    A product that leaves B is reported as ``action_not_in_B``; rho is
+    not defined on it, so the identity that needs it fails too.
     """
     bad = []
     d = tx.report_degree
-    bar, up = tx.ambient, tx.ul_p
+    bar, up = tx.ambient, tx.ul_p.quot
+    for name, f in (("s", tx.bar_s), ("t", tx.bar_t)):
+        if f.compose(tx.embed) != LinearMap.identity(up.dim):
+            bad.append(("CAs1_" + name, None))
 
-    if tx.bar_s.compose(tx.embed) != LinearMap.identity(up.dim):
-        bad.append(("CAs1_s", None))
-    if tx.bar_t.compose(tx.embed) != LinearMap.identity(up.dim):
-        bad.append(("CAs1_t", None))
+    def mult(a, b):
+        return bar.mult(a, b, d)
 
-    def mult_coords(a, b, bound):
-        av, bv = bar.from_coords(a), bar.from_coords(b)
-        return bar.to_coords(bar.mult(av, bv, bound))
+    def embed(r):
+        return bar.from_coords(tx.embed.apply(up.to_coords(r)))
+
+    def rho(v):
+        """rho of an ambient class vector; None outside B."""
+        try:
+            c = tx.B.coords(bar.to_coords(v))
+        except ValueError:
+            return None
+        return up.from_coords(tx.rho.apply(c))
 
     B_rows = tx.b_filtration(d)
-    Kt = tx.bar_t.kernel()
-    Kt_rows = filtration_basis(bar, Kt, d)
-
-    # CAs2: kernel products vanish up to degree d
-    for da, va in B_rows:
-        for db, vb in Kt_rows:
-            if da + db > d:
-                continue
-            a, b = bar.to_coords(va), bar.to_coords(vb)
-            if mult_coords(a, b, d) or mult_coords(b, a, d):
+    Kt_rows = filtration_basis(bar, tx.bar_t.kernel(), d)
+    for da, a in B_rows:
+        for db, b in Kt_rows:
+            if da + db <= d and (mult(a, b) or mult(b, a)):
                 bad.append(("CAs2", (da, db)))
-
-    # crossed-module identities on filtration bases
-    up_rows = [(len(w), {i: 1})
-               for i, w in enumerate(up.quot.class_words) if len(w) <= d]
-    for da, va in B_rows:
-        a = bar.to_coords(va)
-        ra = tx.rho.apply(tx.B.coords(a))
-        for db, vb in B_rows:
-            if da + db > d:
-                continue
-            b = bar.to_coords(vb)
-            ab = mult_coords(a, b, d)
-            rb = tx.rho.apply(tx.B.coords(b))
-            # rho is multiplicative
-            lhs = tx.rho.apply(tx.B.coords(ab))
-            rhs = up.quot.to_coords(up.quot.mult(
-                up.quot.from_coords(ra), up.quot.from_coords(rb), d))
-            if lhs != rhs:
-                bad.append(("rho_hom", (da, db)))
-            # Peiffer: rho(a).b = a.b = a.rho(b)
-            if mult_coords(tx.embed.apply(ra), b, d) != ab:
-                bad.append(("peiffer_left", (da, db)))
-            if mult_coords(a, tx.embed.apply(rb), d) != ab:
-                bad.append(("peiffer_right", (da, db)))
-        for du, vu in up_rows:
-            if da + du > d:
-                continue
-            u = tx.embed.apply(vu)
-            ua = mult_coords(u, a, d)
-            au = mult_coords(a, u, d)
-            if not tx.B.contains_vec(ua) or not tx.B.contains_vec(au):
-                bad.append(("action_not_in_B", (du, da)))
-                continue
-            # equivariance: rho(u.b) = u rho(b), rho(b.u) = rho(b) u
-            uq = {i: c for i, c in vu.items()}
-            if tx.rho.apply(tx.B.coords(ua)) != up.quot.to_coords(
-                    up.quot.mult(up.quot.from_coords(uq),
-                                 up.quot.from_coords(ra), d)):
-                bad.append(("equivariance_left", (du, da)))
-            if tx.rho.apply(tx.B.coords(au)) != up.quot.to_coords(
-                    up.quot.mult(up.quot.from_coords(ra),
-                                 up.quot.from_coords(uq), d)):
-                bad.append(("equivariance_right", (du, da)))
-    return bad
+    top = [(len(w), {w: 1}) for w in up.class_words if len(w) <= 1]
+    for du, u in top:
+        for db, b in B_rows:
+            if du + db <= d and None in (rho(mult(embed(u), b)),
+                                         rho(mult(b, embed(u)))):
+                bad.append(("action_not_in_B", (du, db)))
+    return bad + identity_violations(
+        B_rows, top, mult, lambda a, b: up.mult(a, b, d), rho,
+        lambda r, b: mult(embed(r), b), lambda b, r: mult(b, embed(r)),
+        "rho_hom", d)
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +231,21 @@ def combine_verdict(ok, certificates):
 
 
 def _kernel_words_span(usd, nq, d):
-    """Span of classes of words of length <= d containing a pure-q letter."""
+    """Span of the classes of words of length <= d that contain a pure-q
+    letter: the span of the class words of length <= d that contain one.
+
+    q is an ideal of q ⋊ p and p a subalgebra, so each UL relation has a
+    q-letter in every term or in none.  Completion keeps that: an
+    ambiguity's two sides and each rewriting step x·l·y -> x·tail·y keep
+    the letters outside the rule, and a rule's words all have a q-letter
+    or none.  So do the completed rows, and a word with a q-letter
+    rewrites to class words with one, none of them longer.  Each class
+    word with a q-letter is its own class."""
     g = len(usd.quot.gens)
-    n_sd = g // 2
-    qletters = set(range(nq)) | set(range(n_sd, n_sd + nq))
-    vecs = []
-    for k in range(1, d + 1):
-        for w in itertools.product(range(g), repeat=k):
-            if any(c in qletters for c in w):
-                vecs.append(usd.quot.to_coords(usd.quot.reduce_word(w)))
-    return Subspace.from_vectors(usd.quot.dim, vecs)
+    qletters = set(range(nq)) | set(range(g // 2, g // 2 + nq))
+    return Subspace(usd.quot.dim, [
+        {i: 1} for i, w in enumerate(usd.quot.class_words)
+        if len(w) <= d and qletters.intersection(w)])
 
 
 def _lemma41_core(x, degree, slack, d):

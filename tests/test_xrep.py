@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from leibnizx.scalars import Q
@@ -97,3 +99,65 @@ def test_nontrivial_xi_representation(a1):
         mod = rep_to_xmodule(r, tx)
         assert not check_xmodule(mod)
         assert xmodule_to_rep(mod).xi1 == r.xi1
+
+
+def _full_loop_check(mod):
+    """Oracle for ``check_xmodule``: the bimodule equations against every
+    embedded class word of UL(p) but the unit, not only its letters."""
+    tx = mod.tx
+    d = tx.report_degree
+    bar, up = tx.ambient, tx.ul_p.quot
+    bad = []
+    rows = tx.b_filtration(d)
+    for deg, v in rows:
+        c = bar.to_coords(v)
+        bc = tx.B.coords(c)
+        rho_b = tx.rho.apply(bc)
+        alpha = mod.psi_n.class_mat(up.from_coords(rho_b))
+        beta = mod.psi_m.class_mat(up.from_coords(rho_b))
+        pb = mod.phi(bc)
+        if alpha != pb.compose(mod.mu):
+            bad.append(("gamma_alpha", deg))
+        if beta != mod.mu.compose(pb):
+            bad.append(("gamma_beta", deg))
+        for i, w in enumerate(up.class_words):
+            du = len(w)
+            if w == () or deg + du > d:
+                continue
+            uvec = {i: 1}
+            ucls = up.from_coords(uvec)
+            a = tx.embed.apply(uvec)
+            ab = bar.mult(bar.from_coords(a), v, d)
+            ba = bar.mult(v, bar.from_coords(a), d)
+            phi_ab = mod.phi(tx.B.coords(bar.to_coords(ab)))
+            phi_ba = mod.phi(tx.B.coords(bar.to_coords(ba)))
+            if phi_ab != pb.compose(mod.psi_m.class_mat(ucls)):
+                bad.append(("phi_ab", (du, deg)))
+            if phi_ba != mod.psi_n.class_mat(ucls).compose(pb):
+                bad.append(("phi_ba", (du, deg)))
+    return bad
+
+
+@pytest.mark.parametrize("D", [3, 4, 5])
+@pytest.mark.parametrize("name", ["xrep-id-a1.json",
+                                  "xrep-zero-incl-l2.json"])
+def test_checker_flags_what_the_full_loops_flag(load, name, D):
+    """check_xmodule on the letters of UL(p) against the loop over every
+    class word: both pass the module of a corpus representation, and they
+    agree on pass or fail with one phi column doubled and shifted by a
+    matrix unit, for each column in turn.  The corpus phi is zero, so
+    doubling alone would change nothing; on xrep-zero-incl-l2 mu and psi
+    are zero too, so only the bimodule equations can see the shift."""
+    r = load(name)
+    mod = rep_to_xmodule(r, xul(r.xmod, D, slack=1))
+    assert check_xmodule(mod) == [] == _full_loop_check(mod)
+    unit = LinearMap.from_cols(mod.n_dim, [{0: 1}] + [{}] * (mod.m_dim - 1))
+    flagged = 0
+    for j, f in enumerate(mod.phi_cols):
+        cols = list(mod.phi_cols)
+        cols[j] = f.scale(2).add(unit)
+        bent = dataclasses.replace(mod, phi_cols=tuple(cols))
+        got = check_xmodule(bent)
+        assert bool(got) == bool(_full_loop_check(bent)), j
+        flagged += bool(got)
+    assert flagged or D == 3

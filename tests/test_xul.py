@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import sys
 
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from leibnizx import io, lm, xul as xul_module
 from leibnizx.freealg import TruncQuotAlgebra, filtration_basis
 from leibnizx.scalars import Q
-from leibnizx.linalg import LinearMap, zero_subspace
-from leibnizx.leibniz import zero_action
+from leibnizx.envelope import ul
+from leibnizx.linalg import LinearMap, Subspace, zero_subspace
+from leibnizx.leibniz import semidirect, zero_action
 from leibnizx.xmod import (LeibnizXMod, check_xmod, identity_xmod,
                            zero_xmod)
 from leibnizx.xul import (check_trunc_xmod, embedding_squares_check,
@@ -308,3 +310,141 @@ def test_degree_one_kernel_rows_match_full_kernels(xmods, source, arg,
     for rows, (_, ker) in zip((kq.s_rows, kq.t_rows),
                               full_kernels(env, target, s_imgs, t_imgs)):
         assert rows == [v for _, v in filtration_basis(env, ker, 1)]
+
+
+def _full_loop_check(tx):
+    """Oracle for ``check_trunc_xmod``: CAs1, CAs2 and the crossed-module
+    identities on filtration rows with degree sums at most the report
+    degree, UL(p) running over every class word, not only its letters."""
+    bad = []
+    d = tx.report_degree
+    bar, up = tx.ambient, tx.ul_p
+
+    if tx.bar_s.compose(tx.embed) != LinearMap.identity(up.dim):
+        bad.append(("CAs1_s", None))
+    if tx.bar_t.compose(tx.embed) != LinearMap.identity(up.dim):
+        bad.append(("CAs1_t", None))
+
+    def mult_coords(a, b, bound):
+        av, bv = bar.from_coords(a), bar.from_coords(b)
+        return bar.to_coords(bar.mult(av, bv, bound))
+
+    B_rows = tx.b_filtration(d)
+    Kt = tx.bar_t.kernel()
+    Kt_rows = filtration_basis(bar, Kt, d)
+
+    # CAs2: kernel products vanish up to degree d
+    for da, va in B_rows:
+        for db, vb in Kt_rows:
+            if da + db > d:
+                continue
+            a, b = bar.to_coords(va), bar.to_coords(vb)
+            if mult_coords(a, b, d) or mult_coords(b, a, d):
+                bad.append(("CAs2", (da, db)))
+
+    # crossed-module identities on filtration bases
+    up_rows = [(len(w), {i: 1})
+               for i, w in enumerate(up.quot.class_words) if len(w) <= d]
+    for da, va in B_rows:
+        a = bar.to_coords(va)
+        ra = tx.rho.apply(tx.B.coords(a))
+        for db, vb in B_rows:
+            if da + db > d:
+                continue
+            b = bar.to_coords(vb)
+            ab = mult_coords(a, b, d)
+            rb = tx.rho.apply(tx.B.coords(b))
+            # rho is multiplicative
+            lhs = tx.rho.apply(tx.B.coords(ab))
+            rhs = up.quot.to_coords(up.quot.mult(
+                up.quot.from_coords(ra), up.quot.from_coords(rb), d))
+            if lhs != rhs:
+                bad.append(("rho_hom", (da, db)))
+            # Peiffer: rho(a).b = a.b = a.rho(b)
+            if mult_coords(tx.embed.apply(ra), b, d) != ab:
+                bad.append(("peiffer_left", (da, db)))
+            if mult_coords(a, tx.embed.apply(rb), d) != ab:
+                bad.append(("peiffer_right", (da, db)))
+        for du, vu in up_rows:
+            if da + du > d:
+                continue
+            u = tx.embed.apply(vu)
+            ua = mult_coords(u, a, d)
+            au = mult_coords(a, u, d)
+            if not tx.B.contains_vec(ua) or not tx.B.contains_vec(au):
+                bad.append(("action_not_in_B", (du, da)))
+                continue
+            # equivariance: rho(u.b) = u rho(b), rho(b.u) = rho(b) u
+            uq = {i: c for i, c in vu.items()}
+            if tx.rho.apply(tx.B.coords(ua)) != up.quot.to_coords(
+                    up.quot.mult(up.quot.from_coords(uq),
+                                 up.quot.from_coords(ra), d)):
+                bad.append(("equivariance_left", (du, da)))
+            if tx.rho.apply(tx.B.coords(au)) != up.quot.to_coords(
+                    up.quot.mult(up.quot.from_coords(ra),
+                                 up.quot.from_coords(uq), d)):
+                bad.append(("equivariance_right", (du, da)))
+    return bad
+
+
+def _perturbations(tx):
+    """tx with one of bar_s, bar_t, embed and rho given every other column
+    doubled (the same supports, so the same degrees; the odd columns under
+    its name, the even ones under its name with a prime)."""
+    out = {}
+    for name in ("bar_s", "bar_t", "embed", "rho"):
+        f = getattr(tx, name)
+        for even, key in ((0, name), (1, name + "'")):
+            cols = [{i: (1 + (j + even) % 2) * c for i, c in f.col(j).items()}
+                    for j in range(f.cols)]
+            out[key] = dataclasses.replace(
+                tx, **{name: LinearMap.from_cols(f.rows, cols)})
+    return out
+
+
+FULL_LOOP_CASES = (
+    [(name, D) for name in XMOD_NAMES for D in (3, 4, 5)]
+    + [((a, kind), D) for a in HSD_PARAMS for kind in ("identity", "inclusion")
+       for D in (3, 4)])
+
+
+@pytest.mark.parametrize(
+    "case,D", FULL_LOOP_CASES,
+    ids=lambda v: "hsd%d-%s" % v if isinstance(v, tuple) else str(v))
+def test_checker_flags_what_the_full_loops_flag(xmods, case, D):
+    """check_trunc_xmod, with UL(p) on its unit and letters, against the
+    full loops over every class word: both report nothing on the
+    envelope, and each perturbed envelope is flagged by the checker
+    exactly when the full loops flag it."""
+    x = xmods[case] if isinstance(case, str) else hemisemidirect_xmod(*case)
+    tx = xul(x, D, slack=1)
+    assert check_trunc_xmod(tx) == [] == _full_loop_check(tx)
+    for what, bent in _perturbations(tx).items():
+        assert bool(check_trunc_xmod(bent)) == bool(_full_loop_check(bent)), \
+            what
+
+
+def _word_enumeration_span(usd, nq, d):
+    """Oracle for Lemma 4.1's right side: the span of the classes of every
+    word of length <= d that contains a pure-q letter."""
+    g = len(usd.quot.gens)
+    qletters = set(range(nq)) | set(range(g // 2, g // 2 + nq))
+    return Subspace.from_vectors(usd.quot.dim, [
+        usd.quot.to_coords(usd.quot.reduce_word(w))
+        for k in range(1, d + 1)
+        for w in itertools.product(range(g), repeat=k)
+        if qletters.intersection(w)])
+
+
+@pytest.mark.parametrize("D", [3, 4, 5])
+@pytest.mark.parametrize(
+    "case", list(XMOD_NAMES) + [(a, kind) for a in HSD_PARAMS
+                                for kind in ("identity", "inclusion")],
+    ids=lambda v: "hsd%d-%s" % v if isinstance(v, tuple) else str(v))
+def test_kernel_words_span_matches_word_enumeration(xmods, case, D):
+    """The class words with a q-letter span what the classes of all words
+    with a q-letter span, at the report degree D - 2."""
+    x = xmods[case] if isinstance(case, str) else hemisemidirect_xmod(*case)
+    usd = ul(semidirect(x.action), D, 1)
+    got = xul_module._kernel_words_span(usd, x.q.dim, D - 2)
+    assert got == _word_enumeration_span(usd, x.q.dim, D - 2)
