@@ -113,8 +113,8 @@ def identity_violations(bottom, top, mult, top_mult, boundary, left, right,
     equivariance left and right on pairs (top row, bottom row).
 
     bottom and top are lists of (label, vector); left(r, b) and right(b, r)
-    are the top's actions on the bottom.  A violation's tag is its pair of
-    labels.  With a bound the labels are degrees, and a pair is checked
+    are the top's actions on the bottom.  A violation is (tag, pair of
+    labels).  With a bound the labels are degrees, and a pair is checked
     only when its degrees sum to at most the bound."""
     def within(la, lb):
         return bound is None or la + lb <= bound

@@ -523,6 +523,18 @@ CORPUS_XMODS = ("xmod-zero-a1.json", "xmod-id-a1.json", "xmod-id-l2.json",
 BEYOND = [(a, kind) for a in HSD_PARAMS for kind in ("identity", "inclusion")]
 
 
+@pytest.mark.parametrize("name", CORPUS_XMODS)
+def test_associated_xmod_identities(xmods, name):
+    """check_associated_xmod, through the shared identity loop, reports
+    nothing on the corpus at D4 and flags the embedding with every other
+    column doubled (either parity) wherever the kernels are not zero."""
+    Y = lm_xmod_envelope(xmod_to_lm(xmods[name]), 4, slack=1)
+    assert check_associated_xmod(associated_xmod(Y)) == []
+    bent = _perturbations(Y)
+    for what in ("emb", "emb'") if name != "xmod-zero-a1.json" else ():
+        assert check_associated_xmod(associated_xmod(bent[what])), what
+
+
 ORACLE_CASES = [(name, 4) for name in CORPUS_XMODS] + \
     [(case, 3) for case in BEYOND]
 

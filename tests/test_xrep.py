@@ -82,14 +82,21 @@ def test_module_morphism_checker(load):
     assert not check_xmodule_morphism(mod, mod, idn.scale(2), idm.scale(2))
 
 
-def test_nontrivial_xi_representation(a1):
+def _xi_rep(a1):
     """A representation with a nonzero bridge map: N = M = K over
     (A1, A1, id) with xi1 = -xi2 and everything else zero."""
-    x = identity_xmod(a1)
     one = LinearMap.identity(1)
-    r = LeibnizXModRep(x, LinearMap.zero(1, 1),
-                       zero_rep(a1, 1), zero_rep(a1, 1),
-                       (one,), (one.scale(-1),))
+    return LeibnizXModRep(identity_xmod(a1), LinearMap.zero(1, 1),
+                          zero_rep(a1, 1), zero_rep(a1, 1),
+                          (one,), (one.scale(-1),))
+
+
+def test_nontrivial_xi_representation(a1):
+    """The representation with a nonzero bridge map of _xi_rep: if it
+    fails, it fails a bridge axiom; else its module passes and gives xi1
+    back."""
+    r = _xi_rep(a1)
+    x = r.xmod
     bad = check_xmod_rep(r)
     if bad:
         # whichever identity fails must name a bridge axiom
@@ -140,15 +147,16 @@ def _full_loop_check(mod):
 
 @pytest.mark.parametrize("D", [3, 4, 5])
 @pytest.mark.parametrize("name", ["xrep-id-a1.json",
-                                  "xrep-zero-incl-l2.json"])
+                                  "xrep-zero-incl-l2.json", "xi-a1"])
 def test_checker_flags_what_the_full_loops_flag(load, name, D):
     """check_xmodule on the letters of UL(p) against the loop over every
-    class word: both pass the module of a corpus representation, and they
-    agree on pass or fail with one phi column doubled and shifted by a
-    matrix unit, for each column in turn.  The corpus phi is zero, so
-    doubling alone would change nothing; on xrep-zero-incl-l2 mu and psi
-    are zero too, so only the bimodule equations can see the shift."""
-    r = load(name)
+    class word: both pass the module of a corpus representation and of
+    _xi_rep, whose phi is not zero, and they agree on pass or fail with one phi
+    column doubled and shifted by a matrix unit, for each column in turn.
+    The corpus phi is zero, so doubling alone would change nothing; on
+    xrep-zero-incl-l2 mu and psi are zero too, so only the bimodule
+    equations can see the shift."""
+    r = _xi_rep(load("a1.json")) if name == "xi-a1" else load(name)
     mod = rep_to_xmodule(r, xul(r.xmod, D, slack=1))
     assert check_xmodule(mod) == [] == _full_loop_check(mod)
     unit = LinearMap.from_cols(mod.n_dim, [{0: 1}] + [{}] * (mod.m_dim - 1))
