@@ -111,6 +111,9 @@ def _cases():
         ("ul", "rebased-l2", "--degree", "3", *SLACK),
         ("lm", "rebased-xmod-id-l2", "--degree", "5", *SLACK),
         ("verify", "squares", "rebased-l2", "--degree", "3", *SLACK),
+        # Theorem 5 with a nonzero Phi: the representation of
+        # tests/test_xrep.py::_xi_rep, xi1 = -xi2 = id over (A1, A1, id)
+        ("verify", "thm5", "xrep-xi-a1", "--degree", "3", *SLACK),
     ]
     return {"-".join(c).replace("--", ""): c for c in cases}
 

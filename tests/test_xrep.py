@@ -1,7 +1,9 @@
 import dataclasses
+import pathlib
 
 import pytest
 
+from leibnizx import io
 from leibnizx.scalars import Q
 from leibnizx.linalg import LinearMap
 from leibnizx.xmod import check_assoc_xmod, identity_xmod
@@ -89,6 +91,14 @@ def _xi_rep(a1):
     return LeibnizXModRep(identity_xmod(a1), LinearMap.zero(1, 1),
                           zero_rep(a1, 1), zero_rep(a1, 1),
                           (one,), (one.scale(-1),))
+
+
+def test_xi_rep_file_is_xi_rep(a1):
+    """tests/rational/xrep-xi-a1.json, which the golden cases run through
+    check and verify thm5, is _xi_rep written by io.dumps."""
+    path = pathlib.Path(__file__).resolve().parent / "rational" / \
+        "xrep-xi-a1.json"
+    assert path.read_text("utf-8") == io.dumps(_xi_rep(a1))
 
 
 def test_nontrivial_xi_representation(a1):
