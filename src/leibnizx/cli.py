@@ -157,7 +157,7 @@ def cmd_lm(args):
     recs = [
         record("dimensions", "pass", top_dim=Y.top.dim,
                bottom_dim=Y.bottom.dim,
-               b_ker_dim_upto_d=len(Y.b_ker_filtration(d)),
+               b_ker_dim_upto_d=Y.b_ker_dim_upto(d),
                report_degree=d),
         violations_record("crossed_module_identities",
                           check_lm_assoc_xmod(Y)),

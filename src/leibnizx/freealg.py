@@ -62,19 +62,26 @@ class TruncIdeal:
         """The words of length <= degree that contain no leading word,
         length-first then lexicographically.  A word is normal when its
         prefix is and no leading word ends it, so each length extends the
-        normal words of the one before, in order, letter by letter; only
-        the suffixes no longer than the longest leading word can be one."""
-        longest = max(map(len, self._leading), default=0)
+        normal words of the one before, in order, letter by letter.  A
+        leading word that ends w·g has length at most the longest, L, so
+        which letters g may follow a normal w depends only on w's last
+        L - 1 letters, its context; each context's letters are found once."""
+        k = max(map(len, self._leading), default=1) - 1
+        follow = {}
 
-        def normal(w):
-            return not any(w[i:] in self._leading
-                           for i in range(max(len(w) - longest, 0),
-                                          len(w) + 1))
+        def letters(ctx):
+            return [g for g in range(ngens)
+                    if not any((ctx + (g,))[i:] in self._leading
+                               for i in range(len(ctx) + 1))]
 
-        out = [()] if normal(()) else []
+        out = [] if () in self._leading else [()]
         for w in out:  # breadth first: out grows as it is read
             if len(w) < degree:
-                out += [w + (g,) for g in range(ngens) if normal(w + (g,))]
+                ctx = w[max(len(w) - k, 0):]
+                gs = follow.get(ctx)
+                if gs is None:
+                    gs = follow[ctx] = letters(ctx)
+                out += [w + (g,) for g in gs]
         return tuple(out)
 
 

@@ -36,6 +36,7 @@ modules read a map through ``col``, ``apply``, ``compose`` and ``lincomb``
 and build one with ``from_cols``, ``zero`` or ``identity``.
 """
 
+from functools import cached_property
 from math import gcd
 
 from .scalars import Q, exact
@@ -289,22 +290,26 @@ class Subspace:
         return all(self.contains_vec(r) for r in other.rows)
 
     def coords(self, v):
-        """Sparse coordinates of v in the canonical basis; raises if v is
-        not inside.
+        """Sparse coordinates of v in the canonical basis, in row order;
+        raises if v is not inside.
 
         With an RREF basis the coordinate along each row is just the entry
-        of v at that row's pivot.
+        of v at that row's pivot, so only v's support is looked up.
         """
+        row_of = self._row_of
         out = {}
         w = {}
-        for i, (p, r) in enumerate(zip(self.pivots, self.rows)):
-            c = v.get(p, 0)
-            if c != 0:
-                out[i] = c
-                vec_add_scaled(w, r, c)
+        for i, c in sorted((row_of[k], c) for k, c in v.items()
+                           if c != 0 and k in row_of):
+            out[i] = c
+            vec_add_scaled(w, self.rows[i], c)
         if w != {k: x for k, x in v.items() if x != 0}:
             raise ValueError("vector not in subspace")
         return out
+
+    @cached_property
+    def _row_of(self):
+        return {p: i for i, p in enumerate(self.pivots)}
 
     def sum(self, other):
         self._check_ambient(other)

@@ -359,6 +359,12 @@ def pair_algebra(L, U, slack):
 # enveloping crossed module in the category
 
 
+def _on_first(f, n):
+    """f on its first n source coordinates: on F_k of a length-first
+    basis for n = dim_upto(k)."""
+    return LinearMap.from_cols(f.rows, [f.col(j) for j in range(n)])
+
+
 class BottomBasis:
     """The bottom row's basis: the class words x·v of sq or of a pair
     algebra that end in a module letter (a letter below nv), in its
@@ -521,6 +527,21 @@ class LMAssocXMod:
 
     def b_ker_filtration(self, d):
         return [(deg, v) for deg, v in self.b_filtration if deg <= d]
+
+    def kernel_generators(self):
+        """(k_s, K_2): the canonical rows of Ker us2 ∩ F_1 in top
+        coordinates and of Ker us1 ∩ F_2 in bottom coordinates, the
+        kernels of us2 and us1 on their first dim_upto(1) and dim_upto(2)
+        coordinates; they generate both kernels
+        (:func:`check_lm_assoc_xmod`)."""
+        return (_on_first(self.us2, self.top.dim_upto(1)).kernel().rows,
+                _on_first(self.us1, self.bottom.dim_upto(2)).kernel().rows)
+
+    def b_ker_dim_upto(self, d):
+        """dim Ker us1 ∩ F_d: F_d is the first bottom.dim_upto(d)
+        coordinates, as ``BottomBasis`` is length-first."""
+        n = self.bottom.dim_upto(d)
+        return n - _on_first(self.us1, n).rank()
 
     def s_ker_filtration(self, d):
         return [(deg, self.top.to_coords(v))
@@ -717,17 +738,37 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
 
 def check_lm_assoc_xmod(Y):
     """The action and crossed-module identities of the enveloping object
-    at the report degree d, each on filtration bases with degree sums at
-    most d, and on generators where an induction gives the rest.
+    at the report degree d, on generators, with degree sums at most d;
+    an induction gives every other pair of filtration rows.
 
     U(g), the target, the top and sq are presented algebras, associative
     when their completions close (the certificates); the target's
     connecting map is a bimodule map (:func:`pair_algebra`).  emb, us2 and
-    ut2 are ``induced_map``s, so algebra maps; us1, ut1 and the connecting
-    map are bimodule maps over us2, ut2 and the top, as they are defined
-    on the words x·v and kill Y' (:func:`lm_xmod_envelope`).  So Ker us2
-    is an ideal of the top and Ker us1 a sub-bimodule of the bottom: both
-    are closed under the top's action.
+    ut2 are ``induced_map``s, so algebra maps, and ut2∘emb = id, as t2 is
+    the identity on g's letters; us1, ut1 and the connecting map are
+    bimodule maps over us2, ut2 and the top, as they are defined on the
+    words x·v and kill Y' (:func:`lm_xmod_envelope`).  So Ker us2 is an
+    ideal of the top and Ker us1 a sub-bimodule of the bottom.  Their
+    generators k_s = Ker us2 ∩ F_1 and K_2 = Ker us1 ∩ F_2 are computed
+    from the envelope's own maps (:meth:`LMAssocXMod.kernel_generators`).
+
+    Two spanning statements carry the reductions; all degrees are at most
+    d.  (S) Ker us2 ∩ F_k is spanned by the a·u and by the u·a for a in
+    k_s and |u| <= k - 1 (the argument of :func:`freealg.subspace_product`
+    with x·a = a·x + [x,a], as k_s is a Lie ideal).  (B) Ker us1 ∩ F_k is
+    spanned by the x·b and by the b·x for b in K_2 and |x| + fdeg b <= k.
+    Proof of (B): π(y ⊗ v) = y·v is a map of left top-modules from top ⊗
+    V onto the bottom with kernel Y', and us1∘π = us2 ⊗ s1, as us1 is
+    us2 ⊗ s1 on the words x·v and us2 ⊗ s1 kills Y'.  The bottom's class
+    words x·v have top class words x, so π maps F_{k-1} ⊗ V onto F_k, and
+    Ker us1 ∩ F_k = π(K) for K the kernel of us2 ⊗ s1 on F_{k-1} ⊗ V.
+    The kernel of f ⊗ g on W ⊗ V is Ker(f on W) ⊗ V + W ⊗ Ker g, so K is
+    spanned by the u·a ⊗ v (by (S)) and the x ⊗ n for n in N = Ker s1,
+    and π(K) by the u·π(a ⊗ v) and x·π(1 ⊗ n), whose factors lie in K_2.
+    For the right products, a top letter l and a b = y·v give l·b - b·l =
+    π([l,y] ⊗ v - y ⊗ [v,l]), in Ker us1 ∩ F_{fdeg b}, so x·b - b·x lies
+    in Ker us1 ∩ F_{k-1} for |x| + fdeg b <= k, and by induction on k the
+    b·x span Ker us1 ∩ F_k too.
 
     - The U(g) side runs over the unit and the letters.  A class word r
       with |r| >= 1 is r'·g for its prefix r', a class word, and a letter
@@ -737,45 +778,70 @@ def check_lm_assoc_xmod(Y):
       |r|: emb(r)·s = emb(r')·(emb(g)·s) with emb(g)·s in Ker us2, so
       ut2(emb(r)·s) = r'·ut2(emb(g)·s) = r'·g·ut2(s); and s·emb(r) =
       (s·emb(r'))·emb(g) with s·emb(r') in Ker us2 ∩ F_{d-1}, so
-      ut2(s·emb(r)) = ut2(s)·r'·g (t2_equivariance).  The same induction
-      over Ker us1 gives t1_equivariance.
-    - xi1(x ⊗ m, s) = emb(x)·(m·s) and xi2(s, x ⊗ m) = (s·emb(x))·m in
-      sq.  So xi1(a, s)·s' = xi1(a, s·s'), s·xi2(s', a) = xi2(s·s', a) and
-      s·xi1(a, s') = xi2(s, a)·s' restate associativity of sq, which its
-      closed completion proves; they are not checked.
-    - The bridge identities run over the degree-one rows a = 1 ⊗ m and s
-      in Ker us2 ∩ F_{d-1}.  Let y = xi1(1 ⊗ m, s), in Ker us1.  Then
-      xi1(x ⊗ m, s) = emb(x)·y: its us1 is x·us1(y) = 0, its ut1 is
-      x·ut1(y) = x·((1 ⊗ m)·ut2(s)) = (x ⊗ m)·ut2(s) (t1_equivariance),
-      and its connecting image is emb(x)·emb(alpha(m))·s =
-      emb(x·alpha(m))·s.  And xi2(s, x ⊗ m) = xi2(s', 1 ⊗ m) for s' =
-      s·emb(x) in Ker us2 ∩ F_{ds+|x|}, with ut2(s') = ut2(s)·x
-      (t2_equivariance): it lies in Ker us1, its ut1 is ut2(s)·x ⊗ m =
-      ut2(s)·(x ⊗ m), and its connecting image is s'·emb(alpha(m)) =
-      s·emb(x·alpha(m)).
-    - In each Peiffer identity one Ker us2 factor runs over the
-      degree-one rows k_s alone.  Ker us2 ∩ F_k is spanned by the a·u and
-      by the u·a for a in k_s and |u| <= k - 1 (the argument of
-      :func:`freealg.subspace_product`, with x·a = a·x + [x,a] as k_s is a
-      Lie ideal).  By associativity of the top and of sq, both sides of
-      s·s2 = emb(ut2(s))·s2 are right top-linear in s2, those of s·s2 =
-      s·emb(ut2(s2)) left top-linear in s, and for y in U(g) ⊗ M and b in
-      Ker us1, xi1(y, s·u) = xi1(y, s)·u, b·(s·u) = (b·s)·u, xi2(u·s, y) =
-      u·xi2(s, y) and (u·s)·b = u·(s·b).
+      ut2(s·emb(r)) = ut2(s)·r'·g.  The same induction over Ker us1 gives
+      t1_equivariance.
+    - t2_equivariance runs s over k_s.  ut2 is multiplicative, so
+      ut2(emb(g)·a·u) = ut2(emb(g)·a)·ut2(u) = g·ut2(a·u) and
+      ut2(u·a·emb(g)) = ut2(u)·ut2(a)·g = ut2(u·a)·g, and (S) gives every
+      s in Ker us2 ∩ F_{d-1}.
+    - t1_equivariance runs b over K_2.  ut1 is a bimodule map over ut2, so
+      ut1(emb(g)·b·x) = g·ut1(b)·ut2(x) = g·ut1(b·x) and ut1(x·b·emb(g)) =
+      ut2(x)·ut1(b)·g = ut1(x·b)·g, and (B) gives every b.
+    - xi1(x ⊗ m, s) = emb(x)·((1 ⊗ m)·s) = σ(x ⊗ m)·s and xi2(s, x ⊗ m) =
+      s·σ(x ⊗ m) in sq, for σ the s-section; σ(r·y) = emb(r)·σ(y) and
+      σ(y·r) = σ(y)·emb(r), as [(0,m), emb(g)] = (0, [m,g]).  So xi1(y,
+      s)·s' = xi1(y, s·s'), s·xi2(s', y) = xi2(s·s', y) and s·xi1(y, s') =
+      xi2(s, y)·s' restate associativity of sq, which its closed completion
+      proves; they are not checked.
+    - The bridge identities run over the degree-one rows y = 1 ⊗ m and s
+      in k_s.  Let z = xi1(1 ⊗ m, s), in Ker us1.  Then xi1(x ⊗ m, s) =
+      emb(x)·z: its us1 is x·us1(z) = 0, its ut1 is x·ut1(z) = x·((1 ⊗
+      m)·ut2(s)) = (x ⊗ m)·ut2(s) (t1_equivariance), and its connecting
+      image is emb(x)·emb(alpha(m))·s = emb(x·alpha(m))·s.  And xi2(s, x ⊗
+      m) = xi2(s', 1 ⊗ m) for s' = s·emb(x) in Ker us2 ∩ F_{ds+|x|}, with
+      ut2(s') = ut2(s)·x (t2_equivariance): it lies in Ker us1, its ut1 is
+      ut2(s)·x ⊗ m = ut2(s)·(x ⊗ m), and its connecting image is
+      s'·emb(alpha(m)) = s·emb(x·alpha(m)).  For s = a·u with a in k_s,
+      xi1(y, a·u) = xi1(y, a)·u, whose us1, ut1 and connecting image are
+      those of xi1(y, a) times us2(u), ut2(u) and u on the right; for s =
+      u·a, xi2(u·a, y) = u·xi2(a, y), the same on the left.  (S) gives
+      every s in Ker us2 ∩ F_{d-1}.
+    - peiffer_top runs both factors over k_s.  Each side of s·s2 =
+      emb(ut2(s))·s2 is right top-linear in s2, and of s·s2 =
+      s·emb(ut2(s2)) left top-linear in s, so by (S) the checks give (a -
+      emb(ut2(a)))·s2 = 0 and s·(a - emb(ut2(a))) = 0 for a in k_s and s,
+      s2 in Ker us2.  The top is generated by its letters, and F_1 of the
+      top is the unit, emb(g) and k_s, as us2∘emb = id; x - emb(ut2(x)) is
+      0 on the unit and on emb(g) (ut2∘emb = id).  For x = l·x' with l in
+      F_1, x - emb(ut2(x)) = (l - emb(ut2(l)))·x' + emb(ut2(l))·(x' -
+      emb(ut2(x'))), and x'·s2 is in Ker us2; so by induction on |x|, (x -
+      emb(ut2(x)))·s2 = 0 for every x, and s·(x - emb(ut2(x))) = 0 from x
+      = x'·l: both Peiffer identities on every pair.
+    - peiffer_xi runs b over K_2 and s over k_s: xi1(ut1(b), s) = b·s and
+      xi2(s, ut1(b)) = s·b read b·a = σ(ut1(b))·a and a·b = a·σ(ut1(b)) for
+      b in K_2 and a in k_s, so by (S), with s = a·u and s = u·a, b·s =
+      σ(ut1(b))·s and s·b = s·σ(ut1(b)) for every s in Ker us2.  For b·x:
+      xi1(ut1(b·x), s) = σ(ut1(b)·ut2(x))·s = σ(ut1(b))·emb(ut2(x))·s,
+      and (b·x)·s = b·(x·s) = σ(ut1(b))·x·s, equal by the top identity
+      (x - emb(ut2(x)))·s = 0 above.  For x·b: s·(x·b) = (s·x)·b =
+      s·x·σ(ut1(b)) and xi2(s, ut1(x·b)) = s·emb(ut2(x))·σ(ut1(b)), equal
+      by s·(x - emb(ut2(x))) = 0.  (B) gives every b.
     """
     d = Y.report_degree
-    Ug, top, tb = Y.ug, Y.top, Y.target_bottom
+    Ug, top, tb, bottom = Y.ug, Y.top, Y.target_bottom, Y.bottom
     bad = []
 
     r_gens = [(len(w), {w: 1}, Y.r_on_top({w: 1}))
               for w in Ug.class_words if len(w) <= 1]
-    b_rows = Y.b_ker_filtration(d)
     a_rows = [(len(w), {i: 1}) for i, w in enumerate(tb.words)
               if len(w) <= d]
-    s_cls = []
-    for ds, v in Y.s_ker_filtration(d):
+    s_gens, b_gens = Y.kernel_generators()
+    k_s = []
+    for v in s_gens:
         ts = Ug.from_coords(Y.ut2.apply(v))
-        s_cls.append((ds, top.from_coords(v), ts, Y.r_on_top(ts)))
+        s = top.from_coords(v)
+        k_s.append((top.fdeg(s), s, ts, Y.r_on_top(ts)))
+    b_rows = [(max(len(bottom.words[i]) for i in v), v) for v in b_gens]
 
     # cat-style splittings of the two s-maps
     for dr, r, _ in r_gens:
@@ -787,13 +853,14 @@ def check_lm_assoc_xmod(Y):
             bad.append(("s1_section", da))
 
     # top row: boundary is equivariant, Peiffer products hold
-    k_s = [a for ds, a, _, _ in s_cls if ds == 1]
-    for ds, s, ts, ets in s_cls:
-        for a in k_s if ds < d else ():
+    for ds, s, ts, ets in k_s:
+        for ds2, a, _, _ in k_s:
+            if ds + ds2 > d:
+                continue
             if top.mult(s, a, d) != top.mult(ets, a, d):
-                bad.append(("peiffer_top_left", (ds, 1)))
+                bad.append(("peiffer_top_left", (ds, ds2)))
             if top.mult(a, s, d) != top.mult(a, ets, d):
-                bad.append(("peiffer_top_right", (1, ds)))
+                bad.append(("peiffer_top_right", (ds2, ds)))
         for dr, r, rt in r_gens:
             if dr + ds > d:
                 continue
@@ -821,7 +888,7 @@ def check_lm_assoc_xmod(Y):
         a = {tb.index[(k,)]: 1}
         ca = Y.r_on_top(Ug.reduce(
             {(j,): c for j, c in Y.X.dst.alpha.col(k).items()}))
-        for ds, s, ts, _ in s_cls:
+        for ds, s, ts, _ in k_s:
             if 1 + ds > d:
                 continue
             x1 = Y.xi1(a, s, d)
@@ -840,11 +907,13 @@ def check_lm_assoc_xmod(Y):
     # Peiffer identities tying the two rows together
     for db, b in b_rows:
         tbv = Y.ut1.apply(b)
-        for a in k_s if db < d else ():
+        for ds, a, _, _ in k_s:
+            if db + ds > d:
+                continue
             if Y.xi1(tbv, a, d) != Y.right_mult(b, a, d):
-                bad.append(("peiffer_xi1", (db, 1)))
+                bad.append(("peiffer_xi1", (db, ds)))
             if Y.xi2(a, tbv, d) != Y.left_mult(a, b, d):
-                bad.append(("peiffer_xi2", (db, 1)))
+                bad.append(("peiffer_xi2", (db, ds)))
     return bad
 
 
@@ -958,6 +1027,11 @@ def theta_check(x, degree, slack=2, report_degree=None):
     P has sq's letters, so a class word of P is a word of sq, and theta's
     image in the quotient row is sq's class of it.  That projection is
     linear, not multiplicative: sq has alpha = 0.
+
+    ``unit_ok`` cannot fail: ``induced_map`` sends the unit word to P's
+    unit by construction (:func:`freealg.word_fold` starts its memo
+    there).  It stays because the report's keys, and so the goldens,
+    carry it.
     """
     d = report_degree_for(degree, report_degree)
     tx = xul(x, degree, slack, report_degree=d)
@@ -997,8 +1071,7 @@ def theta_check(x, degree, slack=2, report_degree=None):
         P.to_coords(P.unit())
     pre_dims_ok = all(usd1.dim_upto(k) == P.dim_upto(k)
                       for k in range(d + 1))
-    pre_rank_ok = LinearMap.from_cols(
-        P.dim, [theta.col(j) for j in range(n)]).rank() == n
+    pre_rank_ok = _on_first(theta, n).rank() == n
 
     # the quotient ideal lands in its categorical counterpart
     to_sq = LinearMap.from_cols(

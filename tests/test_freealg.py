@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from leibnizx.scalars import Q
 from leibnizx.envelope import ul, ul_relations
-from leibnizx.freealg import (HomomorphismError, filtration_basis,
-                              groebner_basis, ideal_span, induced_map,
-                              presented, rewriter, subspace_product, word_key)
+from leibnizx.freealg import (HomomorphismError, TruncIdeal,
+                              filtration_basis, groebner_basis, ideal_span,
+                              induced_map, presented, rewriter,
+                              subspace_product, word_key)
 from leibnizx.leibniz import liezation
 from leibnizx.linalg import Echelon, Subspace
 from leibnizx.lm import lie_relations
@@ -207,6 +208,53 @@ def test_quotient_matches_generator_products_open_or_closed():
                 {w: Q(1)}, rows, word_key), w
         seen.add(quot.ideal.stabilized)
     assert seen == {True, False}
+
+
+def _normal_words_by_suffixes(ideal, ngens, degree):
+    """Oracle for TruncIdeal.normal_words: the breadth-first enumeration
+    that tests each candidate word's suffixes up to the longest leading
+    word's length against the leading words."""
+    leading = {min(r, key=word_key) for r in ideal.rows}
+    longest = max(map(len, leading), default=0)
+
+    def normal(w):
+        return not any(w[i:] in leading
+                       for i in range(max(len(w) - longest, 0), len(w) + 1))
+
+    out = [()] if normal(()) else []
+    for w in out:
+        if len(w) < degree:
+            out += [w + (g,) for g in range(ngens) if normal(w + (g,))]
+    return tuple(out)
+
+
+def test_normal_words_match_the_suffix_enumeration():
+    """normal_words, which finds the letters that may follow each context
+    once, against the enumeration over every suffix: on the completed
+    bases of seeded random relation sets (leading words of lengths one to
+    four, as completion adds longer rows) and on ideals whose rows are
+    random words of mixed lengths, the same words in the same order."""
+    rng = random.Random(24)
+    lengths = set()
+    for _ in range(200):
+        n, D = rng.randint(2, 3), rng.randint(2, 5)
+        words = [w for w in _WORDS if all(x < n for x in w)]
+        rels = [{w: rng.randint(-2, 2)
+                 for w in rng.sample(words, rng.randint(1, 3))}
+                for _ in range(rng.randint(2, 4))]
+        ideal = presented(_gens(n), rels, D, slack=rng.randint(0, 1)).ideal
+        lengths |= {len(min(r, key=word_key)) for r in ideal.rows}
+        assert ideal.normal_words(n, D) == \
+            _normal_words_by_suffixes(ideal, n, D)
+    for _ in range(200):
+        n, D = rng.randint(1, 3), rng.randint(0, 6)
+        rows = [{tuple(rng.randrange(n) for _ in range(rng.randint(1, 4))): 1}
+                for _ in range(rng.randint(0, 4))]
+        ideal = TruncIdeal(rows, True)
+        lengths |= {len(w) for r in rows for w in r}
+        assert ideal.normal_words(n, D) == \
+            _normal_words_by_suffixes(ideal, n, D)
+    assert {1, 2, 3, 4} <= lengths
 
 
 def test_rewriter_chain_longer_than_the_recursion_limit():

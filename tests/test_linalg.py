@@ -75,6 +75,50 @@ def test_subspace_coords_roundtrip_and_rejection():
         pass
 
 
+def _coords_by_rows(s, v):
+    """Oracle for Subspace.coords: every row in turn, reading v at its
+    pivot."""
+    out, w = {}, {}
+    for i, (p, r) in enumerate(zip(s.pivots, s.rows)):
+        c = v.get(p, 0)
+        if c != 0:
+            out[i] = c
+            vec_add_scaled(w, r, c)
+    if w != {k: x for k, x in v.items() if x != 0}:
+        raise ValueError("vector not in subspace")
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 7),
+       st.lists(st.dictionaries(st.integers(0, 6), st.integers(-3, 3),
+                                max_size=4), max_size=5),
+       st.lists(st.integers(-2, 2), min_size=5, max_size=5),
+       st.dictionaries(st.integers(0, 6), st.integers(-2, 2), max_size=2))
+def test_subspace_coords_match_the_row_loop(n, raw, mix, noise):
+    """coords, which looks up v's support among the pivots, against the
+    loop over every row: the same coordinates in the same (row) order for
+    a combination of the rows with explicit zeros in it, and ValueError
+    from both for that combination moved off the subspace."""
+    s = Subspace.from_vectors(n, [{k: x for k, x in r.items() if k < n and x}
+                                  for r in raw])
+    v = {}
+    for r, c in zip(s.rows, mix):
+        vec_add_scaled(v, r, c)
+    got = s.coords({**{k: 0 for k in range(n)}, **v})
+    assert got == _coords_by_rows(s, v)
+    assert list(got) == sorted(got)
+    off = vec_add_scaled(dict(v), {k: x for k, x in noise.items() if k < n},
+                         1)
+    try:
+        want = _coords_by_rows(s, off)
+    except ValueError:
+        with pytest.raises(ValueError):
+            s.coords(off)
+    else:
+        assert s.coords(off) == want
+
+
 def test_subspace_sum_intersect():
     a = Subspace.from_vectors(3, [sv((0, 1))])
     b = Subspace.from_vectors(3, [sv((0, 1), (1, 1))])

@@ -504,6 +504,90 @@ def test_checker_flags_what_the_full_loops_flag(xmods, name, degree):
         assert check_lm_assoc_xmod(bent[what]), what
 
 
+REBASED_XMODS = ("xmod-id-a1", "xmod-id-l2", "xmod-id-r2", "xmod-zero-l2")
+
+
+@pytest.fixture(scope="module")
+def rebased_xmods(tmp_path_factory):
+    """The seeded basis changes (seeds 1 and 2) of REBASED_XMODS."""
+    out = {}
+    for seed in (1, 2):
+        paths = rebase.write_rebased(
+            str(CORPUS), str(tmp_path_factory.mktemp("rebased%d" % seed)),
+            seed)
+        for name in REBASED_XMODS:
+            out[seed, name] = io.load_path(paths[name])
+    return out
+
+
+BEYOND_CHECKER_CASES = [("hsd", a, kind) for a in HSD_PARAMS
+                        for kind in ("identity", "inclusion")] + \
+    [("rebased", seed, name) for seed in (1, 2) for name in REBASED_XMODS]
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+@pytest.mark.parametrize("case", BEYOND_CHECKER_CASES,
+                         ids=lambda c: "%s%s-%s" % c)
+def test_checker_matches_the_full_loops_beyond_the_corpus(rebased_xmods,
+                                                          case, degree):
+    """The checker on generators against the full loops on the
+    hemisemidirect crossed modules and on seeded basis changes of the
+    corpus, whose kernel rows carry dense rational coefficients: both
+    report nothing, and each perturbed envelope is flagged by one exactly
+    when it is flagged by the other."""
+    kind, a, b = case
+    x = hemisemidirect_xmod(a, b) if kind == "hsd" else rebased_xmods[a, b]
+    Y = lm_xmod_envelope(xmod_to_lm(x), degree, slack=1)
+    assert check_lm_assoc_xmod(Y) == [] == _full_loop_check(Y)
+    for what, Z in _perturbations(Y).items():
+        assert bool(check_lm_assoc_xmod(Z)) == bool(_full_loop_check(Z)), what
+
+
+def _span(dim, vectors):
+    return Subspace.from_vectors(dim, vectors)
+
+
+@pytest.mark.parametrize("name,degree", [
+    (name, degree) for name in ("xmod-zero-a1.json", "xmod-id-a1.json",
+                                "xmod-id-l2.json", "xmod-incl-l2.json",
+                                "xmod-id-r2.json", "hsd2-identity",
+                                "hsd-1-inclusion")
+    for degree in ((3, 4) if name == "xmod-id-r2.json" else (3, 4, 5, 6))])
+def test_kernels_are_generated_in_low_degree(xmods, name, degree):
+    """The spanning statements of check_lm_assoc_xmod's docstring, at
+    every k <= D: Ker us2 ∩ F_k is spanned by the a·u and by the u·a for a
+    in Ker us2 ∩ F_1 and |u| <= k - 1, and Ker us1 ∩ F_k by the x·b and by
+    the b·x for b in Ker us1 ∩ F_2 and |x| + fdeg b <= k, against the
+    filtration bases, with the generators the checker takes
+    (LMAssocXMod.kernel_generators); and b_ker_dim_upto counts Ker us1 ∩
+    F_k."""
+    if name.startswith("hsd"):
+        a, kind = name[3:].rsplit("-", 1)
+        x = hemisemidirect_xmod(int(a), kind)
+    else:
+        x = xmods[name]
+    Y = lm_xmod_envelope(xmod_to_lm(x), degree, slack=1)
+    top, bottom = Y.top, Y.bottom
+    s_gens, b_gens = Y.kernel_generators()
+    k_s = [top.from_coords(v) for v in s_gens]
+    k_2 = [(max(len(bottom.words[i]) for i in v), v) for v in b_gens]
+    words = [(len(u), {u: 1}) for u in top.class_words]
+    for k in range(degree + 1):
+        s_want = _span(top.dim, [v for _, v in Y.s_ker_filtration(k)])
+        for prods in ((top.mult(a, u) for a in k_s
+                       for du, u in words if du <= k - 1),
+                      (top.mult(u, a) for a in k_s
+                       for du, u in words if du <= k - 1)):
+            assert _span(top.dim, map(top.to_coords, prods)) == s_want, k
+        b_want = _span(bottom.dim, [v for _, v in Y.b_ker_filtration(k)])
+        assert Y.b_ker_dim_upto(k) == b_want.dim, k
+        for prods in ((Y.left_mult(u, b, degree) for db, b in k_2
+                       for du, u in words if du + db <= k),
+                      (Y.right_mult(b, u, degree) for db, b in k_2
+                       for du, u in words if du + db <= k)):
+            assert _span(bottom.dim, prods) == b_want, k
+
+
 @pytest.mark.parametrize("kind", ["identity", "inclusion"])
 @pytest.mark.parametrize("a", HSD_PARAMS)
 def test_theta_beyond_the_corpus(a, kind):
