@@ -543,10 +543,6 @@ def test_checker_matches_the_full_loops_beyond_the_corpus(rebased_xmods,
         assert bool(check_lm_assoc_xmod(Z)) == bool(_full_loop_check(Z)), what
 
 
-def _span(dim, vectors):
-    return Subspace.from_vectors(dim, vectors)
-
-
 @pytest.mark.parametrize("name,degree", [
     (name, degree) for name in ("xmod-zero-a1.json", "xmod-id-a1.json",
                                 "xmod-id-l2.json", "xmod-incl-l2.json",
@@ -573,19 +569,22 @@ def test_kernels_are_generated_in_low_degree(xmods, name, degree):
     k_2 = [(max(len(bottom.words[i]) for i in v), v) for v in b_gens]
     words = [(len(u), {u: 1}) for u in top.class_words]
     for k in range(degree + 1):
-        s_want = _span(top.dim, [v for _, v in Y.s_ker_filtration(k)])
+        s_want = Subspace.from_vectors(
+            top.dim, [v for _, v in Y.s_ker_filtration(k)])
         for prods in ((top.mult(a, u) for a in k_s
                        for du, u in words if du <= k - 1),
                       (top.mult(u, a) for a in k_s
                        for du, u in words if du <= k - 1)):
-            assert _span(top.dim, map(top.to_coords, prods)) == s_want, k
-        b_want = _span(bottom.dim, [v for _, v in Y.b_ker_filtration(k)])
+            assert Subspace.from_vectors(
+                top.dim, map(top.to_coords, prods)) == s_want, k
+        b_want = Subspace.from_vectors(
+            bottom.dim, [v for _, v in Y.b_ker_filtration(k)])
         assert Y.b_ker_dim_upto(k) == b_want.dim, k
         for prods in ((Y.left_mult(u, b, degree) for db, b in k_2
                        for du, u in words if du + db <= k),
                       (Y.right_mult(b, u, degree) for db, b in k_2
                        for du, u in words if du + db <= k)):
-            assert _span(bottom.dim, prods) == b_want, k
+            assert Subspace.from_vectors(bottom.dim, prods) == b_want, k
 
 
 @pytest.mark.parametrize("kind", ["identity", "inclusion"])
