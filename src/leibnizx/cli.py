@@ -77,8 +77,8 @@ def cmd_check(args):
     elif isinstance(obj, LeibnizRep):
         recs = [violations_record("representation", check_rep(obj))]
     else:  # envelope module data
-        mod = obj.to_ul_module(ul(obj.algebra, args.degree, args.slack))
-        recs = [violations_record("module_relations", check_module(mod))]
+        recs = [violations_record("module_relations",
+                                  check_module(obj.to_ul_module()))]
     return Report("check", {"path": args.path, "kind": kind}, recs)
 
 
@@ -103,14 +103,13 @@ def cmd_ul(args):
                    dims_by_degree=[alg.dim_upto(k)
                                    for k in range(args.degree + 1)],
                    dim=alg.dim)]
-    certs = {"ideal_stabilized": alg.stabilized}
+    certs = {"ideal_stabilized": alg.ideal.stabilized}
     recs += _stability_records(certs)
     rep = Report("ul", params, recs, certs)
     if args.dump_basis:
-        gens = alg.quot.gens
         recs.append(record(
             "basis", "pass",
-            classes=[_word_str(gens, w) for w in alg.quot.class_words]))
+            classes=[_word_str(alg.gens, w) for w in alg.class_words]))
     return rep
 
 
@@ -134,7 +133,7 @@ def cmd_xul(args):
     ]
     recs += _stability_records(tx.certificates)
     if args.dump_basis:
-        gens = tx.ul_sd.quot.gens
+        gens = tx.ul_sd.gens
         rows = [(deg, {i: c for i, c in sorted(v.items())})
                 for deg, v in tx.b_filtration(d)]
         recs.append(record("b_filtration", "pass",

@@ -19,7 +19,7 @@ three representation axioms into exactly the relations above.
 from dataclasses import dataclass
 
 from .linalg import LinearMap, lincomb, vec_add_scaled
-from .freealg import TruncQuotAlgebra, induced_map, presented
+from .freealg import induced_map, presented
 from .leibniz import LeibnizAlgebra, LeibnizRep
 
 
@@ -42,67 +42,34 @@ def ul_relations(p):
     return rels
 
 
-@dataclass(frozen=True)
-class ULAlgebra:
-    """Truncated enveloping algebra: a presented quotient plus bookkeeping
-    for the two generator blocks."""
-
-    p: LeibnizAlgebra
-    quot: TruncQuotAlgebra
-
-    @property
-    def degree(self):
-        return self.quot.degree
-
-    @property
-    def dim(self):
-        return self.quot.dim
-
-    @property
-    def stabilized(self):
-        return self.quot.ideal.stabilized
-
-    def dim_upto(self, d):
-        return self.quot.dim_upto(d)
-
-    def _block_class(self, pvec, off):
-        out = {}
-        for i, c in pvec.items():
-            vec_add_scaled(out, self.quot.gen_class(off + i), c)
-        return out
-
-    def left_class(self, pvec):
-        """Class of x_l for x given in p-coordinates."""
-        return self._block_class(pvec, 0)
-
-    def right_class(self, pvec):
-        """Class of x_r for x given in p-coordinates."""
-        return self._block_class(pvec, self.p.dim)
-
-
 def ul(p, degree, slack=2):
-    """The degree-<=degree piece of the enveloping algebra of p."""
+    """The degree-<=degree piece of the enveloping algebra of p: the
+    presented quotient on the generators x_l (l-block) and x_r (r-block)
+    by :func:`ul_relations`."""
     gens = tuple("%s_l" % b for b in p.basis) + \
         tuple("%s_r" % b for b in p.basis)
-    return ULAlgebra(p, presented(gens, ul_relations(p), degree, slack))
+    return presented(gens, ul_relations(p), degree, slack)
 
 
 def ul_images(dst, f):
-    """Generator images x_l -> f(x)_l, x_r -> f(x)_r in dst of the envelope
-    map induced by a linear map f into dst.p, l-block first."""
+    """Generator images x_l -> f(x)_l, x_r -> f(x)_r in the envelope dst of
+    the envelope map induced by a linear map f into dst's algebra: the
+    classes of f's columns in the l-block and in the r-block (offset
+    f.rows), l-block first."""
     cols = [f.col(i) for i in range(f.cols)]
-    return [dst.left_class(c) for c in cols] + \
-        [dst.right_class(c) for c in cols]
+    return [dst.reduce({(off + k,): c for k, c in col.items()})
+            for off in (0, f.rows) for col in cols]
 
 
 def ul_map(src, dst, f):
-    """Functoriality: a Leibniz homomorphism f: src.p -> dst.p (as a
-    LinearMap) induces an algebra map on the truncated envelopes.
+    """Functoriality: a Leibniz homomorphism f: p -> p' (as a LinearMap)
+    induces an algebra map from the truncated envelope src of p to the
+    truncated envelope dst of p'.
 
     Raises HomomorphismError if the generator images do not kill src's
     relation ideal (e.g. if f is not a homomorphism).
     """
-    return induced_map(src.quot, dst.quot, ul_images(dst, f))
+    return induced_map(src, dst, ul_images(dst, f))
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +78,13 @@ def ul_map(src, dst, f):
 
 @dataclass(frozen=True)
 class ULModule:
-    """Left module over a truncated envelope: one matrix per generator.
+    """Left module over the envelope of p: one matrix per generator.
 
     Words act leftmost-factor-first; the defining relations must act as
     zero, which makes the action of any ideal element vanish identically.
     """
 
-    ul: ULAlgebra
+    p: LeibnizAlgebra
     dim: int
     gen_mats: tuple  # one LinearMap per free generator (l-block then r-block)
 
@@ -135,22 +102,20 @@ class ULModule:
 def check_module(mod):
     """Indices of defining relations that fail to act as zero."""
     bad = []
-    for k, rel in enumerate(ul_relations(mod.ul.p)):
+    for k, rel in enumerate(ul_relations(mod.p)):
         if not mod.class_mat(rel).is_zero():
             bad.append(k)
     return bad
 
 
-def rep_to_module(ulalg, rep):
+def rep_to_module(rep):
     """x_l acts by m -> [x,m], x_r by m -> [m,x]."""
-    if rep.algebra is not ulalg.p and rep.algebra != ulalg.p:
-        raise ValueError("representation is over a different algebra")
     mats = tuple(rep.left_mats) + tuple(rep.right_mats)
-    return ULModule(ulalg, rep.module_dim, mats)
+    return ULModule(rep.algebra, rep.module_dim, mats)
 
 
 def module_to_rep(mod):
     """Restrict the generator action back to the two copies of p."""
-    n = mod.ul.p.dim
-    return LeibnizRep(mod.ul.p, mod.dim,
+    n = mod.p.dim
+    return LeibnizRep(mod.p, mod.dim,
                       tuple(mod.gen_mats[:n]), tuple(mod.gen_mats[n:]))

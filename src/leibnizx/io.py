@@ -31,6 +31,7 @@ from .leibniz import Action, LeibnizAlgebra, LeibnizRep
 from .assoc import AssocAlgebra
 from .xmod import LeibnizXMod
 from .xrep import LeibnizXModRep
+from .envelope import ULModule
 
 
 class FormatError(ValueError):
@@ -293,8 +294,7 @@ def _dump_xmod_rep(r):
 
 class ModuleData:
     """Generator matrices for a left module over the envelope of an
-    algebra; pair with ``envelope.ul`` at a chosen degree via
-    ``to_ul_module``."""
+    algebra; ``to_ul_module`` gives them as an ``envelope.ULModule``."""
 
     def __init__(self, algebra, module_names, gen_mats):
         self.algebra = algebra
@@ -307,11 +307,8 @@ class ModuleData:
                 and self.module_names == other.module_names
                 and self.gen_mats == other.gen_mats)
 
-    def to_ul_module(self, ulalg):
-        from .envelope import ULModule
-        if ulalg.p != self.algebra:
-            raise ValueError("module is over a different algebra")
-        return ULModule(ulalg, len(self.module_names), self.gen_mats)
+    def to_ul_module(self):
+        return ULModule(self.algebra, len(self.module_names), self.gen_mats)
 
 
 def _load_module(data, base_dir):

@@ -449,7 +449,12 @@ class LinearMap:
         return Subspace.from_vectors(self.rows, self._columns)
 
     def rank(self):
-        return self.image().dim
+        """The number of rows an echelon basis of the columns keeps; no
+        canonical basis is back-substituted."""
+        ech = Echelon()
+        for v in self._columns:
+            ech.insert(v)
+        return len(ech)
 
     def restrict(self, sub):
         """Restriction to a subspace of the source, in its canonical

@@ -44,35 +44,22 @@ from .xul import (combine_verdict, kernel_product_quotient, report_degree_for,
 
 
 @dataclass(frozen=True)
-class LMObject:
-    """A linear map bottom -> top."""
-
-    bottom_dim: int
-    top_dim: int
-    alpha: LinearMap
-
-    def __post_init__(self):
-        if self.alpha.rows != self.top_dim or \
-                self.alpha.cols != self.bottom_dim:
-            raise ValueError("structure map has the wrong shape")
-
-
-@dataclass(frozen=True)
 class LMLieObject:
-    """Lie algebra in the category: top is a Lie algebra, the bottom a
-    right module over it, the structure map equivariant."""
+    """Lie algebra in the category: a linear map alpha from the bottom to a
+    Lie algebra, the top; the bottom is a right module over the top, and
+    alpha is equivariant."""
 
-    obj: LMObject
+    alpha: LinearMap   # bottom -> top
     lie: LeibnizAlgebra
     right_mats: tuple  # per top-basis LinearMap bottom -> bottom, m -> [m,g_k]
 
-    @property
-    def bottom_dim(self):
-        return self.obj.bottom_dim
+    def __post_init__(self):
+        if self.alpha.rows != self.lie.dim:
+            raise ValueError("structure map has the wrong shape")
 
     @property
-    def alpha(self):
-        return self.obj.alpha
+    def bottom_dim(self):
+        return self.alpha.cols
 
     def right(self, gvec):
         return lincomb(self.right_mats, gvec, self.bottom_dim, self.bottom_dim)
@@ -219,22 +206,19 @@ def _quotient_action(bracket_right, proj, dim):
     return tuple(bracket_right(basis_vec(c)) for c in comp)
 
 
-def _leibniz_object(p):
-    """(p -> Liez(p)) with the right action induced by the bracket,
-    unchecked."""
-    Lp, projp = liezation(p)
-
+def _leibniz_object(p, lie, proj):
+    """(p -> lie) for a quotient map proj of p onto a Lie algebra lie, with
+    the right action induced by the bracket, unchecked."""
     def right_by(v):
         return LinearMap.from_cols(
             p.dim, [p.bracket(basis_vec(a), v) for a in range(p.dim)])
 
-    mats = _quotient_action(right_by, projp, p.dim)
-    return LMLieObject(LMObject(p.dim, Lp.dim, projp), Lp, mats)
+    return LMLieObject(proj, lie, _quotient_action(right_by, proj, p.dim))
 
 
 def leibniz_to_lm(p):
     """(p -> Liez(p)) with the right action induced by the bracket."""
-    out = _leibniz_object(p)
+    out = _leibniz_object(p, *liezation(p))
     bad = check_lm_lie_object(out)
     if bad:
         raise ValueError("Leibniz embedding fails Lie-object checks: %r"
@@ -249,15 +233,9 @@ def xmod_to_lm(x):
     two Lie objects and its top row, the crossed module ``xliez`` gives."""
     xbar, proj_qbar, projp = xliez(x)
     q, p = x.q, x.p
-    dst = _leibniz_object(p)
+    dst = _leibniz_object(p, xbar.p, projp)
     h = xbar.q
-
-    def q_right_by(v):
-        return LinearMap.from_cols(
-            q.dim, [q.bracket(basis_vec(a), v) for a in range(q.dim)])
-
-    src_mats = _quotient_action(q_right_by, proj_qbar, q.dim)
-    src = LMLieObject(LMObject(q.dim, h.dim, proj_qbar), h, src_mats)
+    src = _leibniz_object(q, h, proj_qbar)
 
     def n_right_by(v):
         return LinearMap.from_cols(
@@ -576,8 +554,7 @@ def lm_semidirect_object(X):
     conn_cols = [dict(X.src.alpha.col(a)) for a in range(n_dim)] + \
         [{h.dim + b: c for b, c in X.dst.alpha.col(i).items()}
          for i in range(m_dim)]
-    obj = LMObject(nv, sd.dim, LinearMap.from_cols(sd.dim, conn_cols))
-    out = LMLieObject(obj, sd, mats)
+    out = LMLieObject(LinearMap.from_cols(sd.dim, conn_cols), sd, mats)
     bad = check_lm_lie_object(out)
     if bad:
         raise ValueError("semidirect carrier fails Lie-object checks: %r"
@@ -967,10 +944,6 @@ class AssociatedXMod:
         return out
 
 
-def associated_xmod(Y):
-    return AssociatedXMod(Y)
-
-
 def check_associated_xmod(ax):
     """Truncated associative crossed-module axioms
     (:func:`xmod.identity_violations`) on filtration bases at the report
@@ -1037,7 +1010,7 @@ def theta_check(x, degree, slack=2, report_degree=None):
     tx = xul(x, degree, slack, report_degree=d)
     X = xmod_to_lm(x)
     Y = lm_xmod_envelope(X, degree, slack, report_degree=d)
-    usd1, bar, sq = tx.ul_sd.quot, tx.ambient, Y.sq
+    usd1, bar, sq = tx.ul_sd, tx.ambient, Y.sq
     P = pair_algebra(Y.carrier, Y.usd, slack)
 
     certs = dict(Y.certificates)
@@ -1060,7 +1033,7 @@ def theta_check(x, degree, slack=2, report_degree=None):
 
     try:
         theta = induced_map(usd1, P, images(P, Y.carrier))
-        theta_p = induced_map(tx.ul_p.quot, Y.target, images(Y.target, X.dst))
+        theta_p = induced_map(tx.ul_p, Y.target, images(Y.target, X.dst))
     except HomomorphismError:
         return {**rec, "relations_killed": False, **dims,
                 "verdict": combine_verdict(False, certs.values())}

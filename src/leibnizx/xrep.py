@@ -307,9 +307,9 @@ def rep_to_xmodule(r, tx):
     bad = check_xmod_rep(r)
     if bad:
         raise ValueError("not a representation: %r" % bad[:3])
-    psi_n = ULModule(tx.ul_p, r.n_dim,
+    psi_n = ULModule(tx.x.p, r.n_dim,
                      tuple(r.rep_n.left_mats) + tuple(r.rep_n.right_mats))
-    psi_m = ULModule(tx.ul_p, r.m_dim,
+    psi_m = ULModule(tx.x.p, r.m_dim,
                      tuple(r.rep_m.left_mats) + tuple(r.rep_m.right_mats))
     for mod in (psi_n, psi_m):
         bad = check_module(mod)
@@ -340,13 +340,12 @@ def xmodule_to_rep(mod):
     x = tx.x
     nq, np_ = x.q.dim, x.p.dim
     n_sd = nq + np_
-    n_gen = tx.ul_p.p.dim
     rep_n = LeibnizRep(x.p, mod.n_dim,
-                       tuple(mod.psi_n.gen_mats[:n_gen]),
-                       tuple(mod.psi_n.gen_mats[n_gen:]))
+                       tuple(mod.psi_n.gen_mats[:np_]),
+                       tuple(mod.psi_n.gen_mats[np_:]))
     rep_m = LeibnizRep(x.p, mod.m_dim,
-                       tuple(mod.psi_m.gen_mats[:n_gen]),
-                       tuple(mod.psi_m.gen_mats[n_gen:]))
+                       tuple(mod.psi_m.gen_mats[:np_]),
+                       tuple(mod.psi_m.gen_mats[np_:]))
 
     def phi_of_word(g):
         v = tx.ambient.to_coords(tx.ambient.reduce_word((g,)))
@@ -371,7 +370,7 @@ def check_xmodule(mod):
     psi_n(r)∘phi(b).  The unit gives phi(b) on both sides."""
     tx = mod.tx
     d = tx.report_degree
-    bar, up = tx.ambient, tx.ul_p.quot
+    bar, up = tx.ambient, tx.ul_p
     bad = []
     letters = [{w: 1} for w in up.class_words if len(w) == 1]
 

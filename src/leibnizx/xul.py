@@ -18,7 +18,7 @@ from .freealg import (TruncQuotAlgebra, filtration_basis, induced_map,
 from .leibniz import semidirect
 from .xmod import (LeibnizXMod, cat1_matrices, check_xmod, identity_xmod,
                    identity_violations, integral, zero_xmod)
-from .envelope import ULAlgebra, ul, ul_images, ul_map
+from .envelope import ul, ul_images, ul_map
 
 
 class XModAxiomError(ValueError):
@@ -39,8 +39,8 @@ class TruncAssocXMod:
     """Degree-truncated (Ker s̄, UL(p), t̄|) with its ambient quotient."""
 
     x: LeibnizXMod
-    ul_sd: ULAlgebra        # UL(q ⋊ p) before the kernel-product quotient
-    ul_p: ULAlgebra
+    ul_sd: TruncQuotAlgebra  # UL(q ⋊ p) before the kernel-product quotient
+    ul_p: TruncQuotAlgebra
     ambient: TruncQuotAlgebra
     pi: LinearMap           # UL(q⋊p) class coords -> ambient class coords
     bar_s: LinearMap        # ambient -> UL(p)
@@ -140,13 +140,13 @@ def xul(x, degree, slack=2, report_degree=None):
     smat, tmat = cat1_matrices(x.eta)
     section = [nq + i for i in range(x.p.dim)] + \
         [n_sd + nq + i for i in range(x.p.dim)]
-    kq = kernel_product_quotient(usd.quot, up.quot, ul_images(up, smat),
+    kq = kernel_product_quotient(usd, up, ul_images(up, smat),
                                  ul_images(up, tmat), section, slack)
     B = kq.bar_s.kernel()
     rho = kq.bar_t.restrict(B)
     certs = {
-        "ul_semidirect_stabilized": usd.stabilized,
-        "ul_p_stabilized": up.stabilized,
+        "ul_semidirect_stabilized": usd.ideal.stabilized,
+        "ul_p_stabilized": up.ideal.stabilized,
         "kernel_product_stabilized": kq.quot.ideal.stabilized,
     }
     return TruncAssocXMod(x, usd, up, kq.quot, kq.pi, kq.bar_s, kq.bar_t,
@@ -178,7 +178,7 @@ def check_trunc_xmod(tx):
     """
     bad = []
     d = tx.report_degree
-    bar, up = tx.ambient, tx.ul_p.quot
+    bar, up = tx.ambient, tx.ul_p
     for name, f in (("s", tx.bar_s), ("t", tx.bar_t)):
         if f.compose(tx.embed) != LinearMap.identity(up.dim):
             bad.append(("CAs1_" + name, None))
@@ -241,10 +241,10 @@ def _kernel_words_span(usd, nq, d):
     or none.  So do the completed rows, and a word with a q-letter
     rewrites to class words with one, none of them longer.  Each class
     word with a q-letter is its own class."""
-    g = len(usd.quot.gens)
+    g = len(usd.gens)
     qletters = set(range(nq)) | set(range(g // 2, g // 2 + nq))
-    return Subspace(usd.quot.dim, [
-        {i: 1} for i, w in enumerate(usd.quot.class_words)
+    return Subspace(usd.dim, [
+        {i: 1} for i, w in enumerate(usd.class_words)
         if len(w) <= d and qletters.intersection(w)])
 
 
@@ -255,11 +255,10 @@ def _lemma41_core(x, degree, slack, d):
     smat, _ = cat1_matrices(x.eta)
     Us = ul_map(usd, up, smat)
     Ks = Us.kernel()
-    rows = filtration_basis(usd.quot, Ks, d)
-    lhs = Subspace.from_vectors(
-        usd.quot.dim, [usd.quot.to_coords(v) for _, v in rows])
+    rows = filtration_basis(usd, Ks, d)
+    lhs = Subspace.from_vectors(usd.dim, [usd.to_coords(v) for _, v in rows])
     rhs = _kernel_words_span(usd, x.q.dim, d)
-    return lhs, rhs, usd.stabilized, up.stabilized
+    return lhs, rhs, usd.ideal.stabilized, up.ideal.stabilized
 
 
 def lemma41_check(x, degree, slack=2, report_degree=None):
@@ -304,7 +303,7 @@ def section_into_b(tx, eps):
     Ueps = ul_map(tx.ul_p, tx.ul_sd, eps)
     comp = tx.pi.compose(Ueps)
     cols = []
-    for j, w in enumerate(tx.ul_p.quot.class_words):
+    for j, w in enumerate(tx.ul_p.class_words):
         if w == ():
             cols.append({})
             continue
@@ -331,7 +330,7 @@ def prop42_check(p, degree, slack=2, report_degree=None):
     eps = LinearMap.from_cols(2 * n, [{i: 1} for i in range(n)])
     sigma = section_into_b(tx, eps)
 
-    up = tx.ul_p.quot
+    up = tx.ul_p
     ok_there = True
     for i, w in enumerate(up.class_words):
         if len(w) > d or w == ():

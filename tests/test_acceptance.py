@@ -100,7 +100,7 @@ def test_c03_ul_dimensions(a1, l2):
     t0 = time.time()
     for D in (2, 3, 4):
         alg = ul(a1, D)
-        assert alg.stabilized
+        assert alg.ideal.stabilized
         assert alg.dim == 2 * D + 1
         assert brute_force_ul_dim(a1, D) == 2 * D + 1
     lie, _ = liezation(l2)
@@ -108,7 +108,7 @@ def test_c03_ul_dimensions(a1, l2):
     u = lambda d: d + 1  # dim of the polynomial ring k[t] up to degree d
     for D in (2, 3):
         alg = ul(l2, D)
-        assert alg.stabilized
+        assert alg.ideal.stabilized
         expect = u(D) + u(D - 1) * 2
         assert alg.dim == expect
         assert brute_force_ul_dim(l2, D) == expect
@@ -120,13 +120,12 @@ def test_c04_rep_module_equivalence(load):
     assert len(REP_NAMES) >= 5
     for name in REP_NAMES:
         rep = load(name)
-        alg = ul(rep.algebra, 3)
-        mod = rep_to_module(alg, rep)
+        mod = rep_to_module(rep)
         assert not check_module(mod), name
         assert module_to_rep(mod) == rep, name
         # multiplicativity of the module structure at D = 3: words act
         # leftmost factor first, so psi(ab) = psi(b) o psi(a)
-        quot = alg.quot
+        quot = ul(rep.algebra, 3)
         for w1 in quot.class_words:
             for w2 in quot.class_words:
                 if len(w1) + len(w2) > 3:

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from leibnizx import io
+from leibnizx import cli, envelope, io
 from leibnizx.cli import main
 from leibnizx.xrep import zero_xmod_rep
 
 from conftest import CORPUS, HSD_PARAMS, corpus_path, hemisemidirect_xmod
+from test_golden import CASES, GOLDEN, _run
 from test_io import shape_cases
 
 
@@ -42,6 +43,20 @@ def test_check_every_corpus_kind(capsys):
                        ("bad-xrep-a1.json", 1)):
         rc, _, _ = run(capsys, "check", corpus_path(name))
         assert rc == want, name
+
+
+def test_check_module_builds_no_envelope(monkeypatch):
+    """check on a module file reads only the file: with ul and presented
+    made to raise, it exits 0 with its golden's bytes."""
+    def no_envelope(*args, **kwargs):
+        raise AssertionError("check built an envelope")
+
+    monkeypatch.setattr(cli, "ul", no_envelope)
+    monkeypatch.setattr(envelope, "presented", no_envelope)
+    name = "check-module-a1-r"
+    want = json.loads((GOLDEN / (name + ".json")).read_text("utf-8"))
+    assert want["exit"] == 0
+    assert _run(CASES[name]) == want
 
 
 def test_malformed_input_exit_2(capsys, tmp_path):

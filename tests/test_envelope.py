@@ -10,7 +10,8 @@ from leibnizx.linalg import LinearMap
 from leibnizx.freealg import HomomorphismError
 from leibnizx.leibniz import liezation, semidirect, zero_rep
 from leibnizx.envelope import (ULModule, check_module, module_to_rep,
-                               rep_to_module, ul, ul_map, ul_relations)
+                               rep_to_module, ul, ul_images, ul_map,
+                               ul_relations)
 from leibnizx.lm import u_lie
 
 from conftest import CORPUS
@@ -30,7 +31,7 @@ def test_ul_dimensions_abelian(a1):
     # leave 2D + 1 classes up to degree D
     for D in (2, 3, 4):
         alg = ul(a1, D)
-        assert alg.stabilized
+        assert alg.ideal.stabilized
         assert alg.dim == 2 * D + 1
 
 
@@ -40,18 +41,23 @@ def test_ul_dimensions_l2(l2):
     assert lie.dim == 1
     for D in (2, 3):
         alg = ul(l2, D)
-        assert alg.stabilized
+        assert alg.ideal.stabilized
         u_dims = lambda d: d + 1  # U of a 1-dim Lie algebra
         assert alg.dim == u_dims(D) + u_dims(D - 1) * 2
 
 
-def test_left_right_classes(l2):
+def test_ul_images_blocks(l2):
+    """The images of f's columns in the l-block, then in the r-block
+    (letters offset by f.rows), each the class alg.reduce gives.  A letter
+    can reduce to zero: b_r = [a,a]_r = 0 in UL(L2)."""
     alg = ul(l2, 2)
-    v = {0: Q(1), 1: Q(2)}
-    lc = alg.left_class(v)
-    assert lc == {(0,): Q(1), (1,): Q(2)}
-    rc = alg.right_class({0: Q(1)})
-    assert rc == {(2,): Q(1)}
+    f = LinearMap.from_cols(2, [{0: Q(1), 1: Q(2)}, {1: Q(1)}])
+    images = ul_images(alg, f)
+    assert images == [
+        alg.reduce({(0,): Q(1), (1,): Q(2)}), alg.reduce({(1,): Q(1)}),
+        alg.reduce({(2,): Q(1), (3,): Q(2)}), alg.reduce({(3,): Q(1)})]
+    assert images[0] == {(0,): Q(1), (1,): Q(2)}
+    assert images[2] == {(2,): Q(1)} and images[3] == {}
 
 
 def test_ul_map_functorial(l2):
@@ -60,8 +66,7 @@ def test_ul_map_functorial(l2):
     dst = ul(lie, 3)
     f = ul_map(src, dst, proj)
     # unital algebra map: unit to unit
-    assert f.apply(src.quot.to_coords(src.quot.unit())) == \
-        dst.quot.to_coords(dst.quot.unit())
+    assert f.apply(src.to_coords(src.unit())) == dst.to_coords(dst.unit())
     # the non-homomorphism b -> a is rejected
     swap = LinearMap.from_cols(2, [{0: Q(1)}, {0: Q(1)}])
     with pytest.raises(HomomorphismError):
@@ -70,16 +75,14 @@ def test_ul_map_functorial(l2):
 
 def test_rep_module_roundtrip(load):
     rep = load("rep-adj-l2.json")
-    alg = ul(rep.algebra, 3)
-    mod = rep_to_module(alg, rep)
+    mod = rep_to_module(rep)
     assert not check_module(mod)
     assert module_to_rep(mod) == rep
 
 
 def test_module_words_act_leftmost_first(load):
     rep = load("rep-a1-r.json")
-    alg = ul(rep.algebra, 3)
-    mod = rep_to_module(alg, rep)
+    mod = rep_to_module(rep)
     # the word (l, r) acts as M[r] o M[l]
     expect = mod.gen_mats[1] @ mod.gen_mats[0]
     assert mod.word_mat((0, 1)) == expect
@@ -87,9 +90,8 @@ def test_module_words_act_leftmost_first(load):
 
 def test_module_multiplicativity(load):
     rep = load("rep-adj-l2.json")
-    alg = ul(rep.algebra, 3)
-    quot = alg.quot
-    mod = rep_to_module(alg, rep)
+    quot = ul(rep.algebra, 3)
+    mod = rep_to_module(rep)
     for i, w1 in enumerate(quot.class_words):
         for w2 in quot.class_words:
             if len(w1) + len(w2) > quot.degree:
@@ -100,18 +102,17 @@ def test_module_multiplicativity(load):
 
 
 def test_broken_module_detected(a1):
-    alg = ul(a1, 2)
     # both generators acting as 1 violate (y_r + y_l) x_l = 0
     one = LinearMap.identity(1)
-    mod = ULModule(alg, 1, (one, one))
+    mod = ULModule(a1, 1, (one, one))
     assert check_module(mod)
 
 
 def test_zero_rep_gives_zero_module(r2):
     alg = ul(r2, 2)
-    mod = rep_to_module(alg, zero_rep(r2, 2))
+    mod = rep_to_module(zero_rep(r2, 2))
     assert not check_module(mod)
-    for w in alg.quot.class_words:
+    for w in alg.class_words:
         if w:
             assert mod.word_mat(w).is_zero()
 
@@ -146,7 +147,7 @@ def test_envelopes_of_valid_inputs_certify(load, name, seed):
     lie, _ = liezation(g)
     n, m, D = g.dim, lie.dim, 4
     alg = ul(g, D, slack=0)
-    assert alg.stabilized
+    assert alg.ideal.stabilized
     assert [alg.dim_upto(k) for k in range(D + 1)] == [
         math.comb(k + m, m) + (n * math.comb(k - 1 + m, m) if k else 0)
         for k in range(D + 1)]

@@ -515,7 +515,7 @@ def test_extend_by_matches_free_reclosure(relations, raw):
 def test_extend_by_unit_row_gives_the_zero_quotient(a1):
     """A unit leading word () lies in every word: the quotient is zero,
     the completion closes, and every word reduces to zero."""
-    quot = ul(a1, 3).quot
+    quot = ul(a1, 3)
     zero = quot.extend_by([{(): 1}], 1)
     assert zero.dim == 0
     assert zero.class_words == ()
@@ -528,7 +528,7 @@ def test_extend_by_unit_row_gives_the_zero_quotient(a1):
 def test_extend_by_normalizes_the_added_rows(a1):
     """A zero coefficient is dropped and a scalar multiple gives the same
     ideal: the class words and reductions are those of the plain row."""
-    quot = ul(a1, 3).quot
+    quot = ul(a1, 3)
     want = quot.extend_by([{(0,): 1}], 1)
     for row in ({(0,): 1, (1,): 0}, {(0,): Q(2)}):
         got = quot.extend_by([row], 1)

@@ -1,8 +1,12 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private top-level helper is read by some module of the package.
 
-A stdlib-``ast`` stand-in for a linter's unused-import rule: an import
-counts as used when its bound name is read anywhere in the module (a
-bare name or the base of an attribute access).
+Stdlib-``ast`` stand-ins for a linter's unused-import and dead-code
+rules: an import counts as used when its bound name is read anywhere in
+the module (a bare name or the base of an attribute access), and a
+private (``_name``) top-level function or class counts as live when a
+module reads its name (a bare name in its own module, an attribute, or a
+name imported from its module).
 """
 
 import ast
@@ -40,3 +44,40 @@ def test_detector():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text("utf-8")) == []
+
+
+def dead_private_helpers(sources):
+    """Sorted (module, line, name) of the private top-level functions and
+    classes of ``sources`` ({module name: source}) that no module reads."""
+    defined, read = [], set()
+    for mod, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(mod, node.lineno, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add((mod, n.id))
+            elif isinstance(n, ast.Attribute):
+                read.update((m, n.attr) for m in sources)
+            elif isinstance(n, ast.ImportFrom) and n.module:
+                read.update((n.module.rsplit(".", 1)[-1], a.name)
+                            for a in n.names)
+    return sorted(t for t in defined if (t[0], t[2]) not in read)
+
+
+def test_dead_helper_detector():
+    sources = {
+        "a": "def _used():\n    pass\n\n\ndef _left():\n    pass\n\n\n"
+             "class _Wrapper:\n    pass\n\n\ndef _helper():\n    pass\n\n\n"
+             "print(_used())\n",
+        "b": "from .a import _helper\n\n\ndef _by_attr():\n    pass\n",
+        "c": "from . import b\nprint(b._by_attr, _left)\n",
+    }
+    assert dead_private_helpers(sources) == [("a", 5, "_left"),
+                                             ("a", 9, "_Wrapper")]
+
+
+def test_no_dead_private_helpers():
+    sources = {p.stem: p.read_text("utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert dead_private_helpers(sources) == []

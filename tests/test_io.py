@@ -4,7 +4,6 @@ import os
 import pytest
 
 from leibnizx import io
-from leibnizx.envelope import ul
 
 from conftest import CORPUS, corpus_path
 
@@ -54,7 +53,7 @@ def test_rationals_as_strings_everywhere():
 
 def test_module_file_pairs_with_envelope(load):
     md = load("module-a1-r.json")
-    mod = md.to_ul_module(ul(md.algebra, 3))
+    mod = md.to_ul_module()
     from leibnizx.envelope import check_module
     assert not check_module(mod)
 

@@ -12,7 +12,7 @@ from leibnizx.freealg import (HomomorphismError, filtration_basis,
 from leibnizx.scalars import Q
 from leibnizx.linalg import Echelon, LinearMap, Subspace, vec_add_scaled
 from leibnizx.xmod import cat1_matrices, identity_xmod, zero_xmod
-from leibnizx.lm import (BottomBasis, associated_xmod, check_associated_xmod,
+from leibnizx.lm import (AssociatedXMod, BottomBasis, check_associated_xmod,
                          check_lm_assoc_xmod, check_lm_lie_object,
                          check_lm_lie_xmod, leibniz_to_lm, lm_xmod_envelope,
                          pair_algebra, theta_check, u_lie, xmod_to_lm)
@@ -101,8 +101,7 @@ def test_lm_envelope_identity_a1(a1):
     Y = lm_xmod_envelope(xmod_to_lm(identity_xmod(a1)), 3)
     assert not check_lm_assoc_xmod(Y)
     assert Y.certificates["u_semidirect_stabilized"]
-    ax = associated_xmod(Y)
-    assert not check_associated_xmod(ax)
+    assert not check_associated_xmod(AssociatedXMod(Y))
 
 
 def test_theta_zero_a1(a1):
@@ -124,12 +123,13 @@ def test_relations_lie_in_ideal_rows(xmods):
     """theta_check checks only the ideal span: every defining relation of
     UL(q ⋊ p) and UL(p) reduces to zero by it at D3."""
     from leibnizx.envelope import ul_relations
+    from leibnizx.leibniz import semidirect
     from leibnizx.xul import xul
     for name, x in xmods.items():
         tx = xul(x, 3)
-        for ulg in (tx.ul_sd, tx.ul_p):
-            for r in ul_relations(ulg.p):
-                assert ulg.quot.ideal.reduce_vec(r) == {}, name
+        for ulg, p in ((tx.ul_sd, semidirect(x.action)), (tx.ul_p, x.p)):
+            for r in ul_relations(p):
+                assert ulg.ideal.reduce_vec(r) == {}, name
 
 
 def _filtration_prefix(dim, fdeg, k):
@@ -469,14 +469,42 @@ class _BentXi2(lm.LMAssocXMod):
         return _scaled(super().xi2(top_cls, avec, bound), -1)
 
 
+def _off_f1_bimodule(Y):
+    """Y with ut1 doubled off S, the span at fdeg <= d of the x·n and n·x
+    for n in Ker us1 ∩ F₁ and of the bridge values ξ₁(1 ⊗ m, a) and
+    ξ₂(a, 1 ⊗ m) for a in k_s: ut1 + ut1∘π for π the projection onto
+    S's complement coordinates along S.  Every identity the checker reads
+    on those generators still holds, so a checker that took Ker us1 ∩ F₁
+    for the b-generators would pass it.  Where Ker us1 ∩ F_d leaves S
+    (hsd0-inclusion at D5), ut1 is no longer a bimodule map there, and the
+    full loops flag it."""
+    d, top, bottom = Y.report_degree, Y.top, Y.bottom
+    ns = [v for _, v in Y.b_ker_filtration(1)]
+    us = [{u: 1} for u in top.class_words if len(u) < d]
+    span = [Y.left_mult(u, n, d) for n in ns for u in us] + \
+        [Y.right_mult(n, u, d) for n in ns for u in us]
+    if d >= 2:
+        ms = [{Y.target_bottom.index[(k,)]: 1}
+              for k in range(Y.X.dst.bottom_dim)]
+        k_s = [top.from_coords(v) for v in Y.kernel_generators()[0]]
+        span += [Y.xi1(m, a, d) for m in ms for a in k_s] + \
+            [Y.xi2(a, m, d) for m in ms for a in k_s]
+    comp, proj = Subspace.from_vectors(bottom.dim, span).quotient_basis()
+    lift = LinearMap.from_cols(bottom.dim, [{c: 1} for c in comp])
+    return dataclasses.replace(
+        Y, ut1=Y.ut1.add(Y.ut1.compose(lift.compose(proj))))
+
+
 def _perturbations(Y):
     """Envelopes that may fail the crossed-module identities: one of the
     maps us1, ut1, us2, ut2, emb and connect with every other column
     doubled (the same supports, so the same degrees; the odd columns under
-    its name, the even ones under its name with a prime), ξ₁ doubled and ξ₂
-    negated."""
+    its name, the even ones under its name with a prime), ξ₁ doubled, ξ₂
+    negated, and ut1 doubled off the sub-bimodule that Ker us1 ∩ F₁
+    generates (:func:`_off_f1_bimodule`)."""
     fields = {f.name: getattr(Y, f.name) for f in dataclasses.fields(Y)}
-    out = {"xi1": _BentXi1(**fields), "xi2": _BentXi2(**fields)}
+    out = {"xi1": _BentXi1(**fields), "xi2": _BentXi2(**fields),
+           "ut1_off_f1": _off_f1_bimodule(Y)}
     for name in ("us1", "ut1", "us2", "ut2", "emb", "connect"):
         f = getattr(Y, name)
         for even, key in ((0, name), (1, name + "'")):
@@ -612,10 +640,10 @@ def test_associated_xmod_identities(xmods, name):
     nothing on the corpus at D4 and flags the embedding with every other
     column doubled (either parity) wherever the kernels are not zero."""
     Y = lm_xmod_envelope(xmod_to_lm(xmods[name]), 4, slack=1)
-    assert check_associated_xmod(associated_xmod(Y)) == []
+    assert check_associated_xmod(AssociatedXMod(Y)) == []
     bent = _perturbations(Y)
     for what in ("emb", "emb'") if name != "xmod-zero-a1.json" else ():
-        assert check_associated_xmod(associated_xmod(bent[what])), what
+        assert check_associated_xmod(AssociatedXMod(bent[what])), what
 
 
 ORACLE_CASES = [(name, 4) for name in CORPUS_XMODS] + \

@@ -123,7 +123,7 @@ def _full_loop_check(mod):
     embedded class word of UL(p) but the unit, not only its letters."""
     tx = mod.tx
     d = tx.report_degree
-    bar, up = tx.ambient, tx.ul_p.quot
+    bar, up = tx.ambient, tx.ul_p
     bad = []
     rows = tx.b_filtration(d)
     for deg, v in rows:

@@ -100,7 +100,7 @@ def test_lemma41_reads_both_envelope_certificates(a1, monkeypatch):
     def unstable_p(p, degree, slack=2):
         alg = real(p, degree, slack)
         if p is a1:
-            alg.quot.ideal.stabilized = False
+            alg.ideal.stabilized = False
         return alg
 
     monkeypatch.setattr(xul_module, "ul", unstable_p)
@@ -344,7 +344,7 @@ def _full_loop_check(tx):
 
     # crossed-module identities on filtration bases
     up_rows = [(len(w), {i: 1})
-               for i, w in enumerate(up.quot.class_words) if len(w) <= d]
+               for i, w in enumerate(up.class_words) if len(w) <= d]
     for da, va in B_rows:
         a = bar.to_coords(va)
         ra = tx.rho.apply(tx.B.coords(a))
@@ -356,8 +356,8 @@ def _full_loop_check(tx):
             rb = tx.rho.apply(tx.B.coords(b))
             # rho is multiplicative
             lhs = tx.rho.apply(tx.B.coords(ab))
-            rhs = up.quot.to_coords(up.quot.mult(
-                up.quot.from_coords(ra), up.quot.from_coords(rb), d))
+            rhs = up.to_coords(
+                up.mult(up.from_coords(ra), up.from_coords(rb), d))
             if lhs != rhs:
                 bad.append(("rho_hom", (da, db)))
             # Peiffer: rho(a).b = a.b = a.rho(b)
@@ -376,13 +376,11 @@ def _full_loop_check(tx):
                 continue
             # equivariance: rho(u.b) = u rho(b), rho(b.u) = rho(b) u
             uq = {i: c for i, c in vu.items()}
-            if tx.rho.apply(tx.B.coords(ua)) != up.quot.to_coords(
-                    up.quot.mult(up.quot.from_coords(uq),
-                                 up.quot.from_coords(ra), d)):
+            if tx.rho.apply(tx.B.coords(ua)) != up.to_coords(
+                    up.mult(up.from_coords(uq), up.from_coords(ra), d)):
                 bad.append(("equivariance_left", (du, da)))
-            if tx.rho.apply(tx.B.coords(au)) != up.quot.to_coords(
-                    up.quot.mult(up.quot.from_coords(ra),
-                                 up.quot.from_coords(uq), d)):
+            if tx.rho.apply(tx.B.coords(au)) != up.to_coords(
+                    up.mult(up.from_coords(ra), up.from_coords(uq), d)):
                 bad.append(("equivariance_right", (du, da)))
     return bad
 
@@ -427,10 +425,10 @@ def test_checker_flags_what_the_full_loops_flag(xmods, case, D):
 def _word_enumeration_span(usd, nq, d):
     """Oracle for Lemma 4.1's right side: the span of the classes of every
     word of length <= d that contains a pure-q letter."""
-    g = len(usd.quot.gens)
+    g = len(usd.gens)
     qletters = set(range(nq)) | set(range(g // 2, g // 2 + nq))
-    return Subspace.from_vectors(usd.quot.dim, [
-        usd.quot.to_coords(usd.quot.reduce_word(w))
+    return Subspace.from_vectors(usd.dim, [
+        usd.to_coords(usd.reduce_word(w))
         for k in range(1, d + 1)
         for w in itertools.product(range(g), repeat=k)
         if qletters.intersection(w)])
