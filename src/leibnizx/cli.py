@@ -12,8 +12,8 @@ Subcommands:
                         theta, squares
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input,
-3 a verdict is inconclusive (a stabilization certificate failed: the
-Gröbner completion did not close within the --slack window).
+3 a verdict is inconclusive (a stabilization certificate failed: an
+ambiguity of a presentation's relations did not resolve).
 Output is deterministic for fixed inputs and flags.
 """
 
@@ -76,9 +76,8 @@ def cmd_check(args):
                                   check_xmod_rep(obj))]
     elif isinstance(obj, LeibnizRep):
         recs = [violations_record("representation", check_rep(obj))]
-    else:  # envelope module data
-        recs = [violations_record("module_relations",
-                                  check_module(obj.to_ul_module()))]
+    else:  # a module over UL(p)
+        recs = [violations_record("module_relations", check_module(obj))]
     return Report("check", {"path": args.path, "kind": kind}, recs)
 
 
@@ -98,7 +97,7 @@ def cmd_ul(args):
     axioms = violations_record("leibniz_identity", p.check_leibniz())
     if axioms["verdict"] == "fail":
         return Report("ul", params, [axioms])
-    alg = ul(integral(p), args.degree, args.slack)
+    alg = ul(integral(p), args.degree)
     recs = [record("dimensions", "pass",
                    dims_by_degree=[alg.dim_upto(k)
                                    for k in range(args.degree + 1)],
@@ -121,7 +120,7 @@ def _xul_params(args):
 def cmd_xul(args):
     x = _load(args.path, ("xmod",))
     try:
-        tx = xul(x, args.degree, args.slack, args.report_degree)
+        tx = xul(x, args.degree, args.report_degree)
     except ValueError as e:
         return Report("xul", _xul_params(args), [_construction_failure(e)])
     d = tx.report_degree
@@ -149,7 +148,7 @@ def cmd_lm(args):
         x = integral(x)
         require_xmod(x)
         X = xmod_to_lm(x)
-        Y = lm_xmod_envelope(X, args.degree, args.slack, args.report_degree)
+        Y = lm_xmod_envelope(X, args.degree, args.report_degree)
     except ValueError as e:
         return Report("lm", _xul_params(args), [_construction_failure(e)])
     d = Y.report_degree
@@ -171,7 +170,7 @@ def _thm5(r, args, params):
     recs = [violations_record("xmod_rep_axioms", check_xmod_rep(r))]
     if recs[0]["verdict"] == "fail":
         return Report("verify", params, recs)
-    tx = xul(r.xmod, args.degree, args.slack, args.report_degree)
+    tx = xul(r.xmod, args.degree, args.report_degree)
     mod = rep_to_xmodule(r, tx)
     recs.append(violations_record("module_identities", check_xmodule(mod)))
     back = xmodule_to_rep(mod)
@@ -200,7 +199,7 @@ def cmd_verify(args):
     try:
         if check is None:
             return _thm5(obj, args, params)
-        rec = check(obj, args.degree, args.slack, args.report_degree)
+        rec = check(obj, args.degree, args.report_degree)
     except ValueError as e:
         return Report("verify", params, [_construction_failure(e)])
     certs = rec.pop("certificates", {})
@@ -218,8 +217,8 @@ def build_parser():
     common.add_argument("--degree", type=int, default=3,
                         help="working truncation degree D (default 3)")
     common.add_argument("--slack", type=int, default=2,
-                        help="Gröbner completion window: ambiguities of "
-                             "up to D + slack letters (default 2)")
+                        help="accepted and echoed in the report's params "
+                             "only (default 2)")
     common.add_argument("--report-degree", type=int, default=None,
                         help="certified report degree d (default D-2)")
     common.add_argument("--format", choices=("text", "json"), default="text")

@@ -42,13 +42,29 @@ def ul_relations(p):
     return rels
 
 
-def ul(p, degree, slack=2):
+def ul(p, degree):
     """The degree-<=degree piece of the enveloping algebra of p: the
     presented quotient on the generators x_l (l-block) and x_r (r-block)
-    by :func:`ul_relations`."""
+    by :func:`ul_relations`.
+
+    Its certificate holds for every p and every basis.  Let n = dim p and
+    m = dim p_Lie.  In degree one the relations span Leib(p)_r, the r-copy
+    of the span of the squares [x,x]: the x_r x_r relations and the sums
+    of the x_r y_r and y_r x_r ones.  Interreduced, those rows lead with
+    n - m r-letters, and the other m r-letters span a complement of
+    Leib(p)_r.  Under :func:`freealg.word_key` the quadratic rows lead with
+    x_r y_r for x before y in the basis, with every x_l y_r and with every
+    y_l x_l, and each of these words leads exactly one of them.  So the
+    normal words are those m r-letters in non-increasing order followed by
+    at most one l-letter, C(d+m, m) + n·C(d-1+m, m) of them of length <= d:
+    Loday–Pirashvili's dimension of the part of UL(p) of filtration degree
+    <= d (Math. Ann. 296, 1993: UL(p) ≅ U(p_Lie) ⊗ (K ⊕ p)).  The
+    normal words of length <= d span that part, so they are a basis of
+    it, and the normal words a basis of UL(p); by the diamond lemma
+    (Bergman, Adv. Math. 29, 1978, Thm. 1.2) every ambiguity resolves."""
     gens = tuple("%s_l" % b for b in p.basis) + \
         tuple("%s_r" % b for b in p.basis)
-    return presented(gens, ul_relations(p), degree, slack)
+    return presented(gens, ul_relations(p), degree)
 
 
 def ul_images(dst, f):

@@ -1,5 +1,5 @@
 """Presented quotients of truncated free algebras: degree-bounded
-two-sided ideals with a Gröbner certificate, and their quotients.
+two-sided ideals with a diamond-lemma certificate, and their quotients.
 
 Relations, ideal rows and class vectors are word-keyed dicts {word:
 rational}.  Words are tuples of generator indices, enumerated length-first
@@ -9,18 +9,23 @@ construction built on top (enveloping algebras, kernel ideals, quotients).
 Ideals of inhomogeneous relations are not always visible at a finite
 degree: an element of degree <= D may need products w1*r*w2 of higher top
 degree.  :func:`presented` builds a quotient from generators and relations
-alone: :func:`ideal_span` completes the relations (Buchberger–Mora, Mora,
-TCS 134, 1994) with ambiguity words capped at D + S (slack), and the
-completed basis G alone gives the quotient (Bergman's diamond lemma, Adv.
-Math. 29, 1978): the class words are the normal words of G, those that
-contain no leading word, enumerated directly, and a word reduces by the
-rewriter completion uses, whose memo keeps each normal form once.  When
-every ambiguity resolves, G is a Gröbner basis and the quotient is by the
-ideal's whole part of degree <= D: the stabilization flag is a proof.
+alone: :func:`ideal_span` interreduces them once and checks, in one pass,
+that every ambiguity of the rows resolves, the hypothesis of Bergman's
+diamond lemma (Adv. Math. 29, 1978).  The class words are the normal words
+of the rows, enumerated directly, and a word reduces by the rows' rewriter,
+whose memo keeps each normal form once.  When every ambiguity resolves the
+rows are a Gröbner basis and the quotient is by the ideal's whole part of
+degree <= D: the stabilization flag is a proof.  Otherwise it is False.
 
-A quotient of a presented quotient by added rows is presented too: its
-completion starts from the first quotient's completed rows and the added
-ones.  An algebra map is checked on the completed rows alone.
+Which presentations pass is settled where they are built: U(g) in
+``lm.u_lie``, UL(p) in ``envelope.ul`` and the pair algebras in
+``lm.pair_algebra`` are proven to resolve for every input, and the
+kernel-product quotients (:meth:`TruncQuotAlgebra.extend_by` with A·B) and
+``lm``'s square-zero algebra are checked on each input.
+
+A quotient of a presented quotient by added rows is presented too, by the
+first quotient's rows and the added ones.  An algebra map is checked on the
+rows alone.
 """
 
 import itertools
@@ -40,12 +45,12 @@ class TruncIdeal:
     """Degree-truncated two-sided ideal span with a stabilization flag.
 
     ``rows`` are word-keyed vectors, each monic at its leading word and the
-    rewriting rule of that word: a vector reduces to its normal form, and
-    the words that contain no leading word span a complement.  The span is
-    that of every u*g*v of degree <= D for g in ``rows``, the ideal's whole
-    part of degree <= D when ``stabilized`` is True, and a subspace of it
-    otherwise.  So a map of words into an associative algebra that
-    multiplies images kills the span once it kills ``rows``.
+    rewriting rule of that word.  The span is that of every u*g*v of
+    degree <= D for g in ``rows``, so a map of words into an associative
+    algebra that multiplies images kills the span once it kills ``rows``.
+    When ``stabilized``, every ambiguity of the rules resolves, and the
+    words that contain no leading word span a complement of the span, the
+    ideal's whole part of degree <= D (the diamond lemma).
     """
 
     def __init__(self, rows, stabilized):
@@ -159,62 +164,31 @@ def _ambiguities(rules):
                 yield b, shift(b[:i], rules[b[i:j]], b[j:]), tb
 
 
-def groebner_basis(relations, cap):
-    """Buchberger–Mora completion of the relations over :func:`word_key`,
-    capped at ambiguity words of length <= cap.
-
-    Each round interreduces the relations (the canonical rows G of their
-    echelon), takes each row as the rewriting rule of its leading word,
-    and rewrites both sides of every ambiguity to normal form
-    (:func:`rewriter`).  A nonzero difference from an ambiguity word of
-    length <= cap joins the relations; it contains no leading word, so it
-    is independent of them and the round grows.  The rounds end when one
-    adds nothing, which they do since each new relation has degree <= cap;
-    every ambiguity of length <= cap then resolves.  Returns (G, closed):
-    closed is True only when every ambiguity resolves, and then G is a
-    Gröbner basis by the diamond lemma: every element of the ideal of
-    degree <= D is a combination of products u*g*v of degree <= D."""
-    ech = Echelon(word_key)
-    for r in relations:
-        ech.insert(r)
-    grew = True
-    while grew:
-        G = ech.canonical_rows()
-        rules = {min(row, key=word_key): row for row in G}
-        normal_form, _ = rewriter(rules)
-        closed, grew = True, False
-        for word, p, q in _ambiguities(rules):
-            if len(word) > cap and not closed:
-                continue  # it can no longer change the outcome
-            diff = normal_form(vec_add_scaled(p, q, -1))
-            if diff:
-                closed = False
-                if len(word) <= cap and ech.insert(diff) is not None:
-                    grew = True
-    return G, closed
-
-
-def ideal_span(relations, degree, slack=2):
+def ideal_span(relations, degree):
     """Truncated two-sided ideal of the given relations, word-keyed
     vectors, each put into normal form (zeros dropped, values ``exact``).
 
-    The relations are completed (:func:`groebner_basis`) with ambiguity
-    words capped at D + S (D = degree, S = slack), and the
-    completed rows of degree <= D are the ideal's generators and rewriting
-    rules.  Every ambiguity of length <= D + S then resolves, and words of
-    length <= D are closed under subwords, so by the diamond lemma at
-    degree <= D the words without a leading word span a complement of V_D,
-    the span of every u*g*v of degree <= D: a word's normal form is its
-    residue modulo V_D.  ``stabilized`` is True only when the completed
-    basis is a Gröbner basis; V_D is then the ideal's whole part of degree
-    <= D, whatever the slack.  Otherwise it is a subspace of it, and
-    raising the slack may close the completion.
+    The relations are interreduced once (the canonical rows of their
+    echelon under :func:`word_key`), each row the rewriting rule of its
+    leading word.  ``stabilized`` is whether both sides of every ambiguity
+    (:func:`_ambiguities`) reach one normal form under the ideal's own
+    rewriter, whose memo the quotient reuses (``_residue``, not the traced
+    ``reduce_vec``, which counts a quotient's misses).  Then the rows are a
+    Gröbner basis by the diamond lemma, and every element of the ideal of
+    degree <= D is a combination of u*g*v of degree <= D, as rewriting
+    never lengthens a word.
     """
     relations = [{w: exact(c) for w, c in r.items() if c} for r in relations]
     if any(len(w) > degree for r in relations for w in r):
         raise ValueError("relation degree exceeds working degree")
-    G, closed = groebner_basis(relations, degree + slack)
-    return TruncIdeal([r for r in G if max(map(len, r)) <= degree], closed)
+    ech = Echelon(word_key)
+    for r in relations:
+        ech.insert(r)
+    ideal = TruncIdeal(ech.canonical_rows(), False)
+    ideal.stabilized = not any(
+        ideal._residue(vec_add_scaled(p, q, -1))
+        for _, p, q in _ambiguities(ideal._leading))
+    return ideal
 
 
 class HomomorphismError(ValueError):
@@ -226,11 +200,10 @@ class TruncQuotAlgebra:
     working degree, by a truncated ideal, with canonical class coordinates
     aligned to the filtration.
 
-    Class coordinates are the normal words of the ideal's rows (for a
-    presented ideal, of its completed basis), and a word reduces to its
-    normal form, kept once in the ideal's memo.  The filtration layer F_d
-    is spanned exactly by the class words of length <= d, so fdeg of a
-    class vector is the top length in its support.
+    Class coordinates are the normal words of the ideal's rows, and a word
+    reduces to its normal form, kept once in the ideal's memo.  The
+    filtration layer F_d is spanned exactly by the class words of length
+    <= d, so fdeg of a class vector is the top length in its support.
     """
 
     def __init__(self, gens, degree, ideal):
@@ -290,30 +263,30 @@ class TruncQuotAlgebra:
     def from_coords(self, v):
         return {self.class_words[i]: c for i, c in v.items()}
 
-    def extend_by(self, rows, slack):
+    def extend_by(self, rows):
         """Quotient by the two-sided ideal generated by this quotient's
         ideal and the word-keyed ``rows`` of degree <= D: the presented
-        quotient (:func:`ideal_span`, cap D + S) of this ideal's rows
-        together with the added ones.
+        quotient of this ideal's rows together with the added ones.  Its
+        ``stabilized`` is checked afresh, so it is a proof for the new
+        ideal whatever this quotient's certificate says.  With no rows the
+        ideal is this one, and so is the quotient.
 
-        A completed basis's rows of degree <= D span its relations of
-        degree <= D (a row of a reduced echelon basis that a vector uses
-        is pivoted in the vector's support, and its pivot is its longest
-        word), so they generate the same ideal as the whole basis.  The new
-        ``stabilized`` is then a proof for the new ideal whatever this
-        quotient's certificate says.  With no rows the ideal is this one,
-        and so is the quotient."""
+        With the kernel-product rows A·B (:func:`subspace_product`) this
+        is checked on each input, not proven: no count of the quotient's
+        dimension is known for a general crossed module.  On the corpus,
+        its rebased copies and the hemisemidirect families every such
+        quotient resolves in the one pass."""
         if not rows:
             return self
         return presented(self.gens, self.ideal.rows + tuple(rows),
-                         self.degree, slack)
+                         self.degree)
 
 
-def presented(gens, relations, degree, slack=2):
+def presented(gens, relations, degree):
     """The presented quotient of the free algebra on gens, truncated at
     degree, by the relations (word-keyed vectors): its ideal is
-    :func:`ideal_span` of them, completed with cap degree + slack."""
-    return TruncQuotAlgebra(gens, degree, ideal_span(relations, degree, slack))
+    :func:`ideal_span` of them, certified by one diamond-lemma pass."""
+    return TruncQuotAlgebra(gens, degree, ideal_span(relations, degree))
 
 
 def word_fold(images, mult, unit):
@@ -421,9 +394,9 @@ def subspace_product(a_rows, b_rows):
         b_l a_r = a_r b_l      b_l a_l = -a_l b_r
 
     and in U(h ⋊ g) ba = ab.  So I·J + J·I = ⟨A·B⟩.  These identities hold
-    in the envelope itself, not only below a degree, so a closed
-    completion of quot's relations with A·B certifies the quotient by
-    I·J + J·I exactly at each degree <= D.
+    in the envelope itself, not only below a degree, so when quot's rows
+    with A·B resolve (``stabilized``) the quotient is the one by I·J + J·I
+    exactly at each degree <= D.
     """
     def times(a, b):
         out = {}

@@ -292,25 +292,6 @@ def _dump_xmod_rep(r):
 # envelope modules
 
 
-class ModuleData:
-    """Generator matrices for a left module over the envelope of an
-    algebra; ``to_ul_module`` gives them as an ``envelope.ULModule``."""
-
-    def __init__(self, algebra, module_names, gen_mats):
-        self.algebra = algebra
-        self.module_names = tuple(module_names)
-        self.gen_mats = tuple(gen_mats)  # l-block then r-block
-
-    def __eq__(self, other):
-        return (isinstance(other, ModuleData)
-                and self.algebra == other.algebra
-                and self.module_names == other.module_names
-                and self.gen_mats == other.gen_mats)
-
-    def to_ul_module(self):
-        return ULModule(self.algebra, len(self.module_names), self.gen_mats)
-
-
 def _load_module(data, base_dir):
     p = _load_sub(data, "algebra", "leibniz_algebra", base_dir, "module")
     module = _need(data, "module", "module", list)
@@ -322,22 +303,23 @@ def _load_module(data, base_dir):
             raise FormatError("module: unknown generator %r" % key)
     mats = [_matrix_cols(gens.get(lbl, {}), mi, mi, "module generator " + lbl)
             for lbl in labels]
-    return ModuleData(p, module, mats)
+    return ULModule(p, len(module), tuple(mats))
 
 
-def _dump_module(md):
-    p = md.algebra
+def _dump_module(mod):
+    p = mod.p
+    m_names = _gen_names("m", mod.dim)
     labels = ["%s_l" % b for b in p.basis] + ["%s_r" % b for b in p.basis]
     gens = {}
-    for lbl, f in zip(labels, md.gen_mats):
-        m = _matrix_dump(f, md.module_names, md.module_names)
+    for lbl, f in zip(labels, mod.gen_mats):
+        m = _matrix_dump(f, m_names, m_names)
         if m:
             gens[lbl] = m
     return {
         "kind": "module",
         "algebra": _dump_algebra(p, "leibniz_algebra", "bracket",
                                  p.bracket_basis),
-        "module": list(md.module_names),
+        "module": m_names,
         "generators": gens,
     }
 
@@ -413,7 +395,7 @@ _KIND_OF_TYPE = {
     LeibnizXMod: "xmod",
     LeibnizRep: "rep",
     LeibnizXModRep: "xmod_rep",
-    ModuleData: "module",
+    ULModule: "module",
 }
 
 
@@ -430,7 +412,7 @@ def dump_data(obj):
         return _dump_rep(obj)
     if isinstance(obj, LeibnizXModRep):
         return _dump_xmod_rep(obj)
-    if isinstance(obj, ModuleData):
+    if isinstance(obj, ULModule):
         return _dump_module(obj)
     raise TypeError("cannot serialize %r" % type(obj).__name__)
 

@@ -15,9 +15,9 @@ The enveloping functor sends a Lie object to (U(g) ⊗ M -> U(g)) with
 and a Lie crossed module to a crossed module of associative algebras in
 this category, via the kernels of the induced cat¹ projections modulo the
 kernel-product ideals X' (top) and Y' (bottom).  Every algebra here is a
-presented algebra (``freealg.presented``), completed and certified like
-every other quotient.  The pair algebra (U ⊗ M) ⊕ U of a Lie object,
-with (a, r)(a', r') = (alpha(a)a' + ar' + ra', rr'), is one
+presented algebra (``freealg.presented``), certified like every other
+quotient.  The pair algebra (U ⊗ M) ⊕ U of a Lie object, with
+(a, r)(a', r') = (alpha(a)a' + ar' + ra', rr'), is one
 (:func:`pair_algebra`): it is the target row, and theta's codomain.  The
 top row is the plain construction run on U(h ⋊ g): it is built by
 ``xul.kernel_product_quotient``, the function the enveloping crossed
@@ -27,14 +27,12 @@ bottom (U ⊗ V)/Y', with the pair algebra's letters and alpha = 0.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .linalg import LinearMap, lincomb, vec_add_scaled
-from .freealg import (HomomorphismError, TruncQuotAlgebra, filtration_basis,
-                      induced_map, presented)
+from .freealg import (HomomorphismError, TruncQuotAlgebra, induced_map,
+                      presented)
 from .leibniz import Action, LeibnizAlgebra, basis_vec, liezation, semidirect
-from .xmod import (LeibnizXMod, cat1_matrices, check_xmod, identity_violations,
-                   xliez)
+from .xmod import LeibnizXMod, cat1_matrices, check_xmod, xliez
 from .xul import (combine_verdict, kernel_product_quotient, report_degree_for,
                   xul)
 
@@ -279,9 +277,17 @@ def lie_relations(g):
     return rels
 
 
-def u_lie(g, degree, slack=2):
-    """Truncated universal enveloping algebra of a Lie algebra."""
-    return presented(g.basis, lie_relations(g), degree, slack)
+def u_lie(g, degree):
+    """Truncated universal enveloping algebra of a Lie algebra.
+
+    Its certificate holds for every Lie algebra and every basis.  Under
+    :func:`freealg.word_key` the rows of :func:`lie_relations` lead with
+    x_i x_j for i < j, each once, and no other word of a row contains one,
+    so interreduction keeps them and the normal words are the words with
+    non-increasing letters.  The only ambiguities are the overlaps
+    x_i x_j x_k with i < j < k, and the Jacobi identity resolves each
+    (Bergman, Adv. Math. 29, 1978, §3: the PBW theorem)."""
+    return presented(g.basis, lie_relations(g), degree)
 
 
 def _shift_vec(cv, off):
@@ -293,10 +299,9 @@ def _shift_vec(cv, off):
 
 def _pair_relations(U, right_mats, alpha_cols):
     """The relations of the pair algebra (U ⊗ V) ⊕ U in its letters, the
-    v_k of V first and then U's: U's completed rows, v_k x_g - x_g v_k -
-    [v_k, g] and v_k v_l - alpha(v_k)·v_l.  right_mats[g] is the right
-    action of U's letter g on V, alpha_cols[k] is alpha(v_k) in U's
-    letters."""
+    v_k of V first and then U's: U's rows, v_k x_g - x_g v_k - [v_k, g]
+    and v_k v_l - alpha(v_k)·v_l.  right_mats[g] is the right action of
+    U's letter g on V, alpha_cols[k] is alpha(v_k) in U's letters."""
     nv = len(alpha_cols)
     rels = [_shift_vec(r, nv) for r in U.ideal.rows]
     for g, mat in enumerate(right_mats):
@@ -310,7 +315,7 @@ def _pair_relations(U, right_mats, alpha_cols):
     return rels
 
 
-def pair_algebra(L, U, slack):
+def pair_algebra(L, U):
     """The pair algebra (U ⊗ V) ⊕ U of a Lie object L = (V -> g), for U an
     enveloping algebra of g (U(g), or U(h ⋊ g) for the carrier), with
     (a, r)(a', r') = (alpha(a)a' + ar' + ra', rr'), as one presented
@@ -325,12 +330,24 @@ def pair_algebra(L, U, slack):
     is equivariant (``check_lm_lie_object``): alpha((x ⊗ v)g) =
     x·(g·alpha(v) + [alpha(v), g]) = x·alpha(v)·g.  So the connecting map
     x ⊗ v -> x·alpha(v) is a bimodule map and needs no check of its own.
-    When the completion closes (``stabilized``) the algebra is associative
-    and its class words are a basis."""
+
+    Its certificate holds for U = U(g) (:func:`u_lie`), the only U it is
+    built on.  Each of U's leading words, v_k x_g and v_k v_l leads one
+    relation, and no other word of a relation contains one, so
+    interreduction keeps them, and the normal words are x and x·v_k as
+    above, for x the normal words of U, a basis of U.  The pair product
+    is associative, since U ⊗ V is a U-bimodule and alpha a bimodule
+    map.  The algebra map from the presented algebra that sends x_g to
+    (0, g) and v_k to (1 ⊗ v_k, 0) kills the relations, as (1 ⊗ v_k)g =
+    g ⊗ v_k + 1 ⊗ [v_k,g] and (1 ⊗ v_k)(1 ⊗ v_l) = alpha(v_k) ⊗ v_l, and
+    it sends x to (0, x) and x·v_k to (x ⊗ v_k, 0), a basis of
+    (U ⊗ V) ⊕ U.  So the normal words, which span the presented algebra,
+    are a basis of it, and by the diamond lemma (Bergman, Adv. Math. 29,
+    1978, Thm. 1.2) every ambiguity resolves."""
     alpha = [L.alpha.col(k) for k in range(L.bottom_dim)]
     gens = tuple("m%d" % k for k in range(L.bottom_dim)) + U.gens
     return presented(gens, _pair_relations(U, L.right_mats, alpha),
-                     U.degree, slack)
+                     U.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -494,18 +511,6 @@ class LMAssocXMod:
             cols.append(self.target.to_coords(v))
         return LinearMap.from_cols(self.target.dim, cols)
 
-    # -- filtration bases ----------------------------------------------------
-
-    @cached_property
-    def b_filtration(self):
-        """(degree, vector) basis of Ker us1 whose rows of degree <= k
-        span Ker us1 ∩ F_k, sorted by degree."""
-        return tuple((deg, self.bottom.to_coords(v)) for deg, v in
-                     filtration_basis(self.bottom, self.us1.kernel()))
-
-    def b_ker_filtration(self, d):
-        return [(deg, v) for deg, v in self.b_filtration if deg <= d]
-
     def kernel_generators(self):
         """(k_s, K_2): the canonical rows of Ker us2 ∩ F_1 in top
         coordinates and of Ker us1 ∩ F_2 in bottom coordinates, the
@@ -520,10 +525,6 @@ class LMAssocXMod:
         coordinates, as ``BottomBasis`` is length-first."""
         n = self.bottom.dim_upto(d)
         return n - _on_first(self.us1, n).rank()
-
-    def s_ker_filtration(self, d):
-        return [(deg, self.top.to_coords(v))
-                for deg, v in filtration_basis(self.top, self.us2.kernel(), d)]
 
 
 def lm_semidirect_object(X):
@@ -562,12 +563,12 @@ def lm_semidirect_object(X):
     return out
 
 
-def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
+def lm_xmod_envelope(X, degree, report_degree=None):
     """Build the truncated enveloping crossed module in the category.
 
-    The top row is U(h ⋊ g) / X' as a presented quotient whose completion
-    certifies it (``kernel_product_stabilized``, see
-    :func:`freealg.subspace_product`), so it is proven when that closes.
+    The top row is U(h ⋊ g) / X' as a presented quotient whose one-pass
+    certificate is ``kernel_product_stabilized`` (see
+    :func:`freealg.subspace_product`), so it is proven when that holds.
     The target row is the pair algebra of (M -> g) over U(g)
     (:func:`pair_algebra`), certified with U(g) (``u_g_stabilized``).
 
@@ -575,14 +576,16 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
     top ⋉ (U ⊗ V)/Y' for U = U(h ⋊ g) and V = N ⊕ M.  Its letters and
     relations are those of the carrier's pair algebra over the top with
     alpha = 0 (:func:`_pair_relations`: v_k for the basis of V, then the
-    letters of h ⋊ g; the top's completed rows, v_k x_g - x_g v_k - [v_k,
-    g] as (x ⊗ v)g = xg ⊗ v + x ⊗ [v,g], and v_k v_l), and the seeds of
-    Y'.  The normal words are top class words x and words x·v_k.  The
+    letters of h ⋊ g; the top's rows, v_k x_g - x_g v_k - [v_k, g] as
+    (x ⊗ v)g = xg ⊗ v + x ⊗ [v,g], and v_k v_l), and the seeds of Y'.
+    The normal words are top class words x and words x·v_k.  The
     relations but the seeds present top ⋉ (top ⊗ V), and in a square-zero
     algebra the ideal that elements of V-degree one generate is the
-    sub-bimodule they generate.  So a closed completion makes the words
-    x·v_k a basis of (U ⊗ V)/Y', and it joins
+    sub-bimodule they generate.  So when sq's rows resolve, the words
+    x·v_k are a basis of (U ⊗ V)/Y', and sq's certificate joins
     ``kernel_product_stabilized``: Y' is a kernel-product ideal like X'.
+    Like X' (:meth:`freealg.TruncQuotAlgebra.extend_by`), sq is checked on
+    each input, not proven: no count of its dimension is known in general.
 
     Let Ks1, Kt1 be the kernels of the bottom maps U(s2) ⊗ s1, U(t2) ⊗ t1
     and Ks2, Kt2 those of s2, t2 on U.  Y' = Ks1·Kt2 + Ks2·Kt1 + Kt1·Ks2 +
@@ -621,9 +624,9 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
     report_degree = report_degree_for(degree, report_degree)
 
     carrier = lm_semidirect_object(X)
-    usd = u_lie(carrier.lie, degree, slack)
-    Ug = u_lie(X.dst.lie, degree, slack)
-    target = pair_algebra(X.dst, Ug, slack)
+    usd = u_lie(carrier.lie, degree)
+    Ug = u_lie(X.dst.lie, degree)
+    target = pair_algebra(X.dst, Ug)
     mv = X.dst.bottom_dim
     target_bottom = TensorBimodule(target, mv)
 
@@ -639,7 +642,7 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
                 for a in range(h_dim + g_dim)]
 
     kq = kernel_product_quotient(usd, Ug, top_images(s2), top_images(t2),
-                                 [h_dim + j for j in range(g_dim)], slack)
+                                 [h_dim + j for j in range(g_dim)])
     top, nv = kq.quot, carrier.bottom_dim
     alpha = [top.reduce({(j,): c for j, c in carrier.alpha.col(k).items()})
              for k in range(nv)]
@@ -698,7 +701,7 @@ def lm_xmod_envelope(X, degree, slack=2, report_degree=None):
 
     sq = presented(tuple("v%d" % k for k in range(nv)) + usd.gens,
                    _pair_relations(top, carrier.right_mats, [{}] * nv) +
-                   seeds, degree, slack)
+                   seeds, degree)
     bottom = BottomBasis(sq, nv)
     us1, ut1, connect = (
         LinearMap.from_cols(cod.dim, [cod.to_coords(f({w: 1}))
@@ -719,7 +722,7 @@ def check_lm_assoc_xmod(Y):
     an induction gives every other pair of filtration rows.
 
     U(g), the target, the top and sq are presented algebras, associative
-    when their completions close (the certificates); the target's
+    when their rows resolve (the certificates); the target's
     connecting map is a bimodule map (:func:`pair_algebra`).  emb, us2 and
     ut2 are ``induced_map``s, so algebra maps, and ut2∘emb = id, as t2 is
     the identity on g's letters; us1, ut1 and the connecting map are
@@ -768,7 +771,7 @@ def check_lm_assoc_xmod(Y):
       s·σ(x ⊗ m) in sq, for σ the s-section; σ(r·y) = emb(r)·σ(y) and
       σ(y·r) = σ(y)·emb(r), as [(0,m), emb(g)] = (0, [m,g]).  So xi1(y,
       s)·s' = xi1(y, s·s'), s·xi2(s', y) = xi2(s·s', y) and s·xi1(y, s') =
-      xi2(s, y)·s' restate associativity of sq, which its closed completion
+      xi2(s, y)·s' restate associativity of sq, which its certificate
       proves; they are not checked.
     - The bridge identities run over the degree-one rows y = 1 ⊗ m and s
       in k_s.  Let z = xi1(1 ⊗ m, s), in Ker us1.  Then xi1(x ⊗ m, s) =
@@ -895,81 +898,10 @@ def check_lm_assoc_xmod(Y):
 
 
 # ---------------------------------------------------------------------------
-# associated classical crossed module and the comparison isomorphism
-
-
-@dataclass(frozen=True)
-class AssociatedXMod:
-    """Classical (truncated) crossed module of associative algebras built
-    from the enveloping object: carriers b_ker ⊕ s_ker and
-    (U(g) ⊗ M) ⊕ U(g), products (a,r)(a',r') = (alpha(a)a' + ar' + ra', rr').
-
-    The top row's carrier is the target pair algebra, whose product is
-    this one (:func:`pair_algebra`).  The bottom-row ambient is sq with
-    the connect term added: in sq (b + s)(b' + s') = bs' + sb' + ss', as
-    it is square-zero.  Elements are class vectors of the target and of
-    sq."""
-
-    Y: LMAssocXMod
-
-    def bottom_mult(self, u, v, bound):
-        """Product in the bottom-row ambient (quotient bottom ⊕ top)."""
-        Y = self.Y
-        out = Y.sq.mult(u, v, bound)
-        b = Y.bottom.to_coords(
-            {w: c for w, c in u.items() if w in Y.bottom.index})
-        b2 = {w: c for w, c in v.items() if w in Y.bottom.index}
-        if b and b2:
-            conn = Y._in_sq(Y.top.from_coords(Y.connect.apply(b)))
-            vec_add_scaled(out, Y.sq.mult(conn, b2, bound), 1)
-        return out
-
-    @cached_property
-    def _t(self):
-        return self.Y.pair_map(self.Y.ut1, self.Y.ut2)
-
-    def boundary(self, u):
-        Y = self.Y
-        return Y.target.from_coords(self._t.apply(Y.sq.to_coords(u)))
-
-    def embed_pair(self, u):
-        """(U(g) ⊗ M) ⊕ U(g) into the bottom-row ambient, through the
-        s-section and the g-block embedding."""
-        Y = self.Y
-        a = {w: c for w, c in u.items() if w in Y.target_bottom.index}
-        r = {w: c for w, c in u.items() if w not in a}
-        out = Y.bottom.from_coords(Y.section(Y.target_bottom.to_coords(a)))
-        vec_add_scaled(out, Y._in_sq(Y.r_on_top(
-            _shift_vec(r, -Y.X.dst.bottom_dim))), 1)
-        return out
-
-
-def check_associated_xmod(ax):
-    """Truncated associative crossed-module axioms
-    (:func:`xmod.identity_violations`) on filtration bases at the report
-    degree, over every kernel row and every target class word.
-    Associativity of the top row is the target pair algebra's, proven when
-    its completion closes (``u_g_stabilized``)."""
-    Y = ax.Y
-    d = Y.report_degree
-    b_rows = [(db, Y.bottom.from_coords(v))
-              for db, v in Y.b_ker_filtration(d)]
-    b_rows += [(ds, Y._in_sq(Y.top.from_coords(v)))
-               for ds, v in Y.s_ker_filtration(d)]
-    a_rows = [(len(w), {w: 1}) for w in Y.target.class_words if len(w) <= d]
-    return identity_violations(
-        b_rows, a_rows, lambda u, v: ax.bottom_mult(u, v, d),
-        lambda u, v: Y.target.mult(u, v, d), ax.boundary,
-        lambda r, u: ax.bottom_mult(ax.embed_pair(r), u, d),
-        lambda u, r: ax.bottom_mult(u, ax.embed_pair(r), d),
-        "boundary_mult", d)
-
-
-# ---------------------------------------------------------------------------
 # comparison with the plain enveloping crossed module
 
 
-def theta_check(x, degree, slack=2, report_degree=None):
+def theta_check(x, degree, report_degree=None):
     """Compare the enveloping crossed module of x with the associated
     crossed module of the categorical construction.
 
@@ -988,14 +920,14 @@ def theta_check(x, degree, slack=2, report_degree=None):
     word-wise map into an associative algebra kills the ideal's span V_D
     once it kills the ideal's rows: V_D is spanned by the u·g·v of degree
     <= D for g in the rows, and their image is image(u)·image(g)·image(v)
-    = 0.  P is associative when its completion closes (Bergman's diamond
+    = 0.  P is associative when its rows resolve (Bergman's diamond
     lemma, Adv. Math. 29, 1978), so P's ``stabilized`` joins
     ``u_semidirect_stabilized``, as the target's joins ``u_g_stabilized``.
-    The defining relations get no check of their own: each of degree <= D
-    reduces to zero by the completed rows of degree <= D, which lie in
-    V_D.  When a row is not killed, theta is no map: ``relations_killed``
-    is false, the verdict fails, and the checks that need theta are left
-    out of the record.
+    The defining relations get no check of their own: each is a
+    combination of the interreduced rows, which lie in V_D.  When a row is
+    not killed, theta is no map: ``relations_killed`` is false, the
+    verdict fails, and the checks that need theta are left out of the
+    record.
 
     P has sq's letters, so a class word of P is a word of sq, and theta's
     image in the quotient row is sq's class of it.  That projection is
@@ -1007,11 +939,11 @@ def theta_check(x, degree, slack=2, report_degree=None):
     carry it.
     """
     d = report_degree_for(degree, report_degree)
-    tx = xul(x, degree, slack, report_degree=d)
+    tx = xul(x, degree, report_degree=d)
     X = xmod_to_lm(x)
-    Y = lm_xmod_envelope(X, degree, slack, report_degree=d)
+    Y = lm_xmod_envelope(X, degree, report_degree=d)
     usd1, bar, sq = tx.ul_sd, tx.ambient, Y.sq
-    P = pair_algebra(Y.carrier, Y.usd, slack)
+    P = pair_algebra(Y.carrier, Y.usd)
 
     certs = dict(Y.certificates)
     certs["u_semidirect_stabilized"] = \

@@ -88,10 +88,10 @@ def integral(obj):
     fails on a tuple of basis vectors exactly when it fails on their
     rescaled versions: violation tuples are the same.  A diagonal
     rescaling of the generators of a presented algebra only scales each
-    word, so completion sees the same leading words and ambiguities and
-    closes in the same round, and pivots and complement coordinates,
-    which depend only on supports, are the same: so are dimensions, class
-    words and certificates."""
+    word, so the diamond-lemma pass sees the same leading words and
+    ambiguities and resolves the same ones, and pivots and complement
+    coordinates, which depend only on supports, are the same: so are
+    dimensions, class words and certificates."""
     if not isinstance(obj, tuple):
         return integral_algebra(obj, _constants(obj))[0]
     q, p, eta, act = obj

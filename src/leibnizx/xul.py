@@ -94,7 +94,7 @@ def _degree_one_kernel(env, target, gen_images):
     return [v for _, v in filtration_basis(env, f.kernel())]
 
 
-def kernel_product_quotient(env, target, s_imgs, t_imgs, section, slack):
+def kernel_product_quotient(env, target, s_imgs, t_imgs, section):
     """Quotient of the envelope ``env`` by X = Ker s·Ker t + Ker t·Ker s,
     where s, t: env -> target are the algebra maps with generator images
     s_imgs, t_imgs (class vectors of target), and the embedding target ->
@@ -104,20 +104,19 @@ def kernel_product_quotient(env, target, s_imgs, t_imgs, section, slack):
     X is generated by its degree-two products A·B of the degree-one
     kernel rows A = Ker s ∩ F_1 and B = Ker t ∩ F_1, which span B·A too
     modulo env's relations (:func:`freealg.subspace_product`), so only
-    those rows are computed, and the quotient is presented: the
-    completion, capped at D + slack, of env's rows with A·B.  When its
-    ideal is ``stabilized``, the quotient is env / X at every degree <= D.
+    those rows are computed, and the quotient is presented by env's rows
+    with A·B (:meth:`freealg.TruncQuotAlgebra.extend_by`).  When its ideal
+    is ``stabilized``, the quotient is env / X at every degree <= D.
 
     s and t are checked as algebra maps once, on the quotient, by
-    ``bar_s`` and ``bar_t``.  The quotient's completed rows generate an
-    ideal that contains env's rows: its completion starts from them, and
-    each is a combination of the completed rows of degree <= D.  The
+    ``bar_s`` and ``bar_t``.  The quotient's rows are the interreduced
+    env rows and A·B, so each of env's rows is a combination of them.  The
     target is associative, so an ``induced_map`` on the quotient, which
     kills the quotient's rows, kills env's ideal too: s and t are algebra
     maps on env."""
     s_rows, t_rows = (_degree_one_kernel(env, target, imgs)
                       for imgs in (s_imgs, t_imgs))
-    quot = env.extend_by(subspace_product(s_rows, t_rows), slack)
+    quot = env.extend_by(subspace_product(s_rows, t_rows))
     pi = LinearMap.from_cols(
         quot.dim, [quot.to_coords(quot.reduce({w: 1}))
                    for w in env.class_words])
@@ -128,20 +127,20 @@ def kernel_product_quotient(env, target, s_imgs, t_imgs, section, slack):
     return KernelQuotient(s_rows, t_rows, quot, pi, bar_s, bar_t, embed)
 
 
-def xul(x, degree, slack=2, report_degree=None):
+def xul(x, degree, report_degree=None):
     """Build the truncated enveloping crossed module of x."""
     require_xmod(x)
     report_degree = report_degree_for(degree, report_degree)
 
     sd = semidirect(x.action)
-    usd = ul(sd, degree, slack)
-    up = ul(x.p, degree, slack)
+    usd = ul(sd, degree)
+    up = ul(x.p, degree)
     n_sd, nq = sd.dim, x.q.dim
     smat, tmat = cat1_matrices(x.eta)
     section = [nq + i for i in range(x.p.dim)] + \
         [n_sd + nq + i for i in range(x.p.dim)]
     kq = kernel_product_quotient(usd, up, ul_images(up, smat),
-                                 ul_images(up, tmat), section, slack)
+                                 ul_images(up, tmat), section)
     B = kq.bar_s.kernel()
     rho = kq.bar_t.restrict(B)
     certs = {
@@ -164,7 +163,7 @@ def check_trunc_xmod(tx):
     The letters suffice.  ``embed`` is an ``induced_map``, a ``word_fold``,
     so embed(r) = embed(r′)·embed(g) for a class word r = r′·g (a prefix
     of a normal word is normal), and the ambient is associative when its
-    completion closes (Bergman's diamond lemma, Adv. Math. 29, 1978).  So
+    rows resolve (Bergman's diamond lemma, Adv. Math. 29, 1978).  So
     embed(r)·b = embed(r′)·(embed(g)·b) and b·embed(r) =
     (b·embed(r′))·embed(g).  Induction on |r| then carries each check from
     the letters to r: embed(g)·b and b·embed(r′) lie in B (checked for the
@@ -235,12 +234,12 @@ def _kernel_words_span(usd, nq, d):
     letter: the span of the class words of length <= d that contain one.
 
     q is an ideal of q ⋊ p and p a subalgebra, so each UL relation has a
-    q-letter in every term or in none.  Completion keeps that: an
-    ambiguity's two sides and each rewriting step x·l·y -> x·tail·y keep
-    the letters outside the rule, and a rule's words all have a q-letter
-    or none.  So do the completed rows, and a word with a q-letter
-    rewrites to class words with one, none of them longer.  Each class
-    word with a q-letter is its own class."""
+    q-letter in every term or in none, and so has each interreduced row
+    (the reduced echelon basis is unique, and the union of those of the
+    two kinds of relation, whose supports are apart, is one).  A rewriting
+    step x·l·y -> x·tail·y keeps the letters outside the rule, so a word
+    with a q-letter rewrites to class words with one, none of them longer.
+    Each class word with a q-letter is its own class."""
     g = len(usd.gens)
     qletters = set(range(nq)) | set(range(g // 2, g // 2 + nq))
     return Subspace(usd.dim, [
@@ -248,10 +247,10 @@ def _kernel_words_span(usd, nq, d):
         if len(w) <= d and qletters.intersection(w)])
 
 
-def _lemma41_core(x, degree, slack, d):
+def _lemma41_core(x, degree, d):
     sd = semidirect(x.action)
-    usd = ul(sd, degree, slack)
-    up = ul(x.p, degree, slack)
+    usd = ul(sd, degree)
+    up = ul(x.p, degree)
     smat, _ = cat1_matrices(x.eta)
     Us = ul_map(usd, up, smat)
     Ks = Us.kernel()
@@ -261,21 +260,21 @@ def _lemma41_core(x, degree, slack, d):
     return lhs, rhs, usd.ideal.stabilized, up.ideal.stabilized
 
 
-def lemma41_check(x, degree, slack=2, report_degree=None):
+def lemma41_check(x, degree, report_degree=None):
     """Ker UL(s) ∩ F_d equals the span of classes of words with a zero
     p-component slot, with stabilization certificates.
 
-    When both envelopes are exact (their certificates are proofs),
-    Ker UL(s) ∩ F_d depends on neither the working degree D >= d + 2 nor
-    the slack, so the slack and degree stability certificates are the
-    conjunction of the two envelopes' certificates.
+    Both envelopes are UL of a Leibniz algebra, certified on every input
+    (:func:`envelope.ul`), and then Ker UL(s) ∩ F_d does not depend on
+    D >= d + 2: the report's ``slack_stable`` and ``degree_stable`` are
+    the conjunction of the two envelopes' certificates.
 
     Returns a dict record with verdict "pass", "fail" or "inconclusive";
     raises XModAxiomError, as :func:`xul` does, on a non-crossed module.
     """
     require_xmod(x)
     d = report_degree_for(degree, report_degree)
-    lhs, rhs, stab, p_stab = _lemma41_core(x, degree, slack, d)
+    lhs, rhs, stab, p_stab = _lemma41_core(x, degree, d)
     equal = lhs == rhs
     exact = stab and p_stab
     return {
@@ -314,7 +313,7 @@ def section_into_b(tx, eps):
     return LinearMap.from_cols(tx.B.dim, cols)
 
 
-def prop42_check(p, degree, slack=2, report_degree=None):
+def prop42_check(p, degree, report_degree=None):
     """For (p, p, id): pi∘UL(eps) and bar_t| are mutually inverse between
     the augmentation ideal of UL(p) and Ker bar_s, on filtration bases up
     to the report degree.
@@ -325,7 +324,7 @@ def prop42_check(p, degree, slack=2, report_degree=None):
     """
     d = report_degree_for(degree, report_degree)
     x = identity_xmod(p)
-    tx = xul(x, degree, slack, report_degree=d)
+    tx = xul(x, degree, report_degree=d)
     n = p.dim
     eps = LinearMap.from_cols(2 * n, [{i: 1} for i in range(n)])
     sigma = section_into_b(tx, eps)
@@ -362,11 +361,11 @@ def prop42_check(p, degree, slack=2, report_degree=None):
     }
 
 
-def embedding_squares_check(p, degree, slack=2, report_degree=None):
+def embedding_squares_check(p, degree, report_degree=None):
     """XUL(0, p, 0) = (0, UL(p), 0): zero kernel and ambient identified
     with UL(p) on the nose."""
     d = report_degree_for(degree, report_degree)
-    tx = xul(zero_xmod(integral(p)), degree, slack, report_degree=d)
+    tx = xul(zero_xmod(integral(p)), degree, report_degree=d)
     b_zero = tx.B == zero_subspace(tx.ambient.dim)
     a_matches = (tx.ambient.dim == tx.ul_p.dim
                  and tx.bar_s.rank() == tx.ul_p.dim)

@@ -4,11 +4,12 @@ import pathlib
 import pytest
 
 from leibnizx import io
-from leibnizx.freealg import (TruncIdeal, TruncQuotAlgebra, filtration_basis,
-                              induced_map, word_key)
+from leibnizx.freealg import (TruncIdeal, TruncQuotAlgebra, _ambiguities,
+                              filtration_basis, induced_map, rewriter,
+                              word_key)
 from leibnizx.leibniz import LeibnizAlgebra
 from leibnizx.linalg import Echelon, Subspace, vec_add_scaled
-from leibnizx.scalars import Q
+from leibnizx.scalars import Q, exact
 from leibnizx.xmod import identity_xmod, ideal_inclusion_xmod
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
@@ -66,6 +67,54 @@ def span_rows(quot):
             for w in sorted(all_words(len(quot.gens), quot.degree),
                             key=word_key)
             if w not in quot.class_index]
+
+
+def groebner_basis(relations, cap):
+    """Reference completion: Buchberger–Mora (Mora, TCS 134, 1994) over
+    :func:`word_key`, capped at ambiguity words of length <= cap.
+
+    Each round interreduces the relations (the canonical rows G of their
+    echelon), takes each row as the rewriting rule of its leading word,
+    and rewrites both sides of every ambiguity to normal form
+    (``freealg.rewriter``).  A nonzero difference from an ambiguity word of
+    length <= cap joins the relations; it contains no leading word, so it
+    is independent of them and the round grows.  The rounds end when one
+    adds nothing, which they do since each new relation has degree <= cap;
+    every ambiguity of length <= cap then resolves.  Returns (G, closed):
+    closed is True only when every ambiguity resolves, and then G is a
+    Gröbner basis by the diamond lemma.  ``freealg.ideal_span`` is its
+    first round: it certifies exactly the relation sets this closes in
+    one round, adding nothing."""
+    ech = Echelon(word_key)
+    for r in relations:
+        ech.insert(r)
+    grew = True
+    while grew:
+        G = ech.canonical_rows()
+        rules = {min(row, key=word_key): row for row in G}
+        normal_form, _ = rewriter(rules)
+        closed, grew = True, False
+        for word, p, q in _ambiguities(rules):
+            if len(word) > cap and not closed:
+                continue  # it can no longer change the outcome
+            diff = normal_form(vec_add_scaled(p, q, -1))
+            if diff:
+                closed = False
+                if len(word) <= cap and ech.insert(diff) is not None:
+                    grew = True
+    return G, closed
+
+
+def completed_quotient(gens, relations, degree, slack):
+    """The quotient by the reference completion (:func:`groebner_basis`)
+    of the relations, capped at degree + slack: its rows of degree <= D,
+    with its closed flag as the certificate.  Below the cap every
+    ambiguity resolves, so the normal words of length <= D span a
+    complement of the span of the u*g*v of degree <= D, open or closed."""
+    relations = [{w: exact(c) for w, c in r.items() if c} for r in relations]
+    G, closed = groebner_basis(relations, degree + slack)
+    rows = [r for r in G if max(map(len, r)) <= degree]
+    return TruncQuotAlgebra(gens, degree, TruncIdeal(rows, closed))
 
 
 def free_reclosure(quot, added):

@@ -206,7 +206,7 @@ def test_c09_categorical_envelope(load, a1, l2, r2):
     for p in (l2, r2):
         L = leibniz_to_lm(p)
         U_direct = u_lie(L.lie, 3)
-        A = pair_algebra(L, U_direct, 2)
+        A = pair_algebra(L, U_direct)
         bottom = BottomBasis(A, L.bottom_dim)
         for k in range(4):
             assert A.dim_upto(k) - bottom.dim_upto(k) == \

@@ -291,6 +291,45 @@ def test_every_command_on_every_corpus_file(capsys, cmd):
             assert rc in (0, 1, 2, 3), (cmd, name, flags)
 
 
+SWEEP_COMMANDS = {
+    "a1": [("check",), ("ul",), ("verify", "prop42"), ("verify", "squares")],
+    "l2": [("check",), ("ul",), ("verify", "prop42"), ("verify", "squares")],
+    "xmod-id-a1": [("check",), ("xul",), ("lm",), ("verify", "lemma41"),
+                   ("verify", "theta")],
+}
+
+
+def test_flag_sweep_exits_cleanly_and_slack_changes_only_params(capsys):
+    """Every command on a1, l2 and xmod-id-a1 at degree 2–4, report degree
+    -1..D and slack -1..3 ends in exit 0, 1 or 2, never an exception (the
+    certificates hold, so never 3 either); a rejection writes only an
+    error line.  --slack is echoed in the report's params and changes
+    nothing else: the JSON reports at slack 0 and 3 differ only there."""
+    for stem, commands in SWEEP_COMMANDS.items():
+        for cmd in commands:
+            for D in (2, 3, 4):
+                for rd in range(-1, D + 1):
+                    runs = {}
+                    for slack in range(-1, 4):
+                        runs[slack] = rc, out, err = run(
+                            capsys, *cmd, corpus_path(stem + ".json"),
+                            "--degree", str(D), "--report-degree", str(rd),
+                            "--slack", str(slack), "--format", "json")
+                        where = (stem, cmd, D, rd, slack)
+                        assert rc in (0, 1, 2), where
+                        if rc == 2:
+                            assert out == "" and err.startswith("error: "), \
+                                where
+                    (rc0, out0, _), (rc3, out3, _) = runs[0], runs[3]
+                    assert rc0 == rc3, (stem, cmd, D, rd)
+                    if rc0 != 2:
+                        doc0, doc3 = json.loads(out0), json.loads(out3)
+                        if "slack" in doc0["params"]:
+                            assert (doc0["params"].pop("slack"),
+                                    doc3["params"].pop("slack")) == (0, 3)
+                        assert doc0 == doc3, (stem, cmd, D, rd)
+
+
 HALF = {"kind": "leibniz_algebra", "name": "half", "basis": ["x", "y"],
         "bracket": [{"left": "x", "right": "x",
                      "value": {"x": "1", "y": "1/2"}}]}

@@ -146,12 +146,12 @@ def test_envelopes_of_valid_inputs_certify(load, name, seed):
     g = _rebased(p, random.Random(seed))
     lie, _ = liezation(g)
     n, m, D = g.dim, lie.dim, 4
-    alg = ul(g, D, slack=0)
+    alg = ul(g, D)
     assert alg.ideal.stabilized
     assert [alg.dim_upto(k) for k in range(D + 1)] == [
         math.comb(k + m, m) + (n * math.comb(k - 1 + m, m) if k else 0)
         for k in range(D + 1)]
-    U = u_lie(lie, D, slack=0)
+    U = u_lie(lie, D)
     assert U.ideal.stabilized
     assert [U.dim_upto(k) for k in range(D + 1)] == [
         math.comb(k + m, m) for k in range(D + 1)]

@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 from leibnizx.scalars import Q
 from leibnizx.envelope import ul, ul_relations
 from leibnizx.freealg import (HomomorphismError, TruncIdeal,
-                              filtration_basis, groebner_basis, ideal_span,
-                              induced_map, presented, rewriter,
-                              subspace_product, word_key)
+                              filtration_basis, ideal_span, induced_map,
+                              presented, rewriter, subspace_product,
+                              word_key)
 from leibnizx.leibniz import liezation
 from leibnizx.linalg import Echelon, Subspace
 from leibnizx.lm import lie_relations
 
-from conftest import (all_pairs_product, all_words, fraction_reduce,
-                      free_reclosure, is_normal_vec, span_rows)
+from conftest import (all_pairs_product, all_words, completed_quotient,
+                      fraction_reduce, free_reclosure, groebner_basis,
+                      is_normal_vec, span_rows)
 
 
 def test_word_key_elimination_order():
@@ -46,7 +47,7 @@ def test_ideal_span_brute_force_agreement():
     """The truncated ideal span equals the naive span of all products
     w1 * r * w2 enumerated densely at the same top degree."""
     rels = [{(0, 1): 1, (1, 0): -1, (0,): -1}]
-    quot = presented(("x", "y"), rels, 3, slack=2)
+    quot = presented(("x", "y"), rels, 3)
     index = {w: i for i, w in enumerate(all_words(2, 3))}
     top = quot.degree + 2
     vecs = []
@@ -118,14 +119,15 @@ def _gens(n):
 
 def _resolves(relations):
     """Whether the relations resolve every ambiguity as given: the
-    completion with no ambiguity window adds nothing."""
+    reference completion with no ambiguity window adds nothing."""
     return groebner_basis(_nonzero(relations), 0)[1]
 
 
 @pytest.mark.parametrize("slack", [0, 1, 2])
 def test_ideal_span_matches_enumeration(a1, l2, r2, slack):
     """The span the quotient reduces by has the rows of the full
-    enumeration, with a proof, on the envelope and Lie presentations."""
+    enumeration up to degree D + slack, whatever the slack, with a proof,
+    on the envelope and Lie presentations."""
     cases = [(2 * a1.dim, ul_relations(a1), (2, 3, 4)),
              (2 * l2.dim, ul_relations(l2), (2, 3)),
              (2 * r2.dim, ul_relations(r2), (2, 3)),
@@ -135,7 +137,7 @@ def test_ideal_span_matches_enumeration(a1, l2, r2, slack):
         # PBW type (Loday–Pirashvili): every ambiguity resolves
         assert _resolves(rels)
         for D in degrees:
-            quot = presented(_gens(g), rels, D, slack=slack)
+            quot = presented(_gens(g), rels, D)
             assert span_rows(quot) == enumerated_ideal(
                 g, D, rels, slack), (g, D)
             assert quot.ideal.stabilized is True, (g, D)
@@ -152,20 +154,20 @@ def _assert_certified(g, D, rels, ideal):
 
 
 @settings(deadline=None, max_examples=30)
-@given(st.integers(2, 3), st.integers(1, 4), st.integers(0, 1),
+@given(st.integers(2, 3), st.integers(1, 4),
        st.lists(st.dictionaries(st.sampled_from(_WORDS), st.integers(-2, 2),
                                 min_size=1, max_size=4),
                 min_size=1, max_size=4))
-def test_ideal_span_matches_enumeration_random(g, D, slack, raw):
+def test_ideal_span_matches_enumeration_random(g, D, raw):
     rels = [{w: c for w, c in t.items()
              if len(w) <= D and all(x < g for x in w)} for t in raw]
-    quot = presented(_gens(g), rels, D, slack=slack)
+    quot = presented(_gens(g), rels, D)
+    assert quot.ideal.stabilized is _resolves(rels)
     if _resolves(rels):
         # the relations have degree <= 2, so each product u*g*v of degree
         # <= D comes from products of the relations of degree <= D + 2:
         # the slack-2 enumeration is the ideal's whole part of degree <= D
         assert span_rows(quot) == enumerated_ideal(g, D, rels, 2)
-        assert quot.ideal.stabilized is True
     elif D <= 3:
         # the slack-3 enumeration at D4 (top degree 7) can take minutes
         _assert_certified(g, D, rels, quot.ideal)
@@ -187,10 +189,13 @@ def generator_products(n, D, gens):
 
 
 def test_quotient_matches_generator_products_open_or_closed():
-    """Whether the completion closes or stays open, the class words are the
-    words that are no pivot of the span of the generator products u*g*v of
-    degree <= D, and every word reduces to its residue modulo that span.
-    The seeded sets include both kinds (21 of the 300 stay open)."""
+    """Whether the reference completion closes or stays open, the class
+    words of its quotient are the words that are no pivot of the span of
+    the generator products u*g*v of degree <= D, and every word reduces
+    to its residue modulo that span.  The seeded sets include both kinds
+    (21 of the 300 stay open).  The one-pass certificate of ``presented``
+    holds exactly on the sets that resolve as given, and then its quotient
+    is the reference's."""
     rng = random.Random(15)
     seen = set()
     for _ in range(300):
@@ -199,7 +204,11 @@ def test_quotient_matches_generator_products_open_or_closed():
         rels = [{w: rng.randint(-2, 2)
                  for w in rng.sample(words, rng.randint(1, 3))}
                 for _ in range(rng.randint(2, 4))]
-        quot = presented(_gens(n), rels, D, slack=slack)
+        quot = completed_quotient(_gens(n), rels, D, slack)
+        one = presented(_gens(n), rels, D)
+        assert one.ideal.stabilized is _resolves(rels)
+        if one.ideal.stabilized:
+            assert one.class_words == quot.class_words
         rows = generator_products(n, D, quot.ideal.rows)
         assert quot.class_words == tuple(w for w in all_words(n, D)
                                          if w not in rows)
@@ -242,7 +251,7 @@ def test_normal_words_match_the_suffix_enumeration():
         rels = [{w: rng.randint(-2, 2)
                  for w in rng.sample(words, rng.randint(1, 3))}
                 for _ in range(rng.randint(2, 4))]
-        ideal = presented(_gens(n), rels, D, slack=rng.randint(0, 1)).ideal
+        ideal = completed_quotient(_gens(n), rels, D, rng.randint(0, 1)).ideal
         lengths |= {len(min(r, key=word_key)) for r in ideal.rows}
         assert ideal.normal_words(n, D) == \
             _normal_words_by_suffixes(ideal, n, D)
@@ -271,35 +280,40 @@ def test_rewriter_chain_longer_than_the_recursion_limit():
 
 def test_unresolved_overlap_is_completed():
     """x0x0 -> x1 overlaps itself in x0x0x0, where x1x0 and x0x1 differ:
-    not a Gröbner basis as given.  The completion adds x0x1 - x1x0 and
-    closes at every slack once the window holds x0x0x0, so the rows
-    include (x1x0 - x0x1)x0, which the slack-0 enumeration misses."""
+    not a Gröbner basis as given, so the one pass does not certify it.
+    The reference completion adds x0x1 - x1x0 and closes at every slack
+    once the window holds x0x0x0, so the rows include (x1x0 - x0x1)x0,
+    which the slack-0 enumeration misses."""
     rels = [{(0, 0): 1, (1,): -1}]
     assert not _resolves(rels)
+    for D in (2, 3):
+        assert ideal_span(rels, D).stabilized is False
     assert enumerated_ideal(2, 3, rels, 0) != enumerated_ideal(2, 3, rels, 3)
     for slack in (0, 1, 2):
-        quot = presented(_gens(2), rels, 3, slack=slack)
+        quot = completed_quotient(_gens(2), rels, 3, slack)
         assert quot.ideal.stabilized is True, slack
         assert span_rows(quot) == enumerated_ideal(2, 3, rels, 3), slack
     # at D2 the window x0x0 (length 2) misses the overlap at slack 0
-    assert ideal_span(rels, 2, slack=0).stabilized is False
-    assert ideal_span(rels, 2, slack=1).stabilized is True
+    assert completed_quotient(_gens(2), rels, 2, 0).ideal.stabilized is False
+    assert completed_quotient(_gens(2), rels, 2, 1).ideal.stabilized is True
 
 
 def test_inclusion_ambiguities():
     """x1x2 -> x3 lies inside the leading word of x0x1x2.  When the second
     relation is x0(x1x2 - x3) the inclusion resolves; when it is x0x1x2
     alone, x0x3 is a new element of the ideal and (x0x3)x0 needs
-    products of degree 4: the completion adds x0x3 and closes."""
+    products of degree 4: the one pass does not certify it, and the
+    reference completion adds x0x3 and closes."""
     resolved = [{(1, 2): 1, (3,): -1}, {(0, 1, 2): 1, (0, 3): -1}]
     assert _resolves(resolved)
-    quot = presented(_gens(4), resolved, 3, slack=0)
+    quot = presented(_gens(4), resolved, 3)
     assert span_rows(quot) == enumerated_ideal(4, 3, resolved, 2)
     assert quot.ideal.stabilized is True
     unresolved = [{(1, 2): 1, (3,): -1}, {(0, 1, 2): 1}]
     assert not _resolves(unresolved)
+    assert presented(_gens(4), unresolved, 3).ideal.stabilized is False
     for slack in (0, 1, 2):
-        quot = presented(_gens(4), unresolved, 3, slack=slack)
+        quot = completed_quotient(_gens(4), unresolved, 3, slack)
         assert quot.ideal.stabilized is True, slack
         assert quot.ideal.reduce_vec({(0, 3, 0): 1}) == {}
         assert span_rows(quot) == enumerated_ideal(4, 3, unresolved, 3)
@@ -307,24 +321,26 @@ def test_inclusion_ambiguities():
 
 def test_slack_heuristic_counterexample_is_never_certified():
     """Relations on which the slack S/S+1 comparison certified 21 rows at
-    slack 0, though the ideal's part of degree <= 3 has 29.  The
-    completion stays open at slacks 0 and 1 and closes at slack 2."""
+    slack 0, though the ideal's part of degree <= 3 has 29.  The one pass
+    does not certify them; the reference completion stays open at slacks
+    0 and 1 and closes at slack 2."""
     rels = [{(0, 2): 2, (1, 1): -2}, {(2, 1): 1},
             {(0, 1): 1, (0,): -2, (2, 0): -2}]
     words = len(all_words(3, 3))
+    assert presented(_gens(3), rels, 3).ideal.stabilized is False
     for slack in (0, 1, 2, 3):
-        quot = presented(_gens(3), rels, 3, slack=slack)
+        quot = completed_quotient(_gens(3), rels, 3, slack)
         assert quot.ideal.stabilized is (slack >= 2), slack
         assert words - quot.dim == 29 or not quot.ideal.stabilized, slack
         _assert_certified(3, 3, rels, quot.ideal)
-    assert words - presented(_gens(3), rels, 3, slack=0).dim == 21
+    assert words - completed_quotient(_gens(3), rels, 3, 0).dim == 21
 
 
 def test_certified_closure_runs_on_the_interreduced_relations():
     """x0x1 + x2 and x0x1 + x3 have leading parts that cancel: x2 - x3 is
     in the ideal, and so is (x2 - x3)x0x0 at degree 3, but only products of
     the raw relations of degree 4 reach it.  The certified closure runs on
-    the interreduced relations and finds it at any slack."""
+    the interreduced relations and finds it."""
     rels = [{(0, 1): 1, (2,): 1}, {(0, 1): 1, (3,): 1}]
     assert _resolves(rels)
     exact = enumerated_ideal(4, 3, rels, 2)
@@ -333,11 +349,10 @@ def test_certified_closure_runs_on_the_interreduced_relations():
     for r in enumerated_ideal(4, 3, rels, 0):
         raw.insert(dict(r))
     assert not raw.contains(witness)
-    for slack in (0, 1, 2):
-        quot = presented(_gens(4), rels, 3, slack=slack)
-        assert span_rows(quot) == exact
-        assert quot.ideal.stabilized is True
-        assert quot.ideal.reduce_vec(witness) == {}
+    quot = presented(_gens(4), rels, 3)
+    assert span_rows(quot) == exact
+    assert quot.ideal.stabilized is True
+    assert quot.ideal.reduce_vec(witness) == {}
 
 
 def test_quotient_reduce_and_mult():
@@ -378,7 +393,7 @@ def test_induced_map_checks_relations():
                                                 r"word \(0, 1\)"):
         induced_map(quot, nc, [nc.gen_class(0), nc.gen_class(1)])
     # after extend_by, an added row is in the completed rows too
-    no_x = quot.extend_by([quot.gen_class(0)], 1)
+    no_x = quot.extend_by([quot.gen_class(0)])
     induced_map(no_x, no_x, [no_x.gen_class(0), no_x.gen_class(1)])
     with pytest.raises(HomomorphismError, match=r"leading word \(0,\)"):
         induced_map(no_x, quot, [quot.gen_class(0), quot.gen_class(1)])
@@ -386,14 +401,14 @@ def test_induced_map_checks_relations():
 
 def test_extend_by_is_a_two_sided_ideal():
     quot = presented(("x", "y"), commutator_relations(2), 3)
-    bigger = quot.extend_by([quot.gen_class(0)], 1)
+    bigger = quot.extend_by([quot.gen_class(0)])
     # x and everything it divides is gone
     assert bigger.reduce_word((0,)) == {}
     assert bigger.reduce_word((1, 0)) == {}
     assert bigger.reduce_word((0, 1)) == {}
     assert bigger.dim == 4  # 1, y, y^2, y^3 survive
     # no added rows: the ideal and the quotient are unchanged
-    assert quot.extend_by([], 1) is quot
+    assert quot.extend_by([]) is quot
 
 
 def test_filtration_basis_degrees():
@@ -423,7 +438,7 @@ def test_subspace_product_boundary():
     prod = subspace_product(
         *([v for _, v in filtration_basis(quot, K, 1)] for K in (I, J)))
     assert prod == [{(0, 1): 1}]
-    closed = quot.extend_by(prod, 1)
+    closed = quot.extend_by(prod)
     assert closed.ideal.stabilized
     assert set(quot.class_words) - set(closed.class_words) == {
         w for w in quot.class_words
@@ -466,7 +481,7 @@ def test_quotient_outputs_are_in_normal_form(raw, ta, tb):
     """reduce_word and mult give an int for every integral coefficient and
     a Q for every other, and equal the all-Q computation, also when the
     relations have non-integral coefficients."""
-    quot = presented(("x", "y"), raw, 3, slack=0)
+    quot = presented(("x", "y"), raw, 3)
     rows = {min(r, key=word_key): r for r in span_rows(quot)}
 
     def oracle(w):
@@ -493,16 +508,19 @@ def test_quotient_outputs_are_in_normal_form(raw, ta, tb):
                                 min_size=1, max_size=3),
                 min_size=1, max_size=3))
 def test_extend_by_matches_free_reclosure(relations, raw):
-    """Completing a certified quotient's rows with the added rows gives the
-    class words and reductions of the re-closure of the whole ideal in the
-    free algebra; every old row and every added row reduces to zero in the
-    new quotient."""
+    """Completing a certified quotient's rows with the added rows (the
+    reference completion) gives the class words and reductions of the
+    re-closure of the whole ideal in the free algebra; every old row and
+    every added row reduces to zero in the new quotient.  ``extend_by``
+    certifies exactly the cases that resolve as given."""
     rels = {"commutative": commutator_relations(2), "free": [],
             "weyl": [{(0, 1): 1, (1, 0): -1, (): -1}]}[relations]
     quot = presented(("x", "y"), rels, 4)
     assert quot.ideal.stabilized
     added = [quot.reduce(t) for t in raw]
-    got = quot.extend_by(added, 2)
+    rows = quot.ideal.rows + tuple(added)
+    assert quot.extend_by(added).ideal.stabilized is _resolves(rows)
+    got = completed_quotient(quot.gens, rows, 4, 2)
     want = free_reclosure(quot, added)
     assert got.class_words == want.class_words
     for w in all_words(2, 4):
@@ -516,7 +534,7 @@ def test_extend_by_unit_row_gives_the_zero_quotient(a1):
     """A unit leading word () lies in every word: the quotient is zero,
     the completion closes, and every word reduces to zero."""
     quot = ul(a1, 3)
-    zero = quot.extend_by([{(): 1}], 1)
+    zero = quot.extend_by([{(): 1}])
     assert zero.dim == 0
     assert zero.class_words == ()
     assert zero.ideal.stabilized is True
@@ -529,9 +547,9 @@ def test_extend_by_normalizes_the_added_rows(a1):
     """A zero coefficient is dropped and a scalar multiple gives the same
     ideal: the class words and reductions are those of the plain row."""
     quot = ul(a1, 3)
-    want = quot.extend_by([{(0,): 1}], 1)
+    want = quot.extend_by([{(0,): 1}])
     for row in ({(0,): 1, (1,): 0}, {(0,): Q(2)}):
-        got = quot.extend_by([row], 1)
+        got = quot.extend_by([row])
         assert got.class_words == want.class_words, row
         for d in range(quot.degree + 1):
             for w in itertools.product(range(2 * a1.dim), repeat=d):

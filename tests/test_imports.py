@@ -1,12 +1,15 @@
-"""Every name a module of the package imports is used in that module, and
-every private top-level helper is read by some module of the package.
+"""Every name a module of the package imports is used in that module,
+every private top-level helper is read by some module of the package, and
+no function outside the command line takes a completion window.
 
 Stdlib-``ast`` stand-ins for a linter's unused-import and dead-code
 rules: an import counts as used when its bound name is read anywhere in
 the module (a bare name or the base of an attribute access), and a
 private (``_name``) top-level function or class counts as live when a
 module reads its name (a bare name in its own module, an attribute, or a
-name imported from its module).
+name imported from its module).  A presentation is certified by one
+diamond-lemma pass, so no library function takes ``slack`` or ``cap``;
+``cli`` only parses and echoes ``--slack``.
 """
 
 import ast
@@ -81,3 +84,37 @@ def test_dead_helper_detector():
 def test_no_dead_private_helpers():
     sources = {p.stem: p.read_text("utf-8") for p in sorted(SRC.glob("*.py"))}
     assert dead_private_helpers(sources) == []
+
+
+WINDOW_NAMES = {"slack", "cap"}
+
+
+def window_parameters(source):
+    """Sorted (line, function, parameter) of the functions and lambdas in
+    source that take a parameter named in WINDOW_NAMES, positional,
+    keyword-only or starred."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + \
+                [p for p in (a.vararg, a.kwarg) if p is not None]
+            out += [(node.lineno, getattr(node, "name", "<lambda>"), p.arg)
+                    for p in params if p.arg in WINDOW_NAMES]
+    return sorted(out)
+
+
+def test_window_parameter_detector():
+    src = ("def f(x, slack=2):\n    pass\n\n\nclass C:\n"
+           "    def g(self, *, cap):\n        return lambda slack: slack\n"
+           "\n\ndef h(slacker, capped, **kw):\n    pass\n")
+    assert window_parameters(src) == [(1, "f", "slack"), (6, "g", "cap"),
+                                      (7, "<lambda>", "slack")]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_no_window_parameters(path):
+    assert window_parameters(path.read_text("utf-8")) == []

@@ -52,8 +52,7 @@ def test_rationals_as_strings_everywhere():
 
 
 def test_module_file_pairs_with_envelope(load):
-    md = load("module-a1-r.json")
-    mod = md.to_ul_module()
+    mod = load("module-a1-r.json")
     from leibnizx.envelope import check_module
     assert not check_module(mod)
 

@@ -167,7 +167,7 @@ def test_checker_flags_what_the_full_loops_flag(load, name, D):
     xrep-zero-incl-l2 mu and psi are zero too, so only the bimodule
     equations can see the shift."""
     r = _xi_rep(load("a1.json")) if name == "xi-a1" else load(name)
-    mod = rep_to_xmodule(r, xul(r.xmod, D, slack=1))
+    mod = rep_to_xmodule(r, xul(r.xmod, D))
     assert check_xmodule(mod) == [] == _full_loop_check(mod)
     unit = LinearMap.from_cols(mod.n_dim, [{0: 1}] + [{}] * (mod.m_dim - 1))
     flagged = 0

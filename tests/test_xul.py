@@ -76,18 +76,17 @@ def test_lemma41_identity_a1(a1):
                                   "xmod-incl-l2.json"])
 @pytest.mark.parametrize("D", [3, 4])
 def test_lemma41_needs_no_rerun(xmods, name, D):
-    """The slack+1 and degree+1 reruns that lemma41 once made as its
-    stability certificates: with both envelopes exact, they give the same
-    dimensions and equality as the one build."""
-    x, d, S = xmods[name], D - 2, 0
-    runs = [xul_module._lemma41_core(x, D_, S_, d)
-            for D_, S_ in ((D, S), (D, S + 1), (D + 1, S))]
+    """The degree+1 rerun that lemma41 once made as its stability
+    certificate: with both envelopes exact, it gives the same dimensions
+    and equality as the one build."""
+    x, d = xmods[name], D - 2
+    runs = [xul_module._lemma41_core(x, D_, d) for D_ in (D, D + 1)]
     assert all(usd_ok and p_ok for _, _, usd_ok, p_ok in runs)
     lhs, rhs, _, _ = runs[0]
     for lhs2, rhs2, _, _ in runs[1:]:
         assert (lhs2.dim, rhs2.dim, lhs2 == rhs2) == \
             (lhs.dim, rhs.dim, lhs == rhs)
-    rec = lemma41_check(x, D, S)
+    rec = lemma41_check(x, D)
     assert (rec["lhs_dim"], rec["rhs_dim"], rec["equal"]) == \
         (lhs.dim, rhs.dim, lhs == rhs)
     assert rec["slack_stable"] is rec["degree_stable"] is True
@@ -97,8 +96,8 @@ def test_lemma41_reads_both_envelope_certificates(a1, monkeypatch):
     """A false certificate of UL(p) alone makes lemma41 inconclusive."""
     real = xul_module.ul
 
-    def unstable_p(p, degree, slack=2):
-        alg = real(p, degree, slack)
+    def unstable_p(p, degree):
+        alg = real(p, degree)
         if p is a1:
             alg.ideal.stabilized = False
         return alg
@@ -165,8 +164,8 @@ XMOD_NAMES = ("xmod-zero-a1.json", "xmod-id-a1.json", "xmod-id-l2.json",
     if (name, D) != ("xmod-id-r2.json", 5)])
 def test_kernel_product_quotient_matches_free_reclosure(xmods, name, D,
                                                         monkeypatch):
-    """extend_by(rows, slack) completes the envelope's rows with the
-    degree-two generators of X, at the caller's slack, and closes; the
+    """extend_by(rows) presents the quotient by the envelope's rows with
+    the degree-two generators of X, and they resolve; the
     re-closure of the whole ideal in the free algebra gives the same class
     words and the same reduction of every word.  Each of the three induced
     maps, checked on its source ideal's rows, kills every row of that
@@ -176,9 +175,9 @@ def test_kernel_product_quotient_matches_free_reclosure(xmods, name, D,
     extend_by = TruncQuotAlgebra.extend_by
     induced_map = xul_module.induced_map
 
-    def recording_extend(quot, rows, slack):
-        out = extend_by(quot, rows, slack)
-        extends.append((quot, rows, slack, out))
+    def recording_extend(quot, rows):
+        out = extend_by(quot, rows)
+        extends.append((quot, rows, out))
         return out
 
     def recording_map(src, dst, gen_images):
@@ -187,9 +186,9 @@ def test_kernel_product_quotient_matches_free_reclosure(xmods, name, D,
 
     monkeypatch.setattr(TruncQuotAlgebra, "extend_by", recording_extend)
     monkeypatch.setattr(xul_module, "induced_map", recording_map)
-    xul(xmods[name], D, slack=1)
-    (env, rows, slack, quot), = extends
-    assert env.ideal.stabilized and slack == 1
+    xul(xmods[name], D)
+    (env, rows, quot), = extends
+    assert env.ideal.stabilized
     assert quot.ideal.stabilized
     want = free_reclosure(env, rows)
     assert quot.class_words == want.class_words
@@ -211,7 +210,7 @@ def test_x_from_generators_matches_all_pairs(xmods, name, D, monkeypatch):
     """X built from the degree-two generators A·B + B·A gives the quotient
     that the closure of every product of kernel filtration rows gives."""
     assert_x_matches_all_pairs(
-        xul_module, lambda: xul(xmods[name], D, slack=1), monkeypatch)
+        xul_module, lambda: xul(xmods[name], D), monkeypatch)
 
 
 @pytest.mark.parametrize("stem", ["xmod-id-a1", "xmod-id-l2", "xmod-id-r2"])
@@ -223,7 +222,7 @@ def test_x_from_generators_matches_all_pairs_rebased(stem, seed, tmp_path,
     x = io.load_path(rebase.write_rebased(str(CORPUS), str(tmp_path),
                                           seed)[stem])
     assert_x_matches_all_pairs(
-        xul_module, lambda: xul(x, 4, slack=1), monkeypatch)
+        xul_module, lambda: xul(x, 4), monkeypatch)
 
 
 def _assert_prop42_dims(x, D, zero=False):
@@ -231,7 +230,7 @@ def _assert_prop42_dims(x, D, zero=False):
     is 2·dim UL(p)_{<=d} - 1 for an identity crossed module (Prop. 4.2:
     Ker s̄ is the augmentation ideal of UL(p)) and dim UL(p)_{<=d} for a
     zero one; the completion of U/X closes."""
-    tx = xul(x, D, slack=1)
+    tx = xul(x, D)
     assert tx.certificates["kernel_product_stabilized"] is True
     for d in range(D + 1):
         up = tx.ul_p.dim_upto(d)
@@ -267,7 +266,7 @@ def test_x_matches_all_pairs_beyond_the_corpus(a, kind, monkeypatch):
     x = hemisemidirect_xmod(a, kind)
     assert not check_xmod(x)
     assert_x_matches_all_pairs(
-        xul_module, lambda: xul(x, 3, slack=1), monkeypatch)
+        xul_module, lambda: xul(x, 3), monkeypatch)
 
 
 @pytest.mark.parametrize("a", HSD_PARAMS)
@@ -301,10 +300,10 @@ def test_degree_one_kernel_rows_match_full_kernels(xmods, source, arg,
         x = io.load_path(rebase.write_rebased(str(CORPUS), str(tmp_path),
                                               seed)[arg])
     if pipeline == "xul":
-        module, build = xul_module, lambda: xul(x, 3, slack=1)
+        module, build = xul_module, lambda: xul(x, 3)
     else:
         X = lm.xmod_to_lm(x)
-        module, build = lm, lambda: lm.lm_xmod_envelope(X, 3, slack=1)
+        module, build = lm, lambda: lm.lm_xmod_envelope(X, 3)
     _, (env, target, s_imgs, t_imgs, kq) = record_kernel_quotient(
         module, build, monkeypatch)
     for rows, (_, ker) in zip((kq.s_rows, kq.t_rows),
@@ -415,7 +414,7 @@ def test_checker_flags_what_the_full_loops_flag(xmods, case, D):
     envelope, and each perturbed envelope is flagged by the checker
     exactly when the full loops flag it."""
     x = xmods[case] if isinstance(case, str) else hemisemidirect_xmod(*case)
-    tx = xul(x, D, slack=1)
+    tx = xul(x, D)
     assert check_trunc_xmod(tx) == [] == _full_loop_check(tx)
     for what, bent in _perturbations(tx).items():
         assert bool(check_trunc_xmod(bent)) == bool(_full_loop_check(bent)), \
@@ -443,6 +442,6 @@ def test_kernel_words_span_matches_word_enumeration(xmods, case, D):
     """The class words with a q-letter span what the classes of all words
     with a q-letter span, at the report degree D - 2."""
     x = xmods[case] if isinstance(case, str) else hemisemidirect_xmod(*case)
-    usd = ul(semidirect(x.action), D, 1)
+    usd = ul(semidirect(x.action), D)
     got = xul_module._kernel_words_span(usd, x.q.dim, D - 2)
     assert got == _word_enumeration_span(usd, x.q.dim, D - 2)
