@@ -3,9 +3,8 @@ actions are ``leibniz.Action`` objects."""
 
 from dataclasses import dataclass
 
-from .linalg import rational
 from .leibniz import (_action_violations, _bilinear, _semidirect_cells,
-                      _tensor, basis_vec, integral_algebra)
+                      _tensor, _triple_violations)
 
 
 @dataclass(frozen=True)
@@ -31,21 +30,9 @@ class AssocAlgebra:
         return dict(self.product_tensor[i][j])
 
     def check_assoc(self):
-        """Violating triples (i, j, k, lhs, rhs), found in ``int`` on the
-        integral copy as ``LeibnizAlgebra.check_leibniz`` finds them."""
-        alg, den = integral_algebra(self, self.product_tensor)
-        bad = []
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                mij = alg.mult_basis(i, j)
-                for k in range(n):
-                    lhs = alg.mult(mij, basis_vec(k))
-                    rhs = alg.mult(basis_vec(i), alg.mult_basis(j, k))
-                    if lhs != rhs:
-                        bad.append((i, j, k, rational(lhs, den * den),
-                                    rational(rhs, den * den)))
-        return bad
+        """Violating triples (i, j, k, lhs, rhs) of associativity
+        (:func:`leibniz._triple_violations`)."""
+        return _triple_violations(self.product_tensor, 0)
 
 
 def _assoc_holds(mul, x, y, z):

@@ -60,6 +60,30 @@ def _bilinear(tensor, x, y):
     return out
 
 
+def _triple_violations(tensor, twist):
+    """The basis triples (i, j, k, lhs, rhs) on which (e_i e_j) e_k =
+    e_i (e_j e_k) + twist·(e_i e_k) e_j fails for the product with these
+    structure constants: the Leibniz identity at twist 1, associativity at
+    twist 0.  It runs in ``int`` on the integral copy (constants δ·c, as
+    in :func:`integral_algebra`): the identity is trilinear, so it fails
+    there on the same triples, with both sides δ² times these."""
+    n, den = len(tensor), denominator(tensor)
+    t = tensor if den == 1 else _tensor(n, n, n, scaled(tensor, den))
+    bad = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = _bilinear(t, t[i][j], basis_vec(k))
+                rhs = _bilinear(t, basis_vec(i), t[j][k])
+                if twist:
+                    vec_add_scaled(rhs, _bilinear(t, t[i][k], basis_vec(j)),
+                                   twist)
+                if lhs != rhs:
+                    bad.append((i, j, k, rational(lhs, den * den),
+                                rational(rhs, den * den)))
+    return bad
+
+
 def _semidirect_cells(target_mult, actor_mult, act, nt, na):
     """Structure constants of target ⊕ actor (target first) from the two
     basis products and the action: (t1,a1)(t2,a2) = (t1 t2 + a1·t2 + t1·a2,
@@ -109,24 +133,8 @@ class LeibnizAlgebra:
 
     def check_leibniz(self):
         """Exhaustive Leibniz identity check; returns violating triples
-        (i, j, k, lhs, rhs).  It runs in ``int`` on the integral copy
-        (:func:`integral_algebra`): the identity is trilinear, so it fails
-        there on the same triples, with both sides δ² times these."""
-        alg, den = integral_algebra(self, self.bracket_tensor)
-        bad = []
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                bij = alg.bracket_basis(i, j)
-                for k in range(n):
-                    lhs = alg.bracket(bij, basis_vec(k))
-                    rhs = alg.bracket(basis_vec(i), alg.bracket_basis(j, k))
-                    vec_add_scaled(rhs, alg.bracket(
-                        alg.bracket_basis(i, k), basis_vec(j)), 1)
-                    if lhs != rhs:
-                        bad.append((i, j, k, rational(lhs, den * den),
-                                    rational(rhs, den * den)))
-        return bad
+        (i, j, k, lhs, rhs) (:func:`_triple_violations`)."""
+        return _triple_violations(self.bracket_tensor, 1)
 
     def is_lie(self):
         n = self.dim

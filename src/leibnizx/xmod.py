@@ -375,8 +375,9 @@ def xliez(x):
 
     The bracket ideal [q,p]_x is closed under both the quotient bracket and
     the p-action; every induced map is checked for well-definedness.  The
-    output's crossed-module axioms are left to its consumer: ``lm`` checks
-    them as the top row of its square (``check_lm_lie_xmod``).
+    output's crossed-module axioms are left to its consumer: ``lm`` keeps
+    it as the top row of its square (``LMLieXMod.top``) and checks it
+    there once (``check_lm_lie_xmod``).
     """
     q, p, eta, act = x.q, x.p, x.eta, x.action
     Lq, projq = liezation(q)

@@ -1,15 +1,19 @@
 """Every name a module of the package imports is used in that module,
-every private top-level helper is read by some module of the package, and
-no function outside the command line takes a completion window.
+every private top-level helper is read by some module of the package,
+every method of a package class is read somewhere, and no function
+outside the command line takes a completion window.
 
 Stdlib-``ast`` stand-ins for a linter's unused-import and dead-code
 rules: an import counts as used when its bound name is read anywhere in
 the module (a bare name or the base of an attribute access), and a
 private (``_name``) top-level function or class counts as live when a
 module reads its name (a bare name in its own module, an attribute, or a
-name imported from its module).  A presentation is certified by one
-diamond-lemma pass, so no library function takes ``slack`` or ``cap``;
-``cli`` only parses and echoes ``--slack``.
+name imported from its module).  A method or property of a top-level
+class of the package counts as live when the package, the tests or the
+benchmark read its name as an attribute; the special (``__name__``)
+methods are exempt, as the language calls them.  A presentation is
+certified by one diamond-lemma pass, so no library function takes
+``slack`` or ``cap``; ``cli`` only parses and echoes ``--slack``.
 """
 
 import ast
@@ -17,7 +21,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "leibnizx"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "leibnizx"
 
 
 def unused_imports(source):
@@ -84,6 +89,38 @@ def test_dead_helper_detector():
 def test_no_dead_private_helpers():
     sources = {p.stem: p.read_text("utf-8") for p in sorted(SRC.glob("*.py"))}
     assert dead_private_helpers(sources) == []
+
+
+def dead_methods(sources, readers):
+    """Sorted (module, line, "Class.name") of the methods and properties
+    of the top-level classes of ``sources`` ({module name: source}) whose
+    name no source of ``readers`` (a list) reads as an attribute."""
+    read = {n.attr for source in readers for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(
+        (mod, node.lineno, "%s.%s" % (cls.name, node.name))
+        for mod, source in sources.items()
+        for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read)
+
+
+def test_dead_method_detector():
+    sources = {"a": "class A:\n    def __init__(self):\n        self.x = 1\n"
+                    "\n    @property\n    def dim(self):\n        return 1\n"
+                    "\n    def used(self):\n        return self.dim\n"
+                    "\n    def left(self):\n        pass\n\n\n"
+                    "def f(a):\n    a.gone = 2\n    return a.used()\n"}
+    assert dead_methods(sources, list(sources.values())) == [
+        ("a", 12, "A.left")]
+
+
+def test_no_dead_methods():
+    sources = {p.stem: p.read_text("utf-8") for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text("utf-8") for d in ("src", "tests", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert dead_methods(sources, readers) == []
 
 
 WINDOW_NAMES = {"slack", "cap"}

@@ -19,7 +19,8 @@ from leibnizx.xmod import (cat1_matrices, ideal_inclusion_xmod,
                            identity_violations, identity_xmod, zero_xmod)
 from leibnizx.lm import (BottomBasis, LMAssocXMod, _shift_vec,
                          check_lm_assoc_xmod, check_lm_lie_object,
-                         check_lm_lie_xmod, leibniz_to_lm, lm_xmod_envelope,
+                         check_lm_lie_xmod, leibniz_to_lm,
+                         lm_semidirect_object, lm_xmod_envelope,
                          pair_algebra, theta_check, u_lie, xmod_to_lm)
 
 from conftest import (CORPUS, HSD_PARAMS, TensorRef, all_words,
@@ -131,7 +132,7 @@ def test_leibniz_to_lm(l2, r2):
 def test_xmod_to_lm(xmods):
     for name, x in xmods.items():
         X = xmod_to_lm(x)
-        assert not check_lm_lie_xmod(X), name
+        assert not check_lm_lie_xmod(X, lm_semidirect_object(X)), name
 
 
 def test_lm_xmod_envelope_checks_its_input(xmods):
@@ -139,10 +140,126 @@ def test_lm_xmod_envelope_checks_its_input(xmods):
     which refuses an input that fails it."""
     X = xmod_to_lm(xmods["xmod-id-r2.json"])
     bent = dataclasses.replace(X, rho1=X.rho1.scale(2))
-    assert check_lm_lie_xmod(bent)[:2] == [("xi_rho1", 0), ("xi_rho1", 1)]
+    assert check_lm_lie_xmod(bent, lm_semidirect_object(bent))[:2] == \
+        [("xi_rho1", 0), ("xi_rho1", 1)]
     with pytest.raises(ValueError,
                        match="input fails crossed-module checks"):
         lm_xmod_envelope(bent, 3)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the axioms the carrier holds, written out family by family
+
+
+def carrier_families(X):
+    """Oracle for the carrier part of ``lm.check_lm_lie_xmod``: the Lie
+    objects (N -> h) and (M -> g) of the square, and the eight families of
+    axioms that tie them to the g-actions and to xi, each on basis
+    vectors."""
+    bad = [("src",) + v for v in check_lm_lie_object(X.src)]
+    bad += [("dst",) + v for v in check_lm_lie_object(X.dst)]
+    h, g = X.src.lie, X.dst.lie
+    beta, alpha = X.src.alpha, X.dst.alpha
+    act_h = [LinearMap.from_cols(h.dim, [X.top.action.right({a: 1}, {k: 1})
+                                         for a in range(h.dim)])
+             for k in range(g.dim)]
+    for k in range(g.dim):
+        for k2 in range(g.dim):
+            # right g-module axiom on N
+            if X.act_n_of(g.bracket_basis(k, k2)) != \
+                    X.act_n[k2].compose(X.act_n[k]).add(
+                        X.act_n[k].compose(X.act_n[k2]).scale(-1)):
+                bad.append(("n_module", (k, k2)))
+        # compatibility of the h- and g-actions on N through [h,g]
+        for j in range(h.dim):
+            lhs = X.act_n[k].compose(X.src.right_mats[j])
+            rhs = X.src.right(act_h[k].col(j)).add(
+                X.src.right_mats[j].compose(X.act_n[k]))
+            if lhs != rhs:
+                bad.append(("nh_compat", (j, k)))
+        # beta equivariant for the g-actions
+        if beta.compose(X.act_n[k]) != act_h[k].compose(beta):
+            bad.append(("beta_equivariance", k))
+    for i in range(X.dst.bottom_dim):
+        # beta(xi(m,h)) = [alpha(m), h] = -[h, alpha(m)]
+        act_alpha = LinearMap.from_cols(h.dim, [
+            X.top.action.right({a: 1}, alpha.col(i)) for a in range(h.dim)])
+        if beta.compose(X.xi[i]) != act_alpha.scale(-1):
+            bad.append(("xi_beta", i))
+        for k in range(g.dim):
+            # [xi(m,h),g] = xi([m,g],h) + xi(m,[h,g])
+            lhs = X.act_n[k].compose(X.xi[i])
+            rhs = X.xi_of(X.dst.right_mats[k].col(i)).add(
+                X.xi[i].compose(act_h[k]))
+            if lhs != rhs:
+                bad.append(("xi_g", (i, k)))
+        for j in range(h.dim):
+            for j2 in range(h.dim):
+                # xi(m,[h,h']) = [xi(m,h),h'] - [xi(m,h'),h]
+                lhs = X.xi[i].apply(h.bracket_basis(j, j2))
+                vec_add_scaled(lhs, X.src.right_mats[j2].apply(
+                    X.xi[i].col(j)), -1)
+                vec_add_scaled(lhs, X.src.right_mats[j].apply(
+                    X.xi[i].col(j2)), 1)
+                if lhs:
+                    bad.append(("xi_hh", (i, j, j2)))
+    return bad
+
+
+def _bend(f, rng):
+    """f with one entry moved by a nonzero integer."""
+    cols = [f.col(c) for c in range(f.cols)]
+    r, c = rng.randrange(f.rows), rng.randrange(f.cols)
+    cols[c][r] = cols[c].get(r, 0) + rng.choice((-2, -1, 1, 2))
+    return LinearMap.from_cols(f.rows, cols)
+
+
+def _bent_square(X, rng):
+    """X with one entry of one of its maps moved: a right action or the
+    structure map of either Lie object, the g-action on N, xi or rho1."""
+    parts = {"src": X.src, "dst": X.dst, None: X}
+    slots = []
+    for part, name in (("src", "right_mats"), ("dst", "right_mats"),
+                       ("src", "alpha"), ("dst", "alpha"), (None, "rho1"),
+                       (None, "act_n"), (None, "xi")):
+        value = getattr(parts[part], name)
+        maps = value if isinstance(value, tuple) else (value,)
+        slots += [(part, name, i) for i, f in enumerate(maps)
+                  if f.rows and f.cols]
+    part, name, i = rng.choice(slots)
+    value = getattr(parts[part], name)
+    if isinstance(value, tuple):
+        value = value[:i] + (_bend(value[i], rng),) + value[i + 1:]
+    else:
+        value = _bend(value, rng)
+    new = dataclasses.replace(parts[part], **{name: value})
+    return new if part is None else dataclasses.replace(X, **{part: new})
+
+
+LIE_SQUARES = [("corpus", name, None) for name in (
+    "xmod-zero-a1.json", "xmod-id-a1.json", "xmod-id-l2.json",
+    "xmod-id-r2.json", "xmod-incl-l2.json")] + \
+    [("hsd", a, kind) for a in HSD_PARAMS for kind in ("identity",
+                                                       "inclusion")]
+
+
+@pytest.mark.parametrize("case", LIE_SQUARES, ids=lambda c: "%s-%s-%s" % c)
+def test_carrier_flags_what_the_families_flag(xmods, case):
+    """The carrier's check against the families written out: both pass on
+    the square, and on each seeded single-entry perturbation the carrier
+    flags exactly when the families do, and check_lm_lie_xmod exactly
+    when the families or the identities it keeps do."""
+    kind, a, b = case
+    X = xmod_to_lm(xmods[a] if kind == "corpus" else hemisemidirect_xmod(a, b))
+    assert check_lm_lie_xmod(X, lm_semidirect_object(X)) == [] == \
+        carrier_families(X)
+    rng = random.Random(repr(case))
+    for _ in range(40):
+        Z = _bent_square(X, rng)
+        new = check_lm_lie_xmod(Z, lm_semidirect_object(Z))
+        kept = [v for v in new if v[0] != "carrier"]
+        assert (len(kept) < len(new)) == bool(carrier_families(Z))
+        assert bool(new) == bool(carrier_families(Z) + kept)
 
 
 def test_theta_checks_its_input_once(xmods, monkeypatch):
@@ -353,20 +470,16 @@ def _assert_y_ideal_matches_all_pairs(x, degree, monkeypatch):
     return Y
 
 
-# slack is the retired --slack value each case once ran at; the ids keep
-# it, and it changes nothing now, so the slack-1 cases repeat slack-0 ones
-Y_CASES = [(name, degree, slack)
-           for slack, top in ((0, 7), (1, 5))
+Y_CASES = [(name, degree)
            for name in ("xmod-zero-a1.json", "xmod-id-a1.json",
                         "xmod-id-l2.json", "xmod-id-r2.json",
                         "xmod-incl-l2.json")
-           for degree in range(2, (5 if name == "xmod-id-r2.json" else top)
+           for degree in range(2, (5 if name == "xmod-id-r2.json" else 7)
                                + 1)]
 
 
-@pytest.mark.parametrize("name,degree,slack", Y_CASES)
-def test_y_ideal_matches_all_pairs_seed(xmods, name, degree, slack,
-                                        monkeypatch):
+@pytest.mark.parametrize("name,degree", Y_CASES)
+def test_y_ideal_matches_all_pairs_seed(xmods, name, degree, monkeypatch):
     """Y' completed from its seeds, the products of the bottom kernels'
     generators with the degree-one rows of the top kernels, is the ideal
     that every product of kernel filtration rows generates."""
@@ -939,8 +1052,8 @@ def test_theta_reports_an_unkilled_relation(xmods, monkeypatch):
 
 def test_lm_checks_each_lie_datum_once(monkeypatch):
     """One lm run checks each Lie datum once: check_xmod the input and the
-    top row of its square, check_lm_lie_object the square's two Lie
-    objects and the carrier."""
+    top row of its square, check_lm_lie_object the carrier, which holds
+    the square's two Lie objects."""
     xs, objs = [], []
     check_xmod = xul.check_xmod
     for module in (xul, xmod, lm):
@@ -955,5 +1068,4 @@ def test_lm_checks_each_lie_datum_once(monkeypatch):
                          "--degree", "8", "--format", "json"])
     assert code == 0
     assert len(xs) == 2 and len({id(y) for y in xs}) == 2
-    assert len(objs) == 3 and len({id(L) for L in objs}) == 3
-    assert sorted(L.bottom_dim for L in objs) == [2, 2, 4]
+    assert [L.bottom_dim for L in objs] == [4]

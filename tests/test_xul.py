@@ -5,13 +5,13 @@ import sys
 import pytest
 
 from leibnizx import io, lm, xul as xul_module
-from leibnizx.freealg import TruncQuotAlgebra, filtration_basis
+from leibnizx.freealg import TruncQuotAlgebra, filtration_basis, induced_map
 from leibnizx.scalars import Q
-from leibnizx.envelope import ul
+from leibnizx.envelope import ul, ul_images, ul_map
 from leibnizx.linalg import LinearMap, Subspace, zero_subspace
 from leibnizx.leibniz import semidirect, zero_action
-from leibnizx.xmod import (LeibnizXMod, check_xmod, identity_xmod,
-                           zero_xmod)
+from leibnizx.xmod import (LeibnizXMod, check_xmod, check_xmod_morphism,
+                           identity_xmod, zero_xmod)
 from leibnizx.xul import (check_trunc_xmod, embedding_squares_check,
                           lemma41_check, prop42_check, xul)
 
@@ -62,6 +62,38 @@ def test_xul_inclusion_l2(xmods):
         bc = tx.B.coords(tx.ambient.to_coords(v))
         out = tx.rho.apply(bc)
         assert set(out) <= set(range(tx.ul_p.dim))
+
+
+@pytest.mark.parametrize("D", [3, 4, 5, 6])
+def test_xul_is_natural(xmods, D):
+    """xul as a functor on the morphism (η, id): xmod-incl-l2 ->
+    xmod-id-l2.  UL(φ ⋊ ψ) on the ambients commutes with s̄, t̄ and the
+    embedding, against ul_map on ψ = id, and sends B into B.  (0, id) is
+    no crossed-module morphism, and its t̄ square fails."""
+    x1, x2 = xmods["xmod-incl-l2.json"], xmods["xmod-id-l2.json"]
+    t1, t2 = xul(x1, D), xul(x2, D)
+    psi = LinearMap.identity(x1.p.dim)
+    u_psi = ul_map(t1.ul_p, t2.ul_p, psi)
+
+    def on_ambients(phi):
+        """UL(φ ⋊ ψ) between the ambients, φ ⊕ ψ on q ⊕ p coordinates."""
+        nq = x2.q.dim
+        f = LinearMap.from_cols(nq + x2.p.dim, [
+            phi.col(j) for j in range(phi.cols)] + [
+            {nq + i: c for i, c in psi.col(j).items()}
+            for j in range(psi.cols)])
+        return induced_map(t1.ambient, t2.ambient, ul_images(t2.ambient, f))
+
+    assert not check_xmod_morphism(x1, x2, x1.eta, psi)
+    F = on_ambients(x1.eta)
+    assert t2.bar_s.compose(F) == u_psi.compose(t1.bar_s)
+    assert t2.bar_t.compose(F) == u_psi.compose(t1.bar_t)
+    assert F.compose(t1.embed) == t2.embed.compose(u_psi)
+    assert all(t2.B.contains_vec(F.apply(r)) for r in t1.B.rows)
+
+    zero = LinearMap.zero(x2.q.dim, x1.q.dim)
+    assert check_xmod_morphism(x1, x2, zero, psi)
+    assert t2.bar_t.compose(on_ambients(zero)) != u_psi.compose(t1.bar_t)
 
 
 def test_lemma41_identity_a1(a1):
