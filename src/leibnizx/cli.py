@@ -25,12 +25,12 @@ from . import io
 from .leibniz import LeibnizAlgebra, LeibnizRep, check_rep
 from .assoc import AssocAlgebra
 from .xmod import LeibnizXMod, check_xmod, integral
-from .xrep import (LeibnizXModRep, check_xmod_rep, check_xmodule,
-                   rep_to_xmodule, xmodule_to_rep)
+from .xrep import (LeibnizXModRep, XRepAxiomError, check_xmod_rep,
+                   check_xmodule, rep_to_xmodule, xmodule_to_rep)
 from .envelope import ul, check_module
 from .xul import (XModAxiomError, xul, check_trunc_xmod, lemma41_check,
                   prop42_check, embedding_squares_check, require_xmod)
-from .lm import xmod_to_lm, lm_xmod_envelope, check_lm_assoc_xmod, theta_check
+from .lm import lm_xmod_envelope, check_lm_assoc_xmod, theta_check
 from .report import Report, record, violations_record
 
 
@@ -84,10 +84,14 @@ def cmd_check(args):
 def _construction_failure(e):
     """The fail record for an error raised while building from well-formed
     input: the crossed-module axiom failure of ``xul`` is a check_xmod
-    record, any other ``ValueError`` a construction record."""
+    record, the representation axiom failure of ``rep_to_xmodule`` an
+    xmod_rep_axioms record, any other ``ValueError`` a construction
+    record."""
     if isinstance(e, XModAxiomError):
         return record("check_xmod", "fail", stage="check_xmod",
                       witness=str(e))
+    if isinstance(e, XRepAxiomError):
+        return violations_record("xmod_rep_axioms", e.violations)
     return record("construction", "fail", witness=str(e))
 
 
@@ -147,8 +151,7 @@ def cmd_lm(args):
     try:
         x = integral(x)
         require_xmod(x)
-        X = xmod_to_lm(x)
-        Y = lm_xmod_envelope(X, args.degree, args.report_degree)
+        Y = lm_xmod_envelope(x, args.degree, args.report_degree)
     except ValueError as e:
         return Report("lm", _xul_params(args), [_construction_failure(e)])
     d = Y.report_degree
@@ -166,13 +169,12 @@ def cmd_lm(args):
 
 def _thm5(r, args, params):
     """Representation <-> module round trip through the enveloping crossed
-    module."""
-    recs = [violations_record("xmod_rep_axioms", check_xmod_rep(r))]
-    if recs[0]["verdict"] == "fail":
-        return Report("verify", params, recs)
+    module.  rep_to_xmodule checks the representation; a failure is the
+    xmod_rep_axioms fail record (:func:`_construction_failure`)."""
     tx = xul(r.xmod, args.degree, args.report_degree)
     mod = rep_to_xmodule(r, tx)
-    recs.append(violations_record("module_identities", check_xmodule(mod)))
+    recs = [violations_record("xmod_rep_axioms", []),
+            violations_record("module_identities", check_xmodule(mod))]
     back = xmodule_to_rep(mod)
     recs.append(record("round_trip",
                        "pass" if io.dumps(back) == io.dumps(r) else "fail"))

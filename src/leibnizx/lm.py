@@ -2,33 +2,28 @@
 inside it.
 
 Objects are linear maps (M -> g); a Lie object is such a map with g a Lie
-algebra, M a right g-module and the map equivariant.  A Leibniz algebra
-embeds as (p -> Liez(p)), a Leibniz crossed module as the square
-
-    q -> Liez(q)/[q,p]_x
-    p -> Liez(p)
-
-whose top row is the Lie crossed module ``xmod.xliez`` gives.  The square
-is checked once, through its carrier, the semidirect Lie object
-(q ⊕ p -> Liez(q)/[q,p]_x ⋊ Liez(p)) the envelope is built on
-(:func:`check_lm_lie_xmod`).
+algebra, M a right g-module and the map equivariant.  A Leibniz algebra p
+embeds as the Lie object L(p) = (p -> Liez(p)) (Loday–Pirashvili, Math.
+Ann. 296, 1993).  A Leibniz crossed module is a cat¹ algebra (q ⋊ p, s,
+t), so the envelope is built on the carrier L(q ⋊ p), checked once as a
+Lie object (:func:`leibniz_to_lm`), with L(s), L(t): L(q ⋊ p) -> L(p).
 
 The enveloping functor sends a Lie object to (U(g) ⊗ M -> U(g)) with
 
     g(x ⊗ m) = gx ⊗ m        (x ⊗ m)g = xg ⊗ m + x ⊗ [m,g]
 
-and a Lie crossed module to a crossed module of associative algebras in
-this category, via the kernels of the induced cat¹ projections modulo the
-kernel-product ideals X' (top) and Y' (bottom).  Every algebra here is a
-presented algebra (``freealg.presented``), certified like every other
-quotient.  The pair algebra (U ⊗ M) ⊕ U of a Lie object, with
-(a, r)(a', r') = (alpha(a)a' + ar' + ra', rr'), is one
+and the carrier with L(s), L(t) to a crossed module of associative
+algebras in this category, via the kernels of the induced cat¹
+projections modulo the kernel-product ideals X' (top) and Y' (bottom).
+Every algebra here is a presented algebra (``freealg.presented``),
+certified like every other quotient.  The pair algebra (U ⊗ M) ⊕ U of a
+Lie object, with (a, r)(a', r') = (alpha(a)a' + ar' + ra', rr'), is one
 (:func:`pair_algebra`): it is the target row, and theta's codomain.  The
-top row is the plain construction run on U(h ⋊ g): it is built by
+top row is the plain construction run on U(Liez(q ⋊ p)): it is built by
 ``xul.kernel_product_quotient``, the function the enveloping crossed
-module uses, and the report degree follows the same rule.  The whole source
-row is one presented algebra, the square-zero extension of the top by the
-bottom (U ⊗ V)/Y', with the pair algebra's letters and alpha = 0.
+module uses, and the report degree follows the same rule.  The whole
+source row is one presented algebra, the square-zero extension of the top
+by the bottom (U ⊗ V)/Y', with the pair algebra's letters and alpha = 0.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +32,7 @@ from .linalg import LinearMap, lincomb, vec_add_scaled
 from .freealg import (HomomorphismError, TruncQuotAlgebra, induced_map,
                       presented)
 from .leibniz import LeibnizAlgebra, basis_vec, liezation, semidirect
-from .xmod import LeibnizXMod, cat1_matrices, check_xmod, xliez
+from .xmod import cat1_matrices
 from .xul import (combine_verdict, kernel_product_quotient, report_degree_for,
                   xul)
 
@@ -89,97 +84,19 @@ def check_lm_lie_object(L):
     return bad
 
 
-@dataclass(frozen=True)
-class LMLieXMod:
-    """Crossed module of Lie algebras in the category: an arrow
-    (rho1, rho2): (N, h) -> (M, g) with a right action of (M, g) on (N, h)
-    given by g-actions on h and N together with xi: M ⊗ h -> N.  Its top
-    row is the Lie crossed module h -> g with boundary rho2 and the
-    g-action on h."""
-
-    src: LMLieObject    # (N -> h)
-    dst: LMLieObject    # (M -> g)
-    rho1: LinearMap     # N -> M
-    top: LeibnizXMod    # h -> g
-    act_n: tuple        # per g-basis LinearMap N -> N
-    xi: tuple           # per M-basis LinearMap h -> N
-
-    def xi_of(self, mvec):
-        return lincomb(self.xi, mvec, self.src.bottom_dim, self.src.lie.dim)
-
-    def act_n_of(self, gvec):
-        return lincomb(self.act_n, gvec, self.src.bottom_dim,
-                       self.src.bottom_dim)
-
-
-def check_lm_lie_xmod(X, carrier):
-    """The crossed-module axioms of X, given its carrier
-    (:func:`lm_semidirect_object`): the top row's (``check_xmod``), the
-    carrier's as a Lie object (tag ``carrier``), and the four identities
-    that tie rho1 to the rest.
-
-    The carrier (N ⊕ M -> h ⋊ g) holds every other axiom.  Its right
-    action is [(n,m), h] = ([n,h] + xi(m,h), 0) and [(n,m), g] = ([n,g],
-    [m,g]), and its structure map is beta ⊕ alpha.  The top row's check
-    holds h, g and the g-action on h, and the carrier's reports
-    ``not_lie`` unless h ⋊ g is Lie, so the g×h block of its module axiom
-    is the h×g block's.  Block by block, and component by component:
-
-    - the module axiom on h×h is the one of (N -> h) on n, and xi(m,[h,h'])
-      = [xi(m,h),h'] - [xi(m,h'),h] on m;
-    - on g×g it is the g-module axiom on N, and the one of (M -> g);
-    - on h×g it is [n,[h,g]] = [[n,h],g] - [[n,g],h] on n, the
-      compatibility of the h- and g-actions on N, and [xi(m,h),g] =
-      xi([m,g],h) + xi(m,[h,g]) on m;
-    - equivariance along h is that of (N -> h) on n, and beta(xi(m,h)) =
-      [alpha(m), h] on m;
-    - equivariance along g is beta([n,g]) = [beta(n), g] on n, and that
-      of (M -> g) on m.
-
-    What is left are the identities through rho1, checked here: rho1(xi(m,
-    h)) = [m, rho2(h)], rho1 g-equivariant, and the Peiffer identities [n,
-    h] = xi(rho1(n), h) = [n, rho2(h)]."""
-    bad = [("top_xmod",) + v[:1] for v in check_xmod(X.top)]
-    bad += [("carrier",) + v for v in check_lm_lie_object(carrier)]
-    h, g, rho2 = X.top.q, X.top.p, X.top.eta
-    N = X.src.bottom_dim
-    for i in range(X.dst.bottom_dim):
-        # rho1(xi(m,h)) = [m, rho2(h)]
-        want = LinearMap.from_cols(
-            X.dst.bottom_dim,
-            [X.dst.right(rho2.col(j)).apply(basis_vec(i))
-             for j in range(h.dim)])
-        if X.rho1.compose(X.xi[i]) != want:
-            bad.append(("xi_rho1", i))
-    for k in range(g.dim):
-        # rho1 g-equivariant
-        if X.rho1.compose(X.act_n[k]) != X.dst.right_mats[k].compose(X.rho1):
-            bad.append(("rho1_equivariance", k))
-    for j in range(h.dim):
-        # [n,h] = xi(rho1(n), h) = [n, rho2(h)]
-        peiffer = LinearMap.from_cols(
-            N, [X.xi_of(X.rho1.col(a)).apply(basis_vec(j))
-                for a in range(N)])
-        if X.src.right_mats[j] != peiffer:
-            bad.append(("peiffer_xi", j))
-        if X.src.right_mats[j] != X.act_n_of(rho2.col(j)):
-            bad.append(("peiffer_rho2", j))
-    return bad
-
-
 # ---------------------------------------------------------------------------
-# Leibniz algebras and crossed modules as Lie data in the category
+# Leibniz algebras as Lie objects in the category
 
 
-def _quotient_action(bracket_right, proj, dim):
-    """Right action of a quotient on a space, through chosen lifts; the
-    kernel must act as zero on the nose."""
+def _quotient_action(bracket_right, proj):
+    """Right action of a quotient on a space, through the lifts of its
+    basis, the complement pivots of Ker proj; the kernel must act as zero
+    on the nose."""
     ker = proj.kernel()
     for r in ker.rows:
         if not bracket_right(r).is_zero():
             raise ValueError("right action does not descend to the quotient")
-    comp = ker.complement_pivots()
-    return tuple(bracket_right(basis_vec(c)) for c in comp)
+    return tuple(bracket_right(basis_vec(c)) for c in ker.complement_pivots())
 
 
 def _leibniz_object(p, lie, proj):
@@ -189,7 +106,17 @@ def _leibniz_object(p, lie, proj):
         return LinearMap.from_cols(
             p.dim, [p.bracket(basis_vec(a), v) for a in range(p.dim)])
 
-    return LMLieObject(proj, lie, _quotient_action(right_by, proj, p.dim))
+    return LMLieObject(proj, lie, _quotient_action(right_by, proj))
+
+
+def _liezed(f, src, dst):
+    """L(f) on the tops: dst.alpha ∘ f on the lifts of src's top basis, the
+    complement pivots of Ker src.alpha (as in :func:`_quotient_action`),
+    for a linear map f of the bottoms that maps Ker src.alpha into Ker
+    dst.alpha."""
+    lifts = src.alpha.kernel().complement_pivots()
+    return LinearMap.from_cols(dst.lie.dim,
+                               [dst.alpha.apply(f.col(c)) for c in lifts])
 
 
 def leibniz_to_lm(p):
@@ -200,39 +127,6 @@ def leibniz_to_lm(p):
         raise ValueError("Leibniz embedding fails Lie-object checks: %r"
                          % bad[:3])
     return out
-
-
-def xmod_to_lm(x):
-    """The crossed-module square (q -> Liez(q)/[q,p]_x, p -> Liez(p)) of a
-    crossed module x, which its callers check (``xul.require_xmod``).  Its
-    top row is the crossed module ``xliez`` gives.  The output is checked
-    once, by its consumer :func:`lm_xmod_envelope`: the top row and the
-    carrier (:func:`check_lm_lie_xmod`)."""
-    xbar, proj_qbar, projp = xliez(x)
-    q, p = x.q, x.p
-    dst = _leibniz_object(p, xbar.p, projp)
-    src = _leibniz_object(q, xbar.q, proj_qbar)
-
-    def n_right_by(v):
-        return LinearMap.from_cols(
-            q.dim, [x.action.right(basis_vec(a), v) for a in range(q.dim)])
-
-    act_n = _quotient_action(n_right_by, projp, q.dim)
-
-    # xi(m, hbar) = [m, lift of hbar] via the left action of p on q
-    kq = proj_qbar.kernel()
-    for r in kq.rows:
-        for i in range(p.dim):
-            if x.action.left(basis_vec(i), r):
-                raise ValueError("xi does not descend to the Lie quotient")
-    comp = kq.complement_pivots()
-    xi = tuple(
-        LinearMap.from_cols(q.dim,
-                            [x.action.left(basis_vec(i), basis_vec(c))
-                             for c in comp])
-        for i in range(p.dim))
-
-    return LMLieXMod(src, dst, x.eta, xbar, act_n, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +184,7 @@ def _pair_relations(U, right_mats, alpha_cols):
 
 def pair_algebra(L, U):
     """The pair algebra (U ⊗ V) ⊕ U of a Lie object L = (V -> g), for U an
-    enveloping algebra of g (U(g), or U(h ⋊ g) for the carrier), with
+    enveloping algebra of g (U(g), or U(Liez(q ⋊ p)) for the carrier), with
     (a, r)(a', r') = (alpha(a)a' + ar' + ra', rr'), as one presented
     algebra (:func:`_pair_relations`).
 
@@ -300,8 +194,8 @@ def pair_algebra(L, U):
     degree |x| + 1.  A word x·v_k·y reduces to (x ⊗ v_k)·y by the module
     rule, and x·v_k·v_l to x·alpha(v_k)·v_l, so the product of class words
     is the pair product once alpha(a·y) = alpha(a)·y.  That holds as alpha
-    is equivariant (``check_lm_lie_object``, on the carrier for the Lie
-    objects of a square): alpha((x ⊗ v)g) = x·(g·alpha(v) + [alpha(v),
+    is equivariant (``check_lm_lie_object``, and :func:`_leibniz_object`
+    for a Leibniz algebra): alpha((x ⊗ v)g) = x·(g·alpha(v) + [alpha(v),
     g]) = x·alpha(v)·g.  So the connecting map
     x ⊗ v -> x·alpha(v) is a bimodule map and needs no check of its own.
 
@@ -394,20 +288,20 @@ class LMAssocXMod:
     boundaries and xi-maps per the tensor formulas.
 
     Every bottom product is a product in ``sq`` (see
-    :func:`lm_xmod_envelope`), whose letters are the basis of V = N ⊕ M
-    and then those of h ⋊ g; a bottom vector is in ``bottom``'s
-    coordinates.  The target row is the pair algebra of (M -> g) over U(g)
-    (:func:`pair_algebra`), and a vector of its bottom U(g) ⊗ M is in
-    ``target_bottom``'s coordinates."""
+    :func:`lm_xmod_envelope`), whose letters are the basis of V = q ⊕ p
+    and then those of L = Liez(q ⋊ p); a bottom vector is in ``bottom``'s
+    coordinates.  The target row is the pair algebra of L(p) = (p -> g),
+    g = Liez(p), over U(g) (:func:`pair_algebra`), and a vector of its
+    bottom U(g) ⊗ p is in ``target_bottom``'s coordinates."""
 
-    X: LMLieXMod
+    dst: LMLieObject            # L(p) = (p -> g)
     ug: TruncQuotAlgebra        # U(g)
-    target: TruncQuotAlgebra    # (U(g) ⊗ M) ⊕ U(g)
+    target: TruncQuotAlgebra    # (U(g) ⊗ p) ⊕ U(g)
     target_bottom: TensorBimodule  # its words x·m
-    carrier: LMLieObject    # (N ⊕ M -> h ⋊ g)
-    usd: TruncQuotAlgebra   # U(h ⋊ g), before the kernel-product quotient
-    top: TruncQuotAlgebra   # U(h ⋊ g) / X'
-    sq: TruncQuotAlgebra    # top ⋉ (U(h ⋊ g) ⊗ V)/Y'
+    carrier: LMLieObject    # L(q ⋊ p) = (V -> L)
+    usd: TruncQuotAlgebra   # U(L), before the kernel-product quotient
+    top: TruncQuotAlgebra   # U(L) / X'
+    sq: TruncQuotAlgebra    # top ⋉ (U(L) ⊗ V)/Y'
     bottom: BottomBasis
     connect: LinearMap      # bottom -> top class coords, x·v -> x·alpha(v)
     us1: LinearMap          # bottom -> target bottom
@@ -432,16 +326,16 @@ class LMAssocXMod:
             self.bottom.from_coords(wvec), self._in_sq(top_cls), bound))
 
     def r_on_top(self, ug_cls):
-        """A U(g) class as a top class through the g-block embedding."""
+        """A U(g) class as a top class through the p-block embedding."""
         return self.top.from_coords(
             self.emb.apply(self.ug.to_coords(ug_cls)))
 
     def _section_terms(self, avec):
         """(emb(x), (0, m_k), c) as words of sq for each term c·x·m_k of a
         target-bottom vector: the target's letters of U(g) go to the
-        g-block of sq, m_k to the M-block of V."""
-        n_dim = self.X.src.bottom_dim
-        off = n_dim + self.X.src.lie.dim
+        p-block of L in sq, m_k to the p-block of V."""
+        n_dim = self.carrier.bottom_dim - self.dst.bottom_dim
+        off = n_dim + self.carrier.lie.dim - self.dst.lie.dim
         for w, c in self.target_bottom.from_coords(avec).items():
             yield (tuple(g + off for g in w[:-1]), (n_dim + w[-1],), c)
 
@@ -501,51 +395,41 @@ class LMAssocXMod:
         return n - _on_first(self.us1, n).rank()
 
 
-def lm_semidirect_object(X):
-    """(N ⊕ M -> h ⋊ g), the carrier of the envelope, unchecked: its Lie
-    object axioms are part of :func:`check_lm_lie_xmod`."""
-    sd = semidirect(X.top.action)
-    h, g = X.src.lie, X.dst.lie
-    n_dim, m_dim = X.src.bottom_dim, X.dst.bottom_dim
-    nv = n_dim + m_dim
+def lm_xmod_envelope(x, degree, report_degree=None):
+    """Build the truncated enveloping crossed module in the category of a
+    Leibniz crossed module x, which its callers check
+    (``xul.require_xmod``).
 
-    def vmat(j):
-        # [(n,m), h_j] = ([n,h_j] + xi(m,h_j), 0)
-        cols = [X.src.right_mats[j].col(a) for a in range(n_dim)]
-        for i in range(m_dim):
-            cols.append(dict(X.xi[i].col(j)))
-        return LinearMap.from_cols(nv, cols)
+    The carrier is L(q ⋊ p) = (V -> L), V = q ⊕ p and L = Liez(q ⋊ p),
+    checked as a Lie object (:func:`leibniz_to_lm`); the target is L(p) =
+    (p -> g), g = Liez(p), a Lie object as p is Leibniz.  s(q,p) = p and
+    t(q,p) = η(q) + p are s1, t1 on V, and s2, t2 are their Liezations
+    L(s), L(t) (:func:`_liezed`).  Ker alpha = Leib(q ⋊ p) is
+    block-diagonal, as a square (u,v)² differs from (0,v²) by an element
+    of q; so its complement pivots, the lifts of L's basis, are the
+    q-block's first and then those of g, and g's letters are the last
+    dim g letters of L: the section of s2 and t2.
 
-    def vmat_g(k):
-        cols = [X.act_n[k].col(a) for a in range(n_dim)]
-        for i in range(m_dim):
-            cols.append({n_dim + b: c
-                         for b, c in X.dst.right_mats[k].col(i).items()})
-        return LinearMap.from_cols(nv, cols)
+    (L(q ⋊ p), s, t) is a cat¹ Lie object.  s and t are Leibniz maps, as x
+    passes ``check_xmod``, so they map Leib(q ⋊ p) = Ker alpha into
+    Leib(p): s2 and t2 are well defined, and s1, t1 are equivariant over
+    them.  Ker s2 = alpha(Ker s), as Leib(p) = s(σ(Leib p)) for the section
+    σ, so [Ker s2, Ker t2] = alpha([Ker s, Ker t]) = 0 by CLb2.  Right
+    brackets with squares vanish in a Leibniz algebra, so [Ker s1, Ker t2]
+    = [Ker s, Ker t] = 0, and likewise with s and t exchanged.
 
-    mats = tuple(vmat(j) for j in range(h.dim)) + \
-        tuple(vmat_g(k) for k in range(g.dim))
-    conn_cols = [dict(X.src.alpha.col(a)) for a in range(n_dim)] + \
-        [{h.dim + b: c for b, c in X.dst.alpha.col(i).items()}
-         for i in range(m_dim)]
-    return LMLieObject(LinearMap.from_cols(sd.dim, conn_cols), sd, mats)
-
-
-def lm_xmod_envelope(X, degree, report_degree=None):
-    """Build the truncated enveloping crossed module in the category.
-
-    The top row is U(h ⋊ g) / X' as a presented quotient whose one-pass
+    The top row is U(L) / X' as a presented quotient whose one-pass
     certificate is ``kernel_product_stabilized`` (see
     :func:`freealg.subspace_product`), so it is proven when that holds.
-    The target row is the pair algebra of (M -> g) over U(g)
+    The target row is the pair algebra of L(p) over U(g)
     (:func:`pair_algebra`), certified with U(g) (``u_g_stabilized``).
 
     The source row is one presented algebra sq, the square-zero extension
-    top ⋉ (U ⊗ V)/Y' for U = U(h ⋊ g) and V = N ⊕ M.  Its letters and
-    relations are those of the carrier's pair algebra over the top with
-    alpha = 0 (:func:`_pair_relations`: v_k for the basis of V, then the
-    letters of h ⋊ g; the top's rows, v_k x_g - x_g v_k - [v_k, g] as
-    (x ⊗ v)g = xg ⊗ v + x ⊗ [v,g], and v_k v_l), and the seeds of Y'.
+    top ⋉ (U ⊗ V)/Y' for U = U(L).  Its letters and relations are those
+    of the carrier's pair algebra over the top with alpha = 0
+    (:func:`_pair_relations`: v_k for the basis of V, then the letters of
+    L; the top's rows, v_k x_g - x_g v_k - [v_k, g] as (x ⊗ v)g = xg ⊗ v
+    + x ⊗ [v,g], and v_k v_l), and the seeds of Y'.
     The normal words are top class words x and words x·v_k.  The
     relations but the seeds present top ⋉ (top ⊗ V), and in a square-zero
     algebra the ideal that elements of V-degree one generate is the
@@ -569,11 +453,10 @@ def lm_xmod_envelope(X, degree, report_degree=None):
     left out, as ``presented`` takes no relation beyond its degree.
 
     The a·g0 lie in the span of the seeds of both families, so they are
-    not seeds themselves.  The carrier is a cat¹ Lie object: [Ker t2,
-    Ker s2] = 0 in h ⋊ g, and [n, a] = 0 for n in Ker s1, a in Ker t2,
-    and for n in Ker t1, a in Ker s2 (the Peiffer identities
-    ``check_lm_lie_xmod`` checks).  In sq a·v = v·a - [v,a] for a in
-    h ⋊ g and v in V.  For g0 = 1 ⊗ n, n in Ker s1: a·g0 = g0·a - [n,a]
+    not seeds themselves.  The carrier is a cat¹ Lie object (above):
+    [Ker t2, Ker s2] = 0 in L, and [n, a] = 0 for n in Ker s1, a in Ker
+    t2, and for n in Ker t1, a in Ker s2.  In sq a·v = v·a - [v,a] for a
+    in L and v in V.  For g0 = 1 ⊗ n, n in Ker s1: a·g0 = g0·a - [n,a]
     = g0·a.  For g0 = x ⊗ v, x in k_s: a·x = x·a as [a,x] = 0, so a·g0 =
     x·v·a - x·n' = g0·a - x·n' with n' = [v,a] in Ker t1 (t1[v,a] =
     [t1 v, t2 a] = 0), and x·n' = n'·x - [n',x] = n'·x, a seed of the
@@ -586,31 +469,26 @@ def lm_xmod_envelope(X, degree, report_degree=None):
     the t-map and the connecting map are bimodule maps, so they vanish on
     Y' once they vanish on its seeds.
     """
-    carrier = lm_semidirect_object(X)
-    bad = check_lm_lie_xmod(X, carrier)
-    if bad:
-        raise ValueError("input fails crossed-module checks: %r" % bad[:3])
+    carrier = leibniz_to_lm(semidirect(x.action))
+    dst = _leibniz_object(x.p, *liezation(x.p))
     report_degree = report_degree_for(degree, report_degree)
 
     usd = u_lie(carrier.lie, degree)
-    Ug = u_lie(X.dst.lie, degree)
-    target = pair_algebra(X.dst, Ug)
-    mv = X.dst.bottom_dim
+    Ug = u_lie(dst.lie, degree)
+    target = pair_algebra(dst, Ug)
+    mv = dst.bottom_dim
     target_bottom = TensorBimodule(target, mv)
 
-    # s(h,g) = g, t(h,g) = rho2(h) + g on the top, the same with rho1 on
-    # the bottom
-    s1, t1 = cat1_matrices(X.rho1)
-    s2, t2 = cat1_matrices(X.top.eta)
-    g_dim = X.dst.lie.dim
-    h_dim = X.src.lie.dim
+    s1, t1 = cat1_matrices(x.eta)
+    s2, t2 = (_liezed(f, carrier, dst) for f in (s1, t1))
+    h_dim = carrier.lie.dim - dst.lie.dim
 
     def top_images(f):
         return [Ug.reduce({(j,): c for j, c in f.col(a).items()})
-                for a in range(h_dim + g_dim)]
+                for a in range(carrier.lie.dim)]
 
     kq = kernel_product_quotient(usd, Ug, top_images(s2), top_images(t2),
-                                 [h_dim + j for j in range(g_dim)])
+                                 [h_dim + j for j in range(dst.lie.dim)])
     top, nv = kq.quot, carrier.bottom_dim
     alpha = [top.reduce({(j,): c for j, c in carrier.alpha.col(k).items()})
              for k in range(nv)]
@@ -676,7 +554,7 @@ def lm_xmod_envelope(X, degree, report_degree=None):
                                       for w in bottom.words])
         for f, cod, _ in bottom_maps)
     return LMAssocXMod(
-        X, Ug, target, target_bottom, carrier, usd, top, sq, bottom, connect,
+        dst, Ug, target, target_bottom, carrier, usd, top, sq, bottom, connect,
         us1, ut1, kq.bar_s, kq.bar_t, kq.embed, report_degree,
         {"u_semidirect_stabilized": usd.ideal.stabilized,
          "u_g_stabilized": Ug.ideal.stabilized and target.ideal.stabilized,
@@ -832,10 +710,10 @@ def check_lm_assoc_xmod(Y):
                 bad.append(("t1_equivariance_right", (dr, db)))
 
     # bridge identities between the xi-maps and the boundaries
-    for k in range(Y.X.dst.bottom_dim):
+    for k in range(Y.dst.bottom_dim):
         a = {tb.index[(k,)]: 1}
         ca = Y.r_on_top(Ug.reduce(
-            {(j,): c for j, c in Y.X.dst.alpha.col(k).items()}))
+            {(j,): c for j, c in Y.dst.alpha.col(k).items()}))
         for ds, s, ts, _ in k_s:
             if 1 + ds > d:
                 continue
@@ -883,18 +761,18 @@ def theta_check(x, degree, report_degree=None):
     counterpart, and intertwine the induced cat¹ maps.
 
     theta is ``freealg.induced_map`` from UL(q ⋊ p) into the pair algebra
-    P = (U(h ⋊ g) ⊗ V) ⊕ U(h ⋊ g) of the carrier (:func:`pair_algebra`),
-    and on UL(p) into the target pair algebra.  That check is exact.  A
-    word-wise map into an associative algebra kills the ideal's span V_D
-    once it kills the ideal's rows: V_D is spanned by the u·g·v of degree
-    <= D for g in the rows, and their image is image(u)·image(g)·image(v)
-    = 0.  P is associative when its rows resolve (Bergman's diamond
-    lemma, Adv. Math. 29, 1978), so P's ``stabilized`` joins
-    ``u_semidirect_stabilized``, as the target's joins ``u_g_stabilized``.
-    The defining relations get no check of their own: each is a
-    combination of the interreduced rows, which lie in V_D.  When a row is
-    not killed, theta is no map: ``relations_killed`` is false, the
-    verdict fails, and the checks that need theta are left out of the
+    P = (U(L) ⊗ V) ⊕ U(L) of the carrier L(q ⋊ p) = (V -> L)
+    (:func:`pair_algebra`), and on UL(p) into the target pair algebra.
+    That check is exact.  A word-wise map into an associative algebra
+    kills the ideal's span V_D once it kills the ideal's rows: V_D is
+    spanned by the u·g·v of degree <= D for g in the rows, and their image
+    is image(u)·image(g)·image(v) = 0.  P is associative when its rows
+    resolve (Bergman's diamond lemma, Adv. Math. 29, 1978), so P's
+    ``stabilized`` joins ``u_semidirect_stabilized``, as the target's joins
+    ``u_g_stabilized``.  The defining relations get no check of their own:
+    each is a combination of the interreduced rows, which lie in V_D.  When
+    a row is not killed, theta is no map: ``relations_killed`` is false,
+    the verdict fails, and the checks that need theta are left out of the
     record.
 
     P has sq's letters, so a class word of P is a word of sq, and theta's
@@ -908,8 +786,7 @@ def theta_check(x, degree, report_degree=None):
     """
     d = report_degree_for(degree, report_degree)
     tx = xul(x, degree, report_degree=d)
-    X = xmod_to_lm(x)
-    Y = lm_xmod_envelope(X, degree, report_degree=d)
+    Y = lm_xmod_envelope(x, degree, report_degree=d)
     usd1, bar, sq = tx.ul_sd, tx.ambient, Y.sq
     P = pair_algebra(Y.carrier, Y.usd)
 
@@ -933,7 +810,7 @@ def theta_check(x, degree, report_degree=None):
 
     try:
         theta = induced_map(usd1, P, images(P, Y.carrier))
-        theta_p = induced_map(tx.ul_p, Y.target, images(Y.target, X.dst))
+        theta_p = induced_map(tx.ul_p, Y.target, images(Y.target, Y.dst))
     except HomomorphismError:
         return {**rec, "relations_killed": False, **dims,
                 "verdict": combine_verdict(False, certs.values())}

@@ -1,6 +1,5 @@
 """Crossed modules and cat¹-objects for Leibniz and associative algebras,
-the equivalence between them, morphism checking, and the Lie quotient of a
-Leibniz crossed module.
+the equivalence between them, and morphism checking.
 
 Each construction and check has one body for both flavours.  What differs
 is passed in: the product, as the unbound method ``LeibnizAlgebra.bracket``
@@ -13,9 +12,8 @@ from typing import NamedTuple
 
 from .linalg import LinearMap, vec_add_scaled
 from .leibniz import (Action, LeibnizAlgebra, adjoint_action, basis_vec,
-                      check_action, denominator, integral_algebra, liezation,
-                      quotient_algebra, scaled, semidirect,
-                      subalgebra_ideal_closure, zero_action, zero_algebra)
+                      check_action, denominator, integral_algebra, scaled,
+                      semidirect, zero_action, zero_algebra)
 from .assoc import AssocAlgebra, assoc_semidirect, check_assoc_action
 
 
@@ -364,86 +362,3 @@ def cat1_roundtrip_isomorphism(c):
     if f.rank() != c.total.dim or c2.total.dim != c.total.dim:
         raise ValueError("cat1 round trip map is not invertible")
     return f
-
-
-# ---------------------------------------------------------------------------
-# liezation of a crossed module
-
-
-def xliez(x):
-    """(Liez(q)/[q,p]_x, Liez(p), induced boundary) with the induced action.
-
-    The bracket ideal [q,p]_x is closed under both the quotient bracket and
-    the p-action; every induced map is checked for well-definedness.  The
-    output's crossed-module axioms are left to its consumer: ``lm`` keeps
-    it as the top row of its square (``LMLieXMod.top``) and checks it
-    there once (``check_lm_lie_xmod``).
-    """
-    q, p, eta, act = x.q, x.p, x.eta, x.action
-    Lq, projq = liezation(q)
-    Lp, projp = liezation(p)
-
-    kq = projq.kernel()
-    kp = projp.kernel()
-
-    # p-action descends to Liez(q): kernel generators are killed
-    for r in kq.rows:
-        for i in range(p.dim):
-            if projq.apply(act.left(basis_vec(i), r)) or \
-                    projq.apply(act.right(r, basis_vec(i))):
-                raise ValueError("p-action does not descend to Liez(q)")
-
-    comp_q = kq.complement_pivots()
-    gens = []
-    for i in range(p.dim):
-        for j in range(q.dim):
-            g = act.right(basis_vec(j), basis_vec(i))
-            vec_add_scaled(g, act.left(basis_vec(i), basis_vec(j)), 1)
-            pg = projq.apply(g)
-            if pg:
-                gens.append(pg)
-    maps = []
-    for i in range(p.dim):
-        maps.append(lambda v, i=i: projq.apply(
-            act.left(basis_vec(i), _lift_rows(v, comp_q))))
-        maps.append(lambda v, i=i: projq.apply(
-            act.right(_lift_rows(v, comp_q), basis_vec(i))))
-    J = subalgebra_ideal_closure(Lq, gens, also_maps=maps)
-    qbar, projJ = quotient_algebra(Lq, J, name="Liez(q)/[q,p]x")
-
-    proj_qbar = projJ.compose(projq)  # q -> qbar
-    # induced boundary: eta maps ker(proj_qbar) into ker(projp)
-    for r in proj_qbar.kernel().rows:
-        if projp.apply(eta.apply(r)):
-            raise ValueError("boundary does not descend to the Lie quotient")
-    comp_qbar = proj_qbar.kernel().complement_pivots()
-    eta_bar = LinearMap.from_cols(
-        Lp.dim, [projp.apply(eta.col(c)) for c in comp_qbar])
-
-    comp_p = kp.complement_pivots()
-    # kernel of projp must act as zero on qbar
-    for r in kp.rows:
-        for c in comp_qbar:
-            if proj_qbar.apply(act.left(r, {c: 1})) or \
-                    proj_qbar.apply(act.right({c: 1}, r)):
-                raise ValueError("Liez(p) action is not well defined")
-    nqb, npb = qbar.dim, Lp.dim
-    ps = [basis_vec(c) for c in comp_p]
-    qs = [basis_vec(c) for c in comp_qbar]
-    left = [[proj_qbar.apply(act.left(pi, qa)) for qa in qs] for pi in ps]
-    right = [[proj_qbar.apply(act.right(qa, pi)) for pi in ps] for qa in qs]
-    xbar = LeibnizXMod(qbar, Lp, eta_bar,
-                       Action(Lp, qbar, left, right))
-    # Lie flavor: antisymmetric bracket and action
-    assert qbar.is_lie() and Lp.is_lie()
-    for i in range(npb):
-        for a in range(nqb):
-            s = dict(xbar.action.left(basis_vec(i), basis_vec(a)))
-            vec_add_scaled(s, xbar.action.right(basis_vec(a), basis_vec(i)),
-                           1)
-            assert not s, "Lie quotient action is not antisymmetric"
-    return xbar, proj_qbar, projp
-
-
-def _lift_rows(v, comp):
-    return {comp[a]: c for a, c in v.items()}

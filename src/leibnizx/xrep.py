@@ -21,7 +21,7 @@ from .leibniz import Action, LeibnizRep, basis_vec, check_rep, zero_rep
 from .assoc import AssocAlgebra
 from .xmod import AssocXMod
 from .freealg import word_fold, word_key
-from .envelope import ULModule, check_module
+from .envelope import ULModule, module_to_rep, rep_to_module
 from .xul import TruncAssocXMod
 
 
@@ -297,25 +297,31 @@ def _m_column_blocks(mat, n, m):
     return top, bot
 
 
+class XRepAxiomError(ValueError):
+    """Raised by :func:`rep_to_xmodule` for an input that fails
+    ``check_xmod_rep``; ``violations`` is that check's list."""
+
+    def __init__(self, violations):
+        super().__init__("not a representation: %r" % violations[:3])
+        self.violations = violations
+
+
 def rep_to_xmodule(r, tx):
     """Build the module: psi from the p-actions, phi by evaluating Phi on
     the kernel basis.  Phi multiplies matrices, so it is well defined once
     it kills the ambient ideal's rows (``freealg.TruncIdeal``); a
-    violated generator raises with its leading word."""
+    violated generator raises with its leading word.
+
+    The input is checked once, by ``check_xmod_rep``.  Its ``check_rep``
+    on the p-actions on N and M is what makes psi two UL(p)-modules: the
+    defining relations of UL(p) act as zero on ``rep_to_module(rep)``
+    exactly when the three representation axioms hold (``envelope``)."""
     if r.xmod is not tx.x and r.xmod != tx.x:
         raise ValueError("representation and envelope have different inputs")
     bad = check_xmod_rep(r)
     if bad:
-        raise ValueError("not a representation: %r" % bad[:3])
-    psi_n = ULModule(tx.x.p, r.n_dim,
-                     tuple(r.rep_n.left_mats) + tuple(r.rep_n.right_mats))
-    psi_m = ULModule(tx.x.p, r.m_dim,
-                     tuple(r.rep_m.left_mats) + tuple(r.rep_m.right_mats))
-    for mod in (psi_n, psi_m):
-        bad = check_module(mod)
-        if bad:
-            raise ValueError("p-actions do not define UL(p)-modules: "
-                             "relations %r" % bad[:3])
+        raise XRepAxiomError(bad)
+    psi_n, psi_m = rep_to_module(r.rep_n), rep_to_module(r.rep_m)
     ev = phi_word_evaluator(tx, r)
     n, m = r.n_dim, r.m_dim
     for gen in tx.ambient.ideal.rows:
@@ -338,14 +344,9 @@ def xmodule_to_rep(mod):
     """Read the representation data back off the degree-1 classes."""
     tx = mod.tx
     x = tx.x
-    nq, np_ = x.q.dim, x.p.dim
-    n_sd = nq + np_
-    rep_n = LeibnizRep(x.p, mod.n_dim,
-                       tuple(mod.psi_n.gen_mats[:np_]),
-                       tuple(mod.psi_n.gen_mats[np_:]))
-    rep_m = LeibnizRep(x.p, mod.m_dim,
-                       tuple(mod.psi_m.gen_mats[:np_]),
-                       tuple(mod.psi_m.gen_mats[np_:]))
+    nq = x.q.dim
+    n_sd = nq + x.p.dim
+    rep_n, rep_m = module_to_rep(mod.psi_n), module_to_rep(mod.psi_m)
 
     def phi_of_word(g):
         v = tx.ambient.to_coords(tx.ambient.reduce_word((g,)))

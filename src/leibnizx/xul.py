@@ -27,7 +27,11 @@ class XModAxiomError(ValueError):
 
 
 def require_xmod(x):
-    """Raise XModAxiomError unless x satisfies the crossed-module axioms."""
+    """Raise XModAxiomError unless x satisfies the crossed-module axioms.
+
+    ``xul`` and ``lemma41_check`` call it on their input.
+    ``lm.lm_xmod_envelope`` leaves it to its callers: ``cli.cmd_lm`` calls
+    it, and ``lm.theta_check`` gets it through ``xul``."""
     bad = check_xmod(x)
     if bad:
         raise XModAxiomError("input fails crossed-module axioms: %r"

@@ -25,8 +25,7 @@ from leibnizx.xrep import (check_xmod_rep, check_xmodule,
 from leibnizx.xul import (check_trunc_xmod, embedding_squares_check,
                           lemma41_check, prop42_check, xul)
 from leibnizx.lm import (BottomBasis, check_lm_assoc_xmod, leibniz_to_lm,
-                         lm_xmod_envelope, pair_algebra, theta_check, u_lie,
-                         xmod_to_lm)
+                         lm_xmod_envelope, pair_algebra, theta_check, u_lie)
 from leibnizx.cli import main as cli_main
 
 from conftest import connect_bimodule_violations, corpus_path
@@ -216,7 +215,7 @@ def test_c09_categorical_envelope(load, a1, l2, r2):
         assert not connect_bimodule_violations(A, L.alpha, 3)
     # crossed-module identities of the envelope at the report degree
     for x, D in ((zero_xmod(a1), 4), (load("xmod-id-a1.json"), 3)):
-        Y = lm_xmod_envelope(xmod_to_lm(x), D)
+        Y = lm_xmod_envelope(x, D)
         assert not check_lm_assoc_xmod(Y)
     # the comparison map theta; ideal_mapped is the generator-wise image
     # of the kernel-product ideal in its categorical counterpart

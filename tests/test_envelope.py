@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -8,7 +9,7 @@ from leibnizx import io
 from leibnizx.scalars import Q
 from leibnizx.linalg import LinearMap
 from leibnizx.freealg import HomomorphismError
-from leibnizx.leibniz import liezation, semidirect, zero_rep
+from leibnizx.leibniz import check_rep, liezation, semidirect, zero_rep
 from leibnizx.envelope import (ULModule, check_module, module_to_rep,
                                rep_to_module, ul, ul_images, ul_map,
                                ul_relations)
@@ -78,6 +79,49 @@ def test_rep_module_roundtrip(load):
     mod = rep_to_module(rep)
     assert not check_module(mod)
     assert module_to_rep(mod) == rep
+
+
+def _corpus_reps(load):
+    """Every representation the corpus holds: the rep files, and the
+    p-actions on N and M of the crossed-module representations."""
+    reps = [load(n) for n in ("rep-a1-r.json", "rep-adj-l2.json",
+                              "rep-adj-r2.json", "rep-zero-l2.json",
+                              "rep-zero-r2.json", "bad-rep-a1.json")]
+    for n in ("xrep-id-a1.json", "xrep-zero-incl-l2.json"):
+        reps += [load(n).rep_n, load(n).rep_m]
+    r = io.load_path(CORPUS.parent / "tests" / "rational" / "xrep-xi-a1.json")
+    return reps + [r.rep_n, r.rep_m]
+
+
+def _bent_rep(rep, rng):
+    """rep with one entry of one action matrix moved by a nonzero
+    integer."""
+    side = rng.choice(("left_mats", "right_mats"))
+    mats = list(getattr(rep, side))
+    i, m = rng.randrange(len(mats)), rep.module_dim
+    cols = [mats[i].col(c) for c in range(m)]
+    r, c = rng.randrange(m), rng.randrange(m)
+    cols[c][r] = cols[c].get(r, 0) + rng.choice((-2, -1, 1, 2))
+    mats[i] = LinearMap.from_cols(m, cols)
+    return dataclasses.replace(rep, **{side: tuple(mats)})
+
+
+def test_check_rep_is_check_module(load):
+    """check_rep finds a violation exactly when a defining relation of
+    UL(p) fails to act as zero on rep_to_module(rep): on the corpus
+    representations and 30 seeded single-entry perturbations of each.
+    rep_to_xmodule reads its UL(p)-modules off this, with no check of
+    their own."""
+    rng = random.Random(5)
+    flagged = 0
+    for rep in _corpus_reps(load):
+        assert bool(check_rep(rep)) == bool(check_module(rep_to_module(rep)))
+        for _ in range(30 if rep.module_dim else 0):
+            bent = _bent_rep(rep, rng)
+            bad = check_rep(bent)
+            assert bool(bad) == bool(check_module(rep_to_module(bent)))
+            flagged += bool(bad)
+    assert flagged
 
 
 def test_module_words_act_leftmost_first(load):

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every private top-level helper is read by some module of the package,
-every method of a package class is read somewhere, and no function
-outside the command line takes a completion window.
+every method and every public top-level function and class of the package
+is read somewhere, and no function outside the command line takes a
+completion window.
 
 Stdlib-``ast`` stand-ins for a linter's unused-import and dead-code
 rules: an import counts as used when its bound name is read anywhere in
@@ -11,7 +12,9 @@ module reads its name (a bare name in its own module, an attribute, or a
 name imported from its module).  A method or property of a top-level
 class of the package counts as live when the package, the tests or the
 benchmark read its name as an attribute; the special (``__name__``)
-methods are exempt, as the language calls them.  A presentation is
+methods are exempt, as the language calls them.  A public top-level
+function or class counts as live when they read its name, bare or as an
+attribute; an import alone does not count.  A presentation is
 certified by one diamond-lemma pass, so no library function takes
 ``slack`` or ``cap``; ``cli`` only parses and echoes ``--slack``.
 """
@@ -121,6 +124,42 @@ def test_no_dead_methods():
     readers = [p.read_text("utf-8") for d in ("src", "tests", "perfbench")
                for p in sorted((ROOT / d).rglob("*.py"))]
     assert dead_methods(sources, readers) == []
+
+
+def unread_public_names(sources, readers):
+    """Sorted (module, line, name) of the public top-level functions and
+    classes of ``sources`` ({module name: source}) whose name no source of
+    ``readers`` (a list) reads, as a bare name or as an attribute.  An
+    import alone is no read."""
+    read = set()
+    for source in readers:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return sorted(
+        (mod, node.lineno, node.name) for mod, source in sources.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in read)
+
+
+def test_unread_public_name_detector():
+    sources = {"a": "def used():\n    pass\n\n\ndef imported():\n    pass\n"
+                    "\n\nclass Kept:\n    pass\n\n\nclass Left:\n    pass\n"
+                    "\n\ndef _private():\n    pass\n"}
+    readers = list(sources.values()) + [
+        "from a import used, imported\nimport a\nused()\nprint(a.Kept)\n"]
+    assert unread_public_names(sources, readers) == [("a", 5, "imported"),
+                                                     ("a", 13, "Left")]
+
+
+def test_no_unread_public_names():
+    sources = {p.stem: p.read_text("utf-8") for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text("utf-8") for d in ("src", "tests", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unread_public_names(sources, readers) == []
 
 
 WINDOW_NAMES = {"slack", "cap"}

@@ -15,13 +15,13 @@ from leibnizx.freealg import (HomomorphismError, filtration_basis,
                               induced_map, presented)
 from leibnizx.scalars import Q
 from leibnizx.linalg import Echelon, LinearMap, Subspace, vec_add_scaled
-from leibnizx.xmod import (cat1_matrices, ideal_inclusion_xmod,
+from leibnizx.leibniz import Action, LeibnizAlgebra, semidirect
+from leibnizx.xmod import (cat1_matrices, check_xmod, ideal_inclusion_xmod,
                            identity_violations, identity_xmod, zero_xmod)
 from leibnizx.lm import (BottomBasis, LMAssocXMod, _shift_vec,
                          check_lm_assoc_xmod, check_lm_lie_object,
-                         check_lm_lie_xmod, leibniz_to_lm,
-                         lm_semidirect_object, lm_xmod_envelope,
-                         pair_algebra, theta_check, u_lie, xmod_to_lm)
+                         leibniz_to_lm, lm_xmod_envelope, pair_algebra,
+                         theta_check, u_lie)
 
 from conftest import (CORPUS, HSD_PARAMS, TensorRef, all_words,
                       assert_x_matches_all_pairs, connect_bimodule_violations,
@@ -96,7 +96,7 @@ class AssociatedXMod:
         r = {w: c for w, c in u.items() if w not in a}
         out = Y.bottom.from_coords(Y.section(Y.target_bottom.to_coords(a)))
         vec_add_scaled(out, Y._in_sq(Y.r_on_top(
-            _shift_vec(r, -Y.X.dst.bottom_dim))), 1)
+            _shift_vec(r, -Y.dst.bottom_dim))), 1)
         return out
 
 
@@ -129,142 +129,126 @@ def test_leibniz_to_lm(l2, r2):
     assert leibniz_to_lm(l2).lie.dim == 1
 
 
-def test_xmod_to_lm(xmods):
-    for name, x in xmods.items():
-        X = xmod_to_lm(x)
-        assert not check_lm_lie_xmod(X, lm_semidirect_object(X)), name
-
-
 def test_lm_xmod_envelope_checks_its_input(xmods):
-    """xmod_to_lm leaves the check of its output to lm_xmod_envelope,
-    which refuses an input that fails it."""
-    X = xmod_to_lm(xmods["xmod-id-r2.json"])
-    bent = dataclasses.replace(X, rho1=X.rho1.scale(2))
-    assert check_lm_lie_xmod(bent, lm_semidirect_object(bent))[:2] == \
-        [("xi_rho1", 0), ("xi_rho1", 1)]
-    with pytest.raises(ValueError,
-                       match="input fails crossed-module checks"):
+    """lm_xmod_envelope leaves the crossed-module axioms to its callers;
+    the one check of its own is its carrier's, built by leibniz_to_lm,
+    which refuses an action whose semidirect product is not Leibniz."""
+    x = xmods["xmod-id-r2.json"]
+    left = [[dict(c) for c in row] for row in x.action.left_tensor]
+    left[0][1][0] = left[0][1].get(0, 0) + 1
+    bent = x._replace(action=Action(x.p, x.q, left, x.action.right_tensor))
+    assert check_xmod(bent) and semidirect(bent.action).check_leibniz()
+    with pytest.raises(ValueError, match="does not descend|Lie-object"):
         lm_xmod_envelope(bent, 3)
 
 
+REBASED_XMODS = ("xmod-id-a1", "xmod-id-l2", "xmod-id-r2", "xmod-zero-l2")
+
+
+@pytest.fixture(scope="module")
+def rebased_xmods(tmp_path_factory):
+    """The seeded basis changes (seeds 1 and 2) of REBASED_XMODS."""
+    out = {}
+    for seed in (1, 2):
+        paths = rebase.write_rebased(
+            str(CORPUS), str(tmp_path_factory.mktemp("rebased%d" % seed)),
+            seed)
+        for name in REBASED_XMODS:
+            out[seed, name] = io.load_path(paths[name])
+    return out
+
+
 # ---------------------------------------------------------------------------
-# oracle: the axioms the carrier holds, written out family by family
+# oracle: the cat¹ Lie object (L(q ⋊ p), s, t), written out
 
 
-def carrier_families(X):
-    """Oracle for the carrier part of ``lm.check_lm_lie_xmod``: the Lie
-    objects (N -> h) and (M -> g) of the square, and the eight families of
-    axioms that tie them to the g-actions and to xi, each on basis
-    vectors."""
-    bad = [("src",) + v for v in check_lm_lie_object(X.src)]
-    bad += [("dst",) + v for v in check_lm_lie_object(X.dst)]
-    h, g = X.src.lie, X.dst.lie
-    beta, alpha = X.src.alpha, X.dst.alpha
-    act_h = [LinearMap.from_cols(h.dim, [X.top.action.right({a: 1}, {k: 1})
-                                         for a in range(h.dim)])
-             for k in range(g.dim)]
-    for k in range(g.dim):
-        for k2 in range(g.dim):
-            # right g-module axiom on N
-            if X.act_n_of(g.bracket_basis(k, k2)) != \
-                    X.act_n[k2].compose(X.act_n[k]).add(
-                        X.act_n[k].compose(X.act_n[k2]).scale(-1)):
-                bad.append(("n_module", (k, k2)))
-        # compatibility of the h- and g-actions on N through [h,g]
-        for j in range(h.dim):
-            lhs = X.act_n[k].compose(X.src.right_mats[j])
-            rhs = X.src.right(act_h[k].col(j)).add(
-                X.src.right_mats[j].compose(X.act_n[k]))
-            if lhs != rhs:
-                bad.append(("nh_compat", (j, k)))
-        # beta equivariant for the g-actions
-        if beta.compose(X.act_n[k]) != act_h[k].compose(beta):
-            bad.append(("beta_equivariance", k))
-    for i in range(X.dst.bottom_dim):
-        # beta(xi(m,h)) = [alpha(m), h] = -[h, alpha(m)]
-        act_alpha = LinearMap.from_cols(h.dim, [
-            X.top.action.right({a: 1}, alpha.col(i)) for a in range(h.dim)])
-        if beta.compose(X.xi[i]) != act_alpha.scale(-1):
-            bad.append(("xi_beta", i))
-        for k in range(g.dim):
-            # [xi(m,h),g] = xi([m,g],h) + xi(m,[h,g])
-            lhs = X.act_n[k].compose(X.xi[i])
-            rhs = X.xi_of(X.dst.right_mats[k].col(i)).add(
-                X.xi[i].compose(act_h[k]))
-            if lhs != rhs:
-                bad.append(("xi_g", (i, k)))
-        for j in range(h.dim):
-            for j2 in range(h.dim):
-                # xi(m,[h,h']) = [xi(m,h),h'] - [xi(m,h'),h]
-                lhs = X.xi[i].apply(h.bracket_basis(j, j2))
-                vec_add_scaled(lhs, X.src.right_mats[j2].apply(
-                    X.xi[i].col(j)), -1)
-                vec_add_scaled(lhs, X.src.right_mats[j].apply(
-                    X.xi[i].col(j2)), 1)
-                if lhs:
-                    bad.append(("xi_hh", (i, j, j2)))
+def cat1_violations(x, carrier, dst):
+    """Oracle for the carrier of ``lm_xmod_envelope``: the cat¹ axioms of
+    (L(q ⋊ p), s, t) over L(p) on basis vectors, for carrier = L(q ⋊ p)
+    and dst = L(p), with L(s), L(t) taken through the carrier's lifts
+    (``lm._liezed``).  The carrier is a Lie object; its lifts are q's
+    first, then those of L(p); s2, t2 are well defined, Lie maps and split
+    by p's letters; s1, t1 are equivariant over them; [Ker s2, Ker t2] =
+    [Ker t2, Ker s2] = 0; and [Ker s1, Ker t2] = [Ker t1, Ker s2] = 0."""
+    L, g, nq = carrier.lie, dst.lie, x.q.dim
+    h = L.dim - g.dim
+    bad = [("carrier",) + v for v in check_lm_lie_object(carrier)]
+    lifts = list(carrier.alpha.kernel().complement_pivots())
+    if any(c >= nq for c in lifts[:h]) or lifts[h:] != [
+            nq + c for c in dst.alpha.kernel().complement_pivots()]:
+        bad.append(("pivot_layout",))
+    maps = {}
+    for name, f1 in zip("st", cat1_matrices(x.eta)):
+        f2 = lm._liezed(f1, carrier, dst)
+        maps[name] = f1, f2
+        if f2.compose(carrier.alpha) != dst.alpha.compose(f1):
+            bad.append((name + "2_well_defined",))
+        if any(f2.col(h + j) != {j: 1} for j in range(g.dim)):
+            bad.append((name + "2_split",))
+        for i in range(L.dim):
+            for j in range(L.dim):
+                if f2.apply(L.bracket_basis(i, j)) != \
+                        g.bracket(f2.col(i), f2.col(j)):
+                    bad.append((name + "2_lie_map", (i, j)))
+            if f1.compose(carrier.right_mats[i]) != \
+                    dst.right(f2.col(i)).compose(f1):
+                bad.append((name + "1_equivariance", i))
+    (s1, s2), (t1, t2) = maps["s"], maps["t"]
+    for a in s2.kernel().rows:
+        for b in t2.kernel().rows:
+            if L.bracket(a, b) or L.bracket(b, a):
+                bad.append(("ker_s2_ker_t2",))
+    for f1, f2, tag in ((s1, t2, "ker_s1_ker_t2"), (t1, s2, "ker_t1_ker_s2")):
+        for n in f1.kernel().rows:
+            for a in f2.kernel().rows:
+                if carrier.right(a).apply(n):
+                    bad.append((tag,))
     return bad
-
-
-def _bend(f, rng):
-    """f with one entry moved by a nonzero integer."""
-    cols = [f.col(c) for c in range(f.cols)]
-    r, c = rng.randrange(f.rows), rng.randrange(f.cols)
-    cols[c][r] = cols[c].get(r, 0) + rng.choice((-2, -1, 1, 2))
-    return LinearMap.from_cols(f.rows, cols)
-
-
-def _bent_square(X, rng):
-    """X with one entry of one of its maps moved: a right action or the
-    structure map of either Lie object, the g-action on N, xi or rho1."""
-    parts = {"src": X.src, "dst": X.dst, None: X}
-    slots = []
-    for part, name in (("src", "right_mats"), ("dst", "right_mats"),
-                       ("src", "alpha"), ("dst", "alpha"), (None, "rho1"),
-                       (None, "act_n"), (None, "xi")):
-        value = getattr(parts[part], name)
-        maps = value if isinstance(value, tuple) else (value,)
-        slots += [(part, name, i) for i, f in enumerate(maps)
-                  if f.rows and f.cols]
-    part, name, i = rng.choice(slots)
-    value = getattr(parts[part], name)
-    if isinstance(value, tuple):
-        value = value[:i] + (_bend(value[i], rng),) + value[i + 1:]
-    else:
-        value = _bend(value, rng)
-    new = dataclasses.replace(parts[part], **{name: value})
-    return new if part is None else dataclasses.replace(X, **{part: new})
 
 
 LIE_SQUARES = [("corpus", name, None) for name in (
     "xmod-zero-a1.json", "xmod-id-a1.json", "xmod-id-l2.json",
     "xmod-id-r2.json", "xmod-incl-l2.json")] + \
     [("hsd", a, kind) for a in HSD_PARAMS for kind in ("identity",
-                                                       "inclusion")]
+                                                       "inclusion")] + \
+    [(kind, seed, name) for kind in ("rebased", "rebased_integral")
+     for seed in (1, 2) for name in REBASED_XMODS]
 
 
 @pytest.mark.parametrize("case", LIE_SQUARES, ids=lambda c: "%s-%s-%s" % c)
-def test_carrier_flags_what_the_families_flag(xmods, case):
-    """The carrier's check against the families written out: both pass on
-    the square, and on each seeded single-entry perturbation the carrier
-    flags exactly when the families do, and check_lm_lie_xmod exactly
-    when the families or the identities it keeps do."""
+def test_carrier_flags_what_the_families_flag(xmods, rebased_xmods, case):
+    """The cat¹ carrier against the crossed-module families: the envelope's
+    carrier is L(q ⋊ p) and its target L(p), its s2 and t2 are L(s) and
+    L(t) on the letters, and the cat¹ oracle reports nothing; on η
+    doubled or zeroed the oracle flags exactly when check_xmod flags.  The
+    carrier does not depend on η, so the flags come from s2, t2 and the
+    kernel brackets."""
     kind, a, b = case
-    X = xmod_to_lm(xmods[a] if kind == "corpus" else hemisemidirect_xmod(a, b))
-    assert check_lm_lie_xmod(X, lm_semidirect_object(X)) == [] == \
-        carrier_families(X)
-    rng = random.Random(repr(case))
-    for _ in range(40):
-        Z = _bent_square(X, rng)
-        new = check_lm_lie_xmod(Z, lm_semidirect_object(Z))
-        kept = [v for v in new if v[0] != "carrier"]
-        assert (len(kept) < len(new)) == bool(carrier_families(Z))
-        assert bool(new) == bool(carrier_families(Z) + kept)
+    if kind == "corpus":
+        x = xmods[a]
+    elif kind == "hsd":
+        x = hemisemidirect_xmod(a, b)
+    else:
+        x = rebased_xmods[a, b]
+        x = xmod.integral(x) if kind == "rebased_integral" else x
+    Y = lm_xmod_envelope(x, 3)
+    assert Y.carrier == leibniz_to_lm(semidirect(x.action))
+    assert Y.dst == leibniz_to_lm(x.p)
+    for f1, u in zip(cat1_matrices(x.eta), (Y.us2, Y.ut2)):
+        f2 = lm._liezed(f1, Y.carrier, Y.dst)
+        for i in range(f2.cols):
+            assert Y.ug.from_coords(u.col(Y.top.class_index[(i,)])) == \
+                {(j,): c for j, c in f2.col(i).items()}
+    assert cat1_violations(x, Y.carrier, Y.dst) == []
+    for eta in (x.eta.scale(2), LinearMap.zero(x.p.dim, x.q.dim)):
+        z = x._replace(eta=eta)
+        assert bool(cat1_violations(z, Y.carrier, Y.dst)) == \
+            bool(check_xmod(z)), eta
 
 
 def test_theta_checks_its_input_once(xmods, monkeypatch):
     """theta_check gets its input's crossed-module check through xul;
-    xmod_to_lm does not repeat it."""
+    lm_xmod_envelope does not repeat it."""
     x = xmods["xmod-id-a1.json"]
     seen = []
     check = xul.check_xmod
@@ -300,7 +284,7 @@ def test_u_lm_object(a1, l2):
 
 
 def test_lm_envelope_zero_xmod(a1):
-    Y = lm_xmod_envelope(xmod_to_lm(zero_xmod(a1)), 3)
+    Y = lm_xmod_envelope(zero_xmod(a1), 3)
     assert Y.report_degree == 1
     # nothing to quotient: both kernels of the s-maps vanish
     assert len(b_ker_filtration(Y, 1)) == 0
@@ -308,7 +292,7 @@ def test_lm_envelope_zero_xmod(a1):
 
 
 def test_lm_envelope_identity_a1(a1):
-    Y = lm_xmod_envelope(xmod_to_lm(identity_xmod(a1)), 3)
+    Y = lm_xmod_envelope(identity_xmod(a1), 3)
     assert not check_lm_assoc_xmod(Y)
     assert Y.certificates["u_semidirect_stabilized"]
     assert not check_associated_xmod(AssociatedXMod(Y))
@@ -354,7 +338,7 @@ def test_bottom_filtration_matches_intersections(xmods, degree):
     filtration basis span Ker us1 ∩ F_k for every k, and each row has the
     degree it is listed with."""
     for name, x in xmods.items():
-        Y = lm_xmod_envelope(xmod_to_lm(x), degree)
+        Y = lm_xmod_envelope(x, degree)
         rows = b_filtration(Y)
         fdeg = lambda i: len(Y.bottom.words[i])
         kernel = Y.us1.kernel()
@@ -374,7 +358,7 @@ def _tensor_map(bim, Y, top_hom, f1):
     """Oracle: U(f2) ⊗ f1 on every coordinate of bim, into the target's
     bottom U(g) ⊗ M, for the algebra map f2 given on class coordinates by
     top_hom and a linear map f1."""
-    tbim = TensorRef(Y.ug, Y.X.dst.bottom_dim, Y.X.dst.right_mats)
+    tbim = TensorRef(Y.ug, Y.dst.bottom_dim, Y.dst.right_mats)
     cols = []
     for flat in range(bim.dim):
         wi, k = divmod(flat, bim.module_dim)
@@ -445,14 +429,13 @@ def _assert_y_ideal_matches_all_pairs(x, degree, monkeypatch):
     Kt1 come from the kernels of the oracle maps U(s2) ⊗ s1 and
     U(t2) ⊗ t1 by elimination, and the envelope's us1 and ut1 agree with
     those maps through the quotient.  Returns the envelope."""
-    X = xmod_to_lm(x)
     Y, (env, target, s_imgs, t_imgs, _) = record_kernel_quotient(
-        lm, lambda: lm_xmod_envelope(X, degree), monkeypatch)
+        lm, lambda: lm_xmod_envelope(x, degree), monkeypatch)
     (s2, s2_ker), (t2, t2_ker) = full_kernels(env, target, s_imgs, t_imgs)
     bim = TensorRef(Y.usd, Y.carrier.bottom_dim, Y.carrier.right_mats)
     bottoms = []
-    for top_hom, f1, induced in ((s2, cat1_matrices(X.rho1)[0], Y.us1),
-                                 (t2, cat1_matrices(X.rho1)[1], Y.ut1)):
+    for top_hom, f1, induced in ((s2, cat1_matrices(x.eta)[0], Y.us1),
+                                 (t2, cat1_matrices(x.eta)[1], Y.ut1)):
         f = _tensor_map(bim, Y, top_hom, f1)
         for flat in range(bim.dim):
             assert induced.apply(_bottom_class(Y, bim, {flat: 1})) == \
@@ -543,18 +526,18 @@ def test_top_x_from_generators_matches_all_pairs(xmods, name, D,
     """The top row's X' built from the degree-one generators a·w·b gives
     the quotient that the closure of every product of kernel filtration
     rows gives."""
-    X = xmod_to_lm(xmods[name])
+    x = xmods[name]
     assert_x_matches_all_pairs(
-        lm, lambda: lm_xmod_envelope(X, D), monkeypatch)
+        lm, lambda: lm_xmod_envelope(x, D), monkeypatch)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_top_x_from_generators_matches_all_pairs_rebased(seed, tmp_path,
                                                          monkeypatch):
     paths = rebase.write_rebased(str(CORPUS), str(tmp_path), seed)
-    X = xmod_to_lm(io.load_path(paths["xmod-id-l2"]))
+    x = io.load_path(paths["xmod-id-l2"])
     assert_x_matches_all_pairs(
-        lm, lambda: lm_xmod_envelope(X, 5), monkeypatch)
+        lm, lambda: lm_xmod_envelope(x, 5), monkeypatch)
 
 
 
@@ -567,9 +550,9 @@ def _full_loop_check(Y):
     of the square-zero algebra."""
     d = Y.report_degree
     Ug, top, tb = Y.ug, Y.top, Y.target_bottom
-    mv = Y.X.dst.bottom_dim
+    mv = Y.dst.bottom_dim
     bad = [("target",) + v
-           for v in connect_bimodule_violations(Y.target, Y.X.dst.alpha, d)]
+           for v in connect_bimodule_violations(Y.target, Y.dst.alpha, d)]
 
     r_words = [(len(w), {w: 1}) for w in Ug.class_words if len(w) <= d]
     s_rows = s_ker_filtration(Y, d)
@@ -633,7 +616,7 @@ def _full_loop_check(Y):
             if Y.ut1.apply(x2) != tb.left_mult(ts, a, d):
                 bad.append(("xi2_boundary", (da, ds)))
             ca = shift_letters(pair_connect(
-                Y.target, Y.X.dst.alpha, tb.from_coords(a)), -mv)
+                Y.target, Y.dst.alpha, tb.from_coords(a)), -mv)
             if Y.connect.apply(x1) != \
                     top.to_coords(top.mult(Y.r_on_top(ca), s, d)):
                 bad.append(("xi1_connect", (da, ds)))
@@ -695,7 +678,7 @@ def _off_f1_bimodule(Y):
         [Y.right_mult(n, u, d) for n in ns for u in us]
     if d >= 2:
         ms = [{Y.target_bottom.index[(k,)]: 1}
-              for k in range(Y.X.dst.bottom_dim)]
+              for k in range(Y.dst.bottom_dim)]
         k_s = [top.from_coords(v) for v in Y.kernel_generators()[0]]
         span += [Y.xi1(m, a, d) for m in ms for a in k_s] + \
             [Y.xi2(a, m, d) for m in ms for a in k_s]
@@ -737,7 +720,7 @@ def test_checker_flags_what_the_full_loops_flag(xmods, name, degree):
     xmod-incl-l2 is the corpus input whose Ker us1 ∩ F₂ leaves the
     sub-bimodule that Ker us1 ∩ F₁ generates; there the ut1 perturbation
     changes no identity, and the full loops do not flag it either."""
-    Y = lm_xmod_envelope(xmod_to_lm(xmods[name]), degree)
+    Y = lm_xmod_envelope(xmods[name], degree)
     assert check_lm_assoc_xmod(Y) == [] == _full_loop_check(Y)
     bent = _perturbations(Y)
     for what, Z in bent.items():
@@ -746,22 +729,6 @@ def test_checker_flags_what_the_full_loops_flag(xmods, name, degree):
         ("ut1", "xi1", "xi2")
     for what in flagged:
         assert check_lm_assoc_xmod(bent[what]), what
-
-
-REBASED_XMODS = ("xmod-id-a1", "xmod-id-l2", "xmod-id-r2", "xmod-zero-l2")
-
-
-@pytest.fixture(scope="module")
-def rebased_xmods(tmp_path_factory):
-    """The seeded basis changes (seeds 1 and 2) of REBASED_XMODS."""
-    out = {}
-    for seed in (1, 2):
-        paths = rebase.write_rebased(
-            str(CORPUS), str(tmp_path_factory.mktemp("rebased%d" % seed)),
-            seed)
-        for name in REBASED_XMODS:
-            out[seed, name] = io.load_path(paths[name])
-    return out
 
 
 BEYOND_CHECKER_CASES = [("hsd", a, kind) for a in HSD_PARAMS
@@ -781,7 +748,7 @@ def test_checker_matches_the_full_loops_beyond_the_corpus(rebased_xmods,
     when it is flagged by the other."""
     kind, a, b = case
     x = hemisemidirect_xmod(a, b) if kind == "hsd" else rebased_xmods[a, b]
-    Y = lm_xmod_envelope(xmod_to_lm(x), degree)
+    Y = lm_xmod_envelope(x, degree)
     assert check_lm_assoc_xmod(Y) == [] == _full_loop_check(Y)
     for what, Z in _perturbations(Y).items():
         assert bool(check_lm_assoc_xmod(Z)) == bool(_full_loop_check(Z)), what
@@ -806,7 +773,7 @@ def test_kernels_are_generated_in_low_degree(xmods, name, degree):
         x = hemisemidirect_xmod(int(a), kind)
     else:
         x = xmods[name]
-    Y = lm_xmod_envelope(xmod_to_lm(x), degree)
+    Y = lm_xmod_envelope(x, degree)
     top, bottom = Y.top, Y.bottom
     s_gens, b_gens = Y.kernel_generators()
     k_s = [top.from_coords(v) for v in s_gens]
@@ -897,7 +864,7 @@ def test_associated_xmod_identities(xmods, name):
     """check_associated_xmod, through the shared identity loop, reports
     nothing on the corpus at D4 and flags the embedding with every other
     column doubled (either parity) wherever the kernels are not zero."""
-    Y = lm_xmod_envelope(xmod_to_lm(xmods[name]), 4)
+    Y = lm_xmod_envelope(xmods[name], 4)
     assert check_associated_xmod(AssociatedXMod(Y)) == []
     bent = _perturbations(Y)
     for what in ("emb", "emb'") if name != "xmod-zero-a1.json" else ():
@@ -932,8 +899,8 @@ def test_pair_algebra_matches_pair_product(xmods, case, D):
     U's plus that of U ⊗ V, and its product of any two class words with
     fdeg sum <= D is the pair product (a, r)(a', r') = (alpha(a)a' + ar' +
     ra', rr') of the test-side U ⊗ V."""
-    Y = lm_xmod_envelope(xmod_to_lm(_crossed_module(xmods, case)), D)
-    for L, U, P in ((Y.X.dst, Y.ug, Y.target),
+    Y = lm_xmod_envelope(_crossed_module(xmods, case), D)
+    for L, U, P in ((Y.dst, Y.ug, Y.target),
                     (Y.carrier, Y.usd, pair_algebra(Y.carrier, Y.usd))):
         assert P.ideal.stabilized
         ref = TensorRef(U, L.bottom_dim, L.right_mats)
@@ -1008,10 +975,10 @@ def test_theta_matches_word_enumeration(xmods, case, D, monkeypatch):
     calls = _record_induced_maps(monkeypatch)
     rec = theta_check(x, D)
     assert rec["relations_killed"] and rec["verdict"] == "pass"
-    Y = lm_xmod_envelope(xmod_to_lm(x), D)
+    Y = lm_xmod_envelope(x, D)
     (usd1, P, _, theta), (ul_p, P_g, _, theta_p) = calls
     for quot, L, U, alg, f in ((usd1, Y.carrier, Y.usd, P, theta),
-                               (ul_p, Y.X.dst, Y.ug, P_g, theta_p)):
+                               (ul_p, Y.dst, Y.ug, P_g, theta_p)):
         ref = TensorRef(U, L.bottom_dim, L.right_mats)
         evaluate = _theta_by_words(ref, L.alpha, D)
         assert _kills_span(evaluate, quot)
@@ -1055,12 +1022,14 @@ def test_theta_reports_an_unkilled_relation(xmods, monkeypatch):
 
 
 def test_lm_checks_each_lie_datum_once(monkeypatch):
-    """One lm run checks each Lie datum once: check_xmod the input and the
-    top row of its square, check_lm_lie_object the carrier, which holds
-    the square's two Lie objects."""
-    xs, objs = [], []
+    """One lm run checks each Lie datum once: check_xmod the input,
+    check_lm_lie_object the carrier L(q ⋊ p), and check_leibniz no
+    algebra object twice.  The last is read on xmod-incl-l2, whose q and p
+    differ (xmod-id-l2's q and p are equal algebras, and check_xmod checks
+    each)."""
+    xs, objs, algs = [], [], []
     check_xmod = xul.check_xmod
-    for module in (xul, xmod, lm):
+    for module in (xul, xmod, cli):
         monkeypatch.setattr(module, "check_xmod",
                             lambda y: xs.append(y) or check_xmod(y))
     check_obj = lm.check_lm_lie_object
@@ -1071,5 +1040,16 @@ def test_lm_checks_each_lie_datum_once(monkeypatch):
         code = cli.main(["lm", str(CORPUS / "xmod-id-l2.json"),
                          "--degree", "8", "--format", "json"])
     assert code == 0
-    assert len(xs) == 2 and len({id(y) for y in xs}) == 2
+    assert len(xs) == 1
     assert [L.bottom_dim for L in objs] == [4]
+
+    check_leibniz = LeibnizAlgebra.check_leibniz
+    monkeypatch.setattr(LeibnizAlgebra, "check_leibniz",
+                        lambda alg: algs.append(alg) or check_leibniz(alg))
+    objs.clear()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["lm", str(CORPUS / "xmod-incl-l2.json"),
+                         "--degree", "5", "--format", "json"])
+    assert code == 0
+    assert len({id(alg) for alg in algs}) == len(algs) == 3
+    assert any(alg is objs[0].lie for alg in algs)

@@ -74,16 +74,6 @@ def test_assoc_flavor_roundtrip():
     assert psi == LinearMap.identity(ax.A.dim)
 
 
-def test_xliez_on_identity_xmod(l2):
-    from leibnizx.xmod import xliez
-    xbar, proj_qbar, projp = xliez(identity_xmod(l2))
-    # Liez(L2) is 1-dimensional, and [q,p] kills the rest: here the bracket
-    # ideal is zero since Liez(L2) is abelian with trivial action image
-    assert xbar.p.dim == 1
-    assert xbar.q.dim == proj_qbar.rank()
-    assert not check_xmod(xbar)
-
-
 def test_zero_and_identity_special_cases(a1):
     z = zero_xmod(a1)
     assert z.q.dim == 0

@@ -1,9 +1,11 @@
+import contextlib
 import dataclasses
+import io as stdio
 import pathlib
 
 import pytest
 
-from leibnizx import io
+from leibnizx import cli, envelope, io, leibniz, xrep
 from leibnizx.scalars import Q
 from leibnizx.linalg import LinearMap
 from leibnizx.xmod import check_assoc_xmod, identity_xmod
@@ -13,6 +15,8 @@ from leibnizx.xrep import (LeibnizXModRep, check_xmod_rep, check_xmodule,
                            rep_to_xmodule, xmodule_to_rep, zero_xmod_rep)
 from leibnizx.xul import xul
 from leibnizx.leibniz import zero_rep, LeibnizRep
+
+from conftest import CORPUS
 
 
 def test_hom_coordinates_roundtrip():
@@ -50,6 +54,25 @@ def test_rep_to_xmodule_rejects_bad(load):
     tx = xul(bad.xmod, 3)
     with pytest.raises(ValueError, match="not a representation"):
         rep_to_xmodule(bad, tx)
+
+
+def test_thm5_checks_each_representation_once(monkeypatch):
+    """verify thm5 checks its input once: check_xmod_rep runs check_rep on
+    the p-actions on N and M, and no check_module follows, as its
+    relations restate check_rep (tests/test_envelope.py)."""
+    reps, mods = [], []
+    check_rep, check_module = leibniz.check_rep, envelope.check_module
+    for module in (xrep, cli):
+        monkeypatch.setattr(module, "check_rep",
+                            lambda r: reps.append(r) or check_rep(r))
+    for module in (envelope, cli):
+        monkeypatch.setattr(module, "check_module",
+                            lambda m: mods.append(m) or check_module(m))
+    with contextlib.redirect_stdout(stdio.StringIO()):
+        code = cli.main(["verify", "thm5",
+                         str(CORPUS / "xrep-id-a1.json"), "--degree", "3"])
+    assert code == 0
+    assert len(reps) == 2 and not mods
 
 
 def test_roundtrip_identity_a1(load):

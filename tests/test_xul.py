@@ -64,25 +64,55 @@ def test_xul_inclusion_l2(xmods):
         assert set(out) <= set(range(tx.ul_p.dim))
 
 
+def _lm_on(Y1, Y2, f):
+    """The maps that f: q ⊕ p -> q' ⊕ p' induces between two lm
+    envelopes: L(f) on the tops, and on sq f on the module letters and L(f)
+    on the top letters, restricted to the bottoms."""
+    Lf = lm._liezed(f, Y1.carrier, Y2.carrier)
+
+    def letters(alg, off):
+        return [alg.reduce({(off + j,): c for j, c in Lf.col(a).items()})
+                for a in range(Lf.cols)]
+
+    top = induced_map(Y1.top, Y2.top, letters(Y2.top, 0))
+    sq = induced_map(Y1.sq, Y2.sq, [
+        Y2.sq.reduce({(l,): c for l, c in f.col(k).items()})
+        for k in range(f.cols)] + letters(Y2.sq, Y2.carrier.bottom_dim))
+    bottom = LinearMap.from_cols(Y2.bottom.dim, [
+        Y2.bottom.to_coords(Y2.sq.from_coords(sq.col(Y1.sq.class_index[w])))
+        for w in Y1.bottom.words])
+    return top, bottom
+
+
 @pytest.mark.parametrize("D", [3, 4, 5, 6])
 def test_xul_is_natural(xmods, D):
-    """xul as a functor on the morphism (η, id): xmod-incl-l2 ->
+    """xul and lm as functors on the morphism (η, id): xmod-incl-l2 ->
     xmod-id-l2.  UL(φ ⋊ ψ) on the ambients commutes with s̄, t̄ and the
-    embedding, against ul_map on ψ = id, and sends B into B.  (0, id) is
-    no crossed-module morphism, and its t̄ square fails."""
+    embedding, against ul_map on ψ = id, and sends B into B.  In lm the
+    induced map of the tops, by L(φ ⊕ ψ), commutes with us2, ut2 and emb
+    against the identity on U(Liez p), and the induced map of sq, φ ⊕ ψ on
+    the module letters, commutes with us1 and ut1 on the bottoms.  (0, id)
+    is no crossed-module morphism, and its t̄ and ut1 squares fail; lm's
+    top row cannot tell it apart, as η(b) is a square of l2, so L(η ⊕ id)
+    = L(0 ⊕ id)."""
     x1, x2 = xmods["xmod-incl-l2.json"], xmods["xmod-id-l2.json"]
     t1, t2 = xul(x1, D), xul(x2, D)
+    Y1, Y2 = lm.lm_xmod_envelope(x1, D), lm.lm_xmod_envelope(x2, D)
     psi = LinearMap.identity(x1.p.dim)
     u_psi = ul_map(t1.ul_p, t2.ul_p, psi)
+    nq = x2.q.dim
 
-    def on_ambients(phi):
-        """UL(φ ⋊ ψ) between the ambients, φ ⊕ ψ on q ⊕ p coordinates."""
-        nq = x2.q.dim
-        f = LinearMap.from_cols(nq + x2.p.dim, [
+    def plus_psi(phi):
+        """φ ⊕ ψ on q ⊕ p coordinates."""
+        return LinearMap.from_cols(nq + x2.p.dim, [
             phi.col(j) for j in range(phi.cols)] + [
             {nq + i: c for i, c in psi.col(j).items()}
             for j in range(psi.cols)])
-        return induced_map(t1.ambient, t2.ambient, ul_images(t2.ambient, f))
+
+    def on_ambients(phi):
+        """UL(φ ⋊ ψ) between the ambients."""
+        return induced_map(t1.ambient, t2.ambient,
+                           ul_images(t2.ambient, plus_psi(phi)))
 
     assert not check_xmod_morphism(x1, x2, x1.eta, psi)
     F = on_ambients(x1.eta)
@@ -90,10 +120,18 @@ def test_xul_is_natural(xmods, D):
     assert t2.bar_t.compose(F) == u_psi.compose(t1.bar_t)
     assert F.compose(t1.embed) == t2.embed.compose(u_psi)
     assert all(t2.B.contains_vec(F.apply(r)) for r in t1.B.rows)
+    top, bottom = _lm_on(Y1, Y2, plus_psi(x1.eta))
+    assert Y2.us2.compose(top) == Y1.us2 and Y2.ut2.compose(top) == Y1.ut2
+    assert top.compose(Y1.emb) == Y2.emb
+    assert Y2.us1.compose(bottom) == Y1.us1
+    assert Y2.ut1.compose(bottom) == Y1.ut1
 
     zero = LinearMap.zero(x2.q.dim, x1.q.dim)
     assert check_xmod_morphism(x1, x2, zero, psi)
     assert t2.bar_t.compose(on_ambients(zero)) != u_psi.compose(t1.bar_t)
+    top0, bottom0 = _lm_on(Y1, Y2, plus_psi(zero))
+    assert top0 == top
+    assert Y2.ut1.compose(bottom0) != Y1.ut1
 
 
 def test_lemma41_identity_a1(a1):
@@ -334,8 +372,7 @@ def test_degree_one_kernel_rows_match_full_kernels(xmods, source, arg,
     if pipeline == "xul":
         module, build = xul_module, lambda: xul(x, 3)
     else:
-        X = lm.xmod_to_lm(x)
-        module, build = lm, lambda: lm.lm_xmod_envelope(X, 3)
+        module, build = lm, lambda: lm.lm_xmod_envelope(x, 3)
     _, (env, target, s_imgs, t_imgs, kq) = record_kernel_quotient(
         module, build, monkeypatch)
     for rows, (_, ker) in zip((kq.s_rows, kq.t_rows),
