@@ -30,7 +30,7 @@ def ul_relations(p):
     rels = []
     for i in range(n):
         for j in range(n):
-            br = p.bracket_basis(i, j)
+            br = p.product_basis(i, j)
             br_l = {(k,): v for k, v in br.items()}
             br_r = {(n + k,): v for k, v in br.items()}
             # added, not a literal: at i = j the two words cancel

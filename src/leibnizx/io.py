@@ -159,24 +159,28 @@ def _gen_names(prefix, n):
 # algebras
 
 
-def _load_algebra(data, kind, cls, table_key):
+def _load_algebra(data, cls):
+    kind = _KIND_OF_TYPE[cls]
     name = _need(data, "name", kind, str)
     basis = _need(data, "basis", kind, list)
     idx = _basis_index(basis, kind)
-    entries = data.get(table_key, [])
-    t = _tensor_from_entries(entries, "left", "right", idx, idx, idx,
-                             "%s %s" % (kind, name))
+    t = _tensor_from_entries(data.get(_TABLE_KEY[cls], []), "left", "right",
+                             idx, idx, idx, "%s %s" % (kind, name))
     return cls(name, tuple(basis), t)
 
 
-def _dump_algebra(alg, kind, table_key, table_basis):
+def _dump_algebra(alg):
     return {
-        "kind": kind,
+        "kind": _KIND_OF_TYPE[type(alg)],
         "name": alg.name,
         "basis": list(alg.basis),
-        table_key: _entries("left", alg.basis, "right", alg.basis,
-                            alg.basis, table_basis),
+        _TABLE_KEY[type(alg)]: _entries("left", alg.basis, "right", alg.basis,
+                                        alg.basis, alg.product_basis),
     }
+
+
+# the table key of an algebra file, "bracket" or "product"
+_TABLE_KEY = {LeibnizAlgebra: "bracket", AssocAlgebra: "product"}
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +209,8 @@ def _dump_xmod(x):
                      lambda j, i: act.right_tensor[j][i])
     return {
         "kind": "xmod",
-        "q": _dump_algebra(x.q, "leibniz_algebra", "bracket",
-                           x.q.bracket_basis),
-        "p": _dump_algebra(x.p, "leibniz_algebra", "bracket",
-                           x.p.bracket_basis),
+        "q": _dump_algebra(x.q),
+        "p": _dump_algebra(x.p),
         "eta": _matrix_dump(x.eta, x.q.basis, x.p.basis),
         "action": {"left": left, "right": right},
     }
@@ -234,8 +236,7 @@ def _dump_rep(rep):
     m_names = _gen_names("m", rep.module_dim)
     return {
         "kind": "rep",
-        "algebra": _dump_algebra(rep.algebra, "leibniz_algebra", "bracket",
-                                 rep.algebra.bracket_basis),
+        "algebra": _dump_algebra(rep.algebra),
         "module": m_names,
         "left": _left_entries(rep.left_mats, rep.algebra.basis, m_names),
         "right": _right_entries(rep.right_mats, rep.algebra.basis, m_names),
@@ -317,8 +318,7 @@ def _dump_module(mod):
             gens[lbl] = m
     return {
         "kind": "module",
-        "algebra": _dump_algebra(p, "leibniz_algebra", "bracket",
-                                 p.bracket_basis),
+        "algebra": _dump_algebra(p),
         "module": m_names,
         "generators": gens,
     }
@@ -352,9 +352,9 @@ def load_data(data, base_dir="."):
         raise FormatError("top level must be an object")
     kind = _need(data, "kind", "input")
     if kind == "leibniz_algebra":
-        return _load_algebra(data, kind, LeibnizAlgebra, "bracket")
+        return _load_algebra(data, LeibnizAlgebra)
     if kind == "assoc_algebra":
-        return _load_algebra(data, kind, AssocAlgebra, "product")
+        return _load_algebra(data, AssocAlgebra)
     if kind == "xmod":
         return _load_xmod(data, base_dir)
     if kind == "rep":
@@ -401,11 +401,8 @@ _KIND_OF_TYPE = {
 
 def dump_data(obj):
     """The canonical JSON document for a library object."""
-    if isinstance(obj, LeibnizAlgebra):
-        return _dump_algebra(obj, "leibniz_algebra", "bracket",
-                             obj.bracket_basis)
-    if isinstance(obj, AssocAlgebra):
-        return _dump_algebra(obj, "assoc_algebra", "product", obj.mult_basis)
+    if type(obj) in _TABLE_KEY:
+        return _dump_algebra(obj)
     if isinstance(obj, LeibnizXMod):
         return _dump_xmod(obj)
     if isinstance(obj, LeibnizRep):

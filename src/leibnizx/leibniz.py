@@ -39,14 +39,14 @@ def scaled(tensor, c):
             for row in tensor]
 
 
-def integral_algebra(alg, tensor):
-    """(copy, δ) for an algebra and its structure constants: the copy is
-    alg in the basis δ·e_i, δ the lcm of their denominators, so its
-    constants δ·c are integers; (alg, 1) when they already are."""
-    den = denominator(tensor)
+def integral_algebra(alg):
+    """(copy, δ) for an algebra: the copy is alg in the basis δ·e_i, δ the
+    lcm of the denominators of its structure constants, so its constants
+    δ·c are integers; (alg, 1) when they already are."""
+    den = denominator(alg.tensor)
     if den == 1:
         return alg, 1
-    return type(alg)(alg.name, alg.basis, scaled(tensor, den)), den
+    return type(alg)(alg.name, alg.basis, scaled(alg.tensor, den)), den
 
 
 def _bilinear(tensor, x, y):
@@ -84,64 +84,52 @@ def _triple_violations(tensor, twist):
     return bad
 
 
-def _semidirect_cells(target_mult, actor_mult, act, nt, na):
-    """Structure constants of target ⊕ actor (target first) from the two
-    basis products and the action: (t1,a1)(t2,a2) = (t1 t2 + a1·t2 + t1·a2,
-    a1 a2)."""
-
-    def cell(i, j):
-        if i < nt and j < nt:
-            return target_mult(i, j)
-        if i < nt:
-            return act.right(basis_vec(i), basis_vec(j - nt))
-        if j < nt:
-            return act.left(basis_vec(i - nt), basis_vec(j))
-        return {nt + k: v for k, v in actor_mult(i - nt, j - nt).items()}
-
-    n = nt + na
-    return [[cell(i, j) for j in range(n)] for i in range(n)]
-
-
 def basis_vec(i):
     return {i: 1}
 
 
 @dataclass(frozen=True)
-class LeibnizAlgebra:
-    """Leibniz algebra given by structure constants; Lie algebras are the
-    antisymmetric special case."""
+class Algebra:
+    """An algebra given by structure constants, Leibniz or associative:
+    tensor[i][j] = {k: c} with e_i e_j = sum_k c e_k.  ``product`` is the
+    bracket of a Leibniz algebra and the product of an associative one; a
+    subclass adds the check of its axioms."""
 
     name: str
     basis: tuple
-    bracket_tensor: tuple
+    tensor: tuple
 
     def __post_init__(self):
         n = len(self.basis)
         object.__setattr__(self, "basis", tuple(self.basis))
-        object.__setattr__(self, "bracket_tensor",
-                           _tensor(n, n, n, self.bracket_tensor))
+        object.__setattr__(self, "tensor", _tensor(n, n, n, self.tensor))
 
     @property
     def dim(self):
         return len(self.basis)
 
-    def bracket(self, x, y):
-        return _bilinear(self.bracket_tensor, x, y)
+    def product(self, x, y):
+        return _bilinear(self.tensor, x, y)
 
-    def bracket_basis(self, i, j):
-        return dict(self.bracket_tensor[i][j])
+    def product_basis(self, i, j):
+        return dict(self.tensor[i][j])
+
+
+class LeibnizAlgebra(Algebra):
+    """Leibniz algebra given by structure constants; Lie algebras are the
+    antisymmetric special case."""
 
     def check_leibniz(self):
         """Exhaustive Leibniz identity check; returns violating triples
         (i, j, k, lhs, rhs) (:func:`_triple_violations`)."""
-        return _triple_violations(self.bracket_tensor, 1)
+        return _triple_violations(self.tensor, 1)
 
     def is_lie(self):
         n = self.dim
         for i in range(n):
             for j in range(n):
-                s = dict(self.bracket_basis(i, j))
-                vec_add_scaled(s, self.bracket_basis(j, i), 1)
+                s = self.product_basis(i, j)
+                vec_add_scaled(s, self.product_basis(j, i), 1)
                 if s:
                     return False
         return True
@@ -151,8 +139,8 @@ class LeibnizAlgebra:
         vecs = []
         for i in range(self.dim):
             for j in range(i, self.dim):
-                s = dict(self.bracket_basis(i, j))
-                vec_add_scaled(s, self.bracket_basis(j, i), 1)
+                s = self.product_basis(i, j)
+                vec_add_scaled(s, self.product_basis(j, i), 1)
                 if s:
                     vecs.append(s)
         return Subspace.from_vectors(self.dim, vecs)
@@ -199,30 +187,29 @@ def zero_action(p, q):
 
 def adjoint_action(p):
     """p acting on itself by its own bracket."""
-    t = p.bracket_tensor
-    return Action(p, p, t, t)
+    return Action(p, p, p.tensor, p.tensor)
 
 
-def _action_violations(act, mult, kinds, patterns, holds):
-    """The triples of basis vectors on which an identity of three factors
-    fails, for each placement pattern of actor and target entries.
+def _action_violations(act, kinds, patterns, twist):
+    """The triples of basis vectors on which (xy)z = x(yz) + twist·(xz)y
+    fails, for each placement pattern of actor and target entries: the
+    Leibniz identity at twist 1, associativity at twist 0, as in
+    :func:`_triple_violations`.
 
-    kinds names the (actor, target) entries in the patterns; mult is the
-    unbound product of both algebras (``LeibnizAlgebra.bracket`` or
-    ``AssocAlgebra.mult``); holds(mul, a, b, c) tests the identity on
-    kinded vectors (kind, v), which mul multiplies through the algebra
-    products and the action."""
+    kinds names the (actor, target) entries in the patterns.  Kinded
+    vectors (kind, v) multiply by the actor's or the target's ``product``
+    when both factors are of one kind, and by the action otherwise."""
     actor, target = act.actor, act.target
     ka, kt = kinds
 
     def mul(kx, x, ky, y):
         if kx == ka and ky == ka:
-            return ka, mult(actor, x, y)
+            return ka, actor.product(x, y)
         if kx == ka:
             return kt, act.left(x, y)
         if ky == ka:
             return kt, act.right(x, y)
-        return kt, mult(target, x, y)
+        return kt, target.product(x, y)
 
     bad = []
     for pat in patterns:
@@ -230,38 +217,45 @@ def _action_violations(act, mult, kinds, patterns, holds):
         for i in range(dims[0]):
             for j in range(dims[1]):
                 for k in range(dims[2]):
-                    if not holds(mul, (pat[0], basis_vec(i)),
-                                 (pat[1], basis_vec(j)),
-                                 (pat[2], basis_vec(k))):
+                    x, y, z = zip(pat, map(basis_vec, (i, j, k)))
+                    rhs = mul(*x, *mul(*y, *z))[1]
+                    if twist:
+                        vec_add_scaled(rhs, mul(*mul(*x, *z), *y)[1], twist)
+                    if mul(*mul(*x, *y), *z)[1] != rhs:
                         bad.append((pat, (i, j, k)))
     return bad
-
-
-def _leibniz_holds(mul, x, y, z):
-    """[[x,y],z] = [x,[y,z]] + [[x,z],y] on kinded vectors."""
-    rhs = mul(*x, *mul(*y, *z))[1]
-    vec_add_scaled(rhs, mul(*mul(*x, *z), *y)[1], 1)
-    return mul(*mul(*x, *y), *z)[1] == rhs
 
 
 def check_action(act):
     """The six mixed Leibniz identities, one per placement pattern of the
     q-entries in [[x,y],z] = [x,[y,z]] + [[x,z],y]."""
     return _action_violations(
-        act, LeibnizAlgebra.bracket, ("p", "q"),
+        act, ("p", "q"),
         (("q", "p", "p"), ("p", "q", "p"), ("p", "p", "q"),
-         ("q", "q", "p"), ("q", "p", "q"), ("p", "q", "q")), _leibniz_holds)
+         ("q", "q", "p"), ("q", "p", "q"), ("p", "q", "q")), 1)
 
 
 def semidirect(act):
-    """Leibniz structure on q ⊕ p:
-    [(q1,p1),(q2,p2)] = ([q1,q2]+[p1,q2]+[q1,p2], [p1,p2])."""
+    """The semidirect product on q ⊕ p (target first), of the target's
+    flavour: (q1,p1)(q2,p2) = (q1 q2 + p1·q2 + q1·p2, p1 p2), for a Leibniz
+    algebra [(q1,p1),(q2,p2)] = ([q1,q2]+[p1,q2]+[q1,p2], [p1,p2])."""
     p, q = act.actor, act.target
-    tensor = _semidirect_cells(q.bracket_basis, p.bracket_basis, act,
-                              q.dim, p.dim)
+    nq = q.dim
+
+    def cell(i, j):
+        if i < nq and j < nq:
+            return q.tensor[i][j]
+        if i < nq:
+            return act.right_tensor[i][j - nq]
+        if j < nq:
+            return act.left_tensor[i - nq][j]
+        return {nq + k: v for k, v in p.tensor[i - nq][j - nq].items()}
+
+    n = nq + p.dim
     names = tuple("q.%s" % b for b in q.basis) + \
         tuple("p.%s" % b for b in p.basis)
-    return LeibnizAlgebra("%s⋊%s" % (q.name, p.name), names, tensor)
+    return type(q)("%s⋊%s" % (q.name, p.name), names,
+                   [[cell(i, j) for j in range(n)] for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -293,8 +287,8 @@ def check_rep(rep):
     bad = []
     for i in range(p.dim):
         for j in range(p.dim):
-            Rbr = rep.right(p.bracket_basis(i, j))
-            Lbr = rep.left(p.bracket_basis(i, j))
+            Rbr = rep.right(p.product_basis(i, j))
+            Lbr = rep.left(p.product_basis(i, j))
             Ri, Rj = rep.right_mats[i], rep.right_mats[j]
             Li, Lj = rep.left_mats[i], rep.left_mats[j]
             # [m,[p_i,p_j]] = [[m,p_i],p_j] - [[m,p_j],p_i]
@@ -334,8 +328,8 @@ def subalgebra_ideal_closure(alg, seed):
         v = work.pop()
         candidates = []
         for i in range(alg.dim):
-            candidates.append(alg.bracket(basis_vec(i), v))
-            candidates.append(alg.bracket(v, basis_vec(i)))
+            candidates.append(alg.product(basis_vec(i), v))
+            candidates.append(alg.product(v, basis_vec(i)))
         for c in candidates:
             piv = ech.insert(c)
             if piv is not None:
@@ -350,13 +344,13 @@ def quotient_algebra(alg, ideal_sub, name=None):
     """
     for r in ideal_sub.rows:
         for i in range(alg.dim):
-            if not ideal_sub.contains_vec(alg.bracket(basis_vec(i), r)):
+            if not ideal_sub.contains_vec(alg.product(basis_vec(i), r)):
                 raise ValueError("subspace is not a left ideal")
-            if not ideal_sub.contains_vec(alg.bracket(r, basis_vec(i))):
+            if not ideal_sub.contains_vec(alg.product(r, basis_vec(i))):
                 raise ValueError("subspace is not a right ideal")
     comp, proj = ideal_sub.quotient_basis()
     names = tuple(alg.basis[c] + "~" for c in comp)
-    tensor = [[proj.apply(alg.bracket(basis_vec(a), basis_vec(b)))
+    tensor = [[proj.apply(alg.product(basis_vec(a), basis_vec(b)))
                for b in comp] for a in comp]
     qname = name or ("%s/~" % alg.name)
     return LeibnizAlgebra(qname, names, tensor), proj

@@ -73,12 +73,12 @@ def check_lm_lie_object(L):
     for i in range(g.dim):
         for j in range(g.dim):
             # [m,[g_i,g_j]] = [[m,g_i],g_j] - [[m,g_j],g_i]
-            if L.right(g.bracket_basis(i, j)) != \
+            if L.right(g.product_basis(i, j)) != \
                     R[j].compose(R[i]).add(R[i].compose(R[j]).scale(-1)):
                 bad.append(("module", (i, j)))
         # alpha([m,g_i]) = [alpha(m), g_i]
         adj = LinearMap.from_cols(
-            g.dim, [g.bracket_basis(k, i) for k in range(g.dim)])
+            g.dim, [g.product_basis(k, i) for k in range(g.dim)])
         if L.alpha.compose(R[i]) != adj.compose(L.alpha):
             bad.append(("equivariance", i))
     return bad
@@ -104,7 +104,7 @@ def _leibniz_object(p, lie, proj):
     the right action induced by the bracket, unchecked."""
     def right_by(v):
         return LinearMap.from_cols(
-            p.dim, [p.bracket(basis_vec(a), v) for a in range(p.dim)])
+            p.dim, [p.product(basis_vec(a), v) for a in range(p.dim)])
 
     return LMLieObject(proj, lie, _quotient_action(right_by, proj))
 
@@ -139,7 +139,7 @@ def lie_relations(g):
     rels = []
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            br = {(k,): v for k, v in g.bracket_basis(i, j).items()}
+            br = {(k,): v for k, v in g.product_basis(i, j).items()}
             rels.append(vec_add_scaled({(i, j): 1, (j, i): -1}, br, -1))
     return rels
 
@@ -228,14 +228,20 @@ def _on_first(f, n):
     return LinearMap.from_cols(f.rows, [f.col(j) for j in range(n)])
 
 
-class BottomBasis:
-    """The bottom row's basis: the class words x·v of sq or of a pair
-    algebra that end in a module letter (a letter below nv), in its
-    class-word order.  That order is length-first, so a word's fdeg is its
-    length and F_k is spanned by the first dim_upto(k) coordinates."""
+class TensorBimodule:
+    """The bottom of a presented algebra P whose letters below nv are
+    module letters: its class words x·v that end in one, in P's class-word
+    order, as a bimodule over the rest.  That order is length-first, so a
+    word's fdeg is its length and F_k is spanned by the first dim_upto(k)
+    coordinates.  For a pair algebra (:func:`pair_algebra`) this is U ⊗
+    V, and for ``sq`` (:func:`lm_xmod_envelope`) (U ⊗ V)/Y' over the top.
+    Every product is P's, a right product letter by letter: (x ⊗ v)g = xg
+    ⊗ v + x ⊗ [v,g].  ``perfbench/tracing.py`` times left_mult and
+    right_mult_gen as the bottom products."""
 
-    def __init__(self, sq, nv):
-        self.words = tuple(w for w in sq.class_words if w and w[-1] < nv)
+    def __init__(self, P, nv):
+        self.P, self.nv = P, nv
+        self.words = tuple(w for w in P.class_words if w and w[-1] < nv)
         self.index = {w: i for i, w in enumerate(self.words)}
 
     @property
@@ -250,18 +256,6 @@ class BottomBasis:
 
     def to_coords(self, cv):
         return {self.index[w]: c for w, c in cv.items()}
-
-
-class TensorBimodule(BottomBasis):
-    """U ⊗ V, the bottom of a pair algebra P (:func:`pair_algebra`), as a
-    bimodule over U in the coordinates of its words x·v_k.  Every product
-    is P's, a right product letter by letter: (x ⊗ v)g = xg ⊗ v + x ⊗
-    [v,g].  ``perfbench/tracing.py`` times left_mult and right_mult_gen as
-    the U ⊗ V products."""
-
-    def __init__(self, P, nv):
-        super().__init__(P, nv)
-        self.P, self.nv = P, nv
 
     def left_mult(self, ucls, bvec, bound):
         return self.to_coords(self.P.mult(
@@ -302,7 +296,7 @@ class LMAssocXMod:
     usd: TruncQuotAlgebra   # U(L), before the kernel-product quotient
     top: TruncQuotAlgebra   # U(L) / X'
     sq: TruncQuotAlgebra    # top ⋉ (U(L) ⊗ V)/Y'
-    bottom: BottomBasis
+    bottom: TensorBimodule  # sq's words x·v
     connect: LinearMap      # bottom -> top class coords, x·v -> x·alpha(v)
     us1: LinearMap          # bottom -> target bottom
     ut1: LinearMap
@@ -311,19 +305,6 @@ class LMAssocXMod:
     emb: LinearMap          # U(g) classes -> top classes
     report_degree: int
     certificates: dict = field(default_factory=dict)
-
-    # -- the bottom as a bimodule over the top, inside sq -------------------
-
-    def _in_sq(self, top_cls):
-        return _shift_vec(top_cls, self.carrier.bottom_dim)
-
-    def left_mult(self, top_cls, wvec, bound):
-        return self.bottom.to_coords(self.sq.mult(
-            self._in_sq(top_cls), self.bottom.from_coords(wvec), bound))
-
-    def right_mult(self, wvec, top_cls, bound):
-        return self.bottom.to_coords(self.sq.mult(
-            self.bottom.from_coords(wvec), self._in_sq(top_cls), bound))
 
     def r_on_top(self, ug_cls):
         """A U(g) class as a top class through the p-block embedding."""
@@ -349,7 +330,7 @@ class LMAssocXMod:
 
     def xi1(self, avec, top_cls, bound):
         """xi1(x ⊗ m, s) = emb(x) · ((1 ⊗ (0,m)) · s)."""
-        s, out = self._in_sq(top_cls), {}
+        s, out = _shift_vec(top_cls, self.carrier.bottom_dim), {}
         for x, m, c in self._section_terms(avec):
             r = self.sq.mult({m: 1}, s, bound - len(x))
             vec_add_scaled(out, self.sq.mult({x: c}, r, bound), 1)
@@ -357,7 +338,7 @@ class LMAssocXMod:
 
     def xi2(self, top_cls, avec, bound):
         """xi2(s, x ⊗ m) = (s · emb(x)) ⊗ (0, m)."""
-        s, out = self._in_sq(top_cls), {}
+        s, out = _shift_vec(top_cls, self.carrier.bottom_dim), {}
         for x, m, c in self._section_terms(avec):
             prod = self.sq.mult(s, {x: c}, bound - 1)
             vec_add_scaled(out, self.sq.mult(prod, {m: 1}, bound), 1)
@@ -390,7 +371,7 @@ class LMAssocXMod:
 
     def b_ker_dim_upto(self, d):
         """dim Ker us1 ∩ F_d: F_d is the first bottom.dim_upto(d)
-        coordinates, as ``BottomBasis`` is length-first."""
+        coordinates, as ``TensorBimodule`` is length-first."""
         n = self.bottom.dim_upto(d)
         return n - _on_first(self.us1, n).rank()
 
@@ -548,7 +529,7 @@ def lm_xmod_envelope(x, degree, report_degree=None):
     sq = presented(tuple("v%d" % k for k in range(nv)) + usd.gens,
                    _pair_relations(top, carrier.right_mats, [{}] * nv) +
                    seeds, degree)
-    bottom = BottomBasis(sq, nv)
+    bottom = TensorBimodule(sq, nv)
     us1, ut1, connect = (
         LinearMap.from_cols(cod.dim, [cod.to_coords(f({w: 1}))
                                       for w in bottom.words])
@@ -703,9 +684,10 @@ def check_lm_assoc_xmod(Y):
         for dr, r, rt in r_gens:
             if dr + db > d:
                 continue
-            if Y.ut1.apply(Y.left_mult(rt, b, d)) != tb.left_mult(r, tbv, d):
+            if Y.ut1.apply(bottom.left_mult(rt, b, d)) != \
+                    tb.left_mult(r, tbv, d):
                 bad.append(("t1_equivariance_left", (dr, db)))
-            if Y.ut1.apply(Y.right_mult(b, rt, d)) != \
+            if Y.ut1.apply(bottom.right_mult(b, rt, d)) != \
                     tb.right_mult(tbv, r, d):
                 bad.append(("t1_equivariance_right", (dr, db)))
 
@@ -736,9 +718,9 @@ def check_lm_assoc_xmod(Y):
         for ds, a, _, _ in k_s:
             if db + ds > d:
                 continue
-            if Y.xi1(tbv, a, d) != Y.right_mult(b, a, d):
+            if Y.xi1(tbv, a, d) != bottom.right_mult(b, a, d):
                 bad.append(("peiffer_xi1", (db, ds)))
-            if Y.xi2(a, tbv, d) != Y.left_mult(a, b, d):
+            if Y.xi2(a, tbv, d) != bottom.left_mult(a, b, d):
                 bad.append(("peiffer_xi2", (db, ds)))
     return bad
 

@@ -1,11 +1,11 @@
 """Crossed modules and cat¹-objects for Leibniz and associative algebras,
 the equivalence between them, and morphism checking.
 
-Each construction and check has one body for both flavours.  What differs
-is passed in: the product, as the unbound method ``LeibnizAlgebra.bracket``
-or ``AssocAlgebra.mult``; the algebra-axiom check; the violation tags; and
-the constructors.  A crossed module unpacks as (bottom, top, boundary,
-action)."""
+Each construction and check is one function for both flavours.  Both
+algebra classes share the ``leibniz.Algebra`` body, so ``product`` is the
+bracket of a Leibniz algebra and the product of an associative one; what
+else differs is read from the algebra's class in ``_FLAVOURS``.  A crossed
+module unpacks as (bottom, top, boundary, action)."""
 
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -35,6 +35,29 @@ class AssocXMod(NamedTuple):
     action: Action
 
 
+class _Flavour(NamedTuple):
+    """What a crossed-module function reads from the algebras' class.
+    ``axioms`` names the axiom check, looked up on each algebra when it
+    runs; tags are the violation tags of the bottom's, the top's and the
+    total algebra's axioms, the boundary's, and the cat¹ prefix."""
+
+    xmod: type
+    axioms: str
+    check_action: object
+    semidirect: object
+    tags: tuple
+
+
+_FLAVOURS = {
+    LeibnizAlgebra: _Flavour(
+        LeibnizXMod, "check_leibniz", check_action, semidirect,
+        ("leibniz_q", "leibniz_p", "leibniz_total", "eta_hom", "CLb")),
+    AssocAlgebra: _Flavour(
+        AssocXMod, "check_assoc", check_assoc_action, assoc_semidirect,
+        ("assoc_B", "assoc_A", "assoc_total", "rho_hom", "CAs")),
+}
+
+
 def zero_xmod(p):
     q = zero_algebra()
     return LeibnizXMod(q, p, LinearMap.zero(p.dim, 0), zero_action(p, q))
@@ -44,30 +67,25 @@ def identity_xmod(p):
     return LeibnizXMod(p, p, LinearMap.identity(p.dim), adjoint_action(p))
 
 
-def _induced_cells(sub, alg, mult, actors):
-    """Structure constants on a subspace of alg closed under mult, in its
-    canonical coordinates: the product of its basis rows, and the products
-    actor·row (left) and row·actor (right) for each actor vector."""
-    rows, coords = sub.rows, sub.coords
-    return ([[coords(mult(alg, a, b)) for b in rows] for a in rows],
-            [[coords(mult(alg, e, a)) for a in rows] for e in actors],
-            [[coords(mult(alg, a, e)) for e in actors] for a in rows])
+def _induced_cells(sub, alg, actors):
+    """Structure constants on a subspace of alg closed under its product,
+    in its canonical coordinates: the product of its basis rows, and the
+    products actor·row (left) and row·actor (right) for each actor
+    vector."""
+    rows, coords, mult = sub.rows, sub.coords, alg.product
+    return ([[coords(mult(a, b)) for b in rows] for a in rows],
+            [[coords(mult(e, a)) for a in rows] for e in actors],
+            [[coords(mult(a, e)) for e in actors] for a in rows])
 
 
 def ideal_inclusion_xmod(p, ideal_sub):
     """An ideal of p as a crossed module via the ambient bracket."""
     tensor, left, right = _induced_cells(
-        ideal_sub, p, LeibnizAlgebra.bracket,
-        [basis_vec(i) for i in range(p.dim)])
+        ideal_sub, p, [basis_vec(i) for i in range(p.dim)])
     names = tuple("i%d" % a for a in range(ideal_sub.dim))
     q = LeibnizAlgebra("ideal", names, tensor)
     eta = LinearMap.from_cols(p.dim, ideal_sub.rows)
     return LeibnizXMod(q, p, eta, Action(p, q, left, right))
-
-
-def _constants(alg):
-    return (alg.bracket_tensor if isinstance(alg, LeibnizAlgebra)
-            else alg.product_tensor)
 
 
 def integral(obj):
@@ -91,14 +109,14 @@ def integral(obj):
     coordinates, which depend only on supports, are the same: so are
     dimensions, class words and certificates."""
     if not isinstance(obj, tuple):
-        return integral_algebra(obj, _constants(obj))[0]
+        return integral_algebra(obj)[0]
     q, p, eta, act = obj
-    mu = denominator(_constants(p), act.left_tensor, act.right_tensor)
-    el = denominator(_constants(q), [[eta.col(j) for j in range(eta.cols)]])
+    mu = denominator(p.tensor, act.left_tensor, act.right_tensor)
+    el = denominator(q.tensor, [[eta.col(j) for j in range(eta.cols)]])
     if mu == el == 1:
         return obj
-    q2 = type(q)(q.name, q.basis, scaled(_constants(q), mu * el))
-    p2 = type(p)(p.name, p.basis, scaled(_constants(p), mu))
+    q2 = type(q)(q.name, q.basis, scaled(q.tensor, mu * el))
+    p2 = type(p)(p.name, p.basis, scaled(p.tensor, mu))
     return type(obj)(q2, p2, eta.scale(el),
                      Action(p2, q2, scaled(act.left_tensor, mu),
                             scaled(act.right_tensor, mu)))
@@ -141,54 +159,44 @@ def identity_violations(bottom, top, mult, top_mult, boundary, left, right,
     return bad
 
 
-def _xmod_violations(x, axioms, action_axioms, mult, tags):
-    """Algebra and action axioms, then the crossed-module identities
-    (:func:`identity_violations`) on basis vectors labelled by index,
-    checked in ``int`` on the integral copy of x (:func:`integral`).
-    tags names the axiom violations of the bottom and top algebras and the
-    boundary's."""
+def check_xmod(x):
+    """The bottom's and the top's algebra axioms, the action axioms, then
+    the crossed-module identities (:func:`identity_violations`) on basis
+    vectors labelled by index, for a crossed module of either flavour.
+    They are checked in ``int`` on the integral copy of x
+    (:func:`integral`).  Bottom and top with equal structure constants, as
+    in every identity crossed module, are checked once, and the list is
+    reported under both tags.  Returns a list of violations."""
+    f = _FLAVOURS[type(x[1])]
     q, p, eta, act = integral(x)
-    bad = [(tags[0], v[:3]) for v in axioms(q)]
-    bad += [(tags[1], v[:3]) for v in axioms(p)]
-    bad += [("action", v) for v in action_axioms(act)]
+    bad_q = getattr(q, f.axioms)()
+    bad_p = bad_q if x[0].tensor == x[1].tensor else getattr(p, f.axioms)()
+    bad = [(f.tags[0], v[:3]) for v in bad_q]
+    bad += [(f.tags[1], v[:3]) for v in bad_p]
+    bad += [("action", v) for v in f.check_action(act)]
     return bad + identity_violations(
         [(i, basis_vec(i)) for i in range(q.dim)],
         [(i, basis_vec(i)) for i in range(p.dim)],
-        lambda a, b: mult(q, a, b), lambda a, b: mult(p, a, b), eta.apply,
-        act.left, act.right, tags[2])
+        q.product, p.product, eta.apply, act.left, act.right, f.tags[3])
 
 
-def check_xmod(x):
-    """Equivariance and Peiffer identities on basis pairs, plus all the
-    underlying algebra/action axioms.  Returns a list of violations."""
-    return _xmod_violations(x, LeibnizAlgebra.check_leibniz, check_action,
-                            LeibnizAlgebra.bracket,
-                            ("leibniz_q", "leibniz_p", "eta_hom"))
-
-
-def check_assoc_xmod(x):
-    return _xmod_violations(x, AssocAlgebra.check_assoc, check_assoc_action,
-                            AssocAlgebra.mult,
-                            ("assoc_B", "assoc_A", "rho_hom"))
-
-
-def _hom_violations(src, dst, f, mult):
+def _hom_violations(src, dst, f):
     bad = []
     for i in range(src.dim):
         for j in range(src.dim):
-            if f.apply(mult(src, basis_vec(i), basis_vec(j))) != \
-                    mult(dst, f.col(i), f.col(j)):
+            if f.apply(src.product(basis_vec(i), basis_vec(j))) != \
+                    dst.product(f.col(i), f.col(j)):
                 bad.append((i, j))
     return bad
 
 
-def _morphism_violations(src, dst, phi, psi, mult):
+def check_xmod_morphism(src, dst, phi, psi):
     """(phi, psi) conditions: both homomorphisms, psi eta = eta' phi and
     action compatibility."""
     q, p, eta, act = src
     q2, p2, eta2, act2 = dst
-    bad = [("phi_hom", v) for v in _hom_violations(q, q2, phi, mult)]
-    bad += [("psi_hom", v) for v in _hom_violations(p, p2, psi, mult)]
+    bad = [("phi_hom", v) for v in _hom_violations(q, q2, phi)]
+    bad += [("psi_hom", v) for v in _hom_violations(p, p2, psi)]
     if psi.compose(eta) != eta2.compose(phi):
         bad.append(("square", None))
     for i in range(p.dim):
@@ -200,14 +208,6 @@ def _morphism_violations(src, dst, phi, psi, mult):
                     act2.right(phi.col(j), psi.col(i)):
                 bad.append(("act_right", (i, j)))
     return bad
-
-
-def check_xmod_morphism(src, dst, phi, psi):
-    return _morphism_violations(src, dst, phi, psi, LeibnizAlgebra.bracket)
-
-
-def check_assoc_xmod_morphism(src, dst, phi, psi):
-    return _morphism_violations(src, dst, phi, psi, AssocAlgebra.mult)
 
 
 # ---------------------------------------------------------------------------
@@ -226,36 +226,24 @@ class Cat1:
     t: LinearMap
 
 
-def _cat1_violations(c, axioms, mult, tags):
+def check_cat1(c):
     """The total algebra's axioms, then s and t as homomorphisms that
-    restrict to the identity on the subalgebra (tag prefix + "1") and
-    kernels that annihilate each other (prefix + "2"); tags is (axiom tag,
-    prefix)."""
-    axiom_tag, cat_tag = tags
-    bad = [(axiom_tag, v[:3]) for v in axioms(c.total)]
-    for name, f in (("s", c.s), ("t", c.t)):
+    restrict to the identity on the subalgebra (CLb1 or CAs1) and kernels
+    that annihilate each other (CLb2 or CAs2)."""
+    f = _FLAVOURS[type(c.total)]
+    cat_tag = f.tags[4]
+    bad = [(f.tags[2], v[:3]) for v in getattr(c.total, f.axioms)()]
+    for name, g in (("s", c.s), ("t", c.t)):
         bad += [("%s_hom" % name, v)
-                for v in _hom_violations(c.total, c.sub, f, mult)]
-        if f.compose(c.embed) != LinearMap.identity(c.sub.dim):
+                for v in _hom_violations(c.total, c.sub, g)]
+        if g.compose(c.embed) != LinearMap.identity(c.sub.dim):
             bad.append(("%s1_%s" % (cat_tag, name), None))
     ks, kt = c.s.kernel(), c.t.kernel()
     for a in ks.rows:
         for b in kt.rows:
-            if mult(c.total, a, b) or mult(c.total, b, a):
+            if c.total.product(a, b) or c.total.product(b, a):
                 bad.append((cat_tag + "2", None))
     return bad
-
-
-def check_cat1(c):
-    """CLb1 (s, t restrict to the identity on the subalgebra) and CLb2
-    (kernels annihilate each other)."""
-    return _cat1_violations(c, LeibnizAlgebra.check_leibniz,
-                            LeibnizAlgebra.bracket, ("leibniz_total", "CLb"))
-
-
-def check_cat1_assoc(c):
-    return _cat1_violations(c, AssocAlgebra.check_assoc, AssocAlgebra.mult,
-                            ("assoc_total", "CAs"))
 
 
 def cat1_matrices(eta):
@@ -268,72 +256,48 @@ def cat1_matrices(eta):
     return (LinearMap.from_cols(np_, s_cols), LinearMap.from_cols(np_, t_cols))
 
 
-def _xmod_to_cat1(x, semidirect_of):
+def xmod_to_cat1(x):
+    """Total algebra q ⋊ p with s(q,p) = p and t(q,p) = eta(q) + p."""
     q, p, eta, act = x
     embed = LinearMap.from_cols(q.dim + p.dim,
                                 [{q.dim + i: 1} for i in range(p.dim)])
-    return Cat1(semidirect_of(act), p, embed, *cat1_matrices(eta))
-
-
-def xmod_to_cat1(x):
-    """Total algebra q ⋊ p with s(q,p) = p and t(q,p) = eta(q) + p."""
-    return _xmod_to_cat1(x, semidirect)
-
-
-def assoc_xmod_to_cat1(x):
-    return _xmod_to_cat1(x, assoc_semidirect)
-
-
-def _cat1_to_xmod(c, mult, algebra, xmod):
-    """Ker s with boundary t|_{Ker s} and the action induced by the total
-    product, built with the algebra and crossed-module constructors."""
-    K = c.s.kernel()
-    tensor, left, right = _induced_cells(
-        K, c.total, mult, [c.embed.col(i) for i in range(c.sub.dim)])
-    bottom = algebra("Ker s", tuple("k%d" % a for a in range(K.dim)), tensor)
-    eta = LinearMap.from_cols(c.sub.dim, [c.t.apply(r) for r in K.rows])
-    return xmod(bottom, c.sub, eta, Action(c.sub, bottom, left, right))
+    return Cat1(_FLAVOURS[type(p)].semidirect(act), p, embed,
+                *cat1_matrices(eta))
 
 
 def cat1_to_xmod(c):
-    return _cat1_to_xmod(c, LeibnizAlgebra.bracket, LeibnizAlgebra,
-                         LeibnizXMod)
+    """Ker s with boundary t|_{Ker s} and the action induced by the total
+    product."""
+    K = c.s.kernel()
+    tensor, left, right = _induced_cells(
+        K, c.total, [c.embed.col(i) for i in range(c.sub.dim)])
+    bottom = type(c.total)("Ker s", tuple("k%d" % a for a in range(K.dim)),
+                           tensor)
+    eta = LinearMap.from_cols(c.sub.dim, [c.t.apply(r) for r in K.rows])
+    return _FLAVOURS[type(c.total)].xmod(bottom, c.sub, eta,
+                                         Action(c.sub, bottom, left, right))
 
 
-def assoc_cat1_to_xmod(c):
-    return _cat1_to_xmod(c, AssocAlgebra.mult, AssocAlgebra, AssocXMod)
-
-
-def _roundtrip_isomorphism(x, to_cat1, to_xmod, morphism_violations):
-    """The canonical isomorphism x -> to_xmod(to_cat1(x)).
+def roundtrip_isomorphism(x):
+    """The canonical isomorphism x -> cat1_to_xmod(xmod_to_cat1(x)).
 
     Returns (phi, psi); raises if the morphism conditions fail or the maps
     are not invertible.
     """
-    c = to_cat1(x)
-    x2 = to_xmod(c)
+    c = xmod_to_cat1(x)
+    x2 = cat1_to_xmod(c)
     K = c.s.kernel()
     q, p, q2 = x[0], x[1], x2[0]
     phi = LinearMap.from_cols(q2.dim,
                               [K.coords({j: 1}) for j in range(q.dim)])
     psi = LinearMap.identity(p.dim)
-    bad = morphism_violations(x, x2, phi, psi)
+    bad = check_xmod_morphism(x, x2, phi, psi)
     if bad:
         raise ValueError("round trip is not a crossed-module morphism: %r"
                          % bad[:3])
     if phi.rank() != q.dim or q2.dim != q.dim:
         raise ValueError("round trip map is not invertible")
     return phi, psi
-
-
-def roundtrip_isomorphism(x):
-    return _roundtrip_isomorphism(x, xmod_to_cat1, cat1_to_xmod,
-                                  check_xmod_morphism)
-
-
-def assoc_roundtrip_isomorphism(x):
-    return _roundtrip_isomorphism(x, assoc_xmod_to_cat1, assoc_cat1_to_xmod,
-                                  check_assoc_xmod_morphism)
 
 
 def cat1_roundtrip_isomorphism(c):
@@ -354,7 +318,7 @@ def cat1_roundtrip_isomorphism(c):
             col[k + i] = val
         cols.append(col)
     f = LinearMap.from_cols(c2.total.dim, cols)
-    bad = _hom_violations(c.total, c2.total, f, LeibnizAlgebra.bracket)
+    bad = _hom_violations(c.total, c2.total, f)
     if bad:
         raise ValueError("cat1 round trip not a homomorphism: %r" % bad[:3])
     if c2.s.compose(f) != c.s or c2.t.compose(f) != c.t:

@@ -199,7 +199,7 @@ def check_xmod_rep(r):
                 bad.append(("LbM5b", (i, j)))
     for j in range(q.dim):
         for j2 in range(q.dim):
-            qq = q.bracket_basis(j, j2)
+            qq = q.product_basis(j, j2)
             eta_j, eta_j2 = eta.col(j), eta.col(j2)
             if r.xi2_of(qq) != rn(eta_j2).compose(r.xi2[j]).add(
                     rn(eta_j).compose(r.xi2[j2]).scale(-1)):

@@ -24,7 +24,7 @@ from leibnizx.xrep import (check_xmod_rep, check_xmodule,
                            xmodule_to_rep)
 from leibnizx.xul import (check_trunc_xmod, embedding_squares_check,
                           lemma41_check, prop42_check, xul)
-from leibnizx.lm import (BottomBasis, check_lm_assoc_xmod, leibniz_to_lm,
+from leibnizx.lm import (TensorBimodule, check_lm_assoc_xmod, leibniz_to_lm,
                          lm_xmod_envelope, pair_algebra, theta_check, u_lie)
 from leibnizx.cli import main as cli_main
 
@@ -206,7 +206,7 @@ def test_c09_categorical_envelope(load, a1, l2, r2):
         L = leibniz_to_lm(p)
         U_direct = u_lie(L.lie, 3)
         A = pair_algebra(L, U_direct)
-        bottom = BottomBasis(A, L.bottom_dim)
+        bottom = TensorBimodule(A, L.bottom_dim)
         for k in range(4):
             assert A.dim_upto(k) - bottom.dim_upto(k) == \
                 U_direct.dim_upto(k)

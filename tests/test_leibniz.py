@@ -30,10 +30,10 @@ def test_square_bracket_fails():
 def test_bracket_bilinear(l2):
     x = {0: Q(2), 1: Q(-1)}
     y = {0: Q(1)}
-    lhs = l2.bracket(x, y)
+    lhs = l2.product(x, y)
     rhs = {}
     for i, ci in x.items():
-        vec_add_scaled(rhs, l2.bracket(basis_vec(i), y), ci)
+        vec_add_scaled(rhs, l2.product(basis_vec(i), y), ci)
     assert lhs == rhs
 
 
@@ -47,9 +47,9 @@ def test_leibniz_identity_on_vectors(x, y, z):
     # the identity extends from basis triples to all vectors
     alg = LeibnizAlgebra("R2", ("x", "y"),
                          [[{}, {0: 1}], [{0: -1}, {}]])
-    lhs = alg.bracket(alg.bracket(x, y), z)
-    rhs = alg.bracket(x, alg.bracket(y, z))
-    vec_add_scaled(rhs, alg.bracket(alg.bracket(x, z), y), Q(1))
+    lhs = alg.product(alg.product(x, y), z)
+    rhs = alg.product(x, alg.product(y, z))
+    vec_add_scaled(rhs, alg.product(alg.product(x, z), y), Q(1))
     assert lhs == rhs
 
 
@@ -66,13 +66,13 @@ def test_adjoint_action_and_semidirect(l2):
     assert sd.dim == 4
     assert not sd.check_leibniz()
     # the p-part multiplies like p
-    assert sd.bracket_basis(2, 2) == {3: Q(1)}
+    assert sd.product_basis(2, 2) == {3: Q(1)}
 
 
 def test_zero_action_semidirect_is_direct_sum(a1, l2):
     sd = semidirect(zero_action(l2, a1))
     assert not sd.check_leibniz()
-    assert sd.bracket_basis(0, 1) == {}
+    assert sd.product_basis(0, 1) == {}
 
 
 def test_broken_action_detected(l2):

@@ -18,7 +18,7 @@ from leibnizx.linalg import Echelon, LinearMap, Subspace, vec_add_scaled
 from leibnizx.leibniz import Action, LeibnizAlgebra, semidirect
 from leibnizx.xmod import (cat1_matrices, check_xmod, ideal_inclusion_xmod,
                            identity_violations, identity_xmod, zero_xmod)
-from leibnizx.lm import (BottomBasis, LMAssocXMod, _shift_vec,
+from leibnizx.lm import (LMAssocXMod, TensorBimodule, _shift_vec,
                          check_lm_assoc_xmod, check_lm_lie_object,
                          leibniz_to_lm, lm_xmod_envelope, pair_algebra,
                          theta_check, u_lie)
@@ -76,7 +76,8 @@ class AssociatedXMod:
             {w: c for w, c in u.items() if w in Y.bottom.index})
         b2 = {w: c for w, c in v.items() if w in Y.bottom.index}
         if b and b2:
-            conn = Y._in_sq(Y.top.from_coords(Y.connect.apply(b)))
+            conn = _shift_vec(Y.top.from_coords(Y.connect.apply(b)),
+                              Y.carrier.bottom_dim)
             vec_add_scaled(out, Y.sq.mult(conn, b2, bound), 1)
         return out
 
@@ -95,8 +96,8 @@ class AssociatedXMod:
         a = {w: c for w, c in u.items() if w in Y.target_bottom.index}
         r = {w: c for w, c in u.items() if w not in a}
         out = Y.bottom.from_coords(Y.section(Y.target_bottom.to_coords(a)))
-        vec_add_scaled(out, Y._in_sq(Y.r_on_top(
-            _shift_vec(r, -Y.dst.bottom_dim))), 1)
+        vec_add_scaled(out, _shift_vec(Y.r_on_top(_shift_vec(
+            r, -Y.dst.bottom_dim)), Y.carrier.bottom_dim), 1)
         return out
 
 
@@ -110,7 +111,7 @@ def check_associated_xmod(ax):
     d = Y.report_degree
     b_rows = [(db, Y.bottom.from_coords(v))
               for db, v in b_ker_filtration(Y, d)]
-    b_rows += [(ds, Y._in_sq(Y.top.from_coords(v)))
+    b_rows += [(ds, _shift_vec(Y.top.from_coords(v), Y.carrier.bottom_dim))
                for ds, v in s_ker_filtration(Y, d)]
     a_rows = [(len(w), {w: 1}) for w in Y.target.class_words if len(w) <= d]
     return identity_violations(
@@ -187,8 +188,8 @@ def cat1_violations(x, carrier, dst):
             bad.append((name + "2_split",))
         for i in range(L.dim):
             for j in range(L.dim):
-                if f2.apply(L.bracket_basis(i, j)) != \
-                        g.bracket(f2.col(i), f2.col(j)):
+                if f2.apply(L.product_basis(i, j)) != \
+                        g.product(f2.col(i), f2.col(j)):
                     bad.append((name + "2_lie_map", (i, j)))
             if f1.compose(carrier.right_mats[i]) != \
                     dst.right(f2.col(i)).compose(f1):
@@ -196,7 +197,7 @@ def cat1_violations(x, carrier, dst):
     (s1, s2), (t1, t2) = maps["s"], maps["t"]
     for a in s2.kernel().rows:
         for b in t2.kernel().rows:
-            if L.bracket(a, b) or L.bracket(b, a):
+            if L.product(a, b) or L.product(b, a):
                 bad.append(("ker_s2_ker_t2",))
     for f1, f2, tag in ((s1, t2, "ker_s1_ker_t2"), (t1, s2, "ker_t1_ker_s2")):
         for n in f1.kernel().rows:
@@ -273,14 +274,14 @@ def test_u_lm_object(a1, l2):
     and a connecting map that is a bimodule map."""
     L = leibniz_to_lm(a1)
     A = pair_algebra(L, u_lie(L.lie, 2))
-    assert BottomBasis(A, L.bottom_dim).dim == 2 and A.dim == 2 + 3
+    assert TensorBimodule(A, L.bottom_dim).dim == 2 and A.dim == 2 + 3
     assert A.ideal.stabilized
     assert not connect_bimodule_violations(A, L.alpha, 2)
     L = leibniz_to_lm(l2)
     B = pair_algebra(L, u_lie(L.lie, 3))
     assert not connect_bimodule_violations(B, L.alpha, 3)
     # top algebra is U(Liez L2), a polynomial ring in one variable
-    assert B.dim - BottomBasis(B, L.bottom_dim).dim == 4
+    assert B.dim - TensorBimodule(B, L.bottom_dim).dim == 4
 
 
 def test_lm_envelope_zero_xmod(a1):
@@ -596,10 +597,10 @@ def _full_loop_check(Y):
             if dr + db > d:
                 continue
             rt = Y.r_on_top(r)
-            if Y.ut1.apply(Y.left_mult(rt, b, d)) != \
+            if Y.ut1.apply(Y.bottom.left_mult(rt, b, d)) != \
                     tb.left_mult(r, tbv, d):
                 bad.append(("t1_equivariance_left", (dr, db)))
-            if Y.ut1.apply(Y.right_mult(b, rt, d)) != \
+            if Y.ut1.apply(Y.bottom.right_mult(b, rt, d)) != \
                     tb.right_mult(tbv, r, d):
                 bad.append(("t1_equivariance_right", (dr, db)))
 
@@ -626,13 +627,13 @@ def _full_loop_check(Y):
             for ds2, s2, _ in s_cls:
                 if da + ds + ds2 > d:
                     continue
-                if Y.right_mult(x1, s2, d) != \
+                if Y.bottom.right_mult(x1, s2, d) != \
                         Y.xi1(a, top.mult(s, s2, d), d):
                     bad.append(("xi1_balanced", (da, ds, ds2)))
-                if Y.left_mult(s, Y.xi1(a, s2, d), d) != \
-                        Y.right_mult(x2, s2, d):
+                if Y.bottom.left_mult(s, Y.xi1(a, s2, d), d) != \
+                        Y.bottom.right_mult(x2, s2, d):
                     bad.append(("xi_exchange", (da, ds, ds2)))
-                if Y.left_mult(s, Y.xi2(s2, a, d), d) != \
+                if Y.bottom.left_mult(s, Y.xi2(s2, a, d), d) != \
                         Y.xi2(top.mult(s, s2, d), a, d):
                     bad.append(("xi2_balanced", (da, ds, ds2)))
 
@@ -641,9 +642,9 @@ def _full_loop_check(Y):
         for ds, s, _ in s_cls:
             if db + ds > d:
                 continue
-            if Y.xi1(tb, s, d) != Y.right_mult(b, s, d):
+            if Y.xi1(tb, s, d) != Y.bottom.right_mult(b, s, d):
                 bad.append(("peiffer_xi1", (db, ds)))
-            if Y.xi2(s, tb, d) != Y.left_mult(s, b, d):
+            if Y.xi2(s, tb, d) != Y.bottom.left_mult(s, b, d):
                 bad.append(("peiffer_xi2", (db, ds)))
     return bad
 
@@ -674,8 +675,8 @@ def _off_f1_bimodule(Y):
     d, top, bottom = Y.report_degree, Y.top, Y.bottom
     ns = [v for _, v in b_ker_filtration(Y, 1)]
     us = [{u: 1} for u in top.class_words if len(u) < d]
-    span = [Y.left_mult(u, n, d) for n in ns for u in us] + \
-        [Y.right_mult(n, u, d) for n in ns for u in us]
+    span = [Y.bottom.left_mult(u, n, d) for n in ns for u in us] + \
+        [Y.bottom.right_mult(n, u, d) for n in ns for u in us]
     if d >= 2:
         ms = [{Y.target_bottom.index[(k,)]: 1}
               for k in range(Y.dst.bottom_dim)]
@@ -791,9 +792,9 @@ def test_kernels_are_generated_in_low_degree(xmods, name, degree):
         b_want = Subspace.from_vectors(
             bottom.dim, [v for _, v in b_ker_filtration(Y, k)])
         assert Y.b_ker_dim_upto(k) == b_want.dim, k
-        for prods in ((Y.left_mult(u, b, degree) for db, b in k_2
+        for prods in ((Y.bottom.left_mult(u, b, degree) for db, b in k_2
                        for du, u in words if du + db <= k),
-                      (Y.right_mult(b, u, degree) for db, b in k_2
+                      (Y.bottom.right_mult(b, u, degree) for db, b in k_2
                        for du, u in words if du + db <= k)):
             assert Subspace.from_vectors(bottom.dim, prods) == b_want, k
 
@@ -1024,9 +1025,10 @@ def test_theta_reports_an_unkilled_relation(xmods, monkeypatch):
 def test_lm_checks_each_lie_datum_once(monkeypatch):
     """One lm run checks each Lie datum once: check_xmod the input,
     check_lm_lie_object the carrier L(q ⋊ p), and check_leibniz no
-    algebra object twice.  The last is read on xmod-incl-l2, whose q and p
-    differ (xmod-id-l2's q and p are equal algebras, and check_xmod checks
-    each)."""
+    algebra twice.  On xmod-id-l2, whose q and p are equal algebras,
+    check_leibniz runs on q and on the carrier's Lie algebra (check_xmod
+    reports q's list for p too); on xmod-incl-l2, whose q and p differ, on
+    q, p and the carrier's Lie algebra."""
     xs, objs, algs = [], [], []
     check_xmod = xul.check_xmod
     for module in (xul, xmod, cli):
@@ -1035,6 +1037,9 @@ def test_lm_checks_each_lie_datum_once(monkeypatch):
     check_obj = lm.check_lm_lie_object
     monkeypatch.setattr(lm, "check_lm_lie_object",
                         lambda L: objs.append(L) or check_obj(L))
+    check_leibniz = LeibnizAlgebra.check_leibniz
+    monkeypatch.setattr(LeibnizAlgebra, "check_leibniz",
+                        lambda alg: algs.append(alg) or check_leibniz(alg))
     out = stdio.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(["lm", str(CORPUS / "xmod-id-l2.json"),
@@ -1042,11 +1047,10 @@ def test_lm_checks_each_lie_datum_once(monkeypatch):
     assert code == 0
     assert len(xs) == 1
     assert [L.bottom_dim for L in objs] == [4]
+    assert len(algs) == 2 and algs[1] is objs[0].lie
 
-    check_leibniz = LeibnizAlgebra.check_leibniz
-    monkeypatch.setattr(LeibnizAlgebra, "check_leibniz",
-                        lambda alg: algs.append(alg) or check_leibniz(alg))
     objs.clear()
+    algs.clear()
     with contextlib.redirect_stdout(out):
         code = cli.main(["lm", str(CORPUS / "xmod-incl-l2.json"),
                          "--degree", "5", "--format", "json"])

@@ -14,15 +14,12 @@ import pytest
 
 from leibnizx import io
 from leibnizx.linalg import LinearMap, vec_add_scaled
-from leibnizx.leibniz import (Action, LeibnizAlgebra, adjoint_action,
-                              basis_vec, check_action)
+from leibnizx.leibniz import Action, LeibnizAlgebra, basis_vec, check_action
 from leibnizx.assoc import AssocAlgebra, check_assoc_action
-from leibnizx.xmod import (AssocXMod, LeibnizXMod, assoc_cat1_to_xmod,
-                           assoc_roundtrip_isomorphism, assoc_xmod_to_cat1,
-                           cat1_to_xmod, check_assoc_xmod,
-                           check_assoc_xmod_morphism, check_cat1,
-                           check_cat1_assoc, check_xmod, check_xmod_morphism,
-                           integral, roundtrip_isomorphism, xmod_to_cat1)
+from leibnizx.xmod import (AssocXMod, LeibnizXMod, cat1_roundtrip_isomorphism,
+                           cat1_to_xmod, check_cat1, check_xmod,
+                           check_xmod_morphism, identity_xmod, integral,
+                           roundtrip_isomorphism, xmod_to_cat1)
 from leibnizx.scalars import Q
 from leibnizx.xrep import endo_xmod
 
@@ -50,7 +47,7 @@ def test_leibniz_flavour_passes(xmods):
         c = xmod_to_cat1(x)
         assert check_cat1(c) == [], name
         x2 = cat1_to_xmod(c)
-        assert x2.q.bracket_tensor == x.q.bracket_tensor, name
+        assert x2.q.tensor == x.q.tensor, name
         assert x2.eta == x.eta, name
         assert x2.action.left_tensor == x.action.left_tensor, name
         assert x2.action.right_tensor == x.action.right_tensor, name
@@ -59,22 +56,24 @@ def test_leibniz_flavour_passes(xmods):
 
 
 def test_assoc_flavour_passes():
-    for delta in DELTAS:
+    for delta, total in zip(DELTAS, (9, 2, 13)):
         ax = endo_xmod(delta)
         nb, na = ax.B.dim, ax.A.dim
         assert check_assoc_action(ax.action) == []
-        assert check_assoc_xmod(ax) == []
-        c = assoc_xmod_to_cat1(ax)
-        assert check_cat1_assoc(c) == []
-        x2 = assoc_cat1_to_xmod(c)
+        assert check_xmod(ax) == []
+        c = xmod_to_cat1(ax)
+        assert check_cat1(c) == []
+        assert c.total.dim == total
+        assert cat1_roundtrip_isomorphism(c).rank() == total
+        x2 = cat1_to_xmod(c)
         assert (x2.B.name, x2.B.basis) == (
             "Ker s", tuple("k%d" % i for i in range(nb)))
-        assert x2.B.product_tensor == ax.B.product_tensor
+        assert x2.B.tensor == ax.B.tensor
         assert x2.rho == ax.rho
         assert x2.action.left_tensor == ax.action.left_tensor
         assert x2.action.right_tensor == ax.action.right_tensor
-        assert assoc_roundtrip_isomorphism(ax) == (I(nb), I(na))
-        assert check_assoc_xmod_morphism(ax, ax, I(nb), I(na)) == []
+        assert roundtrip_isomorphism(ax) == (I(nb), I(na))
+        assert check_xmod_morphism(ax, ax, I(nb), I(na)) == []
 
 
 LEIBNIZ_CASES = {
@@ -166,14 +165,22 @@ def test_leibniz_flavour_perturbed(case, load):
     assert _leibniz_case(x, kind) == LEIBNIZ_CASES[case]
 
 
-def test_leibniz_flavour_bad_algebra(load):
+def test_leibniz_flavour_bad_algebra(load, monkeypatch):
+    """The identity crossed module of a non-Leibniz algebra: check_xmod
+    runs the Leibniz identity once, as q and p are equal, and lists its
+    violations under leibniz_q and leibniz_p alike."""
     bad = load("bad-leibniz.json")
-    x = LeibnizXMod(bad, bad, I(bad.dim), adjoint_action(bad))
+    x = identity_xmod(bad)
+    algs = []
+    check_leibniz = LeibnizAlgebra.check_leibniz
+    monkeypatch.setattr(LeibnizAlgebra, "check_leibniz",
+                        lambda alg: algs.append(alg) or check_leibniz(alg))
     assert check_xmod(x) == [
         ("leibniz_q", (0, 0, 0)), ("leibniz_p", (0, 0, 0))] + [
         ("action", (pat, (0, 0, 0)))
         for pat in (("q", "p", "p"), ("p", "q", "p"), ("p", "p", "q"),
                     ("q", "q", "p"), ("q", "p", "q"), ("p", "q", "q"))]
+    assert len(algs) == 1
     assert check_cat1(xmod_to_cat1(x)) == [
         ("leibniz_total", (i, j, k))
         for i in (0, 1) for j in (0, 1) for k in (0, 1)]
@@ -236,26 +243,24 @@ def _assoc_case(ax, kind):
         act, left_tensor=_perturb(act.left_tensor, 1, 0))
     right = dataclasses.replace(
         act, right_tensor=_perturb(act.right_tensor, 0, 0))
-    bad_b = dataclasses.replace(
-        B, product_tensor=_perturb(B.product_tensor, 0, 0))
+    bad_b = dataclasses.replace(B, tensor=_perturb(B.tensor, 0, 0))
     bad_bottom = AssocXMod(bad_b, A, rho,
                            dataclasses.replace(act, target=bad_b))
-    c = assoc_xmod_to_cat1(ax)
+    c = xmod_to_cat1(ax)
     return {
         "action_left": lambda: check_assoc_action(left),
-        "xmod_left": lambda: check_assoc_xmod(AssocXMod(B, A, rho, left)),
+        "xmod_left": lambda: check_xmod(AssocXMod(B, A, rho, left)),
         "action_right": lambda: check_assoc_action(right),
-        "xmod_right": lambda: check_assoc_xmod(AssocXMod(B, A, rho, right)),
-        "xmod_rho": lambda: check_assoc_xmod(
+        "xmod_right": lambda: check_xmod(AssocXMod(B, A, rho, right)),
+        "xmod_rho": lambda: check_xmod(
             AssocXMod(B, A, _with_col(rho, 0, {}), act)),
-        "xmod_bottom": lambda: check_assoc_xmod(bad_bottom),
-        "cat1_bottom": lambda: check_cat1_assoc(
-            assoc_xmod_to_cat1(bad_bottom)),
-        "cat1_t": lambda: check_cat1_assoc(
+        "xmod_bottom": lambda: check_xmod(bad_bottom),
+        "cat1_bottom": lambda: check_cat1(xmod_to_cat1(bad_bottom)),
+        "cat1_t": lambda: check_cat1(
             dataclasses.replace(c, t=_with_col(c.t, 0, {}))),
-        "morphism_phi": lambda: check_assoc_xmod_morphism(
+        "morphism_phi": lambda: check_xmod_morphism(
             ax, ax, I(B.dim).scale(2), I(A.dim)),
-        "morphism_psi": lambda: check_assoc_xmod_morphism(
+        "morphism_psi": lambda: check_xmod_morphism(
             ax, ax, I(B.dim), I(A.dim).scale(2)),
     }[kind]()
 
@@ -353,8 +358,7 @@ def _entries(x):
     """Every structure constant of a crossed module."""
     q, p, eta, act = x
     cells = [eta.col(j) for j in range(eta.cols)]
-    for t in (q.bracket_tensor, p.bracket_tensor, act.left_tensor,
-              act.right_tensor):
+    for t in (q.tensor, p.tensor, act.left_tensor, act.right_tensor):
         cells += [c for row in t for c in row]
     return [v for c in cells for v in c.values()]
 
@@ -387,12 +391,12 @@ def test_integral_scales_as_documented():
     half = [[{0: Q(1, 2)}]]
     ax = AssocXMod(b, a, I(1).scale(Q(2, 3)), Action(a, b, half, half))
     y = integral(ax)
-    assert y.B.product_tensor == (({0: 2},),)
-    assert y.A.product_tensor == (({0: 1},),)
+    assert y.B.tensor == (({0: 2},),)
+    assert y.A.tensor == (({0: 1},),)
     assert y.action.left_tensor == y.action.right_tensor == (({0: 1},),)
     assert y.rho == I(1).scale(2)
-    assert check_assoc_xmod(ax) == check_assoc_xmod(y) == []
-    assert integral(a).product_tensor == (({0: 1},),)
+    assert check_xmod(ax) == check_xmod(y) == []
+    assert integral(a).tensor == (({0: 1},),)
 
 
 def _naive_violations(alg, mult, holds):
@@ -423,12 +427,12 @@ def test_rational_algebra_witnesses_are_unscaled():
     integral copy, equal the two sides evaluated on the input itself."""
     x = io.load_path(str(RATIONAL / "rebased-xmod-id-l2.json"))
     bad = dataclasses.replace(
-        x.q, bracket_tensor=[[_moved(c) if (i, j) == (0, 1) else c
+        x.q, tensor=[[_moved(c) if (i, j) == (0, 1) else c
                               for j, c in enumerate(row)]
-                             for i, row in enumerate(x.q.bracket_tensor)])
-    want = _naive_violations(bad, LeibnizAlgebra.bracket, _leibniz_sides)
+                             for i, row in enumerate(x.q.tensor)])
+    want = _naive_violations(bad, LeibnizAlgebra.product, _leibniz_sides)
     assert want and bad.check_leibniz() == want
     third = AssocAlgebra("t", ("u", "v"),
                          [[{1: Q(1, 3)}, {0: Q(2, 5)}], [{}, {1: Q(1, 2)}]])
-    want = _naive_violations(third, AssocAlgebra.mult, _assoc_sides)
+    want = _naive_violations(third, AssocAlgebra.product, _assoc_sides)
     assert want and third.check_assoc() == want

@@ -8,7 +8,7 @@ import pytest
 from leibnizx import cli, envelope, io, leibniz, xrep
 from leibnizx.scalars import Q
 from leibnizx.linalg import LinearMap
-from leibnizx.xmod import check_assoc_xmod, identity_xmod
+from leibnizx.xmod import check_xmod, identity_xmod
 from leibnizx.xrep import (LeibnizXModRep, check_xmod_rep, check_xmodule,
                            check_xmodule_morphism, endo_pairs_subspace,
                            endo_xmod, hom_to_map, map_to_hom,
@@ -36,7 +36,7 @@ def test_endo_xmod_is_assoc_xmod():
     for delta in (LinearMap.from_cols(2, [{0: Q(1)}, {}]),
                   LinearMap.zero(3, 1)):
         ax = endo_xmod(delta)
-        assert not check_assoc_xmod(ax)
+        assert not check_xmod(ax)
         assert ax.B.dim == delta.rows * delta.cols
 
 

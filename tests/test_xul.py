@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import json
+import random
 import sys
 
 import pytest
@@ -84,6 +86,19 @@ def _lm_on(Y1, Y2, f):
     return top, bottom
 
 
+def _direct_sum(phi, psi):
+    """φ ⊕ ψ on q ⊕ p coordinates."""
+    nq = phi.rows
+    return LinearMap.from_cols(nq + psi.rows, [
+        phi.col(j) for j in range(phi.cols)] + [
+        {nq + i: c for i, c in psi.col(j).items()} for j in range(psi.cols)])
+
+
+def _on_ambients(t1, t2, f):
+    """UL(f) between the ambients of two xul envelopes, for f = φ ⊕ ψ."""
+    return induced_map(t1.ambient, t2.ambient, ul_images(t2.ambient, f))
+
+
 @pytest.mark.parametrize("D", [3, 4, 5, 6])
 def test_xul_is_natural(xmods, D):
     """xul and lm as functors on the morphism (η, id): xmod-incl-l2 ->
@@ -100,19 +115,12 @@ def test_xul_is_natural(xmods, D):
     Y1, Y2 = lm.lm_xmod_envelope(x1, D), lm.lm_xmod_envelope(x2, D)
     psi = LinearMap.identity(x1.p.dim)
     u_psi = ul_map(t1.ul_p, t2.ul_p, psi)
-    nq = x2.q.dim
 
     def plus_psi(phi):
-        """φ ⊕ ψ on q ⊕ p coordinates."""
-        return LinearMap.from_cols(nq + x2.p.dim, [
-            phi.col(j) for j in range(phi.cols)] + [
-            {nq + i: c for i, c in psi.col(j).items()}
-            for j in range(psi.cols)])
+        return _direct_sum(phi, psi)
 
     def on_ambients(phi):
-        """UL(φ ⋊ ψ) between the ambients."""
-        return induced_map(t1.ambient, t2.ambient,
-                           ul_images(t2.ambient, plus_psi(phi)))
+        return _on_ambients(t1, t2, plus_psi(phi))
 
     assert not check_xmod_morphism(x1, x2, x1.eta, psi)
     F = on_ambients(x1.eta)
@@ -132,6 +140,63 @@ def test_xul_is_natural(xmods, D):
     top0, bottom0 = _lm_on(Y1, Y2, plus_psi(zero))
     assert top0 == top
     assert Y2.ut1.compose(bottom0) != Y1.ut1
+
+
+def _matrix(m):
+    """A square Fraction matrix of perfbench/rebase.py as a LinearMap."""
+    n = len(m)
+    return LinearMap.from_cols(n, [{i: Q(m[i][j]) for i in range(n)
+                                    if m[i][j]} for j in range(n)])
+
+
+def _rebased_identity_xmod(seed, src):
+    """(x', (Q, Q⁻¹), (P, P⁻¹)): the identity crossed module of corpus
+    algebra src that ``rebase.write_rebased`` writes for seed, with its
+    basis changes of q and p, replayed in write_rebased's order."""
+    rng = random.Random(seed)
+    for name in rebase.SOURCES:
+        doc = json.loads((CORPUS / (name + ".json")).read_text("utf-8"))
+        basis, c = rebase.read_bracket(doc)
+        p_change = rebase.draw_basis_change(rng, len(basis))
+        q_change = rebase.draw_basis_change(rng, len(basis))
+        if name == src:
+            return io.load_data(rebase.identity_xmod_doc(
+                doc["name"] + "'", basis, c, p_change, q_change)), \
+                q_change, p_change
+
+
+@pytest.mark.parametrize("D", [3, 4, 5])
+@pytest.mark.parametrize("src", rebase.SOURCES)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_xul_is_natural_under_rebasing(load, seed, src, D):
+    """The basis changes that perfbench/rebase.py draws give an
+    isomorphism (Q⁻¹, P⁻¹) from the identity crossed module of a corpus
+    algebra to its rebased copy.  It passes check_xmod_morphism, and so
+    does its inverse (Q, P).  UL(φ ⋊ ψ) on the xul ambients commutes with
+    s̄, t̄ and the embedding, against ul_map on ψ, and sends B into B; the
+    inverse pair's map undoes it on both sides.  (0, P⁻¹) is no
+    crossed-module morphism, and its t̄ square fails."""
+    x = identity_xmod(load(src + ".json"))
+    x2, (qm, qm_inv), (pm, pm_inv) = _rebased_identity_xmod(seed, src)
+    t1, t2 = xul(x, D), xul(x2, D)
+    phi, psi = _matrix(qm_inv), _matrix(pm_inv)
+    u_psi = ul_map(t1.ul_p, t2.ul_p, psi)
+
+    assert check_xmod_morphism(x, x2, phi, psi) == []
+    assert check_xmod_morphism(x2, x, _matrix(qm), _matrix(pm)) == []
+    F = _on_ambients(t1, t2, _direct_sum(phi, psi))
+    assert t2.bar_s.compose(F) == u_psi.compose(t1.bar_s)
+    assert t2.bar_t.compose(F) == u_psi.compose(t1.bar_t)
+    assert F.compose(t1.embed) == t2.embed.compose(u_psi)
+    assert all(t2.B.contains_vec(F.apply(r)) for r in t1.B.rows)
+    G = _on_ambients(t2, t1, _direct_sum(_matrix(qm), _matrix(pm)))
+    assert G.compose(F) == LinearMap.identity(t1.ambient.dim)
+    assert F.compose(G) == LinearMap.identity(t2.ambient.dim)
+
+    zero = LinearMap.zero(x2.q.dim, x.q.dim)
+    assert check_xmod_morphism(x, x2, zero, psi)
+    F0 = _on_ambients(t1, t2, _direct_sum(zero, psi))
+    assert t2.bar_t.compose(F0) != u_psi.compose(t1.bar_t)
 
 
 def test_lemma41_identity_a1(a1):
