@@ -27,5 +27,6 @@ def assoc_semidirect(act):
     """Algebra on B ⊕ A: (b1,a1)(b2,a2) = (b1 b2 + a1·b2 + b1·a2, a1 a2),
     :func:`leibniz.semidirect` with the basis names b.x and a.x."""
     A, B = act.actor, act.target
-    return replace(semidirect(act), basis=tuple(
-        "b.%s" % x for x in B.basis) + tuple("a.%s" % x for x in A.basis))
+    names = tuple("b.%s" % x for x in B.basis) + \
+        tuple("a.%s" % x for x in A.basis)
+    return replace(semidirect(act), basis=names)

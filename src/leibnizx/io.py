@@ -164,8 +164,9 @@ def _load_algebra(data, cls):
     name = _need(data, "name", kind, str)
     basis = _need(data, "basis", kind, list)
     idx = _basis_index(basis, kind)
-    t = _tensor_from_entries(data.get(_TABLE_KEY[cls], []), "left", "right",
-                             idx, idx, idx, "%s %s" % (kind, name))
+    entries = data.get(_TABLE_KEY[cls], [])
+    t = _tensor_from_entries(entries, "left", "right", idx, idx, idx,
+                             "%s %s" % (kind, name))
     return cls(name, tuple(basis), t)
 
 

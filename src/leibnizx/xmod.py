@@ -38,7 +38,8 @@ class AssocXMod(NamedTuple):
 class _Flavour(NamedTuple):
     """What a crossed-module function reads from the algebras' class.
     ``axioms`` names the axiom check, looked up on each algebra when it
-    runs; tags are the violation tags of the bottom's, the top's and the
+    runs, so that a check patched on the class (``perfbench/tracing.py``
+    times ``check_leibniz`` there) is the one called; tags are the violation tags of the bottom's, the top's and the
     total algebra's axioms, the boundary's, and the cat¹ prefix."""
 
     xmod: type
