@@ -17,9 +17,10 @@ three representation axioms into exactly the relations above.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import LinearMap, lincomb, vec_add_scaled
-from .freealg import induced_map, presented
+from .freealg import induced_map, letter_classes, presented, word_fold
 from .leibniz import LeibnizAlgebra, LeibnizRep
 
 
@@ -72,9 +73,7 @@ def ul_images(dst, f):
     the envelope map induced by a linear map f into dst's algebra: the
     classes of f's columns in the l-block and in the r-block (offset
     f.rows), l-block first."""
-    cols = [f.col(i) for i in range(f.cols)]
-    return [dst.reduce({(off + k,): c for k, c in col.items()})
-            for off in (0, f.rows) for col in cols]
+    return letter_classes(dst, f) + letter_classes(dst, f, f.rows)
 
 
 def ul_map(src, dst, f):
@@ -104,11 +103,12 @@ class ULModule:
     dim: int
     gen_mats: tuple  # one LinearMap per free generator (l-block then r-block)
 
-    def word_mat(self, w):
-        out = LinearMap.identity(self.dim)
-        for g in w:
-            out = self.gen_mats[g].compose(out)
-        return out
+    @cached_property
+    def word_mat(self):
+        """The matrix of a word: the generator matrices folded leftmost
+        first, memoised (:func:`freealg.word_fold`)."""
+        return word_fold(self.gen_mats, lambda a, b: b.compose(a),
+                         LinearMap.identity(self.dim))
 
     def class_mat(self, cv):
         return lincomb({w: self.word_mat(w) for w in cv}, cv, self.dim,

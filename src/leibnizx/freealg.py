@@ -289,6 +289,14 @@ def presented(gens, relations, degree):
     return TruncQuotAlgebra(gens, degree, ideal_span(relations, degree))
 
 
+def letter_classes(dst, f, off=0):
+    """The columns of a linear map f as classes in dst of combinations of
+    its letters: column j, a combination of the e_k, goes to the class of
+    that combination of the letters off + k."""
+    return [dst.reduce({(off + k,): c for k, c in f.col(j).items()})
+            for j in range(f.cols)]
+
+
 def word_fold(images, mult, unit):
     """Memoised left fold over words: () gives unit, and w + (g,) gives
     mult(value of w, images[g]).  Returns the evaluator of one word."""

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 from .linalg import LinearMap, lincomb, vec_add_scaled
 from .freealg import (HomomorphismError, TruncQuotAlgebra, induced_map,
-                      presented)
+                      letter_classes, presented)
 from .leibniz import LeibnizAlgebra, basis_vec, liezation, semidirect
-from .xmod import cat1_matrices
+from .xmod import cat1_matrices, identity_violations
 from .xul import (combine_verdict, kernel_product_quotient, report_degree_for,
                   xul)
 
@@ -279,7 +279,7 @@ class TensorBimodule:
 class LMAssocXMod:
     """Truncated enveloping crossed module in the category: kernels of the
     induced s-maps modulo the kernel-product ideals, with the t-maps as
-    boundaries and xi-maps per the tensor formulas.
+    boundaries and the xi-maps as products with the s-section.
 
     Every bottom product is a product in ``sq`` (see
     :func:`lm_xmod_envelope`), whose letters are the basis of V = q ⊕ p
@@ -311,38 +311,23 @@ class LMAssocXMod:
         return self.top.from_coords(
             self.emb.apply(self.ug.to_coords(ug_cls)))
 
-    def _section_terms(self, avec):
-        """(emb(x), (0, m_k), c) as words of sq for each term c·x·m_k of a
-        target-bottom vector: the target's letters of U(g) go to the
-        p-block of L in sq, m_k to the p-block of V."""
+    def section(self, avec):
+        """x ⊗ m -> class of emb(x) ⊗ (0, m): the s-section σ of the
+        bottom row.  The target's letters of U(g) go to the p-block of L
+        in sq, m to the p-block of V."""
         n_dim = self.carrier.bottom_dim - self.dst.bottom_dim
         off = n_dim + self.carrier.lie.dim - self.dst.lie.dim
-        for w, c in self.target_bottom.from_coords(avec).items():
-            yield (tuple(g + off for g in w[:-1]), (n_dim + w[-1],), c)
-
-    def section(self, avec):
-        """x ⊗ m -> class of emb(x) ⊗ (0, m): the s-section of the
-        bottom row."""
-        out = {}
-        for x, m, c in self._section_terms(avec):
-            vec_add_scaled(out, self.sq.reduce_word(x + m), c)
-        return self.bottom.to_coords(out)
+        return self.bottom.to_coords(self.sq.reduce({
+            tuple(g + off for g in w[:-1]) + (n_dim + w[-1],): c
+            for w, c in self.target_bottom.from_coords(avec).items()}))
 
     def xi1(self, avec, top_cls, bound):
-        """xi1(x ⊗ m, s) = emb(x) · ((1 ⊗ (0,m)) · s)."""
-        s, out = _shift_vec(top_cls, self.carrier.bottom_dim), {}
-        for x, m, c in self._section_terms(avec):
-            r = self.sq.mult({m: 1}, s, bound - len(x))
-            vec_add_scaled(out, self.sq.mult({x: c}, r, bound), 1)
-        return self.bottom.to_coords(out)
+        """xi1(y, s) = σ(y)·s in sq."""
+        return self.bottom.right_mult(self.section(avec), top_cls, bound)
 
     def xi2(self, top_cls, avec, bound):
-        """xi2(s, x ⊗ m) = (s · emb(x)) ⊗ (0, m)."""
-        s, out = _shift_vec(top_cls, self.carrier.bottom_dim), {}
-        for x, m, c in self._section_terms(avec):
-            prod = self.sq.mult(s, {x: c}, bound - 1)
-            vec_add_scaled(out, self.sq.mult(prod, {m: 1}, bound), 1)
-        return self.bottom.to_coords(out)
+        """xi2(s, y) = s·σ(y) in sq."""
+        return self.bottom.left_mult(top_cls, self.section(avec), bound)
 
     def pair_map(self, f1, f2):
         """f1 on sq's bottom words and f2 on its top words, as one map of
@@ -464,15 +449,11 @@ def lm_xmod_envelope(x, degree, report_degree=None):
     s2, t2 = (_liezed(f, carrier, dst) for f in (s1, t1))
     h_dim = carrier.lie.dim - dst.lie.dim
 
-    def top_images(f):
-        return [Ug.reduce({(j,): c for j, c in f.col(a).items()})
-                for a in range(carrier.lie.dim)]
-
-    kq = kernel_product_quotient(usd, Ug, top_images(s2), top_images(t2),
+    kq = kernel_product_quotient(usd, Ug, letter_classes(Ug, s2),
+                                 letter_classes(Ug, t2),
                                  [h_dim + j for j in range(dst.lie.dim)])
     top, nv = kq.quot, carrier.bottom_dim
-    alpha = [top.reduce({(j,): c for j, c in carrier.alpha.col(k).items()})
-             for k in range(nv)]
+    alpha = letter_classes(top, carrier.alpha)
 
     def on_words(f):
         """f(x, k) extended linearly to the words x·v_k of sq."""
@@ -587,43 +568,49 @@ def check_lm_assoc_xmod(Y):
       (s·emb(r'))·emb(g) with s·emb(r') in Ker us2 ∩ F_{d-1}, so
       ut2(s·emb(r)) = ut2(s)·r'·g.  The same induction over Ker us1 gives
       t1_equivariance.
-    - t2_equivariance runs s over k_s.  ut2 is multiplicative, so
+    - The top row is the crossed module (Ker us2, U(g), ut2) with U(g)
+      acting through emb, checked by :func:`xmod.identity_violations`
+      (t2_hom, which holds as ut2 is an algebra map; peiffer_left and
+      peiffer_right; equivariance_left and equivariance_right).  Its
+      equivariance runs s over k_s.  ut2 is multiplicative, so
       ut2(emb(g)·a·u) = ut2(emb(g)·a)·ut2(u) = g·ut2(a·u) and
       ut2(u·a·emb(g)) = ut2(u)·ut2(a)·g = ut2(u·a)·g, and (S) gives every
       s in Ker us2 ∩ F_{d-1}.
     - t1_equivariance runs b over K_2.  ut1 is a bimodule map over ut2, so
       ut1(emb(g)·b·x) = g·ut1(b)·ut2(x) = g·ut1(b·x) and ut1(x·b·emb(g)) =
       ut2(x)·ut1(b)·g = ut1(x·b)·g, and (B) gives every b.
-    - xi1(x ⊗ m, s) = emb(x)·((1 ⊗ m)·s) = σ(x ⊗ m)·s and xi2(s, x ⊗ m) =
-      s·σ(x ⊗ m) in sq, for σ the s-section; σ(r·y) = emb(r)·σ(y) and
-      σ(y·r) = σ(y)·emb(r), as [(0,m), emb(g)] = (0, [m,g]).  So xi1(y,
-      s)·s' = xi1(y, s·s'), s·xi2(s', y) = xi2(s·s', y) and s·xi1(y, s') =
-      xi2(s, y)·s' restate associativity of sq, which its certificate
-      proves; they are not checked.
+    - xi1(y, s) = σ(y)·s and xi2(s, y) = s·σ(y), products in sq, for σ
+      the s-section (:meth:`LMAssocXMod.section`), σ(x ⊗ m) the class of
+      emb(x)·(0,m); σ(r·y) = emb(r)·σ(y) and σ(y·r) = σ(y)·emb(r), as
+      [(0,m), emb(g)] = (0, [m,g]).  So xi1(y, s)·s' = xi1(y, s·s'),
+      s·xi2(s', y) = xi2(s·s', y) and s·xi1(y, s') = xi2(s, y)·s' restate
+      associativity of sq, which its certificate proves; they are not
+      checked.
     - The bridge identities run over the degree-one rows y = 1 ⊗ m and s
       in k_s.  Let z = xi1(1 ⊗ m, s), in Ker us1.  Then xi1(x ⊗ m, s) =
       emb(x)·z: its us1 is x·us1(z) = 0, its ut1 is x·ut1(z) = x·((1 ⊗
       m)·ut2(s)) = (x ⊗ m)·ut2(s) (t1_equivariance), and its connecting
       image is emb(x)·emb(alpha(m))·s = emb(x·alpha(m))·s.  And xi2(s, x ⊗
       m) = xi2(s', 1 ⊗ m) for s' = s·emb(x) in Ker us2 ∩ F_{ds+|x|}, with
-      ut2(s') = ut2(s)·x (t2_equivariance): it lies in Ker us1, its ut1 is
-      ut2(s)·x ⊗ m = ut2(s)·(x ⊗ m), and its connecting image is
-      s'·emb(alpha(m)) = s·emb(x·alpha(m)).  For s = a·u with a in k_s,
-      xi1(y, a·u) = xi1(y, a)·u, whose us1, ut1 and connecting image are
-      those of xi1(y, a) times us2(u), ut2(u) and u on the right; for s =
-      u·a, xi2(u·a, y) = u·xi2(a, y), the same on the left.  (S) gives
-      every s in Ker us2 ∩ F_{d-1}.
-    - peiffer_top runs both factors over k_s.  Each side of s·s2 =
-      emb(ut2(s))·s2 is right top-linear in s2, and of s·s2 =
-      s·emb(ut2(s2)) left top-linear in s, so by (S) the checks give (a -
-      emb(ut2(a)))·s2 = 0 and s·(a - emb(ut2(a))) = 0 for a in k_s and s,
-      s2 in Ker us2.  The top is generated by its letters, and F_1 of the
-      top is the unit, emb(g) and k_s, as us2∘emb = id; x - emb(ut2(x)) is
-      0 on the unit and on emb(g) (ut2∘emb = id).  For x = l·x' with l in
-      F_1, x - emb(ut2(x)) = (l - emb(ut2(l)))·x' + emb(ut2(l))·(x' -
-      emb(ut2(x'))), and x'·s2 is in Ker us2; so by induction on |x|, (x -
-      emb(ut2(x)))·s2 = 0 for every x, and s·(x - emb(ut2(x))) = 0 from x
-      = x'·l: both Peiffer identities on every pair.
+      ut2(s') = ut2(s)·x (the top row's equivariance): it lies in Ker
+      us1, its ut1 is ut2(s)·x ⊗ m = ut2(s)·(x ⊗ m), and its connecting
+      image is s'·emb(alpha(m)) = s·emb(x·alpha(m)).  For s = a·u with a
+      in k_s, xi1(y, a·u) = xi1(y, a)·u, whose us1, ut1 and connecting
+      image are those of xi1(y, a) times us2(u), ut2(u) and u on the
+      right; for s = u·a, xi2(u·a, y) = u·xi2(a, y), the same on the
+      left.  (S) gives every s in Ker us2 ∩ F_{d-1}.
+    - The top row's Peiffer identities run both factors over k_s.  Each
+      side of s·s2 = emb(ut2(s))·s2 is right top-linear in s2, and of
+      s·s2 = s·emb(ut2(s2)) left top-linear in s, so by (S) the checks
+      give (a - emb(ut2(a)))·s2 = 0 and s·(a - emb(ut2(a))) = 0 for a in
+      k_s and s, s2 in Ker us2.  The top is generated by its letters, and
+      F_1 of the top is the unit, emb(g) and k_s, as us2∘emb = id; x -
+      emb(ut2(x)) is 0 on the unit and on emb(g) (ut2∘emb = id).  For x =
+      l·x' with l in F_1, x - emb(ut2(x)) = (l - emb(ut2(l)))·x' +
+      emb(ut2(l))·(x' - emb(ut2(x'))), and x'·s2 is in Ker us2; so by
+      induction on |x|, (x - emb(ut2(x)))·s2 = 0 for every x, and s·(x -
+      emb(ut2(x))) = 0 from x = x'·l: both Peiffer identities on every
+      pair.
     - peiffer_xi runs b over K_2 and s over k_s: xi1(ut1(b), s) = b·s and
       xi2(s, ut1(b)) = s·b read b·a = σ(ut1(b))·a and a·b = a·σ(ut1(b)) for
       b in K_2 and a in k_s, so by (S), with s = a·u and s = u·a, b·s =
@@ -638,20 +625,18 @@ def check_lm_assoc_xmod(Y):
     Ug, top, tb, bottom = Y.ug, Y.top, Y.target_bottom, Y.bottom
     bad = []
 
-    r_gens = [(len(w), {w: 1}, Y.r_on_top({w: 1}))
-              for w in Ug.class_words if len(w) <= 1]
+    def ut2(s):
+        return Ug.from_coords(Y.ut2.apply(top.to_coords(s)))
+
+    r_gens = [(len(w), {w: 1}) for w in Ug.class_words if len(w) <= 1]
     a_rows = [(len(w), {i: 1}) for i, w in enumerate(tb.words)
               if len(w) <= d]
     s_gens, b_gens = Y.kernel_generators()
-    k_s = []
-    for v in s_gens:
-        ts = Ug.from_coords(Y.ut2.apply(v))
-        s = top.from_coords(v)
-        k_s.append((top.fdeg(s), s, ts, Y.r_on_top(ts)))
+    k_s = [(top.fdeg(s), s) for s in map(top.from_coords, s_gens)]
     b_rows = [(max(len(bottom.words[i]) for i in v), v) for v in b_gens]
 
     # cat-style splittings of the two s-maps
-    for dr, r, _ in r_gens:
+    for dr, r in r_gens:
         rc = Ug.to_coords(r)
         if Y.us2.apply(Y.emb.apply(rc)) != rc:
             bad.append(("s2_section", dr))
@@ -659,31 +644,20 @@ def check_lm_assoc_xmod(Y):
         if Y.us1.apply(Y.section(a)) != a:
             bad.append(("s1_section", da))
 
-    # top row: boundary is equivariant, Peiffer products hold
-    for ds, s, ts, ets in k_s:
-        for ds2, a, _, _ in k_s:
-            if ds + ds2 > d:
-                continue
-            if top.mult(s, a, d) != top.mult(ets, a, d):
-                bad.append(("peiffer_top_left", (ds, ds2)))
-            if top.mult(a, s, d) != top.mult(a, ets, d):
-                bad.append(("peiffer_top_right", (ds2, ds)))
-        for dr, r, rt in r_gens:
-            if dr + ds > d:
-                continue
-            if Ug.from_coords(Y.ut2.apply(top.to_coords(
-                    top.mult(rt, s, d)))) != Ug.mult(r, ts, d):
-                bad.append(("t2_equivariance_left", (dr, ds)))
-            if Ug.from_coords(Y.ut2.apply(top.to_coords(
-                    top.mult(s, rt, d)))) != Ug.mult(ts, r, d):
-                bad.append(("t2_equivariance_right", (dr, ds)))
+    # top row: an associative crossed module with boundary ut2
+    bad += identity_violations(
+        k_s, r_gens, lambda a, b: top.mult(a, b, d),
+        lambda a, b: Ug.mult(a, b, d), ut2,
+        lambda r, s: top.mult(Y.r_on_top(r), s, d),
+        lambda s, r: top.mult(s, Y.r_on_top(r), d), "t2_hom", d)
 
     # bottom row: omega1 is an R-bimodule map into the A-carrier
     for db, b in b_rows:
         tbv = Y.ut1.apply(b)
-        for dr, r, rt in r_gens:
+        for dr, r in r_gens:
             if dr + db > d:
                 continue
+            rt = Y.r_on_top(r)
             if Y.ut1.apply(bottom.left_mult(rt, b, d)) != \
                     tb.left_mult(r, tbv, d):
                 bad.append(("t1_equivariance_left", (dr, db)))
@@ -692,13 +666,13 @@ def check_lm_assoc_xmod(Y):
                 bad.append(("t1_equivariance_right", (dr, db)))
 
     # bridge identities between the xi-maps and the boundaries
+    cas = letter_classes(Ug, Y.dst.alpha)
     for k in range(Y.dst.bottom_dim):
-        a = {tb.index[(k,)]: 1}
-        ca = Y.r_on_top(Ug.reduce(
-            {(j,): c for j, c in Y.dst.alpha.col(k).items()}))
-        for ds, s, ts, _ in k_s:
+        a, ca = {tb.index[(k,)]: 1}, Y.r_on_top(cas[k])
+        for ds, s in k_s:
             if 1 + ds > d:
                 continue
+            ts = ut2(s)
             x1 = Y.xi1(a, s, d)
             x2 = Y.xi2(s, a, d)
             if Y.us1.apply(x1) or Y.us1.apply(x2):
@@ -715,7 +689,7 @@ def check_lm_assoc_xmod(Y):
     # Peiffer identities tying the two rows together
     for db, b in b_rows:
         tbv = Y.ut1.apply(b)
-        for ds, a, _, _ in k_s:
+        for ds, a in k_s:
             if db + ds > d:
                 continue
             if Y.xi1(tbv, a, d) != bottom.right_mult(b, a, d):
@@ -787,8 +761,13 @@ def theta_check(x, degree, report_degree=None):
         """-v_k for the l-letters, alpha(v_k) for the r-letters."""
         nv = L.bottom_dim
         return [{(k,): -1} for k in range(nv)] + \
-            [alg.reduce({(nv + j,): c for j, c in L.alpha.col(k).items()})
-             for k in range(nv)]
+            letter_classes(alg, L.alpha, nv)
+
+    def projection(src, dst):
+        """Each class word of src to its class in dst, which has src's
+        letters."""
+        return LinearMap.from_cols(dst.dim, [
+            dst.to_coords(dst.reduce_word(w)) for w in src.class_words])
 
     try:
         theta = induced_map(usd1, P, images(P, Y.carrier))
@@ -806,10 +785,9 @@ def theta_check(x, degree, report_degree=None):
     pre_rank_ok = _on_first(theta, n).rank() == n
 
     # the quotient ideal lands in its categorical counterpart
-    to_sq = LinearMap.from_cols(
-        sq.dim, [sq.to_coords(sq.reduce_word(w)) for w in P.class_words])
-    theta_bar = to_sq.compose(theta)
-    x_maps_ok = not any(theta_bar.apply(r) for r in tx.pi.kernel().rows)
+    theta_bar = projection(P, sq).compose(theta)
+    x_maps_ok = not any(theta_bar.apply(r)
+                        for r in projection(usd1, bar).kernel().rows)
 
     # induced comparison on the quotients: filtration dims and rank,
     # and compatibility with the induced cat¹ maps

@@ -17,10 +17,11 @@ on kernel classes (words leftmost-factor-first, as in envelope).
 from dataclasses import dataclass
 
 from .linalg import LinearMap, lincomb
-from .leibniz import Action, LeibnizRep, basis_vec, check_rep, zero_rep
+from .leibniz import (Action, LeibnizRep, basis_vec, check_rep, semidirect,
+                      zero_rep)
 from .assoc import AssocAlgebra
 from .xmod import AssocXMod
-from .freealg import word_fold, word_key
+from .freealg import word_key
 from .envelope import ULModule, module_to_rep, rep_to_module
 from .xul import TruncAssocXMod
 
@@ -239,11 +240,10 @@ class XModLeftModule:
 
 
 def phi_word_evaluator(tx, rep):
-    """Memoized leftmost-first evaluation of T(Phi) on words of the
-    ambient free algebra, as block matrices on N ⊕ M."""
+    """T(Phi) on class vectors of the ambient free algebra, as block
+    matrices on N ⊕ M: the class_mat of the module over UL(q ⋊ p) whose
+    letters act by Phi's block matrices (``envelope.ULModule``)."""
     x = tx.x
-    nq, np_ = x.q.dim, x.p.dim
-    n_sd = nq + np_
     n, m = rep.n_dim, rep.m_dim
     size = n + m
 
@@ -255,36 +255,18 @@ def phi_word_evaluator(tx, rep):
             cols.append(col)
         return LinearMap.from_cols(size, cols)
 
+    # l-block then r-block, each q's letters then p's
     gens = []
-    for g in range(2 * n_sd):
-        r_copy = g >= n_sd
-        idx = g - n_sd if r_copy else g
-        if idx < nq:
-            etaq = x.eta.col(idx)
-            if r_copy:
-                gens.append(block(rep.rep_n.right(etaq), rep.xi2[idx],
-                                  LinearMap.zero(m, m)))
-            else:
-                gens.append(block(rep.rep_n.left(etaq), rep.xi1[idx],
-                                  LinearMap.zero(m, m)))
-        else:
-            i = idx - nq
-            if r_copy:
-                gens.append(block(rep.rep_n.right_mats[i],
-                                  LinearMap.zero(n, m),
-                                  rep.rep_m.right_mats[i]))
-            else:
-                gens.append(block(rep.rep_n.left_mats[i],
-                                  LinearMap.zero(n, m),
-                                  rep.rep_m.left_mats[i]))
-
-    word_mat = word_fold(gens, lambda a, b: b.compose(a),
-                         LinearMap.identity(size))
-
-    def eval_vec(vec):
-        return lincomb({w: word_mat(w) for w in vec}, vec, size, size)
-
-    return eval_vec
+    for xi, act, n_mats, m_mats in (
+            (rep.xi1, rep.rep_n.left, rep.rep_n.left_mats,
+             rep.rep_m.left_mats),
+            (rep.xi2, rep.rep_n.right, rep.rep_n.right_mats,
+             rep.rep_m.right_mats)):
+        gens += [block(act(x.eta.col(j)), xi[j], LinearMap.zero(m, m))
+                 for j in range(x.q.dim)]
+        gens += [block(a, LinearMap.zero(n, m), b)
+                 for a, b in zip(n_mats, m_mats)]
+    return ULModule(semidirect(x.action), size, tuple(gens)).class_mat
 
 
 def _m_column_blocks(mat, n, m):

@@ -46,7 +46,6 @@ class TruncAssocXMod:
     ul_sd: TruncQuotAlgebra  # UL(q ⋊ p) before the kernel-product quotient
     ul_p: TruncQuotAlgebra
     ambient: TruncQuotAlgebra
-    pi: LinearMap           # UL(q⋊p) class coords -> ambient class coords
     bar_s: LinearMap        # ambient -> UL(p)
     bar_t: LinearMap
     embed: LinearMap        # UL(p) -> ambient (section through p ↪ q⋊p)
@@ -79,7 +78,6 @@ class KernelQuotient:
     s_rows: list            # Ker s ∩ F_1, envelope class vectors
     t_rows: list            # Ker t ∩ F_1
     quot: TruncQuotAlgebra  # envelope / (Ker s·Ker t + Ker t·Ker s)
-    pi: LinearMap           # envelope class coords -> quot class coords
     bar_s: LinearMap        # quot -> target
     bar_t: LinearMap
     embed: LinearMap        # target -> quot through the section
@@ -121,14 +119,11 @@ def kernel_product_quotient(env, target, s_imgs, t_imgs, section):
     s_rows, t_rows = (_degree_one_kernel(env, target, imgs)
                       for imgs in (s_imgs, t_imgs))
     quot = env.extend_by(subspace_product(s_rows, t_rows))
-    pi = LinearMap.from_cols(
-        quot.dim, [quot.to_coords(quot.reduce({w: 1}))
-                   for w in env.class_words])
     bar_s = induced_map(quot, target, s_imgs)
     bar_t = induced_map(quot, target, t_imgs)
     embed = induced_map(target, quot,
                         [quot.reduce_word((i,)) for i in section])
-    return KernelQuotient(s_rows, t_rows, quot, pi, bar_s, bar_t, embed)
+    return KernelQuotient(s_rows, t_rows, quot, bar_s, bar_t, embed)
 
 
 def xul(x, degree, report_degree=None):
@@ -152,8 +147,8 @@ def xul(x, degree, report_degree=None):
         "ul_p_stabilized": up.ideal.stabilized,
         "kernel_product_stabilized": kq.quot.ideal.stabilized,
     }
-    return TruncAssocXMod(x, usd, up, kq.quot, kq.pi, kq.bar_s, kq.bar_t,
-                          kq.embed, B, rho, report_degree, certs)
+    return TruncAssocXMod(x, usd, up, kq.quot, kq.bar_s, kq.bar_t, kq.embed,
+                          B, rho, report_degree, certs)
 
 
 def check_trunc_xmod(tx):
@@ -295,16 +290,16 @@ def lemma41_check(x, degree, report_degree=None):
 
 
 def section_into_b(tx, eps):
-    """pi ∘ UL(eps) for a section eps: p -> q⋊p with s∘eps = 0, t∘eps = id,
-    in B-coordinates.
+    """UL(eps) into the ambient, the projection of UL(q⋊p) onto it after
+    UL(eps), for a section eps: p -> q⋊p with s∘eps = 0, t∘eps = id, in
+    B-coordinates.
 
     Both s-bar and the induced envelope maps are unital, so the unit can
     never lie in Ker s-bar; the section lands in the kernel only on the
     augmentation ideal (classes with zero constant term).  The unit column
     is therefore zero.  Raises if any non-unit class leaves Ker s-bar.
     """
-    Ueps = ul_map(tx.ul_p, tx.ul_sd, eps)
-    comp = tx.pi.compose(Ueps)
+    comp = ul_map(tx.ul_p, tx.ambient, eps)
     cols = []
     for j, w in enumerate(tx.ul_p.class_words):
         if w == ():
@@ -318,7 +313,7 @@ def section_into_b(tx, eps):
 
 
 def prop42_check(p, degree, report_degree=None):
-    """For (p, p, id): pi∘UL(eps) and bar_t| are mutually inverse between
+    """For (p, p, id): UL(eps) and bar_t| are mutually inverse between
     the augmentation ideal of UL(p) and Ker bar_s, on filtration bases up
     to the report degree.
 

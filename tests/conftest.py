@@ -373,13 +373,54 @@ def hemisemidirect(a):
 HSD_PARAMS = (0, 2, -1)
 
 
+def _module_xmod(p, kind, nm):
+    """The identity crossed module of p (kind "identity"), or the
+    inclusion of the two-sided ideal spanned by its last nm basis vectors,
+    the module letters ("inclusion")."""
+    if kind == "identity":
+        return identity_xmod(p)
+    return ideal_inclusion_xmod(p, Subspace.from_vectors(
+        p.dim, [{i: 1} for i in range(p.dim - nm, p.dim)]))
+
+
 def hemisemidirect_xmod(a, kind):
     """The identity crossed module of hemisemidirect(a) (kind "identity"),
     or the inclusion of its two-sided ideal span(m0, m1) ("inclusion")."""
-    p = hemisemidirect(a)
-    if kind == "identity":
-        return identity_xmod(p)
-    return ideal_inclusion_xmod(p, Subspace.from_vectors(4, [{2: 1}, {3: 1}]))
+    return _module_xmod(hemisemidirect(a), kind, 2)
+
+
+def sl2_ad():
+    """The hemisemidirect product of sl2 = <h, e, f>, [h,e] = 2e, [h,f] =
+    -2f, [e,f] = h, and its adjoint module as a right module, on the basis
+    (h, e, f, mh, me, mf): [m, x] = [m, x]_sl2, and [x, m] = [m, m'] = 0.
+    It is Leibniz (the Jacobi identity of sl2 makes the module a right
+    module) and not Lie, its Liezation is sl2, and span(mh, me, mf) is a
+    two-sided ideal."""
+    sl2 = {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}
+    cells = [[{} for _ in range(6)] for _ in range(6)]
+    for (i, j), v in sl2.items():
+        cells[i][j] = dict(v)
+        cells[j][i] = {k: -c for k, c in v.items()}
+        cells[3 + i][j] = {3 + k: c for k, c in v.items()}
+        cells[3 + j][i] = {3 + k: -c for k, c in v.items()}
+    return LeibnizAlgebra("sl2+ad", ("h", "e", "f", "mh", "me", "mf"), cells)
+
+
+def sl2_ad_xmod(kind):
+    """The identity crossed module of sl2 ⋉ ad (kind "identity"), or the
+    inclusion of its ideal span(mh, me, mf) ("inclusion")."""
+    return _module_xmod(sl2_ad(), kind, 3)
+
+
+def case_xmod(xmods, case):
+    """The crossed module of a test case: a corpus file name, a pair (a,
+    kind) of :func:`hemisemidirect_xmod`, or "sl2ad-" and a kind of
+    :func:`sl2_ad_xmod`."""
+    if isinstance(case, tuple):
+        return hemisemidirect_xmod(*case)
+    if case.startswith("sl2ad-"):
+        return sl2_ad_xmod(case[len("sl2ad-"):])
+    return xmods[case]
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
 every private top-level helper is read by some module of the package,
 every method and every public top-level function and class of the package
+is read somewhere, every field of a dataclass or NamedTuple of the package
 is read somewhere, and no function outside the command line takes a
 completion window.
 
@@ -14,7 +15,9 @@ class of the package counts as live when the package, the tests or the
 benchmark read its name as an attribute; the special (``__name__``)
 methods are exempt, as the language calls them.  A public top-level
 function or class counts as live when they read its name, bare or as an
-attribute; an import alone does not count.  A presentation is
+attribute; an import alone does not count.  A field (an annotated name
+in the body of a dataclass or NamedTuple) counts as live when they read
+its name as an attribute.  A presentation is
 certified by one diamond-lemma pass, so no library function takes
 ``slack`` or ``cap``; ``cli`` only parses and echoes ``--slack``.
 """
@@ -160,6 +163,52 @@ def test_no_unread_public_names():
     readers = [p.read_text("utf-8") for d in ("src", "tests", "perfbench")
                for p in sorted((ROOT / d).rglob("*.py"))]
     assert unread_public_names(sources, readers) == []
+
+
+def _is_record(node):
+    """A class decorated with ``dataclass``, bare or called, or derived
+    from ``NamedTuple``."""
+    marks = [d.func if isinstance(d, ast.Call) else d
+             for d in node.decorator_list] + node.bases
+    return any(getattr(m, "id", getattr(m, "attr", None))
+               in ("dataclass", "NamedTuple") for m in marks)
+
+
+def unread_fields(sources, readers):
+    """Sorted (module, line, "Class.field") of the fields of the top-level
+    dataclasses and NamedTuples of ``sources`` ({module name: source})
+    whose name no source of ``readers`` (a list) reads as an attribute.
+    A field is an annotated name in the class body."""
+    read = {n.attr for source in readers for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(
+        (mod, node.lineno, "%s.%s" % (cls.name, node.target.id))
+        for mod, source in sources.items()
+        for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef) and _is_record(cls)
+        for node in cls.body if isinstance(node, ast.AnnAssign)
+        and isinstance(node.target, ast.Name) and node.target.id not in read)
+
+
+def test_unread_field_detector():
+    sources = {"a": "from dataclasses import dataclass, field\n"
+                    "import dataclasses\nimport typing\n\n\n"
+                    "@dataclass(frozen=True)\nclass A:\n    x: int\n"
+                    "    gone: int\n    kept: dict = field(default=None)\n"
+                    "\n\n@dataclasses.dataclass\nclass B:\n    y: int\n"
+                    "\n\nclass T(typing.NamedTuple):\n    z: int\n"
+                    "    w: int\n\n\nclass Plain:\n    v: int\n\n\n"
+                    "def f(a, b, t):\n    a.gone = 1\n"
+                    "    return a.x, a.kept, t.z\n"}
+    assert unread_fields(sources, list(sources.values())) == [
+        ("a", 9, "A.gone"), ("a", 15, "B.y"), ("a", 20, "T.w")]
+
+
+def test_no_unread_fields():
+    sources = {p.stem: p.read_text("utf-8") for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text("utf-8") for d in ("src", "tests", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unread_fields(sources, readers) == []
 
 
 WINDOW_NAMES = {"slack", "cap"}

@@ -24,9 +24,10 @@ from leibnizx.lm import (LMAssocXMod, TensorBimodule, _shift_vec,
                          theta_check, u_lie)
 
 from conftest import (CORPUS, HSD_PARAMS, TensorRef, all_words,
-                      assert_x_matches_all_pairs, connect_bimodule_violations,
-                      full_kernels, hemisemidirect_xmod, pair_connect,
-                      pair_product, record_kernel_quotient, shift_letters)
+                      assert_x_matches_all_pairs, case_xmod,
+                      connect_bimodule_violations, full_kernels,
+                      hemisemidirect_xmod, pair_connect, pair_product,
+                      record_kernel_quotient, shift_letters, sl2_ad_xmod)
 
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
 
@@ -734,7 +735,8 @@ def test_checker_flags_what_the_full_loops_flag(xmods, name, degree):
 
 BEYOND_CHECKER_CASES = [("hsd", a, kind) for a in HSD_PARAMS
                         for kind in ("identity", "inclusion")] + \
-    [("rebased", seed, name) for seed in (1, 2) for name in REBASED_XMODS]
+    [("rebased", seed, name) for seed in (1, 2) for name in REBASED_XMODS] + \
+    [("sl2ad", "", kind) for kind in ("identity", "inclusion")]
 
 
 @pytest.mark.parametrize("degree", [3, 4, 5])
@@ -743,12 +745,15 @@ BEYOND_CHECKER_CASES = [("hsd", a, kind) for a in HSD_PARAMS
 def test_checker_matches_the_full_loops_beyond_the_corpus(rebased_xmods,
                                                           case, degree):
     """The checker on generators against the full loops on the
-    hemisemidirect crossed modules and on seeded basis changes of the
-    corpus, whose kernel rows carry dense rational coefficients: both
-    report nothing, and each perturbed envelope is flagged by one exactly
-    when it is flagged by the other."""
+    hemisemidirect crossed modules (sl2 ⋉ ad among them) and on seeded
+    basis changes of the corpus, whose kernel rows carry dense rational
+    coefficients: both report nothing, and each perturbed envelope is
+    flagged by one exactly when it is flagged by the other."""
     kind, a, b = case
-    x = hemisemidirect_xmod(a, b) if kind == "hsd" else rebased_xmods[a, b]
+    if kind == "rebased":
+        x = rebased_xmods[a, b]
+    else:
+        x = hemisemidirect_xmod(a, b) if kind == "hsd" else sl2_ad_xmod(b)
     Y = lm_xmod_envelope(x, degree)
     assert check_lm_assoc_xmod(Y) == [] == _full_loop_check(Y)
     for what, Z in _perturbations(Y).items():
@@ -880,8 +885,48 @@ def _case_id(v):
     return "hsd%d-%s" % v if isinstance(v, tuple) else str(v)
 
 
-def _crossed_module(xmods, case):
-    return xmods[case] if isinstance(case, str) else hemisemidirect_xmod(*case)
+def _xi_two_step(Y, avec, s, bound):
+    """Oracle for ξ₁ and ξ₂: ξ₁(x ⊗ m, s) = emb(x)·((1 ⊗ (0,m))·s) and
+    ξ₂(s, x ⊗ m) = (s·emb(x))·(0,m), each term of a target-bottom vector
+    two products in sq, with the target's letters of U(g) in the p-block
+    of L and m in the p-block of V."""
+    n_dim = Y.carrier.bottom_dim - Y.dst.bottom_dim
+    off = n_dim + Y.carrier.lie.dim - Y.dst.lie.dim
+    sv = _shift_vec(s, Y.carrier.bottom_dim)
+    x1, x2 = {}, {}
+    for w, c in Y.target_bottom.from_coords(avec).items():
+        x, m = tuple(g + off for g in w[:-1]), (n_dim + w[-1],)
+        vec_add_scaled(x1, Y.sq.mult(
+            {x: c}, Y.sq.mult({m: 1}, sv, bound - len(x)), bound), 1)
+        vec_add_scaled(x2, Y.sq.mult(
+            Y.sq.mult(sv, {x: c}, bound - 1), {m: 1}, bound), 1)
+    return Y.bottom.to_coords(x1), Y.bottom.to_coords(x2)
+
+
+XI_CASES = list(CORPUS_XMODS) + BEYOND + ["sl2ad-identity",
+                                           "sl2ad-inclusion"]
+
+
+@pytest.mark.parametrize("D", [3, 4, 5])
+@pytest.mark.parametrize("case", XI_CASES, ids=_case_id)
+def test_xi_matches_two_step_products(xmods, case, D):
+    """ξ₁(y, s) = σ(y)·s and ξ₂(s, y) = s·σ(y), products with the
+    s-section in sq, against the two-step formulas (:func:`_xi_two_step`)
+    on every target-bottom row y and every filtration row s of Ker us2
+    (k_s and the rows above it) with degree sum at most the report
+    degree."""
+    Y = lm_xmod_envelope(case_xmod(xmods, case), D)
+    d = Y.report_degree
+    s_rows = [(ds, Y.top.from_coords(v)) for ds, v in s_ker_filtration(Y, d)]
+    checked = 0
+    for i, w in enumerate(Y.target_bottom.words):
+        for ds, s in s_rows:
+            if len(w) + ds <= d:
+                a = {i: 1}
+                assert (Y.xi1(a, s, d), Y.xi2(s, a, d)) == \
+                    _xi_two_step(Y, a, s, d), (w, s)
+                checked += 1
+    assert checked or not s_rows or d < 2
 
 
 def _as_pair(ref, w):
@@ -900,7 +945,7 @@ def test_pair_algebra_matches_pair_product(xmods, case, D):
     U's plus that of U ⊗ V, and its product of any two class words with
     fdeg sum <= D is the pair product (a, r)(a', r') = (alpha(a)a' + ar' +
     ra', rr') of the test-side U ⊗ V."""
-    Y = lm_xmod_envelope(_crossed_module(xmods, case), D)
+    Y = lm_xmod_envelope(case_xmod(xmods, case), D)
     for L, U, P in ((Y.dst, Y.ug, Y.target),
                     (Y.carrier, Y.usd, pair_algebra(Y.carrier, Y.usd))):
         assert P.ideal.stabilized
@@ -972,7 +1017,7 @@ def test_theta_matches_word_enumeration(xmods, case, D, monkeypatch):
     length <= D, into the test-side pairs: the enumeration finds the ideal
     killed, as the verdict says, and every class word's value is the
     induced map's column, on UL(q ⋊ p) and on UL(p)."""
-    x = _crossed_module(xmods, case)
+    x = case_xmod(xmods, case)
     calls = _record_induced_maps(monkeypatch)
     rec = theta_check(x, D)
     assert rec["relations_killed"] and rec["verdict"] == "pass"

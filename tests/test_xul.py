@@ -18,7 +18,7 @@ from leibnizx.xul import (check_trunc_xmod, embedding_squares_check,
                           lemma41_check, prop42_check, xul)
 
 from conftest import (CORPUS, HSD_PARAMS, all_words,
-                      assert_x_matches_all_pairs, free_reclosure,
+                      assert_x_matches_all_pairs, case_xmod, free_reclosure,
                       full_kernels, hemisemidirect, hemisemidirect_xmod,
                       record_kernel_quotient, span_rows, violated_rows)
 
@@ -536,6 +536,8 @@ def _perturbations(tx):
 FULL_LOOP_CASES = (
     [(name, D) for name in XMOD_NAMES for D in (3, 4, 5)]
     + [((a, kind), D) for a in HSD_PARAMS for kind in ("identity", "inclusion")
+       for D in (3, 4)]
+    + [("sl2ad-" + kind, D) for kind in ("identity", "inclusion")
        for D in (3, 4)])
 
 
@@ -547,8 +549,7 @@ def test_checker_flags_what_the_full_loops_flag(xmods, case, D):
     full loops over every class word: both report nothing on the
     envelope, and each perturbed envelope is flagged by the checker
     exactly when the full loops flag it."""
-    x = xmods[case] if isinstance(case, str) else hemisemidirect_xmod(*case)
-    tx = xul(x, D)
+    tx = xul(case_xmod(xmods, case), D)
     assert check_trunc_xmod(tx) == [] == _full_loop_check(tx)
     for what, bent in _perturbations(tx).items():
         assert bool(check_trunc_xmod(bent)) == bool(_full_loop_check(bent)), \
@@ -575,7 +576,7 @@ def _word_enumeration_span(usd, nq, d):
 def test_kernel_words_span_matches_word_enumeration(xmods, case, D):
     """The class words with a q-letter span what the classes of all words
     with a q-letter span, at the report degree D - 2."""
-    x = xmods[case] if isinstance(case, str) else hemisemidirect_xmod(*case)
+    x = case_xmod(xmods, case)
     usd = ul(semidirect(x.action), D)
     got = xul_module._kernel_words_span(usd, x.q.dim, D - 2)
     assert got == _word_enumeration_span(usd, x.q.dim, D - 2)
