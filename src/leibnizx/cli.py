@@ -24,7 +24,7 @@ import sys
 from . import io
 from .leibniz import LeibnizAlgebra, LeibnizRep, check_rep
 from .assoc import AssocAlgebra
-from .xmod import LeibnizXMod, check_xmod, integral
+from .xmod import LeibnizXMod, check_xmod, integral, xmod_to_cat1
 from .xrep import (LeibnizXModRep, XRepAxiomError, check_xmod_rep,
                    check_xmodule, rep_to_xmodule, xmodule_to_rep)
 from .envelope import ul, check_module
@@ -151,7 +151,8 @@ def cmd_lm(args):
     try:
         x = integral(x)
         require_xmod(x)
-        Y = lm_xmod_envelope(x, args.degree, args.report_degree)
+        Y = lm_xmod_envelope(xmod_to_cat1(x), args.degree,
+                             args.report_degree)
     except ValueError as e:
         return Report("lm", _xul_params(args), [_construction_failure(e)])
     d = Y.report_degree

@@ -5,8 +5,9 @@ Objects are linear maps (M -> g); a Lie object is such a map with g a Lie
 algebra, M a right g-module and the map equivariant.  A Leibniz algebra p
 embeds as the Lie object L(p) = (p -> Liez(p)) (Loday–Pirashvili, Math.
 Ann. 296, 1993).  A Leibniz crossed module is a cat¹ algebra (q ⋊ p, s,
-t), so the envelope is built on the carrier L(q ⋊ p), checked once as a
-Lie object (:func:`leibniz_to_lm`), with L(s), L(t): L(q ⋊ p) -> L(p).
+t) (``xmod.xmod_to_cat1``), so the envelope is built on the carrier
+L(q ⋊ p), checked once as a Lie object (:func:`leibniz_to_lm`), with
+L(s), L(t): L(q ⋊ p) -> L(p).
 
 The enveloping functor sends a Lie object to (U(g) ⊗ M -> U(g)) with
 
@@ -31,8 +32,8 @@ from dataclasses import dataclass, field
 from .linalg import LinearMap, lincomb, vec_add_scaled
 from .freealg import (HomomorphismError, TruncQuotAlgebra, induced_map,
                       letter_classes, presented)
-from .leibniz import LeibnizAlgebra, basis_vec, liezation, semidirect
-from .xmod import cat1_matrices, identity_violations
+from .leibniz import LeibnizAlgebra, basis_vec, liezation
+from .xmod import identity_violations
 from .xul import (combine_verdict, kernel_product_quotient, report_degree_for,
                   xul)
 
@@ -50,6 +51,7 @@ class LMLieObject:
     alpha: LinearMap   # bottom -> top
     lie: LeibnizAlgebra
     right_mats: tuple  # per top-basis LinearMap bottom -> bottom, m -> [m,g_k]
+    lifts: tuple       # bottom indices lifting the top's basis
 
     def __post_init__(self):
         if self.alpha.rows != self.lie.dim:
@@ -88,35 +90,30 @@ def check_lm_lie_object(L):
 # Leibniz algebras as Lie objects in the category
 
 
-def _quotient_action(bracket_right, proj):
-    """Right action of a quotient on a space, through the lifts of its
-    basis, the complement pivots of Ker proj; the kernel must act as zero
-    on the nose."""
-    ker = proj.kernel()
-    for r in ker.rows:
-        if not bracket_right(r).is_zero():
-            raise ValueError("right action does not descend to the quotient")
-    return tuple(bracket_right(basis_vec(c)) for c in ker.complement_pivots())
-
-
 def _leibniz_object(p, lie, proj):
     """(p -> lie) for a quotient map proj of p onto a Lie algebra lie, with
-    the right action induced by the bracket, unchecked."""
+    the right action induced by the bracket, unchecked.  The quotient acts
+    through the lifts of its basis, the complement pivots of Ker proj,
+    which the object keeps for :func:`_liezed`; the kernel must act as
+    zero on the nose."""
     def right_by(v):
         return LinearMap.from_cols(
             p.dim, [p.product(basis_vec(a), v) for a in range(p.dim)])
 
-    return LMLieObject(proj, lie, _quotient_action(right_by, proj))
+    ker = proj.kernel()
+    for r in ker.rows:
+        if not right_by(r).is_zero():
+            raise ValueError("right action does not descend to the quotient")
+    lifts = ker.complement_pivots()
+    return LMLieObject(proj, lie, tuple(right_by(basis_vec(c))
+                                        for c in lifts), lifts)
 
 
 def _liezed(f, src, dst):
-    """L(f) on the tops: dst.alpha ∘ f on the lifts of src's top basis, the
-    complement pivots of Ker src.alpha (as in :func:`_quotient_action`),
-    for a linear map f of the bottoms that maps Ker src.alpha into Ker
-    dst.alpha."""
-    lifts = src.alpha.kernel().complement_pivots()
+    """L(f) on the tops: dst.alpha ∘ f on src's lifts, for a linear map f of
+    the bottoms that maps Ker src.alpha into Ker dst.alpha."""
     return LinearMap.from_cols(dst.lie.dim,
-                               [dst.alpha.apply(f.col(c)) for c in lifts])
+                               [dst.alpha.apply(f.col(c)) for c in src.lifts])
 
 
 def leibniz_to_lm(p):
@@ -303,23 +300,27 @@ class LMAssocXMod:
     us2: LinearMap          # top -> U(g) classes
     ut2: LinearMap
     emb: LinearMap          # U(g) classes -> top classes
+    sigma: LinearMap        # target letters -> sq letters: σ on p, L(σ) on g
     report_degree: int
     certificates: dict = field(default_factory=dict)
 
     def r_on_top(self, ug_cls):
-        """A U(g) class as a top class through the p-block embedding."""
+        """A U(g) class as a top class through emb."""
         return self.top.from_coords(
             self.emb.apply(self.ug.to_coords(ug_cls)))
 
     def section(self, avec):
         """x ⊗ m -> class of emb(x) ⊗ (0, m): the s-section σ of the
-        bottom row.  The target's letters of U(g) go to the p-block of L
-        in sq, m to the p-block of V."""
-        n_dim = self.carrier.bottom_dim - self.dst.bottom_dim
-        off = n_dim + self.carrier.lie.dim - self.dst.lie.dim
-        return self.bottom.to_coords(self.sq.reduce({
-            tuple(g + off for g in w[:-1]) + (n_dim + w[-1],): c
-            for w, c in self.target_bottom.from_coords(avec).items()}))
+        bottom row, each of the target's letters replaced by its ``sigma``
+        image in sq's letters."""
+        out = {}
+        for w, c in self.target_bottom.from_coords(avec).items():
+            terms = {(): c}
+            for g in w:
+                terms = {u + (l,): cu * cl for u, cu in terms.items()
+                         for l, cl in self.sigma.col(g).items()}
+            vec_add_scaled(out, terms, 1)
+        return self.bottom.to_coords(self.sq.reduce(out))
 
     def xi1(self, avec, top_cls, bound):
         """xi1(y, s) = σ(y)·s in sq."""
@@ -361,28 +362,26 @@ class LMAssocXMod:
         return n - _on_first(self.us1, n).rank()
 
 
-def lm_xmod_envelope(x, degree, report_degree=None):
-    """Build the truncated enveloping crossed module in the category of a
-    Leibniz crossed module x, which its callers check
+def lm_xmod_envelope(c, degree, report_degree=None):
+    """Build the truncated enveloping crossed module in the category of
+    the cat¹ algebra c = (q ⋊ p, s, t) of a Leibniz crossed module
+    (``xmod.xmod_to_cat1``), which its callers check
     (``xul.require_xmod``).
 
     The carrier is L(q ⋊ p) = (V -> L), V = q ⊕ p and L = Liez(q ⋊ p),
     checked as a Lie object (:func:`leibniz_to_lm`); the target is L(p) =
-    (p -> g), g = Liez(p), a Lie object as p is Leibniz.  s(q,p) = p and
-    t(q,p) = η(q) + p are s1, t1 on V, and s2, t2 are their Liezations
-    L(s), L(t) (:func:`_liezed`).  Ker alpha = Leib(q ⋊ p) is
-    block-diagonal, as a square (u,v)² differs from (0,v²) by an element
-    of q; so its complement pivots, the lifts of L's basis, are the
-    q-block's first and then those of g, and g's letters are the last
-    dim g letters of L: the section of s2 and t2.
+    (p -> g), g = Liez(p), a Lie object as p is Leibniz.  c's s and t are
+    s1, t1 on V, and s2, t2 their Liezations L(s), L(t) (:func:`_liezed`);
+    the section of s2 and t2 is σ2 = L(σ), for c's section σ.
 
-    (L(q ⋊ p), s, t) is a cat¹ Lie object.  s and t are Leibniz maps, as x
-    passes ``check_xmod``, so they map Leib(q ⋊ p) = Ker alpha into
-    Leib(p): s2 and t2 are well defined, and s1, t1 are equivariant over
-    them.  Ker s2 = alpha(Ker s), as Leib(p) = s(σ(Leib p)) for the section
-    σ, so [Ker s2, Ker t2] = alpha([Ker s, Ker t]) = 0 by CLb2.  Right
-    brackets with squares vanish in a Leibniz algebra, so [Ker s1, Ker t2]
-    = [Ker s, Ker t] = 0, and likewise with s and t exchanged.
+    (L(q ⋊ p), s, t) is a cat¹ Lie object.  s, t and σ are Leibniz maps,
+    as the crossed module passes ``check_xmod``, so s and t map Ker alpha
+    = Leib(q ⋊ p) into Leib(p) and σ maps Leib(p) into Leib(q ⋊ p): s2,
+    t2 and σ2 are well defined, and s1, t1 are equivariant over them.
+    Ker s2 = alpha(Ker s), as Leib(p) = s(σ(Leib p)), so [Ker s2, Ker t2]
+    = alpha([Ker s, Ker t]) = 0 by CLb2.  Right brackets with squares
+    vanish in a Leibniz algebra, so [Ker s1, Ker t2] = [Ker s, Ker t] = 0,
+    and likewise with s and t exchanged.
 
     The top row is U(L) / X' as a presented quotient whose one-pass
     certificate is ``kernel_product_stabilized`` (see
@@ -435,8 +434,8 @@ def lm_xmod_envelope(x, degree, report_degree=None):
     the t-map and the connecting map are bimodule maps, so they vanish on
     Y' once they vanish on its seeds.
     """
-    carrier = leibniz_to_lm(semidirect(x.action))
-    dst = _leibniz_object(x.p, *liezation(x.p))
+    carrier = leibniz_to_lm(c.total)
+    dst = _leibniz_object(c.sub, *liezation(c.sub))
     report_degree = report_degree_for(degree, report_degree)
 
     usd = u_lie(carrier.lie, degree)
@@ -445,13 +444,13 @@ def lm_xmod_envelope(x, degree, report_degree=None):
     mv = dst.bottom_dim
     target_bottom = TensorBimodule(target, mv)
 
-    s1, t1 = cat1_matrices(x.eta)
+    s1, t1 = c.s, c.t
     s2, t2 = (_liezed(f, carrier, dst) for f in (s1, t1))
-    h_dim = carrier.lie.dim - dst.lie.dim
+    sigma2 = _liezed(c.embed, dst, carrier)
 
     kq = kernel_product_quotient(usd, Ug, letter_classes(Ug, s2),
                                  letter_classes(Ug, t2),
-                                 [h_dim + j for j in range(dst.lie.dim)])
+                                 letter_classes(usd, sigma2))
     top, nv = kq.quot, carrier.bottom_dim
     alpha = letter_classes(top, carrier.alpha)
 
@@ -515,9 +514,13 @@ def lm_xmod_envelope(x, degree, report_degree=None):
         LinearMap.from_cols(cod.dim, [cod.to_coords(f({w: 1}))
                                       for w in bottom.words])
         for f, cod, _ in bottom_maps)
+    sigma = LinearMap.from_cols(nv + carrier.lie.dim, [
+        c.embed.col(m) for m in range(mv)] + [
+        {nv + a: v for a, v in sigma2.col(g).items()}
+        for g in range(dst.lie.dim)])
     return LMAssocXMod(
         dst, Ug, target, target_bottom, carrier, usd, top, sq, bottom, connect,
-        us1, ut1, kq.bar_s, kq.bar_t, kq.embed, report_degree,
+        us1, ut1, kq.bar_s, kq.bar_t, kq.embed, sigma, report_degree,
         {"u_semidirect_stabilized": usd.ideal.stabilized,
          "u_g_stabilized": Ug.ideal.stabilized and target.ideal.stabilized,
          "kernel_product_stabilized":
@@ -570,9 +573,14 @@ def check_lm_assoc_xmod(Y):
       t1_equivariance.
     - The top row is the crossed module (Ker us2, U(g), ut2) with U(g)
       acting through emb, checked by :func:`xmod.identity_violations`
-      (t2_hom, which holds as ut2 is an algebra map; peiffer_left and
-      peiffer_right; equivariance_left and equivariance_right).  Its
-      equivariance runs s over k_s.  ut2 is multiplicative, so
+      (t2_hom; peiffer_left and peiffer_right; equivariance_left and
+      equivariance_right).  t2_hom cannot fail: ut2, an ``induced_map``,
+      sends a class word to the U(g) product of its letters' images
+      (:func:`freealg.word_fold`) and kills the top's ideal (the rows are
+      checked, and U(g) is associative by its certificate), and a product
+      of top classes is the class of the concatenated words, so ut2(a·b)
+      = ut2(a)·ut2(b); ``identity_violations`` checks it as it checks
+      every boundary.  Its equivariance runs s over k_s, as
       ut2(emb(g)·a·u) = ut2(emb(g)·a)·ut2(u) = g·ut2(a·u) and
       ut2(u·a·emb(g)) = ut2(u)·ut2(a)·g = ut2(u·a)·g, and (S) gives every
       s in Ker us2 ∩ F_{d-1}.
@@ -703,6 +711,13 @@ def check_lm_assoc_xmod(Y):
 # comparison with the plain enveloping crossed module
 
 
+def _theta_images(alg, L):
+    """theta's generator images in the pair algebra alg of the Lie object
+    L = (V -> g): -v_k for the l-letters, alpha(v_k) for the r-letters."""
+    nv = L.bottom_dim
+    return [{(k,): -1} for k in range(nv)] + letter_classes(alg, L.alpha, nv)
+
+
 def theta_check(x, degree, report_degree=None):
     """Compare the enveloping crossed module of x with the associated
     crossed module of the categorical construction.
@@ -742,7 +757,7 @@ def theta_check(x, degree, report_degree=None):
     """
     d = report_degree_for(degree, report_degree)
     tx = xul(x, degree, report_degree=d)
-    Y = lm_xmod_envelope(x, degree, report_degree=d)
+    Y = lm_xmod_envelope(tx.cat1, degree, report_degree=d)
     usd1, bar, sq = tx.ul_sd, tx.ambient, Y.sq
     P = pair_algebra(Y.carrier, Y.usd)
 
@@ -757,12 +772,6 @@ def theta_check(x, degree, report_degree=None):
             "top_dim_upto_d": Y.top.dim_upto(d),
             "certificates": certs}
 
-    def images(alg, L):
-        """-v_k for the l-letters, alpha(v_k) for the r-letters."""
-        nv = L.bottom_dim
-        return [{(k,): -1} for k in range(nv)] + \
-            letter_classes(alg, L.alpha, nv)
-
     def projection(src, dst):
         """Each class word of src to its class in dst, which has src's
         letters."""
@@ -770,8 +779,9 @@ def theta_check(x, degree, report_degree=None):
             dst.to_coords(dst.reduce_word(w)) for w in src.class_words])
 
     try:
-        theta = induced_map(usd1, P, images(P, Y.carrier))
-        theta_p = induced_map(tx.ul_p, Y.target, images(Y.target, Y.dst))
+        theta = induced_map(usd1, P, _theta_images(P, Y.carrier))
+        theta_p = induced_map(tx.ul_p, Y.target,
+                              _theta_images(Y.target, Y.dst))
     except HomomorphismError:
         return {**rec, "relations_killed": False, **dims,
                 "verdict": combine_verdict(False, certs.values())}

@@ -247,23 +247,17 @@ def check_cat1(c):
     return bad
 
 
-def cat1_matrices(eta):
-    """s(q,p) = p and t(q,p) = eta(q) + p as maps on q ⊕ p coordinates,
-    for a linear map eta: q -> p."""
-    nq, np_ = eta.cols, eta.rows
-    s_cols = [{} for _ in range(nq)] + [{i: 1} for i in range(np_)]
-    t_cols = [eta.col(j) for j in range(nq)] + \
-        [{i: 1} for i in range(np_)]
-    return (LinearMap.from_cols(np_, s_cols), LinearMap.from_cols(np_, t_cols))
-
-
 def xmod_to_cat1(x):
-    """Total algebra q ⋊ p with s(q,p) = p and t(q,p) = eta(q) + p."""
+    """The cat¹ algebra of x: total algebra q ⋊ p, s(q,p) = p, t(q,p) =
+    eta(q) + p, and the section p -> q ⋊ p.  Every pipeline builds its
+    q ⋊ p, s, t and section here."""
     q, p, eta, act = x
-    embed = LinearMap.from_cols(q.dim + p.dim,
-                                [{q.dim + i: 1} for i in range(p.dim)])
-    return Cat1(_FLAVOURS[type(p)].semidirect(act), p, embed,
-                *cat1_matrices(eta))
+    nq, on_p = q.dim, [{i: 1} for i in range(p.dim)]
+    embed = LinearMap.from_cols(nq + p.dim,
+                                [{nq + i: 1} for i in range(p.dim)])
+    s = LinearMap.from_cols(p.dim, [{}] * nq + on_p)
+    t = LinearMap.from_cols(p.dim, [eta.col(j) for j in range(nq)] + on_p)
+    return Cat1(_FLAVOURS[type(p)].semidirect(act), p, embed, s, t)
 
 
 def cat1_to_xmod(c):

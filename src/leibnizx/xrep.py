@@ -17,8 +17,7 @@ on kernel classes (words leftmost-factor-first, as in envelope).
 from dataclasses import dataclass
 
 from .linalg import LinearMap, lincomb
-from .leibniz import (Action, LeibnizRep, basis_vec, check_rep, semidirect,
-                      zero_rep)
+from .leibniz import Action, LeibnizRep, basis_vec, check_rep, zero_rep
 from .assoc import AssocAlgebra
 from .xmod import AssocXMod
 from .freealg import word_key
@@ -266,7 +265,7 @@ def phi_word_evaluator(tx, rep):
                  for j in range(x.q.dim)]
         gens += [block(a, LinearMap.zero(n, m), b)
                  for a, b in zip(n_mats, m_mats)]
-    return ULModule(semidirect(x.action), size, tuple(gens)).class_mat
+    return ULModule(tx.cat1.total, size, tuple(gens)).class_mat
 
 
 def _m_column_blocks(mat, n, m):
@@ -325,9 +324,7 @@ def rep_to_xmodule(r, tx):
 def xmodule_to_rep(mod):
     """Read the representation data back off the degree-1 classes."""
     tx = mod.tx
-    x = tx.x
-    nq = x.q.dim
-    n_sd = nq + x.p.dim
+    nq, n_sd = tx.x.q.dim, tx.cat1.total.dim
     rep_n, rep_m = module_to_rep(mod.psi_n), module_to_rep(mod.psi_m)
 
     def phi_of_word(g):
@@ -336,7 +333,7 @@ def xmodule_to_rep(mod):
 
     xi1 = tuple(phi_of_word(j) for j in range(nq))
     xi2 = tuple(phi_of_word(n_sd + j) for j in range(nq))
-    return LeibnizXModRep(x, mod.mu, rep_n, rep_m, xi1, xi2)
+    return LeibnizXModRep(tx.x, mod.mu, rep_n, rep_m, xi1, xi2)
 
 
 def check_xmodule(mod):

@@ -1,8 +1,8 @@
 """Enveloping crossed module of a Leibniz crossed module.
 
-Pipeline: semidirect product -> truncated envelopes -> induced maps for the
-two cat¹ projections s, t -> kernel-product ideal X = Ker(s)Ker(t) +
-Ker(t)Ker(s) -> quotient -> (Ker s̄, UL(p), t̄ restricted).  The
+Pipeline: cat¹ algebra (q ⋊ p, s, t) of x (``xmod.xmod_to_cat1``) ->
+truncated envelopes -> induced maps for s, t -> kernel-product ideal X =
+Ker(s)Ker(t) + Ker(t)Ker(s) -> quotient -> (Ker s̄, UL(p), t̄ restricted).  The
 kernel-product step is :func:`kernel_product_quotient`, which the
 categorical envelope in ``lm`` runs for its top row as well.
 
@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from .linalg import LinearMap, Subspace, zero_subspace
 from .freealg import (TruncQuotAlgebra, filtration_basis, induced_map,
                       subspace_product)
-from .leibniz import semidirect
-from .xmod import (LeibnizXMod, cat1_matrices, check_xmod, identity_xmod,
-                   identity_violations, integral, zero_xmod)
+from .xmod import (Cat1, LeibnizXMod, check_xmod, identity_xmod,
+                   identity_violations, integral, xmod_to_cat1, zero_xmod)
 from .envelope import ul, ul_images, ul_map
 
 
@@ -43,6 +42,7 @@ class TruncAssocXMod:
     """Degree-truncated (Ker s̄, UL(p), t̄|) with its ambient quotient."""
 
     x: LeibnizXMod
+    cat1: Cat1               # (q ⋊ p, s, t) with its section
     ul_sd: TruncQuotAlgebra  # UL(q ⋊ p) before the kernel-product quotient
     ul_p: TruncQuotAlgebra
     ambient: TruncQuotAlgebra
@@ -100,8 +100,8 @@ def kernel_product_quotient(env, target, s_imgs, t_imgs, section):
     """Quotient of the envelope ``env`` by X = Ker s·Ker t + Ker t·Ker s,
     where s, t: env -> target are the algebra maps with generator images
     s_imgs, t_imgs (class vectors of target), and the embedding target ->
-    env / X sends target generator j to the class of env generator
-    section[j].
+    env / X sends target generator j to the class of section[j], a class
+    vector of env of fdeg <= 1.
 
     X is generated by its degree-two products A·B of the degree-one
     kernel rows A = Ker s ∩ F_1 and B = Ker t ∩ F_1, which span B·A too
@@ -121,8 +121,7 @@ def kernel_product_quotient(env, target, s_imgs, t_imgs, section):
     quot = env.extend_by(subspace_product(s_rows, t_rows))
     bar_s = induced_map(quot, target, s_imgs)
     bar_t = induced_map(quot, target, t_imgs)
-    embed = induced_map(target, quot,
-                        [quot.reduce_word((i,)) for i in section])
+    embed = induced_map(target, quot, [quot.reduce(v) for v in section])
     return KernelQuotient(s_rows, t_rows, quot, bar_s, bar_t, embed)
 
 
@@ -131,15 +130,11 @@ def xul(x, degree, report_degree=None):
     require_xmod(x)
     report_degree = report_degree_for(degree, report_degree)
 
-    sd = semidirect(x.action)
-    usd = ul(sd, degree)
-    up = ul(x.p, degree)
-    n_sd, nq = sd.dim, x.q.dim
-    smat, tmat = cat1_matrices(x.eta)
-    section = [nq + i for i in range(x.p.dim)] + \
-        [n_sd + nq + i for i in range(x.p.dim)]
-    kq = kernel_product_quotient(usd, up, ul_images(up, smat),
-                                 ul_images(up, tmat), section)
+    c = xmod_to_cat1(x)
+    usd = ul(c.total, degree)
+    up = ul(c.sub, degree)
+    kq = kernel_product_quotient(usd, up, ul_images(up, c.s),
+                                 ul_images(up, c.t), ul_images(usd, c.embed))
     B = kq.bar_s.kernel()
     rho = kq.bar_t.restrict(B)
     certs = {
@@ -147,8 +142,8 @@ def xul(x, degree, report_degree=None):
         "ul_p_stabilized": up.ideal.stabilized,
         "kernel_product_stabilized": kq.quot.ideal.stabilized,
     }
-    return TruncAssocXMod(x, usd, up, kq.quot, kq.bar_s, kq.bar_t, kq.embed,
-                          B, rho, report_degree, certs)
+    return TruncAssocXMod(x, c, usd, up, kq.quot, kq.bar_s, kq.bar_t,
+                          kq.embed, B, rho, report_degree, certs)
 
 
 def check_trunc_xmod(tx):
@@ -247,11 +242,10 @@ def _kernel_words_span(usd, nq, d):
 
 
 def _lemma41_core(x, degree, d):
-    sd = semidirect(x.action)
-    usd = ul(sd, degree)
-    up = ul(x.p, degree)
-    smat, _ = cat1_matrices(x.eta)
-    Us = ul_map(usd, up, smat)
+    c = xmod_to_cat1(x)
+    usd = ul(c.total, degree)
+    up = ul(c.sub, degree)
+    Us = ul_map(usd, up, c.s)
     Ks = Us.kernel()
     rows = filtration_basis(usd, Ks, d)
     lhs = Subspace.from_vectors(usd.dim, [usd.to_coords(v) for _, v in rows])

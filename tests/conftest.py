@@ -8,7 +8,7 @@ from leibnizx.freealg import (TruncIdeal, TruncQuotAlgebra, _ambiguities,
                               filtration_basis, induced_map, rewriter,
                               word_key)
 from leibnizx.leibniz import LeibnizAlgebra
-from leibnizx.linalg import Echelon, Subspace, vec_add_scaled
+from leibnizx.linalg import Echelon, LinearMap, Subspace, vec_add_scaled
 from leibnizx.scalars import Q, exact
 from leibnizx.xmod import identity_xmod, ideal_inclusion_xmod
 
@@ -300,6 +300,15 @@ class TensorRef:
         out = {self.pair_word(flat): c for flat, c in a.items()}
         out.update(shift_letters(r, self.module_dim))
         return out
+
+
+def direct_sum(f, g):
+    """f ⊕ g, block-diagonal: φ ⊕ ψ on q ⊕ p coordinates, or a map of
+    a direct sum of modules."""
+    n = f.rows
+    return LinearMap.from_cols(n + g.rows, [
+        f.col(j) for j in range(f.cols)] + [
+        {n + i: c for i, c in g.col(j).items()} for j in range(g.cols)])
 
 
 def shift_letters(cv, off):

@@ -215,7 +215,7 @@ def test_c09_categorical_envelope(load, a1, l2, r2):
         assert not connect_bimodule_violations(A, L.alpha, 3)
     # crossed-module identities of the envelope at the report degree
     for x, D in ((zero_xmod(a1), 4), (load("xmod-id-a1.json"), 3)):
-        Y = lm_xmod_envelope(x, D)
+        Y = lm_xmod_envelope(xmod_to_cat1(x), D)
         assert not check_lm_assoc_xmod(Y)
     # the comparison map theta; ideal_mapped is the generator-wise image
     # of the kernel-product ideal in its categorical counterpart

@@ -2,8 +2,8 @@
 every private top-level helper is read by some module of the package,
 every method and every public top-level function and class of the package
 is read somewhere, every field of a dataclass or NamedTuple of the package
-is read somewhere, and no function outside the command line takes a
-completion window.
+is read somewhere, only leibniz, assoc and xmod build a semidirect product,
+and no function outside the command line takes a completion window.
 
 Stdlib-``ast`` stand-ins for a linter's unused-import and dead-code
 rules: an import counts as used when its bound name is read anywhere in
@@ -209,6 +209,39 @@ def test_no_unread_fields():
     readers = [p.read_text("utf-8") for d in ("src", "tests", "perfbench")
                for p in sorted((ROOT / d).rglob("*.py"))]
     assert unread_fields(sources, readers) == []
+
+
+SEMIDIRECT_NAMES = {"semidirect", "assoc_semidirect"}
+SEMIDIRECT_HOMES = {"leibniz", "assoc", "xmod"}
+
+
+def semidirect_calls(sources):
+    """Sorted (module, line) of the calls of ``semidirect`` or
+    ``assoc_semidirect``, by bare name or as an attribute, in the modules
+    of ``sources`` ({module name: source}) other than leibniz, assoc and
+    xmod: every other module reads q ⋊ p off ``xmod.xmod_to_cat1``."""
+    return sorted(
+        (mod, n.lineno) for mod, source in sources.items()
+        if mod not in SEMIDIRECT_HOMES for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and getattr(
+            n.func, "id", getattr(n.func, "attr", None)) in SEMIDIRECT_NAMES)
+
+
+def test_semidirect_call_detector():
+    sources = {
+        "xmod": "def xmod_to_cat1(act):\n    return semidirect(act)\n",
+        "lm": "from . import assoc\n\n\ndef f(c, act):\n"
+              "    g = semidirect\n    return c.total, "
+              "assoc.assoc_semidirect(act)\n",
+        "xul": "from .leibniz import semidirect\n\n\n"
+               "def f(act, x):\n    return semidirect(act), x.semidirect\n",
+    }
+    assert semidirect_calls(sources) == [("lm", 6), ("xul", 5)]
+
+
+def test_no_semidirect_outside_cat1():
+    sources = {p.stem: p.read_text("utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert semidirect_calls(sources) == []
 
 
 WINDOW_NAMES = {"slack", "cap"}

@@ -16,8 +16,9 @@ from leibnizx.freealg import (HomomorphismError, filtration_basis,
 from leibnizx.scalars import Q
 from leibnizx.linalg import Echelon, LinearMap, Subspace, vec_add_scaled
 from leibnizx.leibniz import Action, LeibnizAlgebra, semidirect
-from leibnizx.xmod import (cat1_matrices, check_xmod, ideal_inclusion_xmod,
-                           identity_violations, identity_xmod, zero_xmod)
+from leibnizx.xmod import (check_xmod, ideal_inclusion_xmod,
+                           identity_violations, identity_xmod, xmod_to_cat1,
+                           zero_xmod)
 from leibnizx.lm import (LMAssocXMod, TensorBimodule, _shift_vec,
                          check_lm_assoc_xmod, check_lm_lie_object,
                          leibniz_to_lm, lm_xmod_envelope, pair_algebra,
@@ -141,7 +142,7 @@ def test_lm_xmod_envelope_checks_its_input(xmods):
     bent = x._replace(action=Action(x.p, x.q, left, x.action.right_tensor))
     assert check_xmod(bent) and semidirect(bent.action).check_leibniz()
     with pytest.raises(ValueError, match="does not descend|Lie-object"):
-        lm_xmod_envelope(bent, 3)
+        lm_xmod_envelope(xmod_to_cat1(bent), 3)
 
 
 REBASED_XMODS = ("xmod-id-a1", "xmod-id-l2", "xmod-id-r2", "xmod-zero-l2")
@@ -180,7 +181,8 @@ def cat1_violations(x, carrier, dst):
             nq + c for c in dst.alpha.kernel().complement_pivots()]:
         bad.append(("pivot_layout",))
     maps = {}
-    for name, f1 in zip("st", cat1_matrices(x.eta)):
+    c = xmod_to_cat1(x)
+    for name, f1 in zip("st", (c.s, c.t)):
         f2 = lm._liezed(f1, carrier, dst)
         maps[name] = f1, f2
         if f2.compose(carrier.alpha) != dst.alpha.compose(f1):
@@ -233,10 +235,11 @@ def test_carrier_flags_what_the_families_flag(xmods, rebased_xmods, case):
     else:
         x = rebased_xmods[a, b]
         x = xmod.integral(x) if kind == "rebased_integral" else x
-    Y = lm_xmod_envelope(x, 3)
+    Y = lm_xmod_envelope(xmod_to_cat1(x), 3)
     assert Y.carrier == leibniz_to_lm(semidirect(x.action))
     assert Y.dst == leibniz_to_lm(x.p)
-    for f1, u in zip(cat1_matrices(x.eta), (Y.us2, Y.ut2)):
+    c = xmod_to_cat1(x)
+    for f1, u in zip((c.s, c.t), (Y.us2, Y.ut2)):
         f2 = lm._liezed(f1, Y.carrier, Y.dst)
         for i in range(f2.cols):
             assert Y.ug.from_coords(u.col(Y.top.class_index[(i,)])) == \
@@ -286,7 +289,7 @@ def test_u_lm_object(a1, l2):
 
 
 def test_lm_envelope_zero_xmod(a1):
-    Y = lm_xmod_envelope(zero_xmod(a1), 3)
+    Y = lm_xmod_envelope(xmod_to_cat1(zero_xmod(a1)), 3)
     assert Y.report_degree == 1
     # nothing to quotient: both kernels of the s-maps vanish
     assert len(b_ker_filtration(Y, 1)) == 0
@@ -294,7 +297,7 @@ def test_lm_envelope_zero_xmod(a1):
 
 
 def test_lm_envelope_identity_a1(a1):
-    Y = lm_xmod_envelope(identity_xmod(a1), 3)
+    Y = lm_xmod_envelope(xmod_to_cat1(identity_xmod(a1)), 3)
     assert not check_lm_assoc_xmod(Y)
     assert Y.certificates["u_semidirect_stabilized"]
     assert not check_associated_xmod(AssociatedXMod(Y))
@@ -340,7 +343,7 @@ def test_bottom_filtration_matches_intersections(xmods, degree):
     filtration basis span Ker us1 ∩ F_k for every k, and each row has the
     degree it is listed with."""
     for name, x in xmods.items():
-        Y = lm_xmod_envelope(x, degree)
+        Y = lm_xmod_envelope(xmod_to_cat1(x), degree)
         rows = b_filtration(Y)
         fdeg = lambda i: len(Y.bottom.words[i])
         kernel = Y.us1.kernel()
@@ -432,12 +435,13 @@ def _assert_y_ideal_matches_all_pairs(x, degree, monkeypatch):
     U(t2) ⊗ t1 by elimination, and the envelope's us1 and ut1 agree with
     those maps through the quotient.  Returns the envelope."""
     Y, (env, target, s_imgs, t_imgs, _) = record_kernel_quotient(
-        lm, lambda: lm_xmod_envelope(x, degree), monkeypatch)
+        lm, lambda: lm_xmod_envelope(xmod_to_cat1(x), degree),
+        monkeypatch)
     (s2, s2_ker), (t2, t2_ker) = full_kernels(env, target, s_imgs, t_imgs)
     bim = TensorRef(Y.usd, Y.carrier.bottom_dim, Y.carrier.right_mats)
     bottoms = []
-    for top_hom, f1, induced in ((s2, cat1_matrices(x.eta)[0], Y.us1),
-                                 (t2, cat1_matrices(x.eta)[1], Y.ut1)):
+    c = xmod_to_cat1(x)
+    for top_hom, f1, induced in ((s2, c.s, Y.us1), (t2, c.t, Y.ut1)):
         f = _tensor_map(bim, Y, top_hom, f1)
         for flat in range(bim.dim):
             assert induced.apply(_bottom_class(Y, bim, {flat: 1})) == \
@@ -530,7 +534,7 @@ def test_top_x_from_generators_matches_all_pairs(xmods, name, D,
     rows gives."""
     x = xmods[name]
     assert_x_matches_all_pairs(
-        lm, lambda: lm_xmod_envelope(x, D), monkeypatch)
+        lm, lambda: lm_xmod_envelope(xmod_to_cat1(x), D), monkeypatch)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -539,7 +543,7 @@ def test_top_x_from_generators_matches_all_pairs_rebased(seed, tmp_path,
     paths = rebase.write_rebased(str(CORPUS), str(tmp_path), seed)
     x = io.load_path(paths["xmod-id-l2"])
     assert_x_matches_all_pairs(
-        lm, lambda: lm_xmod_envelope(x, 5), monkeypatch)
+        lm, lambda: lm_xmod_envelope(xmod_to_cat1(x), 5), monkeypatch)
 
 
 
@@ -722,7 +726,7 @@ def test_checker_flags_what_the_full_loops_flag(xmods, name, degree):
     xmod-incl-l2 is the corpus input whose Ker us1 ∩ F₂ leaves the
     sub-bimodule that Ker us1 ∩ F₁ generates; there the ut1 perturbation
     changes no identity, and the full loops do not flag it either."""
-    Y = lm_xmod_envelope(xmods[name], degree)
+    Y = lm_xmod_envelope(xmod_to_cat1(xmods[name]), degree)
     assert check_lm_assoc_xmod(Y) == [] == _full_loop_check(Y)
     bent = _perturbations(Y)
     for what, Z in bent.items():
@@ -754,7 +758,7 @@ def test_checker_matches_the_full_loops_beyond_the_corpus(rebased_xmods,
         x = rebased_xmods[a, b]
     else:
         x = hemisemidirect_xmod(a, b) if kind == "hsd" else sl2_ad_xmod(b)
-    Y = lm_xmod_envelope(x, degree)
+    Y = lm_xmod_envelope(xmod_to_cat1(x), degree)
     assert check_lm_assoc_xmod(Y) == [] == _full_loop_check(Y)
     for what, Z in _perturbations(Y).items():
         assert bool(check_lm_assoc_xmod(Z)) == bool(_full_loop_check(Z)), what
@@ -779,7 +783,7 @@ def test_kernels_are_generated_in_low_degree(xmods, name, degree):
         x = hemisemidirect_xmod(int(a), kind)
     else:
         x = xmods[name]
-    Y = lm_xmod_envelope(x, degree)
+    Y = lm_xmod_envelope(xmod_to_cat1(x), degree)
     top, bottom = Y.top, Y.bottom
     s_gens, b_gens = Y.kernel_generators()
     k_s = [top.from_coords(v) for v in s_gens]
@@ -870,11 +874,31 @@ def test_associated_xmod_identities(xmods, name):
     """check_associated_xmod, through the shared identity loop, reports
     nothing on the corpus at D4 and flags the embedding with every other
     column doubled (either parity) wherever the kernels are not zero."""
-    Y = lm_xmod_envelope(xmods[name], 4)
+    Y = lm_xmod_envelope(xmod_to_cat1(xmods[name]), 4)
     assert check_associated_xmod(AssociatedXMod(Y)) == []
     bent = _perturbations(Y)
     for what in ("emb", "emb'") if name != "xmod-zero-a1.json" else ():
         assert check_associated_xmod(AssociatedXMod(bent[what])), what
+
+
+@pytest.mark.parametrize("D", [4, 5])
+@pytest.mark.parametrize("name", CORPUS_XMODS)
+def test_ut2_is_multiplicative(xmods, name, D):
+    """Why check_lm_assoc_xmod's t2_hom cannot fail: ut2, an induced_map,
+    is multiplicative on every pair of top class words with degree sum at
+    most the report degree."""
+    Y = lm_xmod_envelope(xmod_to_cat1(xmods[name]), D)
+    d, top = Y.report_degree, Y.top
+
+    def ut2(v):
+        return Y.ug.from_coords(Y.ut2.apply(top.to_coords(v)))
+
+    words = [{w: 1} for w in top.class_words if len(w) <= d]
+    pairs = [(u, v) for u in words for v in words
+             if top.fdeg(u) + top.fdeg(v) <= d]
+    assert len(pairs) > len(words)
+    for u, v in pairs:
+        assert ut2(top.mult(u, v, d)) == Y.ug.mult(ut2(u), ut2(v), d)
 
 
 ORACLE_CASES = [(name, 4) for name in CORPUS_XMODS] + \
@@ -915,7 +939,7 @@ def test_xi_matches_two_step_products(xmods, case, D):
     on every target-bottom row y and every filtration row s of Ker us2
     (k_s and the rows above it) with degree sum at most the report
     degree."""
-    Y = lm_xmod_envelope(case_xmod(xmods, case), D)
+    Y = lm_xmod_envelope(xmod_to_cat1(case_xmod(xmods, case)), D)
     d = Y.report_degree
     s_rows = [(ds, Y.top.from_coords(v)) for ds, v in s_ker_filtration(Y, d)]
     checked = 0
@@ -945,7 +969,7 @@ def test_pair_algebra_matches_pair_product(xmods, case, D):
     U's plus that of U ⊗ V, and its product of any two class words with
     fdeg sum <= D is the pair product (a, r)(a', r') = (alpha(a)a' + ar' +
     ra', rr') of the test-side U ⊗ V."""
-    Y = lm_xmod_envelope(case_xmod(xmods, case), D)
+    Y = lm_xmod_envelope(xmod_to_cat1(case_xmod(xmods, case)), D)
     for L, U, P in ((Y.dst, Y.ug, Y.target),
                     (Y.carrier, Y.usd, pair_algebra(Y.carrier, Y.usd))):
         assert P.ideal.stabilized
@@ -1021,7 +1045,7 @@ def test_theta_matches_word_enumeration(xmods, case, D, monkeypatch):
     calls = _record_induced_maps(monkeypatch)
     rec = theta_check(x, D)
     assert rec["relations_killed"] and rec["verdict"] == "pass"
-    Y = lm_xmod_envelope(x, D)
+    Y = lm_xmod_envelope(xmod_to_cat1(x), D)
     (usd1, P, _, theta), (ul_p, P_g, _, theta_p) = calls
     for quot, L, U, alg, f in ((usd1, Y.carrier, Y.usd, P, theta),
                                (ul_p, Y.dst, Y.ug, P_g, theta_p)):

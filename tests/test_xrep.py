@@ -16,7 +16,7 @@ from leibnizx.xrep import (LeibnizXModRep, check_xmod_rep, check_xmodule,
 from leibnizx.xul import xul
 from leibnizx.leibniz import zero_rep, LeibnizRep
 
-from conftest import CORPUS
+from conftest import CORPUS, direct_sum
 
 
 def test_hom_coordinates_roundtrip():
@@ -105,6 +105,50 @@ def test_module_morphism_checker(load):
     assert check_xmodule_morphism(mod, mod, idn.scale(2), idm)
     # scaling both sides by the same unit is a morphism
     assert not check_xmodule_morphism(mod, mod, idn.scale(2), idm.scale(2))
+
+
+def _rep_sum(r):
+    """R ⊕ R for a crossed representation R, every map block-diagonal."""
+    def twice(f):
+        return direct_sum(f, f)
+
+    def rep(one):
+        return LeibnizRep(one.algebra, 2 * one.module_dim,
+                          tuple(map(twice, one.left_mats)),
+                          tuple(map(twice, one.right_mats)))
+
+    return LeibnizXModRep(r.xmod, twice(r.mu), rep(r.rep_n), rep(r.rep_m),
+                          tuple(map(twice, r.xi1)), tuple(map(twice, r.xi2)))
+
+
+def _summand(n, k):
+    """The projection K^n ⊕ K^n -> K^n onto summand k (0 or 1)."""
+    cols = [{i: 1} for i in range(n)]
+    return LinearMap.from_cols(n, [{}] * n + cols if k else cols + [{}] * n)
+
+
+@pytest.mark.parametrize("name", ["xrep-id-a1.json",
+                                  "xrep-zero-incl-l2.json", "xi-a1"])
+def test_thm5_sends_morphisms_to_module_morphisms(load, name):
+    """Theorem 5 on morphisms, at D3: the projection R ⊕ R -> R onto the
+    first summand is a morphism of crossed representations, and
+    rep_to_xmodule at both ends makes it a module morphism
+    (check_xmodule_morphism).  f_N perturbed by the second summand's
+    projection is flagged wherever a structure map sees N: mu on
+    xrep-id-a1, phi on _xi_rep.  On xrep-zero-incl-l2 mu, psi and phi all
+    vanish, so every pair of maps is a morphism there."""
+    r = _xi_rep(load("a1.json")) if name == "xi-a1" else load(name)
+    rr = _rep_sum(r)
+    assert check_xmod_rep(rr) == []
+    tx = xul(r.xmod, 3)
+    mod1, mod2 = rep_to_xmodule(rr, tx), rep_to_xmodule(r, tx)
+    f_n, f_m = _summand(r.n_dim, 0), _summand(r.m_dim, 0)
+    assert check_xmodule_morphism(mod1, mod2, f_n, f_m) == []
+    bent = f_n.add(_summand(r.n_dim, 1))
+    bad = check_xmodule_morphism(mod1, mod2, bent, f_m)
+    assert {tag for tag, _ in bad} == {"xrep-id-a1.json": {"mu_square"},
+                    "xrep-zero-incl-l2.json": set(),
+                    "xi-a1": {"phi"}}[name]
 
 
 def _xi_rep(a1):

@@ -7,18 +7,20 @@ import sys
 import pytest
 
 from leibnizx import io, lm, xul as xul_module
-from leibnizx.freealg import TruncQuotAlgebra, filtration_basis, induced_map
+from leibnizx.freealg import (TruncQuotAlgebra, filtration_basis, induced_map,
+                              letter_classes)
 from leibnizx.scalars import Q
 from leibnizx.envelope import ul, ul_images, ul_map
 from leibnizx.linalg import LinearMap, Subspace, zero_subspace
 from leibnizx.leibniz import semidirect, zero_action
 from leibnizx.xmod import (LeibnizXMod, check_xmod, check_xmod_morphism,
-                           identity_xmod, zero_xmod)
+                           identity_xmod, xmod_to_cat1, zero_xmod)
 from leibnizx.xul import (check_trunc_xmod, embedding_squares_check,
                           lemma41_check, prop42_check, xul)
 
 from conftest import (CORPUS, HSD_PARAMS, all_words,
-                      assert_x_matches_all_pairs, case_xmod, free_reclosure,
+                      assert_x_matches_all_pairs, case_xmod,
+                      direct_sum as _direct_sum, free_reclosure,
                       full_kernels, hemisemidirect, hemisemidirect_xmod,
                       record_kernel_quotient, span_rows, violated_rows)
 
@@ -66,32 +68,37 @@ def test_xul_inclusion_l2(xmods):
         assert set(out) <= set(range(tx.ul_p.dim))
 
 
+def _pair_on(P1, P2, L1, L2, f):
+    """P(f) between algebras whose letters are the module letters of the
+    Lie objects L1, L2 and then those of their tops (pair algebras, and
+    sq): f on the module letters and L(f) on the others."""
+    return induced_map(P1, P2, letter_classes(P2, f) + letter_classes(
+        P2, lm._liezed(f, L1, L2), L2.bottom_dim))
+
+
+_ROWS = {"source": ("top", "sq", "bottom", "carrier"),
+         "target": ("ug", "target", "target_bottom", "dst")}
+
+
+def _row_on(Y1, Y2, f, row):
+    """The maps that f induces on one row of two lm envelopes: f: q ⊕ p ->
+    q' ⊕ p' on the source row, f: p -> p' on the target row.  L(f) on the
+    tops, and :func:`_pair_on` on the row's pair-shaped algebra,
+    restricted to the bottoms."""
+    (U1, P1, B1, L1), (U2, P2, B2, L2) = (
+        [getattr(Y, a) for a in _ROWS[row]] for Y in (Y1, Y2))
+    top = induced_map(U1, U2, letter_classes(U2, lm._liezed(f, L1, L2)))
+    P = _pair_on(P1, P2, L1, L2, f)
+    return top, LinearMap.from_cols(B2.dim, [
+        B2.to_coords(P2.from_coords(P.col(P1.class_index[w])))
+        for w in B1.words])
+
+
 def _lm_on(Y1, Y2, f):
     """The maps that f: q ⊕ p -> q' ⊕ p' induces between two lm
     envelopes: L(f) on the tops, and on sq f on the module letters and L(f)
     on the top letters, restricted to the bottoms."""
-    Lf = lm._liezed(f, Y1.carrier, Y2.carrier)
-
-    def letters(alg, off):
-        return [alg.reduce({(off + j,): c for j, c in Lf.col(a).items()})
-                for a in range(Lf.cols)]
-
-    top = induced_map(Y1.top, Y2.top, letters(Y2.top, 0))
-    sq = induced_map(Y1.sq, Y2.sq, [
-        Y2.sq.reduce({(l,): c for l, c in f.col(k).items()})
-        for k in range(f.cols)] + letters(Y2.sq, Y2.carrier.bottom_dim))
-    bottom = LinearMap.from_cols(Y2.bottom.dim, [
-        Y2.bottom.to_coords(Y2.sq.from_coords(sq.col(Y1.sq.class_index[w])))
-        for w in Y1.bottom.words])
-    return top, bottom
-
-
-def _direct_sum(phi, psi):
-    """φ ⊕ ψ on q ⊕ p coordinates."""
-    nq = phi.rows
-    return LinearMap.from_cols(nq + psi.rows, [
-        phi.col(j) for j in range(phi.cols)] + [
-        {nq + i: c for i, c in psi.col(j).items()} for j in range(psi.cols)])
+    return _row_on(Y1, Y2, f, "source")
 
 
 def _on_ambients(t1, t2, f):
@@ -112,7 +119,7 @@ def test_xul_is_natural(xmods, D):
     = L(0 ⊕ id)."""
     x1, x2 = xmods["xmod-incl-l2.json"], xmods["xmod-id-l2.json"]
     t1, t2 = xul(x1, D), xul(x2, D)
-    Y1, Y2 = lm.lm_xmod_envelope(x1, D), lm.lm_xmod_envelope(x2, D)
+    Y1, Y2 = (lm.lm_xmod_envelope(t.cat1, D) for t in (t1, t2))
     psi = LinearMap.identity(x1.p.dim)
     u_psi = ul_map(t1.ul_p, t2.ul_p, psi)
 
@@ -197,6 +204,75 @@ def test_xul_is_natural_under_rebasing(load, seed, src, D):
     assert check_xmod_morphism(x, x2, zero, psi)
     F0 = _on_ambients(t1, t2, _direct_sum(zero, psi))
     assert t2.bar_t.compose(F0) != u_psi.compose(t1.bar_t)
+
+
+def _theta(tx, Y, row):
+    """θ on UL(q ⋊ p) ("source") or on UL(p) ("target"), into the pair
+    algebra of the carrier over U(L) or into the target, with the generator
+    images of ``lm.theta_check``; returns (θ, its codomain)."""
+    src, P, L = ((tx.ul_sd, lm.pair_algebra(Y.carrier, Y.usd), Y.carrier)
+                 if row == "source" else (tx.ul_p, Y.target, Y.dst))
+    return induced_map(src, P, lm._theta_images(P, L)), P
+
+
+NATURAL_CASES = [
+    pytest.param("incl", "xmod-incl-l2.json", "xmod-id-l2.json",
+                 id="incl-l2"),
+    pytest.param("incl", "sl2ad-inclusion", "sl2ad-identity",
+                 id="incl-sl2ad")] + [
+    pytest.param("incl", (a, "inclusion"), (a, "identity"),
+                 id="incl-hsd%d" % a) for a in HSD_PARAMS] + [
+    pytest.param("rebased", src, seed, id="rebased-%s-%d" % (src, seed))
+    for src in rebase.SOURCES for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("D", [3, 4])
+@pytest.mark.parametrize("kind, a, b", NATURAL_CASES)
+def test_lm_and_theta_are_natural(xmods, load, kind, a, b, D):
+    """lm and θ as functors on two kinds of crossed-module morphism
+    (φ, ψ): (η, id) from an inclusion crossed module to the identity one
+    (xmod-incl-l2 -> xmod-id-l2, and sl2 ⋉ ad and the hemisemidirect
+    products with their module ideals), and the rebasing isomorphisms
+    (Q⁻¹, P⁻¹) of test_xul_is_natural_under_rebasing.  In lm the maps
+    that φ ⊕ ψ induces on the source row commute with us2, ut2, emb, us1
+    and ut1 against the maps ψ induces on the target row.  θ′ ∘ UL(φ ⋊ ψ)
+    = P(φ ⋊ ψ) ∘ θ on UL(q ⋊ p), for P(f) the induced map between the two
+    pair algebras, and likewise with ψ on UL(p).  (0, ψ) is no
+    crossed-module morphism, and its t̄ and ut1 squares fail."""
+    if kind == "incl":
+        x1, x2 = case_xmod(xmods, a), case_xmod(xmods, b)
+        phi, psi = x1.eta, LinearMap.identity(x1.p.dim)
+    else:
+        x1 = identity_xmod(load(a + ".json"))
+        x2, (_, qm_inv), (_, pm_inv) = _rebased_identity_xmod(b, a)
+        phi, psi = _matrix(qm_inv), _matrix(pm_inv)
+    assert check_xmod_morphism(x1, x2, phi, psi) == []
+    t1, t2 = xul(x1, D), xul(x2, D)
+    Y1, Y2 = (lm.lm_xmod_envelope(t.cat1, D) for t in (t1, t2))
+    f = _direct_sum(phi, psi)
+
+    top, bottom = _row_on(Y1, Y2, f, "source")
+    ug, tb = _row_on(Y1, Y2, psi, "target")
+    assert Y2.us2.compose(top) == ug.compose(Y1.us2)
+    assert Y2.ut2.compose(top) == ug.compose(Y1.ut2)
+    assert top.compose(Y1.emb) == Y2.emb.compose(ug)
+    assert Y2.us1.compose(bottom) == tb.compose(Y1.us1)
+    assert Y2.ut1.compose(bottom) == tb.compose(Y1.ut1)
+
+    for row, g, ul1, ul2, L1, L2 in (
+            ("source", f, t1.ul_sd, t2.ul_sd, Y1.carrier, Y2.carrier),
+            ("target", psi, t1.ul_p, t2.ul_p, Y1.dst, Y2.dst)):
+        (th1, P1), (th2, P2) = _theta(t1, Y1, row), _theta(t2, Y2, row)
+        assert th2.compose(ul_map(ul1, ul2, g)) == \
+            _pair_on(P1, P2, L1, L2, g).compose(th1)
+
+    zero = LinearMap.zero(x2.q.dim, x1.q.dim)
+    assert check_xmod_morphism(x1, x2, zero, psi)
+    f0 = _direct_sum(zero, psi)
+    assert t2.bar_t.compose(_on_ambients(t1, t2, f0)) != \
+        ul_map(t1.ul_p, t2.ul_p, psi).compose(t1.bar_t)
+    assert Y2.ut1.compose(_row_on(Y1, Y2, f0, "source")[1]) != \
+        tb.compose(Y1.ut1)
 
 
 def test_lemma41_identity_a1(a1):
@@ -437,7 +513,8 @@ def test_degree_one_kernel_rows_match_full_kernels(xmods, source, arg,
     if pipeline == "xul":
         module, build = xul_module, lambda: xul(x, 3)
     else:
-        module, build = lm, lambda: lm.lm_xmod_envelope(x, 3)
+        module, build = lm, lambda: lm.lm_xmod_envelope(
+            xmod_to_cat1(x), 3)
     _, (env, target, s_imgs, t_imgs, kq) = record_kernel_quotient(
         module, build, monkeypatch)
     for rows, (_, ker) in zip((kq.s_rows, kq.t_rows),
