@@ -97,7 +97,7 @@ def _construction_failure(e):
 
 def cmd_ul(args):
     p = _load(args.path, ("leibniz_algebra",))
-    params = {"path": args.path, "degree": args.degree, "slack": args.slack}
+    params = {"path": args.path, "degree": args.degree}
     axioms = violations_record("leibniz_identity", p.check_leibniz())
     if axioms["verdict"] == "fail":
         return Report("ul", params, [axioms])
@@ -117,7 +117,7 @@ def cmd_ul(args):
 
 
 def _xul_params(args):
-    return {"path": args.path, "degree": args.degree, "slack": args.slack,
+    return {"path": args.path, "degree": args.degree,
             "report_degree": args.report_degree}
 
 
@@ -196,7 +196,7 @@ def _verify_table():
 
 def cmd_verify(args):
     params = {"what": args.what, "path": args.path, "degree": args.degree,
-              "slack": args.slack, "report_degree": args.report_degree}
+              "report_degree": args.report_degree}
     kind, check = _verify_table()[args.what]
     obj = _load(args.path, (kind,))
     try:
@@ -220,8 +220,8 @@ def build_parser():
     common.add_argument("--degree", type=int, default=3,
                         help="working truncation degree D (default 3)")
     common.add_argument("--slack", type=int, default=2,
-                        help="accepted and echoed in the report's params "
-                             "only (default 2)")
+                        help="accepted and ignored; must be at least 0 "
+                             "(default 2)")
     common.add_argument("--report-degree", type=int, default=None,
                         help="certified report degree d (default D-2)")
     common.add_argument("--format", choices=("text", "json"), default="text")

@@ -154,6 +154,11 @@ def check_trunc_xmod(tx):
 
     Returns a list of violations (empty = pass at degree d).
 
+    rho needs no hom check: it is ``bar_t``, an ``induced_map``
+    (:func:`freealg.word_fold`), restricted to B, and a product of ambient
+    classes is the class of the concatenated words, so rho(a·b) =
+    rho(a)·rho(b) when the degrees sum to <= d, where nothing is truncated.
+
     The letters suffice.  ``embed`` is an ``induced_map``, a ``word_fold``,
     so embed(r) = embed(r′)·embed(g) for a class word r = r′·g (a prefix
     of a normal word is normal), and the ambient is associative when its
@@ -205,7 +210,7 @@ def check_trunc_xmod(tx):
     return bad + identity_violations(
         B_rows, top, mult, lambda a, b: up.mult(a, b, d), rho,
         lambda r, b: mult(embed(r), b), lambda b, r: mult(b, embed(r)),
-        "rho_hom", d)
+        bound=d)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +264,8 @@ def lemma41_check(x, degree, report_degree=None):
 
     Both envelopes are UL of a Leibniz algebra, certified on every input
     (:func:`envelope.ul`), and then Ker UL(s) ∩ F_d does not depend on
-    D >= d + 2: the report's ``slack_stable`` and ``degree_stable`` are
-    the conjunction of the two envelopes' certificates.
+    D >= d + 2.  The two certificates are the record's ``certificates``,
+    named as :func:`xul` names them; ``stabilized`` repeats UL(q ⋊ p)'s.
 
     Returns a dict record with verdict "pass", "fail" or "inconclusive";
     raises XModAxiomError, as :func:`xul` does, on a non-crossed module.
@@ -269,7 +274,7 @@ def lemma41_check(x, degree, report_degree=None):
     d = report_degree_for(degree, report_degree)
     lhs, rhs, stab, p_stab = _lemma41_core(x, degree, d)
     equal = lhs == rhs
-    exact = stab and p_stab
+    certs = {"ul_semidirect_stabilized": stab, "ul_p_stabilized": p_stab}
     return {
         "name": "lemma41",
         "degree": d,
@@ -277,9 +282,8 @@ def lemma41_check(x, degree, report_degree=None):
         "rhs_dim": rhs.dim,
         "equal": equal,
         "stabilized": stab,
-        "slack_stable": exact,
-        "degree_stable": exact,
-        "verdict": combine_verdict(equal, (exact,)),
+        "verdict": combine_verdict(equal, certs.values()),
+        "certificates": certs,
     }
 
 

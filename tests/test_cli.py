@@ -303,15 +303,15 @@ def test_flag_sweep_exits_cleanly_and_slack_changes_only_params(capsys):
     """Every command on a1, l2 and xmod-id-a1 at degree 2–4, report degree
     -1..D and slack -1..3 ends in exit 0, 1 or 2, never an exception (the
     certificates hold, so never 3 either); a rejection writes only an
-    error line.  --slack is echoed in the report's params and changes
-    nothing else: the JSON reports at slack 0 and 3 differ only there."""
+    error line.  --slack is accepted and ignored: slack -1 exits 2, and
+    slack 0..3 give byte-identical stdout and the same exit code."""
     for stem, commands in SWEEP_COMMANDS.items():
         for cmd in commands:
             for D in (2, 3, 4):
                 for rd in range(-1, D + 1):
-                    runs = {}
+                    runs = set()
                     for slack in range(-1, 4):
-                        runs[slack] = rc, out, err = run(
+                        rc, out, err = run(
                             capsys, *cmd, corpus_path(stem + ".json"),
                             "--degree", str(D), "--report-degree", str(rd),
                             "--slack", str(slack), "--format", "json")
@@ -320,14 +320,11 @@ def test_flag_sweep_exits_cleanly_and_slack_changes_only_params(capsys):
                         if rc == 2:
                             assert out == "" and err.startswith("error: "), \
                                 where
-                    (rc0, out0, _), (rc3, out3, _) = runs[0], runs[3]
-                    assert rc0 == rc3, (stem, cmd, D, rd)
-                    if rc0 != 2:
-                        doc0, doc3 = json.loads(out0), json.loads(out3)
-                        if "slack" in doc0["params"]:
-                            assert (doc0["params"].pop("slack"),
-                                    doc3["params"].pop("slack")) == (0, 3)
-                        assert doc0 == doc3, (stem, cmd, D, rd)
+                        if slack < 0:
+                            assert rc == 2, where
+                        else:
+                            runs.add((rc, out))
+                    assert len(runs) == 1, (stem, cmd, D, rd)
 
 
 HALF = {"kind": "leibniz_algebra", "name": "half", "basis": ["x", "y"],

@@ -107,18 +107,20 @@ def test_module_morphism_checker(load):
     assert not check_xmodule_morphism(mod, mod, idn.scale(2), idm.scale(2))
 
 
-def _rep_sum(r):
-    """R ⊕ R for a crossed representation R, every map block-diagonal."""
-    def twice(f):
-        return direct_sum(f, f)
+def _rep_sum(r, s):
+    """R ⊕ S for crossed representations over one crossed module, every
+    map block-diagonal."""
+    def rep(one, two):
+        return LeibnizRep(one.algebra, one.module_dim + two.module_dim,
+                          tuple(map(direct_sum, one.left_mats,
+                                    two.left_mats)),
+                          tuple(map(direct_sum, one.right_mats,
+                                    two.right_mats)))
 
-    def rep(one):
-        return LeibnizRep(one.algebra, 2 * one.module_dim,
-                          tuple(map(twice, one.left_mats)),
-                          tuple(map(twice, one.right_mats)))
-
-    return LeibnizXModRep(r.xmod, twice(r.mu), rep(r.rep_n), rep(r.rep_m),
-                          tuple(map(twice, r.xi1)), tuple(map(twice, r.xi2)))
+    return LeibnizXModRep(r.xmod, direct_sum(r.mu, s.mu),
+                          rep(r.rep_n, s.rep_n), rep(r.rep_m, s.rep_m),
+                          tuple(map(direct_sum, r.xi1, s.xi1)),
+                          tuple(map(direct_sum, r.xi2, s.xi2)))
 
 
 def _summand(n, k):
@@ -138,7 +140,7 @@ def test_thm5_sends_morphisms_to_module_morphisms(load, name):
     xrep-id-a1, phi on _xi_rep.  On xrep-zero-incl-l2 mu, psi and phi all
     vanish, so every pair of maps is a morphism there."""
     r = _xi_rep(load("a1.json")) if name == "xi-a1" else load(name)
-    rr = _rep_sum(r)
+    rr = _rep_sum(r, r)
     assert check_xmod_rep(rr) == []
     tx = xul(r.xmod, 3)
     mod1, mod2 = rep_to_xmodule(rr, tx), rep_to_xmodule(r, tx)
@@ -149,6 +151,32 @@ def test_thm5_sends_morphisms_to_module_morphisms(load, name):
     assert {tag for tag, _ in bad} == {"xrep-id-a1.json": {"mu_square"},
                     "xrep-zero-incl-l2.json": set(),
                     "xi-a1": {"phi"}}[name]
+
+
+def _right_rep(a1):
+    """R_right: N = M = K over (A1, A1, id) with mu = id, the right action
+    of a equal to 1 on N and on M, xi2 = 1 and everything else zero."""
+    one, zero = LinearMap.identity(1), LinearMap.zero(1, 1)
+    right = LeibnizRep(a1, 1, (zero,), (one,))
+    return LeibnizXModRep(identity_xmod(a1), one, right, right, (zero,),
+                          (one,))
+
+
+def test_module_morphisms_see_the_p_actions(load):
+    """check_xmodule_morphism's psi_n and psi_m checks, at D3: the
+    projection of R_right ⊕ xrep-id-a1 onto R_right is a module morphism;
+    the sum of the two summand projections on N and on M commutes with mu
+    but not with the p-actions, nor with phi."""
+    r = _right_rep(load("a1.json"))
+    src = _rep_sum(r, load("xrep-id-a1.json"))
+    assert check_xmod_rep(r) == [] == check_xmod_rep(src)
+    tx = xul(r.xmod, 3)
+    mod1, mod2 = rep_to_xmodule(src, tx), rep_to_xmodule(r, tx)
+    first = _summand(1, 0)
+    assert check_xmodule_morphism(mod1, mod2, first, first) == []
+    both = first.add(_summand(1, 1))
+    bad = check_xmodule_morphism(mod1, mod2, both, both)
+    assert {tag for tag, _ in bad} == {"psi_n", "psi_m", "phi"}
 
 
 def _xi_rep(a1):

@@ -279,7 +279,7 @@ def test_lemma41_identity_a1(a1):
     rec = lemma41_check(identity_xmod(a1), 3)
     assert rec["verdict"] == "pass"
     assert rec["lhs_dim"] == rec["rhs_dim"] == 2
-    assert rec["stabilized"] and rec["slack_stable"] and rec["degree_stable"]
+    assert rec["stabilized"] and all(rec["certificates"].values())
 
 
 @pytest.mark.parametrize("name", ["xmod-zero-a1.json", "xmod-id-a1.json",
@@ -300,7 +300,8 @@ def test_lemma41_needs_no_rerun(xmods, name, D):
     rec = lemma41_check(x, D)
     assert (rec["lhs_dim"], rec["rhs_dim"], rec["equal"]) == \
         (lhs.dim, rhs.dim, lhs == rhs)
-    assert rec["slack_stable"] is rec["degree_stable"] is True
+    assert rec["certificates"] == {"ul_semidirect_stabilized": True,
+                                   "ul_p_stabilized": True}
 
 
 def test_lemma41_reads_both_envelope_certificates(a1, monkeypatch):
@@ -316,7 +317,8 @@ def test_lemma41_reads_both_envelope_certificates(a1, monkeypatch):
     monkeypatch.setattr(xul_module, "ul", unstable_p)
     rec = lemma41_check(identity_xmod(a1), 3)
     assert rec["equal"] and rec["stabilized"]
-    assert not rec["slack_stable"] and not rec["degree_stable"]
+    assert rec["certificates"] == {"ul_semidirect_stabilized": True,
+                                   "ul_p_stabilized": False}
     assert rec["verdict"] == "inconclusive"
 
 
@@ -631,6 +633,29 @@ def test_checker_flags_what_the_full_loops_flag(xmods, case, D):
     for what, bent in _perturbations(tx).items():
         assert bool(check_trunc_xmod(bent)) == bool(_full_loop_check(bent)), \
             what
+
+
+@pytest.mark.parametrize("D", [4, 5])
+@pytest.mark.parametrize(
+    "case", list(XMOD_NAMES) + [(a, kind) for a in HSD_PARAMS
+                                for kind in ("identity", "inclusion")],
+    ids=lambda v: "hsd%d-%s" % v if isinstance(v, tuple) else str(v))
+def test_rho_is_multiplicative(xmods, case, D):
+    """Why check_trunc_xmod needs no hom check on rho: rho, bar_t (an
+    induced_map) restricted to B, is multiplicative on every pair of B
+    filtration rows with degree sum at most the report degree.  B's rows
+    have fdeg >= 1, so at D3 (d = 1) there is no such pair."""
+    tx = xul(case_xmod(xmods, case), D)
+    d, bar, up = tx.report_degree, tx.ambient, tx.ul_p
+
+    def rho(v):
+        return up.from_coords(tx.rho.apply(tx.B.coords(bar.to_coords(v))))
+
+    rows = tx.b_filtration(d)
+    pairs = [(a, b) for da, a in rows for db, b in rows if da + db <= d]
+    assert pairs or case == "xmod-zero-a1.json"
+    for a, b in pairs:
+        assert rho(bar.mult(a, b, d)) == up.mult(rho(a), rho(b), d)
 
 
 def _word_enumeration_span(usd, nq, d):
