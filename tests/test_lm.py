@@ -459,15 +459,20 @@ def _assert_y_ideal_matches_all_pairs(x, degree, monkeypatch):
     return Y
 
 
-Y_CASES = [(name, degree)
+# slack is the retired --slack value each case once ran at; the ids keep
+# it, and it changes nothing now, so the slack-1 cases repeat slack-0 ones
+Y_CASES = [(name, degree, slack)
+           for slack, top in ((0, 7), (1, 5))
            for name in ("xmod-zero-a1.json", "xmod-id-a1.json",
                         "xmod-id-l2.json", "xmod-id-r2.json",
                         "xmod-incl-l2.json")
-           for degree in range(2, (5 if name == "xmod-id-r2.json" else 7) + 1)]
+           for degree in range(2, (5 if name == "xmod-id-r2.json" else top)
+                               + 1)]
 
 
-@pytest.mark.parametrize("name,degree", Y_CASES)
-def test_y_ideal_matches_all_pairs_seed(xmods, name, degree, monkeypatch):
+@pytest.mark.parametrize("name,degree,slack", Y_CASES)
+def test_y_ideal_matches_all_pairs_seed(xmods, name, degree, slack,
+                                        monkeypatch):
     """Y' completed from its seeds, the products of the bottom kernels'
     generators with the degree-one rows of the top kernels, is the ideal
     that every product of kernel filtration rows generates."""
