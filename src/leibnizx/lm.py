@@ -33,9 +33,8 @@ from .linalg import LinearMap, lincomb, vec_add_scaled
 from .freealg import (HomomorphismError, TruncQuotAlgebra, induced_map,
                       letter_classes, presented)
 from .leibniz import LeibnizAlgebra, basis_vec, liezation
-from .xmod import identity_violations
-from .xul import (combine_verdict, kernel_product_quotient, report_degree_for,
-                  xul)
+from .xul import (_on_first, combine_verdict, kernel_product_quotient,
+                  kernel_xmod_violations, report_degree_for, xul)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +216,6 @@ def pair_algebra(L, U):
 
 # ---------------------------------------------------------------------------
 # enveloping crossed module in the category
-
-
-def _on_first(f, n):
-    """f on its first n source coordinates: on F_k of a length-first
-    basis for n = dim_upto(k)."""
-    return LinearMap.from_cols(f.rows, [f.col(j) for j in range(n)])
 
 
 class TensorBimodule:
@@ -535,58 +528,38 @@ def check_lm_assoc_xmod(Y):
     U(g), the target, the top and sq are presented algebras, associative
     when their rows resolve (the certificates); the target's
     connecting map is a bimodule map (:func:`pair_algebra`).  emb, us2 and
-    ut2 are ``induced_map``s, so algebra maps, and ut2∘emb = id, as t2 is
-    the identity on g's letters; us1, ut1 and the connecting map are
-    bimodule maps over us2, ut2 and the top, as they are defined on the
-    words x·v and kill Y' (:func:`lm_xmod_envelope`).  So Ker us2 is an
-    ideal of the top and Ker us1 a sub-bimodule of the bottom.  Their
-    generators k_s = Ker us2 ∩ F_1 and K_2 = Ker us1 ∩ F_2 are computed
-    from the envelope's own maps (:meth:`LMAssocXMod.kernel_generators`).
+    ut2 are ``induced_map``s, so algebra maps; us1, ut1 and the connecting
+    map are bimodule maps over us2, ut2 and the top, as they are defined
+    on the words x·v and kill Y' (:func:`lm_xmod_envelope`).  So Ker us2
+    is an ideal of the top and Ker us1 a sub-bimodule of the bottom.
+    Their generators k_s = Ker us2 ∩ F_1 and K_2 = Ker us1 ∩ F_2 are
+    computed from the envelope's own maps, once per check
+    (:meth:`LMAssocXMod.kernel_generators`).
 
-    Two spanning statements carry the reductions; all degrees are at most
-    d.  (S) Ker us2 ∩ F_k is spanned by the a·u and by the u·a for a in
-    k_s and |u| <= k - 1 (the argument of :func:`freealg.subspace_product`
-    with x·a = a·x + [x,a], as k_s is a Lie ideal).  (B) Ker us1 ∩ F_k is
-    spanned by the x·b and by the b·x for b in K_2 and |x| + fdeg b <= k.
-    Proof of (B): π(y ⊗ v) = y·v is a map of left top-modules from top ⊗
-    V onto the bottom with kernel Y', and us1∘π = us2 ⊗ s1, as us1 is
-    us2 ⊗ s1 on the words x·v and us2 ⊗ s1 kills Y'.  The bottom's class
-    words x·v have top class words x, so π maps F_{k-1} ⊗ V onto F_k, and
-    Ker us1 ∩ F_k = π(K) for K the kernel of us2 ⊗ s1 on F_{k-1} ⊗ V.
-    The kernel of f ⊗ g on W ⊗ V is Ker(f on W) ⊗ V + W ⊗ Ker g, so K is
-    spanned by the u·a ⊗ v (by (S)) and the x ⊗ n for n in N = Ker s1,
-    and π(K) by the u·π(a ⊗ v) and x·π(1 ⊗ n), whose factors lie in K_2.
-    For the right products, a top letter l and a b = y·v give l·b - b·l =
-    π([l,y] ⊗ v - y ⊗ [v,l]), in Ker us1 ∩ F_{fdeg b}, so x·b - b·x lies
-    in Ker us1 ∩ F_{k-1} for |x| + fdeg b <= k, and by induction on k the
-    b·x span Ker us1 ∩ F_k too.
+    The top row (Ker us2, U(g), ut2), U(g) acting through emb, is checked
+    on k_s by :func:`xul.kernel_xmod_violations`, whose docstring has the
+    proofs and (S): Ker us2 ∩ F_k is spanned by the a·u and by the u·a for
+    a in k_s and |u| <= k - 1.  All degrees are at most d.
 
-    - The U(g) side runs over the unit and the letters.  A class word r
-      with |r| >= 1 is r'·g for its prefix r', a class word, and a letter
-      g, and emb(r) = emb(r')·emb(g) (:func:`freealg.word_fold`).  So
-      us2(emb(r)) = r (s2_section) holds for every r once it holds for the
-      unit and the letters.  For s in Ker us2 ∩ F_{d-|r|}, by induction on
-      |r|: emb(r)·s = emb(r')·(emb(g)·s) with emb(g)·s in Ker us2, so
-      ut2(emb(r)·s) = r'·ut2(emb(g)·s) = r'·g·ut2(s); and s·emb(r) =
-      (s·emb(r'))·emb(g) with s·emb(r') in Ker us2 ∩ F_{d-1}, so
-      ut2(s·emb(r)) = ut2(s)·r'·g.  The same induction over Ker us1 gives
-      t1_equivariance.
-    - The top row is the crossed module (Ker us2, U(g), ut2) with U(g)
-      acting through emb, checked by :func:`xmod.identity_violations`
-      (peiffer_left and peiffer_right; equivariance_left and
-      equivariance_right), with no hom check: ut2, an ``induced_map``,
-      sends a class word to the U(g) product of its letters' images
-      (:func:`freealg.word_fold`) and kills the top's ideal (the rows are
-      checked, and U(g) is associative by its certificate), and a product
-      of top classes is the class of the concatenated words, so ut2(a·b)
-      = ut2(a)·ut2(b) when the degrees sum to <= d.  Its equivariance
-      runs s over k_s, as
-      ut2(emb(g)·a·u) = ut2(emb(g)·a)·ut2(u) = g·ut2(a·u) and
-      ut2(u·a·emb(g)) = ut2(u)·ut2(a)·g = ut2(u·a)·g, and (S) gives every
-      s in Ker us2 ∩ F_{d-1}.
-    - t1_equivariance runs b over K_2.  ut1 is a bimodule map over ut2, so
-      ut1(emb(g)·b·x) = g·ut1(b)·ut2(x) = g·ut1(b·x) and ut1(x·b·emb(g)) =
-      ut2(x)·ut1(b)·g = ut1(x·b)·g, and (B) gives every b.
+    (B) Ker us1 ∩ F_k is spanned by the x·b and by the b·x for b in K_2
+    and |x| + fdeg b <= k.  Proof: π(y ⊗ v) = y·v is a map of left
+    top-modules from top ⊗ V onto the bottom with kernel Y', and us1∘π =
+    us2 ⊗ s1, as us1 is us2 ⊗ s1 on the words x·v and us2 ⊗ s1 kills Y'.
+    The bottom's class words x·v have top class words x, so π maps
+    F_{k-1} ⊗ V onto F_k, and Ker us1 ∩ F_k = π(K) for K the kernel of
+    us2 ⊗ s1 on F_{k-1} ⊗ V.  The kernel of f ⊗ g on W ⊗ V is Ker(f on
+    W) ⊗ V + W ⊗ Ker g, so K is spanned by the u·a ⊗ v (by (S)) and the
+    x ⊗ n for n in N = Ker s1, and π(K) by the u·π(a ⊗ v) and x·π(1 ⊗
+    n), whose factors lie in K_2.  For the right products, a top letter l
+    and a b = y·v give l·b - b·l = π([l,y] ⊗ v - y ⊗ [v,l]), in Ker us1
+    ∩ F_{fdeg b}, so x·b - b·x lies in Ker us1 ∩ F_{k-1} for |x| + fdeg b
+    <= k, and by induction on k the b·x span Ker us1 ∩ F_k too.
+
+    - t1_equivariance runs U(g) over its unit and letters, by the
+      induction on |r| of ``kernel_xmod_violations`` over Ker us1, and b
+      over K_2.  ut1 is a bimodule map over ut2, so ut1(emb(g)·b·x) =
+      g·ut1(b)·ut2(x) = g·ut1(b·x) and ut1(x·b·emb(g)) = ut2(x)·ut1(b)·g
+      = ut1(x·b)·g, and (B) gives every b.
     - xi1(y, s) = σ(y)·s and xi2(s, y) = s·σ(y), products in sq, for σ
       the s-section (:meth:`LMAssocXMod.section`), σ(x ⊗ m) the class of
       emb(x)·(0,m); σ(r·y) = emb(r)·σ(y) and σ(y·r) = σ(y)·emb(r), as
@@ -607,31 +580,19 @@ def check_lm_assoc_xmod(Y):
       image are those of xi1(y, a) times us2(u), ut2(u) and u on the
       right; for s = u·a, xi2(u·a, y) = u·xi2(a, y), the same on the
       left.  (S) gives every s in Ker us2 ∩ F_{d-1}.
-    - The top row's Peiffer identities run both factors over k_s.  Each
-      side of s·s2 = emb(ut2(s))·s2 is right top-linear in s2, and of
-      s·s2 = s·emb(ut2(s2)) left top-linear in s, so by (S) the checks
-      give (a - emb(ut2(a)))·s2 = 0 and s·(a - emb(ut2(a))) = 0 for a in
-      k_s and s, s2 in Ker us2.  The top is generated by its letters, and
-      F_1 of the top is the unit, emb(g) and k_s, as us2∘emb = id; x -
-      emb(ut2(x)) is 0 on the unit and on emb(g) (ut2∘emb = id).  For x =
-      l·x' with l in F_1, x - emb(ut2(x)) = (l - emb(ut2(l)))·x' +
-      emb(ut2(l))·(x' - emb(ut2(x'))), and x'·s2 is in Ker us2; so by
-      induction on |x|, (x - emb(ut2(x)))·s2 = 0 for every x, and s·(x -
-      emb(ut2(x))) = 0 from x = x'·l: both Peiffer identities on every
-      pair.
     - peiffer_xi runs b over K_2 and s over k_s: xi1(ut1(b), s) = b·s and
       xi2(s, ut1(b)) = s·b read b·a = σ(ut1(b))·a and a·b = a·σ(ut1(b)) for
       b in K_2 and a in k_s, so by (S), with s = a·u and s = u·a, b·s =
       σ(ut1(b))·s and s·b = s·σ(ut1(b)) for every s in Ker us2.  For b·x:
       xi1(ut1(b·x), s) = σ(ut1(b)·ut2(x))·s = σ(ut1(b))·emb(ut2(x))·s,
-      and (b·x)·s = b·(x·s) = σ(ut1(b))·x·s, equal by the top identity
-      (x - emb(ut2(x)))·s = 0 above.  For x·b: s·(x·b) = (s·x)·b =
+      and (b·x)·s = b·(x·s) = σ(ut1(b))·x·s, equal by the top row's
+      identity (x - emb(ut2(x)))·s = 0 (the Peiffer bullet of
+      ``kernel_xmod_violations``).  For x·b: s·(x·b) = (s·x)·b =
       s·x·σ(ut1(b)) and xi2(s, ut1(x·b)) = s·emb(ut2(x))·σ(ut1(b)), equal
       by s·(x - emb(ut2(x))) = 0.  (B) gives every b.
     """
     d = Y.report_degree
     Ug, top, tb, bottom = Y.ug, Y.top, Y.target_bottom, Y.bottom
-    bad = []
 
     def ut2(s):
         return Ug.from_coords(Y.ut2.apply(top.to_coords(s)))
@@ -643,21 +604,13 @@ def check_lm_assoc_xmod(Y):
     k_s = [(top.fdeg(s), s) for s in map(top.from_coords, s_gens)]
     b_rows = [(max(len(bottom.words[i]) for i in v), v) for v in b_gens]
 
-    # cat-style splittings of the two s-maps
-    for dr, r in r_gens:
-        rc = Ug.to_coords(r)
-        if Y.us2.apply(Y.emb.apply(rc)) != rc:
-            bad.append(("s2_section", dr))
+    # top row: an associative crossed module with boundary ut2
+    bad = kernel_xmod_violations(top, Ug, Y.us2, Y.ut2, Y.emb, k_s, ut2, d)
+
+    # the s-section of the bottom row
     for da, a in a_rows:
         if Y.us1.apply(Y.section(a)) != a:
             bad.append(("s1_section", da))
-
-    # top row: an associative crossed module with boundary ut2
-    bad += identity_violations(
-        k_s, r_gens, lambda a, b: top.mult(a, b, d),
-        lambda a, b: Ug.mult(a, b, d), ut2,
-        lambda r, s: top.mult(Y.r_on_top(r), s, d),
-        lambda s, r: top.mult(s, Y.r_on_top(r), d), bound=d)
 
     # bottom row: omega1 is an R-bimodule map into the A-carrier
     for db, b in b_rows:
@@ -751,6 +704,12 @@ def theta_check(x, degree, report_degree=None):
     linear, not multiplicative: sq has alpha = 0.  theta sends the unit to
     P's unit by construction (:func:`freealg.word_fold` starts its memo
     there), so that is not checked.
+
+    The quotient ideal is Ker pi, for pi the projection of UL(q ⋊ p) onto
+    U/X, which fixes U/X's class words, class words of UL(q ⋊ p) too: Ker
+    pi = (1 - iota∘pi)(UL(q ⋊ p)) for iota their inclusion.  So
+    theta_bar, theta followed by sq's class, kills it exactly when
+    theta_bar = theta_bar∘iota∘pi (``ideal_mapped``).
     """
     d = report_degree_for(degree, report_degree)
     tx = xul(x, degree, report_degree=d)
@@ -791,23 +750,21 @@ def theta_check(x, degree, report_degree=None):
 
     # the quotient ideal lands in its categorical counterpart
     theta_bar = projection(P, sq).compose(theta)
-    x_maps_ok = not any(theta_bar.apply(r)
-                        for r in projection(usd1, bar).kernel().rows)
+    on_bar = LinearMap.from_cols(sq.dim, [
+        theta_bar.col(usd1.class_index[w]) for w in bar.class_words])
+    x_maps_ok = on_bar.compose(projection(usd1, bar)) == theta_bar
 
     # induced comparison on the quotients: filtration dims and rank,
     # and compatibility with the induced cat¹ maps
     quot_dims_ok = all(bar.dim_upto(k) == sq.dim_upto(k)
                        for k in range(d + 1))
-    lm_s, lm_t = (Y.pair_map(f1, f2).compose(theta_bar)
-                  for f1, f2 in ((Y.us1, Y.us2), (Y.ut1, Y.ut2)))
-    qcols, morphism_ok = [], True
-    for i, w in enumerate(bar.class_words[:bar.dim_upto(d)]):
-        j = usd1.class_index[w]
-        qcols.append(theta_bar.col(j))
-        if lm_s.col(j) != theta_p.apply(tx.bar_s.col(i)) or \
-                lm_t.col(j) != theta_p.apply(tx.bar_t.col(i)):
-            morphism_ok = False
-    quot_rank_ok = LinearMap.from_cols(sq.dim, qcols).rank() == len(qcols)
+    m = bar.dim_upto(d)
+    on_bar_d = _on_first(on_bar, m)
+    quot_rank_ok = on_bar_d.rank() == m
+    morphism_ok = all(
+        Y.pair_map(f1, f2).compose(on_bar_d) ==
+        theta_p.compose(_on_first(g, m))
+        for f1, f2, g in ((Y.us1, Y.us2, tx.bar_s), (Y.ut1, Y.ut2, tx.bar_t)))
 
     ok = (pre_dims_ok and pre_rank_ok and x_maps_ok and quot_dims_ok and
           quot_rank_ok and morphism_ok)

@@ -342,7 +342,7 @@ def check_xmodule(mod):
     two bimodule equations against the embedded letters of UL(p).
 
     The letters suffice, by the induction of
-    :func:`xul.check_trunc_xmod`: for a class word r = r′·g, embed(r)·b =
+    :func:`xul.kernel_xmod_violations`: for a class word r = r′·g, embed(r)·b =
     embed(r′)·(embed(g)·b) and b·embed(r) = (b·embed(r′))·embed(g), and
     ``ULModule.class_mat`` folds the generator matrices, so psi(r) =
     psi(g)∘psi(r′).  Then phi(embed(r)·b) = phi(embed(g)·b)∘psi_m(r′) =

@@ -3,8 +3,8 @@
 Pipeline: cat¹ algebra (q ⋊ p, s, t) of x (``xmod.xmod_to_cat1``) ->
 truncated envelopes -> induced maps for s, t -> kernel-product ideal X =
 Ker(s)Ker(t) + Ker(t)Ker(s) -> quotient -> (Ker s̄, UL(p), t̄ restricted).  The
-kernel-product step is :func:`kernel_product_quotient`, which the
-categorical envelope in ``lm`` runs for its top row as well.
+kernel-product step is :func:`kernel_product_quotient` and its check
+:func:`kernel_xmod_violations`; ``lm`` runs both for its top row.
 
 Everything is degree-truncated, so every verdict carries a report degree
 d <= D - 2 and stabilization certificates.
@@ -146,71 +146,113 @@ def xul(x, degree, report_degree=None):
                           kq.embed, B, rho, report_degree, certs)
 
 
-def check_trunc_xmod(tx):
-    """CAs1, CAs2, B closed under the UL(p) action, and the crossed-module
-    identities (:func:`xmod.identity_violations`, boundary rho) on
-    filtration rows with degree sums at most the report degree d, UL(p)
-    running over its unit and letters.
+def _on_first(f, n):
+    """f on its first n source coordinates: on F_k of a length-first
+    basis for n = dim_upto(k)."""
+    return LinearMap.from_cols(f.rows, [f.col(j) for j in range(n)])
 
+
+def kernel_xmod_violations(quot, target, bar_s, bar_t, embed, a_rows,
+                           boundary, d):
+    """The crossed module (Ker s̄, target, t̄|) of a kernel-product
+    quotient (:func:`kernel_product_quotient`), the target acting through
+    embed, at the report degree d, on generators: CAs1 (s̄ and t̄ split
+    embed), CAs2 on A × A′, the action, and the crossed-module identities
+    (:func:`xmod.identity_violations`) with the target on its unit and
+    letters.  a_rows are the (fdeg, class vector) rows of A = Ker s̄ ∩ F_1;
+    A′ = Ker t̄ ∩ F_1 is t̄'s kernel on F_1.  ``boundary`` is t̄ on Ker s̄,
+    None outside its domain: rho for UL(q ⋊ p)/X (:func:`check_trunc_xmod`)
+    and ut2 for lm's top row U(L)/X′ (``lm.check_lm_assoc_xmod``).
     Returns a list of violations (empty = pass at degree d).
 
-    rho needs no hom check: it is ``bar_t``, an ``induced_map``
-    (:func:`freealg.word_fold`), restricted to B, and a product of ambient
-    classes is the class of the concatenated words, so rho(a·b) =
-    rho(a)·rho(b) when the degrees sum to <= d, where nothing is truncated.
+    The quotient is a presented algebra, associative when its rows resolve
+    (the certificate), and s̄, t̄ and embed are ``induced_map``s: each
+    sends a class word to the product of its letters' images
+    (:func:`freealg.word_fold`).  A product of classes is the class of the
+    concatenated words, so the boundary is multiplicative when the degrees
+    sum to <= d, where nothing is truncated, and gets no hom check.
 
-    The letters suffice.  ``embed`` is an ``induced_map``, a ``word_fold``,
-    so embed(r) = embed(r′)·embed(g) for a class word r = r′·g (a prefix
-    of a normal word is normal), and the ambient is associative when its
-    rows resolve (Bergman's diamond lemma, Adv. Math. 29, 1978).  So
-    embed(r)·b = embed(r′)·(embed(g)·b) and b·embed(r) =
-    (b·embed(r′))·embed(g).  Induction on |r| then carries each check from
-    the letters to r: embed(g)·b and b·embed(r′) lie in B (checked for the
-    letters, and for r′ by induction) at fdeg at most fdeg(b) + 1 and
-    fdeg(b) + |r′|, where the filtration rows of B span them, so
-    rho(embed(r)·b) = r′·rho(embed(g)·b) = r′·g·rho(b) = r·rho(b), and
-    rho(b·embed(r)) = rho(b·embed(r′))·g = rho(b)·r′·g likewise.
+    (S) Ker s̄ ∩ F_k is spanned by the a·u and by the u·a for a in A and
+    |u| <= k - 1, and Ker t̄ ∩ F_k likewise with A′.  By the argument of
+    :func:`freealg.subspace_product` it is spanned by the u·a·v with |u| +
+    1 + |v| <= k, and for a letter z, z·a lies in A·E_1 + A and a·z in
+    E_1·A + A, E_1 the letters: by the relations listed there, read
+    either way (with u_l z_l = -u_r z_l), as Ker s ∩ (q ⋊ p) = q is a
+    two-sided ideal, and for U(L) as k_s is a Lie ideal.  Both hold in the
+    quotient, whose F_k is the image of the envelope's, and Ker s̄ is the
+    image of Ker s.
 
-    A product that leaves B is reported as ``action_not_in_B``; rho is
-    not defined on it, so the identity that needs it fails too.
+    - CAs2 runs over A × A′.  By (S) for both kernels a product of Ker s̄
+      and Ker t̄ is a sum of a·w·b, and by the argument of
+      ``subspace_product`` of a·b′·w′ with b′ in A′; so Ker s̄·Ker t̄ = 0
+      once A·A′ = 0, and Ker t̄·Ker s̄ likewise from A′·A.
+    - The target runs over its unit and letters.  A class word r with
+      |r| >= 1 is r′·g for its prefix r′, a class word, and a letter g,
+      and embed(r) = embed(r′)·embed(g).  For b in Ker s̄ ∩ F_{d-|r|}, by
+      induction on |r|: embed(r)·b = embed(r′)·(embed(g)·b) with
+      embed(g)·b in Ker s̄, so t̄(embed(r)·b) = r′·t̄(embed(g)·b) =
+      r′·g·t̄(b); and b·embed(r) = (b·embed(r′))·embed(g), so
+      t̄(b·embed(r)) = t̄(b)·r′·g.
+    - Equivariance runs b over A: t̄(embed(g)·a·u) = t̄(embed(g)·a)·t̄(u)
+      = g·t̄(a·u) and t̄(u·a·embed(g)) = t̄(u)·t̄(a)·g = t̄(u·a)·g, and (S)
+      gives every b in Ker s̄ ∩ F_{d-1}.
+    - Peiffer runs both factors over A.  Each side of b·b′ =
+      embed(t̄(b))·b′ is right linear in b′ over the quotient, and of b·b′
+      = b·embed(t̄(b′)) left linear in b, so by (S) the checks give (a -
+      embed(t̄(a)))·b′ = 0 and b·(a - embed(t̄(a))) = 0 for a in A and b,
+      b′ in Ker s̄.  The quotient is generated by its letters, and F_1 is
+      the unit, the embed(g) and A, as s̄∘embed = id; x - embed(t̄(x)) is 0
+      on the unit and on embed(g) (t̄∘embed = id).  For x = l·x′ with l in
+      F_1, x - embed(t̄(x)) = (l - embed(t̄(l)))·x′ + embed(t̄(l))·(x′ -
+      embed(t̄(x′))), and x′·b′ is in Ker s̄; so by induction on |x|,
+      (x - embed(t̄(x)))·b′ = 0 for every x, and b·(x - embed(t̄(x))) = 0
+      from x = x′·l: both Peiffer identities on every pair.
+
+    ``action_not_in_B`` reports an embed(r)·a or a·embed(r) outside the
+    boundary's domain, as does the identity that needs it; under CAs1
+    none is, as s̄(embed(r)·b) = r·s̄(b) = 0.
     """
-    bad = []
-    d = tx.report_degree
-    bar, up = tx.ambient, tx.ul_p
-    for name, f in (("s", tx.bar_s), ("t", tx.bar_t)):
-        if f.compose(tx.embed) != LinearMap.identity(up.dim):
-            bad.append(("CAs1_" + name, None))
+    bad = [("CAs1_" + name, None) for name, f in (("s", bar_s), ("t", bar_t))
+           if f.compose(embed) != LinearMap.identity(target.dim)]
 
     def mult(a, b):
-        return bar.mult(a, b, d)
+        return quot.mult(a, b, d)
 
-    def embed(r):
-        return bar.from_coords(tx.embed.apply(up.to_coords(r)))
+    def act(r):
+        return quot.from_coords(embed.apply(target.to_coords(r)))
+
+    a2_rows = [(quot.fdeg(v), v) for v in map(quot.from_coords, _on_first(
+        bar_t, quot.dim_upto(1)).kernel().rows)]
+    for da, a in a_rows:
+        for db, b in a2_rows:
+            if da + db <= d and (mult(a, b) or mult(b, a)):
+                bad.append(("CAs2", (da, db)))
+    letters = [(len(w), {w: 1}) for w in target.class_words if len(w) <= 1]
+    for dr, r in letters:
+        for da, a in a_rows:
+            if dr + da <= d and None in (boundary(mult(act(r), a)),
+                                         boundary(mult(a, act(r)))):
+                bad.append(("action_not_in_B", (dr, da)))
+    return bad + identity_violations(
+        a_rows, letters, mult, lambda a, b: target.mult(a, b, d), boundary,
+        lambda r, b: mult(act(r), b), lambda b, r: mult(b, act(r)), bound=d)
+
+
+def check_trunc_xmod(tx):
+    """The crossed module (B, UL(p), rho) at the report degree, by
+    :func:`kernel_xmod_violations`, with rho read through B's coordinates
+    and None outside B.  Returns a list of violations (empty = pass)."""
+    bar, up = tx.ambient, tx.ul_p
 
     def rho(v):
-        """rho of an ambient class vector; None outside B."""
         try:
             c = tx.B.coords(bar.to_coords(v))
         except ValueError:
             return None
         return up.from_coords(tx.rho.apply(c))
 
-    B_rows = tx.b_filtration(d)
-    Kt_rows = filtration_basis(bar, tx.bar_t.kernel(), d)
-    for da, a in B_rows:
-        for db, b in Kt_rows:
-            if da + db <= d and (mult(a, b) or mult(b, a)):
-                bad.append(("CAs2", (da, db)))
-    top = [(len(w), {w: 1}) for w in up.class_words if len(w) <= 1]
-    for du, u in top:
-        for db, b in B_rows:
-            if du + db <= d and None in (rho(mult(embed(u), b)),
-                                         rho(mult(b, embed(u)))):
-                bad.append(("action_not_in_B", (du, db)))
-    return bad + identity_violations(
-        B_rows, top, mult, lambda a, b: up.mult(a, b, d), rho,
-        lambda r, b: mult(embed(r), b), lambda b, r: mult(b, embed(r)),
-        bound=d)
+    return kernel_xmod_violations(bar, up, tx.bar_s, tx.bar_t, tx.embed,
+                                  tx.b_filtration(1), rho, tx.report_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ every private top-level helper is read by some module of the package,
 every method and every public top-level function and class of the package
 is read somewhere, every field of a dataclass or NamedTuple of the package
 is read somewhere, only leibniz, assoc and xmod build a semidirect product,
-and no function outside the command line takes a completion window.
+only ``xmod.check_xmod`` and ``xul.kernel_xmod_violations`` call
+``identity_violations``, and no function outside the command line takes a
+completion window.
 
 Stdlib-``ast`` stand-ins for a linter's unused-import and dead-code
 rules: an import counts as used when its bound name is read anywhere in
@@ -242,6 +244,53 @@ def test_semidirect_call_detector():
 def test_no_semidirect_outside_cat1():
     sources = {p.stem: p.read_text("utf-8") for p in sorted(SRC.glob("*.py"))}
     assert semidirect_calls(sources) == []
+
+
+IDENTITY_CALLERS = {("xmod", "check_xmod"),
+                    ("xul", "kernel_xmod_violations")}
+
+
+def identity_violations_calls(sources):
+    """Sorted (module, line, caller) of the calls of
+    ``identity_violations``, by bare name or as an attribute, in the
+    modules of ``sources`` ({module name: source}) outside
+    ``xmod.check_xmod`` and ``xul.kernel_xmod_violations``: the input's
+    crossed module is checked by the first, and the top row of every
+    kernel-product quotient, ``xul``'s and ``lm``'s, by the second.  The
+    caller is the top-level function or class that holds the call, or
+    "<module>"."""
+    out = []
+    for mod, source in sources.items():
+        for node in ast.parse(source).body:
+            caller = getattr(node, "name", "<module>")
+            if (mod, caller) in IDENTITY_CALLERS:
+                continue
+            out += [(mod, n.lineno, caller) for n in ast.walk(node)
+                    if isinstance(n, ast.Call) and getattr(
+                        n.func, "id", getattr(n.func, "attr", None))
+                    == "identity_violations"]
+    return sorted(out)
+
+
+def test_identity_violations_call_detector():
+    sources = {
+        "xmod": "def check_xmod(x):\n    return identity_violations(x)\n"
+                "\n\ndef other(x):\n    return identity_violations(x)\n",
+        "xul": "def kernel_xmod_violations(x):\n"
+               "    return identity_violations(x)\n\n\n"
+               "def check_trunc_xmod(tx):\n"
+               "    return kernel_xmod_violations(tx), identity_violations\n",
+        "lm": "from . import xmod\n\n\nclass C:\n    def f(self, y):\n"
+              "        return xmod.identity_violations(y)\n\n\n"
+              "identity_violations(0)\n",
+    }
+    assert identity_violations_calls(sources) == [
+        ("lm", 6, "C"), ("lm", 9, "<module>"), ("xmod", 6, "other")]
+
+
+def test_identity_violations_has_two_callers():
+    sources = {p.stem: p.read_text("utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert identity_violations_calls(sources) == []
 
 
 WINDOW_NAMES = {"slack", "cap"}

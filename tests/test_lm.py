@@ -553,7 +553,10 @@ def _full_loop_check(Y):
     bases with degree sums at most the report degree, U(g) running over
     all its class words, the bridge identities over every basis vector of
     U(g) ⊗ M, and the three triple identities that restate associativity
-    of the square-zero algebra."""
+    of the square-zero algebra.  The top row's cat¹ axioms are checked as
+    ``test_xul.py``'s oracle checks the enveloping crossed module's: both
+    us2 and ut2 split emb, and Ker us2 and Ker ut2 annihilate each
+    other."""
     d = Y.report_degree
     Ug, top, tb = Y.ug, Y.top, Y.target_bottom
     mv = Y.dst.bottom_dim
@@ -572,9 +575,17 @@ def _full_loop_check(Y):
         rc = Ug.to_coords(r)
         if Y.us2.apply(Y.emb.apply(rc)) != rc:
             bad.append(("s2_section", dr))
+        if Y.ut2.apply(Y.emb.apply(rc)) != rc:
+            bad.append(("t2_section", dr))
     for da, a in a_rows:
         if Y.us1.apply(Y.section(a)) != a:
             bad.append(("s1_section", da))
+
+    t_rows = filtration_basis(top, Y.ut2.kernel(), d)
+    for ds, s, _ in s_cls:
+        for dt, t in t_rows:
+            if ds + dt <= d and (top.mult(s, t, d) or top.mult(t, s, d)):
+                bad.append(("CAs2_top", (ds, dt)))
 
     for ds, s, ts in s_cls:
         for ds2, s2, ts2 in s_cls:
@@ -1066,6 +1077,57 @@ def test_induced_map_refuses_a_flipped_image(xmods, monkeypatch):
         bent = [{w: -c for w, c in images[0].items()}] + images[1:]
         with pytest.raises(HomomorphismError):
             induced_map(src, dst, bent)
+
+
+def _projection(src, dst):
+    """Each class word of src to its class in dst, which has src's
+    letters, as in ``theta_check``."""
+    return LinearMap.from_cols(dst.dim, [
+        dst.to_coords(dst.reduce_word(w)) for w in src.class_words])
+
+
+def _ideal_mapped_by_kernel(x, D, theta):
+    """Oracle for theta_check's ideal_mapped: θ̄, θ followed by sq's
+    class, applied to every row of the kernel of the projection of
+    UL(q ⋊ p) onto U/X, which is the quotient ideal X up to D."""
+    tx = xul.xul(x, D)
+    Y = lm_xmod_envelope(tx.cat1, D)
+    theta_bar = _projection(pair_algebra(Y.carrier, Y.usd), Y.sq).compose(
+        theta)
+    return not any(theta_bar.apply(r) for r in
+                   _projection(tx.ul_sd, tx.ambient).kernel().rows)
+
+
+def _doubled(f, even):
+    """f with every other column doubled: the odd ones, or with even the
+    even ones."""
+    return LinearMap.from_cols(f.rows, [
+        {i: (1 + (j + even) % 2) * c for i, c in f.col(j).items()}
+        for j in range(f.cols)])
+
+
+@pytest.mark.parametrize("bend", [None, 0, 1])
+@pytest.mark.parametrize("name", CORPUS_XMODS)
+def test_ideal_mapped_matches_the_kernel_loop(xmods, name, bend,
+                                              monkeypatch):
+    """ideal_mapped, θ̄ = θ̄∘ι∘π on U/X's class words, against θ̄ applied
+    to every row of Ker π, with θ on UL(q ⋊ p) as built and with every
+    other column doubled.  The doubled θ maps X outside Y′ on the identity
+    crossed modules, so ideal_mapped is false there; on xmod-zero-a1 X is
+    0, and on xmod-incl-l2 the doubled θ still maps X into Y′."""
+    x, induced, thetas = xmods[name], lm.induced_map, []
+
+    def bent(src, dst, images):
+        out = induced(src, dst, images)
+        if not thetas:  # theta_check's first induced_map is θ
+            out = out if bend is None else _doubled(out, bend)
+            thetas.append(out)
+        return out
+
+    monkeypatch.setattr(lm, "induced_map", bent)
+    got = theta_check(x, 4)["ideal_mapped"]
+    assert got == _ideal_mapped_by_kernel(x, 4, thetas[0])
+    assert got == (bend is None or "-id-" not in name)
 
 
 def test_theta_reports_an_unkilled_relation(xmods, monkeypatch):

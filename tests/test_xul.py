@@ -597,6 +597,38 @@ def _full_loop_check(tx):
     return bad
 
 
+SPAN_CASES = list(XMOD_NAMES) + [
+    (a, kind) for a in HSD_PARAMS for kind in ("identity", "inclusion")] + [
+    "sl2ad-identity", "sl2ad-inclusion"]
+
+
+@pytest.mark.parametrize("D", [4, 5])
+@pytest.mark.parametrize(
+    "case", SPAN_CASES,
+    ids=lambda v: "hsd%d-%s" % v if isinstance(v, tuple) else str(v))
+def test_kernels_are_generated_in_degree_one(xmods, case, D):
+    """The spanning statement (S) of kernel_xmod_violations, at every
+    k <= D: Ker s̄ ∩ F_k and Ker t̄ ∩ F_k are spanned by the a·u and by the
+    u·a for a in the kernel's degree-one filtration rows and |u| <= k - 1,
+    against the kernels' filtration bases."""
+    tx = xul(case_xmod(xmods, case), D)
+    bar = tx.ambient
+    words = [(len(u), {u: 1}) for u in bar.class_words if len(u) < D]
+    for f in (tx.bar_s, tx.bar_t):
+        ker = f.kernel()
+        gens = [a for _, a in filtration_basis(bar, ker, 1)]
+        left = [(du, bar.to_coords(bar.mult(a, u)))
+                for a in gens for du, u in words]
+        right = [(du, bar.to_coords(bar.mult(u, a)))
+                 for a in gens for du, u in words]
+        for k in range(D + 1):
+            want = Subspace.from_vectors(bar.dim, [
+                bar.to_coords(v) for _, v in filtration_basis(bar, ker, k)])
+            for prods in (left, right):
+                assert Subspace.from_vectors(
+                    bar.dim, [v for du, v in prods if du <= k - 1]) == want, k
+
+
 def _perturbations(tx):
     """tx with one of bar_s, bar_t, embed and rho given every other column
     doubled (the same supports, so the same degrees; the odd columns under
